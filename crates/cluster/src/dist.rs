@@ -256,20 +256,177 @@ impl Layout {
     /// Global column of local panel column `k` for rank `idx` of a
     /// `g`-rank group (an `m`-column matrix has `m / frame` frames; local
     /// columns enumerate the owned slice of each frame in global order).
+    /// This is the *definition* of the layout; data moves through
+    /// [`Layout::take`] / [`Layout::place`], which the property tier checks
+    /// against it element for element.
     pub fn col_at(&self, g: usize, idx: usize, k: usize) -> usize {
         let (lo, hi) = self.slice(g, idx);
         let sw = hi - lo;
         (k / sw) * self.frame + lo + (k % sw)
     }
+
+    /// *Take*: the `sub` columns of every frame of `panel`, as a dense
+    /// block (frames in order, `sub` columns each). `panel` stores the
+    /// `own ⊇ sub` columns of every frame — a rank's panel, or a full
+    /// matrix with `own = (0, frame)`.
+    pub fn take(&self, panel: &Matrix, own: Slice, sub: Slice) -> Matrix {
+        let frames = self.frames_in(panel, own);
+        let runs = Runs::new(frames, own, sub, sub);
+        formed(
+            Form::One(Win::whole(panel)),
+            panel.rows(),
+            frames * width(sub),
+            &runs,
+        )
+    }
+
+    /// *Place*: the inverse of [`Layout::take`] — write `blk` (the `sub`
+    /// columns of every frame) into `panel`, which stores `own ⊇ sub`.
+    pub fn place(&self, panel: &mut Matrix, own: Slice, sub: Slice, blk: &Matrix) {
+        let runs = Runs::new(self.frames_in(panel, own), sub, own, sub);
+        place(panel, (0, 0), Form::One(Win::whole(blk)), blk.rows(), &runs);
+    }
+
+    fn frames_in(&self, panel: &Matrix, own: Slice) -> usize {
+        debug_assert!(own.1 <= self.frame, "slice {own:?} outside the frame");
+        panel.cols().checked_div(width(own)).unwrap_or(0)
+    }
+}
+
+/// A per-frame column slice `[lo, hi)` of the [`Layout`].
+pub type Slice = (usize, usize);
+
+fn width(s: Slice) -> usize {
+    s.1 - s.0
 }
 
 /// Per-frame overlap of two layout slices; `None` when disjoint. Sender and
 /// receiver both enumerate transfers from this, so the column order inside
 /// every message is agreed without any index metadata on the wire.
-fn slice_overlap(a: (usize, usize), b: (usize, usize)) -> Option<(usize, usize)> {
+fn slice_overlap(a: Slice, b: Slice) -> Option<Slice> {
     let lo = a.0.max(b.0);
     let hi = a.1.min(b.1);
     (lo < hi).then_some((lo, hi))
+}
+
+/// Geometry of a strided-run copy: per row, `frames` runs of `ow` elements;
+/// run `f` starts at `f·ss + so` in the source and `f·ds + d0` in the
+/// destination.
+#[derive(Clone, Copy, Debug)]
+struct Runs {
+    frames: usize,
+    ow: usize,
+    ss: usize,
+    so: usize,
+    ds: usize,
+    d0: usize,
+}
+
+impl Runs {
+    /// Moving the `sub` columns of each of `frames` frames out of storage
+    /// holding the `from` columns of every frame into storage holding `to`.
+    fn new(frames: usize, from: Slice, to: Slice, sub: Slice) -> Self {
+        debug_assert!(
+            from.0 <= sub.0 && sub.1 <= from.1,
+            "{sub:?} not in {from:?}"
+        );
+        debug_assert!(to.0 <= sub.0 && sub.1 <= to.1, "{sub:?} not in {to:?}");
+        let ow = width(sub);
+        // Dense on both sides: the runs abut, one run per row.
+        let (frames, ow) = if width(from) == ow && width(to) == ow {
+            (1, frames * ow)
+        } else {
+            (frames, ow)
+        };
+        Runs {
+            frames,
+            ow,
+            ss: width(from),
+            so: sub.0 - from.0,
+            ds: width(to),
+            d0: sub.0 - to.0,
+        }
+    }
+}
+
+/// A read window onto row-major storage: rows from `r0`, columns from `c0`.
+#[derive(Clone, Copy)]
+struct Win<'a> {
+    m: &'a Matrix,
+    r0: usize,
+    c0: usize,
+}
+
+impl<'a> Win<'a> {
+    fn whole(m: &'a Matrix) -> Self {
+        Win { m, r0: 0, c0: 0 }
+    }
+
+    fn run(&self, r: usize, f: usize, g: &Runs) -> &'a [f64] {
+        &self.m.row(self.r0 + r)[self.c0 + f * g.ss + g.so..][..g.ow]
+    }
+}
+
+/// One thing, or the sum / difference of two: a sub-problem operand over
+/// quadrants ([`OpSpec`]), and the same over the windows a strided-run copy
+/// reads ([`Source`]).
+#[derive(Clone, Copy, Debug)]
+enum Form<T> {
+    One(T),
+    Add(T, T),
+    Sub(T, T),
+}
+
+impl<T> Form<T> {
+    fn map<U>(self, mut f: impl FnMut(T) -> U) -> Form<U> {
+        match self {
+            Form::One(x) => Form::One(f(x)),
+            Form::Add(x, y) => Form::Add(f(x), f(y)),
+            Form::Sub(x, y) => Form::Sub(f(x), f(y)),
+        }
+    }
+}
+
+/// What a strided-run copy reads: one window, or `X + Y` / `X − Y` of two
+/// formed on the way with one rounding per element — the same value
+/// single-node `resolve_operand` produces.
+type Source<'a> = Form<Win<'a>>;
+
+impl Source<'_> {
+    /// Whether forming costs a flop per element.
+    fn adds(&self) -> bool {
+        !matches!(self, Form::One(_))
+    }
+
+    /// Row `r` of the source into `out`, run by run.
+    fn write_row(&self, r: usize, out: &mut [f64], g: &Runs) {
+        fn zip(d: &mut [f64], x: &[f64], y: &[f64], op: impl Fn(f64, f64) -> f64) {
+            for ((d, &a), &b) in d.iter_mut().zip(x).zip(y) {
+                *d = op(a, b);
+            }
+        }
+        for f in 0..g.frames {
+            let d = &mut out[f * g.ds + g.d0..][..g.ow];
+            match self {
+                Form::One(x) => d.copy_from_slice(x.run(r, f, g)),
+                Form::Add(x, y) => zip(d, x.run(r, f, g), y.run(r, f, g), |a, b| a + b),
+                Form::Sub(x, y) => zip(d, x.run(r, f, g), y.run(r, f, g), |a, b| a - b),
+            }
+        }
+    }
+}
+
+/// A fresh `rows × cols` matrix holding the runs of `src`; columns the runs
+/// do not cover stay zero (for later pieces to [`place`]).
+fn formed(src: Source<'_>, rows: usize, cols: usize, runs: &Runs) -> Matrix {
+    Matrix::from_row_fn(rows, cols, |r, out| src.write_row(r, out, runs))
+}
+
+/// The runs of `src` written into `dst` from `(r0, c0)`.
+fn place(dst: &mut Matrix, (r0, c0): (usize, usize), src: Source<'_>, rows: usize, runs: &Runs) {
+    for r in 0..rows {
+        src.write_row(r, &mut dst.row_mut(r0 + r)[c0..], runs);
+    }
 }
 
 /// Sequential CAPS/Strassen flop count: `7 F(m/2) + 18 (m/2)²` above the
@@ -363,10 +520,6 @@ fn mat_bytes(m: &Matrix) -> u64 {
     (m.len() * std::mem::size_of::<f64>()) as u64
 }
 
-fn sub_block(src: &Matrix, r0: usize, rows: usize, c0: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |r, c| src.get(r0 + r, c0 + c))
-}
-
 // ---------------------------------------------------------------------------
 // sub-problem operand specs (launch order of the single-node executor)
 // ---------------------------------------------------------------------------
@@ -380,29 +533,29 @@ enum Quad {
 }
 
 impl Quad {
-    fn origin(self, h: usize) -> (usize, usize) {
-        match self {
+    /// This quadrant of a rank's `2h × 2·w2` panel. The fractal layout puts
+    /// global column `c` in the left panel half and `c + h` at the same
+    /// offset in the right, so each quadrant is a window of `w2` columns.
+    fn of(self, panel: &Matrix, h: usize) -> Win<'_> {
+        let w2 = panel.cols() / 2;
+        let (r0, c0) = match self {
             Quad::Q11 => (0, 0),
-            Quad::Q12 => (0, h),
+            Quad::Q12 => (0, w2),
             Quad::Q21 => (h, 0),
-            Quad::Q22 => (h, h),
-        }
+            Quad::Q22 => (h, w2),
+        };
+        Win { m: panel, r0, c0 }
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum OpSpec {
-    One(Quad),
-    Add(Quad, Quad),
-    Sub(Quad, Quad),
-}
+type OpSpec = Form<Quad>;
 
 impl OpSpec {
-    fn quads(self) -> (Quad, Option<Quad>) {
-        match self {
-            OpSpec::One(q) => (q, None),
-            OpSpec::Add(x, y) | OpSpec::Sub(x, y) => (x, Some(y)),
-        }
+    /// This operand (`T_i`/`S_i`) read out of a rank's parent panel: both
+    /// quadrant elements of every column are local under the fractal
+    /// layout.
+    fn of(self, panel: &Matrix, h: usize) -> Source<'_> {
+        self.map(|q| q.of(panel, h))
     }
 }
 
@@ -445,200 +598,104 @@ impl RankCtx<'_, '_> {
         self.ep.rank()
     }
 
-    /// Materialise formed columns of a child operand (`T_i`/`S_i`) straight
-    /// out of this rank's parent panel — one rounding per element, the same
-    /// value single-node `resolve_operand` produces. `o` is the per-frame
-    /// column slice to extract (a sub-slice of this rank's own slice
-    /// `[plo, plo + psw)`); the output holds the selected columns of all
-    /// `h / frame` frames in global order. The fractal layout guarantees
-    /// both quadrant elements of every output column are local: column `c`
-    /// sits in the left panel half, `c + h` at the same offset in the right.
-    fn form_cols(
-        &mut self,
-        panel: &Matrix,
-        m: usize,
-        spec: OpSpec,
-        plo: usize,
-        psw: usize,
-        o: (usize, usize),
-    ) -> Matrix {
-        let h = m / 2;
-        let frames = h / self.layout.frame;
-        let w2 = frames * psw; // left-half width of the parent panel
-        let ow = o.1 - o.0;
-        let (q1, q2) = spec.quads();
-        let (r1, c1) = q1.origin(h);
-        let sel = |c0: usize| if c0 == 0 { 0 } else { w2 };
-        let out = Matrix::from_fn(h, frames * ow, |r, k| {
-            // Parent-local index of the child-global column among the left
-            // half; +w2 selects the same column of the right half.
-            let pl = (k / ow) * psw + (o.0 + k % ow - plo);
-            let v1 = panel.get(r1 + r, sel(c1) + pl);
-            match (spec, q2) {
-                (OpSpec::One(_), _) => v1,
-                (OpSpec::Add(_, _), Some(q)) => {
-                    let (r2, c2) = q.origin(h);
-                    v1 + panel.get(r2 + r, sel(c2) + pl)
-                }
-                (OpSpec::Sub(_, _), Some(q)) => {
-                    let (r2, c2) = q.origin(h);
-                    v1 - panel.get(r2 + r, sel(c2) + pl)
-                }
-                _ => unreachable!("two-quadrant spec always has a second quadrant"),
-            }
-        });
-        if q2.is_some() {
-            self.flops += (h * frames * ow) as u64;
-        }
-        out
+    fn my_slice(&self, grp: Grp) -> Slice {
+        self.layout.slice(grp.size, grp.local(self.me()))
     }
 
-    /// Ship this rank's share of child `i`'s operands into the child
-    /// group's layout: the operands are *formed at the sender* (the fractal
-    /// layout makes both quadrants of every element local), so each
-    /// `(sender, receiver)` pair exchanges one combined panel per operand
-    /// instead of per-quadrant blocks — and each element crosses the wire
-    /// exactly once.
-    fn send_child_operands(
+    /// The `sub` columns of every frame of `src` — this rank's `own`-slice
+    /// share of an `h × h` matrix — seated in a fresh panel for slice
+    /// `mine ⊇ sub`: a dense block when `sub == mine`, else a `mine`-wide
+    /// panel whose other columns are still to be placed. Forming `X ± Y`
+    /// counts one flop per element.
+    fn piece(&mut self, src: Source<'_>, h: usize, own: Slice, sub: Slice, mine: Slice) -> Matrix {
+        let frames = h / self.layout.frame;
+        if src.adds() {
+            self.flops += (h * frames * width(sub)) as u64;
+        }
+        let runs = Runs::new(frames, own, mine, sub);
+        formed(src, h, frames * width(mine), &runs)
+    }
+
+    /// Ship to every *other* rank of `to` the columns of `src` (this rank's
+    /// `own` share of an `h × h` matrix) that fall in its slice. Sender and
+    /// receiver enumerate the same overlaps, so one dense block per pair
+    /// crosses the wire and each element crosses exactly once.
+    fn ship(
         &mut self,
-        m: usize,
-        parent: Grp,
-        child: Grp,
-        t: &Matrix,
-        s: &Matrix,
-        i: usize,
+        src: Source<'_>,
+        h: usize,
+        own: Slice,
+        to: Grp,
+        stage: u64,
         path: u64,
     ) -> Result<(), NetError> {
-        let (ta, tb) = CHILD_OPS[i];
-        let (plo, phi) = self.layout.slice(parent.size, parent.local(self.me()));
-        if plo == phi {
-            return Ok(());
-        }
-        for ci in 0..child.size {
-            let cs = self.layout.slice(child.size, ci);
-            let Some(o) = slice_overlap((plo, phi), cs) else {
+        let me = self.me();
+        for ri in 0..to.size {
+            let dst = to.base + ri;
+            let Some(o) = slice_overlap(own, self.layout.slice(to.size, ri)) else {
                 continue;
             };
-            let dst = child.base + ci;
-            for (side, (spec, panel)) in [(0usize, (ta, t)), (1usize, (tb, s))] {
-                let blk = self.form_cols(panel, m, spec, plo, phi - plo, o);
+            if dst != me {
+                let blk = self.piece(src, h, own, o, o);
                 self.ep
-                    .send(dst, tag(path, (i * 2 + side) as u64, self.me(), dst, 0), Block(blk))?;
+                    .send(dst, tag(path, stage, me, dst, 0), Block(blk))?;
             }
         }
         Ok(())
     }
 
-    /// Assemble this rank's child-layout panel of `T_i`/`S_i` from the
-    /// formed-column messages the parent ranks sent (the rank's own share
-    /// arrives as an unmetered self-send). The buffer is charged to the
-    /// meter at allocation time — it is resident from here on.
-    fn assemble_operand(
-        &mut self,
-        parent: Grp,
-        child: Grp,
-        h: usize,
-        side: usize,
-        i: usize,
-        path: u64,
-    ) -> Result<Matrix, NetError> {
-        let (clo, chi) = self.layout.slice(child.size, child.local(self.me()));
-        let csw = chi - clo;
-        let frames = h / self.layout.frame;
-        let mut buf = Matrix::zeros(h, frames * csw);
-        self.ep.mem_alloc(mat_bytes(&buf));
-        for pi in 0..parent.size {
-            let ps = self.layout.slice(parent.size, pi);
-            let Some(o) = slice_overlap(ps, (clo, chi)) else {
-                continue;
-            };
-            let src = parent.base + pi;
-            let blk = self
-                .ep
-                .recv(src, tag(path, (i * 2 + side) as u64, src, self.me(), 0))?
-                .0;
-            let ow = o.1 - o.0;
-            debug_assert_eq!(blk.shape(), (h, frames * ow));
-            for r in 0..h {
-                for f in 0..frames {
-                    for c in 0..ow {
-                        buf.set(r, f * csw + (o.0 - clo) + c, blk.get(r, f * ow + c));
-                    }
-                }
-            }
+    /// The share of `src` this rank keeps as a member of `to` (what used to
+    /// be an unmetered self-send): formed straight into its `to`-layout
+    /// panel, no block, no stash, no copy. `None` when it is no member of
+    /// `to` or owns nothing of it.
+    fn keep(&mut self, src: Source<'_>, h: usize, own: Slice, to: Grp) -> Option<Matrix> {
+        if !to.contains(self.me()) {
+            return None;
         }
-        Ok(buf)
+        let mine = self.my_slice(to);
+        let o = slice_overlap(own, mine)?;
+        Some(self.piece(src, h, own, o, mine))
     }
 
-    /// Ship the product panel `mi` (child layout) back into the parent
-    /// group's layout. The same product columns feed both the left and
-    /// right combine passes on their owner, so each element crosses the
-    /// wire once, in one message per receiving rank.
-    fn send_product(
+    /// Complete this rank's `to`-layout panel of an `h × h` matrix from the
+    /// pieces the ranks of `from` shipped; `kept` is the panel [`keep`]
+    /// started with this rank's own share. A block covering the whole
+    /// slice *is* the panel — moved, not copied. The panel is charged to
+    /// the meter up front: it is resident from here on.
+    ///
+    /// [`keep`]: RankCtx::keep
+    fn assemble(
         &mut self,
-        mi: &Matrix,
-        parent: Grp,
-        child: Grp,
+        kept: Option<Matrix>,
         h: usize,
-        i: usize,
-        path: u64,
-    ) -> Result<(), NetError> {
-        let (clo, chi) = self.layout.slice(child.size, child.local(self.me()));
-        let csw = chi - clo;
-        if csw == 0 {
-            return Ok(());
-        }
-        let frames = h / self.layout.frame;
-        for pi in 0..parent.size {
-            let ps = self.layout.slice(parent.size, pi);
-            let Some(o) = slice_overlap((clo, chi), ps) else {
-                continue;
-            };
-            let dst = parent.base + pi;
-            let ow = o.1 - o.0;
-            let blk = Matrix::from_fn(h, frames * ow, |r, k| {
-                mi.get(r, (k / ow) * csw + (o.0 + k % ow - clo))
-            });
-            self.ep
-                .send(dst, tag(path, 16 + i as u64, self.me(), dst, 0), Block(blk))?;
-        }
-        Ok(())
-    }
-
-    /// Receive child `i`'s product columns into this rank's parent-layout
-    /// buffer (`h × w/2`; local column `k` is this rank's `k`-th owned
-    /// column of an `h`-column matrix). Charged at allocation time.
-    fn recv_product(
-        &mut self,
-        parent: Grp,
-        child: Grp,
-        h: usize,
-        i: usize,
+        from: Grp,
+        to: Grp,
+        stage: u64,
         path: u64,
     ) -> Result<Matrix, NetError> {
-        let (plo, phi) = self.layout.slice(parent.size, parent.local(self.me()));
-        let psw = phi - plo;
-        let frames = h / self.layout.frame;
-        let mut buf = Matrix::zeros(h, frames * psw);
-        self.ep.mem_alloc(mat_bytes(&buf));
-        for ci in 0..child.size {
-            let cs = self.layout.slice(child.size, ci);
-            let Some(o) = slice_overlap(cs, (plo, phi)) else {
+        let me = self.me();
+        let mine = self.my_slice(to);
+        let cols = (h / self.layout.frame) * width(mine);
+        self.ep.mem_alloc((h * cols * 8) as u64);
+        let mut panel = kept;
+        for si in 0..from.size {
+            let src = from.base + si;
+            let Some(o) = slice_overlap(self.layout.slice(from.size, si), mine) else {
                 continue;
             };
-            let src = child.base + ci;
-            let blk = self.ep.recv(src, tag(path, 16 + i as u64, src, self.me(), 0))?.0;
-            let ow = o.1 - o.0;
-            debug_assert_eq!(blk.shape(), (h, frames * ow));
-            for r in 0..h {
-                for f in 0..frames {
-                    for c in 0..ow {
-                        buf.set(r, f * psw + (o.0 - plo) + c, blk.get(r, f * ow + c));
-                    }
-                }
+            if src == me {
+                debug_assert!(panel.is_some(), "own share kept before assembling");
+                continue;
+            }
+            let blk = self.ep.recv(src, tag(path, stage, src, me, 0))?.0;
+            if o == mine {
+                panel = Some(blk);
+            } else {
+                let panel = panel.get_or_insert_with(|| Matrix::zeros(h, cols));
+                self.layout.place(panel, mine, o, &blk);
             }
         }
-        Ok(buf)
+        Ok(panel.unwrap_or_else(|| Matrix::zeros(h, cols)))
     }
 
     /// `C = T · S` on a group; fractal-layout panels in and out. The input
@@ -673,8 +730,7 @@ impl RankCtx<'_, '_> {
                 StepMode::Dfs => grp,
             }
         };
-        let (plo, phi) = self.layout.slice(grp.size, grp.local(self.me()));
-        let psw = phi - plo;
+        let own = self.my_slice(grp);
         let panel_bytes = mat_bytes(&t) + mat_bytes(&s);
 
         // prod[i]: this rank's columns of M_i in *parent* layout — local
@@ -685,10 +741,20 @@ impl RankCtx<'_, '_> {
         match mode {
             StepMode::Bfs => {
                 // Distribute all seven children up front (sends never
-                // block), then release the parent panels — BFS trades
-                // memory for placement-once communication.
-                for i in 0..7 {
-                    self.send_child_operands(m, grp, child_grp(i), &t, &s, i, path)?;
+                // block), peers first: remote ranks start on their children
+                // while this rank forms the shares it keeps. Then release
+                // the parent panels — BFS trades memory for placement-once
+                // communication.
+                for (i, &(ta, tb)) in CHILD_OPS.iter().enumerate() {
+                    self.ship(ta.of(&t, h), h, own, child_grp(i), 2 * i as u64, path)?;
+                    self.ship(tb.of(&s, h), h, own, child_grp(i), 2 * i as u64 + 1, path)?;
+                }
+                let mut kept: [(Option<Matrix>, Option<Matrix>); 7] = Default::default();
+                for (i, &(ta, tb)) in CHILD_OPS.iter().enumerate() {
+                    kept[i] = (
+                        self.keep(ta.of(&t, h), h, own, child_grp(i)),
+                        self.keep(tb.of(&s, h), h, own, child_grp(i)),
+                    );
                 }
                 drop((t, s));
                 self.ep.mem_free(panel_bytes);
@@ -697,18 +763,22 @@ impl RankCtx<'_, '_> {
                     if !cg.contains(self.me()) {
                         continue;
                     }
-                    let ti = self.assemble_operand(grp, cg, h, 0, i, path)?;
-                    let si = self.assemble_operand(grp, cg, h, 1, i, path)?;
+                    let (kt, ks) = std::mem::take(&mut kept[i]);
+                    let ti = self.assemble(kt, h, grp, cg, 2 * i as u64, path)?;
+                    let si = self.assemble(ks, h, grp, cg, 2 * i as u64 + 1, path)?;
                     let mi = self.rec(ti, si, h, cg, path * 7 + i as u64 + 1)?;
                     // Ship the product's columns to their parent-layout
                     // owners immediately, then drop it — per-rank residency
                     // never holds more than one child product here.
-                    self.send_product(&mi, grp, cg, h, i, path)?;
+                    let (src, cown) = (Form::One(Win::whole(&mi)), self.my_slice(cg));
+                    self.ship(src, h, cown, grp, 16 + i as u64, path)?;
+                    prod[i] = self.keep(src, h, cown, grp);
                     self.ep.mem_free(mat_bytes(&mi));
                     drop(mi);
                 }
-                for i in 0..7 {
-                    prod[i] = Some(self.recv_product(grp, child_grp(i), h, i, path)?);
+                for (i, slot) in prod.iter_mut().enumerate() {
+                    let kept = slot.take();
+                    *slot = Some(self.assemble(kept, h, child_grp(i), grp, 16 + i as u64, path)?);
                 }
             }
             StepMode::Dfs => {
@@ -718,9 +788,9 @@ impl RankCtx<'_, '_> {
                 // product panel the recursion returns is exactly its share
                 // of `M_i` — zero bytes move on the wire at this step.
                 for (i, &(ta, tb)) in CHILD_OPS.iter().enumerate() {
-                    let ti = self.form_cols(&t, m, ta, plo, psw, (plo, phi));
+                    let ti = self.piece(ta.of(&t, h), h, own, own, own);
                     self.ep.mem_alloc(mat_bytes(&ti));
-                    let si = self.form_cols(&s, m, tb, plo, psw, (plo, phi));
+                    let si = self.piece(tb.of(&s, h), h, own, own, own);
                     self.ep.mem_alloc(mat_bytes(&si));
                     prod[i] = Some(self.rec(ti, si, h, grp, path * 7 + i as u64 + 1)?);
                 }
@@ -730,31 +800,23 @@ impl RankCtx<'_, '_> {
         }
 
         // Combine with the single-node 18-pass schedule's association
-        // orders, applied to this rank's product columns.
-        let w2 = (h / self.layout.frame) * psw;
+        // orders, applied to this rank's product columns: one pass over the
+        // seven product rows writes the two C rows they feed.
+        let w2 = (h / self.layout.frame) * width(own);
         let mut c = Matrix::zeros(m, 2 * w2);
         self.ep.mem_alloc(mat_bytes(&c));
-        {
-            let g = |i: usize| prod[i].as_ref().expect("all seven products present");
-            let (m2, m3, m6, m7) = (g(0), g(1), g(2), g(3));
-            let (m1, m4, m5) = (g(4), g(5), g(6));
+        let (top, bottom) = c.as_mut_slice().split_at_mut(h * 2 * w2);
+        for r in 0..h {
+            let [m2, m3, m6, m7, m1, m4, m5] = prod
+                .each_ref()
+                .map(|p| &p.as_ref().expect("all seven products present").row(r)[..w2]);
+            let (c11, c12) = top[r * 2 * w2..][..2 * w2].split_at_mut(w2);
+            let (c21, c22) = bottom[r * 2 * w2..][..2 * w2].split_at_mut(w2);
             for k in 0..w2 {
-                for r in 0..h {
-                    // C11 = ((M7 + M1) + M4) − M5 ; C21 = M2 + M4.
-                    c.set(
-                        r,
-                        k,
-                        ((m7.get(r, k) + m1.get(r, k)) + m4.get(r, k)) - m5.get(r, k),
-                    );
-                    c.set(h + r, k, m2.get(r, k) + m4.get(r, k));
-                    // C12 = M3 + M5 ; C22 = ((M6 + M1) − M2) + M3.
-                    c.set(r, w2 + k, m3.get(r, k) + m5.get(r, k));
-                    c.set(
-                        h + r,
-                        w2 + k,
-                        ((m6.get(r, k) + m1.get(r, k)) - m2.get(r, k)) + m3.get(r, k),
-                    );
-                }
+                c11[k] = ((m7[k] + m1[k]) + m4[k]) - m5[k];
+                c12[k] = m3[k] + m5[k];
+                c21[k] = m2[k] + m4[k];
+                c22[k] = ((m6[k] + m1[k]) - m2[k]) + m3[k];
             }
         }
         self.flops += 8 * (h * w2) as u64;
@@ -819,55 +881,46 @@ impl RankCtx<'_, '_> {
             self.ep.mem_alloc(mat_bytes(&c));
             return Ok(c);
         }
-        let (lo, hi) = self.layout.slice(grp.size, grp.local(me));
+        let full = (0, m);
         let mut tf = Matrix::zeros(m, m);
         let mut sf = Matrix::zeros(m, m);
         self.ep.mem_alloc(2 * mat_bytes(&tf));
         for src_local in 0..grp.size {
             let src = grp.base + src_local;
-            let (slo, shi) = self.layout.slice(grp.size, src_local);
-            if slo == shi {
+            let sl = self.layout.slice(grp.size, src_local);
+            if width(sl) == 0 {
                 continue;
             }
-            let (pt, ps) = if src == me {
-                (
-                    sub_block(&t, 0, m, 0, hi - lo),
-                    sub_block(&s, 0, m, 0, hi - lo),
-                )
+            if src == me {
+                self.layout.place(&mut tf, full, sl, &t);
+                self.layout.place(&mut sf, full, sl, &s);
             } else {
-                (
-                    self.ep.recv(src, tag(path, 23, src, leader, 0))?.0,
-                    self.ep.recv(src, tag(path, 24, src, leader, 1))?.0,
-                )
-            };
-            for r in 0..m {
-                for c in 0..(shi - slo) {
-                    tf.set(r, slo + c, pt.get(r, c));
-                    sf.set(r, slo + c, ps.get(r, c));
-                }
+                let pt = self.ep.recv(src, tag(path, 23, src, leader, 0))?.0;
+                let ps = self.ep.recv(src, tag(path, 24, src, leader, 1))?.0;
+                self.layout.place(&mut tf, full, sl, &pt);
+                self.layout.place(&mut sf, full, sl, &ps);
             }
         }
         drop((t, s));
         self.ep.mem_free(panel_bytes);
         let cf = self.local_multiply(tf, sf, m);
-        // Scatter C back. Meter charges follow liveness: each outgoing
-        // panel is transient (never charged, like every send buffer), the
-        // leader's own panel is charged the moment it is carved out while
-        // `cf` is still whole, and `cf`'s m·m·8 bytes are released only
-        // when `cf` is actually dropped.
-        let mut mine = Matrix::zeros(0, 0);
+        // Scatter C back, peers first. Meter charges follow liveness: each
+        // outgoing panel is transient (never charged, like every send
+        // buffer), the leader's own panel is charged the moment it is
+        // carved out while `cf` is still whole, and `cf`'s m·m·8 bytes are
+        // released only when `cf` is actually dropped.
         for dst_local in 0..grp.size {
             let dst = grp.base + dst_local;
-            let (dlo, dhi) = self.layout.slice(grp.size, dst_local);
-            let panel = sub_block(&cf, 0, m, dlo, dhi - dlo);
-            if dst == me {
-                self.ep.mem_alloc(mat_bytes(&panel));
-                mine = panel;
-            } else {
+            if dst != me {
+                let panel = self
+                    .layout
+                    .take(&cf, full, self.layout.slice(grp.size, dst_local));
                 self.ep
                     .send(dst, tag(path, 25, leader, dst, 2), Block(panel))?;
             }
         }
+        let mine = self.layout.take(&cf, full, self.my_slice(grp));
+        self.ep.mem_alloc(mat_bytes(&mine));
         drop(cf);
         self.ep.mem_free((m * m * 8) as u64);
         Ok(mine)
@@ -921,29 +974,25 @@ pub fn dist_caps_multiply(
     let (mut results, report) = run_spmd::<Block, (Option<Matrix>, u64), _>(net, |ep| {
         let me = ep.rank();
         ep.set_phase(Phase::Scatter);
-        // Rank 0 scatters fractal-layout panels of the (padded) operands:
-        // each rank's owned columns, in increasing global order.
-        if me == 0 {
-            for r in 0..p {
-                let w = layout.width(target, p, r);
-                ep.send(
-                    r,
-                    tag(0, 26, 0, r, 0),
-                    Block(Matrix::from_fn(target, w, |row, k| {
-                        fa.get(row, layout.col_at(p, r, k))
-                    })),
-                )?;
-                ep.send(
-                    r,
-                    tag(0, 26, 0, r, 1),
-                    Block(Matrix::from_fn(target, w, |row, k| {
-                        fb.get(row, layout.col_at(p, r, k))
-                    })),
-                )?;
+        // Rank 0 scatters fractal-layout panels of the (padded) operands —
+        // each rank's owned columns, in increasing global order — peers
+        // first, and keeps its own without a self-hop.
+        let full = (0, layout.frame);
+        let (t, s) = if me == 0 {
+            for r in 1..p {
+                for (k, f) in [fa, fb].into_iter().enumerate() {
+                    let panel = layout.take(f, full, layout.slice(p, r));
+                    ep.send(r, tag(0, 26, 0, r, k), Block(panel))?;
+                }
             }
-        }
-        let t = ep.recv(0, tag(0, 26, 0, me, 0))?.0;
-        let s = ep.recv(0, tag(0, 26, 0, me, 1))?.0;
+            let mine = layout.slice(p, 0);
+            (layout.take(fa, full, mine), layout.take(fb, full, mine))
+        } else {
+            (
+                ep.recv(0, tag(0, 26, 0, me, 0))?.0,
+                ep.recv(0, tag(0, 26, 0, me, 1))?.0,
+            )
+        };
         ep.mem_alloc(mat_bytes(&t) + mat_bytes(&s));
 
         ep.set_phase(Phase::Algo);
@@ -959,24 +1008,21 @@ pub fn dist_caps_multiply(
 
         ep.set_phase(Phase::Gather);
         if me == 0 {
-            let mut full = Matrix::zeros(target, target);
-            for r in 0..p {
-                let recvd;
-                let panel = if r == 0 {
-                    // Keep rank 0's own panel without a self-hop.
-                    &c_panel
-                } else {
-                    recvd = ep.recv(r, tag(0, 27, r, 0, 0))?.0;
-                    &recvd
-                };
-                for k in 0..layout.width(target, p, r) {
-                    let gc = layout.col_at(p, r, k);
-                    for row in 0..target {
-                        full.set(row, gc, panel.get(row, k));
-                    }
+            // Rank 0's own panel needs no self-hop, and with one rank it
+            // *is* the result — moved, not copied.
+            let mine = layout.slice(p, 0);
+            let c = if mine == full {
+                c_panel
+            } else {
+                let mut c = Matrix::zeros(target, target);
+                layout.place(&mut c, full, mine, &c_panel);
+                for r in 1..p {
+                    let panel = ep.recv(r, tag(0, 27, r, 0, 0))?.0;
+                    layout.place(&mut c, full, layout.slice(p, r), &panel);
                 }
-            }
-            Ok((Some(full), flops))
+                c
+            };
+            Ok((Some(c), flops))
         } else {
             ep.send(0, tag(0, 27, me, 0, 0), Block(c_panel))?;
             Ok((None, flops))
@@ -1026,20 +1072,17 @@ pub fn summa_multiply(a: &Matrix, b: &Matrix, net: &NetConfig) -> Result<DistOut
         let me = ep.rank();
         let (gi, gj) = (me / q, me % q);
         let at = |i: usize, j: usize| i * q + j;
+        // Whole `bs`-wide block rows: one run per row.
+        let dense = Runs::new(1, (0, bs), (0, bs), (0, bs));
         ep.set_phase(Phase::Scatter);
         if me == 0 {
             for r in 0..p {
                 let (ri, rj) = (r / q, r % q);
-                ep.send(
-                    r,
-                    tag(0, 26, 0, r, 0),
-                    Block(sub_block(a, ri * bs, bs, rj * bs, bs)),
-                )?;
-                ep.send(
-                    r,
-                    tag(0, 26, 0, r, 1),
-                    Block(sub_block(b, ri * bs, bs, rj * bs, bs)),
-                )?;
+                for (k, m) in [a, b].into_iter().enumerate() {
+                    let (r0, c0) = (ri * bs, rj * bs);
+                    let blk = formed(Form::One(Win { m, r0, c0 }), bs, bs, &dense);
+                    ep.send(r, tag(0, 26, 0, r, k), Block(blk))?;
+                }
             }
         }
         let my_a = ep.recv(0, tag(0, 26, 0, me, 0))?.0;
@@ -1105,16 +1148,15 @@ pub fn summa_multiply(a: &Matrix, b: &Matrix, net: &NetConfig) -> Result<DistOut
             let mut full = Matrix::zeros(n, n);
             for r in 0..p {
                 let (ri, rj) = (r / q, r % q);
+                let recvd;
                 let blk = if r == 0 {
-                    my_c.clone()
+                    &my_c
                 } else {
-                    ep.recv(r, tag(0, 27, r, 0, 0))?.0
+                    recvd = ep.recv(r, tag(0, 27, r, 0, 0))?.0;
+                    &recvd
                 };
-                for row in 0..bs {
-                    for c in 0..bs {
-                        full.set(ri * bs + row, rj * bs + c, blk.get(row, c));
-                    }
-                }
+                let at = (ri * bs, rj * bs);
+                place(&mut full, at, Form::One(Win::whole(blk)), bs, &dense);
             }
             Ok((Some(full), flops))
         } else {

@@ -52,6 +52,8 @@ mod sim;
 pub mod study;
 
 pub use config::ClusterConfig;
-pub use dist::{dist_caps_multiply, summa_multiply, DistCapsConfig, DistError, DistOutcome, Layout};
+pub use dist::{
+    dist_caps_multiply, summa_multiply, DistCapsConfig, DistError, DistOutcome, Layout,
+};
 pub use graph::{DistGraph, DistTask};
 pub use sim::{simulate_cluster, ClusterEnergy, ClusterSchedule};

@@ -406,7 +406,11 @@ mod tests {
         assert!(starved.measured_words > free.measured_words);
         assert!(starved.bound_words > free.bound_words);
         assert_eq!(starved.gate(), 4.0);
-        assert!(starved.ratio() <= starved.gate(), "ratio {}", starved.ratio());
+        assert!(
+            starved.ratio() <= starved.gate(),
+            "ratio {}",
+            starved.ratio()
+        );
     }
 
     #[test]

@@ -15,18 +15,33 @@ use powerscale_gemm::DtypeTier;
 use powerscale_machine::{simulate, KernelClass, TaskCost, TaskGraph};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::ThreadPool;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises every [`DtypePin`] in the process: the dtype tier is one
+/// process-wide global, so two concurrent pins would each run (and restore)
+/// under the other's tier.
+static DTYPE_PIN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Pins the process dtype tier for one run and restores the previous pin
 /// on drop (panic-safe), so a spec's `dtype` axis reaches the recursive
 /// executors' internal kernel dispatch without leaking across runs.
+///
+/// Holds [`DTYPE_PIN_LOCK`] for its whole lifetime, so real runs in one
+/// process execute one at a time. This is a stopgap: ROADMAP item 1
+/// replaces the global tier with a dispatch value carried in the run's
+/// config, which deletes this pin and its lock.
 struct DtypePin {
     prev: DtypeTier,
+    // Dropped after `Drop::drop` has restored `prev`.
+    _serial: MutexGuard<'static, ()>,
 }
 
 impl DtypePin {
     fn set(dtype: DtypeTier) -> Self {
+        let serial = DTYPE_PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         DtypePin {
             prev: powerscale_gemm::set_dtype_tier(dtype),
+            _serial: serial,
         }
     }
 }
@@ -231,8 +246,9 @@ mod tests {
                     assert!(err < 1e-12, "f64 must stay at full precision: {err}");
                 }
             }
-            // The pin must have been restored.
-            assert_eq!(powerscale_gemm::dtype_tier(), DtypeTier::F64);
+            // The pin must have been restored (read under the pin lock,
+            // so no concurrent test's run is mid-pin).
+            assert_eq!(DtypePin::set(DtypeTier::F64).prev, DtypeTier::F64);
         }
     }
 

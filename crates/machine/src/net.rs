@@ -22,9 +22,13 @@
 //! the per-link matrix is assembled from sender-side rows after all ranks
 //! join, so reports are bit-identical across runs regardless of thread
 //! interleaving. Blocking receives carry a timeout that converts a deadlock
-//! into a typed [`NetError`], never a hang.
+//! into a typed [`NetError`], never a hang; a rank that fails or panics
+//! poisons its peers, so their blocked receives return
+//! [`NetError::PeerFailed`] at once instead of waiting the timeout out.
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::Duration;
@@ -204,6 +208,16 @@ pub enum NetError {
         /// The receiving rank.
         rank: usize,
     },
+    /// A peer's program returned an error or panicked while this rank was
+    /// blocked receiving: the run is lost, so the receive gives up at once
+    /// rather than waiting out the deadlock guard. [`run_spmd`] reports the
+    /// peer's own failure, not this echo of it.
+    PeerFailed {
+        /// The receiving rank.
+        rank: usize,
+        /// The rank that failed.
+        peer: usize,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -231,6 +245,9 @@ impl fmt::Display for NetError {
             ),
             NetError::Disconnected { rank } => {
                 write!(f, "all peers of rank {rank} disconnected")
+            }
+            NetError::PeerFailed { rank, peer } => {
+                write!(f, "rank {rank} gave up receiving: rank {peer} failed")
             }
         }
     }
@@ -299,6 +316,13 @@ struct Msg<T> {
     payload: T,
 }
 
+/// What travels on a rank's channel: data, or the unmetered notice that a
+/// peer's program failed (which is what wakes a receive blocked on it).
+enum Wire<T> {
+    Data(Msg<T>),
+    Failed(usize),
+}
+
 /// Per-rank traffic and memory statistics, indexed by [`Phase::index`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -335,9 +359,11 @@ pub struct LinkTraffic {
 pub struct Endpoint<T> {
     rank: usize,
     cfg: NetConfig,
-    txs: Vec<Sender<Msg<T>>>,
-    rx: Receiver<Msg<T>>,
+    txs: Vec<Sender<Wire<T>>>,
+    rx: Receiver<Wire<T>>,
     stash: Vec<Msg<T>>,
+    /// The first peer known to have failed; receives no longer block.
+    failed_peer: Option<usize>,
     phase: Phase,
     stats: RankStats,
     matrix_row: Vec<LinkTraffic>,
@@ -404,17 +430,28 @@ impl<T: NetPayload> Endpoint<T> {
         self.matrix_row[dst].bytes += bytes;
         self.matrix_row[dst].msgs += 1;
         self.txs[dst]
-            .send(Msg {
+            .send(Wire::Data(Msg {
                 src: self.rank,
                 tag,
                 payload,
-            })
+            }))
             .map_err(|_| NetError::Disconnected { rank: self.rank })
+    }
+
+    /// Tell every peer this rank's program failed (unmetered, never
+    /// blocks; a peer that already finished has hung up, which is fine).
+    fn poison_peers(&self) {
+        for (peer, tx) in self.txs.iter().enumerate() {
+            if peer != self.rank {
+                let _ = tx.send(Wire::Failed(self.rank));
+            }
+        }
     }
 
     /// Blocking receive matching `(src, tag)`; other messages arriving in
     /// the meantime are stashed for later receives. Times out into a typed
-    /// error after `recv_timeout_s` rather than hanging.
+    /// error after `recv_timeout_s` rather than hanging, and gives up with
+    /// [`NetError::PeerFailed`] as soon as any peer's program has failed.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<T, NetError> {
         if src >= self.cfg.nodes {
             return Err(NetError::RankOutOfRange {
@@ -440,16 +477,22 @@ impl<T: NetPayload> Endpoint<T> {
         // of stashable (non-matching) traffic defer the deadlock guard
         // indefinitely; against a fixed deadline, stashing consumes no
         // budget and the typed timeout still fires on schedule.
-        let deadline =
-            std::time::Instant::now() + Duration::from_secs_f64(self.cfg.recv_timeout_s);
+        let deadline = std::time::Instant::now() + Duration::from_secs_f64(self.cfg.recv_timeout_s);
         loop {
+            if let Some(peer) = self.failed_peer {
+                return Err(NetError::PeerFailed {
+                    rank: self.rank,
+                    peer,
+                });
+            }
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             match self.rx.recv_timeout(remaining) {
-                Ok(msg) if msg.src == src && msg.tag == tag => {
+                Ok(Wire::Data(msg)) if msg.src == src && msg.tag == tag => {
                     self.charge_recv(&msg);
                     return Ok(msg.payload);
                 }
-                Ok(msg) => self.stash.push(msg),
+                Ok(Wire::Data(msg)) => self.stash.push(msg),
+                Ok(Wire::Failed(peer)) => self.failed_peer = Some(peer),
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(NetError::RecvTimeout {
                         rank: self.rank,
@@ -594,11 +637,16 @@ impl NetReport {
     }
 }
 
-/// Run one closure per rank on its own thread, each holding an [`Endpoint`],
-/// and collect results plus the metered [`NetReport`].
+/// Run one closure per rank, each holding an [`Endpoint`], and collect
+/// results plus the metered [`NetReport`]. Rank 0 runs on the calling
+/// thread (a 1-node run spawns nothing); every other rank gets its own OS
+/// thread.
 ///
-/// Rank closures return `Result<R, NetError>`; the first failing rank (by
-/// rank order) fails the run. Panics in a rank propagate.
+/// Rank closures return `Result<R, NetError>`. The first rank to fail —
+/// return an error or panic — poisons its peers, so receives blocked on it
+/// return [`NetError::PeerFailed`] within milliseconds instead of waiting
+/// out `recv_timeout_s`; that first failure is the run's result (its error
+/// returned, its panic resumed), not the echoes it caused.
 pub fn run_spmd<T, R, F>(cfg: &NetConfig, f: F) -> Result<(Vec<R>, NetReport), NetError>
 where
     T: NetPayload + 'static,
@@ -623,6 +671,7 @@ where
             txs: txs.clone(),
             rx,
             stash: Vec::new(),
+            failed_peer: None,
             phase: Phase::Algo,
             stats: RankStats::default(),
             matrix_row: vec![LinkTraffic::default(); n],
@@ -630,29 +679,52 @@ where
         .collect();
     drop(txs);
 
-    let f = &f;
-    let joined: Vec<(Result<R, NetError>, RankStats, Vec<LinkTraffic>)> = thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|mut ep| {
-                scope.spawn(move || {
-                    let out = f(&mut ep);
-                    let (stats, row) = ep.into_stats();
-                    (out, stats, row)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+    // The rank whose failure came first; echoes (`PeerFailed`, sends to a
+    // rank that is gone) can only happen after it is recorded.
+    let first_failed = AtomicUsize::new(usize::MAX);
+    let run_rank = |mut ep: Endpoint<T>| {
+        let out = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ep)));
+        if !matches!(out, Ok(Ok(_))) {
+            let _ = first_failed.compare_exchange(
+                usize::MAX,
+                ep.rank,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+            ep.poison_peers();
+        }
+        let (stats, row) = ep.into_stats();
+        (out, stats, row)
+    };
+    let mut joined: Vec<_> = thread::scope(|scope| {
+        let mut endpoints = endpoints.into_iter();
+        let ep0 = endpoints.next().expect("validated: at least one node");
+        let handles: Vec<_> = endpoints.map(|ep| scope.spawn(|| run_rank(ep))).collect();
+        let mut joined = vec![run_rank(ep0)];
+        joined.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank panics are caught inside run_rank")),
+        );
+        joined
     });
 
+    let first_failed = first_failed.into_inner();
+    if first_failed != usize::MAX {
+        return match joined.swap_remove(first_failed).0 {
+            Err(payload) => panic::resume_unwind(payload),
+            Ok(Err(e)) => Err(e),
+            Ok(Ok(_)) => unreachable!("only a failing rank records itself"),
+        };
+    }
     let mut results = Vec::with_capacity(n);
     let mut ranks = Vec::with_capacity(n);
     let mut matrix = Vec::with_capacity(n);
     for (out, stats, row) in joined {
-        results.push(out?);
+        let Ok(Ok(r)) = out else {
+            unreachable!("a failing rank records itself")
+        };
+        results.push(r);
         ranks.push(stats);
         matrix.push(row);
     }
@@ -847,6 +919,57 @@ mod tests {
             "recv deadline was deferred by stashable traffic: {:?}",
             started.elapsed()
         );
+    }
+
+    #[test]
+    fn failing_rank_fails_its_peers_in_milliseconds() {
+        // Every rank holds sender clones to every peer, so a dead rank's
+        // channel never disconnects: without the poison, ranks 0 and 2
+        // would sit in `recv` for the whole 30 s deadlock guard.
+        let mut cfg = fast_cfg(3);
+        cfg.recv_timeout_s = 30.0;
+        let original = NetError::RankOutOfRange { rank: 99, nodes: 3 };
+        let started = std::time::Instant::now();
+        let err = run_spmd::<Vec<f64>, (), _>(&cfg, |ep| {
+            if ep.rank() == 1 {
+                return ep.send(99, 0, vec![]);
+            }
+            let got = ep.recv(1, 7).map(|_| ());
+            assert_eq!(
+                got,
+                Err(NetError::PeerFailed {
+                    rank: ep.rank(),
+                    peer: 1
+                })
+            );
+            got
+        })
+        .unwrap_err();
+        // Rank 0 fails too (with the echo), but rank 1 failed first.
+        assert_eq!(err, original);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "survivors waited on a dead rank: {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn panicking_rank_fails_its_peers_and_its_panic_wins() {
+        let mut cfg = fast_cfg(3);
+        cfg.recv_timeout_s = 30.0;
+        let started = std::time::Instant::now();
+        let caught = panic::catch_unwind(|| {
+            run_spmd::<Vec<f64>, (), _>(&cfg, |ep| {
+                if ep.rank() == 2 {
+                    panic!("rank 2 exploded");
+                }
+                ep.recv(2, 7).map(|_| ())
+            })
+        })
+        .expect_err("the rank's panic propagates");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"rank 2 exploded"));
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -114,6 +114,21 @@ impl Matrix {
         m
     }
 
+    /// Creates a matrix by handing each row, as a slice, to `fill(row, out)`.
+    /// Rows arrive zeroed in increasing order; whatever `fill` leaves
+    /// unwritten stays zero. The row-at-a-time counterpart of
+    /// [`Matrix::from_fn`] for callers that copy or combine whole runs
+    /// (`copy_from_slice`, zipped iterators) instead of indexing elements.
+    pub fn from_row_fn(rows: usize, cols: usize, mut fill: impl FnMut(usize, &mut [f64])) -> Self {
+        let mut m = Matrix::zeros(rows, cols);
+        if cols > 0 {
+            for (i, out) in m.as_mut_slice().chunks_exact_mut(cols).enumerate() {
+                fill(i, out);
+            }
+        }
+        m
+    }
+
     /// Creates a matrix from a row-major slice of exactly `rows * cols`
     /// elements.
     ///
@@ -193,6 +208,14 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row out of bounds");
         &self.buf.as_slice()[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Row `i` as a contiguous mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        assert!(i < self.rows, "row out of bounds");
+        let cols = self.cols;
+        &mut self.buf.as_mut_slice()[i * cols..(i + 1) * cols]
     }
 
     /// An immutable view covering the whole matrix.
@@ -389,6 +412,26 @@ mod tests {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let m = Matrix::from_rows(2, 3, &data);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn from_row_fn_fills_rows_and_leaves_the_rest_zero() {
+        let m = Matrix::from_row_fn(3, 4, |i, out| out[..2].fill(i as f64 + 1.0));
+        assert_eq!(m.row(0), &[1.0, 1.0, 0.0, 0.0]);
+        assert_eq!(m.row(2), &[3.0, 3.0, 0.0, 0.0]);
+        // Zero-width rows are never handed out.
+        assert_eq!(
+            Matrix::from_row_fn(3, 0, |_, _| unreachable!()).shape(),
+            (3, 0)
+        );
+    }
+
+    #[test]
+    fn row_mut_writes_one_row() {
+        let mut m = Matrix::zeros(2, 3);
+        m.row_mut(1).copy_from_slice(&[4.0, 5.0, 6.0]);
+        assert_eq!(m.row(0), &[0.0; 3]);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
     }
 

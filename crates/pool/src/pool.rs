@@ -187,7 +187,7 @@ impl ThreadPool {
     where
         F: FnOnce(&Scope<'_, 'env>) -> R,
     {
-        let latch = ScopeLatch::new();
+        let latch = Arc::new(ScopeLatch::new());
         let scope = Scope::new(&self.inner, &latch, cancel);
         // Guard so the wait happens even if `f` itself unwinds after
         // spawning: tasks borrowing the environment must finish before the

@@ -15,8 +15,15 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Counts in-flight tasks of one scope and holds the first captured panic.
+///
+/// Shared by `Arc` between the scope owner and every job of the scope: the
+/// owner may observe `pending == 0` and return (popping its stack frame)
+/// while the last completer is still between its decrement and its
+/// `notify_all`, so the latch must not live in that frame. A job's clone
+/// keeps the latch alive until the job has finished touching it.
 pub(crate) struct ScopeLatch {
     pending: AtomicUsize,
     mutex: Mutex<()>,
@@ -45,7 +52,10 @@ impl ScopeLatch {
     fn complete_one(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last task: wake the scope owner. The lock pairs with
-            // wait_blocking's re-check to avoid a lost wakeup.
+            // wait_blocking's re-check to avoid a lost wakeup. The owner
+            // may already be gone (a helping waiter polls `is_open`
+            // without the lock); `self` is alive regardless because the
+            // completing job holds its own `Arc` of the latch.
             drop(self.mutex.lock());
             self.cond.notify_all();
         }
@@ -106,7 +116,7 @@ impl<T> SendPtr<T> {
 /// scope of their own so they can spawn recursively.
 pub struct Scope<'pool, 'env> {
     pool: &'pool PoolInner,
-    latch: &'pool ScopeLatch,
+    latch: &'pool Arc<ScopeLatch>,
     /// Cancellation token governing every task in the scope, if any
     /// (installed by [`crate::ThreadPool::scope_with_cancel`] or inherited
     /// from the enclosing task by [`crate::ThreadPool::scope`]).
@@ -119,7 +129,7 @@ pub struct Scope<'pool, 'env> {
 impl<'pool, 'env> Scope<'pool, 'env> {
     pub(crate) fn new(
         pool: &'pool PoolInner,
-        latch: &'pool ScopeLatch,
+        latch: &'pool Arc<ScopeLatch>,
         cancel: Option<CancelToken>,
     ) -> Self {
         Scope {
@@ -170,14 +180,16 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         F: FnOnce(&Scope<'_, 'env>) + Send + 'env,
     {
         let pool = SendPtr(self.pool as *const PoolInner);
-        let latch = SendPtr(self.latch as *const ScopeLatch);
+        // The job owns a share of the latch: its final `complete_one` can
+        // race the scope owner's return, so a borrow of the owner's frame
+        // would dangle exactly there.
+        let latch = Arc::clone(self.latch);
         let cancel = self.cancel.clone();
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            // SAFETY: the scope owner waits on the latch before returning,
-            // and `PoolInner` is kept alive by the `ThreadPool` (which must
-            // outlive the scope call), so both pointers are valid for the
-            // whole execution of this job.
-            let (pool, latch) = unsafe { (&*pool.get(), &*latch.get()) };
+            // SAFETY: `PoolInner` is kept alive by the `ThreadPool`, which
+            // must outlive the scope call and joins its workers on drop, so
+            // the pointer is valid for the whole execution of this job.
+            let pool = unsafe { &*pool.get() };
             if cancellable && cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 // Steal/pop boundary: the scope was cancelled after this
                 // task was queued. Skip the body — a cancelled job is a
@@ -191,7 +203,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
             // worker had before: leaf polls and nested scopes must see
             // exactly this job's scope, not an interleaved one.
             let _token = CurrentGuard::install(cancel.clone());
-            let scope = Scope::new(pool, latch, cancel);
+            let scope = Scope::new(pool, &latch, cancel);
             let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
             if let Err(payload) = result {
                 pool.count_panic_current();

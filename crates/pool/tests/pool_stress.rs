@@ -30,6 +30,11 @@ const TREE_ELEMS: u64 = 100_000;
 const EXT_THREADS: usize = 6;
 const EXT_SCOPES: usize = 50;
 const EXT_TASKS: usize = 10;
+/// Nested-scope stress: `NEST_ROUNDS` trees of width-4 scopes, `NEST_DEPTH`
+/// levels below the root — (4^(d+1) − 1)/3 = 5 461 scopes a tree, 546 100
+/// in all.
+const NEST_ROUNDS: u64 = 100;
+const NEST_DEPTH: u32 = 6;
 /// Cases per property test (pinned; the shim derives each case's inputs
 /// from the test name and this index range).
 const PROP_CASES: u32 = 16;
@@ -45,6 +50,58 @@ fn results_slots_all_written() {
     });
     for (i, &v) in slots.iter().enumerate() {
         assert_eq!(v, (i as u64).wrapping_mul(2654435761), "slot {i}");
+    }
+}
+
+/// Regression for the scope latch's use-after-return: the last completer
+/// used to decrement `pending` to 0 and only then lock/notify a latch that
+/// lived in the scope owner's stack frame — which a helping waiter, polling
+/// `pending` without the lock, had by then popped and (one nested scope
+/// later) reused. Two workers opening 500 000+ nested width-4 scopes hit
+/// that window constantly: every nested scope is waited on by a helping
+/// worker while the other worker finishes its last stolen task. Seen as
+/// SIGSEGV, corrupted operands and hangs before jobs held an `Arc` of the
+/// latch; here the `canary` overlays the vacated frames and catches the
+/// stray write (about one run in four of a fifth of this length did).
+#[test]
+#[ignore = "release-tier stress (500k+ scopes); run in the release-oracle and TSan CI jobs"]
+fn nested_width4_scopes_on_two_workers() {
+    /// Leaves under a node `depth` levels above the leaves, computed by
+    /// one width-4 scope per node with results in the owner's frame.
+    fn nest(pool: &ThreadPool, depth: u32) -> u64 {
+        let mut slots = [0u64; 4];
+        pool.scope(|s| {
+            let mut free = slots.iter_mut();
+            s.spawn_n(4, |_| {
+                let slot = free.next().expect("four slots");
+                move |_| *slot = if depth == 0 { 1 } else { nest(pool, depth - 1) }
+            });
+        });
+        canary();
+        slots.iter().sum()
+    }
+    /// Overlays the stack the scope's frames just vacated with zeros and
+    /// watches them: a late completer's `notify_all` on a popped latch
+    /// bumps a word here.
+    #[inline(never)]
+    fn canary() {
+        let mut pad = [0u32; 128];
+        std::hint::black_box(&mut pad);
+        for _ in 0..4 {
+            std::hint::spin_loop();
+        }
+        assert!(
+            std::hint::black_box(&pad).iter().all(|&w| w == 0),
+            "a finished scope's frame was written to"
+        );
+    }
+    let pool = ThreadPool::new(2);
+    for round in 0..NEST_ROUNDS {
+        assert_eq!(
+            nest(&pool, NEST_DEPTH),
+            4u64.pow(NEST_DEPTH + 1),
+            "round {round}"
+        );
     }
 }
 

@@ -155,7 +155,9 @@ mod tests {
             p.get(Event::StealsInGroup) + p.get(Event::StealsCrossGroup),
             stats.steals_in_group() + stats.steals_cross_group() - base.in_group - base.cross_group,
         );
-        // Ungrouped pool: any steal at all is a cross-group one.
-        assert_eq!(p.get(Event::StealsInGroup), 0);
+        // Ungrouped pool: every steal counts as in-group (`PoolStats`
+        // documents it; the opposite assertion stood here and failed
+        // whenever a steal actually happened, about one run in three).
+        assert_eq!(p.get(Event::StealsCrossGroup), 0);
     }
 }

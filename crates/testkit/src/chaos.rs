@@ -19,6 +19,7 @@
 //! `cargo test` quick, CI raises `POWERSCALE_CHAOS_SCHEDULES` into the
 //! thousands in release builds.
 
+use crate::differential::toggle_guard;
 use powerscale_caps::CapsConfig;
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::det::DetConfig;
@@ -82,6 +83,10 @@ pub struct ChaosReport {
 /// sequential baseline, and that the *last* schedule replays exactly
 /// from its recorded trace.
 ///
+/// Holds [`toggle_guard`] for the batch: the comparison is bit for bit,
+/// and a differential sweep flipping the process-global kernel tier or
+/// leaf mode in a concurrent test would change the bits mid-batch.
+///
 /// # Panics
 /// Panics (test-style) on any schedule-dependent divergence or replay
 /// mismatch; the message names the offending seed.
@@ -91,6 +96,7 @@ pub fn chaos_batch(
     label: &str,
     mul: &(dyn Fn(Option<&ThreadPool>) -> Matrix + Sync),
 ) -> ChaosReport {
+    let _toggles = toggle_guard();
     let baseline = mul(None);
     let mut traces = HashSet::new();
     let mut total_events = 0usize;
