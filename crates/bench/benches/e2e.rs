@@ -13,7 +13,7 @@
 //! - `POWERSCALE_E2E_CHECK`    `0` skips the naive Frobenius check
 //! - `POWERSCALE_E2E_UNFUSED`  `1` adds `*_unfused` rows: the same
 //!   recursive algorithms with operand fusion disabled
-//!   ([`powerscale::gemm::set_unfused_leaf`]), quantifying the win from
+//!   ([`powerscale::gemm::Dispatch::unfused_leaf`]), quantifying the win from
 //!   packing `X ± Y` directly into the leaf buffers
 //! - `POWERSCALE_E2E_OUT`      output filename, default `BENCH_e2e.json`
 //! - `POWERSCALE_E2E_GATE`     baseline filename; when set, exits non-zero
@@ -114,12 +114,19 @@ fn main() {
             if unfused && !unfused_too {
                 break;
             }
-            powerscale::gemm::set_unfused_leaf(unfused);
+            let dispatch = Dispatch {
+                unfused_leaf: unfused,
+                ..Dispatch::default()
+            };
             let suffix = if unfused { "_unfused" } else { "" };
 
+            let classic = StrassenConfig {
+                dispatch,
+                ..StrassenConfig::default()
+            };
             let strassen_cfgs = [
-                ("strassen_classic", StrassenConfig::default()),
-                ("strassen_winograd", StrassenConfig::default().winograd()),
+                ("strassen_classic", classic),
+                ("strassen_winograd", classic.winograd()),
             ];
             for (name, cfg) in strassen_cfgs {
                 let mut out = Matrix::zeros(n, n);
@@ -142,7 +149,10 @@ fn main() {
                 });
             }
 
-            let caps_cfg = CapsConfig::default();
+            let caps_cfg = CapsConfig {
+                dispatch,
+                ..CapsConfig::default()
+            };
             let mut out = Matrix::zeros(n, n);
             let secs = best_of(reps, || {
                 out =
@@ -157,7 +167,6 @@ fn main() {
                 rel_err: err_of(&out),
             });
         }
-        powerscale::gemm::set_unfused_leaf(false);
 
         for m in results.iter().filter(|m| m.n == n) {
             println!(

@@ -1,5 +1,7 @@
 //! CAPS configuration.
 
+use powerscale_gemm::Dispatch;
+
 /// Tuning knobs for the CAPS traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapsConfig {
@@ -20,6 +22,8 @@ pub struct CapsConfig {
     /// of the group-affinity study and lets the test matrix exercise both
     /// schedules on the same pool.
     pub group_affine: bool,
+    /// Kernel selection and leaf mode every leaf product runs under.
+    pub dispatch: Dispatch,
 }
 
 impl Default for CapsConfig {
@@ -29,6 +33,7 @@ impl Default for CapsConfig {
             cutoff_depth: 4,
             dfs_ways: 4,
             group_affine: true,
+            dispatch: Dispatch::default(),
         }
     }
 }
@@ -42,6 +47,7 @@ impl CapsConfig {
             cutoff: self.cutoff,
             task_depth: self.cutoff_depth,
             variant: powerscale_strassen::Variant::Classic,
+            dispatch: self.dispatch,
         }
     }
 

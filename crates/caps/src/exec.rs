@@ -20,7 +20,7 @@
 use crate::config::CapsConfig;
 use powerscale_counters::EventSet;
 use powerscale_gemm::arena;
-use powerscale_gemm::leaf::{leaf_gemm_fused, Accum, Operand};
+use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_matrix::{pad, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
 use powerscale_pool::ThreadPool;
 use powerscale_strassen::accounting::{
@@ -140,10 +140,11 @@ fn shared_leaf(
     b: Operand<'_>,
     c: &mut MatrixViewMut<'_>,
     accum: Accum,
-    ways: usize,
+    cfg: &CapsConfig,
     pool: Option<&ThreadPool>,
     events: Option<&EventSet>,
 ) {
+    let (ways, dispatch) = (cfg.dfs_ways, cfg.dispatch);
     let _span = powerscale_trace::span_args(
         powerscale_trace::Category::Caps,
         "shared_leaf",
@@ -166,14 +167,15 @@ fn shared_leaf(
             p.scope(|s| {
                 for (asub, mut band) in jobs {
                     s.spawn(move |_| {
-                        leaf_gemm_fused(asub, b, &mut band, accum, events)
+                        leaf_gemm_fused_with(dispatch, asub, b, &mut band, accum, events)
                             .expect("band shapes valid by construction");
                     });
                 }
             });
         }
         _ => {
-            leaf_gemm_fused(a, b, c, accum, events).expect("leaf shapes valid by construction");
+            leaf_gemm_fused_with(dispatch, a, b, c, accum, events)
+                .expect("leaf shapes valid by construction");
         }
     }
 }
@@ -192,7 +194,7 @@ fn product(
 ) {
     let h = dst.rows();
     if is_leaf(h, cfg.cutoff) {
-        shared_leaf(a, b, dst, Accum::Set, cfg.dfs_ways, pool, events);
+        shared_leaf(a, b, dst, Accum::Set, cfg, pool, events);
         return;
     }
     let am = resolve_operand(a, h, pool, events);
@@ -228,7 +230,7 @@ fn rec(
             Operand::View(b),
             c,
             Accum::Set,
-            cfg.dfs_ways,
+            cfg,
             pool,
             events,
         );

@@ -7,15 +7,15 @@
 //! change: how panels are copied may not move a metered byte, a memory
 //! charge, a counted flop or a result bit.
 //!
-//! The kernel tier is pinned to scalar so the result hash is the same on
+//! The kernel tier is scalar in every cell's config so the result hash is the same on
 //! every host (the scalar kernel is unfused multiply-then-add in `k`
 //! order; the SIMD tiers fuse).
 
+use powerscale_caps::CapsConfig;
 use powerscale_cluster::presets::e3_1225_net;
 use powerscale_cluster::{dist_caps_multiply, DistCapsConfig};
-use powerscale_gemm::{set_kernel_tier, KernelTier};
+use powerscale_gemm::{Dispatch, KernelTier};
 use powerscale_matrix::MatrixGen;
-use powerscale_testkit::differential::toggle_guard;
 
 const N: usize = 256;
 const SEED: u64 = 0x601D;
@@ -42,15 +42,6 @@ fn fnv1a(data: &[f64]) -> u64 {
         }
     }
     h
-}
-
-/// Restores the process-wide kernel tier on every exit path.
-struct TierPin(KernelTier);
-
-impl Drop for TierPin {
-    fn drop(&mut self) {
-        set_kernel_tier(self.0);
-    }
 }
 
 const CELLS: &[Cell] = &[
@@ -182,16 +173,21 @@ const CELLS: &[Cell] = &[
 
 #[test]
 fn counters_meter_flops_and_bits_match_the_pinned_constants() {
-    let _toggles = toggle_guard();
-    let _tier = TierPin(set_kernel_tier(KernelTier::Scalar));
+    let scalar = Dispatch {
+        tier: KernelTier::Scalar,
+        ..Dispatch::default()
+    };
     let mut gen = MatrixGen::new(SEED);
     let (a, b) = (gen.paper_operand(N), gen.paper_operand(N));
     let mut actual = String::new();
     let mut ok = true;
     for cell in CELLS {
         let cfg = DistCapsConfig {
+            caps: CapsConfig {
+                dispatch: scalar,
+                ..CapsConfig::default()
+            },
             mem_limit_bytes: cell.mem_limit_words.map(|w| w * 8),
-            ..DistCapsConfig::default()
         };
         assert_eq!(cfg.caps.cutoff, 64, "the pins were taken at cutoff 64");
         let out = dist_caps_multiply(&a, &b, &cfg, &e3_1225_net(cell.nodes)).unwrap();

@@ -2,7 +2,7 @@
 
 use crate::arena;
 use crate::blocking::BlockingParams;
-use crate::kernel::{select_kernel, KernelFn, KernelInfo};
+use crate::kernel::{Dispatch, KernelFn, KernelInfo};
 use crate::pack::{
     pack_a, pack_b, pack_b_strips, packed_a_len, packed_b_len, slots_for, PackScalar,
 };
@@ -13,12 +13,13 @@ use powerscale_trace as trace;
 
 /// Execution context for [`dgemm`]: the dispatched microkernel, blocking
 /// factors derived for its tile shape, optional worker pool (sequential
-/// when absent) and optional event instrumentation.
+/// when absent) and optional event instrumentation. Build one from a
+/// [`Dispatch`] with [`GemmContext::new`].
 pub struct GemmContext<'a> {
-    /// Loop blocking factors (defaults to the Haswell derivation for the
-    /// selected kernel); must be aligned to `kernel`'s tile shape.
+    /// Loop blocking factors (autotuned for `kernel` by default); must be
+    /// aligned to `kernel`'s tile shape.
     pub params: BlockingParams,
-    /// The microkernel to run (defaults to the runtime-dispatched one).
+    /// The microkernel to run.
     pub kernel: &'static KernelInfo,
     /// Pool for the row-panel loop; `None` runs sequentially.
     pub pool: Option<&'a ThreadPool>,
@@ -28,39 +29,42 @@ pub struct GemmContext<'a> {
 
 impl Default for GemmContext<'_> {
     fn default() -> Self {
-        GemmContext {
-            params: BlockingParams::default(),
-            kernel: select_kernel(),
-            pool: None,
-            events: None,
-        }
+        GemmContext::new(Dispatch::default(), None, None)
     }
 }
 
 impl<'a> GemmContext<'a> {
-    /// A sequential, uninstrumented context with default blocking.
+    /// The context `dispatch` resolves to: its kernel, blocking autotuned
+    /// for that kernel's tile shape on the host's probed cache hierarchy,
+    /// and the caller's pool and event set.
+    pub fn new(
+        dispatch: Dispatch,
+        pool: Option<&'a ThreadPool>,
+        events: Option<&'a EventSet>,
+    ) -> Self {
+        let kernel = dispatch.kernel();
+        GemmContext {
+            params: BlockingParams::autotuned_for(kernel),
+            kernel,
+            pool,
+            events,
+        }
+    }
+
+    /// A sequential, uninstrumented context with default dispatch.
     pub fn sequential() -> Self {
         GemmContext::default()
     }
 
-    /// A parallel context on `pool` with default blocking.
+    /// A parallel context on `pool` with default dispatch.
     pub fn parallel(pool: &'a ThreadPool) -> Self {
-        GemmContext {
-            pool: Some(pool),
-            ..GemmContext::default()
-        }
+        GemmContext::new(Dispatch::default(), Some(pool), None)
     }
 
-    /// A sequential context pinned to a specific microkernel, with
-    /// blocking autotuned for that kernel's tile shape on the host's
-    /// probed cache hierarchy. Used to force a dispatch tier (tests,
-    /// benchmarks, CI's scalar job).
+    /// A sequential context pinned to a specific microkernel. Used to
+    /// force a dispatch tier (tests, benchmarks, CI's scalar job).
     pub fn with_kernel(kernel: &'static KernelInfo) -> Self {
-        GemmContext {
-            params: BlockingParams::autotuned_for(kernel),
-            kernel,
-            ..GemmContext::default()
-        }
+        GemmContext::new(Dispatch::default().with_kernel(kernel), None, None)
     }
 }
 

@@ -18,14 +18,14 @@
 //! blocking, packing and the driver all consume the selected kernel's
 //! `mr`/`nr` (see [`crate::BlockingParams`]).
 //!
-//! Dispatch resolves, in priority order: an exact-kernel override pin
-//! ([`set_kernel_override`], the testkit's ISA×dtype lever), the tier pin
-//! ([`set_kernel_tier`]), the `force-scalar` feature, then feature
-//! detection per the process dtype pin ([`set_dtype_tier`]).
+//! What gets dispatched is decided by one explicit [`Dispatch`] value
+//! (ISA tier, dtype tier, exact-kernel override, leaf mode) that callers
+//! carry down to the kernels; its `Default` is the host's best f64 kernel,
+//! or the scalar one under the `force-scalar` feature.
 
 use crate::pack::PackScalar;
 use powerscale_matrix::MatrixViewMut;
-use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Register-tile rows of the portable scalar microkernel.
 pub const SCALAR_MR: usize = 4;
@@ -165,6 +165,17 @@ pub struct KernelInfo {
     pub func: KernelFn,
 }
 
+/// Kernel instances are identified by their unique dispatch label (entry
+/// points are function pointers, whose addresses are not a stable
+/// identity).
+impl PartialEq for KernelInfo {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Eq for KernelInfo {}
+
 impl KernelInfo {
     /// Bytes per packed panel element for this kernel.
     pub fn packed_elem_bytes(&self) -> usize {
@@ -280,8 +291,8 @@ pub fn scalar_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
 
 /// The best SIMD f64 kernel the host supports, or `None` when only the
 /// scalar path is available. Forcing this kernel (via
-/// [`crate::GemmContext::with_kernel`]) pins the SIMD tier regardless of
-/// the `force-scalar` feature.
+/// [`Dispatch::with_kernel`]) pins the SIMD tier regardless of the
+/// `force-scalar` feature.
 pub fn simd_kernel() -> Option<&'static KernelInfo> {
     crate::simd::detect(DtypeTier::F64)
 }
@@ -308,133 +319,107 @@ pub fn kernel_by_name(name: &str) -> Option<&'static KernelInfo> {
     available_kernels().into_iter().find(|k| k.name == name)
 }
 
-/// A runtime pin on the dispatch tier [`select_kernel`] resolves to.
-///
-/// [`GemmContext::with_kernel`](crate::GemmContext::with_kernel) pins the
-/// kernel for one explicit `dgemm` call, but the recursive executors
-/// (Strassen/CAPS) reach their leaves through
-/// [`crate::leaf_gemm_fused`], which dispatches internally — this
-/// process-wide pin is the lever that drives *those* paths through a
-/// chosen tier (the differential test matrix runs every algorithm under
-/// both `Scalar` and `Simd`). For pinning one exact ISA×dtype instance,
-/// see [`set_kernel_override`], which wins over this pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The ISA tier a [`Dispatch`] resolves kernels in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// Normal dispatch: SIMD when the host supports it (unless the
-    /// `force-scalar` feature pins scalar).
-    #[default]
-    Auto,
-    /// Always the portable scalar kernel (of the pinned dtype tier).
+    /// Always the portable scalar kernel (of the dispatched dtype tier).
     Scalar,
-    /// The host's SIMD kernel; falls back to scalar when the host has
-    /// none (so a pinned test matrix degrades instead of aborting).
+    /// The host's best SIMD kernel; falls back to scalar when the host has
+    /// none (so a SIMD test matrix degrades instead of aborting).
     Simd,
 }
 
-static TIER: AtomicU8 = AtomicU8::new(0);
-static DTYPE: AtomicU8 = AtomicU8::new(0);
-static OVERRIDE: AtomicPtr<KernelInfo> = AtomicPtr::new(std::ptr::null_mut());
-
-/// The current process-wide dispatch-tier pin.
-pub fn kernel_tier() -> KernelTier {
-    match TIER.load(Ordering::Relaxed) {
-        1 => KernelTier::Scalar,
-        2 => KernelTier::Simd,
-        _ => KernelTier::Auto,
+impl Default for KernelTier {
+    /// `Simd`, unless the `force-scalar` cargo feature pins the scalar ISA
+    /// (used by CI to exercise the portable path on SIMD-capable hosts).
+    fn default() -> Self {
+        if cfg!(feature = "force-scalar") {
+            KernelTier::Scalar
+        } else {
+            KernelTier::Simd
+        }
     }
 }
 
-/// Pins (or with [`KernelTier::Auto`] unpins) the dispatch tier for the
-/// whole process. Wins over the `force-scalar` feature; a `Simd` pin on a
-/// host with no SIMD tier degrades to scalar. Returns the previous pin so
-/// callers can restore it.
-pub fn set_kernel_tier(tier: KernelTier) -> KernelTier {
-    let prev = kernel_tier();
-    let raw = match tier {
-        KernelTier::Auto => 0,
-        KernelTier::Scalar => 1,
-        KernelTier::Simd => 2,
-    };
-    TIER.store(raw, Ordering::Relaxed);
-    prev
-}
-
-/// The current process-wide dtype-tier pin (default [`DtypeTier::F64`]).
-pub fn dtype_tier() -> DtypeTier {
-    match DTYPE.load(Ordering::Relaxed) {
-        1 => DtypeTier::F32,
-        2 => DtypeTier::Mixed,
-        _ => DtypeTier::F64,
-    }
-}
-
-/// Pins the dtype tier [`select_kernel`] dispatches for the whole process
-/// — the harness sets this from a run spec's `dtype` axis before a real
-/// run so the recursive executors' internal dispatch follows the scenario
-/// axis. Returns the previous pin so callers can restore it.
-pub fn set_dtype_tier(dtype: DtypeTier) -> DtypeTier {
-    let prev = dtype_tier();
-    let raw = match dtype {
-        DtypeTier::F64 => 0,
-        DtypeTier::F32 => 1,
-        DtypeTier::Mixed => 2,
-    };
-    DTYPE.store(raw, Ordering::Relaxed);
-    prev
-}
-
-/// The current exact-kernel override pin, if any.
-pub fn kernel_override() -> Option<&'static KernelInfo> {
-    let p = OVERRIDE.load(Ordering::Relaxed);
-    // SAFETY: the pointer is only ever null or a `&'static KernelInfo`
-    // stored by `set_kernel_override`.
-    unsafe { p.cast_const().as_ref() }
-}
-
-/// Pins dispatch to one exact kernel instance (an entry of
-/// [`available_kernels`]) for the whole process, winning over every other
-/// pin and feature — the testkit's lever for driving the recursive
-/// executors through a specific ISA×dtype cell. `None` unpins. Returns
-/// the previous override so callers can restore it.
-pub fn set_kernel_override(kernel: Option<&'static KernelInfo>) -> Option<&'static KernelInfo> {
-    let prev = OVERRIDE.swap(
-        match kernel {
-            Some(k) => (k as *const KernelInfo).cast_mut(),
-            None => std::ptr::null_mut(),
-        },
-        Ordering::Relaxed,
-    );
-    // SAFETY: as in `kernel_override`.
-    unsafe { prev.cast_const().as_ref() }
-}
-
-/// Selects the microkernel for this host at a specific dtype tier: the
-/// SIMD instance when the CPU supports one, the scalar instantiation
-/// otherwise. The `force-scalar` cargo feature pins the scalar ISA for
-/// every dtype (used by CI to exercise the portable path on SIMD-capable
-/// hosts); a runtime [`set_kernel_tier`] pin wins over the feature, and a
-/// [`set_kernel_override`] pin wins over everything (including `dtype`).
-pub fn select_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
-    if let Some(k) = kernel_override() {
-        return k;
-    }
-    match kernel_tier() {
-        KernelTier::Scalar => return scalar_kernel_for(dtype),
-        KernelTier::Simd => return simd_kernel_for(dtype).unwrap_or(scalar_kernel_for(dtype)),
-        KernelTier::Auto => {}
-    }
-    if cfg!(feature = "force-scalar") {
-        return scalar_kernel_for(dtype);
-    }
-    simd_kernel_for(dtype).unwrap_or(scalar_kernel_for(dtype))
-}
-
-/// [`select_kernel_for`] at the process dtype pin ([`dtype_tier`]).
+/// Everything kernel selection depends on, as one explicit value.
 ///
-/// Feature detection is cached by the standard library, so this is cheap
-/// enough to call per GEMM invocation.
+/// Nothing here is process-global: a [`crate::GemmContext`] is built from
+/// a `Dispatch`, the Strassen/CAPS configs hold one and hand it to every
+/// leaf, and the harness and server derive one per run or per request —
+/// so two threads can multiply under different tiers at the same instant.
+///
+/// Resolution order ([`Dispatch::kernel`]): the exact-kernel override,
+/// else the ISA tier × dtype tier instance (SIMD degrading to scalar on
+/// hosts without one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dispatch {
+    /// ISA tier.
+    pub tier: KernelTier,
+    /// Numeric tier.
+    pub dtype: DtypeTier,
+    /// One exact kernel instance (an entry of [`available_kernels`]) that
+    /// wins over `tier` and `dtype` — the testkit's ISA×dtype lever.
+    pub override_kernel: Option<&'static KernelInfo>,
+    /// Makes the fused leaf materialise operand sums into scratch before
+    /// packing (see [`crate::leaf`]); bitwise transparent.
+    pub unfused_leaf: bool,
+}
+
+impl Default for Dispatch {
+    /// The host's best f64 kernel (scalar under `force-scalar`), no
+    /// override, and the leaf mode `POWERSCALE_UNFUSED_LEAF` selects (read
+    /// once per process).
+    fn default() -> Self {
+        static LEAF_ENV: OnceLock<bool> = OnceLock::new();
+        Dispatch {
+            tier: KernelTier::default(),
+            dtype: DtypeTier::F64,
+            override_kernel: None,
+            unfused_leaf: *LEAF_ENV.get_or_init(|| {
+                std::env::var("POWERSCALE_UNFUSED_LEAF")
+                    .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+            }),
+        }
+    }
+}
+
+impl Dispatch {
+    /// This dispatch at another dtype tier.
+    pub fn with_dtype(self, dtype: DtypeTier) -> Self {
+        Dispatch { dtype, ..self }
+    }
+
+    /// This dispatch pinned to one exact kernel instance.
+    pub fn with_kernel(self, kernel: &'static KernelInfo) -> Self {
+        Dispatch {
+            override_kernel: Some(kernel),
+            ..self
+        }
+    }
+
+    /// The kernel instance this dispatch resolves to. Feature detection is
+    /// cached by the standard library, so this is cheap enough to call per
+    /// leaf.
+    pub fn kernel(&self) -> &'static KernelInfo {
+        if let Some(k) = self.override_kernel {
+            return k;
+        }
+        let scalar = scalar_kernel_for(self.dtype);
+        match self.tier {
+            KernelTier::Scalar => scalar,
+            KernelTier::Simd => simd_kernel_for(self.dtype).unwrap_or(scalar),
+        }
+    }
+}
+
+/// The default dispatch's kernel at a specific dtype tier.
+pub fn select_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
+    Dispatch::default().with_dtype(dtype).kernel()
+}
+
+/// The default dispatch's kernel ([`Dispatch::default`]).
 pub fn select_kernel() -> &'static KernelInfo {
-    select_kernel_for(dtype_tier())
+    Dispatch::default().kernel()
 }
 
 /// Computes a full `SCALAR_MR × SCALAR_NR` tile
@@ -496,10 +481,6 @@ mod tests {
 
     const MR: usize = SCALAR_MR;
     const NR: usize = SCALAR_NR;
-
-    /// The tier pins are process-global; tests that write or assert on
-    /// them must not interleave.
-    static PIN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn tile_matches_naive_product() {
@@ -571,48 +552,54 @@ mod tests {
 
     #[test]
     fn tier_pin_round_trips_and_drives_dispatch() {
-        let _guard = PIN_LOCK.lock().unwrap();
-        let prev = set_kernel_tier(KernelTier::Scalar);
-        assert_eq!(select_kernel().name, "scalar");
-        assert_eq!(kernel_tier(), KernelTier::Scalar);
-        let got = set_kernel_tier(KernelTier::Simd);
-        assert_eq!(got, KernelTier::Scalar);
+        let scalar = Dispatch {
+            tier: KernelTier::Scalar,
+            ..Dispatch::default()
+        };
+        assert_eq!(scalar.kernel().name, "scalar");
+        let simd = Dispatch {
+            tier: KernelTier::Simd,
+            ..scalar
+        };
         match simd_kernel() {
-            Some(simd) => assert_eq!(select_kernel().name, simd.name),
-            None => assert_eq!(select_kernel().name, "scalar"),
+            Some(k) => assert_eq!(simd.kernel().name, k.name),
+            None => assert_eq!(simd.kernel().name, "scalar"),
         }
-        set_kernel_tier(prev);
-        assert_eq!(kernel_tier(), prev);
+        // The value round-trips through copies untouched.
+        let copy = simd;
+        assert_eq!(copy, simd);
+        assert_ne!(copy, scalar);
     }
 
     #[test]
     fn dtype_pin_round_trips_and_drives_dispatch() {
-        let _guard = PIN_LOCK.lock().unwrap();
-        let prev = set_dtype_tier(DtypeTier::F32);
-        let k = select_kernel();
-        assert_eq!(k.dtype, DtypeTier::F32);
-        assert_eq!(set_dtype_tier(DtypeTier::Mixed), DtypeTier::F32);
-        assert_eq!(select_kernel().dtype, DtypeTier::Mixed);
-        set_dtype_tier(prev);
-        assert_eq!(dtype_tier(), prev);
+        let base = Dispatch::default();
+        assert_eq!(base.dtype, DtypeTier::F64);
+        for dtype in DtypeTier::ALL {
+            let d = base.with_dtype(dtype);
+            assert_eq!(d.kernel().dtype, dtype);
+            assert_eq!(d.kernel().name, select_kernel_for(dtype).name);
+            assert_eq!(d.with_dtype(DtypeTier::F64), base);
+        }
     }
 
     #[test]
     fn override_pin_wins_over_every_other_pin() {
-        let _guard = PIN_LOCK.lock().unwrap();
         let target = scalar_kernel_for(DtypeTier::Mixed);
-        let prev_tier = set_kernel_tier(KernelTier::Simd);
-        let prev = set_kernel_override(Some(target));
-        assert_eq!(select_kernel().name, target.name);
-        assert_eq!(select_kernel_for(DtypeTier::F64).name, target.name);
-        set_kernel_override(prev);
-        set_kernel_tier(prev_tier);
-        assert!(kernel_override().is_none() || prev.is_some());
+        let d = Dispatch {
+            tier: KernelTier::Simd,
+            dtype: DtypeTier::F32,
+            ..Dispatch::default()
+        }
+        .with_kernel(target);
+        assert_eq!(d.kernel().name, target.name);
+        assert_eq!(d.with_dtype(DtypeTier::F64).kernel().name, target.name);
+        // An override is part of the value's identity.
+        assert_ne!(d, d.with_kernel(scalar_kernel()));
     }
 
     #[test]
     fn dispatch_is_consistent() {
-        let _guard = PIN_LOCK.lock().unwrap();
         let k = select_kernel();
         assert!(k.mr > 0 && k.nr > 0);
         if cfg!(feature = "force-scalar") {
@@ -631,7 +618,6 @@ mod tests {
     fn force_scalar_covers_every_dtype_tier() {
         // Under the force-scalar feature, every dtype still dispatches —
         // to the scalar instantiation of the generic body.
-        let _guard = PIN_LOCK.lock().unwrap();
         for dtype in DtypeTier::ALL {
             let k = select_kernel_for(dtype);
             assert_eq!(k.dtype, dtype);

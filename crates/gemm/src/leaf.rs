@@ -15,25 +15,23 @@
 //!   temporaries either. Packing buffers come from the thread-local
 //!   [`crate::arena`], so steady-state leaves allocate nothing.
 //!
-//! Setting `POWERSCALE_UNFUSED_LEAF=1` (or calling [`set_unfused_leaf`])
-//! makes the fused leaf materialise operand sums into arena scratch before
-//! packing — same packed kernel, unfused operand traffic — which is the
-//! A/B lever the end-to-end benchmark uses to isolate the fusion win. The
-//! two modes are bitwise identical in output (`1·x + 1·y` is exactly
+//! A [`Dispatch`] with `unfused_leaf` set (the default one when
+//! `POWERSCALE_UNFUSED_LEAF=1`) makes the fused leaf materialise operand
+//! sums into arena scratch before packing — same packed kernel, unfused
+//! operand traffic — which is the A/B lever the end-to-end benchmark uses
+//! to isolate the fusion win. The two modes are bitwise identical in output (`1·x + 1·y` is exactly
 //! `x + y` and `1·x + (−1)·y` is exactly `x − y` in IEEE-754).
 
 use crate::arena;
-use crate::kernel::{select_kernel, KernelFn, KernelInfo};
+use crate::kernel::{Dispatch, KernelFn, KernelInfo};
 use crate::pack::{
     pack_a, pack_a_sum, pack_b, pack_b_sum, packed_a_len, packed_b_len, slots_for, PackScalar,
 };
 use powerscale_counters::{Event, EventSet, Profile};
 use powerscale_matrix::{ops, DimError, DimResult, MatrixView, MatrixViewMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 
 /// `C += A · B` on views, unpacked, i-k-j order with the inner j-loop
-/// blocked to the dispatched microkernel's register-tile width
+/// blocked to the default dispatch's register-tile width
 /// ([`crate::kernel::select_kernel`]) — the updates are independent per
 /// column, so the grouping changes nothing numerically while letting the
 /// compiler vectorise the fixed-size chunks.
@@ -88,32 +86,6 @@ pub fn leaf_gemm(
         set.record_profile(&p);
     }
     Ok(())
-}
-
-static UNFUSED: AtomicBool = AtomicBool::new(false);
-static UNFUSED_INIT: Once = Once::new();
-
-/// `true` when the fused leaf must materialise operand sums before packing
-/// (the unfused A/B mode). Initialised once from `POWERSCALE_UNFUSED_LEAF`,
-/// overridable in-process via [`set_unfused_leaf`].
-pub fn unfused_leaf() -> bool {
-    UNFUSED_INIT.call_once(|| {
-        let forced = std::env::var("POWERSCALE_UNFUSED_LEAF")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        if forced {
-            UNFUSED.store(true, Ordering::Relaxed);
-        }
-    });
-    UNFUSED.load(Ordering::Relaxed)
-}
-
-/// Forces the fused leaf's operand-materialisation mode on or off for the
-/// whole process (the benchmark's in-process A/B toggle). Wins over the
-/// `POWERSCALE_UNFUSED_LEAF` environment variable.
-pub fn set_unfused_leaf(v: bool) {
-    UNFUSED_INIT.call_once(|| {});
-    UNFUSED.store(v, Ordering::Relaxed);
 }
 
 /// A leaf-product operand: either a plain block or an elementwise
@@ -252,14 +224,14 @@ pub fn leaf_gemm_fused(
     accum: Accum,
     events: Option<&EventSet>,
 ) -> DimResult<()> {
-    leaf_gemm_fused_with(select_kernel(), a, b, c, accum, events)
+    leaf_gemm_fused_with(Dispatch::default(), a, b, c, accum, events)
 }
 
-/// [`leaf_gemm_fused`] under an explicitly chosen microkernel — the hook
-/// the SIMD-vs-scalar agreement tests use to exercise every dispatch tier
-/// on the fused path regardless of what the host auto-selects.
+/// [`leaf_gemm_fused`] under an explicit [`Dispatch`] (kernel and leaf
+/// mode) — what the Strassen/CAPS executors call with their config's
+/// dispatch, so concurrent multiplies can run different tiers.
 pub fn leaf_gemm_fused_with(
-    kernel: &'static KernelInfo,
+    dispatch: Dispatch,
     a: Operand<'_>,
     b: Operand<'_>,
     c: &mut MatrixViewMut<'_>,
@@ -287,6 +259,8 @@ pub fn leaf_gemm_fused_with(
     if m == 0 || n == 0 || k == 0 {
         return Ok(());
     }
+    let kernel = dispatch.kernel();
+    let unfused = dispatch.unfused_leaf;
     let _span = powerscale_trace::span_args(
         powerscale_trace::Category::Gemm,
         "leaf_gemm",
@@ -297,8 +271,8 @@ pub fn leaf_gemm_fused_with(
     // One dtype dispatch, then the packing and tile sweep run generic
     // over the packed element type.
     match kernel.func {
-        KernelFn::F64(_) => fused_leaf_body::<f64>(kernel, &a, &b, c, accum),
-        KernelFn::F32(_) => fused_leaf_body::<f32>(kernel, &a, &b, c, accum),
+        KernelFn::F64(_) => fused_leaf_body::<f64>(kernel, unfused, &a, &b, c, accum),
+        KernelFn::F32(_) => fused_leaf_body::<f32>(kernel, unfused, &a, &b, c, accum),
     }
 
     if let Some(set) = events {
@@ -336,6 +310,7 @@ pub fn leaf_gemm_fused_with(
 /// validated (non-empty) by the caller.
 fn fused_leaf_body<T: PackScalar>(
     kernel: &'static KernelInfo,
+    unfused: bool,
     a: &Operand<'_>,
     b: &Operand<'_>,
     c: &mut MatrixViewMut<'_>,
@@ -344,7 +319,6 @@ fn fused_leaf_body<T: PackScalar>(
     let micro = T::kernel_fn(kernel);
     let (m, k) = a.shape().expect("shape validated by caller");
     let n = b.shape().expect("shape validated by caller").1;
-    let unfused = unfused_leaf();
     let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(m, k, kernel.mr)));
     let mut pb = arena::pack_buf(slots_for::<T>(packed_b_len(k, n, kernel.nr)));
     let pa_elems: &mut [T] = T::cast_mut(&mut pa[..]);
@@ -650,9 +624,14 @@ mod tests {
         let a2 = gen.uniform(20, 20, -1.0, 1.0);
         let b1 = gen.uniform(20, 20, -1.0, 1.0);
         let b2 = gen.uniform(20, 20, -1.0, 1.0);
-        let run = || {
+        let run = |unfused_leaf: bool| {
+            let dispatch = Dispatch {
+                unfused_leaf,
+                ..Dispatch::default()
+            };
             let mut c = Matrix::zeros(20, 20);
-            leaf_gemm_fused(
+            leaf_gemm_fused_with(
+                dispatch,
                 Operand::Add(a1.view(), a2.view()),
                 Operand::Sub(b1.view(), b2.view()),
                 &mut c.view_mut(),
@@ -662,11 +641,7 @@ mod tests {
             .unwrap();
             c
         };
-        let fused = run();
-        set_unfused_leaf(true);
-        let unfused = run();
-        set_unfused_leaf(false);
-        assert_eq!(fused, unfused);
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

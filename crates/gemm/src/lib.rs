@@ -7,8 +7,10 @@
 //!   generic tile body ([`simd`]) instantiated as AVX-512 (8×8),
 //!   AVX2+FMA (8×6), NEON (8×6), WASM128 (8×6) and portable scalar (4×4)
 //!   ISA tiers, each in three dtype tiers — f64, f32, and mixed
-//!   (f32 operands, f64 accumulation) — selected by [`select_kernel_for`]
-//!   (the `force-scalar` cargo feature pins the scalar ISA),
+//!   (f32 operands, f64 accumulation) — selected by an explicit
+//!   [`Dispatch`] value callers carry down to the kernels (its default is
+//!   the host's best f64 kernel; the `force-scalar` cargo feature makes
+//!   that the scalar ISA),
 //! * blocking parameters derived from the cache hierarchy *and* the
 //!   selected kernel's tile shape ([`BlockingParams::for_caches`]), with
 //!   [`BlockingParams::autotuned_for`] probing the host's real cache
@@ -62,8 +64,8 @@ mod simd;
 pub use blocking::BlockingParams;
 pub use dgemm::{dgemm, multiply, GemmContext};
 pub use kernel::{
-    available_kernels, dtype_tier, kernel_by_name, kernel_tier, scalar_kernel, scalar_kernel_for,
-    select_kernel, select_kernel_for, set_dtype_tier, set_kernel_override, set_kernel_tier,
-    simd_kernel, simd_kernel_for, DtypeTier, KernelFn, KernelInfo, KernelTier,
+    available_kernels, kernel_by_name, scalar_kernel, scalar_kernel_for, select_kernel,
+    select_kernel_for, simd_kernel, simd_kernel_for, Dispatch, DtypeTier, KernelFn, KernelInfo,
+    KernelTier,
 };
-pub use leaf::{leaf_gemm_fused, set_unfused_leaf, Accum, Operand};
+pub use leaf::{leaf_gemm_fused, leaf_gemm_fused_with, Accum, Operand};

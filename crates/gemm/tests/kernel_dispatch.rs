@@ -16,7 +16,7 @@
 //! are both exercised regardless of what the host would auto-select.
 
 use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
-use powerscale_gemm::{dgemm, naive::naive_mm, DtypeTier, GemmContext, KernelInfo};
+use powerscale_gemm::{dgemm, naive::naive_mm, Dispatch, DtypeTier, GemmContext, KernelInfo};
 use powerscale_matrix::norms::rel_frobenius_error;
 use powerscale_matrix::{Matrix, MatrixGen};
 use proptest::prelude::*;
@@ -223,7 +223,7 @@ fn fused_with(
 ) -> Matrix {
     let mut c = Matrix::zeros(a1.rows(), b1.cols());
     leaf_gemm_fused_with(
-        kernel,
+        Dispatch::default().with_kernel(kernel),
         Operand::Add(a1.view(), a2.view()),
         Operand::Sub(b1.view(), b2.view()),
         &mut c.view_mut(),

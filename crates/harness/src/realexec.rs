@@ -10,47 +10,13 @@
 //! on *work* even though they measure *time* differently.
 
 use crate::experiment::{Algorithm, Harness, RunSpec};
+use powerscale_caps::CapsConfig;
 use powerscale_counters::{EventSet, Profile};
-use powerscale_gemm::DtypeTier;
+use powerscale_gemm::{Dispatch, DtypeTier, GemmContext};
 use powerscale_machine::{simulate, KernelClass, TaskCost, TaskGraph};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::ThreadPool;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serialises every [`DtypePin`] in the process: the dtype tier is one
-/// process-wide global, so two concurrent pins would each run (and restore)
-/// under the other's tier.
-static DTYPE_PIN_LOCK: Mutex<()> = Mutex::new(());
-
-/// Pins the process dtype tier for one run and restores the previous pin
-/// on drop (panic-safe), so a spec's `dtype` axis reaches the recursive
-/// executors' internal kernel dispatch without leaking across runs.
-///
-/// Holds [`DTYPE_PIN_LOCK`] for its whole lifetime, so real runs in one
-/// process execute one at a time. This is a stopgap: ROADMAP item 1
-/// replaces the global tier with a dispatch value carried in the run's
-/// config, which deletes this pin and its lock.
-struct DtypePin {
-    prev: DtypeTier,
-    // Dropped after `Drop::drop` has restored `prev`.
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl DtypePin {
-    fn set(dtype: DtypeTier) -> Self {
-        let serial = DTYPE_PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        DtypePin {
-            prev: powerscale_gemm::set_dtype_tier(dtype),
-            _serial: serial,
-        }
-    }
-}
-
-impl Drop for DtypePin {
-    fn drop(&mut self) {
-        powerscale_gemm::set_dtype_tier(self.prev);
-    }
-}
+use powerscale_strassen::StrassenConfig;
 
 /// Deterministic operands for a spec, seeded from `n` alone.
 ///
@@ -101,42 +67,10 @@ impl Harness {
             spec.threads as u32,
         );
         let (a, b) = operands_for(&spec);
-        let _dtype = DtypePin::set(spec.dtype);
-
         let mut set = EventSet::with_all_events();
         set.start().expect("fresh event set");
         let t0 = std::time::Instant::now();
-        let result = match spec.algorithm {
-            Algorithm::Blocked => {
-                let mut c = Matrix::zeros(spec.n, spec.n);
-                // Dispatch honours the dtype pin (and any test override);
-                // the blocking must be derived for *that* kernel's tile
-                // shape — `self.blocking` tracks the simulated machine's
-                // f64 tile and would misalign under other tiers.
-                let kernel = powerscale_gemm::select_kernel();
-                let ctx = powerscale_gemm::GemmContext {
-                    params: powerscale_gemm::BlockingParams::autotuned_for(kernel),
-                    kernel,
-                    pool: Some(pool),
-                    events: Some(&set),
-                };
-                powerscale_gemm::dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
-                    .expect("dgemm shapes are valid");
-                c
-            }
-            Algorithm::Strassen => powerscale_strassen::multiply(
-                &a.view(),
-                &b.view(),
-                &self.strassen,
-                Some(pool),
-                Some(&set),
-            )
-            .expect("strassen shapes are valid"),
-            Algorithm::Caps => {
-                powerscale_caps::multiply(&a.view(), &b.view(), &self.caps, Some(pool), Some(&set))
-                    .expect("caps shapes are valid")
-            }
-        };
+        let result = self.multiply(spec.algorithm, spec.dtype, &a, &b, Some(pool), Some(&set));
         let wall_seconds = t0.elapsed().as_secs_f64();
         let profile = set.stop().expect("running event set");
 
@@ -150,6 +84,49 @@ impl Harness {
             profile,
             model_pkg_watts,
             result,
+        }
+    }
+
+    /// `A · B` (square operands) by `algorithm` at tier `dtype`, on `pool`
+    /// (`None` = inline on the calling thread). The tier reaches the
+    /// kernels as an explicit [`Dispatch`] carried by this call alone, so
+    /// concurrent multiplies at different tiers do not interact.
+    pub fn multiply(
+        &self,
+        algorithm: Algorithm,
+        dtype: DtypeTier,
+        a: &Matrix,
+        b: &Matrix,
+        pool: Option<&ThreadPool>,
+        events: Option<&EventSet>,
+    ) -> Matrix {
+        match algorithm {
+            Algorithm::Blocked => {
+                let mut c = Matrix::zeros(a.rows(), b.cols());
+                // Blocking is derived for the dispatched kernel's tile
+                // shape — `self.blocking` tracks the simulated machine's
+                // f64 tile and would misalign under other tiers.
+                let ctx = GemmContext::new(Dispatch::default().with_dtype(dtype), pool, events);
+                powerscale_gemm::dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
+                    .expect("square operands are valid");
+                c
+            }
+            Algorithm::Strassen => {
+                let cfg = StrassenConfig {
+                    dispatch: self.strassen.dispatch.with_dtype(dtype),
+                    ..self.strassen
+                };
+                powerscale_strassen::multiply(&a.view(), &b.view(), &cfg, pool, events)
+                    .expect("square operands are valid")
+            }
+            Algorithm::Caps => {
+                let cfg = CapsConfig {
+                    dispatch: self.caps.dispatch.with_dtype(dtype),
+                    ..self.caps
+                };
+                powerscale_caps::multiply(&a.view(), &b.view(), &cfg, pool, events)
+                    .expect("square operands are valid")
+            }
         }
     }
 
@@ -225,8 +202,7 @@ mod tests {
     #[test]
     fn dtype_axis_drives_real_runs() {
         // The scenario axis must actually change which kernels execute:
-        // lower tiers stay correct at their (looser) precision, and the
-        // pin must not leak into subsequent f64 runs.
+        // lower tiers stay correct at their (looser) precision.
         let h = Harness::default();
         let pool = ThreadPool::new(2);
         for (dtype, tol) in [
@@ -246,9 +222,42 @@ mod tests {
                     assert!(err < 1e-12, "f64 must stay at full precision: {err}");
                 }
             }
-            // The pin must have been restored (read under the pin lock,
-            // so no concurrent test's run is mid-pin).
-            assert_eq!(DtypePin::set(DtypeTier::F64).prev, DtypeTier::F64);
+        }
+    }
+
+    #[test]
+    fn concurrent_real_runs_at_different_dtypes_match_serial_bitwise() {
+        // Each run carries its own dispatch, so two runs at different
+        // tiers on two threads compute exactly what they compute alone.
+        let h = Harness::default();
+        let spec = |algorithm, dtype| RunSpec::new(algorithm, 96, 2).with_dtype(dtype);
+        let pairs = [
+            (
+                spec(Algorithm::Strassen, DtypeTier::F64),
+                spec(Algorithm::Strassen, DtypeTier::F32),
+            ),
+            (
+                spec(Algorithm::Blocked, DtypeTier::Mixed),
+                spec(Algorithm::Caps, DtypeTier::F64),
+            ),
+        ];
+        for (left, right) in pairs {
+            let serial = [left, right].map(|s| h.run_real(s, &ThreadPool::new(2)).result);
+            for _ in 0..4 {
+                let start = std::sync::Barrier::new(2);
+                let run = |s: RunSpec| {
+                    let pool = ThreadPool::new(2);
+                    start.wait();
+                    h.run_real(s, &pool).result
+                };
+                let (l, r) = std::thread::scope(|scope| {
+                    let l = scope.spawn(|| run(left));
+                    let r = scope.spawn(|| run(right));
+                    (l.join().unwrap(), r.join().unwrap())
+                });
+                assert_eq!(l, serial[0], "{left:?} drifted beside {right:?}");
+                assert_eq!(r, serial[1], "{right:?} drifted beside {left:?}");
+            }
         }
     }
 

@@ -134,7 +134,7 @@ pub mod prelude {
         classify_point, crossover_dimension, ep_ratio, ep_scaling, EpCurve, PhaseMeasure,
         ScalingClass,
     };
-    pub use powerscale_gemm::{BlockingParams, GemmContext};
+    pub use powerscale_gemm::{BlockingParams, Dispatch, GemmContext};
     pub use powerscale_harness::{Algorithm, Harness, RunResult, RunSpec};
     pub use powerscale_machine::{presets::e3_1225, simulate, KernelClass, TaskCost, TaskGraph};
     pub use powerscale_matrix::{Matrix, MatrixGen};

@@ -247,9 +247,12 @@ impl Journal {
     }
 
     /// Write-ahead entry: journals an admitted request before any work
-    /// happens on it.
+    /// happens on it. Records are compact JSON — the admission write runs
+    /// under the queue lock, so fewer bytes and no indentation pass per
+    /// request; [`Journal::resume`] reads pretty-printed records from
+    /// older journals just the same.
     pub fn record_admitted(&self, rec: &JournalRecord) {
-        if let Ok(json) = serde_json::to_string_pretty(rec) {
+        if let Ok(json) = serde_json::to_string(rec) {
             write_atomic(&self.record_path(rec.spec.id), &json);
         }
     }
@@ -309,6 +312,25 @@ mod tests {
         j.record_done(&rec);
         let (_, recs) = Journal::resume(&dir, &manifest()).unwrap();
         assert_eq!(recs[0].response.as_ref().unwrap().status, Status::Rejected);
+    }
+
+    #[test]
+    fn resume_reads_compact_and_pretty_records_side_by_side() {
+        // Journals written before records went compact hold
+        // pretty-printed files; a directory with both forms must resume.
+        let dir = tmpdir("both-forms");
+        let j = Journal::create(&dir, &manifest());
+        let mut done = pending(1);
+        done.response = Some(Response::rejected(1, RejectReason::QueueFull));
+        j.record_done(&done);
+        let compact = std::fs::read_to_string(j.record_path(1)).unwrap();
+        assert!(!compact.contains('\n'), "records are written compact");
+        let old = pending(2);
+        let pretty = serde_json::to_string_pretty(&old).unwrap();
+        assert!(pretty.contains('\n'));
+        std::fs::write(j.record_path(2), pretty).unwrap();
+        let (_, recs) = Journal::resume(&dir, &manifest()).unwrap();
+        assert_eq!(recs, vec![done, old]);
     }
 
     #[test]

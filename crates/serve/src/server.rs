@@ -69,13 +69,11 @@
 //!   while holding the lock cannot reach its wait before the flipping
 //!   thread releases it, so the notification can never fire into the
 //!   check-then-wait gap (the classic lost wakeup).
-//! * The dtype-tier pin the kernels dispatch on is a process global, so
-//!   executors route it through a process-wide [`DtypeGate`]: same-tier
-//!   jobs share the pin concurrently, and a job planned at a different
-//!   tier waits for the pin to fall idle before swinging it. Only
-//!   executor threads wait on the gate — a pool worker in a helping
-//!   scope-wait could sit above a held lease on its own stack and
-//!   deadlock against itself.
+//! * Kernel selection is not shared state: every multiply carries the
+//!   [`powerscale_gemm::Dispatch`] derived from its job's frozen
+//!   `plan.dtype` ([`Harness::multiply`]), so executors — and the pool
+//!   workers of a batched scope — run different tiers at the same instant
+//!   without coordinating.
 //! * `halt_after` hands out completion tickets from an atomic counter:
 //!   exactly the first `h` finalized requests are recorded and returned,
 //!   later ones are discarded un-journaled (they "die with the process"),
@@ -106,7 +104,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Knobs for one serving run.
@@ -205,84 +203,6 @@ impl ServeStats {
         self.retried += other.retried;
         self.failed_panics += other.failed_panics;
         self.failed_deadline += other.failed_deadline;
-    }
-}
-
-/// Gate over the process-global dtype-tier pin
-/// ([`powerscale_gemm::set_dtype_tier`]): each job's plan freezes its
-/// own tier, but the pin the kernels dispatch on is one process-wide
-/// atomic, so concurrent jobs at *different* tiers must not each
-/// pin/unpin it (a job could execute under the other job's tier,
-/// breaking the frozen plan's bits). Jobs at the pinned tier execute
-/// concurrently; a job planned at a different tier waits until no job
-/// references the pin, swings it, and proceeds.
-///
-/// Only executor threads (and the serial drain) ever wait here — never
-/// pool workers. A worker in a helping scope-wait steals arbitrary
-/// tasks (groups are installed non-strict), so it could pick up a
-/// different-tier job while a lease for the old tier sits below it on
-/// the same stack and deadlock against itself. The gate is one process
-/// global because the hazard is scoped to the pin, which concurrent
-/// `Server` instances in one process share too.
-struct DtypeGate {
-    /// The tier the pin is swung to, and the jobs running under it.
-    state: Mutex<(DtypeTier, usize)>,
-    /// Signalled when the holder count returns to zero.
-    idle: Condvar,
-}
-
-static DTYPE_GATE: OnceLock<DtypeGate> = OnceLock::new();
-
-fn dtype_gate() -> &'static DtypeGate {
-    DTYPE_GATE.get_or_init(|| DtypeGate {
-        state: Mutex::new((powerscale_gemm::dtype_tier(), 0)),
-        idle: Condvar::new(),
-    })
-}
-
-impl DtypeGate {
-    /// Blocks until `dtype` can be pinned (no job holds another tier),
-    /// pins it, and returns the lease that keeps it held. Re-asserts the
-    /// pin even when joining same-tier holders, which heals any drift a
-    /// serial pinner elsewhere in the process left while the gate was
-    /// idle.
-    fn acquire(&'static self, dtype: DtypeTier) -> DtypeLease {
-        let mut st = self.state.lock().unwrap();
-        while st.1 > 0 && st.0 != dtype {
-            st = self.idle.wait(st).unwrap();
-        }
-        powerscale_gemm::set_dtype_tier(dtype);
-        st.0 = dtype;
-        st.1 += 1;
-        DtypeLease { gate: self }
-    }
-
-    /// Swings the pin back to `dtype` when no job holds it — end-of-drain
-    /// hygiene so a drain doesn't leak its last job's tier into unrelated
-    /// code that reads the process pin afterwards.
-    fn restore_if_idle(&self, dtype: DtypeTier) {
-        let mut st = self.state.lock().unwrap();
-        if st.1 == 0 {
-            powerscale_gemm::set_dtype_tier(dtype);
-            st.0 = dtype;
-        }
-    }
-}
-
-/// Holds the dtype pin at one tier for one job (or one same-tier slice
-/// of a batch). Dropping it (panic-safe) releases the reference and
-/// wakes other-tier waiters once the pin is unreferenced.
-struct DtypeLease {
-    gate: &'static DtypeGate,
-}
-
-impl Drop for DtypeLease {
-    fn drop(&mut self) {
-        let mut st = self.gate.state.lock().unwrap();
-        st.1 -= 1;
-        if st.1 == 0 {
-            self.gate.idle.notify_all();
-        }
     }
 }
 
@@ -519,7 +439,6 @@ impl Server {
             self.serve_concurrent(Vec::new());
             return;
         }
-        let prev_tier = powerscale_gemm::dtype_tier();
         let env = ExecEnv {
             cfg: &self.cfg,
             harness: &self.harness,
@@ -534,7 +453,6 @@ impl Server {
                     // the process; their pending journal records survive.
                     continue;
                 }
-                let _lease = dtype_gate().acquire(job.plan.dtype);
                 let resp = serve_one(&env, ExecMode::WholePool, &job, &mut self.stats);
                 if let Some(journal) = &self.journal {
                     let mut rec = JournalRecord::pending(job.spec, job.plan);
@@ -548,7 +466,6 @@ impl Server {
                 }
             }
         }
-        dtype_gate().restore_if_idle(prev_tier);
     }
 
     /// Serves a workload and returns all responses (including
@@ -588,9 +505,6 @@ impl Server {
         let threads = self.cfg.threads.max(1);
         let g = self.cfg.executors.clamp(1, threads);
         let ranges = placement::partition(threads, g);
-        let prev_tier = powerscale_gemm::dtype_tier();
-        let mc =
-            powerscale_gemm::BlockingParams::autotuned_for(powerscale_gemm::select_kernel()).mc;
         let shared = Shared {
             queue: Mutex::new(std::mem::replace(&mut self.queue, BoundedQueue::new(0))),
             work: Condvar::new(),
@@ -622,7 +536,7 @@ impl Server {
                     let range = range.clone();
                     let shared = &shared;
                     let env = &env;
-                    scope.spawn(move || executor_loop(e, range, shared, env, mc, grouped))
+                    scope.spawn(move || executor_loop(e, range, shared, env, grouped))
                 })
                 .collect();
             for spec in specs {
@@ -646,7 +560,6 @@ impl Server {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         drop(groups);
-        dtype_gate().restore_if_idle(prev_tier);
         self.queue = shared
             .queue
             .into_inner()
@@ -728,7 +641,6 @@ fn executor_loop(
     range: Range<usize>,
     shared: &Shared,
     env: &ExecEnv<'_>,
-    mc: usize,
     grouped: bool,
 ) -> (ServeStats, Vec<Response>) {
     powerscale_trace::set_thread_label("serve-exec", e as u32);
@@ -753,46 +665,38 @@ fn executor_loop(
         };
         shared.space.notify_all();
         let group_width = range.len();
-        let width = placement::slot_width(batch[0].spec.n, mc, group_width);
-        if width <= 1 && group_width > 1 && batch.len() > 1 {
+        // Placement follows each job's own tile: `mc` comes from the
+        // kernel its frozen tier dispatches, not from one process-wide
+        // kernel (a batch is shape-homogeneous but may mix tiers).
+        let widths: Vec<usize> = batch
+            .iter()
+            .map(|job| {
+                let kernel = powerscale_gemm::select_kernel_for(job.plan.dtype);
+                let mc = powerscale_gemm::BlockingParams::autotuned_for(kernel).mc;
+                placement::slot_width(job.spec.n, mc, group_width)
+            })
+            .collect();
+        if group_width > 1 && batch.len() > 1 && widths.iter().all(|&w| w <= 1) {
             // Batched small-GEMM fast path: the whole homogeneous batch
             // under ONE pool scope, one request per group slot (round
             // robin over the group's workers), each multiply inline on
             // its slot — spawn/steal overhead amortized over the batch.
-            //
-            // A shape-homogeneous batch can still mix frozen dtypes
-            // (e.g. journal replay of degraded plans next to fresh F64
-            // admissions), so the batch runs one same-tier slice at a
-            // time with this executor thread holding the dtype lease
-            // over its slice's scope — pool workers only ever run under
-            // a lease, never wait for one.
+            // Frozen tiers may differ between slots (e.g. journal replay
+            // of degraded plans next to fresh F64 admissions); each slot
+            // dispatches its own.
             let mut slots: Vec<(ServeStats, Option<Response>)> = batch
                 .iter()
                 .map(|_| (ServeStats::default(), None))
                 .collect();
-            let mut tiers: Vec<DtypeTier> = Vec::new();
-            for job in &batch {
-                if !tiers.contains(&job.plan.dtype) {
-                    tiers.push(job.plan.dtype);
+            env.pool.scope(|s| {
+                for (k, (job, slot)) in batch.iter().zip(slots.iter_mut()).enumerate() {
+                    let worker = range.start + k % group_width;
+                    s.spawn_in(worker, move |_| {
+                        let resp = serve_one(env, ExecMode::Inline, job, &mut slot.0);
+                        slot.1 = Some(resp);
+                    });
                 }
-            }
-            for tier in tiers {
-                let _lease = dtype_gate().acquire(tier);
-                env.pool.scope(|s| {
-                    for (k, (job, slot)) in batch
-                        .iter()
-                        .zip(slots.iter_mut())
-                        .filter(|(job, _)| job.plan.dtype == tier)
-                        .enumerate()
-                    {
-                        let worker = range.start + k % group_width;
-                        s.spawn_in(worker, move |_| {
-                            let resp = serve_one(env, ExecMode::Inline, job, &mut slot.0);
-                            slot.1 = Some(resp);
-                        });
-                    }
-                });
-            }
+            });
             for (job, (slot_stats, resp)) in batch.iter().zip(slots) {
                 stats.absorb_exec(&slot_stats);
                 if let Some(resp) = resp {
@@ -800,25 +704,24 @@ fn executor_loop(
                 }
             }
         } else {
-            let mode = if width <= 1 {
-                ExecMode::Inline
-            } else if grouped {
-                ExecMode::Grouped {
-                    home: range.start,
-                    width,
-                }
-            } else {
-                // No layout installed: the fan-out is unconfined, so
-                // report the honest width (see the doc comment above).
-                ExecMode::WholePool
-            };
-            for job in &batch {
+            for (job, width) in batch.iter().zip(widths) {
                 if shared.halted.load(Ordering::SeqCst) {
                     // The rest of the batch dies with the simulated
                     // crash; pending records survive for replay.
                     break;
                 }
-                let _lease = dtype_gate().acquire(job.plan.dtype);
+                let mode = if width <= 1 {
+                    ExecMode::Inline
+                } else if grouped {
+                    ExecMode::Grouped {
+                        home: range.start,
+                        width,
+                    }
+                } else {
+                    // No layout installed: the fan-out is unconfined, so
+                    // report the honest width (see the doc comment above).
+                    ExecMode::WholePool
+                };
                 let resp = serve_one(env, mode, job, &mut stats);
                 finalize(env, shared, job, resp, &mut out);
             }
@@ -985,10 +888,6 @@ fn serve_one(
 /// request's cancellation token at the placement-chosen width, convert
 /// the measured event profile into model package watts (the harness
 /// real-execution pattern).
-///
-/// Contract: the calling executor (or serial drain) holds a
-/// [`DtypeGate`] lease for `job.plan.dtype`, so the process dtype pin
-/// the kernels dispatch on already matches the frozen plan.
 fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToken) -> Attempt {
     let spec = job.spec;
     let plan = job.plan;
@@ -997,12 +896,16 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
     let b = gen.paper_operand(spec.n);
     let mut set = EventSet::with_all_events();
     set.start().expect("fresh event set");
+    let multiply = |pool: Option<&ThreadPool>| {
+        env.harness
+            .multiply(plan.algorithm, plan.dtype, &a, &b, pool, Some(&set))
+    };
     let t0 = Instant::now();
     let (result, width) = match mode {
         ExecMode::WholePool => {
-            let r = env.pool.scope_with_cancel(token, |_| {
-                multiply(env, plan, &spec, &a, &b, &set, Some(env.pool))
-            });
+            let r = env
+                .pool
+                .scope_with_cancel(token, |_| multiply(Some(env.pool)));
             (Some(r), env.cfg.threads)
         }
         ExecMode::Inline => {
@@ -1010,14 +913,14 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
             // multiply has no steal boundaries to poll, so the deadline
             // is enforced at the attempt boundary (small shapes finish
             // in well under any meaningful budget).
-            let r = (!token.is_cancelled()).then(|| multiply(env, plan, &spec, &a, &b, &set, None));
+            let r = (!token.is_cancelled()).then(|| multiply(None));
             (r, 1)
         }
         ExecMode::Grouped { home, width } => {
             let mut slot: Option<Matrix> = None;
             env.pool.scope_with_cancel(token, |s| {
                 s.spawn_in(home, |_| {
-                    slot = Some(multiply(env, plan, &spec, &a, &b, &set, Some(env.pool)));
+                    slot = Some(multiply(Some(env.pool)));
                 });
             });
             // `None` here means the token fired before the root task ran
@@ -1037,46 +940,6 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
         result,
         wall,
         watts,
-    }
-}
-
-/// The multiply itself, at the caller's chosen pool (whole pool, group,
-/// or `None` = inline).
-fn multiply(
-    env: &ExecEnv<'_>,
-    plan: ExecPlan,
-    spec: &JobSpec,
-    a: &Matrix,
-    b: &Matrix,
-    set: &EventSet,
-    pool: Option<&ThreadPool>,
-) -> Matrix {
-    match plan.algorithm {
-        Algorithm::Blocked => {
-            let mut c = Matrix::zeros(spec.n, spec.n);
-            let kernel = powerscale_gemm::select_kernel();
-            let ctx = powerscale_gemm::GemmContext {
-                params: powerscale_gemm::BlockingParams::autotuned_for(kernel),
-                kernel,
-                pool,
-                events: Some(set),
-            };
-            powerscale_gemm::dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
-                .expect("square operands are valid");
-            c
-        }
-        Algorithm::Strassen => powerscale_strassen::multiply(
-            &a.view(),
-            &b.view(),
-            &env.harness.strassen,
-            pool,
-            Some(set),
-        )
-        .expect("square operands are valid"),
-        Algorithm::Caps => {
-            powerscale_caps::multiply(&a.view(), &b.view(), &env.harness.caps, pool, Some(set))
-                .expect("square operands are valid")
-        }
     }
 }
 
@@ -1339,12 +1202,11 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_dtypes_match_serial_bitwise() {
-        // Regression test for the dtype-pin race: the pin is a process
-        // global, so concurrent jobs whose frozen plans disagree on the
-        // tier must be gated — without the gate a job can execute under
-        // its neighbour's tier and its checksum drifts from serial.
-        // Small shapes land in the batched fast path (one batch mixing
-        // tiers), the 96s exercise the sequential per-job lease.
+        // Concurrent jobs whose frozen plans disagree on the tier each
+        // carry their own dispatch; no job may execute under its
+        // neighbour's tier, or its checksum drifts from serial. Small
+        // shapes land in the batched fast path (one batch mixing tiers),
+        // the 96s take the per-job path.
         let tiers = [DtypeTier::F64, DtypeTier::Mixed, DtypeTier::F32];
         let specs: Vec<JobSpec> = (0..18)
             .map(|i| {
@@ -1386,5 +1248,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn batched_small_gemm_mixes_tiers_under_one_scope_bitwise() {
+        // Six same-shape, same-operand requests at three tiers, submitted
+        // before the drain so one executor pops them as ONE batch: the
+        // fast path runs them under a single pool scope, each slot
+        // dispatching its own tier.
+        let tiers = [DtypeTier::F64, DtypeTier::F32, DtypeTier::Mixed];
+        let tier_of = |id: u64| tiers[(id % 3) as usize];
+        let specs: Vec<JobSpec> = (0..6)
+            .map(|i| {
+                JobSpec::new(i, 48, Algorithm::Strassen)
+                    .with_seed(7)
+                    .with_dtype(tier_of(i))
+            })
+            .collect();
+        let cfg = ServerConfig {
+            threads: 4,
+            capacity: 64,
+            batch: 8,
+            ..ServerConfig::default()
+        };
+        let serial = Server::new(cfg.clone()).unwrap().run(specs.clone());
+        let mut conc = Server::new(ServerConfig {
+            executors: 2,
+            ..cfg
+        })
+        .unwrap();
+        for spec in &specs {
+            assert!(conc.submit(*spec).is_none());
+        }
+        conc.drain();
+        assert_eq!(
+            conc.pool.stats().total_executed(),
+            specs.len() as u64,
+            "the batch must take the fast path: one pool task per request"
+        );
+        let out = conc.take_responses();
+        assert_eq!(out.len(), serial.len());
+        for (c, s) in out.iter().zip(&serial) {
+            assert_eq!(c.status, Status::Completed, "{c:?}");
+            assert_eq!(
+                (c.id, c.checksum),
+                (s.id, s.checksum),
+                "{:?}",
+                tier_of(c.id)
+            );
+        }
+        // Same operands: checksums agree exactly when the tiers do.
+        for (x, y) in out.iter().zip(&out[1..]) {
+            assert_ne!(x.checksum, y.checksum, "ids {} and {}", x.id, y.id);
+        }
+        assert_eq!(out[0].checksum, out[3].checksum);
     }
 }

@@ -1,5 +1,7 @@
 //! Strassen configuration.
 
+use powerscale_gemm::Dispatch;
+
 /// Which seven-multiply arrangement to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Variant {
@@ -28,6 +30,8 @@ pub struct StrassenConfig {
     pub task_depth: u32,
     /// Multiply arrangement.
     pub variant: Variant,
+    /// Kernel selection and leaf mode every leaf product runs under.
+    pub dispatch: Dispatch,
 }
 
 impl Default for StrassenConfig {
@@ -36,6 +40,7 @@ impl Default for StrassenConfig {
             cutoff: 64,
             task_depth: 5,
             variant: Variant::Classic,
+            dispatch: Dispatch::default(),
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The recursion works in **Set semantics** (`dst = A · B`) and is built
 //! around two scratch-avoiding primitives:
 //!
-//! * [`leaf_gemm_fused`] — quadrant sums like `A21 + A22` are packed
+//! * [`leaf_gemm_fused_with`] — quadrant sums like `A21 + A22` are packed
 //!   directly into the leaf's panel buffers ([`Operand::Add`] /
 //!   [`Operand::Sub`]) and products merge into `C` in place
 //!   ([`Accum::Add`] / [`Accum::Sub`]), so leaves materialise neither
@@ -26,7 +26,7 @@ use crate::accounting::{
 use crate::config::{StrassenConfig, Variant};
 use powerscale_counters::EventSet;
 use powerscale_gemm::arena;
-use powerscale_gemm::leaf::{leaf_gemm_fused, Accum, Operand};
+use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_matrix::{ops, pad, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
 use powerscale_pool::ThreadPool;
 
@@ -117,8 +117,15 @@ fn rec(
     }
     let n = a.rows();
     if is_leaf(n, cfg.cutoff) {
-        leaf_gemm_fused(Operand::View(a), Operand::View(b), c, Accum::Set, events)
-            .expect("leaf shapes valid by construction");
+        leaf_gemm_fused_with(
+            cfg.dispatch,
+            Operand::View(a),
+            Operand::View(b),
+            c,
+            Accum::Set,
+            events,
+        )
+        .expect("leaf shapes valid by construction");
         return;
     }
     record_level(events);
@@ -200,7 +207,8 @@ fn product(
 ) {
     let h = dst.rows();
     if is_leaf(h, cfg.cutoff) {
-        leaf_gemm_fused(a, b, dst, accum, events).expect("quadrant shapes valid by construction");
+        leaf_gemm_fused_with(cfg.dispatch, a, b, dst, accum, events)
+            .expect("quadrant shapes valid by construction");
         return;
     }
     let am = resolve_operand(a, h, pool, events);

@@ -19,12 +19,11 @@
 //! `cargo test` quick, CI raises `POWERSCALE_CHAOS_SCHEDULES` into the
 //! thousands in release builds.
 
-use crate::differential::toggle_guard;
 use powerscale_caps::CapsConfig;
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::det::DetConfig;
 use powerscale_pool::ThreadPool;
-use powerscale_strassen::{StrassenConfig, Variant};
+use powerscale_strassen::StrassenConfig;
 use std::collections::HashSet;
 
 /// Reads the schedule budget from `POWERSCALE_CHAOS_SCHEDULES`, falling
@@ -83,10 +82,6 @@ pub struct ChaosReport {
 /// sequential baseline, and that the *last* schedule replays exactly
 /// from its recorded trace.
 ///
-/// Holds [`toggle_guard`] for the batch: the comparison is bit for bit,
-/// and a differential sweep flipping the process-global kernel tier or
-/// leaf mode in a concurrent test would change the bits mid-batch.
-///
 /// # Panics
 /// Panics (test-style) on any schedule-dependent divergence or replay
 /// mismatch; the message names the offending seed.
@@ -96,7 +91,6 @@ pub fn chaos_batch(
     label: &str,
     mul: &(dyn Fn(Option<&ThreadPool>) -> Matrix + Sync),
 ) -> ChaosReport {
-    let _toggles = toggle_guard();
     let baseline = mul(None);
     let mut traces = HashSet::new();
     let mut total_events = 0usize;
@@ -144,8 +138,7 @@ pub fn chaos_strassen(pool: &ThreadPool, cfg: &ChaosConfig) -> ChaosReport {
     let (a, b) = operands(cfg.n, cfg.base_seed ^ 0xA5);
     let scfg = StrassenConfig {
         cutoff: cfg.cutoff,
-        task_depth: 5,
-        variant: Variant::Classic,
+        ..StrassenConfig::default()
     };
     let mul = move |p: Option<&ThreadPool>| {
         powerscale_strassen::multiply(&a.view(), &b.view(), &scfg, p, None)
@@ -164,7 +157,7 @@ pub fn chaos_caps(pool: &ThreadPool, cfg: &ChaosConfig) -> ChaosReport {
         cutoff: cfg.cutoff,
         cutoff_depth: 2,
         dfs_ways: 2,
-        group_affine: true,
+        ..CapsConfig::default()
     };
     let mul = move |p: Option<&ThreadPool>| {
         powerscale_caps::multiply(&a.view(), &b.view(), &ccfg, p, None).expect("caps dimensions")

@@ -13,16 +13,15 @@
 //!
 //! — 18 candidate runs per matrix size, each scored by
 //! [`max_rel_error`](crate::oracle::max_rel_error) against a single
-//! oracle product computed once. The kernel tier and leaf mode are
-//! process-global switches ([`set_kernel_tier`], [`set_unfused_leaf`]),
-//! so the sweep serialises behind [`toggle_guard`] and restores both on
-//! every exit path; any test that flips those switches itself must take
-//! the same guard.
+//! oracle product computed once. The kernel tier and leaf mode are fields
+//! of the explicit [`Dispatch`] each run carries in its config — nothing
+//! is process-global — so the cells of a sweep run on parallel threads,
+//! one pool per runner thread.
 //!
 //! A second sweep, [`run_kernel_matrix`], covers the *kernel* matrix:
 //! every dispatchable ISA×dtype instance ([`available_kernels`]) pinned
-//! via [`set_kernel_override`] and driven through the blocked driver and
-//! both leaf modes of the Strassen recursion, scored against the same
+//! via [`Dispatch::with_kernel`] and driven through the blocked driver
+//! and both leaf modes of the Strassen recursion, scored against the same
 //! oracle with precision-appropriate bounds ([`dtype_tol`]).
 //!
 //! Recursion depth is held constant across sizes by setting the
@@ -33,47 +32,144 @@
 
 use crate::oracle::{max_rel_error, reference_mm};
 use powerscale_caps::CapsConfig;
-use powerscale_gemm::leaf::{set_unfused_leaf, unfused_leaf};
-use powerscale_gemm::{
-    available_kernels, dgemm, set_kernel_override, set_kernel_tier, DtypeTier, GemmContext,
-    KernelInfo, KernelTier,
-};
+use powerscale_cluster::DistCapsConfig;
+use powerscale_gemm::{available_kernels, dgemm, Dispatch, DtypeTier, GemmContext, KernelTier};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::ThreadPool;
-use powerscale_strassen::{StrassenConfig, Variant};
-use std::sync::{Mutex, MutexGuard};
+use powerscale_strassen::StrassenConfig;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Serialises every user of the process-global kernel-tier and leaf-mode
-/// switches. Tests in one binary run concurrently; without this guard a
-/// sweep pinned to the scalar tier could observe another test's SIMD pin
-/// mid-flight.
-static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes the global toggle lock (recovering it if a previous holder
-/// panicked mid-test).
-pub fn toggle_guard() -> MutexGuard<'static, ()> {
-    TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// The multiply one sweep cell drives.
+#[derive(Debug, Clone, Copy)]
+enum Algo {
+    Blocked,
+    Strassen,
+    Caps { group_affine: bool },
+    DistCaps { nodes: usize },
 }
 
-/// Pins the kernel tier and leaf mode for the duration of `f`, restoring
-/// the previous settings on return *and* on unwind.
-fn with_modes<R>(tier: KernelTier, unfused: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore {
-        tier: KernelTier,
-        unfused: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_kernel_tier(self.tier);
-            set_unfused_leaf(self.unfused);
+/// One sweep cell: a multiply under one explicit dispatch.
+struct Cell {
+    label: String,
+    algo: Algo,
+    dispatch: Dispatch,
+}
+
+/// Operands, recursion cutoff and pool width shared by a sweep's cells.
+struct Sweep {
+    a: Matrix,
+    b: Matrix,
+    reference: Matrix,
+    cutoff: usize,
+    threads: usize,
+}
+
+impl Sweep {
+    fn new(cfg: &DiffConfig, cutoff: usize) -> Self {
+        let mut gen = MatrixGen::new(cfg.seed);
+        let a = gen.paper_operand(cfg.n);
+        let b = gen.paper_operand(cfg.n);
+        let reference = reference_mm(&a.view(), &b.view());
+        Sweep {
+            a,
+            b,
+            reference,
+            cutoff,
+            threads: cfg.threads,
         }
     }
-    let _restore = Restore {
-        tier: set_kernel_tier(tier),
-        unfused: unfused_leaf(),
-    };
-    set_unfused_leaf(unfused);
-    f()
+
+    /// Runs one cell on `pool` and scores it against the oracle.
+    fn rel_err(&self, cell: &Cell, pool: &ThreadPool) -> f64 {
+        let (a, b, dispatch) = (&self.a, &self.b, cell.dispatch);
+        let caps = |group_affine| CapsConfig {
+            cutoff: self.cutoff,
+            group_affine,
+            dispatch,
+            ..CapsConfig::default()
+        };
+        let c = match cell.algo {
+            Algo::Blocked => {
+                let mut c = Matrix::zeros(a.rows(), b.cols());
+                let ctx = GemmContext::new(dispatch, Some(pool), None);
+                dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
+                    .expect("blocked dgemm dimensions");
+                c
+            }
+            Algo::Strassen => {
+                let cfg = StrassenConfig {
+                    cutoff: self.cutoff,
+                    dispatch,
+                    ..StrassenConfig::default()
+                };
+                powerscale_strassen::multiply(&a.view(), &b.view(), &cfg, Some(pool), None)
+                    .expect("strassen dimensions")
+            }
+            Algo::Caps { group_affine } => powerscale_caps::multiply(
+                &a.view(),
+                &b.view(),
+                &caps(group_affine),
+                Some(pool),
+                None,
+            )
+            .expect("caps dimensions"),
+            // Distributed CAPS over simulated message passing: the
+            // transport is in the loop and node-local leaves run the
+            // cell's dispatch (the distributed executor keeps its
+            // arithmetic tree identical to a single-node run at the
+            // default cutoff, so the oracle bound is unchanged).
+            Algo::DistCaps { nodes } => {
+                let cfg = DistCapsConfig {
+                    caps: CapsConfig {
+                        dispatch,
+                        ..CapsConfig::default()
+                    },
+                    ..DistCapsConfig::default()
+                };
+                powerscale_cluster::dist_caps_multiply(
+                    a,
+                    b,
+                    &cfg,
+                    &powerscale_cluster::presets::e3_1225_net(nodes),
+                )
+                .expect("dist caps dimensions")
+                .c
+            }
+        };
+        max_rel_error(&c.view(), &self.reference.view())
+    }
+
+    /// Scores every cell, in order. Cells are independent (each carries
+    /// its own dispatch), so runner threads — one per host CPU, at least
+    /// two, each with its own pool so group-affine CAPS installs its
+    /// layout undisturbed — pull them from a shared counter.
+    fn run(&self, cells: &[Cell]) -> Vec<f64> {
+        let runners = std::thread::available_parallelism()
+            .map_or(2, |p| p.get().max(2))
+            .min(cells.len());
+        let next = AtomicUsize::new(0);
+        let mut scored: Vec<(usize, f64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..runners)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let pool = ThreadPool::new(self.threads);
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(cell) = cells.get(i) else { break out };
+                            out.push((i, self.rel_err(cell, &pool)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep runner panicked"))
+                .collect()
+        });
+        scored.sort_unstable_by_key(|&(i, _)| i);
+        scored.into_iter().map(|(_, err)| err).collect()
+    }
 }
 
 /// Parameters of one differential sweep.
@@ -116,7 +212,6 @@ fn tier_label(tier: KernelTier) -> &'static str {
     match tier {
         KernelTier::Scalar => "scalar",
         KernelTier::Simd => "simd",
-        KernelTier::Auto => "auto",
     }
 }
 
@@ -132,108 +227,57 @@ fn leaf_label(unfused: bool) -> &'static str {
 /// score. Panics only on dimension errors (a harness bug), never on
 /// tolerance — use [`assert_differential`] for the asserting form.
 pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
-    let _guard = toggle_guard();
-    let n = cfg.n;
-    let mut gen = MatrixGen::new(cfg.seed);
-    let a = gen.paper_operand(n);
-    let b = gen.paper_operand(n);
-    let reference = reference_mm(&a.view(), &b.view());
-    let pool = ThreadPool::new(cfg.threads);
-
-    let cutoff = (n / 8).max(8);
-    let strassen_cfg = StrassenConfig {
-        cutoff,
-        task_depth: 5,
-        variant: Variant::Classic,
+    let mut cells = Vec::new();
+    let tiers = [KernelTier::Scalar, KernelTier::Simd];
+    let dispatch_at = |tier, unfused_leaf| Dispatch {
+        tier,
+        unfused_leaf,
+        ..Dispatch::default()
     };
-    let caps_base = CapsConfig {
-        cutoff,
-        cutoff_depth: 4,
-        dfs_ways: 4,
-        group_affine: true,
-    };
-
-    let mut cases = Vec::new();
-    let mut score = |label: String, c: &Matrix| {
-        cases.push(DiffCase {
-            label,
-            rel_err: max_rel_error(&c.view(), &reference.view()),
-        });
-    };
-
-    for tier in [KernelTier::Scalar, KernelTier::Simd] {
+    for tier in tiers {
+        let tl = tier_label(tier);
         // Blocked GEMM has no recursive leaf, so the fused/unfused axis
         // does not apply; one run per kernel tier.
-        let c = with_modes(tier, false, || {
-            let ctx = GemmContext {
-                pool: Some(&pool),
-                ..Default::default()
-            };
-            let mut c = Matrix::zeros(n, n);
-            dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
-                .expect("blocked dgemm dimensions");
-            c
+        cells.push(Cell {
+            label: format!("blocked/{tl}"),
+            algo: Algo::Blocked,
+            dispatch: dispatch_at(tier, false),
         });
-        score(format!("blocked/{}", tier_label(tier)), &c);
-
         for unfused in [false, true] {
-            let c = with_modes(tier, unfused, || {
-                powerscale_strassen::multiply(
-                    &a.view(),
-                    &b.view(),
-                    &strassen_cfg,
-                    Some(&pool),
-                    None,
-                )
-                .expect("strassen dimensions")
+            let ll = leaf_label(unfused);
+            cells.push(Cell {
+                label: format!("strassen/{ll}/{tl}"),
+                algo: Algo::Strassen,
+                dispatch: dispatch_at(tier, unfused),
             });
-            score(
-                format!("strassen/{}/{}", leaf_label(unfused), tier_label(tier)),
-                &c,
-            );
-
             for group_affine in [true, false] {
-                let caps_cfg = CapsConfig {
-                    group_affine,
-                    ..caps_base
-                };
-                let c = with_modes(tier, unfused, || {
-                    powerscale_caps::multiply(&a.view(), &b.view(), &caps_cfg, Some(&pool), None)
-                        .expect("caps dimensions")
+                let gl = if group_affine { "affine" } else { "free" };
+                cells.push(Cell {
+                    label: format!("caps/{ll}/{tl}/{gl}"),
+                    algo: Algo::Caps { group_affine },
+                    dispatch: dispatch_at(tier, unfused),
                 });
-                score(
-                    format!(
-                        "caps/{}/{}/{}",
-                        leaf_label(unfused),
-                        tier_label(tier),
-                        if group_affine { "affine" } else { "free" }
-                    ),
-                    &c,
-                );
             }
         }
     }
-
-    // Distributed CAPS over simulated message passing: the transport is in
-    // the loop, node-local leaves honour the same process-global tier
-    // toggle (the distributed executor keeps its arithmetic tree identical
-    // to a single-node run, so the oracle bound is unchanged).
     for nodes in [2usize, 7] {
-        for tier in [KernelTier::Scalar, KernelTier::Simd] {
-            let c = with_modes(tier, false, || {
-                powerscale_cluster::dist_caps_multiply(
-                    &a,
-                    &b,
-                    &powerscale_cluster::DistCapsConfig::default(),
-                    &powerscale_cluster::presets::e3_1225_net(nodes),
-                )
-                .expect("dist caps dimensions")
-                .c
+        for tier in tiers {
+            cells.push(Cell {
+                label: format!("dist-caps/P{nodes}/{}", tier_label(tier)),
+                algo: Algo::DistCaps { nodes },
+                dispatch: dispatch_at(tier, false),
             });
-            score(format!("dist-caps/P{nodes}/{}", tier_label(tier)), &c);
         }
     }
-    cases
+    let errs = Sweep::new(cfg, (cfg.n / 8).max(8)).run(&cells);
+    cells
+        .into_iter()
+        .zip(errs)
+        .map(|(cell, rel_err)| DiffCase {
+            label: cell.label,
+            rel_err,
+        })
+        .collect()
 }
 
 /// Runs the sweep and asserts every case meets `cfg.tol`, reporting all
@@ -284,85 +328,41 @@ pub struct KernelCase {
     pub rel_err: f64,
 }
 
-/// Pins dispatch to one exact kernel instance plus a leaf mode for the
-/// duration of `f`, restoring both on return *and* on unwind. The
-/// override out-ranks the tier/dtype pins, so the recursive executors'
-/// internal dispatch lands on `kernel` too.
-fn with_kernel<R>(kernel: &'static KernelInfo, unfused: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore {
-        prev: Option<&'static KernelInfo>,
-        unfused: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_kernel_override(self.prev);
-            set_unfused_leaf(self.unfused);
-        }
-    }
-    let _restore = Restore {
-        prev: set_kernel_override(Some(kernel)),
-        unfused: unfused_leaf(),
-    };
-    set_unfused_leaf(unfused);
-    f()
-}
-
 /// Runs every dispatchable kernel instance (ISA tier × dtype tier) through
 /// the blocked driver and, for each leaf mode, through the Strassen
 /// recursion — the kernel-level companion to [`run_differential`]'s
 /// algorithm matrix. Three cells per kernel:
 /// `blocked`, `strassen/fused`, `strassen/unfused`.
 pub fn run_kernel_matrix(cfg: &DiffConfig) -> Vec<KernelCase> {
-    let _guard = toggle_guard();
-    let n = cfg.n;
-    let mut gen = MatrixGen::new(cfg.seed);
-    let a = gen.paper_operand(n);
-    let b = gen.paper_operand(n);
-    let reference = reference_mm(&a.view(), &b.view());
-    let pool = ThreadPool::new(cfg.threads);
-    let strassen_cfg = StrassenConfig {
-        cutoff: (n / 4).max(8),
-        task_depth: 5,
-        variant: Variant::Classic,
-    };
-
-    let mut cases = Vec::new();
+    let mut cells = Vec::new();
     for kernel in available_kernels() {
-        let c = with_kernel(kernel, false, || {
-            let ctx = GemmContext {
-                pool: Some(&pool),
-                ..Default::default()
-            };
-            let mut c = Matrix::zeros(n, n);
-            dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
-                .expect("blocked dgemm dimensions");
-            c
-        });
-        cases.push(KernelCase {
+        let at = |unfused_leaf| Dispatch {
+            unfused_leaf,
+            ..Dispatch::default().with_kernel(kernel)
+        };
+        cells.push(Cell {
             label: format!("blocked/{}", kernel.name),
-            dtype: kernel.dtype,
-            rel_err: max_rel_error(&c.view(), &reference.view()),
+            algo: Algo::Blocked,
+            dispatch: at(false),
         });
-
         for unfused in [false, true] {
-            let c = with_kernel(kernel, unfused, || {
-                powerscale_strassen::multiply(
-                    &a.view(),
-                    &b.view(),
-                    &strassen_cfg,
-                    Some(&pool),
-                    None,
-                )
-                .expect("strassen dimensions")
-            });
-            cases.push(KernelCase {
+            cells.push(Cell {
                 label: format!("strassen/{}/{}", leaf_label(unfused), kernel.name),
-                dtype: kernel.dtype,
-                rel_err: max_rel_error(&c.view(), &reference.view()),
+                algo: Algo::Strassen,
+                dispatch: at(unfused),
             });
         }
     }
-    cases
+    let errs = Sweep::new(cfg, (cfg.n / 4).max(8)).run(&cells);
+    cells
+        .into_iter()
+        .zip(errs)
+        .map(|(cell, rel_err)| KernelCase {
+            dtype: cell.dispatch.kernel().dtype,
+            label: cell.label,
+            rel_err,
+        })
+        .collect()
 }
 
 /// Runs the kernel matrix and asserts every cell meets its
@@ -422,9 +422,6 @@ mod tests {
                 );
             }
         }
-        // The override must be fully restored.
-        assert!(powerscale_gemm::kernel_by_name("scalar").is_some());
-        assert_eq!(powerscale_gemm::select_kernel().dtype, DtypeTier::F64);
     }
 
     #[test]
@@ -482,21 +479,5 @@ mod tests {
                 c.rel_err
             );
         }
-    }
-
-    #[test]
-    fn mode_pins_are_restored_after_a_sweep() {
-        let _guard = toggle_guard();
-        let before_tier = powerscale_gemm::kernel_tier();
-        let before_leaf = unfused_leaf();
-        drop(_guard);
-        assert_differential(&DiffConfig {
-            n: 32,
-            seed: 1,
-            threads: 4,
-            tol: 1e-12,
-        });
-        assert_eq!(powerscale_gemm::kernel_tier(), before_tier);
-        assert_eq!(unfused_leaf(), before_leaf);
     }
 }

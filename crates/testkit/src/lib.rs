@@ -29,7 +29,7 @@ pub mod oracle;
 pub use chaos::{chaos_batch, chaos_blocked, chaos_caps, chaos_strassen, ChaosConfig, ChaosReport};
 pub use differential::{
     assert_differential, assert_kernel_matrix, dtype_tol, run_differential, run_kernel_matrix,
-    toggle_guard, DiffCase, DiffConfig, KernelCase,
+    DiffCase, DiffConfig, KernelCase,
 };
 pub use metamorphic::{check_identities, MetamorphicReport, MulFn};
 pub use oracle::{max_rel_error, reference_mm, two_prod, two_sum, DdAcc};

@@ -49,6 +49,7 @@ fn strassen_satisfies_the_identities() {
         cutoff: 16,
         task_depth: 4,
         variant: Variant::Classic,
+        ..Default::default()
     };
     assert_identities("strassen", &|a, b| {
         powerscale_strassen::multiply(a, b, &cfg, Some(&pool), None).expect("dims")
@@ -62,6 +63,7 @@ fn winograd_strassen_satisfies_the_identities() {
         cutoff: 16,
         task_depth: 4,
         variant: Variant::Winograd,
+        ..Default::default()
     };
     assert_identities("strassen-winograd", &|a, b| {
         powerscale_strassen::multiply(a, b, &cfg, Some(&pool), None).expect("dims")
@@ -76,6 +78,7 @@ fn caps_satisfies_the_identities() {
         cutoff_depth: 2,
         dfs_ways: 2,
         group_affine: true,
+        ..Default::default()
     };
     assert_identities("caps", &|a, b| {
         powerscale_caps::multiply(a, b, &cfg, Some(&pool), None).expect("dims")

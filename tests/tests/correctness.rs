@@ -72,6 +72,7 @@ fn winograd_variant_agrees_too() {
                 cutoff: 16,
                 task_depth: 2,
                 variant: Variant::Winograd,
+                ..Default::default()
             },
             Some(&pool),
             None,

@@ -11,19 +11,10 @@
 use powerscale::pool::det::DetConfig;
 use powerscale::pool::ThreadPool;
 use powerscale::{caps::CapsConfig, matrix::MatrixGen};
-use powerscale_testkit::{
-    assert_differential, chaos_strassen, toggle_guard, ChaosConfig, DiffConfig,
-};
-
-// This test compares products bit for bit across runs, and the
-// differential smoke below flips the process-global kernel tier and leaf
-// mode while it sweeps (scalar multiply-then-add vs fused SIMD differ in
-// the last bits). Tests in one binary run concurrently, so it holds the
-// sweep's own guard (the chaos batch takes it internally).
+use powerscale_testkit::{assert_differential, chaos_strassen, ChaosConfig, DiffConfig};
 
 #[test]
 fn same_seed_reproduces_a_caps_run_byte_for_byte() {
-    let _toggles = toggle_guard();
     let pool = ThreadPool::new(7);
     let mut gen = MatrixGen::new(42);
     let a = gen.paper_operand(32);
@@ -33,6 +24,7 @@ fn same_seed_reproduces_a_caps_run_byte_for_byte() {
         cutoff_depth: 2,
         dfs_ways: 2,
         group_affine: true,
+        ..Default::default()
     };
     let det = DetConfig::chaotic(0xD00F);
 
