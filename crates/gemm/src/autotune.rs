@@ -11,7 +11,8 @@
 //! absent (macOS, wasm, sandboxes) the probe falls back to the paper's
 //! Haswell preset, so behaviour is unchanged from the static constants.
 //!
-//! Reproducibility overrides, read once per process:
+//! Reproducibility overrides, read once per process (a variable that is
+//! set but empty counts as unset):
 //!
 //! * `POWERSCALE_CACHES=32K,1M,8M` — replace the probed hierarchy with
 //!   explicit L1/L2/L3 capacities (suffixes `K`/`M`/`G`, case-insensitive).
@@ -128,42 +129,63 @@ pub fn probe_sysfs(root: &Path) -> Option<Vec<CacheConfig>> {
     )
 }
 
+/// Resolves one override variable: unset, or set but empty (what a CI
+/// matrix cell or `env VAR= cmd` produces), is no override; anything else
+/// must parse.
+///
+/// # Panics
+/// Panics on a non-empty value `parse` rejects — a silent fallback would
+/// defeat the override's reproducibility purpose.
+fn parse_override<T>(
+    name: &str,
+    value: Option<&str>,
+    parse: impl Fn(&str) -> Option<T>,
+    expected: &str,
+) -> Option<T> {
+    let spec = value.filter(|v| !v.trim().is_empty())?;
+    Some(parse(spec).unwrap_or_else(|| panic!("{name} {spec:?} invalid: expected {expected}")))
+}
+
+/// [`parse_override`] on the process environment.
+fn env_override<T>(name: &str, parse: impl Fn(&str) -> Option<T>, expected: &str) -> Option<T> {
+    parse_override(name, std::env::var(name).ok().as_deref(), parse, expected)
+}
+
 static HOST_CACHES: OnceLock<Vec<CacheConfig>> = OnceLock::new();
 
 /// The hierarchy every autotuned derivation uses, resolved once per
-/// process: the `POWERSCALE_CACHES` override if set, else the sysfs
-/// probe, else the paper's Haswell preset.
+/// process: the `POWERSCALE_CACHES` override if set (and non-empty), else
+/// the sysfs probe, else the paper's Haswell preset.
 ///
 /// # Panics
-/// Panics when `POWERSCALE_CACHES` is set but unparsable — a silent
-/// fallback would defeat the override's reproducibility purpose.
+/// Panics when `POWERSCALE_CACHES` is non-empty but unparsable.
 pub fn host_caches() -> &'static [CacheConfig] {
     HOST_CACHES.get_or_init(|| {
-        if let Ok(spec) = std::env::var("POWERSCALE_CACHES") {
-            return parse_cache_list(&spec).unwrap_or_else(|| {
-                panic!(
-                    "POWERSCALE_CACHES {spec:?} invalid: expected comma-separated \
-                     capacities like 32K,1M,8M"
-                )
-            });
-        }
-        probe_sysfs(Path::new("/sys/devices/system/cpu"))
-            .unwrap_or_else(powerscale_cachesim::presets::e3_1225_caches)
+        env_override(
+            "POWERSCALE_CACHES",
+            parse_cache_list,
+            "comma-separated capacities like 32K,1M,8M",
+        )
+        .or_else(|| probe_sysfs(Path::new("/sys/devices/system/cpu")))
+        .unwrap_or_else(powerscale_cachesim::presets::e3_1225_caches)
     })
 }
 
 static BLOCKING_OVERRIDE: OnceLock<Option<(usize, usize, usize)>> = OnceLock::new();
 
-/// The `POWERSCALE_BLOCKING` pin, parsed once per process.
+/// The `POWERSCALE_BLOCKING` pin, parsed once per process (unset or empty:
+/// none).
 ///
 /// # Panics
-/// Panics when the variable is set but not a positive `mc,kc,nc` triple.
+/// Panics when the variable is non-empty but not a positive `mc,kc,nc`
+/// triple.
 pub fn blocking_override() -> Option<(usize, usize, usize)> {
     *BLOCKING_OVERRIDE.get_or_init(|| {
-        let spec = std::env::var("POWERSCALE_BLOCKING").ok()?;
-        Some(parse_blocking(&spec).unwrap_or_else(|| {
-            panic!("POWERSCALE_BLOCKING {spec:?} invalid: expected mc,kc,nc (all positive)")
-        }))
+        env_override(
+            "POWERSCALE_BLOCKING",
+            parse_blocking,
+            "mc,kc,nc (all positive)",
+        )
     })
 }
 
@@ -203,6 +225,42 @@ mod tests {
         assert_eq!(parse_blocking("96,0,12"), None);
         assert_eq!(parse_cache_list(""), None);
         assert_eq!(parse_cache_list("32K,nope"), None);
+    }
+
+    #[test]
+    fn set_but_empty_overrides_are_unset() {
+        // `POWERSCALE_BLOCKING= cmd` and an empty CI matrix cell export
+        // the variable with no value: that is "no override", not garbage.
+        for empty in [None, Some(""), Some("  ")] {
+            assert_eq!(
+                parse_override("POWERSCALE_BLOCKING", empty, parse_blocking, "mc,kc,nc"),
+                None
+            );
+            assert_eq!(
+                parse_override("POWERSCALE_CACHES", empty, parse_cache_list, "capacities"),
+                None
+            );
+        }
+        assert_eq!(
+            parse_override(
+                "POWERSCALE_BLOCKING",
+                Some("96,256,4092"),
+                parse_blocking,
+                "mc,kc,nc"
+            ),
+            Some((96, 256, 4092))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "POWERSCALE_CACHES \"32K,nope\" invalid")]
+    fn non_empty_garbage_override_still_panics() {
+        parse_override(
+            "POWERSCALE_CACHES",
+            Some("32K,nope"),
+            parse_cache_list,
+            "capacities",
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! The register-tile shape (`mr × nr`) is no longer a compile-time
 //! constant: it comes from the microkernel selected at runtime
 //! ([`crate::kernel::select_kernel`]), so `mc`/`nc` alignment follows the
-//! dispatched kernel (4×4 scalar, 8×6 AVX2/NEON).
+//! dispatched kernel (4×4 scalar, 6×8 AVX2/NEON/WASM, 6×32 AVX-512; the
+//! f32 tiers are twice as wide — the table is in `simd.rs`).
 
 use crate::kernel::KernelInfo;
 use powerscale_cachesim::CacheConfig;
@@ -90,20 +91,24 @@ impl BlockingParams {
     }
 
     /// The host-tuned derivation: same Goto structure as
-    /// [`BlockingParams::for_caches_and_tile`], different budget fractions.
+    /// [`BlockingParams::for_caches_and_tile`], budgets taken from how the
+    /// row-accumulating kernel walks its operands.
     ///
-    /// The conservative halves model keeps the register slivers in half of
-    /// L1 and the packed A panel in half of L2 — the right call for the
-    /// simulated LRU hierarchies (real conflict misses, no prefetch) and
-    /// kept there unchanged. Real hosts have hardware prefetchers and
-    /// high-associativity caches, and measurement says they prefer the
-    /// opposite trade: a deeper `kc` (the `mr×kc` + `kc×nr` sliver pair
-    /// filling *all* of L1, halving the number of C write passes) and a
-    /// shorter `mc` (packed A capped at a *quarter* of L2, leaving room
-    /// for the B stream and C traffic instead of monopolising the cache).
-    /// On a 48 KiB / 2 MiB host with the 8×8 AVX-512 tile this derives
-    /// `kc = 384, mc = 168` — 5–10% faster than both the halves model and
-    /// the static Haswell constants at n = 384…1024.
+    /// The sweep ([`KernelInfo::sweep_tiles`]) holds one `kc × nr` B
+    /// sliver while every `mr × kc` A strip of the panel streams past it,
+    /// so the sliver is the L1 resident and an A strip is a guest. The
+    /// sliver survives an LRU L1 when it fits beside *two* A strips — the
+    /// one being read and the one arriving behind it — which gives
+    /// `kc · 8 · (nr + 2·mr) ≤ L1`. Measured on the 48 KiB / 2 MiB host
+    /// with the 6×32 AVX-512 tile, one `mc × kc × nc` macro-block peaks at
+    /// `kc = 128` (3% over the plateau that follows once the sliver spills
+    /// to L2, from `kc = 144` to `512`) and loses 5% at `kc = 64`, 22% at
+    /// `kc = 32` (C merges no longer amortised); the rule gives `kc = 136`.
+    /// The packed A panel keeps a *quarter* of L2 (room for the B stream
+    /// and C traffic instead of monopolising the cache): `mc = 480`. Whole
+    /// `dgemm`s at n = 512 and 1024 are level to ±3% over `mc ∈ 96…576` ×
+    /// `kc ∈ 128…384` (DESIGN §6f has the grid), so the rule is chosen for
+    /// its derivation, not fitted to the grid.
     pub fn host_tuned_for_caches_and_tile(caches: &[CacheConfig], mr: usize, nr: usize) -> Self {
         assert!(mr > 0 && nr > 0, "register tile must be non-empty");
         let l1 = caches.first().map(|c| c.size_bytes).unwrap_or(32 * 1024);
@@ -112,8 +117,8 @@ impl BlockingParams {
             .get(2)
             .map(|c| c.size_bytes)
             .unwrap_or(8 * 1024 * 1024);
-        // kc: the whole of L1 holds kc*(mr+nr) doubles.
-        let kc = aligned_clamp(l1 / (8 * (mr + nr)), 8, 32, 512);
+        // kc: L1 holds the kc*nr B sliver and two kc*mr A strips, in doubles.
+        let kc = aligned_clamp(l1 / (8 * (nr + 2 * mr)), 8, 32, 512);
         // mc: a quarter of L2 holds mc*kc doubles, rounded to mr.
         let mc = aligned_clamp(l2 / (4 * 8 * kc), mr, mr, 512);
         // nc: half of L3 holds kc*nc doubles, same cap as the base model.
@@ -226,22 +231,34 @@ mod tests {
 
     #[test]
     fn host_tuned_derivation_on_known_hierarchies() {
-        // The measured-fastest point on a 48K/2M/260M host with the 8×8
-        // AVX-512 tile: deep kc (sliver pair = all of L1), moderate mc
-        // (packed A = quarter of L2).
+        // The 48K/2M/260M host with the 6×32 AVX-512 tile: the B sliver
+        // beside two A strips in L1 (48K / (8·(32 + 12)) = 139 → 136),
+        // packed A in a quarter of L2 (512K / (8·136) = 481 → 480).
         let host = [
             CacheConfig::new(48 * 1024, 64, 768),
             CacheConfig::new(2048 * 1024, 64, 32768),
             CacheConfig::new(266240 * 1024, 64, 266240 * 16),
         ];
-        let p = BlockingParams::host_tuned_for_caches_and_tile(&host, 8, 8);
-        assert_eq!((p.mc, p.kc, p.nc), (168, 384, 2048));
+        let p = BlockingParams::host_tuned_for_caches_and_tile(&host, 6, 32);
+        assert_eq!((p.mc, p.kc, p.nc), (480, 136, 2048));
+        // The other tiers on that hierarchy: AVX2 6×8 (48K / (8·20) = 307
+        // → 304), scalar 4×4 (512 cap), f32 AVX-512 6×64 (budgeted in
+        // doubles: 80 deep, mc at its 512 cap rounded to 6).
+        let shapes = [
+            ((6, 8), (210, 304, 2048)),
+            ((4, 4), (128, 512, 2048)),
+            ((6, 64), (510, 80, 2048)),
+        ];
+        for ((mr, nr), want) in shapes {
+            let q = BlockingParams::host_tuned_for_caches_and_tile(&host, mr, nr);
+            assert_eq!((q.mc, q.kc, q.nc), want, "tile {mr}x{nr}");
+        }
         // The tuned model must still honour its own budgets for every
         // dispatchable tile shape on that hierarchy.
-        for (mr, nr) in [(4usize, 4usize), (8, 6), (8, 8), (16, 6)] {
+        for (mr, nr) in [(4usize, 4usize), (6, 8), (6, 16), (6, 32), (6, 64)] {
             let q = BlockingParams::host_tuned_for_caches_and_tile(&host, mr, nr);
             q.validate().unwrap();
-            assert!(q.kc * 8 * (mr + nr) <= host[0].size_bytes, "{q:?}");
+            assert!(q.kc * 8 * (nr + 2 * mr) <= host[0].size_bytes, "{q:?}");
             assert!(
                 q.packed_a_bytes() <= host[1].size_bytes / 4 + mr * q.kc * 8,
                 "{q:?}"
@@ -250,7 +267,7 @@ mod tests {
         }
         // Falls back to the same defaults as the base model when the
         // hierarchy is underspecified.
-        BlockingParams::host_tuned_for_caches_and_tile(&[], 8, 6)
+        BlockingParams::host_tuned_for_caches_and_tile(&[], 6, 8)
             .validate()
             .unwrap();
     }
@@ -353,7 +370,7 @@ mod tests {
             // parameters must always satisfy validate(), and the packed
             // panel sizes must be positive. Sizes stay powers of two so the
             // cachesim geometry (power-of-two set counts) accepts them.
-            let tiles = [(4usize, 4usize), (8, 6), (8, 4), (6, 8), (16, 6)];
+            let tiles = [(4usize, 4usize), (8, 6), (6, 8), (6, 32), (6, 64)];
             let (mr, nr) = tiles[tile_idx];
             let l1 = 1024usize << l1_shift;
             let l2 = l1 << l2_shift;
@@ -368,11 +385,13 @@ mod tests {
             prop_assert!(p.packed_a_bytes() > 0);
             prop_assert!(p.packed_b_bytes() > 0);
             prop_assert!(p.mc >= mr && p.nc >= nr && p.kc >= 8);
-            // On realistically-sized hierarchies (L1 ≥ 16 KiB, monotone
+            // On realistically-sized hierarchies (L1 ≥ 16 KiB and deep
+            // enough for the 32-deep kc floor of this tile; monotone
             // levels — which this generator guarantees) no lower clamp can
             // bind, so the derived factors must honour the Goto budgets:
             // kc-sliver in L1, packed A panel in L2, packed B panel in L3.
-            if l1 >= 16 * 1024 {
+            let realistic = |floor_bytes: usize| l1 >= (16 * 1024).max(floor_bytes);
+            if realistic(32 * 2 * 8 * (mr + nr)) {
                 prop_assert!(
                     p.kc * 8 * (mr + nr) <= l1,
                     "L1 sliver overflow: {p:?} vs l1={l1}"
@@ -380,16 +399,16 @@ mod tests {
                 prop_assert!(p.packed_a_bytes() <= l2, "A panel overflow: {p:?} vs l2={l2}");
                 prop_assert!(p.packed_b_bytes() <= l3, "B panel overflow: {p:?} vs l3={l3}");
             }
-            // The host-tuned variant obeys its own (aggressive-kc,
+            // The host-tuned variant obeys its own (resident-B-sliver,
             // quarter-L2) budgets on the same hierarchies. The mr-floor on
             // mc can exceed the quarter budget on degenerate l2 == l1
             // hierarchies, hence the one-strip slack term.
             let h = BlockingParams::host_tuned_for_caches_and_tile(&caches, mr, nr);
             prop_assert!(h.validate().is_ok(), "invalid host-tuned {h:?}");
-            if l1 >= 16 * 1024 {
+            if realistic(32 * 8 * (nr + 2 * mr)) {
                 prop_assert!(
-                    h.kc * 8 * (mr + nr) <= l1,
-                    "L1 sliver-pair overflow: {h:?} vs l1={l1}"
+                    h.kc * 8 * (nr + 2 * mr) <= l1,
+                    "L1 sliver overflow: {h:?} vs l1={l1}"
                 );
                 prop_assert!(
                     h.packed_a_bytes() <= l2 / 4 + mr * h.kc * 8,

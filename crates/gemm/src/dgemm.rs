@@ -2,7 +2,7 @@
 
 use crate::arena;
 use crate::blocking::BlockingParams;
-use crate::kernel::{Dispatch, KernelFn, KernelInfo};
+use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo};
 use crate::pack::{
     pack_a, pack_b, pack_b_strips, packed_a_len, packed_b_len, slots_for, PackScalar,
 };
@@ -271,24 +271,16 @@ fn run_row_band<T: PackScalar>(
     band: &mut MatrixViewMut<'_>,
     events: Option<&EventSet>,
 ) {
-    let micro = T::kernel_fn(kernel);
-    let (mr, nr) = (kernel.mr, kernel.nr);
     let mcb = band.rows();
     let _span = trace::span_args(trace::Category::Gemm, "row_band", mcb as u32, ncb as u32);
     let ablock = a
         .sub_view((ic, pc), (mcb, kcb))
         .expect("A block within bounds by construction");
-    let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(mcb, kcb, mr)));
+    let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(mcb, kcb, kernel.mr)));
     let pa_elems: &mut [T] = T::cast_mut(&mut pa[..]);
-    let a_strips = pack_a(&ablock, pa_elems, mr);
-    let b_strips = ncb.div_ceil(nr);
-    for jr in 0..b_strips {
-        let pb_strip = &pb[jr * nr * kcb..(jr + 1) * nr * kcb];
-        for ir in 0..a_strips {
-            let pa_strip = &pa_elems[ir * mr * kcb..(ir + 1) * mr * kcb];
-            micro(kcb, pa_strip, pb_strip, alpha, band, ir * mr, jr * nr);
-        }
-    }
+    let a_strips = pack_a(&ablock, pa_elems, kernel.mr);
+    let b_strips = ncb.div_ceil(kernel.nr);
+    sweep_strips(kernel, kcb, pa_elems, pb, a_strips, b_strips, alpha, band);
     if let Some(set) = events {
         let elem_bytes = kernel.dtype.packed_elem_bytes() as u64;
         let mut p = Profile::new();

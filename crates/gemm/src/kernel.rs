@@ -4,10 +4,12 @@
 //! instantiated per ISA tier and per dtype tier, and picks an instance at
 //! runtime:
 //!
-//! * **ISA tiers** — `avx512` (8×8 over 512-bit lanes), `avx2` (8×6,
-//!   AVX2+FMA), `neon` (8×6 over 2-lane `float64x2_t`), `wasm128` (8×6
+//! * **ISA tiers** — `avx512` (6×32 over 512-bit lanes), `avx2` (6×8,
+//!   AVX2+FMA), `neon` (6×8 over 2-lane `float64x2_t`), `wasm128` (6×8
 //!   over `v128`), and the portable `scalar` 4×4 tier that is always
-//!   available (and the `force-scalar` feature's pin).
+//!   available (and the `force-scalar` feature's pin). Each tile is sized
+//!   from its ISA's register file; the per-dtype shapes are tabulated in
+//!   [`crate::simd`].
 //! * **dtype tiers** ([`DtypeTier`]) — `f64` (the default), `f32`
 //!   (single-precision loads, multiplies and accumulation), and `mixed`
 //!   (f32 loads/multiplies widened into f64 accumulators).
@@ -23,7 +25,7 @@
 //! carry down to the kernels; its `Default` is the host's best f64 kernel,
 //! or the scalar one under the `force-scalar` feature.
 
-use crate::pack::PackScalar;
+use crate::pack::{packed_a_len, PackScalar};
 use powerscale_matrix::MatrixViewMut;
 use std::sync::OnceLock;
 
@@ -157,7 +159,9 @@ pub struct KernelInfo {
     pub isa: &'static str,
     /// The numeric tier the kernel computes in.
     pub dtype: DtypeTier,
-    /// Register-tile rows: `a_strip` holds `kc * mr` packed elements.
+    /// Register-tile rows: `a_strip` holds
+    /// [`packed_a_len`](crate::pack::packed_a_len)`(mr, kc, mr)` packed
+    /// elements (`kc` rounded up to whole k-chunks).
     pub mr: usize,
     /// Register-tile columns: `b_strip` holds `kc * nr` packed elements.
     pub nr: usize,
@@ -213,10 +217,8 @@ impl KernelInfo {
         c: &mut MatrixViewMut<'_>,
     ) {
         match self.func {
-            KernelFn::F64(f) => sweep_strips(
-                f,
-                self.mr,
-                self.nr,
+            KernelFn::F64(_) => sweep_strips(
+                self,
                 kc,
                 f64::cast(pa_slots),
                 f64::cast(pb_slots),
@@ -225,10 +227,8 @@ impl KernelInfo {
                 alpha,
                 c,
             ),
-            KernelFn::F32(f) => sweep_strips(
-                f,
-                self.mr,
-                self.nr,
+            KernelFn::F32(_) => sweep_strips(
+                self,
                 kc,
                 f32::cast(pa_slots),
                 f32::cast(pb_slots),
@@ -242,12 +242,11 @@ impl KernelInfo {
 }
 
 /// The typed strip sweep shared by [`KernelInfo::sweep_tiles`], the Goto
-/// driver's row bands and the fused leaf.
+/// driver's row bands and the fused leaf: B strip `jr` stays hot while
+/// every A strip streams past it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_strips<T: PackScalar>(
-    f: Microkernel<T>,
-    mr: usize,
-    nr: usize,
+    kernel: &KernelInfo,
     kc: usize,
     pa: &[T],
     pb: &[T],
@@ -256,34 +255,28 @@ pub(crate) fn sweep_strips<T: PackScalar>(
     alpha: f64,
     c: &mut MatrixViewMut<'_>,
 ) {
+    let micro = T::kernel_fn(kernel);
+    let (mr, nr) = (kernel.mr, kernel.nr);
+    let a_len = packed_a_len(mr, kc, mr);
     for jr in 0..b_strips {
         let pb_strip = &pb[jr * nr * kc..(jr + 1) * nr * kc];
         for ir in 0..a_strips {
-            let pa_strip = &pa[ir * mr * kc..(ir + 1) * mr * kc];
-            f(kc, pa_strip, pb_strip, alpha, c, ir * mr, jr * nr);
+            let pa_strip = &pa[ir * a_len..(ir + 1) * a_len];
+            micro(kc, pa_strip, pb_strip, alpha, c, ir * mr, jr * nr);
         }
     }
 }
 
-static SCALAR_KERNEL: KernelInfo = KernelInfo {
-    name: "scalar",
-    isa: "scalar",
-    dtype: DtypeTier::F64,
-    mr: SCALAR_MR,
-    nr: SCALAR_NR,
-    func: KernelFn::F64(microkernel),
-};
-
 /// The portable scalar f64 kernel (always available).
 pub fn scalar_kernel() -> &'static KernelInfo {
-    &SCALAR_KERNEL
+    &crate::simd::generic::SCALAR_F64
 }
 
 /// The portable scalar kernel of a dtype tier (always available — every
 /// dtype degrades to a scalar instantiation of the generic body).
 pub fn scalar_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
     match dtype {
-        DtypeTier::F64 => &SCALAR_KERNEL,
+        DtypeTier::F64 => &crate::simd::generic::SCALAR_F64,
         DtypeTier::F32 => &crate::simd::generic::SCALAR_F32,
         DtypeTier::Mixed => &crate::simd::generic::SCALAR_MIXED,
     }
@@ -422,50 +415,6 @@ pub fn select_kernel() -> &'static KernelInfo {
     Dispatch::default().kernel()
 }
 
-/// Computes a full `SCALAR_MR × SCALAR_NR` tile
-/// `acc = Σ_k a_strip[k] ⊗ b_strip[k]` over packed strips of depth `kc`,
-/// then merges `alpha * acc` into `c` at `(row0, col0)`, masking
-/// rows/columns that fall outside `c` (the packing zero-pads, so the extra
-/// products are zeros anyway — masking just avoids out-of-bounds writes).
-///
-/// `a_strip` is `kc * SCALAR_MR` elements from [`crate::pack::pack_a`];
-/// `b_strip` is `kc * SCALAR_NR` elements from [`crate::pack::pack_b`].
-#[inline]
-pub fn microkernel(
-    kc: usize,
-    a_strip: &[f64],
-    b_strip: &[f64],
-    alpha: f64,
-    c: &mut MatrixViewMut<'_>,
-    row0: usize,
-    col0: usize,
-) {
-    const MR: usize = SCALAR_MR;
-    const NR: usize = SCALAR_NR;
-    debug_assert!(a_strip.len() >= kc * MR);
-    debug_assert!(b_strip.len() >= kc * NR);
-    let mut acc = [[0.0f64; NR]; MR];
-    for k in 0..kc {
-        let a = &a_strip[k * MR..k * MR + MR];
-        let b = &b_strip[k * NR..k * NR + NR];
-        // 16 independent FMAs; the compiler vectorises the j loop.
-        for i in 0..MR {
-            let ai = a[i];
-            for j in 0..NR {
-                acc[i][j] += ai * b[j];
-            }
-        }
-    }
-    let live_rows = c.rows().saturating_sub(row0).min(MR);
-    let live_cols = c.cols().saturating_sub(col0).min(NR);
-    for (i, acc_row) in acc.iter().enumerate().take(live_rows) {
-        let crow = c.row_mut(row0 + i);
-        for j in 0..live_cols {
-            crow[col0 + j] += alpha * acc_row[j];
-        }
-    }
-}
-
 /// Flops performed by one microkernel call of depth `kc` for an `mr × nr`
 /// tile (full tile, padding included).
 #[inline]
@@ -482,6 +431,11 @@ mod tests {
     const MR: usize = SCALAR_MR;
     const NR: usize = SCALAR_NR;
 
+    /// The scalar f64 tier's entry point.
+    fn microkernel() -> Microkernel<f64> {
+        f64::kernel_fn(scalar_kernel())
+    }
+
     #[test]
     fn tile_matches_naive_product() {
         let kc = 6;
@@ -492,7 +446,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::zeros(MR, NR);
-        microkernel(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
+        microkernel()(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
         let expect = crate::naive::naive_mm(&a.view(), &b.view()).unwrap();
         assert!(c.approx_eq(&expect, 1e-12));
     }
@@ -507,7 +461,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::filled(MR, NR, 10.0);
-        microkernel(kc, &pa, &pb, 0.5, &mut c.view_mut(), 0, 0);
+        microkernel()(kc, &pa, &pb, 0.5, &mut c.view_mut(), 0, 0);
         // 10 + 0.5 * 3 = 11.5 everywhere.
         assert!(c.approx_eq(&Matrix::filled(MR, NR, 11.5), 1e-12));
     }
@@ -523,7 +477,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::zeros(3, 2);
-        microkernel(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
+        microkernel()(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
         assert!(c.approx_eq(&Matrix::filled(3, 2, 2.0), 1e-12));
     }
 
@@ -537,7 +491,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::zeros(8, 8);
-        microkernel(kc, &pa, &pb, 1.0, &mut c.view_mut(), 4, 4);
+        microkernel()(kc, &pa, &pb, 1.0, &mut c.view_mut(), 4, 4);
         assert_eq!(c.get(4, 4), 6.0);
         assert_eq!(c.get(7, 7), 6.0);
         assert_eq!(c.get(3, 3), 0.0);
@@ -547,7 +501,7 @@ mod tests {
     #[test]
     fn flop_count() {
         assert_eq!(microkernel_flops(10, MR, NR), 2 * 10 * 16);
-        assert_eq!(microkernel_flops(10, 8, 6), 2 * 10 * 48);
+        assert_eq!(microkernel_flops(10, 6, 32), 2 * 10 * 192);
     }
 
     #[test]

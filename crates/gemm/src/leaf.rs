@@ -23,7 +23,7 @@
 //! `x + y` and `1·x + (−1)·y` is exactly `x − y` in IEEE-754).
 
 use crate::arena;
-use crate::kernel::{Dispatch, KernelFn, KernelInfo};
+use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo};
 use crate::pack::{
     pack_a, pack_a_sum, pack_b, pack_b_sum, packed_a_len, packed_b_len, slots_for, PackScalar,
 };
@@ -316,7 +316,6 @@ fn fused_leaf_body<T: PackScalar>(
     c: &mut MatrixViewMut<'_>,
     accum: Accum,
 ) {
-    let micro = T::kernel_fn(kernel);
     let (m, k) = a.shape().expect("shape validated by caller");
     let n = b.shape().expect("shape validated by caller").1;
     let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(m, k, kernel.mr)));
@@ -335,21 +334,7 @@ fn fused_leaf_body<T: PackScalar>(
         )
     };
     let alpha = if accum == Accum::Sub { -1.0 } else { 1.0 };
-    for sj in 0..b_strips {
-        let b_strip = &pb_elems[sj * kernel.nr * k..(sj + 1) * kernel.nr * k];
-        for si in 0..a_strips {
-            let a_strip = &pa_elems[si * kernel.mr * k..(si + 1) * kernel.mr * k];
-            micro(
-                k,
-                a_strip,
-                b_strip,
-                alpha,
-                c,
-                si * kernel.mr,
-                sj * kernel.nr,
-            );
-        }
-    }
+    sweep_strips(kernel, k, pa_elems, pb_elems, a_strips, b_strips, alpha, c);
 }
 
 #[cfg(test)]

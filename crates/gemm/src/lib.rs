@@ -4,9 +4,10 @@
 //! OpenBLAS" baseline (§IV-A): a Goto-style `C = α·A·B + β·C` with
 //!
 //! * a runtime-dispatched register-tile microkernel ([`kernel`]): one
-//!   generic tile body ([`simd`]) instantiated as AVX-512 (8×8),
-//!   AVX2+FMA (8×6), NEON (8×6), WASM128 (8×6) and portable scalar (4×4)
-//!   ISA tiers, each in three dtype tiers — f64, f32, and mixed
+//!   generic row-accumulating tile body ([`simd`]) instantiated as AVX-512
+//!   (6×32), AVX2+FMA (6×8), NEON (6×8), WASM128 (6×8) and portable
+//!   scalar (4×4) ISA tiers — each tile sized from its ISA's register
+//!   file — each in three dtype tiers — f64, f32, and mixed
 //!   (f32 operands, f64 accumulation) — selected by an explicit
 //!   [`Dispatch`] value callers carry down to the kernels (its default is
 //!   the host's best f64 kernel; the `force-scalar` cargo feature makes
@@ -15,9 +16,10 @@
 //!   selected kernel's tile shape ([`BlockingParams::for_caches`]), with
 //!   [`BlockingParams::autotuned_for`] probing the host's real cache
 //!   sizes at startup ([`autotune`]),
-//! * contiguous packing of A and B panels ([`pack`]), packed in parallel
-//!   across pool workers and drawn from thread-local recycling arenas
-//!   ([`arena`]) so steady-state invocations allocate nothing,
+//! * contiguous packing of A and B panels ([`pack`]) by cache-line row
+//!   segments, packed in parallel across pool workers and drawn from
+//!   thread-local recycling arenas ([`arena`]) so steady-state invocations
+//!   allocate nothing,
 //! * parallelisation of the row-panel loop over a
 //!   [`powerscale_pool::ThreadPool`] (the OpenMP-worksharing analog), and
 //! * optional [`powerscale_counters::EventSet`] instrumentation feeding the

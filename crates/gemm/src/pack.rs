@@ -1,14 +1,23 @@
 //! Panel packing.
 //!
 //! Packing rewrites a strided sub-matrix into the exact streaming order the
-//! microkernel consumes, so the inner loop reads two contiguous arrays:
+//! microkernel consumes, so the inner loop reads two contiguous arrays, and
+//! it does so by moving **row segments**, never single elements:
 //!
-//! * **A panels** (`mc × kc`) are stored as a sequence of `mr`-row strips;
-//!   within a strip, the `mr` elements of each column k are adjacent
-//!   (`pa[strip][k*mr + i]`).
+//! * **A panels** (`mc × kc`) are stored as a sequence of `mr`-row strips.
+//!   A strip is `⌈kc / K_CHUNK⌉` *k-chunks* of `mr × K_CHUNK` elements;
+//!   within a chunk each row's `K_CHUNK` consecutive k-elements are
+//!   adjacent (`pa[strip][(q*mr + i)*K_CHUNK + kk]` holds `A[i][q*K_CHUNK +
+//!   kk]`). A source row segment is one cache line of `f64`s, so packing A
+//!   is a line copy per `(row, chunk)`, while the kernel — which broadcasts
+//!   one A element per row per k-step — still walks the strip front to
+//!   back, one chunk (`mr` lines) at a time. The last chunk's k-tail is
+//!   zero-padded, so a strip always holds `mr * kc.next_multiple_of(K_CHUNK)`
+//!   elements ([`packed_a_len`]).
 //! * **B panels** (`kc × nc`) are stored as a sequence of `nr`-column
 //!   strips; within a strip, the `nr` elements of each row k are adjacent
-//!   (`pb[strip][k*nr + j]`).
+//!   (`pb[strip][k*nr + j]`) — the vector operand the kernel loads. Packing
+//!   B copies one `nr`-wide row slice per `(strip, k)`.
 //!
 //! Ragged edges are zero-padded to full strips, which lets the microkernel
 //! always run a full `mr × nr` tile; the writeback masks the padding away.
@@ -129,33 +138,136 @@ pub fn slots_for<T: PackScalar>(elems: usize) -> usize {
     elems.div_ceil(T::PER_SLOT)
 }
 
-/// Packs an `m × k` block of A (m ≤ mc, k ≤ kc) into `buf` as `mr`-row
-/// strips, zero-padding rows up to a multiple of `mr`. Returns the number
-/// of strips written.
-///
-/// `buf` must hold at least `ceil(m/mr) * mr * k` elements.
-pub fn pack_a<T: PackScalar>(a: &MatrixView<'_>, buf: &mut [T], mr: usize) -> usize {
-    let (m, k) = a.shape();
+/// Depth of one A-strip k-chunk: the run of consecutive k-elements of one
+/// row that packing copies as a unit and the kernel then broadcasts from,
+/// one per k-step. Eight `f64`s are one 64-byte cache line of the source.
+pub const K_CHUNK: usize = 8;
+
+/// `dst[j] = src[r][c0 + j]`, rounded to `T` — one row segment of a plain
+/// operand.
+#[inline(always)]
+fn copy_segment<T: PackScalar>(src: &MatrixView<'_>, r: usize, c0: usize, dst: &mut [T]) {
+    let c1 = c0 + dst.len();
+    for (d, &v) in dst.iter_mut().zip(&src.row(r)[c0..c1]) {
+        *d = T::from_f64(v);
+    }
+}
+
+/// `dst[j] = α·x[r][c0 + j] + β·y[r][c0 + j]`, combined in `f64` and
+/// rounded to `T` once — one row segment of a fused operand.
+#[inline(always)]
+fn sum_segment<T: PackScalar>(
+    (x, alpha): (&MatrixView<'_>, f64),
+    (y, beta): (&MatrixView<'_>, f64),
+    r: usize,
+    c0: usize,
+    dst: &mut [T],
+) {
+    let c1 = c0 + dst.len();
+    let (xs, ys) = (&x.row(r)[c0..c1], &y.row(r)[c0..c1]);
+    for ((d, &xv), &yv) in dst.iter_mut().zip(xs).zip(ys) {
+        *d = T::from_f64(alpha * xv + beta * yv);
+    }
+}
+
+/// Panics unless a fused packer's two sources have one shape.
+fn assert_same_shape(who: &str, x: &MatrixView<'_>, y: &MatrixView<'_>) {
+    assert_eq!(
+        y.shape(),
+        x.shape(),
+        "{who}: operand shapes differ ({:?} vs {:?})",
+        x.shape(),
+        y.shape()
+    );
+}
+
+/// Lays `m` rows of depth `k` out as A strips in `buf` (see the module
+/// docs), asking `fill(row, k0, dst)` for the `dst.len()` elements of
+/// `row` starting at depth `k0` — one call per live row segment — and
+/// zero-filling padding rows and the k-tail. Returns the strip count.
+fn pack_a_segments<T: PackScalar>(
+    who: &str,
+    (m, k): (usize, usize),
+    buf: &mut [T],
+    mr: usize,
+    fill: impl Fn(usize, usize, &mut [T]),
+) -> usize {
     let strips = m.div_ceil(mr);
+    let strip_len = packed_a_len(mr, k, mr);
     assert!(
-        buf.len() >= strips * mr * k,
-        "pack_a: buffer {} too small for {strips} strips of {k}",
+        buf.len() >= strips * strip_len,
+        "{who}: buffer {} too small for {strips} strips of {k}",
         buf.len()
     );
+    let (full, tail) = (k / K_CHUNK, k % K_CHUNK);
     for s in 0..strips {
-        let base = s * mr * k;
+        let strip = &mut buf[s * strip_len..(s + 1) * strip_len];
         let rows = (m - s * mr).min(mr);
-        for kk in 0..k {
-            for i in 0..mr {
-                buf[base + kk * mr + i] = if i < rows {
-                    T::from_f64(a.get(s * mr + i, kk))
-                } else {
-                    T::default()
-                };
+        for i in 0..rows {
+            let row = s * mr + i;
+            for q in 0..full {
+                fill(
+                    row,
+                    q * K_CHUNK,
+                    &mut strip[(q * mr + i) * K_CHUNK..][..K_CHUNK],
+                );
             }
+            if tail != 0 {
+                let seg = &mut strip[(full * mr + i) * K_CHUNK..][..K_CHUNK];
+                fill(row, full * K_CHUNK, &mut seg[..tail]);
+                seg[tail..].fill(T::default());
+            }
+        }
+        for chunk in strip.chunks_exact_mut(mr * K_CHUNK) {
+            chunk[rows * K_CHUNK..].fill(T::default());
         }
     }
     strips
+}
+
+/// Lays strips `[first_strip, first_strip + n_strips)` of a `k × n` B
+/// panel out at the front of `buf`, asking `fill(kk, col0, dst)` for the
+/// `dst.len()` elements of row `kk` starting at column `col0` — one call
+/// per `(strip, row)` — and zero-filling each row's column tail.
+fn pack_b_rows<T: PackScalar>(
+    who: &str,
+    (k, n): (usize, usize),
+    buf: &mut [T],
+    nr: usize,
+    (first_strip, n_strips): (usize, usize),
+    fill: impl Fn(usize, usize, &mut [T]),
+) {
+    assert!(
+        buf.len() >= n_strips * nr * k,
+        "{who}: buffer {} too small for {n_strips} strips of {k}",
+        buf.len()
+    );
+    if k == 0 {
+        return;
+    }
+    for (s, strip) in buf[..n_strips * nr * k]
+        .chunks_exact_mut(nr * k)
+        .enumerate()
+    {
+        let col0 = (first_strip + s) * nr;
+        let cols = n.saturating_sub(col0).min(nr);
+        for (kk, dst) in strip.chunks_exact_mut(nr).enumerate() {
+            fill(kk, col0, &mut dst[..cols]);
+            dst[cols..].fill(T::default());
+        }
+    }
+}
+
+/// Packs an `m × k` block of A (m ≤ mc, k ≤ kc) into `buf` as `mr`-row
+/// strips of `K_CHUNK`-deep k-chunks, zero-padding rows up to a multiple
+/// of `mr` and the depth up to a multiple of [`K_CHUNK`]. Returns the
+/// number of strips written.
+///
+/// `buf` must hold at least [`packed_a_len`]`(m, k, mr)` elements.
+pub fn pack_a<T: PackScalar>(a: &MatrixView<'_>, buf: &mut [T], mr: usize) -> usize {
+    pack_a_segments("pack_a", a.shape(), buf, mr, |i, k0, dst| {
+        copy_segment(a, i, k0, dst)
+    })
 }
 
 /// Packs a `k × n` block of B (k ≤ kc, n ≤ nc) into `buf` as `nr`-column
@@ -165,13 +277,14 @@ pub fn pack_a<T: PackScalar>(a: &MatrixView<'_>, buf: &mut [T], mr: usize) -> us
 /// `buf` must hold at least `ceil(n/nr) * nr * k` elements.
 pub fn pack_b<T: PackScalar>(b: &MatrixView<'_>, buf: &mut [T], nr: usize) -> usize {
     let strips = b.cols().div_ceil(nr);
-    assert!(
-        buf.len() >= strips * nr * b.rows(),
-        "pack_b: buffer {} too small for {strips} strips of {}",
-        buf.len(),
-        b.rows()
+    pack_b_rows(
+        "pack_b",
+        b.shape(),
+        buf,
+        nr,
+        (0, strips),
+        |kk, col0, dst| copy_segment(b, kk, col0, dst),
     );
-    pack_b_strips(b, &mut buf[..strips * nr * b.rows()], nr, 0, strips);
     strips
 }
 
@@ -201,21 +314,14 @@ pub fn pack_b_strips<T: PackScalar>(
         first_strip + n_strips <= n.div_ceil(nr),
         "pack_b_strips: strip range beyond panel"
     );
-    for s in 0..n_strips {
-        let col0 = (first_strip + s) * nr;
-        let base = s * nr * k;
-        let cols = n.saturating_sub(col0).min(nr);
-        for kk in 0..k {
-            let row = b.row(kk);
-            for j in 0..nr {
-                buf[base + kk * nr + j] = if j < cols {
-                    T::from_f64(row[col0 + j])
-                } else {
-                    T::default()
-                };
-            }
-        }
-    }
+    pack_b_rows(
+        "pack_b_strips",
+        (k, n),
+        buf,
+        nr,
+        (first_strip, n_strips),
+        |kk, col0, dst| copy_segment(b, kk, col0, dst),
+    );
 }
 
 /// Packs the elementwise combine `α·X + β·Y` of two same-shape `m × k`
@@ -234,34 +340,10 @@ pub fn pack_a_sum<T: PackScalar>(
     buf: &mut [T],
     mr: usize,
 ) -> usize {
-    let (m, k) = x.shape();
-    assert_eq!(
-        y.shape(),
-        (m, k),
-        "pack_a_sum: operand shapes differ ({:?} vs {:?})",
-        x.shape(),
-        y.shape()
-    );
-    let strips = m.div_ceil(mr);
-    assert!(
-        buf.len() >= strips * mr * k,
-        "pack_a_sum: buffer {} too small for {strips} strips of {k}",
-        buf.len()
-    );
-    for s in 0..strips {
-        let base = s * mr * k;
-        let rows = (m - s * mr).min(mr);
-        for kk in 0..k {
-            for i in 0..mr {
-                buf[base + kk * mr + i] = if i < rows {
-                    T::from_f64(alpha * x.get(s * mr + i, kk) + beta * y.get(s * mr + i, kk))
-                } else {
-                    T::default()
-                };
-            }
-        }
-    }
-    strips
+    assert_same_shape("pack_a_sum", x, y);
+    pack_a_segments("pack_a_sum", x.shape(), buf, mr, |i, k0, dst| {
+        sum_segment((x, alpha), (y, beta), i, k0, dst)
+    })
 }
 
 /// Packs the elementwise combine `α·X + β·Y` of two same-shape `k × n`
@@ -276,42 +358,24 @@ pub fn pack_b_sum<T: PackScalar>(
     buf: &mut [T],
     nr: usize,
 ) -> usize {
-    let (k, n) = x.shape();
-    assert_eq!(
-        y.shape(),
-        (k, n),
-        "pack_b_sum: operand shapes differ ({:?} vs {:?})",
+    assert_same_shape("pack_b_sum", x, y);
+    let strips = x.cols().div_ceil(nr);
+    pack_b_rows(
+        "pack_b_sum",
         x.shape(),
-        y.shape()
+        buf,
+        nr,
+        (0, strips),
+        |kk, col0, dst| sum_segment((x, alpha), (y, beta), kk, col0, dst),
     );
-    let strips = n.div_ceil(nr);
-    assert!(
-        buf.len() >= strips * nr * k,
-        "pack_b_sum: buffer {} too small for {strips} strips of {k}",
-        buf.len()
-    );
-    for s in 0..strips {
-        let col0 = s * nr;
-        let base = s * nr * k;
-        let cols = (n - col0).min(nr);
-        for kk in 0..k {
-            let xrow = x.row(kk);
-            let yrow = y.row(kk);
-            for j in 0..nr {
-                buf[base + kk * nr + j] = if j < cols {
-                    T::from_f64(alpha * xrow[col0 + j] + beta * yrow[col0 + j])
-                } else {
-                    T::default()
-                };
-            }
-        }
-    }
     strips
 }
 
-/// Elements written by [`pack_a`] for an `m × k` block (padding included).
+/// Elements written by [`pack_a`] for an `m × k` block: whole `mr`-row
+/// strips of whole [`K_CHUNK`]-deep chunks (row and k-tail padding
+/// included). One strip is `packed_a_len(mr, k, mr)` elements.
 pub fn packed_a_len(m: usize, k: usize, mr: usize) -> usize {
-    m.div_ceil(mr) * mr * k
+    m.div_ceil(mr) * mr * k.next_multiple_of(K_CHUNK)
 }
 
 /// Elements written by [`pack_b`] for a `k × n` block (padding included).
@@ -323,34 +387,80 @@ pub fn packed_b_len(k: usize, n: usize, nr: usize) -> usize {
 mod tests {
     use super::*;
     use powerscale_matrix::Matrix;
+    use proptest::prelude::*;
 
     const MR: usize = 4;
     const NR: usize = 4;
 
+    /// Where `pack_a` puts `A[i][k]`, from the layout's definition: strip
+    /// `i / mr`, k-chunk `k / K_CHUNK`, row segment `i % mr`, element
+    /// `k % K_CHUNK`.
+    fn a_index(i: usize, k: usize, depth: usize, mr: usize) -> usize {
+        (i / mr) * packed_a_len(mr, depth, mr)
+            + ((k / K_CHUNK) * mr + i % mr) * K_CHUNK
+            + k % K_CHUNK
+    }
+
+    /// The whole packed image of `a` built element by element from
+    /// [`a_index`]: every position no element maps to — padding rows, the
+    /// k-tail — is zero.
+    fn a_image<T: PackScalar>(a: &MatrixView<'_>, mr: usize) -> Vec<T> {
+        let (m, k) = a.shape();
+        let mut want = vec![T::default(); packed_a_len(m, k, mr)];
+        for i in 0..m {
+            for kk in 0..k {
+                want[a_index(i, kk, k, mr)] = T::from_f64(a.get(i, kk));
+            }
+        }
+        want
+    }
+
+    /// Every register-tile height some kernel on this host dispatches.
+    fn dispatched_mrs() -> Vec<usize> {
+        let mut mrs: Vec<usize> = crate::kernel::available_kernels()
+            .iter()
+            .map(|k| k.mr)
+            .collect();
+        mrs.sort_unstable();
+        mrs.dedup();
+        mrs
+    }
+
+    fn bits<T: PackScalar + Into<f64>>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|&x| x.into().to_bits()).collect()
+    }
+
     #[test]
     fn pack_a_layout_exact_multiple() {
-        // 4x3 block (exactly one MR strip).
-        let a = Matrix::from_fn(4, 3, |i, j| (i * 10 + j) as f64);
+        // 4x3 block: one MR strip of one k-chunk. Row i's segment starts
+        // at i*K_CHUNK: its three k-elements, then the zero k-tail.
+        let a = Matrix::from_fn(4, 3, |i, j| (i * 10 + j + 1) as f64);
         let mut buf = vec![f64::NAN; packed_a_len(4, 3, MR)];
+        assert_eq!(buf.len(), MR * K_CHUNK);
         let strips = pack_a(&a.view(), &mut buf, MR);
         assert_eq!(strips, 1);
-        // Column k=1 of the strip: elements a[0..4][1] adjacent at offset
-        // k*MR.
-        assert_eq!(&buf[4..8], &[1.0, 11.0, 21.0, 31.0]);
+        assert_eq!(
+            &buf[2 * K_CHUNK..3 * K_CHUNK],
+            &[21.0, 22.0, 23.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
+        assert_eq!(buf, a_image::<f64>(&a.view(), MR));
     }
 
     #[test]
     fn pack_a_zero_pads_ragged_rows() {
-        let a = Matrix::from_fn(6, 2, |i, j| (i * 10 + j) as f64);
-        let mut buf = vec![f64::NAN; packed_a_len(6, 2, MR)];
+        // 6x10: two strips of two k-chunks (10 → 16 deep).
+        let a = Matrix::from_fn(6, 10, |i, j| (i * 100 + j + 1) as f64);
+        let mut buf = vec![f64::NAN; packed_a_len(6, 10, MR)];
+        assert_eq!(buf.len(), 2 * MR * 16);
         let strips = pack_a(&a.view(), &mut buf, MR);
         assert_eq!(strips, 2);
-        // Second strip holds rows 4,5 then two zero rows.
-        let s2 = &buf[MR * 2..];
-        assert_eq!(s2[0], 40.0);
-        assert_eq!(s2[1], 50.0);
-        assert_eq!(s2[2], 0.0);
-        assert_eq!(s2[3], 0.0);
+        // Second strip, second chunk: rows 4 and 5 hold k = 8, 9 then the
+        // zero k-tail; rows 6 and 7 are padding.
+        let chunk = &buf[MR * 16 + MR * K_CHUNK..];
+        assert_eq!(&chunk[..3], &[409.0, 410.0, 0.0]);
+        assert_eq!(&chunk[K_CHUNK..K_CHUNK + 3], &[509.0, 510.0, 0.0]);
+        assert!(chunk[2 * K_CHUNK..].iter().all(|&v| v == 0.0));
+        assert_eq!(buf, a_image::<f64>(&a.view(), MR));
     }
 
     #[test]
@@ -383,95 +493,99 @@ mod tests {
     fn packing_views_respects_stride() {
         let big = Matrix::from_fn(8, 8, |i, j| (i * 8 + j) as f64);
         let sub = big.sub_view((2, 3), (4, 2)).unwrap();
-        let mut buf = vec![0.0; packed_a_len(4, 2, MR)];
+        let mut buf = vec![f64::NAN; packed_a_len(4, 2, MR)];
         pack_a(&sub, &mut buf, MR);
-        // Column 0 of the strip = big[2..6][3].
-        assert_eq!(&buf[0..4], &[19.0, 27.0, 35.0, 43.0]);
+        // Row 1 of the strip = big[3][3..5], then the zero k-tail.
+        assert_eq!(&buf[K_CHUNK..K_CHUNK + 3], &[27.0, 28.0, 0.0]);
+        assert_eq!(buf, a_image::<f64>(&sub, MR));
     }
 
     #[test]
     fn wide_tile_layout() {
-        // 8×6 tile shapes (the SIMD kernels) pack just as well.
-        let a = Matrix::from_fn(10, 2, |i, j| (i * 10 + j) as f64);
-        let mut buf = vec![f64::NAN; packed_a_len(10, 2, 8)];
-        assert_eq!(pack_a(&a.view(), &mut buf, 8), 2);
-        // Second strip: rows 8,9 then six zero rows per column.
-        assert_eq!(buf[16], 80.0);
-        assert_eq!(buf[17], 90.0);
-        assert_eq!(buf[18], 0.0);
-        let b = Matrix::from_fn(2, 7, |i, j| (i * 100 + j) as f64);
-        let mut bbuf = vec![f64::NAN; packed_b_len(2, 7, 6)];
-        assert_eq!(pack_b(&b.view(), &mut bbuf, 6), 2);
-        // Strip 1, row 0: column 6 then five zeros.
-        assert_eq!(bbuf[12], 6.0);
-        assert_eq!(bbuf[13], 0.0);
+        // The SIMD tile shapes (6×32, 6×8) pack just as well.
+        let a = Matrix::from_fn(8, 9, |i, j| (i * 10 + j + 1) as f64);
+        let mut buf = vec![f64::NAN; packed_a_len(8, 9, 6)];
+        assert_eq!(buf.len(), 2 * 6 * 16);
+        assert_eq!(pack_a(&a.view(), &mut buf, 6), 2);
+        // Second strip: rows 6, 7 then four zero rows per chunk; its
+        // second chunk starts with A[6][8] and seven k-tail zeros.
+        let s2 = &buf[6 * 16..];
+        assert_eq!(&s2[..2], &[61.0, 62.0]);
+        assert_eq!(&s2[K_CHUNK..K_CHUNK + 2], &[71.0, 72.0]);
+        assert!(s2[2 * K_CHUNK..6 * K_CHUNK].iter().all(|&v| v == 0.0));
+        assert_eq!(&s2[6 * K_CHUNK..6 * K_CHUNK + 2], &[69.0, 0.0]);
+        assert_eq!(buf, a_image::<f64>(&a.view(), 6));
+        let b = Matrix::from_fn(2, 33, |i, j| (i * 100 + j) as f64);
+        let mut bbuf = vec![f64::NAN; packed_b_len(2, 33, 32)];
+        assert_eq!(pack_b(&b.view(), &mut bbuf, 32), 2);
+        // Strip 1, row 0: column 32 then thirty-one zeros.
+        assert_eq!(bbuf[64], 32.0);
+        assert!(bbuf[65..96].iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn strip_ranges_compose_to_full_pack() {
-        // Packing strip ranges separately must reproduce pack_b exactly.
-        let b = Matrix::from_fn(5, 23, |i, j| (i * 31 + j) as f64 * 0.5);
-        let nr = 6;
-        let strips = 23usize.div_ceil(nr);
-        let mut whole = vec![f64::NAN; packed_b_len(5, 23, nr)];
-        pack_b(&b.view(), &mut whole, nr);
-        let mut parts = vec![f64::NAN; packed_b_len(5, 23, nr)];
-        let strip_len = nr * 5;
-        let mut done = 0;
-        for chunk_strips in [1usize, 2, 1] {
-            let take = chunk_strips.min(strips - done);
-            let chunk = &mut parts[done * strip_len..(done + take) * strip_len];
-            pack_b_strips(&b.view(), chunk, nr, done, take);
-            done += take;
+    fn packed_a_len_counts_whole_chunks_of_whole_strips() {
+        assert_eq!(packed_a_len(6, 64, 6), 6 * 64);
+        assert_eq!(packed_a_len(7, 64, 6), 12 * 64);
+        assert_eq!(packed_a_len(6, 65, 6), 6 * 72, "k-tail pads to a chunk");
+        assert_eq!(packed_a_len(1, 1, 4), 4 * K_CHUNK);
+        assert_eq!(packed_a_len(0, 5, 4), 0);
+        assert_eq!(packed_a_len(5, 0, 4), 0);
+    }
+
+    /// `x + βy` for `β = ±1`, materialised the way an unfused caller would.
+    fn combine(x: &MatrixView<'_>, y: &MatrixView<'_>, beta: f64) -> Matrix {
+        Matrix::from_fn(x.rows(), x.cols(), |i, j| {
+            if beta > 0.0 {
+                x.get(i, j) + y.get(i, j)
+            } else {
+                x.get(i, j) - y.get(i, j)
+            }
+        })
+    }
+
+    /// `pack_{a,b}_sum(X, 1, Y, ±1)` against `pack_{a,b}(X ± Y)`, bit for
+    /// bit, at element type `T`.
+    fn assert_fused_matches_materialised<T: PackScalar + Into<f64>>(
+        x: &MatrixView<'_>,
+        y: &MatrixView<'_>,
+        tile: usize,
+    ) {
+        let (r, c) = x.shape();
+        for beta in [1.0, -1.0] {
+            let summed = combine(x, y, beta);
+            let mut direct = vec![T::from_f64(f64::NAN); packed_a_len(r, c, tile)];
+            let mut fused = direct.clone();
+            pack_a(&summed.view(), &mut direct, tile);
+            pack_a_sum(x, 1.0, y, beta, &mut fused, tile);
+            assert_eq!(
+                bits(&direct),
+                bits(&fused),
+                "pack_a_sum (β={beta}, tile {tile}) diverges from materialised pack"
+            );
+            let mut directb = vec![T::from_f64(f64::NAN); packed_b_len(r, c, tile)];
+            let mut fusedb = directb.clone();
+            pack_b(&summed.view(), &mut directb, tile);
+            pack_b_sum(x, 1.0, y, beta, &mut fusedb, tile);
+            assert_eq!(
+                bits(&directb),
+                bits(&fusedb),
+                "pack_b_sum (β={beta}, tile {tile}) diverges from materialised pack"
+            );
         }
-        assert_eq!(done, strips);
-        assert_eq!(whole, parts);
     }
 
     #[test]
     fn fused_pack_matches_materialised_pack_bitwise() {
         // pack_a_sum(X, 1, Y, ±1) must equal pack_a(X ± Y) bit for bit —
         // the fused leaves rely on this to keep Strassen results identical
-        // to the materialise-then-multiply formulation.
-        let x = Matrix::from_fn(11, 7, |i, j| (i as f64 + 0.3) * 0.17 - j as f64 * 0.9);
-        let y = Matrix::from_fn(11, 7, |i, j| 1.0 / (1.0 + (i * 7 + j) as f64));
-        for (beta, name) in [(1.0, "add"), (-1.0, "sub")] {
-            let mut summed = Matrix::zeros(11, 7);
-            for i in 0..11 {
-                for j in 0..7 {
-                    let v = if beta > 0.0 {
-                        x.get(i, j) + y.get(i, j)
-                    } else {
-                        x.get(i, j) - y.get(i, j)
-                    };
-                    summed.set(i, j, v);
-                }
-            }
-            let mut direct = vec![f64::NAN; packed_a_len(11, 7, MR)];
-            let mut fused = vec![f64::NAN; packed_a_len(11, 7, MR)];
-            pack_a(&summed.view(), &mut direct, MR);
-            pack_a_sum(&x.view(), 1.0, &y.view(), beta, &mut fused, MR);
-            assert!(
-                direct
-                    .iter()
-                    .zip(&fused)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "pack_a_sum ({name}) diverges from materialised pack"
-            );
-            let xt = Matrix::from_fn(7, 11, |i, j| x.get(j, i));
-            let yt = Matrix::from_fn(7, 11, |i, j| y.get(j, i));
-            let st = Matrix::from_fn(7, 11, |i, j| summed.get(j, i));
-            let mut directb = vec![f64::NAN; packed_b_len(7, 11, NR)];
-            let mut fusedb = vec![f64::NAN; packed_b_len(7, 11, NR)];
-            pack_b(&st.view(), &mut directb, NR);
-            pack_b_sum(&xt.view(), 1.0, &yt.view(), beta, &mut fusedb, NR);
-            assert!(
-                directb
-                    .iter()
-                    .zip(&fusedb)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "pack_b_sum ({name}) diverges from materialised pack"
-            );
+        // to the materialise-then-multiply formulation — for f64 panels
+        // and for f32 ones (one rounding of the f64 combine either way).
+        let x = Matrix::from_fn(11, 13, |i, j| (i as f64 + 0.3) * 0.17 - j as f64 * 0.9);
+        let y = Matrix::from_fn(11, 13, |i, j| 1.0 / (1.0 + (i * 7 + j) as f64));
+        for tile in [4, 6, 8, 32] {
+            assert_fused_matches_materialised::<f64>(&x.view(), &y.view(), tile);
+            assert_fused_matches_materialised::<f32>(&x.view(), &y.view(), tile);
         }
     }
 
@@ -479,10 +593,12 @@ mod tests {
     fn fused_pack_scales_with_coefficients() {
         let x = Matrix::filled(4, 4, 2.0);
         let y = Matrix::filled(4, 4, 3.0);
-        let mut buf = vec![0.0; packed_a_len(4, 4, MR)];
+        let mut buf = vec![f64::NAN; packed_a_len(4, 4, MR)];
         pack_a_sum(&x.view(), 0.5, &y.view(), 2.0, &mut buf, MR);
-        // 0.5·2 + 2·3 = 7 everywhere in the live region.
-        assert!(buf.iter().all(|&v| v == 7.0));
+        // 0.5·2 + 2·3 = 7 in each row segment's live half, zero k-tail.
+        for seg in buf.chunks_exact(K_CHUNK) {
+            assert_eq!(seg, &[7.0, 7.0, 7.0, 7.0, 0.0, 0.0, 0.0, 0.0]);
+        }
     }
 
     #[test]
@@ -528,9 +644,72 @@ mod tests {
         let mut slots = vec![0.0f64; slots_for::<f32>(packed_a_len(5, 3, MR))];
         let buf = f32::cast_mut(&mut slots);
         pack_a(&x.view(), buf, MR);
-        assert_eq!(buf[0].to_bits(), (x.get(0, 0) as f32).to_bits());
+        assert_eq!(bits(buf), bits(&a_image::<f32>(&x.view(), MR)));
         pack_a_sum(&x.view(), 1.0, &y.view(), -1.0, buf, MR);
         let want = (x.get(0, 0) - y.get(0, 0)) as f32;
         assert_eq!(buf[0].to_bits(), want.to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pack_a_round_trips_with_zero_padding(
+            m in 1usize..40, k in 1usize..40, r0 in 0usize..5, c0 in 0usize..9, seed in any::<u64>()
+        ) {
+            // Strided sub-views of a larger matrix, every dispatched tile
+            // height, depths on both sides of a chunk boundary: the packed
+            // buffer is exactly the layout's image of A — each element
+            // where `a_index` says, zeros in padding rows and the k-tail
+            // (the buffer starts as NaN, so nothing may be left unwritten).
+            let mut gen = powerscale_matrix::MatrixGen::new(seed);
+            let big = gen.uniform(m + r0 + 2, k + c0 + 3, 0.5, 2.0);
+            let a = big.sub_view((r0, c0), (m, k)).unwrap();
+            for mr in dispatched_mrs() {
+                let mut buf = vec![f64::NAN; packed_a_len(m, k, mr)];
+                prop_assert_eq!(pack_a(&a, &mut buf, mr), m.div_ceil(mr));
+                prop_assert_eq!(bits(&buf), bits(&a_image::<f64>(&a, mr)), "mr={}", mr);
+                let mut buf32 = vec![f32::NAN; packed_a_len(m, k, mr)];
+                pack_a(&a, &mut buf32, mr);
+                prop_assert_eq!(bits(&buf32), bits(&a_image::<f32>(&a, mr)), "f32 mr={}", mr);
+            }
+        }
+
+        #[test]
+        fn fused_packs_match_materialised_on_strided_views(
+            r in 1usize..30, c in 1usize..30, off in 0usize..7, tile in 1usize..34, seed in any::<u64>()
+        ) {
+            let mut gen = powerscale_matrix::MatrixGen::new(seed);
+            let bx = gen.uniform(r + off, c + off + 1, -1.0, 1.0);
+            let by = gen.uniform(r + 1, c + off, -1.0, 1.0);
+            let x = bx.sub_view((off, off), (r, c)).unwrap();
+            let y = by.sub_view((1, 0), (r, c)).unwrap();
+            assert_fused_matches_materialised::<f64>(&x, &y, tile);
+            assert_fused_matches_materialised::<f32>(&x, &y, tile);
+        }
+
+        #[test]
+        fn strip_ranges_compose_to_full_pack(
+            k in 1usize..12, n in 1usize..140, nr in 1usize..34, cuts in any::<u64>()
+        ) {
+            // Packing any split of the strip range separately must
+            // reproduce pack_b byte for byte.
+            let b = Matrix::from_fn(k, n, |i, j| (i * 31 + j) as f64 * 0.5 + 1.0);
+            let strips = n.div_ceil(nr);
+            let mut whole = vec![f64::NAN; packed_b_len(k, n, nr)];
+            prop_assert_eq!(pack_b(&b.view(), &mut whole, nr), strips);
+            let mut parts = vec![f64::NAN; packed_b_len(k, n, nr)];
+            let strip_len = nr * k;
+            let (mut done, mut bits_left) = (0, cuts);
+            while done < strips {
+                // Next piece: 1–4 strips, from two bits of `cuts`.
+                let take = (1 + (bits_left & 3) as usize).min(strips - done);
+                bits_left = bits_left.rotate_right(2);
+                let chunk = &mut parts[done * strip_len..(done + take) * strip_len];
+                pack_b_strips(&b.view(), chunk, nr, done, take);
+                done += take;
+            }
+            prop_assert_eq!(bits(&whole), bits(&parts));
+        }
     }
 }

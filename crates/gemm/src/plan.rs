@@ -108,11 +108,13 @@ mod tests {
         assert!(blocked_gemm_graph_rect(0, 5, 5, &p, &TrafficModel::default()).is_empty());
     }
 
-    /// Blocking derived for the same Haswell hierarchy the simulated
-    /// machine models — the host-autotuned default would mispair the
-    /// task shapes with the simulated cache capacities.
+    /// Blocking derived for the same Haswell hierarchy *and register
+    /// tile* (8×6 AVX2) the simulated machine models, as `Harness::new`
+    /// does — the host's caches or dispatched tile would mispair the task
+    /// shapes with the simulated machine (a 6×32 host tile cuts n = 1024
+    /// into three tall bands and a sliver, which no four cores share).
     fn haswell_params() -> BlockingParams {
-        BlockingParams::for_caches(&powerscale_cachesim::presets::e3_1225_caches())
+        BlockingParams::for_caches_and_tile(&powerscale_cachesim::presets::e3_1225_caches(), 8, 6)
     }
 
     #[test]

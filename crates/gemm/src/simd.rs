@@ -3,28 +3,36 @@
 //!
 //! The microkernel is written **once** as [`tile_kernel`], generic over a
 //! small vector abstraction ([`MicroVec`], the rten-style `SimdVec`
-//! idiom): an `RV·LANES × NR` register tile accumulated down a packed
-//! strip pair. Each ISA tier supplies `MicroVec` impls for the three
-//! dtype tiers (f64, f32, mixed f32-load/f64-accumulate) and a thin
-//! `#[target_feature]` wrapper that monomorphises the body — generic
-//! functions cannot carry `target_feature`, so the wrapper is where the
-//! instruction set is enabled and `#[inline(always)]` carries the body
-//! into it:
+//! idiom): an `MR × CV·LANES` register tile accumulated **by rows** down a
+//! packed strip pair — the B strip is the vector operand (`CV` loads per
+//! k-step), each A element is broadcast, and accumulator row `i` *is* row
+//! `i` of the C tile, so the merge into C is a contiguous vector
+//! multiply-add per row with no transpose. Each ISA tier supplies
+//! `MicroVec` impls for the three dtype tiers (f64, f32, mixed
+//! f32-load/f64-accumulate) and a thin `#[target_feature]` wrapper that
+//! monomorphises the body — generic functions cannot carry
+//! `target_feature`, so the wrapper is where the instruction set is
+//! enabled and `#[inline(always)]` carries the body into it. The tile is
+//! sized from the ISA's **register file** (`MR·CV` accumulators + `CV`
+//! B vectors + one broadcast), not from one vector — six rows of four
+//! vectors where there are 32 registers, six rows of two where there are
+//! 16 — which also keeps loads per FMA low (`(MR + CV) / (MR·CV)`: 0.42
+//! at 6×4, against 1.1 for the one-vector-wide 8×8 tile this replaced):
 //!
-//! | ISA tier  | f64 tile | f32 tile | mixed tile | vector types |
-//! |-----------|----------|----------|------------|--------------|
-//! | `avx512`  | 8×8      | 16×8     | 8×8        | `__m512d` / `__m512` |
-//! | `avx2`    | 8×6      | 8×6      | 8×6        | `__m256d` / `__m256` / `__m128` loads |
-//! | `neon`    | 8×6      | 8×6      | 8×6        | `float64x2_t` / `float32x4_t` |
-//! | `wasm128` | 8×6      | 8×6      | 8×6        | `v128` |
-//! | `scalar`  | 4×4 ([`crate::kernel::microkernel`]) | 4×4 | 4×4 | plain `f64`/`f32` |
+//! | ISA tier  | registers | `MR × CV` | f64 tile | f32 tile | mixed tile | vector types |
+//! |-----------|-----------|-----------|----------|----------|------------|--------------|
+//! | `avx512`  | 32 × 512  | 6 × 4     | 6×32     | 6×64     | 6×32       | `__m512d` / `__m512` |
+//! | `avx2`    | 16 × 256  | 6 × 2     | 6×8      | 6×16     | 6×8        | `__m256d` / `__m256` / `__m128` loads |
+//! | `neon`    | 32 × 128  | 6 × 4     | 6×8      | 6×16     | 6×8        | `float64x2_t` / `float32x4_t` |
+//! | `wasm128` | 16 × 128  | 6 × 4, f32 6 × 2 | 6×8 | 6×8     | 6×8        | `v128` |
+//! | `scalar`  | —         | 4 × 4     | 4×4      | 4×4      | 4×4        | plain `f64`/`f32` |
 //!
 //! [`detect`] returns the best instance for a dtype tier;
 //! [`host_simd_kernels`] enumerates every SIMD instance the host can run
 //! (the differential matrix iterates it). The dispatcher
 //! ([`crate::kernel::select_kernel`]) falls back to the portable scalar
 //! instantiations when no SIMD tier matches the host. The NEON tier is a
-//! full implementation (8×6 over 2-lane `float64x2_t` vectors), not a
+//! full implementation (6×8 over 2-lane `float64x2_t` vectors), not a
 //! stub — it goes through the same generic body as every other tier.
 //!
 //! # Numerics
@@ -38,14 +46,21 @@
 //! simd128 MVP has no FMA). The mixed tiers widen each packed f32 to f64
 //! before multiplying, so their only deviation from f64 arithmetic is the
 //! single f64→f32 rounding each element took during packing. Within one
-//! kernel the accumulation order is fixed, so each tier is individually
-//! deterministic and pool-size independent.
+//! kernel every C element is one accumulator lane summed over `k` in
+//! order and merged as `c += alpha * acc` (multiply and add rounded
+//! separately), so each tier is individually deterministic, pool-size
+//! independent, and independent of the tile's shape or orientation — the
+//! tests below hold the body to the bits of the column-accumulating body
+//! it replaced.
 
 use crate::kernel::{DtypeTier, KernelInfo};
+use crate::pack::K_CHUNK;
+use core::mem::MaybeUninit;
 use powerscale_matrix::MatrixViewMut;
 
-/// Upper bound on any tier's register-tile rows (the avx512 f32 tile).
-pub(crate) const MAX_MR: usize = 16;
+/// Upper bound on any tier's register-tile columns (the avx512 f32 tile):
+/// the length of the row buffers accumulator rows are merged through.
+const MAX_NR: usize = 64;
 
 /// A SIMD vector of accumulator lanes, loading from packed elements of
 /// type `Elem` and spilling to `f64`. The mixed tiers set `Elem = f32`
@@ -62,7 +77,7 @@ pub(crate) const MAX_MR: usize = 16;
 pub(crate) trait MicroVec: Copy {
     /// The packed element type the vector loads ([`crate::pack`]).
     type Elem: crate::pack::PackScalar;
-    /// Accumulator lanes per vector (rows covered per A-vector).
+    /// Accumulator lanes per vector (columns covered per B-vector).
     const LANES: usize;
 
     /// The additive identity.
@@ -78,21 +93,51 @@ pub(crate) trait MicroVec: Copy {
     unsafe fn store_f64(self, out: *mut f64);
 }
 
+/// One k-step of the tile: `acc[i][h] += a[i] · b[h]`, with `b` the `CV`
+/// vectors of one B-strip row and `a[i]` broadcast from row `i`'s segment
+/// of an A-strip k-chunk (rows are `K_CHUNK` elements apart).
+///
+/// # Safety
+///
+/// As [`tile_kernel`]; `a` must be readable at `i * K_CHUNK` for every
+/// `i < MR` and `b` for `CV * LANES` elements.
+#[inline(always)]
+unsafe fn tile_step<V: MicroVec, const MR: usize, const CV: usize>(
+    acc: &mut [[V; CV]; MR],
+    a: *const V::Elem,
+    b: *const V::Elem,
+) {
+    // SAFETY: the caller guarantees both read ranges.
+    unsafe {
+        let mut bv = [V::zero(); CV];
+        for (h, slot) in bv.iter_mut().enumerate() {
+            *slot = V::load(b.add(h * V::LANES));
+        }
+        for (i, row) in acc.iter_mut().enumerate() {
+            let ai = V::splat(a.add(i * K_CHUNK));
+            for (slot, &bh) in row.iter_mut().zip(&bv) {
+                *slot = slot.mul_add(ai, bh);
+            }
+        }
+    }
+}
+
 /// The one microkernel body every tier instantiates: accumulate an
-/// `(RV·LANES) × NR` register tile down packed strips of depth `kc`, then
+/// `MR × (CV·LANES)` register tile down packed strips of depth `kc`, then
 /// merge `alpha * tile` into `c` at `(row0, col0)`, masking rows/columns
 /// outside `c` (packing zero-pads, so masked products are zeros anyway).
 ///
-/// Accumulator layout `acc[j][h]`: rows `h·LANES..(h+1)·LANES` of column
-/// `j` — the exact layout (and therefore bit-exact arithmetic) of the
-/// hand-written kernels this body replaced.
+/// Accumulator layout `acc[i][h]`: columns `h·LANES..(h+1)·LANES` of tile
+/// row `i`. Each row is spilled to a contiguous row buffer and merged onto
+/// the live slice of its C row, so the merge vectorises without mask
+/// intrinsics and a ragged right edge is just a shorter slice.
 ///
 /// # Safety
 ///
 /// The host must support the ISA of `V` (see [`MicroVec`]); strip-length
 /// requirements are asserted here.
 #[inline(always)]
-unsafe fn tile_kernel<V: MicroVec, const RV: usize, const NR: usize>(
+unsafe fn tile_kernel<V: MicroVec, const MR: usize, const CV: usize>(
     kc: usize,
     a_strip: &[V::Elem],
     b_strip: &[V::Elem],
@@ -101,47 +146,63 @@ unsafe fn tile_kernel<V: MicroVec, const RV: usize, const NR: usize>(
     row0: usize,
     col0: usize,
 ) {
-    let mr = RV * V::LANES;
-    assert!(mr <= MAX_MR, "register tile taller than the spill buffer");
-    assert!(a_strip.len() >= kc * mr, "a_strip shorter than kc*mr");
-    assert!(b_strip.len() >= kc * NR, "b_strip shorter than kc*nr");
+    let nr = CV * V::LANES;
+    assert!(nr <= MAX_NR, "register tile wider than the row buffer");
+    assert!(
+        a_strip.len() >= kc.next_multiple_of(K_CHUNK) * MR,
+        "a_strip shorter than its k-chunks"
+    );
+    assert!(b_strip.len() >= kc * nr, "b_strip shorter than kc*nr");
     let ap = a_strip.as_ptr();
     let bp = b_strip.as_ptr();
-    let zero = unsafe { V::zero() };
-    let mut acc = [[zero; RV]; NR];
-    for k in 0..kc {
-        // SAFETY: k < kc, so k*mr + mr and k*NR + NR stay within the
-        // strip lengths asserted above.
-        let mut a = [zero; RV];
-        for (h, slot) in a.iter_mut().enumerate() {
-            *slot = unsafe { V::load(ap.add(k * mr + h * V::LANES)) };
-        }
-        for (j, accj) in acc.iter_mut().enumerate() {
-            let b = unsafe { V::splat(bp.add(k * NR + j)) };
-            for (h, slot) in accj.iter_mut().enumerate() {
-                *slot = unsafe { slot.mul_add(a[h], b) };
+    let mut acc = [[unsafe { V::zero() }; CV]; MR];
+    let full = kc / K_CHUNK;
+    for q in 0..full {
+        for kk in 0..K_CHUNK {
+            // SAFETY: chunk q is whole, so the A reads end below
+            // (q+1)*MR*K_CHUNK and the B row (q*K_CHUNK + kk) < kc; both
+            // within the strip lengths asserted above.
+            unsafe {
+                tile_step(
+                    &mut acc,
+                    ap.add(q * MR * K_CHUNK + kk),
+                    bp.add((q * K_CHUNK + kk) * nr),
+                );
             }
         }
     }
-    // Spill to a row-major tile, then do the masked merge scalar-side:
-    // the spill is O(mr*NR) against the O(kc*mr*NR) accumulation.
-    let mut tile = [[0.0f64; NR]; MAX_MR];
-    let mut col = [0.0f64; MAX_MR];
-    for (j, accj) in acc.iter().enumerate() {
-        for (h, slot) in accj.iter().enumerate() {
-            // SAFETY: h*LANES + LANES ≤ mr ≤ MAX_MR, the length of `col`.
-            unsafe { slot.store_f64(col.as_mut_ptr().add(h * V::LANES)) };
-        }
-        for (i, &v) in col.iter().enumerate().take(mr) {
-            tile[i][j] = v;
+    for kk in 0..kc % K_CHUNK {
+        // SAFETY: the k-tail lives in chunk `full`, which packing pads to
+        // a whole chunk (asserted above); B row full*K_CHUNK + kk < kc.
+        unsafe {
+            tile_step(
+                &mut acc,
+                ap.add(full * MR * K_CHUNK + kk),
+                bp.add((full * K_CHUNK + kk) * nr),
+            );
         }
     }
-    let live_rows = c.rows().saturating_sub(row0).min(mr);
-    let live_cols = c.cols().saturating_sub(col0).min(NR);
-    for (i, trow) in tile.iter().enumerate().take(live_rows) {
-        let crow = c.row_mut(row0 + i);
-        for j in 0..live_cols {
-            crow[col0 + j] += alpha * trow[j];
+    // Spill every accumulator row first, at constant indices, so the
+    // accumulators never leave registers during the k loop; the masked
+    // merge then reads the spilled rows.
+    let mut tile = MaybeUninit::<[[f64; MAX_NR]; MR]>::uninit();
+    let tp = tile.as_mut_ptr().cast::<f64>();
+    for (i, acc_row) in acc.iter().enumerate() {
+        for (h, slot) in acc_row.iter().enumerate() {
+            // SAFETY: i < MR and h*LANES + LANES ≤ nr ≤ MAX_NR, so the
+            // write stays inside row i of `tile`.
+            unsafe { slot.store_f64(tp.add(i * MAX_NR + h * V::LANES)) };
+        }
+    }
+    let live_rows = c.rows().saturating_sub(row0).min(MR);
+    let live_cols = c.cols().saturating_sub(col0).min(nr);
+    for i in 0..live_rows {
+        // SAFETY: the first nr ≥ live_cols elements of row i < MR were
+        // initialised by the spill above.
+        let trow = unsafe { core::slice::from_raw_parts(tp.add(i * MAX_NR), live_cols) };
+        let crow = &mut c.row_mut(row0 + i)[col0..][..live_cols];
+        for (cj, &t) in crow.iter_mut().zip(trow) {
+            *cj += alpha * t;
         }
     }
 }
@@ -151,7 +212,7 @@ unsafe fn tile_kernel<V: MicroVec, const RV: usize, const NR: usize>(
 pub(crate) fn detect(dtype: DtypeTier) -> Option<&'static KernelInfo> {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx512f") {
+        if x86::has_avx512() {
             return Some(match dtype {
                 DtypeTier::F64 => &x86::AVX512_F64,
                 DtypeTier::F32 => &x86::AVX512_F32,
@@ -198,7 +259,7 @@ pub(crate) fn host_simd_kernels() -> Vec<&'static KernelInfo> {
     let mut v: Vec<&'static KernelInfo> = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx512f") {
+        if x86::has_avx512() {
             v.extend([&x86::AVX512_F64, &x86::AVX512_F32, &x86::AVX512_MIXED]);
         }
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -219,21 +280,17 @@ pub(crate) fn host_simd_kernels() -> Vec<&'static KernelInfo> {
 }
 
 /// Portable scalar instantiations of the generic body: 1-lane "vectors"
-/// over plain `f64`/`f32`. These are the `force-scalar` pins for the f32
-/// and mixed dtype tiers (the f64 scalar tier keeps the hand-written
-/// [`crate::kernel::microkernel`], which the generic body reproduces bit
-/// for bit — asserted by a test below). Multiply and add round
-/// separately, matching the hand-written scalar kernel's numerics.
+/// over plain `f64`/`f32` at the 4×4 shape — the always-available tier of
+/// every dtype and the `force-scalar` pins. Multiply and add round
+/// separately (no FMA), the numerics the scalar tier has always had.
 pub(crate) mod generic {
     use super::{tile_kernel, MicroVec};
     use crate::kernel::{DtypeTier, KernelFn, KernelInfo, SCALAR_MR, SCALAR_NR};
     use powerscale_matrix::MatrixViewMut;
 
-    #[cfg(test)]
     #[derive(Clone, Copy)]
     struct S64(f64);
 
-    #[cfg(test)]
     impl MicroVec for S64 {
         type Elem = f64;
         const LANES: usize = 1;
@@ -331,11 +388,7 @@ pub(crate) mod generic {
         }
     }
 
-    /// The generic body at the scalar f64 4×4 shape — not dispatched (the
-    /// hand-written kernel is), but kept callable so tests can assert the
-    /// two are bitwise identical.
-    #[cfg(test)]
-    pub(crate) fn scalar_f64(
+    fn scalar_f64(
         kc: usize,
         a_strip: &[f64],
         b_strip: &[f64],
@@ -380,6 +433,15 @@ pub(crate) mod generic {
         }
     }
 
+    pub(crate) static SCALAR_F64: KernelInfo = KernelInfo {
+        name: "scalar",
+        isa: "scalar",
+        dtype: DtypeTier::F64,
+        mr: SCALAR_MR,
+        nr: SCALAR_NR,
+        func: KernelFn::F64(scalar_f64),
+    };
+
     pub(crate) static SCALAR_F32: KernelInfo = KernelInfo {
         name: "scalar-f32",
         isa: "scalar",
@@ -399,9 +461,10 @@ pub(crate) mod generic {
     };
 }
 
-/// The x86-64 tiers: AVX2+FMA (8×6, preserving the hand-written kernel's
-/// exact arithmetic) and AVX-512 (wider 8×8 / 16×8 tiles; requires only
-/// `avx512f`).
+/// The x86-64 tiers: AVX2+FMA (6 rows × 2 vectors: 12 accumulators, 2 B
+/// vectors and a broadcast in 16 `ymm`) and AVX-512 (6 rows × 4 vectors:
+/// 24 accumulators, 4 B vectors and a broadcast in 32 `zmm`; see
+/// [`x86::has_avx512`] for the features it needs).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::{tile_kernel, MicroVec};
@@ -640,7 +703,7 @@ pub(crate) mod x86 {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V256F64, 2, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V256F64, 6, 2>(kc, a, b, alpha, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -653,7 +716,7 @@ pub(crate) mod x86 {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V256F32, 1, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V256F32, 6, 2>(kc, a, b, alpha, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -666,10 +729,10 @@ pub(crate) mod x86 {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V256Mixed, 2, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V256Mixed, 6, 2>(kc, a, b, alpha, c, row0, col0) }
     }
 
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f", enable = "avx512vl")]
     unsafe fn avx512_f64_tf(
         kc: usize,
         a: &[f64],
@@ -679,10 +742,10 @@ pub(crate) mod x86 {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V512F64, 1, 8>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V512F64, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f", enable = "avx512vl")]
     unsafe fn avx512_f32_tf(
         kc: usize,
         a: &[f32],
@@ -692,10 +755,10 @@ pub(crate) mod x86 {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V512F32, 1, 8>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V512F32, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f", enable = "avx512vl")]
     unsafe fn avx512_mixed_tf(
         kc: usize,
         a: &[f32],
@@ -705,7 +768,7 @@ pub(crate) mod x86 {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V512Mixed, 1, 8>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V512Mixed, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
     fn assert_avx2() {
@@ -715,10 +778,20 @@ pub(crate) mod x86 {
         );
     }
 
+    /// The AVX-512 tier needs `avx512f` for the arithmetic and `avx512vl`
+    /// so 256-bit halves (the f32 tiers' widening spill, the mixed tiers'
+    /// loads) may live in any of the 32 registers — without it every
+    /// accumulator a half is taken from is confined to the low 16 and the
+    /// 24-accumulator tile spills inside the k loop. Every AVX-512 CPU
+    /// except Knights Landing has both.
+    pub(crate) fn has_avx512() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+    }
+
     fn assert_avx512() {
         assert!(
-            is_x86_feature_detected!("avx512f"),
-            "avx512 microkernel dispatched on a host without AVX-512F"
+            has_avx512(),
+            "avx512 microkernel dispatched on a host without AVX-512F+VL"
         );
     }
 
@@ -813,8 +886,8 @@ pub(crate) mod x86 {
         name: "avx2",
         isa: "avx2",
         dtype: DtypeTier::F64,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F64(avx2_f64),
     };
 
@@ -822,8 +895,8 @@ pub(crate) mod x86 {
         name: "avx2-f32",
         isa: "avx2",
         dtype: DtypeTier::F32,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 16,
         func: KernelFn::F32(avx2_f32),
     };
 
@@ -831,8 +904,8 @@ pub(crate) mod x86 {
         name: "avx2-mixed",
         isa: "avx2",
         dtype: DtypeTier::Mixed,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F32(avx2_mixed),
     };
 
@@ -840,8 +913,8 @@ pub(crate) mod x86 {
         name: "avx512",
         isa: "avx512",
         dtype: DtypeTier::F64,
-        mr: 8,
-        nr: 8,
+        mr: 6,
+        nr: 32,
         func: KernelFn::F64(avx512_f64),
     };
 
@@ -849,8 +922,8 @@ pub(crate) mod x86 {
         name: "avx512-f32",
         isa: "avx512",
         dtype: DtypeTier::F32,
-        mr: 16,
-        nr: 8,
+        mr: 6,
+        nr: 64,
         func: KernelFn::F32(avx512_f32),
     };
 
@@ -858,15 +931,16 @@ pub(crate) mod x86 {
         name: "avx512-mixed",
         isa: "avx512",
         dtype: DtypeTier::Mixed,
-        mr: 8,
-        nr: 8,
+        mr: 6,
+        nr: 32,
         func: KernelFn::F32(avx512_mixed),
     };
 }
 
-/// The NEON tier: 8×6 tiles over 2-lane `float64x2_t` (f64, mixed) and
-/// 4-lane `float32x4_t` (f32) vectors, instantiated from the same generic
-/// body as every other ISA. Compiled only on AArch64; hosts without NEON
+/// The NEON tier: 6 rows × 4 vectors (24 accumulators, 4 B vectors and a
+/// broadcast in 32 `v` registers) over 2-lane `float64x2_t` (f64, mixed:
+/// 6×8) and 4-lane `float32x4_t` (f32: 6×16) vectors, instantiated from
+/// the same generic body as every other ISA. Compiled only on AArch64; hosts without NEON
 /// fall back to the scalar tier via [`detect`].
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
@@ -989,7 +1063,7 @@ pub(crate) mod neon {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<N128F64, 4, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<N128F64, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
     #[target_feature(enable = "neon")]
@@ -1002,7 +1076,7 @@ pub(crate) mod neon {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<N128F32, 2, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<N128F32, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
     #[target_feature(enable = "neon")]
@@ -1015,7 +1089,7 @@ pub(crate) mod neon {
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<N128Mixed, 4, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<N128Mixed, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
     fn assert_neon() {
@@ -1071,8 +1145,8 @@ pub(crate) mod neon {
         name: "neon",
         isa: "neon",
         dtype: DtypeTier::F64,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F64(neon_f64),
     };
 
@@ -1080,8 +1154,8 @@ pub(crate) mod neon {
         name: "neon-f32",
         isa: "neon",
         dtype: DtypeTier::F32,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 16,
         func: KernelFn::F32(neon_f32),
     };
 
@@ -1089,13 +1163,14 @@ pub(crate) mod neon {
         name: "neon-mixed",
         isa: "neon",
         dtype: DtypeTier::Mixed,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F32(neon_mixed),
     };
 }
 
-/// The WASM SIMD128 tier: 8×6 tiles over `v128` vectors. Available only
+/// The WASM SIMD128 tier: 6×8 tiles over `v128` vectors (6 rows × 4
+/// two-lane or 2 four-lane vectors). Available only
 /// when the module is compiled with `-C target-feature=+simd128` (there
 /// is no runtime detection on wasm); the simd128 MVP has no FMA, so
 /// multiply and add round separately like the scalar tier.
@@ -1224,7 +1299,7 @@ pub(crate) mod wasm {
     ) {
         // SAFETY: simd128 is a compile-time feature of this module; strip
         // lengths are asserted by the generic body.
-        unsafe { tile_kernel::<W128F64, 4, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<W128F64, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
     fn wasm_f32(
@@ -1237,7 +1312,7 @@ pub(crate) mod wasm {
         col0: usize,
     ) {
         // SAFETY: as in `wasm_f64`.
-        unsafe { tile_kernel::<W128F32, 2, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<W128F32, 6, 2>(kc, a, b, alpha, c, row0, col0) }
     }
 
     fn wasm_mixed(
@@ -1250,15 +1325,15 @@ pub(crate) mod wasm {
         col0: usize,
     ) {
         // SAFETY: as in `wasm_f64`.
-        unsafe { tile_kernel::<W128Mixed, 4, 6>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<W128Mixed, 6, 4>(kc, a, b, alpha, c, row0, col0) }
     }
 
     pub(crate) static WASM_F64: KernelInfo = KernelInfo {
         name: "wasm128",
         isa: "wasm128",
         dtype: DtypeTier::F64,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F64(wasm_f64),
     };
 
@@ -1266,8 +1341,8 @@ pub(crate) mod wasm {
         name: "wasm128-f32",
         isa: "wasm128",
         dtype: DtypeTier::F32,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F32(wasm_f32),
     };
 
@@ -1275,8 +1350,8 @@ pub(crate) mod wasm {
         name: "wasm128-mixed",
         isa: "wasm128",
         dtype: DtypeTier::Mixed,
-        mr: 8,
-        nr: 6,
+        mr: 6,
+        nr: 8,
         func: KernelFn::F32(wasm_mixed),
     };
 }
@@ -1284,16 +1359,391 @@ pub(crate) mod wasm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{microkernel, KernelFn, SCALAR_MR, SCALAR_NR};
-    use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
+    use crate::kernel::{KernelFn, Microkernel, SCALAR_MR, SCALAR_NR};
+    use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len, PackScalar};
     use powerscale_matrix::Matrix;
+
+    // ---- references: the bodies this module's kernel replaced ---------
+
+    /// The column-accumulating body `tile_kernel` replaced, verbatim: the
+    /// A strip is the vector operand (`a_strip[k*mr + i]`, the old A
+    /// layout), B elements are splatted, `acc[j][h]` is a column of the
+    /// tile, and the tile is transposed through a stack buffer before a
+    /// scalar merge. Kept as the bitwise reference.
+    unsafe fn tile_kernel_colacc<V: MicroVec, const RV: usize, const NR: usize>(
+        kc: usize,
+        a_strip: &[V::Elem],
+        b_strip: &[V::Elem],
+        alpha: f64,
+        c: &mut MatrixViewMut<'_>,
+        row0: usize,
+        col0: usize,
+    ) {
+        const MAX_MR: usize = 16;
+        let mr = RV * V::LANES;
+        assert!(mr <= MAX_MR, "register tile taller than the spill buffer");
+        assert!(a_strip.len() >= kc * mr, "a_strip shorter than kc*mr");
+        assert!(b_strip.len() >= kc * NR, "b_strip shorter than kc*nr");
+        let ap = a_strip.as_ptr();
+        let bp = b_strip.as_ptr();
+        let zero = unsafe { V::zero() };
+        let mut acc = [[zero; RV]; NR];
+        for k in 0..kc {
+            let mut a = [zero; RV];
+            for (h, slot) in a.iter_mut().enumerate() {
+                *slot = unsafe { V::load(ap.add(k * mr + h * V::LANES)) };
+            }
+            for (j, accj) in acc.iter_mut().enumerate() {
+                let b = unsafe { V::splat(bp.add(k * NR + j)) };
+                for (h, slot) in accj.iter_mut().enumerate() {
+                    *slot = unsafe { slot.mul_add(a[h], b) };
+                }
+            }
+        }
+        let mut tile = [[0.0f64; NR]; MAX_MR];
+        let mut col = [0.0f64; MAX_MR];
+        for (j, accj) in acc.iter().enumerate() {
+            for (h, slot) in accj.iter().enumerate() {
+                unsafe { slot.store_f64(col.as_mut_ptr().add(h * V::LANES)) };
+            }
+            for (i, &v) in col.iter().enumerate().take(mr) {
+                tile[i][j] = v;
+            }
+        }
+        let live_rows = c.rows().saturating_sub(row0).min(mr);
+        let live_cols = c.cols().saturating_sub(col0).min(NR);
+        for (i, trow) in tile.iter().enumerate().take(live_rows) {
+            let crow = c.row_mut(row0 + i);
+            for j in 0..live_cols {
+                crow[col0 + j] += alpha * trow[j];
+            }
+        }
+    }
+
+    /// The hand-written scalar 4×4 kernel the scalar f64 tier dispatched
+    /// before it became an instantiation of the generic body (old A
+    /// layout, `a_strip[k*MR + i]`).
+    fn handwritten_scalar(
+        kc: usize,
+        a_strip: &[f64],
+        b_strip: &[f64],
+        alpha: f64,
+        c: &mut MatrixViewMut<'_>,
+        row0: usize,
+        col0: usize,
+    ) {
+        const MR: usize = SCALAR_MR;
+        const NR: usize = SCALAR_NR;
+        let mut acc = [[0.0f64; NR]; MR];
+        for k in 0..kc {
+            let a = &a_strip[k * MR..k * MR + MR];
+            let b = &b_strip[k * NR..k * NR + NR];
+            for i in 0..MR {
+                let ai = a[i];
+                for j in 0..NR {
+                    acc[i][j] += ai * b[j];
+                }
+            }
+        }
+        let live_rows = c.rows().saturating_sub(row0).min(MR);
+        let live_cols = c.cols().saturating_sub(col0).min(NR);
+        for (i, acc_row) in acc.iter().enumerate().take(live_rows) {
+            let crow = c.row_mut(row0 + i);
+            for j in 0..live_cols {
+                crow[col0 + j] += alpha * acc_row[j];
+            }
+        }
+    }
+
+    /// One `mr`-row strip of `a` in the layout both references read:
+    /// the `mr` elements of each column k adjacent.
+    fn pack_a_colmajor<T: PackScalar>(a: &Matrix, mr: usize) -> Vec<T> {
+        assert!(a.rows() <= mr);
+        let mut buf = vec![T::default(); mr * a.cols()];
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                buf[k * mr + i] = T::from_f64(a.get(i, k));
+            }
+        }
+        buf
+    }
+
+    // ---- a portable vector of any lane count ---------------------------
+
+    /// Lane arithmetic of a [`Pv`]: packed element, accumulator type, and
+    /// whether multiply-add fuses.
+    trait Arith: Copy {
+        type Elem: PackScalar;
+        type Acc: Copy;
+        const ZERO: Self::Acc;
+        fn widen(e: Self::Elem) -> Self::Acc;
+        fn fma(acc: Self::Acc, a: Self::Acc, b: Self::Acc) -> Self::Acc;
+        fn to_f64(acc: Self::Acc) -> f64;
+    }
+
+    macro_rules! arith {
+        ($name:ident, $elem:ty, $acc:ty, |$s:ident, $a:ident, $b:ident| $fma:expr) => {
+            #[derive(Clone, Copy)]
+            struct $name;
+            impl Arith for $name {
+                type Elem = $elem;
+                type Acc = $acc;
+                const ZERO: $acc = 0.0;
+                fn widen(e: $elem) -> $acc {
+                    <$acc>::from(e)
+                }
+                fn fma($s: $acc, $a: $acc, $b: $acc) -> $acc {
+                    $fma
+                }
+                fn to_f64(acc: $acc) -> f64 {
+                    f64::from(acc)
+                }
+            }
+        };
+    }
+    // `mul_add` is the correctly rounded fused operation, the bits of a
+    // hardware FMA lane; `s + a * b` rounds twice like the scalar and
+    // wasm128 tiers.
+    arith!(F64Fused, f64, f64, |s, a, b| a.mul_add(b, s));
+    arith!(F64Plain, f64, f64, |s, a, b| s + a * b);
+    arith!(F32Fused, f32, f32, |s, a, b| a.mul_add(b, s));
+    arith!(F32Plain, f32, f32, |s, a, b| s + a * b);
+    arith!(MixFused, f32, f64, |s, a, b| a.mul_add(b, s));
+    arith!(MixPlain, f32, f64, |s, a, b| s + a * b);
+
+    /// A portable `L`-lane vector: runs the generic bodies at any lane
+    /// count on any host — the NEON and WASM shapes on x86, and every
+    /// tier's arithmetic one lane at a time for the references.
+    #[derive(Clone, Copy)]
+    struct Pv<A: Arith, const L: usize>([A::Acc; L]);
+
+    impl<A: Arith, const L: usize> MicroVec for Pv<A, L> {
+        type Elem = A::Elem;
+        const LANES: usize = L;
+
+        unsafe fn zero() -> Self {
+            Pv([A::ZERO; L])
+        }
+
+        unsafe fn load(p: *const A::Elem) -> Self {
+            Pv(core::array::from_fn(|l| A::widen(unsafe { *p.add(l) })))
+        }
+
+        unsafe fn splat(p: *const A::Elem) -> Self {
+            Pv([A::widen(unsafe { *p }); L])
+        }
+
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            Pv(core::array::from_fn(|l| A::fma(self.0[l], a.0[l], b.0[l])))
+        }
+
+        unsafe fn store_f64(self, out: *mut f64) {
+            for (l, &v) in self.0.iter().enumerate() {
+                unsafe { *out.add(l) = A::to_f64(v) };
+            }
+        }
+    }
+
+    /// The current body at `V`'s shape, as a dispatchable entry point.
+    fn new_body<V: MicroVec, const MR: usize, const CV: usize>(
+        kc: usize,
+        a: &[V::Elem],
+        b: &[V::Elem],
+        alpha: f64,
+        c: &mut MatrixViewMut<'_>,
+        row0: usize,
+        col0: usize,
+    ) {
+        // SAFETY: `Pv` needs no ISA; strip lengths asserted inside.
+        unsafe { tile_kernel::<V, MR, CV>(kc, a, b, alpha, c, row0, col0) }
+    }
+
+    /// The replaced body, one lane at a time (`RV = mr`).
+    fn old_body<A: Arith, const MR: usize, const NR: usize>(
+        kc: usize,
+        a: &[A::Elem],
+        b: &[A::Elem],
+        alpha: f64,
+        c: &mut MatrixViewMut<'_>,
+        row0: usize,
+        col0: usize,
+    ) {
+        // SAFETY: as in `new_body`.
+        unsafe { tile_kernel_colacc::<Pv<A, 1>, MR, NR>(kc, a, b, alpha, c, row0, col0) }
+    }
+
+    /// The replaced body at the shape and arithmetic of kernel `name`:
+    /// `(mr, nr, entry)`. Every tier of every ISA is listed, so the test
+    /// below also pins each tier's shape.
+    fn reference_for(name: &str) -> (usize, usize, KernelFn) {
+        use KernelFn::{F32, F64};
+        match name {
+            "scalar" => (4, 4, F64(old_body::<F64Plain, 4, 4>)),
+            "scalar-f32" => (4, 4, F32(old_body::<F32Plain, 4, 4>)),
+            "scalar-mixed" => (4, 4, F32(old_body::<MixPlain, 4, 4>)),
+            "avx512" => (6, 32, F64(old_body::<F64Fused, 6, 32>)),
+            "avx512-f32" => (6, 64, F32(old_body::<F32Fused, 6, 64>)),
+            "avx512-mixed" => (6, 32, F32(old_body::<MixFused, 6, 32>)),
+            "avx2" | "neon" => (6, 8, F64(old_body::<F64Fused, 6, 8>)),
+            "avx2-f32" | "neon-f32" => (6, 16, F32(old_body::<F32Fused, 6, 16>)),
+            "avx2-mixed" | "neon-mixed" => (6, 8, F32(old_body::<MixFused, 6, 8>)),
+            "wasm128" => (6, 8, F64(old_body::<F64Plain, 6, 8>)),
+            "wasm128-f32" => (6, 8, F32(old_body::<F32Plain, 6, 8>)),
+            "wasm128-mixed" => (6, 8, F32(old_body::<MixPlain, 6, 8>)),
+            other => panic!("no reference instantiation for kernel `{other}`"),
+        }
+    }
+
+    /// xorshift64*: deterministic, dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// Uniform in `(-1, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// Runs `new` and `reference` over every `(live_rows, live_cols)` a
+    /// tile hanging over C's bottom-right corner can have, at a random
+    /// depth each, and asserts equal bits everywhere — the tile, the rest
+    /// of the strided C view, and the NaN canaries around it.
+    fn assert_bitwise_vs_reference<T: PackScalar>(
+        name: &str,
+        (mr, nr): (usize, usize),
+        new: Microkernel<T>,
+        reference: Microkernel<T>,
+    ) {
+        const ALPHAS: [f64; 3] = [1.0, -1.0, 0.37];
+        let (row0, col0) = (3, 5);
+        let mut rng = Rng(name.bytes().fold(0x9e37_79b9_7f4a_7c15, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        }));
+        let (mut chunked, mut ragged) = (0, 0);
+        for live_rows in 1..=mr {
+            for live_cols in 1..=nr {
+                let case = (live_rows - 1) * nr + live_cols - 1;
+                let mut kc = 1 + (rng.next() % 300) as usize;
+                if case % 4 == 0 {
+                    kc = kc.next_multiple_of(K_CHUNK).min(296);
+                }
+                if kc.is_multiple_of(K_CHUNK) {
+                    chunked += 1;
+                } else {
+                    ragged += 1;
+                }
+                let alpha = ALPHAS[case % 3];
+                // Full-height, full-width operands: the rows and columns
+                // the tile must mask carry real products, not zeros.
+                let a = Matrix::from_fn(mr, kc, |_, _| rng.unit());
+                let b = Matrix::from_fn(kc, nr, |_, _| rng.unit());
+                let mut pa = vec![T::default(); packed_a_len(mr, kc, mr)];
+                let mut pb = vec![T::default(); packed_b_len(kc, nr, nr)];
+                pack_a(&a.view(), &mut pa, mr);
+                pack_b(&b.view(), &mut pb, nr);
+                let pa_old = pack_a_colmajor::<T>(&a, mr);
+                // A C view ending live_rows × live_cols past the tile
+                // origin, strided inside a NaN-ringed backing matrix.
+                let (rows, cols) = (row0 + live_rows, col0 + live_cols);
+                let mut before = Matrix::filled(rows + 2, cols + 3, f64::NAN);
+                for i in 0..rows {
+                    for j in 0..cols {
+                        before.set(1 + i, 1 + j, rng.unit());
+                    }
+                }
+                let run = |f: Microkernel<T>, pa: &[T]| {
+                    let mut m = before.clone();
+                    let mut view = m.sub_view_mut((1, 1), (rows, cols)).unwrap();
+                    f(kc, pa, &pb, alpha, &mut view, row0, col0);
+                    m
+                };
+                let (got, want) = (run(new, &pa), run(reference, &pa_old));
+                for i in 0..rows + 2 {
+                    for j in 0..cols + 3 {
+                        let at = format!(
+                            "kernel `{name}` kc={kc} alpha={alpha} live {live_rows}x{live_cols} \
+                             at backing ({i},{j})"
+                        );
+                        assert_eq!(
+                            got.get(i, j).to_bits(),
+                            want.get(i, j).to_bits(),
+                            "diverges from the replaced body: {at}"
+                        );
+                        let in_tile = i > row0 && i <= rows && j > col0 && j <= cols;
+                        if !in_tile {
+                            assert_eq!(
+                                got.get(i, j).to_bits(),
+                                before.get(i, j).to_bits(),
+                                "wrote outside the live tile: {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(chunked > 0 && ragged > 0, "both k-tail classes exercised");
+    }
+
+    /// Dispatches [`assert_bitwise_vs_reference`] on the strip type and
+    /// checks the shape the reference table pins.
+    fn check_against_reference(name: &str, shape: (usize, usize), new: KernelFn) {
+        let (mr, nr, reference) = reference_for(name);
+        assert_eq!(shape, (mr, nr), "kernel `{name}` changed shape");
+        match (new, reference) {
+            (KernelFn::F64(n), KernelFn::F64(r)) => assert_bitwise_vs_reference(name, shape, n, r),
+            (KernelFn::F32(n), KernelFn::F32(r)) => assert_bitwise_vs_reference(name, shape, n, r),
+            _ => panic!("kernel `{name}` and its reference pack different element types"),
+        }
+    }
+
+    #[test]
+    fn every_host_tier_is_bitwise_the_replaced_body() {
+        for kernel in crate::kernel::available_kernels() {
+            check_against_reference(kernel.name, (kernel.mr, kernel.nr), kernel.func);
+        }
+    }
+
+    #[test]
+    fn neon_and_wasm_shapes_are_bitwise_the_replaced_body() {
+        // Those wrappers only compile on their own targets; the same
+        // `(MR, CV, LANES)` instantiations of the body run here through
+        // the portable vector, with each tier's arithmetic (NEON fuses,
+        // simd128 does not).
+        use KernelFn::{F32, F64};
+        let portable: [(&str, (usize, usize), KernelFn); 6] = [
+            ("neon", (6, 8), F64(new_body::<Pv<F64Fused, 2>, 6, 4>)),
+            ("neon-f32", (6, 16), F32(new_body::<Pv<F32Fused, 4>, 6, 4>)),
+            ("neon-mixed", (6, 8), F32(new_body::<Pv<MixFused, 2>, 6, 4>)),
+            ("wasm128", (6, 8), F64(new_body::<Pv<F64Plain, 2>, 6, 4>)),
+            (
+                "wasm128-f32",
+                (6, 8),
+                F32(new_body::<Pv<F32Plain, 4>, 6, 2>),
+            ),
+            (
+                "wasm128-mixed",
+                (6, 8),
+                F32(new_body::<Pv<MixPlain, 2>, 6, 4>),
+            ),
+        ];
+        for (name, shape, new) in portable {
+            check_against_reference(name, shape, new);
+        }
+    }
 
     #[test]
     fn generic_body_reproduces_handwritten_scalar_bitwise() {
-        // The scalar f64 dispatch keeps the hand-written 4×4 kernel; the
-        // generic body instantiated at the same shape must match it bit
-        // for bit (same per-element accumulation order over k) — the
-        // proof that the scalar tier *is* an instantiation of the body.
+        // The scalar f64 tier used to dispatch a hand-written 4×4 kernel;
+        // it is now the generic body at that shape, which must match the
+        // hand-written one bit for bit (same per-element accumulation
+        // order over k) on a ragged multi-strip product.
         let kc = 17;
         let a = Matrix::from_fn(7, kc, |i, j| (i as f64 - 2.5) * 0.31 + j as f64 * 0.07);
         let b = Matrix::from_fn(kc, 6, |i, j| 1.0 / (1.0 + (i * 6 + j) as f64));
@@ -1301,24 +1751,27 @@ mod tests {
         let mut pb = vec![0.0; packed_b_len(kc, 6, SCALAR_NR)];
         let a_strips = pack_a(&a.view(), &mut pa, SCALAR_MR);
         let b_strips = pack_b(&b.view(), &mut pb, SCALAR_NR);
+        let scalar = f64::kernel_fn(crate::kernel::scalar_kernel());
+        let a_len = packed_a_len(SCALAR_MR, kc, SCALAR_MR);
         let mut hand = Matrix::zeros(7, 6);
         let mut gen = Matrix::zeros(7, 6);
         for sj in 0..b_strips {
             let bs = &pb[sj * SCALAR_NR * kc..(sj + 1) * SCALAR_NR * kc];
             for si in 0..a_strips {
-                let as_ = &pa[si * SCALAR_MR * kc..(si + 1) * SCALAR_MR * kc];
-                microkernel(
+                let rows = (7 - si * SCALAR_MR).min(SCALAR_MR);
+                let band = a.sub_view((si * SCALAR_MR, 0), (rows, kc)).unwrap();
+                handwritten_scalar(
                     kc,
-                    as_,
+                    &pack_a_colmajor::<f64>(&band.to_matrix(), SCALAR_MR),
                     bs,
                     1.5,
                     &mut hand.view_mut(),
                     si * SCALAR_MR,
                     sj * SCALAR_NR,
                 );
-                generic::scalar_f64(
+                scalar(
                     kc,
-                    as_,
+                    &pa[si * a_len..(si + 1) * a_len],
                     bs,
                     1.5,
                     &mut gen.view_mut(),

@@ -110,6 +110,37 @@ mod tests {
     }
 
     #[test]
+    fn widths_follow_the_kernel_tile_on_the_known_host() {
+        // Width is `ceil(n / mc)` and `mc` is derived from the dispatched
+        // kernel's register tile, so placement follows the tile. On the
+        // 48K/2M/260M host the 6×32 AVX-512 f64 tile derives mc = 480
+        // (f32, 6×64: 510), so every shape of the default serve mix is one
+        // band: width 1, the batched fast path, on any group.
+        let caches = powerscale_gemm::autotune::parse_cache_list("48K,2M,260M").unwrap();
+        let mc_for = |mr, nr| {
+            powerscale_gemm::BlockingParams::host_tuned_for_caches_and_tile(&caches, mr, nr).mc
+        };
+        let (mc, mc_f32) = (mc_for(6, 32), mc_for(6, 64));
+        assert_eq!((mc, mc_f32), (480, 510));
+        for n in [64usize, 96, 128, 192, 256, 384, 480] {
+            assert_eq!(slot_width(n, mc, 4), 1, "n={n}");
+            assert_eq!(slot_width(n, mc_f32, 4), 1, "f32 n={n}");
+        }
+        assert_eq!(slot_width(512, mc, 4), 2);
+        assert_eq!(slot_width(512, mc_f32, 4), 2);
+        assert_eq!(slot_width(1024, mc, 4), 3);
+        assert_eq!(
+            slot_width(2048, mc, 4),
+            4,
+            "five bands, clamped to the group"
+        );
+        // The 8×8 tile it replaced derived mc = 168 here, which gave
+        // n = 192 and n = 256 two bands and a width-2 handoff.
+        assert_eq!(slot_width(192, 168, 4), 2);
+        assert_eq!(slot_width(256, 168, 4), 2);
+    }
+
+    #[test]
     fn slot_width_never_exceeds_cap_or_group() {
         // The placement property: a request never gets more workers than
         // its n can use, and never more than its group holds.

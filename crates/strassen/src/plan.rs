@@ -214,9 +214,12 @@ mod tests {
         // rises much less steeply with the thread count.
         let m = presets::e3_1225();
         let sg = strassen_graph(1024, &cfg(64, 3));
+        // Blocked on the simulated machine's own caches and 8×6 tile (as
+        // `Harness::new` derives it), not the host's autotuned blocking:
+        // the band count is what sets the blocked power slope.
         let bg = powerscale_gemm::plan::blocked_gemm_graph(
             1024,
-            &powerscale_gemm::BlockingParams::default(),
+            &powerscale_gemm::BlockingParams::for_caches_and_tile(&m.caches, 8, 6),
         );
         let power = |g: &TaskGraph, p: usize| {
             let s = simulate(g, &m, p);
