@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use powerscale::cluster::study::{run_study, DistAlgorithm};
-use powerscale::cluster::{plans, presets, simulate_cluster};
+use powerscale::cluster::{plans, presets};
 use std::time::Duration;
 
 fn print_artifact() {
@@ -30,12 +30,12 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("caps", nodes), &nodes, |b, _| {
             b.iter(|| {
                 let g = plans::dist_caps_graph(4096, &cluster);
-                simulate_cluster(&g, &cluster).makespan
+                cluster.simulate(&g).unwrap().makespan
             })
         });
         if let Some(g) = plans::summa_graph(4096, &cluster) {
             group.bench_with_input(BenchmarkId::new("summa", nodes), &nodes, |b, _| {
-                b.iter(|| simulate_cluster(&g, &cluster).makespan)
+                b.iter(|| cluster.simulate(&g).unwrap().makespan)
             });
         }
     }

@@ -26,6 +26,7 @@ use powerscale_pool::ThreadPool;
 use powerscale_strassen::accounting::{
     add_pass, record_level, record_spawns, record_steal_delta, steal_snapshot, sub_pass,
 };
+use powerscale_strassen::cost::is_leaf;
 use powerscale_strassen::resolve_operand;
 
 /// `A · B` by the CAPS hybrid traversal.
@@ -117,11 +118,6 @@ pub fn multiply(
     };
     record_steal_delta(events, pool, snap);
     Ok(result)
-}
-
-/// The recursion reverts to the dense leaf at or below the cutover size.
-fn is_leaf(n: usize, cutoff: usize) -> bool {
-    n <= cutoff || !n.is_multiple_of(2)
 }
 
 /// Work-shared `dst (accum)= A · B` over row bands: the DFS leaf step,

@@ -20,15 +20,7 @@
 use crate::config::CapsConfig;
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
 use powerscale_strassen::cost;
-
-/// Operand-formation counts per product (classic formulas, as in the
-/// executor, which fuses them into the leaf packing).
-const PRE: [u64; 7] = [2, 1, 1, 1, 1, 2, 2];
-/// In-place combine passes per C quadrant (matches the executor's 18-pass
-/// schedule: four products land via `Accum::Set`, eight accumulations).
-const COMBINE: [u64; 4] = [3, 1, 1, 3];
-/// Products feeding each C quadrant.
-const QUADRANT_INPUTS: [&[usize]; 4] = [&[0, 3, 4, 6], &[2, 4], &[1, 3], &[0, 1, 2, 5]];
+use powerscale_strassen::plan::{CLASSIC_COMBINE, CLASSIC_PRE, CLASSIC_QUADRANT_INPUTS};
 
 /// Emits the CAPS task graph for an `n × n` multiply under `cfg`.
 pub fn caps_graph(n: usize, cfg: &CapsConfig) -> TaskGraph {
@@ -93,7 +85,7 @@ fn emit(
     let hh = h * h;
     let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
     let mut product_sinks: Vec<Vec<TaskId>> = Vec::with_capacity(7);
-    for &pre in PRE.iter() {
+    for &pre in CLASSIC_PRE.iter() {
         // Operands are partitioned to the sub-problem's workers once.
         let comm = (2.0 * 8.0 * hh as f64 * placement) as u64;
         let prepare = g.add(
@@ -103,9 +95,10 @@ fn emit(
         product_sinks.push(emit(g, n / 2, depth + 1, cfg, tm, &[prepare]));
     }
     let mut combines = Vec::with_capacity(4);
-    for (q, &passes) in COMBINE.iter().enumerate() {
+    for (q, &passes) in CLASSIC_COMBINE.iter().enumerate() {
+        let inputs = CLASSIC_QUADRANT_INPUTS[q];
         let mut cdeps: Vec<TaskId> = Vec::new();
-        for &pi in QUADRANT_INPUTS[q] {
+        for &pi in inputs {
             cdeps.extend_from_slice(&product_sinks[pi]);
         }
         cdeps.sort_unstable();
@@ -113,7 +106,7 @@ fn emit(
         // Combines pull group-local results: scaled by the same placement
         // factor, halved again because the consuming quadrant lives in one
         // of the producing groups.
-        let comm = (QUADRANT_INPUTS[q].len() as f64 * 8.0 * hh as f64 * placement / 2.0) as u64;
+        let comm = (inputs.len() as f64 * 8.0 * hh as f64 * placement / 2.0) as u64;
         combines.push(g.add(
             TaskCost::new(
                 KernelClass::Elementwise,

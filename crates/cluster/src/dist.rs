@@ -46,12 +46,12 @@
 //! 1202.3177 strong-scaling knee appear at `P̂` instead of being drowned
 //! in re-shuffle traffic.
 
-use crate::config::ClusterConfig;
 use powerscale_caps::CapsConfig;
 use powerscale_machine::net::{
     run_spmd, Endpoint, NetConfig, NetError, NetPayload, NetReport, Phase,
 };
 use powerscale_matrix::{pad, DimError, Matrix};
+use powerscale_strassen::cost::is_leaf;
 
 /// A matrix block on the wire; the transport meters its actual element
 /// storage (`rows · cols · 8` bytes).
@@ -167,13 +167,6 @@ impl DistOutcome {
     pub fn makespan_s(&self, flops_per_s: f64) -> f64 {
         self.report.makespan(&self.compute_seconds(flops_per_s))
     }
-
-    /// Network energy under a cluster's NIC/switch model: per-byte transfer
-    /// energy plus idle NIC + switch power over the makespan.
-    pub fn network_joules(&self, cluster: &ClusterConfig, makespan_s: f64) -> f64 {
-        self.report.total_bytes() as f64 * cluster.nic_joule_per_byte
-            + (cluster.nic_idle_w * self.report.config.nodes as f64 + cluster.switch_w) * makespan_s
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -190,8 +183,8 @@ pub fn owner_cols(m: usize, g: usize, idx: usize) -> (usize, usize) {
 /// The BFS rank-range split of `g` ranks into 7 child groups (relative to
 /// group base 0). Ranges are equal-or-disjoint: with `g ≥ 7` they are
 /// disjoint; with `g < 7` several children share one rank and run
-/// sequentially on it. This is the same partition the declared
-/// [`crate::plans`] use, so declared and measured placements agree.
+/// sequentially on it. The declared [`crate::plans`] split node groups
+/// with this function too, so declared and measured placements agree.
 pub fn bfs_child_ranges(g: usize) -> [(usize, usize); 7] {
     let mut out = [(0usize, 0usize); 7];
     for (i, slot) in out.iter_mut().enumerate() {
@@ -200,10 +193,6 @@ pub fn bfs_child_ranges(g: usize) -> [(usize, usize); 7] {
         *slot = (lo, hi.min(g.max(lo + 1)));
     }
     out
-}
-
-fn is_leaf(m: usize, cutoff: usize) -> bool {
-    m <= cutoff || !m.is_multiple_of(2)
 }
 
 /// The fractal (frame-cyclic) column layout of the distributed executor.

@@ -1,26 +1,19 @@
 //! Distributed algorithm plans: CAPS across nodes vs a 2D SUMMA baseline.
 
 use crate::config::ClusterConfig;
-use crate::graph::{DistGraph, DistTask};
+use crate::dist::bfs_child_ranges;
 use powerscale_caps::CapsConfig;
-use powerscale_machine::{KernelClass, TaskCost, TaskId, TrafficModel};
+use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
 use powerscale_strassen::cost as scost;
-
-/// Operand-formation counts per Strassen product (classic formulas).
-const PRE: [u64; 7] = [2, 1, 1, 1, 1, 2, 2];
-/// In-place combine passes per C quadrant (the executor's 18-pass
-/// schedule).
-const COMBINE: [u64; 4] = [3, 1, 1, 3];
-/// Products feeding each C quadrant.
-const QUADRANT_INPUTS: [&[usize]; 4] = [&[0, 3, 4, 6], &[2, 4], &[1, 3], &[0, 1, 2, 5]];
+use powerscale_strassen::plan::{CLASSIC_COMBINE, CLASSIC_PRE, CLASSIC_QUADRANT_INPUTS};
 
 /// Distributed CAPS: BFS steps split the seven sub-problems across
 /// disjoint *node groups* (the CAPS papers' scheme — operands move once,
 /// then each group works locally); once a subtree owns a single node, it
 /// runs the whole node-local CAPS there, work-shared across the node's
 /// cores, with zero fabric traffic.
-pub fn dist_caps_graph(n: usize, cluster: &ClusterConfig) -> DistGraph {
-    let mut g = DistGraph::new();
+pub fn dist_caps_graph(n: usize, cluster: &ClusterConfig) -> TaskGraph {
+    let mut g = TaskGraph::new();
     if n == 0 {
         return g;
     }
@@ -37,7 +30,7 @@ pub fn dist_caps_graph(n: usize, cluster: &ClusterConfig) -> DistGraph {
 /// its sink tasks.
 #[allow(clippy::too_many_arguments)]
 fn emit_caps(
-    g: &mut DistGraph,
+    g: &mut TaskGraph,
     n: usize,
     base: usize,
     count: usize,
@@ -56,14 +49,7 @@ fn emit_caps(
         for w in 0..ways {
             let f = flops / ways + u64::from(w < flops % ways);
             let b = dram / ways + u64::from(w < dram % ways);
-            ids.push(g.add(
-                DistTask {
-                    cost: TaskCost::new(KernelClass::LeafGemm, f, b, 0),
-                    node: base,
-                    net_bytes: 0,
-                },
-                deps,
-            ));
+            ids.push(g.add_on(base, 0, TaskCost::new(KernelClass::LeafGemm, f, b, 0), deps));
         }
         return ids;
     }
@@ -72,61 +58,48 @@ fn emit_caps(
     let h = (n / 2) as u64;
     let hh = h * h;
     let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
+    // Block-partition the group over the seven children, exactly as the
+    // executor does.
+    let children = bfs_child_ranges(count);
+    let missing = |(lo, hi): (usize, usize)| 1.0 - (hi - lo) as f64 / count as f64;
     let mut product_sinks: Vec<Vec<TaskId>> = Vec::with_capacity(7);
-    for (i, &pre) in PRE.iter().enumerate() {
-        // Block-partition the group over the seven children.
-        let child_base = base + (i * count) / 7;
-        let child_count = ((i + 1) * count / 7).max((i * count) / 7 + 1) - (i * count) / 7;
+    for (&pre, &(lo, hi)) in CLASSIC_PRE.iter().zip(&children) {
         // Operands are fractally (frame-cyclically) distributed over the
         // whole group — the layout `dist::Layout` implements — so a child
-        // group already owns `child_count / count` of each quadrant; the
+        // group already owns `(hi - lo) / count` of each quadrant; the
         // BFS split ships only the complement, with the seven linear
         // combinations formed at the senders (the CAPS SC'12
         // implementation trick, and exactly what the measured executor's
         // `form_cols` does). Two operands per product. DFS steps keep the
         // whole group and ship nothing, so they appear in no declared
         // volume here either.
-        let missing = 1.0 - child_count as f64 / count as f64;
-        let net = (2.0 * 8.0 * hh as f64 * missing) as u64;
-        let prepare = g.add(
-            DistTask {
-                cost: TaskCost::new(KernelClass::Elementwise, pre * hh, pre * per_pass, 0),
-                node: child_base,
-                net_bytes: net,
-            },
+        let net = (2.0 * 8.0 * hh as f64 * missing((lo, hi))) as u64;
+        let prepare = g.add_on(
+            base + lo,
+            net,
+            TaskCost::new(KernelClass::Elementwise, pre * hh, pre * per_pass, 0),
             deps,
         );
-        product_sinks.push(emit_caps(
-            g,
-            n / 2,
-            child_base,
-            child_count,
-            cfg,
-            tm,
-            &[prepare],
-        ));
+        product_sinks.push(emit_caps(g, n / 2, base + lo, hi - lo, cfg, tm, &[prepare]));
     }
     // Combines gather the products back to the group lead.
     let mut combines = Vec::with_capacity(4);
-    for (q, &passes) in COMBINE.iter().enumerate() {
+    for (q, &passes) in CLASSIC_COMBINE.iter().enumerate() {
         let mut cdeps: Vec<TaskId> = Vec::new();
         let mut net = 0.0f64;
-        for &pi in QUADRANT_INPUTS[q] {
+        for &pi in CLASSIC_QUADRANT_INPUTS[q] {
             cdeps.extend_from_slice(&product_sinks[pi]);
-            let child_count = ((pi + 1) * count / 7).max((pi * count) / 7 + 1) - (pi * count) / 7;
             // Results scatter back into the block-cyclic layout: each
             // producing group keeps its owned share.
-            net += 8.0 * hh as f64 * (1.0 - child_count as f64 / count as f64);
+            net += 8.0 * hh as f64 * missing(children[pi]);
         }
         let net = net as u64;
         cdeps.sort_unstable();
         cdeps.dedup();
-        combines.push(g.add(
-            DistTask {
-                cost: TaskCost::new(KernelClass::Elementwise, passes * hh, passes * per_pass, 0),
-                node: base,
-                net_bytes: net,
-            },
+        combines.push(g.add_on(
+            base,
+            net,
+            TaskCost::new(KernelClass::Elementwise, passes * hh, passes * per_pass, 0),
             &cdeps,
         ));
     }
@@ -140,7 +113,7 @@ fn emit_caps(
 /// the CAPS line of work improves on.
 ///
 /// Returns `None` when `nodes` is not a perfect square or `q ∤ n`.
-pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<DistGraph> {
+pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<TaskGraph> {
     let q = (cluster.nodes as f64).sqrt().round() as usize;
     if q * q != cluster.nodes || q == 0 || !n.is_multiple_of(q) {
         return None;
@@ -148,7 +121,7 @@ pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<DistGraph> {
     let nb = n / q;
     let tm = cluster.node.traffic_model();
     let cores = cluster.node.cores.max(1) as u64;
-    let mut g = DistGraph::new();
+    let mut g = TaskGraph::new();
     // Per node: chain of q step-task groups (C accumulates).
     let mut prev_step: Vec<Vec<TaskId>> = vec![Vec::new(); cluster.nodes];
     for k in 0..q {
@@ -173,12 +146,10 @@ pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<DistGraph> {
                 for w in 0..cores {
                     let f = flops / cores + u64::from(w < flops % cores);
                     let b = dram / cores + u64::from(w < dram % cores);
-                    let id = g.add(
-                        DistTask {
-                            cost: TaskCost::new(KernelClass::PackedGemm, f, b, 0),
-                            node,
-                            net_bytes: if w == 0 { net } else { 0 },
-                        },
+                    let id = g.add_on(
+                        node,
+                        if w == 0 { net } else { 0 },
+                        TaskCost::new(KernelClass::PackedGemm, f, b, 0),
                         &prev_step[node],
                     );
                     this_step[node].push(id);
@@ -194,7 +165,6 @@ pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<DistGraph> {
 mod tests {
     use super::*;
     use crate::presets::e3_1225_cluster;
-    use crate::simulate_cluster;
 
     #[test]
     fn caps_flops_conserved() {
@@ -228,9 +198,11 @@ mod tests {
         assert!(g.total_net_bytes() > 0);
         assert_eq!(g.placement_nodes(), 7);
         // Load lands on every node.
-        for node in 0..7 {
-            assert!(g.node_flops(node) > 0, "node {node} idle");
+        let mut node_flops = [0u64; 7];
+        for id in (0..g.len()).map(TaskId::from_index) {
+            node_flops[g.node(id)] += g.cost(id).flops;
         }
+        assert!(node_flops.iter().all(|&f| f > 0), "{node_flops:?}");
     }
 
     #[test]
@@ -282,11 +254,11 @@ mod tests {
         let n = 4096;
         let t1 = {
             let c = e3_1225_cluster(1);
-            simulate_cluster(&dist_caps_graph(n, &c), &c).makespan
+            c.simulate(&dist_caps_graph(n, &c)).unwrap().makespan
         };
         let t7 = {
             let c = e3_1225_cluster(7);
-            simulate_cluster(&dist_caps_graph(n, &c), &c).makespan
+            c.simulate(&dist_caps_graph(n, &c)).unwrap().makespan
         };
         assert!(
             t1 / t7 > 2.0,
@@ -304,9 +276,9 @@ mod tests {
         // is in p (see `caps_comm_grows_slower_with_node_count`), not in
         // small-p absolute volume.
         let ratio = |n: usize, cluster: &ClusterConfig| {
-            let caps = simulate_cluster(&dist_caps_graph(n, cluster), cluster).makespan;
-            let summa = simulate_cluster(&summa_graph(n, cluster).unwrap(), cluster).makespan;
-            summa / caps
+            let caps = cluster.simulate(&dist_caps_graph(n, cluster)).unwrap();
+            let summa = cluster.simulate(&summa_graph(n, cluster).unwrap()).unwrap();
+            summa.makespan / caps.makespan
         };
         let fast = e3_1225_cluster(4);
         let slow = crate::presets::e3_1225_cluster_slow_fabric(4);

@@ -2,6 +2,7 @@
 
 use crate::config::ClusterConfig;
 use powerscale_machine::net::{LinkModel, NetConfig};
+use powerscale_machine::Fabric;
 
 /// `nodes` × the paper's E3-1225 machine on a QDR-InfiniBand-class fabric
 /// (2015-era commodity HPC: ~4 GB/s per link, ~1.5 µs latency), with a
@@ -14,12 +15,14 @@ pub fn e3_1225_cluster(nodes: usize) -> ClusterConfig {
         name: format!("{nodes}x E3-1225, QDR IB fabric"),
         nodes,
         node: powerscale_machine::presets::e3_1225(),
-        link_bw_bytes_per_s: 4.0e9,
-        net_bw_bytes_per_s: 4.0e9 * (nodes as f64 / 2.0).max(1.0),
-        link_latency_s: 1.5e-6,
-        nic_idle_w: 4.0,
-        nic_joule_per_byte: 0.5e-9,
-        switch_w: 3.0 * nodes as f64,
+        fabric: Fabric {
+            link_bw_bytes_per_s: 4.0e9,
+            net_bw_bytes_per_s: 4.0e9 * (nodes as f64 / 2.0).max(1.0),
+            link_latency_s: 1.5e-6,
+            nic_idle_w: 4.0,
+            nic_joule_per_byte: 0.5e-9,
+            switch_w: 3.0 * nodes as f64,
+        },
     }
 }
 
@@ -29,9 +32,9 @@ pub fn e3_1225_cluster(nodes: usize) -> ClusterConfig {
 pub fn e3_1225_cluster_slow_fabric(nodes: usize) -> ClusterConfig {
     let mut c = e3_1225_cluster(nodes);
     c.name = format!("{nodes}x E3-1225, GbE fabric");
-    c.link_bw_bytes_per_s = 0.125e9;
-    c.net_bw_bytes_per_s = 0.125e9 * (nodes as f64 / 2.0).max(1.0);
-    c.link_latency_s = 50.0e-6;
+    c.fabric.link_bw_bytes_per_s = 0.125e9;
+    c.fabric.net_bw_bytes_per_s = 0.125e9 * (nodes as f64 / 2.0).max(1.0);
+    c.fabric.link_latency_s = 50.0e-6;
     c
 }
 
@@ -65,14 +68,14 @@ mod tests {
     fn fabric_scales_with_nodes() {
         let small = e3_1225_cluster(2);
         let big = e3_1225_cluster(16);
-        assert!(big.net_bw_bytes_per_s > small.net_bw_bytes_per_s);
+        assert!(big.fabric.net_bw_bytes_per_s > small.fabric.net_bw_bytes_per_s);
         assert_eq!(big.node, small.node);
     }
 
     #[test]
     fn slow_fabric_is_slower() {
-        let fast = e3_1225_cluster(4);
-        let slow = e3_1225_cluster_slow_fabric(4);
+        let fast = e3_1225_cluster(4).fabric;
+        let slow = e3_1225_cluster_slow_fabric(4).fabric;
         assert!(slow.link_bw_bytes_per_s < fast.link_bw_bytes_per_s / 10.0);
         assert!(slow.link_latency_s > fast.link_latency_s);
     }

@@ -8,7 +8,6 @@
 
 use crate::plans::{dist_caps_graph, summa_graph};
 use crate::presets::e3_1225_cluster;
-use crate::sim::simulate_cluster;
 use powerscale_core::{EpCurve, PhaseMeasure};
 
 /// Which distributed algorithm a run used.
@@ -69,23 +68,16 @@ pub fn run_study(n: usize, node_counts: &[usize]) -> DistStudy {
     let mut runs = Vec::new();
     for &nodes in node_counts {
         let cluster = e3_1225_cluster(nodes);
-        let caps = dist_caps_graph(n, &cluster);
-        let s = simulate_cluster(&caps, &cluster);
-        runs.push(DistRun {
-            algorithm: DistAlgorithm::Caps,
-            nodes,
-            t_seconds: s.makespan,
-            watts: s.energy.avg_watts(s.makespan),
-            net_bytes: caps.total_net_bytes(),
-        });
-        if let Some(summa) = summa_graph(n, &cluster) {
-            let s = simulate_cluster(&summa, &cluster);
+        let mut graphs = vec![(DistAlgorithm::Caps, dist_caps_graph(n, &cluster))];
+        graphs.extend(summa_graph(n, &cluster).map(|g| (DistAlgorithm::Summa, g)));
+        for (algorithm, graph) in graphs {
+            let s = cluster.simulate(&graph).expect("preset cluster is valid");
             runs.push(DistRun {
-                algorithm: DistAlgorithm::Summa,
+                algorithm,
                 nodes,
                 t_seconds: s.makespan,
-                watts: s.energy.avg_watts(s.makespan),
-                net_bytes: summa.total_net_bytes(),
+                watts: s.energy.total_avg_watts(s.makespan),
+                net_bytes: graph.total_net_bytes(),
             });
         }
     }

@@ -31,13 +31,11 @@ proptest! {
         prop_assert_eq!(g.total_net_bytes(), per_rank * (q * q) as u64);
         // Per-node ingress: sum net_bytes of the tasks placed there.
         for node in 0..q * q {
-            let mut ingress = 0;
-            for idx in 0..g.len() {
-                let t = g.task(powerscale_machine::TaskId::from_index(idx));
-                if t.node == node {
-                    ingress += t.net_bytes;
-                }
-            }
+            let ingress: u64 = (0..g.len())
+                .map(powerscale_machine::TaskId::from_index)
+                .filter(|&id| g.node(id) == node)
+                .map(|id| g.net_bytes(id))
+                .sum();
             prop_assert_eq!(ingress, per_rank, "node {}", node);
         }
     }
@@ -62,7 +60,7 @@ proptest! {
             let count = (0..g.len())
                 .filter(|&i| {
                     let id = powerscale_machine::TaskId::from_index(i);
-                    g.task(id).net_bytes == expected && g.deps(id).len() <= 1
+                    g.net_bytes(id) == expected && g.deps(id).len() <= 1
                 })
                 .count();
             prop_assert_eq!(count, 7usize.pow(k as u32 + 1), "level {}", k);

@@ -1,7 +1,9 @@
-//! Machine description: compute, memory, interconnect and power models.
+//! Machine description: compute, memory, interconnect and power models,
+//! and the fabric that joins machines into a cluster.
 
-use crate::task::{KernelClass, TaskCost, KERNEL_CLASS_COUNT};
+use crate::task::{KernelClass, TaskCost, ALL_KERNEL_CLASSES, KERNEL_CLASS_COUNT};
 use powerscale_cachesim::CacheConfig;
+use std::fmt;
 
 /// Core compute capability and per-kernel-class efficiency.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,8 +122,9 @@ pub struct MachineConfig {
     pub core_dram_bw_bytes_per_s: f64,
     /// Aggregate core-to-core (LLC/ring) bandwidth in bytes/second.
     pub comm_bw_bytes_per_s: f64,
-    /// Cache hierarchy (L1 first) — consumed by the cachesim-driven traffic
-    /// derivations, not by the scheduler itself.
+    /// Cache hierarchy (L1 first). Only the last level's capacity is read,
+    /// as [`TrafficModel::llc_bytes`]; DRAM bytes come from that analytic
+    /// model, not from a cache simulation. Not read by the scheduler.
     pub caches: Vec<CacheConfig>,
     /// Power coefficients.
     pub power: PowerModel,
@@ -162,6 +165,115 @@ impl MachineConfig {
             ..TrafficModel::default()
         }
     }
+
+    /// Checks every rate the scheduler divides by. A zero, negative,
+    /// infinite or NaN rate would give an infinite or NaN step and a
+    /// schedule that never finishes; [`crate::simulate`] and
+    /// [`crate::simulate_nodes`] reject it here instead.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.cores == 0 {
+            return Err(ConfigError::NoCores);
+        }
+        rate(self.dram_bw_bytes_per_s, ConfigError::DramBandwidth)?;
+        rate(
+            self.core_dram_bw_bytes_per_s,
+            ConfigError::CoreDramBandwidth,
+        )?;
+        rate(self.comm_bw_bytes_per_s, ConfigError::CommBandwidth)?;
+        rate(self.compute.peak_core_flops(), ConfigError::PeakFlops)?;
+        for class in ALL_KERNEL_CLASSES {
+            let efficiency = self.compute.class_efficiency[class.index()];
+            let invalid = |_| ConfigError::ClassEfficiency(class, efficiency);
+            rate(efficiency, invalid)?;
+            rate(self.compute.achieved_flops(class), invalid)?;
+        }
+        Ok(())
+    }
+}
+
+/// The fabric joining the nodes of a cluster: what a task's inter-node
+/// ingress drains through, and what the network energy plane charges.
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct Fabric {
+    /// Per-node NIC bandwidth, bytes/second, each direction.
+    pub link_bw_bytes_per_s: f64,
+    /// Aggregate fabric (bisection) bandwidth shared by all transfers.
+    pub net_bw_bytes_per_s: f64,
+    /// Per-message latency in seconds (paid once per inter-node transfer).
+    pub link_latency_s: f64,
+    /// Idle power of one NIC (W).
+    pub nic_idle_w: f64,
+    /// Dynamic network energy per byte moved (NIC + switch port, J/B).
+    pub nic_joule_per_byte: f64,
+    /// Static switch power for the whole fabric (W).
+    pub switch_w: f64,
+}
+
+impl Fabric {
+    /// Checks both bandwidths (positive, finite) and the latency
+    /// (non-negative, finite).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        rate(self.link_bw_bytes_per_s, ConfigError::LinkBandwidth)?;
+        rate(self.net_bw_bytes_per_s, ConfigError::NetBandwidth)?;
+        if !(self.link_latency_s >= 0.0 && self.link_latency_s.is_finite()) {
+            return Err(ConfigError::LinkLatency(self.link_latency_s));
+        }
+        Ok(())
+    }
+}
+
+/// Why a machine, fabric or placement cannot be simulated. Every rate
+/// variant carries the offending value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `MachineConfig::cores` is zero.
+    NoCores,
+    /// `dram_bw_bytes_per_s` is not a positive finite rate.
+    DramBandwidth(f64),
+    /// `core_dram_bw_bytes_per_s` is not a positive finite rate.
+    CoreDramBandwidth(f64),
+    /// `comm_bw_bytes_per_s` is not a positive finite rate.
+    CommBandwidth(f64),
+    /// `freq_ghz × flops_per_cycle` is not a positive finite rate.
+    PeakFlops(f64),
+    /// A kernel class's efficiency is not positive and finite, or its
+    /// achieved flop rate is not.
+    ClassEfficiency(KernelClass, f64),
+    /// `Fabric::link_bw_bytes_per_s` is not a positive finite rate.
+    LinkBandwidth(f64),
+    /// `Fabric::net_bw_bytes_per_s` is not a positive finite rate.
+    NetBandwidth(f64),
+    /// `Fabric::link_latency_s` is negative or not finite.
+    LinkLatency(f64),
+    /// A cluster with no nodes.
+    NoNodes,
+    /// The graph pins tasks to `placed` nodes; the machine has `nodes`.
+    Placement {
+        /// Highest node index the graph uses, plus one.
+        placed: usize,
+        /// Nodes simulated.
+        nodes: usize,
+    },
+    /// The graph has fabric ingress but no fabric was given.
+    NoFabric,
+}
+
+/// Names the variant and its values, e.g. `DramBandwidth(0.0)`; the
+/// variant docs say what each requires.
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid simulator input: {self:?}")
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` when `v` is a positive finite rate, else `err(v)`.
+fn rate(v: f64, err: impl FnOnce(f64) -> ConfigError) -> Result<(), ConfigError> {
+    (v > 0.0 && v.is_finite())
+        .then_some(())
+        .ok_or_else(|| err(v))
 }
 
 #[cfg(test)]
@@ -210,6 +322,84 @@ mod tests {
         // Communication adds serially.
         let cc = TaskCost::new(KernelClass::Control, 0, 0, 1_000_000);
         assert!(m.unloaded_duration(&cc) > 0.0);
+    }
+
+    #[test]
+    fn validate_rejects_each_rate() {
+        use ConfigError::*;
+        let ok = presets::e3_1225();
+        assert_eq!(ok.validate(), Ok(()));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let check = |edit: &dyn Fn(&mut MachineConfig)| {
+                let mut m = ok.clone();
+                edit(&mut m);
+                m.validate().unwrap_err()
+            };
+            assert!(matches!(
+                check(&|m| m.dram_bw_bytes_per_s = bad),
+                DramBandwidth(_)
+            ));
+            assert!(matches!(
+                check(&|m| m.core_dram_bw_bytes_per_s = bad),
+                CoreDramBandwidth(_)
+            ));
+            assert!(matches!(
+                check(&|m| m.comm_bw_bytes_per_s = bad),
+                CommBandwidth(_)
+            ));
+            assert!(matches!(check(&|m| m.compute.freq_ghz = bad), PeakFlops(_)));
+            assert!(matches!(
+                check(&|m| m.compute.flops_per_cycle = bad),
+                PeakFlops(_)
+            ));
+            for class in crate::ALL_KERNEL_CLASSES {
+                let err = check(&|m| m.compute.class_efficiency[class.index()] = bad);
+                assert!(matches!(err, ClassEfficiency(c, _) if c == class), "{err}");
+            }
+        }
+        // A finite efficiency whose achieved rate overflows.
+        let mut m = ok.clone();
+        m.compute.class_efficiency[0] = f64::MAX;
+        assert!(matches!(
+            m.validate(),
+            Err(ClassEfficiency(KernelClass::PackedGemm, _))
+        ));
+        m = ok.clone();
+        m.cores = 0;
+        assert_eq!(m.validate(), Err(NoCores));
+    }
+
+    #[test]
+    fn fabric_validate_rejects_each_field() {
+        use ConfigError::*;
+        let ok = Fabric {
+            link_bw_bytes_per_s: 4.0e9,
+            net_bw_bytes_per_s: 8.0e9,
+            link_latency_s: 0.0,
+            nic_idle_w: 4.0,
+            nic_joule_per_byte: 0.5e-9,
+            switch_w: 12.0,
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let f = Fabric {
+                link_bw_bytes_per_s: bad,
+                ..ok.clone()
+            };
+            assert!(matches!(f.validate(), Err(LinkBandwidth(_))));
+            let f = Fabric {
+                net_bw_bytes_per_s: bad,
+                ..ok.clone()
+            };
+            assert!(matches!(f.validate(), Err(NetBandwidth(_))));
+        }
+        for bad in [-1e-6, f64::NAN, f64::INFINITY] {
+            let f = Fabric {
+                link_latency_s: bad,
+                ..ok.clone()
+            };
+            assert!(matches!(f.validate(), Err(LinkLatency(_))));
+        }
     }
 
     #[test]

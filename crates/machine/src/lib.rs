@@ -15,9 +15,18 @@
 //!   (package, PP0/cores, DRAM), with distinct core power for
 //!   flop-saturated, memory-stalled and idle states.
 //!
+//! The same engine runs clusters: [`simulate_nodes`] plays a graph whose
+//! tasks [`TaskGraph::add_on`] pinned to nodes on `N` copies of the machine
+//! joined by a [`Fabric`]. A task's fabric ingress drains first (latency,
+//! then bytes at its share of the bisection), each node keeps its own cores
+//! and DRAM contention, and a fourth energy plane charges the network.
+//! `powerscale-cluster` builds its distributed plans on it.
+//!
 //! The output [`Schedule`] carries the makespan, per-core utilisation and
 //! per-plane energy; `powerscale-rapl` wraps it in RAPL counter semantics and
 //! `powerscale-core` turns it into the paper's energy-performance ratios.
+//! Both entries check the configuration first ([`ConfigError`]): a zero or
+//! NaN rate is an error, never a schedule that does not finish.
 //!
 //! Determinism: no clocks, no randomness — identical inputs produce
 //! bit-identical schedules on any host, which is what lets a 1-core CI box
@@ -50,10 +59,10 @@ pub mod presets;
 mod schedule;
 mod task;
 
-pub use config::{ComputeModel, MachineConfig, PowerModel, TrafficModel};
+pub use config::{ComputeModel, ConfigError, Fabric, MachineConfig, PowerModel, TrafficModel};
 pub use net::{
     run_spmd, Endpoint, LinkModel, LinkTraffic, MemMeter, NetConfig, NetError, NetPayload,
     NetReport, Phase, RankStats,
 };
-pub use schedule::{simulate, EnergyBreakdown, Schedule, ScheduledTask};
+pub use schedule::{simulate, simulate_nodes, EnergyBreakdown, Schedule, ScheduledTask};
 pub use task::{KernelClass, TaskCost, TaskGraph, TaskId, ALL_KERNEL_CLASSES, KERNEL_CLASS_COUNT};

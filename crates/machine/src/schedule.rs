@@ -1,17 +1,21 @@
 //! The discrete-event scheduler with fluid bandwidth sharing and power
-//! integration.
+//! integration: the one engine behind every simulated schedule, on one
+//! machine ([`simulate`]) or on a cluster of them ([`simulate_nodes`]).
 //!
-//! Each task is up to three fluid streams: an inter-core *communication*
-//! stream that must drain before work begins, then a *compute* stream
-//! (private per-core rate) and a *memory* stream (share of the machine's
-//! DRAM bandwidth) draining concurrently. Events occur whenever any stream
-//! of any running task empties; rates are recomputed at every event, which
-//! is where contention lives — two memory-bound tasks each see half the
-//! bandwidth. Energy is integrated interval-by-interval from the core
-//! states (active/stalled/idle) and the achieved byte rates.
+//! Each task is up to four fluid streams run by one core of its node. On a
+//! cluster, its *fabric ingress* drains first: the link latency, then its
+//! bytes at a share of the fabric's bisection (capped by the link rate).
+//! Then an intra-node *communication* stream, then a *compute* stream
+//! (private per-core rate) and a *memory* stream (share of its node's DRAM
+//! bandwidth) draining concurrently. Events occur whenever any stream of any
+//! running task empties; rates are recomputed at every event, which is
+//! where contention lives — two memory-bound tasks on one node each see half
+//! its bandwidth, two transfers each see half the fabric. Energy is
+//! integrated interval-by-interval from the core states
+//! (active/stalled/idle), the achieved byte rates and the fabric's power.
 
-use crate::config::MachineConfig;
-use crate::task::{TaskGraph, TaskId};
+use crate::config::{ConfigError, Fabric, MachineConfig};
+use crate::task::{TaskGraph, TaskId, ALL_KERNEL_CLASSES};
 use std::collections::VecDeque;
 
 /// Placement and timing of one task in a simulated schedule.
@@ -20,15 +24,16 @@ use std::collections::VecDeque;
 pub struct ScheduledTask {
     /// The task.
     pub id: TaskId,
-    /// Core it ran on.
+    /// Core it ran on, within its node.
     pub core: usize,
-    /// Start time (s).
+    /// Start time (s), fabric ingress included.
     pub start: f64,
     /// End time (s).
     pub end: f64,
 }
 
-/// Energy totals per RAPL-style plane.
+/// Energy totals per RAPL-style plane, summed over all nodes, plus the
+/// fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
@@ -40,6 +45,9 @@ pub struct EnergyBreakdown {
     pub comm_joules: f64,
     /// Package base (uncore/static) energy.
     pub pkg_base_joules: f64,
+    /// Network plane: NIC and switch static power plus per-byte dynamic
+    /// energy. Zero on a single machine.
+    pub network_joules: f64,
 }
 
 impl EnergyBreakdown {
@@ -51,7 +59,16 @@ impl EnergyBreakdown {
 
     /// Total energy over all planes.
     pub fn total_joules(&self) -> f64 {
-        self.pkg_joules() + self.dram_joules
+        self.pkg_joules() + self.dram_joules + self.network_joules
+    }
+
+    /// Average power over all planes across `makespan` seconds.
+    pub fn total_avg_watts(&self, makespan: f64) -> f64 {
+        if makespan <= 0.0 {
+            0.0
+        } else {
+            self.total_joules() / makespan
+        }
     }
 
     /// Average package power over `makespan` seconds.
@@ -82,7 +99,7 @@ impl EnergyBreakdown {
     }
 }
 
-/// Result of simulating a [`TaskGraph`] on a machine.
+/// Result of simulating a [`TaskGraph`] on a machine or cluster.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
@@ -90,11 +107,11 @@ pub struct Schedule {
     pub makespan: f64,
     /// Per-task placement, indexed like the graph's ids.
     pub tasks: Vec<ScheduledTask>,
-    /// Busy seconds per core.
+    /// Busy seconds per core, node-major (`node × cores-per-node + core`).
     pub core_busy: Vec<f64>,
     /// Integrated energy.
     pub energy: EnergyBreakdown,
-    /// Number of cores simulated.
+    /// Number of cores simulated, over all nodes.
     pub cores: usize,
 }
 
@@ -131,10 +148,25 @@ impl Schedule {
 /// event loop (a Zeno deadlock).
 const STREAM_EPS: f64 = 1e-6;
 
+/// The stream a running task is draining. Work drains its compute and
+/// memory streams together.
+#[derive(Clone, Copy)]
+enum Stream {
+    Latency,
+    Ingress,
+    Comm,
+    Work,
+}
+
 struct Running {
+    /// The stream drained over the current interval (set each event).
+    stream: Stream,
     id: TaskId,
+    node: usize,
     core: usize,
     start: f64,
+    rem_lat: f64,
+    rem_net: f64,
     rem_comm: f64,
     rem_flops: f64,
     rem_mem: f64,
@@ -142,12 +174,34 @@ struct Running {
 
 impl Running {
     fn finished(&self) -> bool {
-        self.rem_comm < STREAM_EPS && self.rem_flops < STREAM_EPS && self.rem_mem < STREAM_EPS
+        self.rem_lat < STREAM_EPS
+            && self.rem_net < STREAM_EPS
+            && self.rem_comm < STREAM_EPS
+            && self.rem_flops < STREAM_EPS
+            && self.rem_mem < STREAM_EPS
     }
 
-    fn in_comm_phase(&self) -> bool {
-        self.rem_comm >= STREAM_EPS
+    /// The first stream, in drain order, that still holds work.
+    fn next_stream(&self) -> Stream {
+        if self.rem_lat >= STREAM_EPS {
+            Stream::Latency
+        } else if self.rem_net >= STREAM_EPS {
+            Stream::Ingress
+        } else if self.rem_comm >= STREAM_EPS {
+            Stream::Comm
+        } else {
+            Stream::Work
+        }
     }
+}
+
+/// One node's contended streams under the current mix.
+#[derive(Clone, Copy, Default)]
+struct NodeLoad {
+    comm_active: usize,
+    mem_active: usize,
+    comm_rate: f64,
+    mem_rate: f64,
 }
 
 /// Subtracts progress from a stream, clamping near-empty residues to zero.
@@ -158,46 +212,123 @@ fn drain(rem: &mut f64, amount: f64) {
     }
 }
 
-/// Simulates `graph` on `cores` cores of `machine`.
+/// Simulates `graph` on `cores` cores of one `machine`.
 ///
 /// Deterministic: ready tasks dispatch in FIFO order of becoming ready
 /// (ties broken by task id), onto the lowest-numbered idle core.
 ///
 /// # Panics
-/// Panics if `cores == 0`.
+/// Panics if `cores == 0`, or with the [`ConfigError`] if `machine` fails
+/// [`MachineConfig::validate`] or `graph` places tasks off node 0 or
+/// carries fabric ingress.
 pub fn simulate(graph: &TaskGraph, machine: &MachineConfig, cores: usize) -> Schedule {
     assert!(cores > 0, "simulate requires at least one core");
+    if let Err(e) = check(graph, machine, 1, None) {
+        panic!("cannot simulate: {e}");
+    }
+    run(graph, machine, cores, 1, None)
+}
+
+/// Simulates `graph` on `nodes` copies of `machine` (all of each node's
+/// cores) joined by `fabric`. Each task runs on the node
+/// [`TaskGraph::add_on`] pinned it to; within a node the semantics are
+/// [`simulate`]'s, and on one node with no ingress the schedule is
+/// bit-identical to it apart from the network energy plane.
+pub fn simulate_nodes(
+    graph: &TaskGraph,
+    machine: &MachineConfig,
+    nodes: usize,
+    fabric: &Fabric,
+) -> Result<Schedule, ConfigError> {
+    fabric.validate()?;
+    check(graph, machine, nodes, Some(fabric))?;
+    Ok(run(graph, machine, machine.cores, nodes, Some(fabric)))
+}
+
+/// Everything that would make the event loop stall or never finish.
+fn check(
+    graph: &TaskGraph,
+    machine: &MachineConfig,
+    nodes: usize,
+    fabric: Option<&Fabric>,
+) -> Result<(), ConfigError> {
+    machine.validate()?;
+    let placed = graph.placement_nodes();
+    if placed > nodes {
+        return Err(ConfigError::Placement { placed, nodes });
+    }
+    if fabric.is_none() && graph.total_net_bytes() > 0 {
+        return Err(ConfigError::NoFabric);
+    }
+    Ok(())
+}
+
+/// The event loop, on validated inputs.
+fn run(
+    graph: &TaskGraph,
+    machine: &MachineConfig,
+    cores: usize,
+    nodes: usize,
+    fabric: Option<&Fabric>,
+) -> Schedule {
     let n = graph.len();
+    // Successors as one flat list (two allocations, not one per task):
+    // count each task's successors, prefix-sum the counts into range ends,
+    // then fill backwards, leaving `first[t]..first[t + 1]` as task `t`'s
+    // successors in id order.
     let mut indeg: Vec<usize> = graph.nodes.iter().map(|t| t.deps.len()).collect();
-    // Successor lists.
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, node) in graph.nodes.iter().enumerate() {
-        for d in &node.deps {
-            children[d.index()].push(i as u32);
+    let mut first = vec![0usize; n + 1];
+    for d in graph.nodes.iter().flat_map(|t| &t.deps) {
+        first[d.index()] += 1;
+    }
+    for i in 0..n {
+        first[i + 1] += first[i];
+    }
+    let mut children = vec![0u32; first[n]];
+    for (i, task) in graph.nodes.iter().enumerate().rev() {
+        for d in task.deps.iter().rev() {
+            first[d.index()] -= 1;
+            children[first[d.index()]] = i as u32;
         }
     }
+    let flop_rate = ALL_KERNEL_CLASSES.map(|class| machine.compute.achieved_flops(class));
+    let total_cores = nodes * cores;
     let mut ready: VecDeque<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-    let mut idle: Vec<usize> = (0..cores).rev().collect(); // pop() yields lowest index
-    let mut running: Vec<Running> = Vec::with_capacity(cores);
+    let mut running: Vec<Running> = Vec::with_capacity(total_cores);
     let mut placed: Vec<Option<ScheduledTask>> = vec![None; n];
-    let mut core_busy = vec![0.0f64; cores];
+    let mut core_busy = vec![0.0f64; total_cores];
+    let mut loads = vec![NodeLoad::default(); nodes];
     let mut energy = EnergyBreakdown::default();
     let mut completed = 0usize;
     let mut t = 0.0f64;
 
     while completed < n {
-        // Dispatch.
-        while let Some(&tid) = ready.front() {
-            let Some(core) = idle.pop() else { break };
-            ready.pop_front();
-            let cost = graph.cost(TaskId(tid));
+        // Dispatch in ready order, each task onto the lowest-numbered idle
+        // core of its node; a task whose node is full keeps its place.
+        let mut i = 0;
+        while running.len() < total_cores && i < ready.len() {
+            let id = TaskId(ready[i]);
+            let task = &graph.nodes[id.index()];
+            let taken = |c: usize| running.iter().any(|r| r.node == task.node && r.core == c);
+            let Some(core) = (0..cores).find(|&c| !taken(c)) else {
+                i += 1;
+                continue;
+            };
+            ready.remove(i);
             running.push(Running {
-                id: TaskId(tid),
+                stream: Stream::Work,
+                id,
+                node: task.node,
                 core,
                 start: t,
-                rem_comm: cost.comm_bytes as f64,
-                rem_flops: cost.flops as f64,
-                rem_mem: cost.dram_bytes as f64,
+                rem_lat: match fabric {
+                    Some(f) if task.net_bytes > 0 => f.link_latency_s,
+                    _ => 0.0,
+                },
+                rem_net: task.net_bytes as f64,
+                rem_comm: task.cost.comm_bytes as f64,
+                rem_flops: task.cost.flops as f64,
+                rem_mem: task.cost.dram_bytes as f64,
             });
         }
         assert!(
@@ -206,37 +337,54 @@ pub fn simulate(graph: &TaskGraph, machine: &MachineConfig, cores: usize) -> Sch
         );
 
         // Rates under the current mix.
-        let comm_active = running.iter().filter(|r| r.in_comm_phase()).count();
-        let mem_active = running
-            .iter()
-            .filter(|r| !r.in_comm_phase() && r.rem_mem >= STREAM_EPS)
-            .count();
-        let comm_rate = if comm_active > 0 {
-            machine.comm_bw_bytes_per_s / comm_active as f64
-        } else {
-            0.0
-        };
-        let mem_rate = if mem_active > 0 {
-            (machine.dram_bw_bytes_per_s / mem_active as f64).min(machine.core_dram_bw_bytes_per_s)
-        } else {
-            0.0
+        let mut net_active = 0usize;
+        for l in &mut loads {
+            l.comm_active = 0;
+            l.mem_active = 0;
+        }
+        for r in &mut running {
+            r.stream = r.next_stream();
+            match r.stream {
+                Stream::Latency => {}
+                Stream::Ingress => net_active += 1,
+                Stream::Comm => loads[r.node].comm_active += 1,
+                Stream::Work => {
+                    if r.rem_mem >= STREAM_EPS {
+                        loads[r.node].mem_active += 1;
+                    }
+                }
+            }
+        }
+        for l in &mut loads {
+            l.comm_rate = machine.comm_bw_bytes_per_s / l.comm_active.max(1) as f64;
+            l.mem_rate = (machine.dram_bw_bytes_per_s / l.mem_active.max(1) as f64)
+                .min(machine.core_dram_bw_bytes_per_s);
+        }
+        let net_rate = match fabric {
+            Some(f) if net_active > 0 => {
+                (f.net_bw_bytes_per_s / net_active as f64).min(f.link_bw_bytes_per_s)
+            }
+            _ => 0.0,
         };
 
         // Next event: earliest single-stream depletion.
         let mut dt = f64::INFINITY;
         for r in &running {
-            if r.in_comm_phase() {
-                dt = dt.min(r.rem_comm / comm_rate);
-            } else {
-                if r.rem_flops >= STREAM_EPS {
-                    let rate = machine.compute.achieved_flops(graph.cost(r.id).class);
-                    dt = dt.min(r.rem_flops / rate);
-                }
-                if r.rem_mem >= STREAM_EPS {
-                    dt = dt.min(r.rem_mem / mem_rate);
-                }
-                if r.finished() {
-                    dt = 0.0;
+            match r.stream {
+                Stream::Latency => dt = dt.min(r.rem_lat),
+                Stream::Ingress => dt = dt.min(r.rem_net / net_rate),
+                Stream::Comm => dt = dt.min(r.rem_comm / loads[r.node].comm_rate),
+                Stream::Work => {
+                    if r.rem_flops >= STREAM_EPS {
+                        let rate = flop_rate[graph.cost(r.id).class.index()];
+                        dt = dt.min(r.rem_flops / rate);
+                    }
+                    if r.rem_mem >= STREAM_EPS {
+                        dt = dt.min(r.rem_mem / loads[r.node].mem_rate);
+                    }
+                    if r.finished() {
+                        dt = 0.0;
+                    }
                 }
             }
         }
@@ -246,40 +394,51 @@ pub fn simulate(graph: &TaskGraph, machine: &MachineConfig, cores: usize) -> Sch
         // Energy integration over [t, t+dt].
         if dt > 0.0 {
             let p = &machine.power;
-            let mut pp0 = (cores - running.len()) as f64 * p.core_idle_w;
+            let nodes_f = nodes as f64;
+            let mut pp0 = (total_cores - running.len()) as f64 * p.core_idle_w;
             for r in &running {
-                pp0 += if r.in_comm_phase() {
-                    p.core_stall_w
-                } else if r.rem_flops >= STREAM_EPS {
-                    p.core_active_w[graph.cost(r.id).class.index()]
-                } else {
-                    p.core_stall_w
+                pp0 += match r.stream {
+                    Stream::Work if r.rem_flops >= STREAM_EPS => {
+                        p.core_active_w[graph.cost(r.id).class.index()]
+                    }
+                    _ => p.core_stall_w,
                 };
             }
             energy.pp0_joules += pp0 * dt;
-            energy.pkg_base_joules += p.pkg_base_w * dt;
-            let dram_dyn_bytes = mem_active as f64 * mem_rate * dt;
-            energy.dram_joules += p.dram_static_w * dt + p.dram_joule_per_byte * dram_dyn_bytes;
-            let comm_bytes = if comm_active > 0 {
-                machine.comm_bw_bytes_per_s * dt
-            } else {
-                0.0
-            };
+            energy.pkg_base_joules += nodes_f * p.pkg_base_w * dt;
+            let mut dram_dyn_bytes = 0.0;
+            let mut comm_bytes = 0.0;
+            for l in &loads {
+                dram_dyn_bytes += l.mem_active as f64 * l.mem_rate * dt;
+                if l.comm_active > 0 {
+                    comm_bytes += machine.comm_bw_bytes_per_s * dt;
+                }
+            }
+            energy.dram_joules +=
+                nodes_f * p.dram_static_w * dt + p.dram_joule_per_byte * dram_dyn_bytes;
             energy.comm_joules += p.comm_joule_per_byte * comm_bytes;
+            if let Some(f) = fabric {
+                let moved = net_active as f64 * net_rate * dt;
+                energy.network_joules +=
+                    (nodes_f * f.nic_idle_w + f.switch_w) * dt + f.nic_joule_per_byte * moved;
+            }
         }
 
         // Advance streams.
         t += dt;
         for r in &mut running {
-            if r.in_comm_phase() {
-                drain(&mut r.rem_comm, comm_rate * dt);
-            } else {
-                if r.rem_flops >= STREAM_EPS {
-                    let rate = machine.compute.achieved_flops(graph.cost(r.id).class);
-                    drain(&mut r.rem_flops, rate * dt);
-                }
-                if r.rem_mem >= STREAM_EPS {
-                    drain(&mut r.rem_mem, mem_rate * dt);
+            match r.stream {
+                Stream::Latency => drain(&mut r.rem_lat, dt),
+                Stream::Ingress => drain(&mut r.rem_net, net_rate * dt),
+                Stream::Comm => drain(&mut r.rem_comm, loads[r.node].comm_rate * dt),
+                Stream::Work => {
+                    if r.rem_flops >= STREAM_EPS {
+                        let rate = flop_rate[graph.cost(r.id).class.index()];
+                        drain(&mut r.rem_flops, rate * dt);
+                    }
+                    if r.rem_mem >= STREAM_EPS {
+                        drain(&mut r.rem_mem, loads[r.node].mem_rate * dt);
+                    }
                 }
             }
         }
@@ -295,11 +454,9 @@ pub fn simulate(graph: &TaskGraph, machine: &MachineConfig, cores: usize) -> Sch
                     start: r.start,
                     end: t,
                 });
-                core_busy[r.core] += t - r.start;
-                idle.push(r.core);
-                idle.sort_unstable_by(|a, b| b.cmp(a)); // keep lowest-on-top
+                core_busy[r.node * cores + r.core] += t - r.start;
                 completed += 1;
-                for &c in &children[r.id.index()] {
+                for &c in &children[first[r.id.index()]..first[r.id.index() + 1]] {
                     indeg[c as usize] -= 1;
                     if indeg[c as usize] == 0 {
                         ready.push_back(c);
@@ -319,7 +476,7 @@ pub fn simulate(graph: &TaskGraph, machine: &MachineConfig, cores: usize) -> Sch
             .collect(),
         core_busy,
         energy,
-        cores,
+        cores: total_cores,
     }
 }
 
@@ -576,5 +733,223 @@ mod tests {
         let a = simulate(&g, &m, 3);
         let b = simulate(&g, &m, 3);
         assert_eq!(a, b);
+    }
+
+    /// The QDR-class fabric of the cluster presets: 4 GB/s links, a
+    /// bisection of 4 GB/s per node pair, 1.5 µs latency.
+    fn qdr(nodes: usize) -> Fabric {
+        Fabric {
+            link_bw_bytes_per_s: 4.0e9,
+            net_bw_bytes_per_s: 4.0e9 * (nodes as f64 / 2.0).max(1.0),
+            link_latency_s: 1.5e-6,
+            nic_idle_w: 4.0,
+            nic_joule_per_byte: 0.5e-9,
+            switch_w: 3.0 * nodes as f64,
+        }
+    }
+
+    /// 0.1 s of packed GEMM on one e3_1225 core.
+    const TENTH: u64 = 2_304_000_000;
+
+    #[test]
+    fn single_node_matches_flop_rate() {
+        let s = simulate_nodes(&g_on_node0(1), &e3_1225(), 1, &qdr(1)).unwrap();
+        assert!((s.makespan - 0.1).abs() < 1e-6, "{}", s.makespan);
+    }
+
+    #[test]
+    fn nodes_compute_in_parallel() {
+        let m = e3_1225();
+        // 16 tenth-second tasks fill 4 nodes x 4 cores exactly once.
+        let mut g = TaskGraph::new();
+        for k in 0..16 {
+            g.add_on(k % 4, 0, flops(TENTH), &[]);
+        }
+        let s = simulate_nodes(&g, &m, 4, &qdr(4)).unwrap();
+        assert!((s.makespan - 0.1).abs() < 1e-6, "{}", s.makespan);
+        assert_eq!(s.cores, 16);
+        assert!((s.utilisation() - 1.0).abs() < 1e-6);
+        // On one node the same 16 tasks take four rounds.
+        let one = simulate(&g_on_node0(16), &m, 4);
+        assert!((one.makespan - 0.4).abs() < 1e-6, "{}", one.makespan);
+    }
+
+    fn g_on_node0(tasks: usize) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        for _ in 0..tasks {
+            g.add(flops(TENTH), &[]);
+        }
+        g
+    }
+
+    #[test]
+    fn network_transfer_delays_start() {
+        let mut g = TaskGraph::new();
+        let producer = g.add(flops(TENTH), &[]);
+        // 400 MB over the 4 GB/s link: +0.1 s before the consumer starts.
+        let consumer = g.add_on(1, 400_000_000, flops(TENTH), &[producer]);
+        let s = simulate_nodes(&g, &e3_1225(), 2, &qdr(2)).unwrap();
+        assert!((s.makespan - 0.3).abs() < 1e-3, "{}", s.makespan);
+        assert!((s.tasks[consumer.index()].start - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn latency_paid_once_per_transfer() {
+        let fabric = Fabric {
+            link_latency_s: 0.05,
+            ..qdr(2)
+        };
+        let mut g = TaskGraph::new();
+        g.add_on(1, 1, TaskCost::compute(KernelClass::Control, 0), &[]);
+        let s = simulate_nodes(&g, &e3_1225(), 2, &fabric).unwrap();
+        assert!((s.makespan - 0.05).abs() < 1e-6, "{}", s.makespan);
+        // No ingress, no latency.
+        let mut g = TaskGraph::new();
+        g.add_on(1, 0, TaskCost::compute(KernelClass::Control, 0), &[]);
+        assert_eq!(
+            simulate_nodes(&g, &e3_1225(), 2, &fabric).unwrap().makespan,
+            0.0
+        );
+    }
+
+    #[test]
+    fn fabric_shared_among_transfers() {
+        // Two concurrent 400 MB transfers share the 4 GB/s bisection.
+        let mut g = TaskGraph::new();
+        for node in [0, 1] {
+            g.add_on(
+                node,
+                400_000_000,
+                TaskCost::compute(KernelClass::Control, 0),
+                &[],
+            );
+        }
+        let s = simulate_nodes(&g, &e3_1225(), 2, &qdr(2)).unwrap();
+        assert!((s.makespan - 0.2).abs() < 1e-3, "{}", s.makespan);
+    }
+
+    #[test]
+    fn energy_includes_network_plane() {
+        let m = e3_1225();
+        let fabric = qdr(2);
+        let mut g = TaskGraph::new();
+        g.add_on(1, 100_000_000, flops(TENTH), &[]);
+        let s = simulate_nodes(&g, &m, 2, &fabric).unwrap();
+        let e = s.energy;
+        assert!(e.network_joules > 0.0 && e.pkg_joules() > 0.0);
+        assert_eq!(
+            e.total_joules(),
+            e.pkg_joules() + e.dram_joules + e.network_joules
+        );
+        // Above the idle floor of two nodes, two NICs and the switch.
+        let node_idle = m.power.pkg_base_w + m.power.dram_static_w + 4.0 * m.power.core_idle_w;
+        let idle = 2.0 * (node_idle + fabric.nic_idle_w) + fabric.switch_w;
+        assert!(e.total_avg_watts(s.makespan) > idle);
+        // A single machine has no network plane.
+        assert_eq!(simulate(&g_on_node0(1), &m, 1).energy.network_joules, 0.0);
+    }
+
+    #[test]
+    fn one_node_is_the_smp_schedule() {
+        // The same graph through both entries: identical bits everywhere
+        // but the network plane, which only the fabric call charges.
+        let m = e3_1225();
+        let mut g = TaskGraph::new();
+        let mut ids: Vec<TaskId> = Vec::new();
+        for i in 0..40u64 {
+            let deps: Vec<TaskId> = ids.iter().copied().rev().step_by(3).take(3).collect();
+            let class = ALL_KERNEL_CLASSES[(i % 5) as usize];
+            let cost = TaskCost::new(
+                class,
+                i * 30_000_000,
+                (i % 7) * 9_000_000,
+                (i % 4) * 1_000_000,
+            );
+            ids.push(g.add(cost, &deps));
+        }
+        let smp = simulate(&g, &m, 4);
+        let mut one = simulate_nodes(&g, &m, 1, &qdr(1)).unwrap();
+        assert!(one.energy.network_joules > 0.0);
+        one.energy.network_joules = 0.0;
+        assert_eq!(smp, one);
+    }
+
+    #[test]
+    fn placement_beyond_cluster_rejected() {
+        let mut g = TaskGraph::new();
+        g.add_on(5, 0, flops(1), &[]);
+        assert_eq!(
+            simulate_nodes(&g, &e3_1225(), 2, &qdr(2)),
+            Err(ConfigError::Placement {
+                placed: 6,
+                nodes: 2
+            })
+        );
+        assert_eq!(
+            simulate_nodes(&g, &e3_1225(), 0, &qdr(2)),
+            Err(ConfigError::Placement {
+                placed: 6,
+                nodes: 0
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Placement { placed: 2, nodes: 1 }")]
+    fn simulate_rejects_a_second_node() {
+        let mut g = TaskGraph::new();
+        g.add_on(1, 0, flops(1), &[]);
+        simulate(&g, &e3_1225(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "NoFabric")]
+    fn simulate_rejects_fabric_ingress() {
+        let mut g = TaskGraph::new();
+        g.add_on(0, 10, flops(1), &[]);
+        simulate(&g, &e3_1225(), 4);
+    }
+
+    #[test]
+    fn invalid_fabric_rejected() {
+        let g = g_on_node0(1);
+        let fabric = Fabric {
+            net_bw_bytes_per_s: 0.0,
+            ..qdr(2)
+        };
+        assert_eq!(
+            simulate_nodes(&g, &e3_1225(), 2, &fabric),
+            Err(ConfigError::NetBandwidth(0.0))
+        );
+    }
+
+    /// Once a release-build hang: a zero DRAM rate made the step infinite,
+    /// the drained residue NaN, and the loop never finished.
+    #[test]
+    #[should_panic(expected = "DramBandwidth(0.0)")]
+    fn zero_dram_rate_is_rejected_not_hung() {
+        let mut m = e3_1225();
+        m.dram_bw_bytes_per_s = 0.0;
+        let mut g = TaskGraph::new();
+        g.add(TaskCost::new(KernelClass::Elementwise, 10, 1_000, 0), &[]);
+        assert_eq!(
+            simulate_nodes(&g, &m, 1, &qdr(1)),
+            Err(ConfigError::DramBandwidth(0.0))
+        );
+        simulate(&g, &m, 1);
+    }
+
+    #[test]
+    fn determinism_on_a_cluster() {
+        let m = e3_1225();
+        let mut g = TaskGraph::new();
+        let mut prev = Vec::new();
+        for i in 0..30u64 {
+            let deps: Vec<_> = prev.iter().copied().take(2).collect();
+            let cost = TaskCost::new(KernelClass::LeafGemm, i * 1_000_000, i * 10_000, 0);
+            prev.insert(0, g.add_on((i % 3) as usize, i * 100, cost, &deps));
+        }
+        let a = simulate_nodes(&g, &m, 3, &qdr(3)).unwrap();
+        assert_eq!(a, simulate_nodes(&g, &m, 3, &qdr(3)).unwrap());
     }
 }

@@ -128,9 +128,14 @@ impl TaskId {
 pub(crate) struct Node {
     pub(crate) cost: TaskCost,
     pub(crate) deps: Vec<TaskId>,
+    /// Cluster node the task is pinned to (0 on a single machine).
+    pub(crate) node: usize,
+    /// Bytes that must arrive over the fabric before the task starts.
+    pub(crate) net_bytes: u64,
 }
 
-/// A dependency DAG of [`TaskCost`]s.
+/// A dependency DAG of [`TaskCost`]s, each pinned to a cluster node
+/// (node 0 unless placed with [`TaskGraph::add_on`]).
 ///
 /// Acyclicity is guaranteed by construction: a task may only depend on
 /// previously added tasks.
@@ -146,12 +151,29 @@ impl TaskGraph {
         TaskGraph::default()
     }
 
-    /// Adds a task depending on `deps`; returns its id.
+    /// Adds a task on node 0 with no fabric ingress, depending on `deps`;
+    /// returns its id.
     ///
     /// # Panics
     /// Panics if any dependency id has not been returned by a prior `add`
     /// on this graph (which is what makes cycles unrepresentable).
     pub fn add(&mut self, cost: TaskCost, deps: &[TaskId]) -> TaskId {
+        self.add_on(0, 0, cost, deps)
+    }
+
+    /// Adds a task pinned to cluster node `node` whose `net_bytes` of
+    /// operands, produced on other nodes, must cross the fabric before it
+    /// starts. `cost.comm_bytes` stays *intra-node* traffic.
+    ///
+    /// # Panics
+    /// As [`TaskGraph::add`].
+    pub fn add_on(
+        &mut self,
+        node: usize,
+        net_bytes: u64,
+        cost: TaskCost,
+        deps: &[TaskId],
+    ) -> TaskId {
         let id = TaskId(u32::try_from(self.nodes.len()).expect("task graph too large"));
         for d in deps {
             assert!(
@@ -164,6 +186,8 @@ impl TaskGraph {
         self.nodes.push(Node {
             cost,
             deps: deps.to_vec(),
+            node,
+            net_bytes,
         });
         id
     }
@@ -186,6 +210,26 @@ impl TaskGraph {
     /// Dependencies of one task.
     pub fn deps(&self, id: TaskId) -> &[TaskId] {
         &self.nodes[id.index()].deps
+    }
+
+    /// Cluster node one task is pinned to.
+    pub fn node(&self, id: TaskId) -> usize {
+        self.nodes[id.index()].node
+    }
+
+    /// Fabric ingress of one task, in bytes.
+    pub fn net_bytes(&self, id: TaskId) -> u64 {
+        self.nodes[id.index()].net_bytes
+    }
+
+    /// Highest node index any task is pinned to, plus one (0 when empty).
+    pub fn placement_nodes(&self) -> usize {
+        self.nodes.iter().map(|n| n.node + 1).max().unwrap_or(0)
+    }
+
+    /// Sum of fabric ingress bytes over all tasks.
+    pub fn total_net_bytes(&self) -> u64 {
+        self.nodes.iter().map(|n| n.net_bytes).sum()
     }
 
     /// Sum of flops over all tasks.
@@ -248,6 +292,21 @@ mod tests {
     }
 
     #[test]
+    fn add_on_records_node_and_ingress() {
+        let mut g = TaskGraph::new();
+        let a = g.add(TaskCost::compute(KernelClass::PackedGemm, 100), &[]);
+        assert_eq!((g.node(a), g.net_bytes(a), g.placement_nodes()), (0, 0, 1));
+        let b = g.add_on(2, 64, TaskCost::compute(KernelClass::PackedGemm, 50), &[a]);
+        assert_eq!(g.len(), 2);
+        assert_eq!(g.deps(b), &[a]);
+        assert_eq!((g.node(b), g.net_bytes(b)), (2, 64));
+        assert_eq!(g.placement_nodes(), 3);
+        assert_eq!(g.total_flops(), 150);
+        assert_eq!(g.total_net_bytes(), 64);
+        assert_eq!(TaskGraph::new().placement_nodes(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "does not precede")]
     fn forward_dependency_rejected() {
         let mut g = TaskGraph::new();
@@ -255,6 +314,15 @@ mod tests {
         // Fabricate a not-yet-existing id.
         let bogus = TaskId(a.0 + 5);
         g.add(TaskCost::compute(KernelClass::Control, 0), &[bogus]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not precede")]
+    fn add_on_forward_dependency_rejected() {
+        let mut g = TaskGraph::new();
+        let a = g.add_on(1, 0, TaskCost::compute(KernelClass::Control, 0), &[]);
+        let bogus = TaskId(a.0 + 3);
+        g.add_on(1, 8, TaskCost::compute(KernelClass::Control, 0), &[bogus]);
     }
 
     #[test]

@@ -25,7 +25,10 @@ pub fn add_passes(variant: Variant) -> (u64, u64) {
     }
 }
 
-/// `true` when the recursion bottoms out at dimension `n`.
+/// `true` when the recursion bottoms out at dimension `n`: at or below the
+/// cutover size, or at an odd size that cannot split into quadrants. The
+/// one leaf predicate of every Strassen-family executor and plan.
+#[inline]
 pub fn is_leaf(n: usize, cutoff: usize) -> bool {
     n <= cutoff || !n.is_multiple_of(2)
 }

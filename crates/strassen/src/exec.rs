@@ -24,6 +24,7 @@ use crate::accounting::{
     add_pass, record_add, record_level, record_spawns, record_steal_delta, steal_snapshot, sub_pass,
 };
 use crate::config::{StrassenConfig, Variant};
+use crate::cost::is_leaf;
 use powerscale_counters::EventSet;
 use powerscale_gemm::arena;
 use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
@@ -91,12 +92,6 @@ pub fn multiply(
     };
     record_steal_delta(events, pool, snap);
     Ok(result)
-}
-
-/// The recursion reverts to the dense leaf at or below the cutover size
-/// (odd sizes cannot split into quadrants and also go dense).
-fn is_leaf(n: usize, cutoff: usize) -> bool {
-    n <= cutoff || !n.is_multiple_of(2)
 }
 
 /// `c = a · b`, recursively. `c` is fully overwritten.

@@ -16,12 +16,16 @@ use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel}
 /// Operand-formation counts per product for the classic variant (the
 /// executor fuses these into the leaf packing, but the work is still one
 /// pass per operand sum).
-const CLASSIC_PRE: [u64; 7] = [2, 1, 1, 1, 1, 2, 2];
+pub const CLASSIC_PRE: [u64; 7] = [2, 1, 1, 1, 1, 2, 2];
 /// In-place combine passes per C quadrant for the classic variant:
 /// four products land via `Accum::Set` (no pass), the remaining eight
 /// accumulations split as C11 += P1,P4,−P5; C12 += P5; C21 += P4;
 /// C22 += P1,−C21,+C12.
-const CLASSIC_COMBINE: [u64; 4] = [3, 1, 1, 3];
+pub const CLASSIC_COMBINE: [u64; 4] = [3, 1, 1, 3];
+/// Products feeding each C quadrant for the classic variant (indices into
+/// the seven products): C11 = Q1+Q4−Q5+Q7; C12 = Q3+Q5; C21 = Q2+Q4;
+/// C22 = Q1−Q2+Q3+Q6.
+pub const CLASSIC_QUADRANT_INPUTS: [&[usize]; 4] = [&[0, 3, 4, 6], &[2, 4], &[1, 3], &[0, 1, 2, 5]];
 /// Winograd: 8 shared S/T operand passes charged to the first prepare
 /// task, then the per-product extras are zero (products read the shared
 /// S/T values, half of them fused straight into the leaf packing).
@@ -109,8 +113,7 @@ fn emit(
 
     // Which products feed which C quadrant (indices into product_sinks).
     let quadrant_inputs: [&[usize]; 4] = match cfg.variant {
-        // C11 = Q1+Q4-Q5+Q7; C12 = Q3+Q5; C21 = Q2+Q4; C22 = Q1-Q2+Q3+Q6.
-        Variant::Classic => [&[0, 3, 4, 6], &[2, 4], &[1, 3], &[0, 1, 2, 5]],
+        Variant::Classic => CLASSIC_QUADRANT_INPUTS,
         // C11 = P1+P2; C12 = U3+P3; C21 = U2-P4; C22 = U3+P7 where the U
         // chain consumes P1, P5, P6, P7.
         Variant::Winograd => [&[0, 1], &[0, 2, 4, 5], &[0, 3, 5, 6], &[0, 4, 5, 6]],

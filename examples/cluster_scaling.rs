@@ -7,7 +7,7 @@
 //! ```
 
 use powerscale::cluster::study::{run_study, DistAlgorithm};
-use powerscale::cluster::{plans, presets, simulate_cluster};
+use powerscale::cluster::{plans, presets};
 
 fn main() {
     let n: usize = std::env::args()
@@ -58,17 +58,15 @@ fn main() {
         ("QDR InfiniBand", presets::e3_1225_cluster(4)),
         ("gigabit Ethernet", presets::e3_1225_cluster_slow_fabric(4)),
     ] {
-        let caps = simulate_cluster(&plans::dist_caps_graph(n, &cluster), &cluster);
-        let summa = simulate_cluster(
-            &plans::summa_graph(n, &cluster).expect("4 nodes = 2x2"),
-            &cluster,
-        );
+        let simulate = |g| cluster.simulate(&g).expect("preset cluster is valid");
+        let caps = simulate(plans::dist_caps_graph(n, &cluster));
+        let summa = simulate(plans::summa_graph(n, &cluster).expect("4 nodes = 2x2"));
         println!(
             "  {label:<18} CAPS {:.3} s / {:.0} W   SUMMA {:.3} s / {:.0} W   (SUMMA/CAPS time {:.2})",
             caps.makespan,
-            caps.energy.avg_watts(caps.makespan),
+            caps.energy.total_avg_watts(caps.makespan),
             summa.makespan,
-            summa.energy.avg_watts(summa.makespan),
+            summa.energy.total_avg_watts(summa.makespan),
             summa.makespan / caps.makespan
         );
     }

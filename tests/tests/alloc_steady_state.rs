@@ -4,13 +4,15 @@
 //! warm-up invocation populates the thread-local arenas
 //! (`powerscale::gemm::arena`), a second identical invocation must perform
 //! **zero** heap allocations in the DGEMM packing path and exactly one in
-//! the Strassen recursion (the user-visible result matrix).
+//! the Strassen recursion (the user-visible result matrix). The fluid
+//! simulator's per-request call is held to a fixed allocation budget.
 //!
 //! Everything runs inside a single `#[test]` so no sibling test's
 //! allocations bleed into the counters (the harness runs tests on separate
 //! threads, but a single sequential function is unambiguous).
 
 use powerscale::gemm::{arena, dgemm, GemmContext};
+use powerscale::machine::{simulate, KernelClass, TaskCost, TaskGraph};
 use powerscale::matrix::{Matrix, MatrixGen};
 use powerscale::strassen::{self, StrassenConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,4 +102,24 @@ fn steady_state_performs_no_hot_path_allocations() {
         n_allocs, 1,
         "steady-state winograd also allocates only its result"
     );
+
+    // --- Simulator: the per-request power estimate. ---------------------
+    // Serving simulates a few independent fluid shares per request
+    // (`Harness::profile_power`); the engine's bookkeeping is a fixed set
+    // of buffers, not one per task or per event.
+    let machine = powerscale::machine::presets::e3_1225();
+    for threads in 1..=4 {
+        let mut g = TaskGraph::new();
+        for _ in 0..threads {
+            g.add(
+                TaskCost::new(KernelClass::LeafGemm, 1 << 30, 1 << 26, 1 << 10),
+                &[],
+            );
+        }
+        let (n_allocs, _) = allocs_during(|| simulate(&g, &machine, threads));
+        assert!(
+            n_allocs <= 8,
+            "simulate on {threads} cores: {n_allocs} allocations"
+        );
+    }
 }
