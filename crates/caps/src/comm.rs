@@ -11,10 +11,17 @@ pub const OMEGA0: f64 = 2.807354922057604; // log2(7)
 /// The first term is the memory-limited (DFS-heavy) regime; the second is
 /// the memory-rich (BFS-heavy) lower bound.
 pub fn caps_comm_words(n: f64, p: f64, m: f64) -> f64 {
+    let (term_memory, term_bandwidth) = terms(n, p, m);
+    term_memory.max(term_bandwidth)
+}
+
+/// Equation 8's two terms `(memory-limited, bandwidth)`; panics unless
+/// every argument is positive (a NaN is not).
+fn terms(n: f64, p: f64, m: f64) -> (f64, f64) {
     assert!(n > 0.0 && p > 0.0 && m > 0.0, "arguments must be positive");
     let term_memory = n.powf(OMEGA0) / (p * m.powf(OMEGA0 / 2.0 - 1.0));
     let term_bandwidth = n * n / p.powf(2.0 / OMEGA0);
-    term_memory.max(term_bandwidth)
+    (term_memory, term_bandwidth)
 }
 
 /// Classic 2D-algorithm communication for comparison: `n² / √p` words per
@@ -34,10 +41,10 @@ pub enum CommRegime {
     BandwidthBound,
 }
 
-/// Which term of Equation 8 dominates.
+/// Which term of Equation 8 dominates. Panics unless every argument is
+/// positive, like [`caps_comm_words`].
 pub fn regime(n: f64, p: f64, m: f64) -> CommRegime {
-    let term_memory = n.powf(OMEGA0) / (p * m.powf(OMEGA0 / 2.0 - 1.0));
-    let term_bandwidth = n * n / p.powf(2.0 / OMEGA0);
+    let (term_memory, term_bandwidth) = terms(n, p, m);
     if term_memory > term_bandwidth {
         CommRegime::MemoryLimited
     } else {
@@ -98,5 +105,13 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive() {
         let _ = caps_comm_words(0.0, 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn regime_rejects_nonpositive() {
+        // Once answered `BandwidthBound` without checking, as did p = 0
+        // and m = NaN; all now share `caps_comm_words`'s assert.
+        let _ = regime(0.0, 1.0, 1.0);
     }
 }

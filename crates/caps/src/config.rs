@@ -14,14 +14,6 @@ pub struct CapsConfig {
     /// Workers the DFS work-sharing splits loops across (the paper's
     /// 4-core testbed).
     pub dfs_ways: usize,
-    /// Install the strict seven-group worker layout for the BFS phase
-    /// (one disjoint processor group per root sub-product, each root task
-    /// pinned to its group) when the pool is wide enough. On by default —
-    /// it is the paper's placement discipline; turning it off reverts the
-    /// BFS phase to free-for-all work stealing, which is the ablation arm
-    /// of the group-affinity study and lets the test matrix exercise both
-    /// schedules on the same pool.
-    pub group_affine: bool,
     /// Kernel selection and leaf mode every leaf product runs under.
     pub dispatch: Dispatch,
 }
@@ -32,7 +24,6 @@ impl Default for CapsConfig {
             cutoff: 64,
             cutoff_depth: 4,
             dfs_ways: 4,
-            group_affine: true,
             dispatch: Dispatch::default(),
         }
     }
@@ -40,8 +31,8 @@ impl Default for CapsConfig {
 
 impl CapsConfig {
     /// The Strassen configuration equivalent to this one (classic variant,
-    /// task spawning bounded by the BFS depth) — used to share the cost
-    /// recurrences.
+    /// task spawning bounded by the BFS depth) — what the shared walker,
+    /// plan and cost recurrences run CAPS under.
     pub fn as_strassen(&self) -> powerscale_strassen::StrassenConfig {
         powerscale_strassen::StrassenConfig {
             cutoff: self.cutoff,

@@ -12,6 +12,13 @@
 //!   sequence*, each fully parallelised across all workers by loop
 //!   work-sharing (row bands), so no task — and no operand — migrates.
 //!
+//! There is no second recursion here: CAPS is `powerscale-strassen`'s one
+//! walker run under a BFS/DFS [`Schedule`](powerscale_strassen::Schedule),
+//! for real matrices ([`multiply`]) and for the simulated machine
+//! ([`caps_graph`]). The schedule names the row-band dense cutover, the
+//! pinning of the seven root products onto seven worker groups, and the
+//! plan's migration prices; the arithmetic is Strassen's, bit for bit.
+//!
 //! The total communication obeys the paper's Equation 8,
 //! `max(n^ω₀ / (P·M^(ω₀/2−1)), n² / P^(2/ω₀))` with ω₀ = log₂ 7
 //! (implemented in [`comm`]), which is what the experiments trace against
@@ -37,6 +44,7 @@ pub mod comm;
 mod config;
 mod exec;
 pub mod plan;
+mod schedule;
 
 pub use config::CapsConfig;
 pub use exec::multiply;

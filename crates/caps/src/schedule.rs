@@ -1,0 +1,151 @@
+//! The CAPS schedule: BFS steps above the cutoff depth, DFS steps below it
+//! (paper §IV-C, Figure 2).
+//!
+//! CAPS is Strassen's recursion run under [`BfsDfs`]: the executor is
+//! [`powerscale_strassen::multiply_with`] and the plan is
+//! [`powerscale_strassen::plan::graph`]. The walker fixes the arithmetic,
+//! so a CAPS product is bitwise a Strassen product with the same cutoff;
+//! the schedule decides only
+//!
+//! * **the dense cutover** — a leaf is work-shared over row bands across
+//!   all workers (the OpenMP work-sharing of the paper's DFS steps), so no
+//!   task and no operand migrates below the cutoff depth;
+//! * **placement** — with the seven-group worker layout installed, each
+//!   root BFS product is seeded onto its group's first worker, and strict
+//!   stealing keeps its descendants inside the group;
+//! * **the plan's prices** — BFS steps place operands deterministically,
+//!   so sub-results stay group-local and combine steps pull about half the
+//!   operand volume a steal-scheduled Strassen combine does; DFS subtrees
+//!   are `dfs_ways` fluid band tasks carrying equal shares of the work
+//!   (the fluid-model image of work-sharing) with **zero** communication,
+//!   where the Strassen plan's inline subtrees each pay a full operand
+//!   migration.
+
+use powerscale_counters::EventSet;
+use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
+use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
+use powerscale_matrix::MatrixViewMut;
+use powerscale_pool::ThreadPool;
+use powerscale_strassen::{resolve_operand, Schedule, StrassenConfig};
+use powerscale_trace::{span_args, Category, SpanGuard};
+
+/// The BFS/DFS schedule of one CAPS multiply.
+pub(crate) struct BfsDfs {
+    /// Workers a DFS step's loops are shared across.
+    pub(crate) dfs_ways: usize,
+    /// The worker each root product is seeded onto (its group's first),
+    /// when the seven-group layout is installed.
+    pub(crate) seed: Option<[usize; 7]>,
+}
+
+impl BfsDfs {
+    /// Fraction of a BFS step's operand volume that migrates at `depth`:
+    /// there are 7^depth concurrent sub-problems, so once they outnumber
+    /// the workers the split is core-local and (almost) nothing crosses.
+    /// This factor is the "communication avoiding" in CAPS.
+    fn placement(&self, depth: u32) -> f64 {
+        (self.dfs_ways as f64 / 7f64.powi(depth as i32)).min(1.0)
+    }
+}
+
+impl Schedule for BfsDfs {
+    /// Work-shared `c (accum)= a · b` over row bands.
+    ///
+    /// A fused A operand bands along with its row range
+    /// ([`Operand::sub_rows`]); band boundaries leave every element's
+    /// k-accumulation order unchanged, so banded results are bitwise
+    /// identical to an unsplit leaf. A fused B operand would be repacked in
+    /// full by every band, so it is evaluated once up front instead (one
+    /// accounted pass — exactly what an unsplit fused leaf charges) and the
+    /// bands pack the plain view.
+    fn leaf(
+        &self,
+        a: Operand<'_>,
+        b: Operand<'_>,
+        c: &mut MatrixViewMut<'_>,
+        accum: Accum,
+        cfg: &StrassenConfig,
+        pool: Option<&ThreadPool>,
+        events: Option<&EventSet>,
+    ) {
+        let (ways, dispatch) = (self.dfs_ways, cfg.dispatch);
+        let _span = span_args(Category::Caps, "shared_leaf", ways as u32, c.rows() as u32);
+        match pool {
+            Some(p) if ways > 1 && c.rows() >= 2 * ways => {
+                let bm = resolve_operand(b, c.cols(), pool, events);
+                let b = Operand::View(bm.view());
+                let bands = c.reborrow().split_row_bands(ways);
+                let mut row0 = 0usize;
+                p.scope(|s| {
+                    for mut band in bands {
+                        let asub = a.sub_rows(row0, band.rows()).expect("band rows within A");
+                        row0 += band.rows();
+                        s.spawn(move |_| {
+                            leaf_gemm_fused_with(dispatch, asub, b, &mut band, accum, events)
+                                .expect("band shapes valid by construction");
+                        });
+                    }
+                });
+            }
+            _ => {
+                leaf_gemm_fused_with(dispatch, a, b, c, accum, events)
+                    .expect("leaf shapes valid by construction");
+            }
+        }
+    }
+
+    fn pin(&self, depth: u32, index: usize) -> Option<usize> {
+        self.seed
+            .filter(|_| depth == 0)
+            .map(|workers| workers[index])
+    }
+
+    fn node_span(&self, parallel: bool, depth: u32, n: usize) -> SpanGuard {
+        let name = if parallel { "bfs" } else { "dfs" };
+        span_args(Category::Caps, name, depth, (n / 2) as u32)
+    }
+
+    fn plan_leaf(
+        &self,
+        g: &mut TaskGraph,
+        leaf: TaskCost,
+        inline: bool,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
+        // A leaf inside a BFS task belongs to that task outright; a DFS
+        // leaf is work-shared across all workers.
+        let ways = if inline { self.dfs_ways } else { 1 };
+        g.add_shared(0, 0, leaf.class, leaf.flops, leaf.dram_bytes, ways, deps)
+    }
+
+    fn plan_inline(
+        &self,
+        g: &mut TaskGraph,
+        _n: usize,
+        flops: u64,
+        dram: u64,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
+        g.add_shared(
+            0,
+            0,
+            KernelClass::LeafGemm,
+            flops,
+            dram,
+            self.dfs_ways,
+            deps,
+        )
+    }
+
+    fn prepare_comm(&self, depth: u32, hh: u64) -> u64 {
+        // Operands are partitioned to the sub-problem's workers once.
+        (2.0 * 8.0 * hh as f64 * self.placement(depth)) as u64
+    }
+
+    fn combine_comm(&self, depth: u32, inputs: usize, hh: u64) -> u64 {
+        // Combines pull group-local results: scaled by the same placement
+        // factor, halved again because the consuming quadrant lives in one
+        // of the producing groups.
+        (inputs as f64 * 8.0 * hh as f64 * self.placement(depth) / 2.0) as u64
+    }
+}

@@ -44,14 +44,15 @@ fn emit_caps(
         // the node's cores (the SMP study's DFS image).
         let flops = scost::total_flops(n, &scfg);
         let dram = scost::dram_bytes_effective(n, &scfg, tm);
-        let ways = cfg.dfs_ways.max(1) as u64;
-        let mut ids = Vec::with_capacity(ways as usize);
-        for w in 0..ways {
-            let f = flops / ways + u64::from(w < flops % ways);
-            let b = dram / ways + u64::from(w < dram % ways);
-            ids.push(g.add_on(base, 0, TaskCost::new(KernelClass::LeafGemm, f, b, 0), deps));
-        }
-        return ids;
+        return g.add_shared(
+            base,
+            0,
+            KernelClass::LeafGemm,
+            flops,
+            dram,
+            cfg.dfs_ways,
+            deps,
+        );
     }
 
     // BFS step across the node group.
@@ -120,7 +121,6 @@ pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<TaskGraph> {
     }
     let nb = n / q;
     let tm = cluster.node.traffic_model();
-    let cores = cluster.node.cores.max(1) as u64;
     let mut g = TaskGraph::new();
     // Per node: chain of q step-task groups (C accumulates).
     let mut prev_step: Vec<Vec<TaskId>> = vec![Vec::new(); cluster.nodes];
@@ -143,17 +143,15 @@ pub fn summa_graph(n: usize, cluster: &ClusterConfig) -> Option<TaskGraph> {
                 let dram = tm.effective_bytes(3 * 8 * (nb * nb) as u64, raw);
                 // Work-share the local block product across node cores;
                 // the network ingress is charged to the first band.
-                for w in 0..cores {
-                    let f = flops / cores + u64::from(w < flops % cores);
-                    let b = dram / cores + u64::from(w < dram % cores);
-                    let id = g.add_on(
-                        node,
-                        if w == 0 { net } else { 0 },
-                        TaskCost::new(KernelClass::PackedGemm, f, b, 0),
-                        &prev_step[node],
-                    );
-                    this_step[node].push(id);
-                }
+                this_step[node] = g.add_shared(
+                    node,
+                    net,
+                    KernelClass::PackedGemm,
+                    flops,
+                    dram,
+                    cluster.node.cores,
+                    &prev_step[node],
+                );
             }
         }
         prev_step = this_step;

@@ -192,6 +192,36 @@ impl TaskGraph {
         id
     }
 
+    /// Adds one work-shared loop nest on cluster node `node`: `ways` equal
+    /// fluid shares of `(flops, dram_bytes)` of kernel `class` (the
+    /// remainder goes to the first shares, so totals are exact), with the
+    /// `net_bytes` of fabric ingress charged to share 0. Returns every
+    /// share's id.
+    ///
+    /// # Panics
+    /// As [`TaskGraph::add`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn add_shared(
+        &mut self,
+        node: usize,
+        net_bytes: u64,
+        class: KernelClass,
+        flops: u64,
+        dram_bytes: u64,
+        ways: usize,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
+        let ways = ways.max(1) as u64;
+        (0..ways)
+            .map(|w| {
+                let f = flops / ways + u64::from(w < flops % ways);
+                let b = dram_bytes / ways + u64::from(w < dram_bytes % ways);
+                let net = if w == 0 { net_bytes } else { 0 };
+                self.add_on(node, net, TaskCost::new(class, f, b, 0), deps)
+            })
+            .collect()
+    }
+
     /// Number of tasks.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -304,6 +334,23 @@ mod tests {
         assert_eq!(g.total_flops(), 150);
         assert_eq!(g.total_net_bytes(), 64);
         assert_eq!(TaskGraph::new().placement_nodes(), 0);
+    }
+
+    #[test]
+    fn add_shared_splits_exactly_and_charges_ingress_once() {
+        let mut g = TaskGraph::new();
+        let a = g.add(TaskCost::compute(KernelClass::Control, 0), &[]);
+        let ids = g.add_shared(2, 96, KernelClass::LeafGemm, 103, 57, 4, &[a]);
+        assert_eq!(ids.len(), 4);
+        let flops: Vec<u64> = ids.iter().map(|&id| g.cost(id).flops).collect();
+        let dram: Vec<u64> = ids.iter().map(|&id| g.cost(id).dram_bytes).collect();
+        assert_eq!((flops, dram), (vec![26, 26, 26, 25], vec![15, 14, 14, 14]));
+        let net: Vec<u64> = ids.iter().map(|&id| g.net_bytes(id)).collect();
+        assert_eq!(net, vec![96, 0, 0, 0]);
+        assert!(ids.iter().all(|&id| g.node(id) == 2 && g.deps(id) == [a]));
+        assert!(ids.iter().all(|&id| g.cost(id).comm_bytes == 0));
+        // Zero ways still emits the work, as one share.
+        assert_eq!(g.add_shared(0, 0, KernelClass::Pack, 9, 9, 0, &[]).len(), 1);
     }
 
     #[test]

@@ -60,12 +60,11 @@ impl StrassenConfig {
         Ok(())
     }
 
-    /// Quadrant adds per recursion level for the configured variant.
+    /// Quadrant adds per recursion level for the configured variant: the
+    /// operand and combine passes of [`crate::cost::add_passes`].
     pub fn adds_per_level(&self) -> u32 {
-        match self.variant {
-            Variant::Classic => 18,
-            Variant::Winograd => 15,
-        }
+        let (pre, combine) = crate::cost::add_passes(self.variant);
+        (pre + combine) as u32
     }
 }
 

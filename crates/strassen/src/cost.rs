@@ -11,7 +11,7 @@
 //! 8 and 7 (15 passes). Operand sums are packed directly into the leaf
 //! GEMM's buffers and products accumulate into the quadrants they feed, so
 //! no accumulate-form splitting inflates the counts
-//! ([`StrassenConfig::adds_per_level`] agrees with these totals).
+//! ([`StrassenConfig::adds_per_level`] is read from [`add_passes`]).
 
 use crate::config::{StrassenConfig, Variant};
 

@@ -20,6 +20,11 @@
 //! depth, and report their work through [`powerscale_counters::EventSet`].
 //! [`plan`] emits the equivalent task graph for the simulated machine.
 //!
+//! The recursion exists once. Its executor and its plan are generic over a
+//! [`Schedule`]: [`multiply`] and [`strassen_graph_with`] run it under the
+//! BOTS [`Untied`] schedule, and `powerscale-caps` runs the same walker
+//! under its BFS/DFS schedule.
+//!
 //! # Example
 //!
 //! ```
@@ -42,7 +47,9 @@ pub mod cost;
 mod exec;
 pub mod memory;
 pub mod plan;
+pub mod schedule;
 
 pub use config::{StrassenConfig, Variant};
-pub use exec::{multiply, resolve_operand, Resolved};
+pub use exec::{multiply, multiply_with, resolve_operand, Resolved};
 pub use plan::{strassen_graph, strassen_graph_with};
+pub use schedule::{Schedule, Untied};

@@ -7,24 +7,27 @@
 //! footprints, letting the harness *derive* the paper's size ceiling
 //! instead of just asserting it.
 //!
-//! Accounting matches [`crate::exec`]'s allocation pattern:
+//! The model is the BOTS textbook footprint, the one §VI-A's 4096 ceiling
+//! is derived from:
 //!
-//! * every internal recursion node allocates seven `h × h` product
-//!   buffers (`Q1..Q7` / `P1..P7`);
-//! * classic products each allocate up to two `h × h` operand
-//!   temporaries; Winograd allocates eight shared `S/T` buffers per node
-//!   plus three `U` combine temporaries;
+//! * every internal recursion node holds seven `h × h` product buffers
+//!   (`Q1..Q7` / `P1..P7`);
+//! * classic products each hold up to two `h × h` operand temporaries;
+//!   Winograd holds eight shared `S/T` buffers per node plus three `U`
+//!   combine temporaries;
 //! * buffers are allocated when a task *executes* (untied-task
 //!   semantics), so a parallel run keeps at most one root-to-leaf path of
 //!   buffers live per worker; a sequential run keeps exactly one.
 //!
-//! The executor now leases these buffers from per-thread recycling arenas
-//! ([`powerscale_gemm::arena`]) rather than calling the allocator at each
-//! node. That changes *allocator traffic* (steady state performs none),
-//! not the footprint model: a lease is live for exactly the interval the
-//! old allocation was, and each thread's free list is bounded by the same
-//! one-root-to-leaf-path working set, so the peak-bytes accounting below
-//! is unchanged.
+//! It is an **upper bound** on what the walker behind [`crate::multiply`]
+//! actually leases from its per-thread recycling arenas
+//! ([`powerscale_gemm::arena`]): one half-size scratch per sequential
+//! Classic node, three per spawned Classic node, and at most two resolved
+//! operand temporaries per non-leaf child (a leaf child's operand sums are
+//! fused into its packing and never materialised). Winograd leases three
+//! per sequential node and seven per spawned one, plus one merge temporary
+//! per accumulating non-leaf child. The figures below keep the textbook
+//! model; they have not been reconciled with a measured peak.
 
 use crate::config::{StrassenConfig, Variant};
 use crate::cost::is_leaf;

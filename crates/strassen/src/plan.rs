@@ -3,14 +3,19 @@
 //! The emitted graph mirrors the real executor's task structure: at every
 //! spawned level, seven *prepare* tasks (the product's operand additions,
 //! which also carry the **communication cost** of migrating the quadrant
-//! operands to whichever core runs the product — classic Strassen's
-//! scheduling is placement-oblivious, so every spawned product pays it),
-//! the seven sub-product subtrees, and four per-quadrant *combine* tasks.
-//! Below the task-spawn depth the whole subtree is aggregated into one
-//! sequential task, exactly as the real executor runs it inline.
+//! operands to whichever core runs the product), the seven sub-product
+//! subtrees, and four per-quadrant *combine* tasks. Below the task-spawn
+//! depth the whole subtree is emitted as the schedule runs it inline.
+//!
+//! Like the executor, the emitter walks one recursion under a
+//! [`Schedule`], which prices the leaves, the inline subtrees and the
+//! migration volumes. Under [`Untied`] (classic Strassen, [`strassen_graph`])
+//! scheduling is placement-oblivious: every spawned product pays a full
+//! migration and an inline subtree is one sequential task.
 
 use crate::config::{StrassenConfig, Variant};
 use crate::cost;
+use crate::schedule::{Schedule, Untied};
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
 
 /// Operand-formation counts per product for the classic variant (the
@@ -44,24 +49,37 @@ pub fn strassen_graph(n: usize, cfg: &StrassenConfig) -> TaskGraph {
 /// Like [`strassen_graph`] with an explicit LLC traffic model (usually
 /// `machine.traffic_model()`).
 pub fn strassen_graph_with(n: usize, cfg: &StrassenConfig, tm: &TrafficModel) -> TaskGraph {
+    graph(n, cfg, &Untied, tm)
+}
+
+/// The task graph of an `n × n` multiply under `cfg`, scheduled by
+/// `sched`, with an explicit LLC traffic model.
+pub fn graph<S: Schedule>(
+    n: usize,
+    cfg: &StrassenConfig,
+    sched: &S,
+    tm: &TrafficModel,
+) -> TaskGraph {
     let mut g = TaskGraph::new();
     if n == 0 {
         return g;
     }
-    emit(&mut g, n, 0, cfg, tm, &[]);
+    emit(&mut g, n, 0, cfg, sched, tm, &[]);
     g
 }
 
 /// Emits the subtree for one `n × n` product; returns the tasks whose
 /// completion makes the product's result available.
-fn emit(
+fn emit<S: Schedule>(
     g: &mut TaskGraph,
     n: usize,
     depth: u32,
     cfg: &StrassenConfig,
+    sched: &S,
     tm: &TrafficModel,
     deps: &[TaskId],
 ) -> Vec<TaskId> {
+    let inline = depth >= cfg.task_depth;
     if cost::is_leaf(n, cfg.cutoff) {
         let d = n as u64;
         let leaf = TaskCost::new(
@@ -70,19 +88,12 @@ fn emit(
             tm.effective_bytes(4 * 8 * d * d, 32 * d * d),
             0,
         );
-        return vec![g.add(leaf, deps)];
+        return sched.plan_leaf(g, leaf, inline, deps);
     }
-    if depth >= cfg.task_depth {
-        // Inline subtree: one sequential task carrying all of its work.
-        // Multiplies dominate the flop stream (LeafGemm efficiency); the
-        // add passes contribute their bytes to the memory stream.
-        let cost = TaskCost::new(
-            KernelClass::LeafGemm,
-            cost::total_flops(n, cfg),
-            cost::dram_bytes_effective(n, cfg, tm),
-            2 * 8 * (n * n) as u64, // operands migrate to the task once
-        );
-        return vec![g.add(cost, deps)];
+    if inline {
+        let flops = cost::total_flops(n, cfg);
+        let dram = cost::dram_bytes_effective(n, cfg, tm);
+        return sched.plan_inline(g, n, flops, dram, deps);
     }
 
     let h = (n / 2) as u64;
@@ -92,22 +103,21 @@ fn emit(
         Variant::Winograd => (&WINOGRAD_PRE, &WINOGRAD_COMBINE),
     };
 
+    let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
     let mut product_sinks: Vec<Vec<TaskId>> = Vec::with_capacity(7);
     for &pre in pre_counts.iter() {
         // Prepare task: the product's operand adds plus the migration of
-        // its two half-size operands (classic Strassen pays this at every
-        // spawned level — the communication CAPS avoids).
-        let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
+        // its two half-size operands, as the schedule prices it.
         let prepare = g.add(
             TaskCost::new(
                 KernelClass::Elementwise,
                 pre * hh,
                 pre * per_pass,
-                2 * 8 * hh,
+                sched.prepare_comm(depth, hh),
             ),
             deps,
         );
-        let sinks = emit(g, n / 2, depth + 1, cfg, tm, &[prepare]);
+        let sinks = emit(g, n / 2, depth + 1, cfg, sched, tm, &[prepare]);
         product_sinks.push(sinks);
     }
 
@@ -127,15 +137,12 @@ fn emit(
         }
         cdeps.sort_unstable();
         cdeps.dedup();
-        let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
         let combine = g.add(
             TaskCost::new(
                 KernelClass::Elementwise,
                 passes * hh,
                 passes * per_pass,
-                // Products land wherever their core was; the combine pulls
-                // them across: one half-size operand per consumed product.
-                quadrant_inputs[q].len() as u64 * 8 * hh,
+                sched.combine_comm(depth, quadrant_inputs[q].len(), hh),
             ),
             &cdeps,
         );

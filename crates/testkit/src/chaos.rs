@@ -147,8 +147,8 @@ pub fn chaos_strassen(pool: &ThreadPool, cfg: &ChaosConfig) -> ChaosReport {
     chaos_batch(pool, cfg, "strassen", &mul)
 }
 
-/// Chaos batch over the CAPS traversal. On a pool of ≥ 7 workers the
-/// group-affine arm installs strict groups *inside* every adversarial
+/// Chaos batch over the CAPS traversal. On a pool of ≥ 7 workers CAPS
+/// installs its strict seven-group layout *inside* every adversarial
 /// schedule, so the batch doubles as a fuzz of the strict-steal put-back
 /// path under forced cross-group probing.
 pub fn chaos_caps(pool: &ThreadPool, cfg: &ChaosConfig) -> ChaosReport {

@@ -8,10 +8,9 @@
 //! | algorithm   | blocked GEMM, Strassen (classic), CAPS        |
 //! | leaf mode   | fused operand packing / unfused (Strassen, CAPS) |
 //! | kernel      | scalar tier / SIMD tier                       |
-//! | placement   | group-affine / free stealing (CAPS)           |
 //! | distribution| single SMP / simulated 2- and 7-node clusters (CAPS) |
 //!
-//! — 18 candidate runs per matrix size, each scored by
+//! — 14 candidate runs per matrix size, each scored by
 //! [`max_rel_error`](crate::oracle::max_rel_error) against a single
 //! oracle product computed once. The kernel tier and leaf mode are fields
 //! of the explicit [`Dispatch`] each run carries in its config — nothing
@@ -44,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 enum Algo {
     Blocked,
     Strassen,
-    Caps { group_affine: bool },
+    Caps,
     DistCaps { nodes: usize },
 }
 
@@ -82,12 +81,6 @@ impl Sweep {
     /// Runs one cell on `pool` and scores it against the oracle.
     fn rel_err(&self, cell: &Cell, pool: &ThreadPool) -> f64 {
         let (a, b, dispatch) = (&self.a, &self.b, cell.dispatch);
-        let caps = |group_affine| CapsConfig {
-            cutoff: self.cutoff,
-            group_affine,
-            dispatch,
-            ..CapsConfig::default()
-        };
         let c = match cell.algo {
             Algo::Blocked => {
                 let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -105,14 +98,15 @@ impl Sweep {
                 powerscale_strassen::multiply(&a.view(), &b.view(), &cfg, Some(pool), None)
                     .expect("strassen dimensions")
             }
-            Algo::Caps { group_affine } => powerscale_caps::multiply(
-                &a.view(),
-                &b.view(),
-                &caps(group_affine),
-                Some(pool),
-                None,
-            )
-            .expect("caps dimensions"),
+            Algo::Caps => {
+                let cfg = CapsConfig {
+                    cutoff: self.cutoff,
+                    dispatch,
+                    ..CapsConfig::default()
+                };
+                powerscale_caps::multiply(&a.view(), &b.view(), &cfg, Some(pool), None)
+                    .expect("caps dimensions")
+            }
             // Distributed CAPS over simulated message passing: the
             // transport is in the loop and node-local leaves run the
             // cell's dispatch (the distributed executor keeps its
@@ -179,8 +173,8 @@ pub struct DiffConfig {
     pub n: usize,
     /// Seed of the operand generator.
     pub seed: u64,
-    /// Pool width for the parallel runs (≥ 7 exercises the CAPS
-    /// group-affine arm).
+    /// Pool width for the parallel runs (≥ 7 installs CAPS's seven
+    /// worker groups).
     pub threads: usize,
     /// Acceptance bound on the max-norm relative error of every case.
     pub tol: f64,
@@ -250,14 +244,11 @@ pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
                 algo: Algo::Strassen,
                 dispatch: dispatch_at(tier, unfused),
             });
-            for group_affine in [true, false] {
-                let gl = if group_affine { "affine" } else { "free" };
-                cells.push(Cell {
-                    label: format!("caps/{ll}/{tl}/{gl}"),
-                    algo: Algo::Caps { group_affine },
-                    dispatch: dispatch_at(tier, unfused),
-                });
-            }
+            cells.push(Cell {
+                label: format!("caps/{ll}/{tl}"),
+                algo: Algo::Caps,
+                dispatch: dispatch_at(tier, unfused),
+            });
         }
     }
     for nodes in [2usize, 7] {
@@ -284,7 +275,7 @@ pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
 /// failures (not just the first) with their observed errors.
 pub fn assert_differential(cfg: &DiffConfig) {
     let cases = run_differential(cfg);
-    assert_eq!(cases.len(), 18, "configuration matrix shrank unexpectedly");
+    assert_eq!(cases.len(), 14, "configuration matrix shrank unexpectedly");
     let failures: Vec<String> = cases
         .iter()
         .filter(|c| c.rel_err > cfg.tol || c.rel_err.is_nan())
@@ -459,15 +450,15 @@ mod tests {
             ..DiffConfig::for_size(64)
         };
         let cases = run_differential(&cfg);
-        assert_eq!(cases.len(), 18);
+        assert_eq!(cases.len(), 14);
         let labels: Vec<&str> = cases.iter().map(|c| c.label.as_str()).collect();
         for expected in [
             "blocked/scalar",
             "blocked/simd",
             "strassen/fused/scalar",
             "strassen/unfused/simd",
-            "caps/fused/scalar/affine",
-            "caps/unfused/simd/free",
+            "caps/fused/scalar",
+            "caps/unfused/simd",
         ] {
             assert!(labels.contains(&expected), "missing case {expected}");
         }

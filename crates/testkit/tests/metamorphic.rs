@@ -77,7 +77,6 @@ fn caps_satisfies_the_identities() {
         cutoff: 16,
         cutoff_depth: 2,
         dfs_ways: 2,
-        group_affine: true,
         ..Default::default()
     };
     assert_identities("caps", &|a, b| {

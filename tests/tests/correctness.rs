@@ -131,6 +131,9 @@ fn thread_count_never_changes_bits() {
         let c = powerscale::caps::multiply(&a.view(), &b.view(), &ccfg, Some(&pool), None).unwrap();
         assert_eq!(s, s1, "strassen changed bits at {workers} workers");
         assert_eq!(c, c1, "caps changed bits at {workers} workers");
+        // One walker under two schedules (seven workers install CAPS's
+        // groups): CAPS is bitwise the sequential Strassen product.
+        assert_eq!(c, s1, "caps left strassen's bits at {workers} workers");
     }
 }
 
