@@ -32,7 +32,7 @@ fn print_ablations() {
     for depth in 0..=5u32 {
         let cfg = CapsConfig {
             cutoff_depth: depth,
-            ..Default::default()
+            ..CapsConfig::paper()
         };
         let g = powerscale::caps::caps_graph_with(2048, &cfg, &tm);
         let s = simulate(&g, &m, 4);
@@ -45,7 +45,7 @@ fn print_ablations() {
     }
 
     println!("\n[ablation] Classic vs Winograd flops (n=4096, cutoff 64):");
-    let classic = StrassenConfig::default();
+    let classic = StrassenConfig::paper();
     let winograd = classic.winograd();
     println!(
         "  classic  {} flops | winograd {} flops",
@@ -63,7 +63,7 @@ fn print_ablations() {
         );
         let sg = powerscale::strassen::strassen_graph_with(
             1024,
-            &StrassenConfig::default(),
+            &StrassenConfig::paper(),
             &machine.traffic_model(),
         );
         let tb = simulate(&bg, machine, 4).makespan;
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
             |b, &depth| {
                 let cfg = CapsConfig {
                     cutoff_depth: depth,
-                    ..Default::default()
+                    ..CapsConfig::paper()
                 };
                 b.iter(|| {
                     let g = powerscale::caps::caps_graph_with(1024, &cfg, &tm);

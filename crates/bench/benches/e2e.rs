@@ -4,7 +4,9 @@
 //! Unlike the `kernels` microbench this times whole multiplies — packing,
 //! quadrant adds, recursion, scheduling — so the fused-packing and
 //! group-affine-scheduling work has an end-to-end number, not just a
-//! register-tile number. Results land in `artifacts/BENCH_e2e.json`.
+//! register-tile number. Strassen and CAPS run the paper's configuration
+//! (cutoff 64), so every size recurses and the committed baseline stays
+//! comparable. Results land in `artifacts/BENCH_e2e.json`.
 //!
 //! Environment knobs (all optional):
 //! - `POWERSCALE_E2E_SIZES`    comma list, default `512,1024,2048`
@@ -122,7 +124,7 @@ fn main() {
 
             let classic = StrassenConfig {
                 dispatch,
-                ..StrassenConfig::default()
+                ..StrassenConfig::paper()
             };
             let strassen_cfgs = [
                 ("strassen_classic", classic),
@@ -151,7 +153,7 @@ fn main() {
 
             let caps_cfg = CapsConfig {
                 dispatch,
-                ..CapsConfig::default()
+                ..CapsConfig::paper()
             };
             let mut out = Matrix::zeros(n, n);
             let secs = best_of(reps, || {

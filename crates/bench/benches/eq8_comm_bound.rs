@@ -22,10 +22,9 @@ fn bench(c: &mut Criterion) {
     let machine = powerscale::machine::presets::e3_1225();
     let tm = machine.traffic_model();
     for n in [512usize, 1024, 2048, 4096] {
-        let s = powerscale::strassen::strassen_graph_with(n, &StrassenConfig::default(), &tm)
+        let s = powerscale::strassen::strassen_graph_with(n, &StrassenConfig::paper(), &tm)
             .total_comm_bytes();
-        let cp =
-            powerscale::caps::caps_graph_with(n, &CapsConfig::default(), &tm).total_comm_bytes();
+        let cp = powerscale::caps::caps_graph_with(n, &CapsConfig::paper(), &tm).total_comm_bytes();
         println!(
             "  n={n:<5} strassen {s:>12}  caps {cp:>12}  (caps/strassen {:.2})",
             cp as f64 / s as f64
@@ -39,7 +38,7 @@ fn bench(c: &mut Criterion) {
     });
     group.sample_size(10);
     group.bench_function("caps_graph_2048", |b| {
-        b.iter(|| powerscale::caps::caps_graph_with(2048, &CapsConfig::default(), &tm))
+        b.iter(|| powerscale::caps::caps_graph_with(2048, &CapsConfig::paper(), &tm))
     });
     group.finish();
 }

@@ -81,7 +81,7 @@ fn bench_parallel_paths(c: &mut Criterion) {
             powerscale::strassen::multiply(
                 &a.view(),
                 &b.view(),
-                &StrassenConfig::default(),
+                &StrassenConfig::paper(),
                 Some(&pool),
                 None,
             )
@@ -93,7 +93,7 @@ fn bench_parallel_paths(c: &mut Criterion) {
             powerscale::caps::multiply(
                 &a.view(),
                 &b.view(),
-                &CapsConfig::default(),
+                &CapsConfig::paper(),
                 Some(&pool),
                 None,
             )

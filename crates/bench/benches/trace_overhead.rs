@@ -51,7 +51,9 @@ fn main() {
     let mut gen = MatrixGen::new(42);
     let a = gen.paper_operand(n);
     let b = gen.paper_operand(n);
-    let cfg = StrassenConfig::default();
+    // The paper's cutoff 64: at n = 1024 that is 400 recursion-node and
+    // 2401 leaf spans, the per-span cost this gate bounds.
+    let cfg = StrassenConfig::paper();
     let mut sink = 0.0f64;
     let mul = |sink: &mut f64| {
         let c = powerscale::strassen::multiply(&a.view(), &b.view(), &cfg, Some(&pool), None)

@@ -6,7 +6,8 @@ use powerscale_gemm::Dispatch;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapsConfig {
     /// Dense-solver cutover dimension (shared with the Strassen study; the
-    /// paper uses 64).
+    /// paper uses 64, the executed default is the dispatched kernel's rule,
+    /// [`powerscale_strassen::cost::executed_cutoff`]).
     pub cutoff: usize,
     /// Tree depth below which steps are BFS; at or beyond it they are DFS
     /// (the paper settles on 4 after "much empirical testing").
@@ -19,17 +20,30 @@ pub struct CapsConfig {
 }
 
 impl Default for CapsConfig {
+    /// The executed configuration: [`CapsConfig::paper`] with the cutoff
+    /// of [`powerscale_strassen::StrassenConfig::default`].
     fn default() -> Self {
+        let paper = CapsConfig::paper();
         CapsConfig {
-            cutoff: 64,
-            cutoff_depth: 4,
-            dfs_ways: 4,
-            dispatch: Dispatch::default(),
+            cutoff: powerscale_strassen::cost::executed_cutoff(paper.dispatch.kernel()),
+            ..paper
         }
     }
 }
 
 impl CapsConfig {
+    /// The paper's configuration: cutoff 64, cutoff depth 4, four DFS ways.
+    /// Every simulated artifact, paper claim and pinned recursion shape uses
+    /// it.
+    pub fn paper() -> Self {
+        CapsConfig {
+            cutoff: powerscale_strassen::cost::PAPER_CUTOFF,
+            cutoff_depth: 4,
+            dfs_ways: 4,
+            dispatch: Dispatch::default(),
+        }
+    }
+
     /// The Strassen configuration equivalent to this one (classic variant,
     /// task spawning bounded by the BFS depth) — what the shared walker,
     /// plan and cost recurrences run CAPS under.
@@ -60,7 +74,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let c = CapsConfig::default();
+        let c = CapsConfig::paper();
         assert_eq!(c.cutoff, 64);
         assert_eq!(c.cutoff_depth, 4);
         c.validate().unwrap();
@@ -68,7 +82,7 @@ mod tests {
 
     #[test]
     fn strassen_equivalent() {
-        let s = CapsConfig::default().as_strassen();
+        let s = CapsConfig::paper().as_strassen();
         assert_eq!(s.cutoff, 64);
         assert_eq!(s.task_depth, 4);
     }

@@ -194,6 +194,30 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "release-tier size (n = 2 x executed cutoff); run in the release-oracle CI job"]
+    fn executed_default_caps_equals_strassen_at_one_step() {
+        // The executed cutoffs agree, so one recursion step above the leaf
+        // is the same arithmetic under either schedule and pool width.
+        let (cfg, scfg) = (
+            CapsConfig::default(),
+            powerscale_strassen::StrassenConfig::default(),
+        );
+        assert_eq!(cfg.cutoff, scfg.cutoff);
+        let n = 2 * cfg.cutoff;
+        let mut gen = MatrixGen::new(17);
+        let a = gen.paper_operand(n);
+        let b = gen.paper_operand(n);
+        for workers in [1, 2] {
+            let pool = ThreadPool::new(workers);
+            let caps = multiply(&a.view(), &b.view(), &cfg, Some(&pool), None).unwrap();
+            let strassen =
+                powerscale_strassen::multiply(&a.view(), &b.view(), &scfg, Some(&pool), None)
+                    .unwrap();
+            assert_eq!(caps, strassen, "n={n} on {workers} workers");
+        }
+    }
+
+    #[test]
     fn bfs_records_comm_dfs_does_not() {
         let mut gen = MatrixGen::new(9);
         let a = gen.paper_operand(64);

@@ -41,7 +41,7 @@ mod tests {
 
     #[test]
     fn flops_conserved() {
-        let cfg = CapsConfig::default();
+        let cfg = CapsConfig::paper();
         let scfg = cfg.as_strassen();
         for n in [64, 128, 512, 1024] {
             let g = caps_graph(n, &cfg);
@@ -54,7 +54,7 @@ mod tests {
         // cutoff_depth 0: everything DFS → zero communication.
         let cfg = CapsConfig {
             cutoff_depth: 0,
-            ..Default::default()
+            ..CapsConfig::paper()
         };
         let g = caps_graph(1024, &cfg);
         assert_eq!(g.total_comm_bytes(), 0);
@@ -64,8 +64,8 @@ mod tests {
     fn caps_communicates_less_than_strassen() {
         let m = presets::e3_1225();
         let tm = m.traffic_model();
-        let cfg = CapsConfig::default();
-        let sg = strassen_graph_with(1024, &StrassenConfig::default(), &tm);
+        let cfg = CapsConfig::paper();
+        let sg = strassen_graph_with(1024, &StrassenConfig::paper(), &tm);
         let cg = caps_graph_with(1024, &cfg, &tm);
         assert!(
             cg.total_comm_bytes() < sg.total_comm_bytes(),
@@ -80,10 +80,10 @@ mod tests {
         // The Table II relationship: a modest but consistent edge.
         let m = presets::e3_1225();
         let tm = m.traffic_model();
-        let strassen_cfg = StrassenConfig::default();
+        let strassen_cfg = StrassenConfig::paper();
         for n in [1024usize, 2048] {
             let sg = strassen_graph_with(n, &strassen_cfg, &tm);
-            let cg = caps_graph_with(n, &CapsConfig::default(), &tm);
+            let cg = caps_graph_with(n, &CapsConfig::paper(), &tm);
             let ts = simulate(&sg, &m, 4).makespan;
             let tc = simulate(&cg, &m, 4).makespan;
             assert!(
@@ -99,7 +99,7 @@ mod tests {
         // exactly the recursion's flops and effective DRAM bytes.
         let cfg = CapsConfig {
             cutoff_depth: 0,
-            ..Default::default()
+            ..CapsConfig::paper()
         };
         let (scfg, tm) = (cfg.as_strassen(), TrafficModel::default());
         let g = caps_graph(1000, &cfg);

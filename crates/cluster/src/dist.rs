@@ -76,6 +76,17 @@ pub struct DistCapsConfig {
     pub mem_limit_bytes: Option<u64>,
 }
 
+impl DistCapsConfig {
+    /// [`CapsConfig::paper`] with no memory budget: the configuration the
+    /// Eq. 8 studies, the cluster figures and their golden pins run.
+    pub fn paper() -> Self {
+        DistCapsConfig {
+            caps: CapsConfig::paper(),
+            mem_limit_bytes: None,
+        }
+    }
+}
+
 /// Typed failures of the distributed executors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistError {

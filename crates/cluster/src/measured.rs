@@ -122,7 +122,7 @@ pub fn eq8_cell(
     let (a, b) = operands(n);
     let cfg = DistCapsConfig {
         mem_limit_bytes: mem_limit_words.map(|w| w * 8),
-        ..DistCapsConfig::default()
+        ..DistCapsConfig::paper()
     };
     let net = e3_1225_net(nodes);
     let out = dist_caps_multiply(&a, &b, &cfg, &net)?;
@@ -317,7 +317,7 @@ pub fn run_strong_scaling(
     let (a, b) = operands(n);
     let cfg = DistCapsConfig {
         mem_limit_bytes: Some(mem_limit_words * 8),
-        ..DistCapsConfig::default()
+        ..DistCapsConfig::paper()
     };
     let mut points = Vec::new();
     let mut t1 = None;

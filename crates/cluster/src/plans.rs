@@ -19,7 +19,7 @@ pub fn dist_caps_graph(n: usize, cluster: &ClusterConfig) -> TaskGraph {
     }
     let cfg = CapsConfig {
         dfs_ways: cluster.node.cores,
-        ..CapsConfig::default()
+        ..CapsConfig::paper()
     };
     let tm = cluster.node.traffic_model();
     emit_caps(&mut g, n, 0, cluster.nodes, &cfg, &tm, &[]);
@@ -169,7 +169,7 @@ mod tests {
         let cluster = e3_1225_cluster(4);
         let cfg = CapsConfig {
             dfs_ways: 4,
-            ..CapsConfig::default()
+            ..CapsConfig::paper()
         };
         for n in [512usize, 2048] {
             let g = dist_caps_graph(n, &cluster);

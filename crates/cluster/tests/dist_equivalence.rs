@@ -7,9 +7,11 @@
 //! the caps crate's own guarantee, to single-node Strassen), and within
 //! 1e-12 of the compensated double-double oracle.
 //!
-//! n = 256 runs in every `cargo test`; n ∈ {512, 1024} are `#[ignore]` and
-//! run in the release `cluster-verify` CI job.
+//! n = 256 runs in every `cargo test`; n ∈ {512, 1024} and the two-rank
+//! check at the executed cutoff are `#[ignore]` and run in the release
+//! `cluster-verify` CI job.
 
+use powerscale_caps::comm::caps_comm_words;
 use powerscale_caps::CapsConfig;
 use powerscale_cluster::dist::{bfs_child_ranges, predict_peak_bytes};
 use powerscale_cluster::presets::e3_1225_net;
@@ -31,12 +33,12 @@ fn single_node_caps(a: &Matrix, b: &Matrix, cfg: &CapsConfig) -> Matrix {
 
 fn check_all_node_counts(n: usize, seed: u64) {
     let (a, b) = operands(n, seed);
-    let cfg = DistCapsConfig::default();
+    let cfg = DistCapsConfig::paper();
     let reference = single_node_caps(&a, &b, &cfg.caps);
     let strassen = powerscale_strassen::multiply(
         &a.view(),
         &b.view(),
-        &powerscale_strassen::StrassenConfig::default(),
+        &powerscale_strassen::StrassenConfig::paper(),
         None,
         None,
     )
@@ -75,9 +77,28 @@ fn bitwise_equal_across_node_counts_n1024() {
 }
 
 #[test]
+#[ignore = "release-tier size (n = 2 x executed cutoff); run in the cluster-verify CI job"]
+fn executed_default_two_ranks_match_single_node_inside_eq8_gate() {
+    // The benchmark's dist check: two ranks one step above the executed
+    // leaf are bitwise single-node CAPS, and the largest per-rank
+    // Algo-phase volume stays within the 4× single-level Eq. 8 gate.
+    let cfg = DistCapsConfig::default();
+    let executed = powerscale_strassen::StrassenConfig::default().cutoff;
+    assert_eq!(cfg.caps.cutoff, executed);
+    let n = 2 * cfg.caps.cutoff;
+    let (a, b) = operands(n, 0xD15);
+    let out = dist_caps_multiply(&a, &b, &cfg, &e3_1225_net(2)).unwrap();
+    assert_eq!(out.c, single_node_caps(&a, &b, &cfg.caps));
+    let words = out.report.max_recv_bytes(Phase::Algo) / 8;
+    let m = (out.report.max_peak_bytes() / 8).max(1);
+    let ratio = words as f64 / caps_comm_words(n as f64, 2.0, m as f64);
+    assert!(ratio <= 4.0, "n={n}: Eq. 8 ratio {ratio}");
+}
+
+#[test]
 fn degenerate_one_node_cluster_moves_no_algo_bytes() {
     let (a, b) = operands(128, 1);
-    let cfg = DistCapsConfig::default();
+    let cfg = DistCapsConfig::paper();
     let out = dist_caps_multiply(&a, &b, &cfg, &e3_1225_net(1)).unwrap();
     assert_eq!(out.c, single_node_caps(&a, &b, &cfg.caps));
     // One rank keeps everything local: the transport must meter zero.
@@ -89,12 +110,12 @@ fn degenerate_one_node_cluster_moves_no_algo_bytes() {
 fn memory_forced_dfs_is_still_bitwise_equal() {
     let n = 256;
     let (a, b) = operands(n, 2);
-    let unlimited = DistCapsConfig::default();
+    let unlimited = DistCapsConfig::paper();
     // A budget tight enough to force distributed DFS at the top levels but
     // loose enough to hold the node-local leaves.
     let tight = DistCapsConfig {
         mem_limit_bytes: Some(3 * (n as u64 / 2).pow(2) * 8),
-        ..DistCapsConfig::default()
+        ..DistCapsConfig::paper()
     };
     let reference = single_node_caps(&a, &b, &unlimited.caps);
     for p in [2, 4, 7] {
@@ -121,7 +142,7 @@ fn forced_dfs_step_moves_zero_algo_bytes() {
     // problem: the DFS level itself — operand formation and product
     // combination — contributes zero bytes.
     let n = 256usize;
-    let cutoff = DistCapsConfig::default().caps.cutoff;
+    let cutoff = DistCapsConfig::paper().caps.cutoff;
     let (a, b) = operands(n, 7);
     let (ah, bh) = operands(n / 2, 7);
     for p in [2usize, 4, 7] {
@@ -132,7 +153,7 @@ fn forced_dfs_step_moves_zero_algo_bytes() {
             .unwrap();
         let tight = DistCapsConfig {
             mem_limit_bytes: Some(worst_child - 1),
-            ..DistCapsConfig::default()
+            ..DistCapsConfig::paper()
         };
         let net = e3_1225_net(p);
         let forced = dist_caps_multiply(&a, &b, &tight, &net).unwrap();
@@ -141,7 +162,7 @@ fn forced_dfs_step_moves_zero_algo_bytes() {
             single_node_caps(&a, &b, &tight.caps),
             "P={p}: forced run diverged"
         );
-        let free_half = dist_caps_multiply(&ah, &bh, &DistCapsConfig::default(), &net).unwrap();
+        let free_half = dist_caps_multiply(&ah, &bh, &DistCapsConfig::paper(), &net).unwrap();
         for r in 0..p {
             assert_eq!(
                 forced.report.recv_bytes(r, Phase::Algo),
@@ -161,12 +182,12 @@ fn final_meter_matches_liveness() {
     // exercises the leader_leaf charge ordering around the scatter-back).
     let n = 256usize;
     let (a, b) = operands(n, 5);
-    let cutoff = DistCapsConfig::default().caps.cutoff;
+    let cutoff = DistCapsConfig::paper().caps.cutoff;
     let layout = Layout::for_target(n, cutoff);
     for (p, limit_words) in [(7usize, None), (2, Some(3 * 128 * 128)), (7, Some(96 * 96))] {
         let cfg = DistCapsConfig {
             mem_limit_bytes: limit_words.map(|w: u64| w * 8),
-            ..DistCapsConfig::default()
+            ..DistCapsConfig::paper()
         };
         let out = dist_caps_multiply(&a, &b, &cfg, &e3_1225_net(p)).unwrap();
         for r in 0..p {
@@ -183,7 +204,7 @@ fn final_meter_matches_liveness() {
 fn non_pow2_sizes_pad_and_crop_like_single_node() {
     for n in [100, 192, 250] {
         let (a, b) = operands(n, n as u64);
-        let cfg = DistCapsConfig::default();
+        let cfg = DistCapsConfig::paper();
         let reference = single_node_caps(&a, &b, &cfg.caps);
         for p in [2, 7] {
             let out = dist_caps_multiply(&a, &b, &cfg, &e3_1225_net(p)).unwrap();

@@ -185,7 +185,7 @@ fn counters_meter_flops_and_bits_match_the_pinned_constants() {
         let cfg = DistCapsConfig {
             caps: CapsConfig {
                 dispatch: scalar,
-                ..CapsConfig::default()
+                ..CapsConfig::paper()
             },
             mem_limit_bytes: cell.mem_limit_words.map(|w| w * 8),
         };

@@ -29,7 +29,7 @@ fn doubled_bandwidth(net: &NetConfig) -> NetConfig {
 #[test]
 fn doubling_bandwidth_never_increases_makespan() {
     let (a, b) = operands(256);
-    let cfg = DistCapsConfig::default();
+    let cfg = DistCapsConfig::paper();
     for p in [2usize, 4, 7] {
         let net = e3_1225_net(p);
         let slow = dist_caps_multiply(&a, &b, &cfg, &net).unwrap();
@@ -53,7 +53,7 @@ fn doubling_bandwidth_never_increases_makespan() {
 #[test]
 fn adding_a_node_never_increases_peak_memory() {
     let (a, b) = operands(256);
-    let cfg = DistCapsConfig::default();
+    let cfg = DistCapsConfig::paper();
     let mut prev = u64::MAX;
     for p in [1usize, 2, 4, 7, 14, 49] {
         let out = dist_caps_multiply(&a, &b, &cfg, &e3_1225_net(p)).unwrap();
@@ -73,7 +73,7 @@ fn zero_bandwidth_is_typed_error_not_hang() {
     let (a, b) = operands(64);
     let mut net = e3_1225_net(4);
     net.scale_out.bw_bytes_per_s = 0.0;
-    match dist_caps_multiply(&a, &b, &DistCapsConfig::default(), &net) {
+    match dist_caps_multiply(&a, &b, &DistCapsConfig::paper(), &net) {
         Err(DistError::Net(NetError::ZeroBandwidth { link })) => {
             assert_eq!(link, "scale-out");
         }
@@ -83,7 +83,7 @@ fn zero_bandwidth_is_typed_error_not_hang() {
     let mut net = e3_1225_net(4);
     net.scale_up.latency_s = f64::NAN;
     assert!(matches!(
-        dist_caps_multiply(&a, &b, &DistCapsConfig::default(), &net),
+        dist_caps_multiply(&a, &b, &DistCapsConfig::paper(), &net),
         Err(DistError::Net(NetError::BadLatency { link: "scale-up" }))
     ));
 }

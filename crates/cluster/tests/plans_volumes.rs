@@ -107,7 +107,7 @@ fn caps_declared_vs_measured_same_order() {
     let a = gen.paper_operand(n);
     let b = gen.paper_operand(n);
     let out =
-        powerscale_cluster::dist_caps_multiply(&a, &b, &DistCapsConfig::default(), &e3_1225_net(7))
+        powerscale_cluster::dist_caps_multiply(&a, &b, &DistCapsConfig::paper(), &e3_1225_net(7))
             .unwrap();
     let measured: f64 = (0..7)
         .map(|r| out.report.recv_bytes(r, Phase::Algo) as f64)

@@ -119,9 +119,15 @@ pub fn dgemm(
         kernel.nr
     );
 
-    // beta pass: C := beta * C, once, up front.
+    // beta pass: C := beta * C, once, up front. At beta = 0 C is written,
+    // never read (BLAS semantics): a NaN or inf in a reused buffer must
+    // not leak into the product as `0 · x`.
     if beta != 1.0 {
-        ops::scale_assign(c, beta);
+        if beta == 0.0 {
+            c.fill(0.0);
+        } else {
+            ops::scale_assign(c, beta);
+        }
         if let Some(set) = ctx.events {
             set.record(Event::FpOps, (m * n) as u64);
             set.record(Event::BytesWritten, 8 * (m * n) as u64);
@@ -424,6 +430,39 @@ mod tests {
         let ab = naive_mm(&a.view(), &b.view()).unwrap();
         let expect = Matrix::from_fn(32, 32, |i, j| 2.0 * ab.get(i, j) + 3.0 * c0.get(i, j));
         assert!(rel_frobenius_error(&c.view(), &expect.view()) < 1e-13);
+    }
+
+    #[test]
+    fn beta_zero_overwrites_nan_and_inf() {
+        let mut gen = MatrixGen::new(10);
+        let a = gen.paper_operand(40);
+        let b = gen.paper_operand(40);
+        let mut want = Matrix::zeros(40, 40);
+        let ctx = GemmContext::default();
+        dgemm(1.0, &a.view(), &b.view(), 0.0, &mut want.view_mut(), &ctx).unwrap();
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = Matrix::filled(40, 40, poison);
+            dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
+            assert_eq!(c, want, "beta = 0 read a C holding {poison}");
+        }
+    }
+
+    #[test]
+    fn beta_one_keeps_nan() {
+        let mut gen = MatrixGen::new(12);
+        let a = gen.paper_operand(16);
+        let b = gen.paper_operand(16);
+        let mut c = Matrix::filled(16, 16, f64::NAN);
+        dgemm(
+            1.0,
+            &a.view(),
+            &b.view(),
+            1.0,
+            &mut c.view_mut(),
+            &GemmContext::default(),
+        )
+        .unwrap();
+        assert!(c.as_slice().iter().all(|x| x.is_nan()));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   scratch matrices first, and the result can be merged into `C` with
 //!   [`Accum::Add`] / [`Accum::Sub`] so combine steps need no product
 //!   temporaries either. Packing buffers come from the thread-local
-//!   [`crate::arena`], so steady-state leaves allocate nothing.
+//!   [`crate::arena`], so steady-state leaves allocate nothing. The leaf
+//!   packs the full depth `k` at once, so at the executed cutoffs its
+//!   panels are megabytes, not cache-level sized (see [`leaf_gemm_fused`]).
 //!
 //! A [`Dispatch`] with `unfused_leaf` set (the default one when
 //! `POWERSCALE_UNFUSED_LEAF=1`) makes the fused leaf materialise operand
@@ -209,8 +211,12 @@ fn pack_operand_unfused<T: PackScalar>(
 /// two-source combine) and merges it into `c` per `accum`: `Set` writes,
 /// `Add`/`Sub` accumulate in place — so a Strassen node's products land
 /// directly in `C` quadrants. Operands and `C` may be arbitrary strided
-/// views; packing runs over the full depth `k` in one pass (leaf blocks sit
-/// at or below the recursion cutoff, so the panels fit low cache levels).
+/// views; packing runs over the full depth `k` in one pass. The panels need
+/// not fit a low cache level: at leaf sizes 512–1024 that is 2–8 MB per
+/// operand, and the leaf still outruns [`crate::dgemm`] on the same strided
+/// views (55–56 against 45–52 GF/s on one AVX-512 core, DESIGN §8). It
+/// merges each C tile once; `dgemm` merges it `k / kc` times (≈ 7.5 at
+/// n = 1024), which is the blocked path's next limiter.
 ///
 /// Event accounting (when `events` is armed): `FpOps = 2mnk`, one
 /// [`Event::FpAdds`] pass per fused operand (`m·k` / `k·n` elements) and

@@ -181,7 +181,10 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// A harness on `machine` with paper-default algorithm configurations.
+    /// A harness on `machine` with the paper's algorithm configurations
+    /// ([`StrassenConfig::paper`], [`CapsConfig::paper`] with one DFS way
+    /// per machine core): cutoff 64 for the simulator, the paper figures
+    /// and [`Harness::multiply`] alike.
     ///
     /// The simulated blocking is derived from the *machine's* caches for
     /// the 8×6 AVX2 register tile — the kernel shape of the simulated
@@ -192,10 +195,10 @@ impl Harness {
     pub fn new(machine: MachineConfig) -> Self {
         Harness {
             blocking: BlockingParams::for_caches_and_tile(&machine.caches, 8, 6),
-            strassen: StrassenConfig::default(),
+            strassen: StrassenConfig::paper(),
             caps: CapsConfig {
                 dfs_ways: machine.cores,
-                ..CapsConfig::default()
+                ..CapsConfig::paper()
             },
             machine,
             meter_samples: 64,
@@ -363,6 +366,21 @@ mod tests {
 
     fn harness() -> Harness {
         Harness::default()
+    }
+
+    #[test]
+    fn harness_runs_the_paper_configuration() {
+        // The simulator, the paper figures, `multiply` and `serve` keep the
+        // paper's cutoff 64 whatever the executed `default()` cutoff is.
+        let h = harness();
+        assert_eq!(h.strassen, StrassenConfig::paper());
+        assert_eq!(
+            h.caps,
+            CapsConfig {
+                dfs_ways: h.machine.cores,
+                ..CapsConfig::paper()
+            }
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub enum Variant {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrassenConfig {
     /// Sub-matrix dimension at (or below) which the dense leaf solver takes
-    /// over. The paper's empirical optimum on the Haswell testbed is 64.
+    /// over. The paper's empirical optimum on the Haswell testbed is 64
+    /// ([`StrassenConfig::paper`]); the executed default is the dispatched
+    /// kernel's rule ([`crate::cost::executed_cutoff`]).
     pub cutoff: usize,
     /// Recursion depth down to which new pool tasks are spawned; deeper
     /// levels run inline in their parent task. BOTS spawns an untied task
@@ -35,17 +37,30 @@ pub struct StrassenConfig {
 }
 
 impl Default for StrassenConfig {
+    /// The executed configuration: [`StrassenConfig::paper`] with the
+    /// cutoff the default dispatch's kernel rules
+    /// ([`crate::cost::executed_cutoff`]).
     fn default() -> Self {
+        let paper = StrassenConfig::paper();
         StrassenConfig {
-            cutoff: 64,
-            task_depth: 5,
-            variant: Variant::Classic,
-            dispatch: Dispatch::default(),
+            cutoff: crate::cost::executed_cutoff(paper.dispatch.kernel()),
+            ..paper
         }
     }
 }
 
 impl StrassenConfig {
+    /// The paper's configuration: cutoff 64, task depth 5, Classic. Every
+    /// simulated artifact, paper claim and pinned recursion shape uses it.
+    pub fn paper() -> Self {
+        StrassenConfig {
+            cutoff: crate::cost::PAPER_CUTOFF,
+            task_depth: 5,
+            variant: Variant::Classic,
+            dispatch: Dispatch::default(),
+        }
+    }
+
     /// A Winograd-variant copy of this configuration.
     pub fn winograd(mut self) -> Self {
         self.variant = Variant::Winograd;
@@ -74,7 +89,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let c = StrassenConfig::default();
+        let c = StrassenConfig::paper();
         assert_eq!(c.cutoff, 64);
         assert_eq!(c.variant, Variant::Classic);
         c.validate().unwrap();

@@ -12,8 +12,42 @@
 //! GEMM's buffers and products accumulate into the quadrants they feed, so
 //! no accumulate-form splitting inflates the counts
 //! ([`StrassenConfig::adds_per_level`] is read from [`add_passes`]).
+//!
+//! The dense cutover itself has two values. [`PAPER_CUTOFF`] is the
+//! paper's 64, which every simulated artifact and paper claim keeps;
+//! [`executed_cutoff`] is the rule the executed recursion runs by default.
 
 use crate::config::{StrassenConfig, Variant};
+use powerscale_gemm::{BlockingParams, KernelInfo};
+
+/// The paper's dense cutover (§IV-B): the optimum for the unpacked BOTS
+/// leaf on its Haswell testbed.
+pub const PAPER_CUTOFF: usize = 64;
+
+/// The dense cutover the executed recursion uses under `kernel`:
+/// [`cutoff_for_panel_rows`] of the row-panel height `mc` the autotuner
+/// derives for that kernel.
+///
+/// One Strassen step at size `n` saves `n³/4` flops at the leaf rate `y`
+/// and costs 8 combine passes (24 bytes per element) plus 10 fused operand
+/// sums (8 more bytes per element) at the add rate `z`, so it pays only
+/// when `n > 272·y/z` (DESIGN §8). The packed leaf reaches the blocked
+/// path's rate once it covers a full `mc` band, which is what puts `y`
+/// there, so the recursion stops at the first power of two at or above
+/// `mc`.
+///
+/// The rule reads only what the autotuner already fixes per process (the
+/// kernel's tile and the probed caches, which `POWERSCALE_CACHES` /
+/// `POWERSCALE_BLOCKING` pin) and never a timing, so two processes on one
+/// host always pick the same leaf and produce the same bits.
+pub fn executed_cutoff(kernel: &KernelInfo) -> usize {
+    cutoff_for_panel_rows(BlockingParams::autotuned_for(kernel).mc)
+}
+
+/// `max(64, next_power_of_two(mc))`: the cutover for a row-panel height.
+pub fn cutoff_for_panel_rows(mc: usize) -> usize {
+    mc.next_power_of_two().max(PAPER_CUTOFF)
+}
 
 /// Operand-formation and combine pass counts per recursion level
 /// `(pre, combine)` for a variant, matching the executor's fused in-place
@@ -180,6 +214,33 @@ mod tests {
     fn winograd_cheaper_than_classic() {
         let c = cfg(32);
         assert!(total_flops(1024, &c.winograd()) < total_flops(1024, &c));
+    }
+
+    #[test]
+    fn executed_cutoff_on_known_hierarchies() {
+        use powerscale_gemm::autotune::parse_cache_list;
+        // The 48K/2M/260M host: mc = 480 / 210 / 128 for the 6×32 AVX-512,
+        // 6×8 AVX2 and 4×4 scalar tiles.
+        let host = parse_cache_list("48K,2M,260M").unwrap();
+        for ((mr, nr), want) in [((6, 32), 512), ((6, 8), 256), ((4, 4), 128)] {
+            let p = BlockingParams::host_tuned_for_caches_and_tile(&host, mr, nr);
+            assert_eq!(cutoff_for_panel_rows(p.mc), want, "tile {mr}x{nr}");
+        }
+        // A tiny `POWERSCALE_CACHES` hierarchy never goes below the paper.
+        let tiny = parse_cache_list("1K,2K,4K").unwrap();
+        for (mr, nr) in [(6, 32), (6, 8), (4, 4), (6, 64)] {
+            let p = BlockingParams::host_tuned_for_caches_and_tile(&tiny, mr, nr);
+            assert_eq!(cutoff_for_panel_rows(p.mc), PAPER_CUTOFF, "tile {mr}x{nr}");
+        }
+        // Every dispatchable kernel gets a power of two at or above 64.
+        for kernel in powerscale_gemm::available_kernels() {
+            let c = executed_cutoff(kernel);
+            assert!(
+                c >= PAPER_CUTOFF && c.is_power_of_two(),
+                "{}: {c}",
+                kernel.name
+            );
+        }
     }
 
     #[test]

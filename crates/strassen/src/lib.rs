@@ -3,8 +3,10 @@
 //! This crate reproduces the paper's second comparator (§IV-B): the BOTS
 //! Strassen, an OpenMP-task recursion that partitions the operands into
 //! quadrants, forms the seven Strassen products in parallel, and reverts to
-//! a dense leaf solver once sub-matrices reach the cutover size (the paper
-//! empirically settles on n ≤ 64 and so do we).
+//! a dense leaf solver once sub-matrices reach the cutover size. The paper
+//! empirically settles on n ≤ 64, and so does [`StrassenConfig::paper`];
+//! [`StrassenConfig::default`] stops where a step stops paying for the
+//! dispatched kernel ([`cost::executed_cutoff`]).
 //!
 //! Two variants are provided:
 //!

@@ -95,7 +95,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> StrassenConfig {
-        StrassenConfig::default()
+        StrassenConfig::paper()
     }
 
     #[test]

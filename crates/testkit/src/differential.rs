@@ -111,14 +111,14 @@ impl Sweep {
             // transport is in the loop and node-local leaves run the
             // cell's dispatch (the distributed executor keeps its
             // arithmetic tree identical to a single-node run at the
-            // default cutoff, so the oracle bound is unchanged).
+            // paper's cutoff, so the oracle bound is unchanged).
             Algo::DistCaps { nodes } => {
                 let cfg = DistCapsConfig {
                     caps: CapsConfig {
                         dispatch,
-                        ..CapsConfig::default()
+                        ..CapsConfig::paper()
                     },
-                    ..DistCapsConfig::default()
+                    ..DistCapsConfig::paper()
                 };
                 powerscale_cluster::dist_caps_multiply(
                     a,

@@ -18,7 +18,8 @@ fn main() {
     let a = gen.paper_operand(n);
     let b = gen.paper_operand(n);
 
-    // 2. Real computation, three ways, on a 4-worker pool.
+    // 2. Real computation, three ways, on a 4-worker pool, in the paper's
+    //    configuration (cutoff 64: a real recursion at this size).
     let pool = ThreadPool::new(4);
     let t0 = std::time::Instant::now();
     let blocked = powerscale::gemm::multiply(&a.view(), &b.view()).expect("blocked gemm");
@@ -28,7 +29,7 @@ fn main() {
     let strassen = powerscale::strassen::multiply(
         &a.view(),
         &b.view(),
-        &StrassenConfig::default(),
+        &StrassenConfig::paper(),
         Some(&pool),
         None,
     )
@@ -39,7 +40,7 @@ fn main() {
     let caps = powerscale::caps::multiply(
         &a.view(),
         &b.view(),
-        &CapsConfig::default(),
+        &CapsConfig::paper(),
         Some(&pool),
         None,
     )

@@ -4,6 +4,8 @@
 //! collecting the PAPI-style event profile and the pool's scheduling
 //! statistics — the measurement path a port to real RAPL hardware would
 //! use. Problem sizes are kept modest so this completes quickly anywhere.
+//! Strassen and CAPS run the paper's configuration (cutoff 64), so their
+//! profiles show the recursion the machine model prices.
 //!
 //! ```text
 //! cargo run --release -p powerscale-examples --bin real_execution -- [n] [threads]
@@ -55,7 +57,7 @@ fn main() {
             "strassen" => powerscale::strassen::multiply(
                 &a.view(),
                 &b.view(),
-                &StrassenConfig::default(),
+                &StrassenConfig::paper(),
                 Some(&pool),
                 Some(&set),
             )
@@ -63,7 +65,7 @@ fn main() {
             _ => powerscale::caps::multiply(
                 &a.view(),
                 &b.view(),
-                &CapsConfig::default(),
+                &CapsConfig::paper(),
                 Some(&pool),
                 Some(&set),
             )
