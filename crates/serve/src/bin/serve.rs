@@ -4,37 +4,32 @@
 //! serve [--requests N] [--mix default|storm|burst] [--seed S]
 //!       [--threads T] [--executors G] [--queue CAP] [--batch B]
 //!       [--retries K] [--backoff MS] [--chaos] [--journal DIR]
-//!       [--resume] [--halt-after N] [--compare-serial]
-//!       [--out PATH] [--baseline PATH] [--gate]
+//!       [--resume] [--halt-after N] [--out PATH] [--baseline PATH]
+//!       [--gate]
 //! ```
 //!
 //! Generates a seeded heterogeneous request mix (shapes, algorithm
 //! hints, dtype tiers, deadlines), serves it, prints a summary and
 //! writes the bench artifact (default `artifacts/BENCH_serving.json`).
 //!
-//! Mixes: `default` paces submission below the degradation watermark
-//! with generous deadlines (the ≥ 99% deadline-hit configuration);
-//! `storm` gives half the requests near-zero deadlines; `burst` submits
-//! everything at once to overrun the queue and exercise shedding +
-//! the degradation ladder.
+//! Mixes: `default` has generous deadlines (the ≥ 99% deadline-hit
+//! configuration); `storm` gives half the requests near-zero deadlines.
+//! Both go through `Server::run`, which pipelines admission with
+//! execution and paces below the degradation watermark. `burst` submits
+//! everything at once, then drains, to overrun the queue and exercise
+//! shedding + the degradation ladder.
 //!
-//! `--executors G` serves G requests concurrently on G pool groups
-//! (default 1 = the serial loop); with G > 1 the default/storm mixes
-//! pipeline admission with execution instead of chunked pacing.
-//! `--compare-serial` first runs an identically-configured serial leg
-//! (no journal) and reports `speedup_vs_serial` — throughput ratio of
-//! the concurrent leg over the serial one.
+//! `--executors G` serves G requests at once on G pool groups (default
+//! 1); every G runs the same loop.
 //!
 //! `--halt-after N` kills the serving loop after N completions (crash
 //! simulation); a following run with `--resume` and the same seed and
 //! journal recovers exactly-once. `--gate` enforces the serving
 //! invariants (zero lost / duplicated responses; ≥ 99% deadline hits on
-//! the default mix), guards p99 latency and joules-per-request against
-//! order-of-magnitude regressions when a baseline artifact exists, and
-//! — when `--compare-serial` measured a speedup — requires it to clear
-//! `POWERSCALE_SERVE_GATE` (unset = no speedup floor). Thresholds come
-//! from `POWERSCALE_SERVE_MIN_HIT`, `POWERSCALE_SERVE_MAX_REGRESSION`
-//! and `POWERSCALE_SERVE_GATE`.
+//! the default mix) and guards p99 latency and joules-per-request against
+//! order-of-magnitude regressions when a baseline artifact exists.
+//! Thresholds come from `POWERSCALE_SERVE_MIN_HIT` and
+//! `POWERSCALE_SERVE_MAX_REGRESSION`.
 
 use powerscale_harness::Algorithm;
 use powerscale_serve::chaos::fnv1a;
@@ -46,7 +41,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: serve [--requests N] [--mix default|storm|burst] [--seed S] \
                      [--threads T] [--executors G] [--queue CAP] [--batch B] [--retries K] \
                      [--backoff MS] [--chaos] [--journal DIR] [--resume] [--halt-after N] \
-                     [--compare-serial] [--out PATH] [--baseline PATH] [--gate]";
+                     [--out PATH] [--baseline PATH] [--gate]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -139,7 +134,9 @@ struct ShapeP99 {
 /// The bench artifact. Schema-stable named fields (serde shim: no enum
 /// payloads), so CI can gate on it across commits. v2 keeps every v1
 /// field and adds throughput, the queue-wait split, per-shape p99 and
-/// the executor/serial-comparison block.
+/// the executor count. Reading ignores undeclared fields, so artifacts
+/// that still carry the retired serial-comparison fields load as
+/// baselines.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BenchReport {
     schema: String,
@@ -147,7 +144,7 @@ struct BenchReport {
     seed: u64,
     requests: u64,
     threads: u64,
-    /// Concurrent executors the serving leg ran with (1 = serial loop).
+    /// Executors the serving run used.
     executors: u64,
     capacity: u64,
     /// Base retry backoff in milliseconds.
@@ -181,10 +178,6 @@ struct BenchReport {
     queue_wait_p99_ms: f64,
     /// Multiply-latency p99 per shape bucket of the mix.
     shape_p99: Vec<ShapeP99>,
-    /// Throughput of the `--compare-serial` serial leg, when one ran.
-    serial_throughput_rps: Option<f64>,
-    /// `throughput_rps / serial_throughput_rps`, when the serial leg ran.
-    speedup_vs_serial: Option<f64>,
     joules_per_request: f64,
 }
 
@@ -209,7 +202,6 @@ fn build_report(
     mix: Mix,
     cfg: &ServerConfig,
     wall_s: f64,
-    serial_throughput_rps: Option<f64>,
 ) -> BenchReport {
     let mut counts: HashMap<u64, u64> = HashMap::new();
     for r in responses {
@@ -302,10 +294,6 @@ fn build_report(
         queue_wait_p50_ms: percentile(&waits, 0.50),
         queue_wait_p99_ms: percentile(&waits, 0.99),
         shape_p99,
-        serial_throughput_rps,
-        speedup_vs_serial: serial_throughput_rps
-            .filter(|&s| s > 0.0)
-            .map(|s| throughput_rps / s),
         joules_per_request,
     }
 }
@@ -318,8 +306,7 @@ fn env_f64(name: &str, default: f64) -> f64 {
 }
 
 /// Gate: hard invariants, the SLO (default mix only — storm and burst
-/// miss deadlines by design), the concurrent-speedup floor when a serial
-/// comparison leg ran, and a coarse no-regression check against a
+/// miss deadlines by design), and a coarse no-regression check against a
 /// committed baseline when one exists.
 fn gate(report: &BenchReport, baseline: Option<&BenchReport>, mix: Mix) -> Result<(), String> {
     if report.lost != 0 {
@@ -337,17 +324,6 @@ fn gate(report: &BenchReport, baseline: Option<&BenchReport>, mix: Mix) -> Resul
             return Err(format!(
                 "deadline hit rate {:.4} below the {min_hit} bar",
                 report.deadline_hit_rate
-            ));
-        }
-    }
-    if let Some(speedup) = report.speedup_vs_serial {
-        // Unset/zero floor means "report, don't enforce" — dev laptops
-        // and loaded CI runners vary too much for a universal default.
-        let min_speedup = env_f64("POWERSCALE_SERVE_GATE", 0.0);
-        if speedup < min_speedup {
-            return Err(format!(
-                "concurrent speedup {speedup:.2}x below the {min_speedup}x bar \
-                 (POWERSCALE_SERVE_GATE)"
             ));
         }
     }
@@ -374,28 +350,20 @@ fn gate(report: &BenchReport, baseline: Option<&BenchReport>, mix: Mix) -> Resul
     Ok(())
 }
 
-/// Runs one serving leg and returns its responses plus the serving-phase
-/// wall seconds. Serial default/storm legs pace submission in chunks (the
-/// PR-7 driver); concurrent legs let `Server::run` pipeline admission
-/// with execution; burst floods the queue in one go either way.
+/// Serves the workload and returns its responses plus the serving-phase
+/// wall seconds. Burst submits everything, then drains, so the queue
+/// overruns (shed + degrade); the other mixes go through `Server::run`,
+/// which paces admission.
 fn serve_phase(server: &mut Server, specs: &[JobSpec], mix: Mix) -> (Vec<Response>, f64) {
     let t0 = Instant::now();
-    let responses = match mix {
-        Mix::Burst => server.run(specs.to_vec()),
-        _ if server.is_concurrent() => server.run(specs.to_vec()),
-        _ => {
-            let pace = (server.queue_capacity() / 2).max(1);
-            for chunk in specs.chunks(pace) {
-                for spec in chunk {
-                    server.submit(*spec);
-                }
-                server.drain();
-                if server.halted() {
-                    break;
-                }
-            }
-            server.take_responses()
+    let responses = if mix == Mix::Burst {
+        for spec in specs {
+            server.submit(*spec);
         }
+        server.drain();
+        server.take_responses()
+    } else {
+        server.run(specs.iter().copied())
     };
     (responses, t0.elapsed().as_secs_f64())
 }
@@ -412,7 +380,6 @@ fn main() {
         ..ServerConfig::default()
     };
     let mut chaos = false;
-    let mut compare_serial = false;
     let mut out_path = "artifacts/BENCH_serving.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut do_gate = false;
@@ -451,7 +418,6 @@ fn main() {
             }
             "--chaos" => chaos = true,
             "--resume" => cfg.resume = true,
-            "--compare-serial" => compare_serial = true,
             "--gate" => do_gate = true,
             other => usage_error(&format!("unknown argument: {other}")),
         }
@@ -492,38 +458,6 @@ fn main() {
 
     let specs = generate(requests, mix, cfg.seed);
 
-    // The serial comparison leg: identical configuration except a single
-    // executor and no journal (the journal belongs to the primary leg).
-    let serial_throughput_rps = if compare_serial {
-        let serial_cfg = ServerConfig {
-            executors: 1,
-            journal_dir: None,
-            resume: false,
-            halt_after: None,
-            ..cfg.clone()
-        };
-        eprintln!(
-            "serial comparison leg: {} requests (mix {}) on {} threads…",
-            specs.len(),
-            mix.name(),
-            serial_cfg.threads
-        );
-        let mut serial = Server::new(serial_cfg).expect("journal-free server cannot fail");
-        let (responses, wall_s) = serve_phase(&mut serial, &specs, mix);
-        let rps = if wall_s > 0.0 {
-            responses.len() as f64 / wall_s
-        } else {
-            0.0
-        };
-        eprintln!(
-            "serial leg: {} responses in {wall_s:.2} s ({rps:.1} rps)",
-            responses.len()
-        );
-        Some(rps)
-    } else {
-        None
-    };
-
     eprintln!(
         "serving {} requests (mix {}, seed {}) on {} threads, {} executor(s), queue {}…",
         specs.len(),
@@ -544,15 +478,7 @@ fn main() {
 
     let (responses, wall_s) = serve_phase(&mut server, &specs, mix);
 
-    let report = build_report(
-        &specs,
-        &responses,
-        server.stats(),
-        mix,
-        &cfg,
-        wall_s,
-        serial_throughput_rps,
-    );
+    let report = build_report(&specs, &responses, server.stats(), mix, &cfg, wall_s);
     if server.halted() {
         eprintln!(
             "halted after {} completions (crash simulation); journal holds the rest",
@@ -581,16 +507,10 @@ fn main() {
         report.joules_per_request,
         report.deadline_hit_rate
     );
-    match (report.speedup_vs_serial, report.serial_throughput_rps) {
-        (Some(speedup), Some(serial_rps)) => println!(
-            "throughput {:.1} rps over {:.2} s | serial {serial_rps:.1} rps | speedup {speedup:.2}x",
-            report.throughput_rps, report.wall_s
-        ),
-        _ => println!(
-            "throughput {:.1} rps over {:.2} s",
-            report.throughput_rps, report.wall_s
-        ),
-    }
+    println!(
+        "throughput {:.1} rps over {:.2} s",
+        report.throughput_rps, report.wall_s
+    );
 
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(parent);

@@ -19,9 +19,10 @@
 //! same tier and reproduces the same checksum bit-for-bit.
 //!
 //! As with sweep checkpoints, a *missing* file is never an error — that
-//! is the normal state of a fresh or partially-recovered journal. Only a
-//! file that exists but cannot be decoded is, and it surfaces as a typed
-//! [`JournalError`], not a panic.
+//! is the normal state of a fresh or partially-recovered journal. A file
+//! that exists but cannot be decoded is, and so is a journal directory
+//! that cannot be created; both surface as a typed [`JournalError`], not
+//! a panic or a silently un-journaled run.
 
 use crate::queue::ExecPlan;
 use crate::request::{DegradeStep, JobSpec, Response};
@@ -30,11 +31,11 @@ use powerscale_harness::Algorithm;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// A journal that exists but cannot be trusted.
+/// A journal that cannot be created, or exists but cannot be trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
-    /// `DIR/serve.json` is undecodable or belongs to a different serving
-    /// configuration.
+    /// `DIR/serve.json` cannot be written, is undecodable or belongs to a
+    /// different serving configuration.
     Manifest {
         /// Path of the offending manifest.
         path: PathBuf,
@@ -55,8 +56,9 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Manifest { path, detail } => write!(
                 f,
-                "corrupt serve journal manifest {}: {detail} \
-                 (delete the journal directory or start without --resume)",
+                "unusable serve journal manifest {}: {detail} \
+                 (use another journal directory, or delete this one and \
+                 start without --resume)",
                 path.display()
             ),
             JournalError::Record { path, detail } => write!(
@@ -137,11 +139,10 @@ pub struct Journal {
 /// then `rename` (atomic on POSIX within one filesystem). A crash leaves
 /// either the old content or the new, never a torn file; stray `.tmp`
 /// debris is ignored (and cleaned) by recovery.
-fn write_atomic(path: &Path, json: &str) {
+fn write_atomic(path: &Path, json: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
-    if std::fs::write(&tmp, json).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
+    std::fs::write(&tmp, json)?;
+    std::fs::rename(&tmp, path)
 }
 
 impl Journal {
@@ -158,16 +159,26 @@ impl Journal {
     }
 
     /// Opens `dir` as a fresh journal: clears any previous run's records
-    /// and writes the manifest.
-    pub fn create(dir: &Path, manifest: &ServeManifest) -> Journal {
-        let _ = std::fs::remove_dir_all(Self::requests_dir(dir));
-        let _ = std::fs::create_dir_all(Self::requests_dir(dir));
-        if let Ok(json) = serde_json::to_string_pretty(manifest) {
-            write_atomic(&Self::manifest_path(dir), &json);
+    /// and writes the manifest. A directory that cannot be cleared or
+    /// created, or a manifest that cannot be written, is an error: a
+    /// server that ran un-journaled would leave a later resume nothing to
+    /// recover.
+    pub fn create(dir: &Path, manifest: &ServeManifest) -> Result<Journal, JournalError> {
+        let mpath = Self::manifest_path(dir);
+        let reqs = Self::requests_dir(dir);
+        let fail = |what: &str, e: &dyn std::fmt::Display| JournalError::Manifest {
+            path: mpath.clone(),
+            detail: format!("cannot {what}: {e}"),
+        };
+        if reqs.exists() {
+            std::fs::remove_dir_all(&reqs).map_err(|e| fail("clear the previous records", &e))?;
         }
-        Journal {
+        std::fs::create_dir_all(&reqs).map_err(|e| fail("create the journal directory", &e))?;
+        let json = serde_json::to_string_pretty(manifest).map_err(|e| fail("encode", &e))?;
+        write_atomic(&mpath, &json).map_err(|e| fail("write", &e))?;
+        Ok(Journal {
             dir: dir.to_path_buf(),
-        }
+        })
     }
 
     /// Opens `dir` for resumption: validates the manifest against this
@@ -182,7 +193,7 @@ impl Journal {
         let text = match std::fs::read_to_string(&mpath) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((Self::create(dir, manifest), Vec::new()));
+                return Ok((Self::create(dir, manifest)?, Vec::new()));
             }
             Err(e) => {
                 return Err(JournalError::Manifest {
@@ -253,7 +264,7 @@ impl Journal {
     /// older journals just the same.
     pub fn record_admitted(&self, rec: &JournalRecord) {
         if let Ok(json) = serde_json::to_string(rec) {
-            write_atomic(&self.record_path(rec.spec.id), &json);
+            let _ = write_atomic(&self.record_path(rec.spec.id), &json);
         }
     }
 
@@ -300,7 +311,7 @@ mod tests {
     #[test]
     fn pending_then_done_round_trip() {
         let dir = tmpdir("roundtrip");
-        let j = Journal::create(&dir, &manifest());
+        let j = Journal::create(&dir, &manifest()).unwrap();
         let mut rec = pending(5);
         j.record_admitted(&rec);
         let (_, recs) = Journal::resume(&dir, &manifest()).unwrap();
@@ -319,7 +330,7 @@ mod tests {
         // Journals written before records went compact hold
         // pretty-printed files; a directory with both forms must resume.
         let dir = tmpdir("both-forms");
-        let j = Journal::create(&dir, &manifest());
+        let j = Journal::create(&dir, &manifest()).unwrap();
         let mut done = pending(1);
         done.response = Some(Response::rejected(1, RejectReason::QueueFull));
         j.record_done(&done);
@@ -343,7 +354,7 @@ mod tests {
     #[test]
     fn corrupt_record_is_a_typed_error_not_a_panic() {
         let dir = tmpdir("corrupt-record");
-        let j = Journal::create(&dir, &manifest());
+        let j = Journal::create(&dir, &manifest()).unwrap();
         j.record_admitted(&pending(9));
         let victim = Journal::requests_dir(&dir).join("9.json");
         let text = std::fs::read_to_string(&victim).unwrap();
@@ -357,7 +368,7 @@ mod tests {
     #[test]
     fn corrupt_manifest_is_a_typed_error_not_a_panic() {
         let dir = tmpdir("corrupt-manifest");
-        Journal::create(&dir, &manifest());
+        Journal::create(&dir, &manifest()).unwrap();
         let mpath = dir.join("serve.json");
         let text = std::fs::read_to_string(&mpath).unwrap();
         std::fs::write(&mpath, &text[..text.len() / 2]).unwrap();
@@ -370,7 +381,7 @@ mod tests {
     #[test]
     fn mismatched_manifest_refuses_to_resume() {
         let dir = tmpdir("mismatch");
-        Journal::create(&dir, &manifest());
+        Journal::create(&dir, &manifest()).unwrap();
         let other = ServeManifest {
             seed: 43,
             ..manifest()
@@ -384,7 +395,7 @@ mod tests {
     #[test]
     fn tmp_debris_is_cleaned_on_resume() {
         let dir = tmpdir("debris");
-        let j = Journal::create(&dir, &manifest());
+        let j = Journal::create(&dir, &manifest()).unwrap();
         j.record_admitted(&pending(1));
         let debris = Journal::requests_dir(&dir).join("2.tmp");
         std::fs::write(&debris, "half-written garbage").unwrap();

@@ -11,12 +11,12 @@
 //! and a **crash-safe write-ahead journal** giving exactly-once responses
 //! across a kill-and-restart.
 //!
-//! With [`ServerConfig::executors`](server::ServerConfig) above 1 the
-//! server runs **concurrently**: the pool is partitioned into per-executor
-//! worker groups ([`placement`]), up to G requests are in flight at once
-//! with size-aware, strong-scaling-capped widths, small GEMMs take a
-//! batched inline fast path, and admission pipelines with execution.
-//! Results stay bitwise identical to the serial server.
+//! Every [`ServerConfig::executors`](server::ServerConfig) count G runs
+//! one serve loop: the pool is partitioned into G per-executor worker
+//! groups ([`placement`]), up to G requests are in flight at once with
+//! size-aware, strong-scaling-capped widths, small GEMMs take a batched
+//! inline fast path, and `run` pipelines admission with execution. A
+//! request's frozen plan executes bit-identically at every G.
 //!
 //! Per-request observability rides the existing layers: a `serve:exec`
 //! trace span per execution plus a cross-thread `serve:queued` async span

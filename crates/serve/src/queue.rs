@@ -50,21 +50,18 @@ impl Admitted {
             .map(|ms| self.admitted_at + std::time::Duration::from_millis(ms))
     }
 
-    /// Sort key for urgency: deadline first (absent = least urgent),
-    /// admission order second.
+    /// Sort key for urgency: deadline first, admission order second.
+    /// `Option<Instant>` orders `None` (no deadline) first, so
+    /// [`BoundedQueue::pop_batch`] leads its key with `is_none()` to make
+    /// it least urgent.
     fn urgency(&self) -> (Option<Instant>, u64) {
-        // `Option<Instant>` orders `None` first; invert so "no deadline"
-        // sorts *after* every real deadline.
-        match self.deadline() {
-            Some(d) => (Some(d), self.seq),
-            None => (None, self.seq),
-        }
+        (self.deadline(), self.seq)
     }
 }
 
-/// Bounded FIFO-per-shape queue. Single-owner by design: the server
-/// thread owns it and parallelism happens *inside* each job, so there is
-/// no interior locking to reason about.
+/// Bounded FIFO-per-shape queue. It does no locking of its own: the
+/// server keeps it under one mutex shared by the admitting thread and the
+/// executors (see the server's concurrency discipline).
 #[derive(Debug)]
 pub struct BoundedQueue {
     capacity: usize,

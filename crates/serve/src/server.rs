@@ -17,29 +17,30 @@
 //!            (journal: done)               (budget exhausted → Failed)
 //! ```
 //!
-//! # Serial and concurrent serving
+//! # One loop
 //!
-//! With `executors <= 1` the server is the PR-7 single loop: one request
-//! at a time, the multiply fanned out across the whole pool. With
-//! `executors = G > 1` the pool is partitioned into G contiguous worker
-//! groups ([`crate::placement::partition`]) and G executor threads drain
-//! the queue concurrently — admission keeps running on the front thread
-//! (pipelined with execution), and each in-flight request is confined to
-//! its executor's group so requests don't steal each other's workers.
+//! Every drain runs the same loop at every executor count: the pool is
+//! partitioned into `G = executors` contiguous worker groups
+//! ([`crate::placement::partition`]; at `G = 1` one group spans the
+//! pool) and G executor threads drain the queue, each in-flight request
+//! confined to its executor's group so requests don't steal each other's
+//! workers.
 //!
-//! **`run()` admission differs at `G > 1`.** The serial `run` floods
-//! every spec into the queue before draining, so pressure can cross the
-//! degradation watermarks and requests can be shed. The concurrent
-//! `run` pipelines admission and *paces* the front thread below the
-//! degradation watermark instead (the pipelined analogue of the bench
-//! driver's chunked pacing), so it never sheds and never degrades.
-//! Workloads that rely on pressure semantics — shedding, degraded
-//! plans — must use explicit [`Server::submit`] (full shed/degrade
-//! contract at any `G`) followed by [`Server::drain`]. The bitwise
-//! guarantee is therefore **per frozen plan**: a request executes its
-//! frozen plan bit-identically at any executor count, but `run` itself
-//! may freeze *different* plans at `G = 1` vs `G > 1` once a serial
-//! flood crosses a watermark.
+//! Admission has two contracts, and both hold at every `G`:
+//!
+//! * [`Server::submit`] admits against the queue as it stands: a full
+//!   queue sheds (`QueueFull`) and pressure past the watermarks degrades
+//!   the frozen plan. [`Server::drain`] then serves what was admitted.
+//!   Workloads that rely on pressure semantics (shedding, degraded
+//!   plans) submit everything, then drain.
+//! * [`Server::run`] pipelines admission with execution and *paces* its
+//!   front thread below the degradation watermark instead of shedding
+//!   (the pipelined analogue of a client pacing in chunks), so it never
+//!   sheds and never degrades.
+//!
+//! The bitwise guarantee is **per frozen plan**: a request executes its
+//! frozen plan bit-identically at any executor count, because the
+//! algorithms are schedule-invariant.
 //!
 //! Placement is size-aware: a request only gets
 //! [`crate::placement::slot_width`] workers — the strong-scaling cap
@@ -47,16 +48,15 @@
 //! **batched small-GEMM fast path**: the multiply runs inline (no
 //! cross-thread handoff), and a homogeneous batch is spread
 //! one-request-per-group-slot under a single pool scope so spawn/steal
-//! overhead is paid once per batch. Retry backoff, operand generation and
-//! journal I/O all overlap with other executors' work — which is where
-//! the concurrent throughput win comes from even on few cores.
+//! overhead is paid once per batch. With `G > 1`, retry backoff, operand
+//! generation and journal I/O overlap with other executors' work, which
+//! pays off even on few cores.
 //!
 //! # Concurrency discipline
 //!
-//! * The queue lives under one mutex; executors block on a condvar for
-//!   work, the admitting thread blocks on another for space (it paces
-//!   itself below the degradation watermark instead of shedding its own
-//!   clients).
+//! * The queue lives under one mutex for the server's whole life;
+//!   executors block on a condvar for work, and `run`'s pacing front
+//!   thread blocks on another for space.
 //! * The journal's write-ahead (pending) record is written **under the
 //!   queue lock, before the push** — an executor can therefore never
 //!   complete a request (and write its done record) before the pending
@@ -114,15 +114,13 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Executor pool width.
     pub threads: usize,
-    /// Concurrent executors (in-flight requests). `<= 1` is the serial
-    /// PR-7 loop; `G > 1` partitions the pool into G worker groups and
-    /// serves G requests at once. Clamped to `threads`. Not part of the
-    /// journal manifest: a *frozen plan* executes bit-identically at any
-    /// executor count (the algorithms are schedule-invariant bitwise),
-    /// so a journal written at one G resumes correctly at another. Note
-    /// that [`Server::run`]'s *admission* discipline differs at `G > 1`
-    /// (see the module docs): `run` only freezes the same plans across
-    /// executor counts while pressure stays below the watermarks.
+    /// Executor threads G (in-flight requests): the pool is partitioned
+    /// into G worker groups, one executor each. Clamped to
+    /// `[1, threads]`; every G runs the same loop and admission contracts
+    /// (see the module docs). Not part of the journal manifest: a *frozen
+    /// plan* executes bit-identically at any executor count (the
+    /// algorithms are schedule-invariant bitwise), so a journal written
+    /// at one G resumes correctly at another.
     pub executors: usize,
     /// Admission queue bound (0 = shed everything).
     pub capacity: usize,
@@ -219,45 +217,62 @@ enum Attempt {
     DeadlineExceeded { wall: f64 },
 }
 
-/// How one request's multiply runs.
+/// How one request's multiply runs inside its executor's group.
 #[derive(Debug, Clone, Copy)]
 enum ExecMode {
-    /// Serial server: the multiply fans out across the whole pool.
-    WholePool,
     /// Width-1 slot: inline on the current thread, no handoff (the
     /// small-GEMM fast path).
     Inline,
     /// Width > 1 slot: the root task is addressed at worker `home`
-    /// (its group's first worker); fan-out prefers that group. Only
-    /// used while the group layout is actually installed — an ungrouped
-    /// drain falls back to [`ExecMode::WholePool`] so the reported
-    /// width matches the unconfined fan-out.
+    /// (its group's first worker); fan-out prefers that group.
     Grouped { home: usize, width: usize },
 }
 
-/// Immutable environment shared by every executor thread.
+/// The server as the executor threads see it.
 struct ExecEnv<'a> {
     cfg: &'a ServerConfig,
     harness: &'a Harness,
     pool: &'a ThreadPool,
     journal: Option<&'a Journal>,
+    shared: &'a Shared,
 }
 
-/// Cross-thread state of one concurrent drain.
+/// The queue and its synchronisation, held by the server for its whole
+/// life and shared by the admitting thread and the executors.
 struct Shared {
     queue: Mutex<BoundedQueue>,
     /// Executors wait here for work.
     work: Condvar,
-    /// The admitting thread waits here for the queue to fall below the
-    /// pacing watermark.
+    /// Pacing admission waits here for the queue to fall below the
+    /// degradation watermark.
     space: Condvar,
-    /// No further admissions will arrive; executors exit once the queue
-    /// is empty.
+    /// No further admissions will arrive in this drain; executors exit
+    /// once the queue is empty.
     closed: AtomicBool,
     /// The `halt_after` crash point fired.
     halted: AtomicBool,
     /// Completion tickets (see the module docs' halt discipline).
     served: AtomicUsize,
+}
+
+/// Admission-side state: only the admitting thread touches it (the
+/// caller of `submit`, or `run`'s front thread while executors drain).
+#[derive(Default)]
+struct Front {
+    /// Every id admitted, rejected or recovered from the journal.
+    known: HashSet<u64>,
+    stats: ServeStats,
+    done: Vec<Response>,
+}
+
+/// What admission does with a request when the queue is at its limit.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OnFull {
+    /// Reject it with `QueueFull` ([`Server::submit`]).
+    Shed,
+    /// Wait for the executors to pull the queue below the degradation
+    /// watermark ([`Server::run`]'s front thread).
+    Pace,
 }
 
 /// Best-effort panic payload extraction (the sweep uses the same shape).
@@ -296,18 +311,71 @@ fn resolve_plan(cfg: &ServerConfig, pressure: f64, spec: &JobSpec) -> ExecPlan {
     }
 }
 
+impl Front {
+    /// The one admission path: dedup, the zero-deadline rejection, the
+    /// degradation ladder, the write-ahead record under the queue lock,
+    /// the push. Returns the immediate rejection when one is issued (also
+    /// recorded in the response set). A paced request the crash point
+    /// overtakes while it waits is dropped, like a client that dies with
+    /// the process.
+    fn admit(&mut self, env: &ExecEnv<'_>, spec: JobSpec, on_full: OnFull) -> Option<Response> {
+        self.stats.submitted += 1;
+        if !self.known.insert(spec.id) {
+            return None;
+        }
+        if spec.deadline_ms == Some(0) {
+            self.stats.rejected_deadline += 1;
+            return Some(self.reject(spec.id, RejectReason::DeadlineUnmeetable));
+        }
+        let shared = env.shared;
+        let mut q = shared.queue.lock().unwrap();
+        let cap = q.capacity();
+        if on_full == OnFull::Pace && cap > 0 {
+            let mark = ((cap as f64 * env.cfg.degrade_watermark).ceil() as usize).clamp(1, cap);
+            while q.len() >= mark {
+                if shared.halted.load(Ordering::SeqCst) {
+                    return None;
+                }
+                q = shared.space.wait(q).unwrap();
+            }
+        }
+        if !q.has_room() {
+            self.stats.shed += 1;
+            return Some(self.reject(spec.id, RejectReason::QueueFull));
+        }
+        let plan = resolve_plan(env.cfg, q.pressure(), &spec);
+        // Write-ahead ordering: the pending record must exist before the
+        // request becomes poppable, or an executor could write the done
+        // record first and have it clobbered (see module docs).
+        if let Some(journal) = env.journal {
+            journal.record_admitted(&JournalRecord::pending(spec, plan));
+        }
+        q.try_push(spec, plan).expect("room was checked");
+        powerscale_trace::async_begin(powerscale_trace::Category::Serve, "serve:queued", spec.id);
+        drop(q);
+        shared.work.notify_one();
+        self.stats.admitted += 1;
+        if plan.degraded.is_some() {
+            self.stats.degraded += 1;
+        }
+        None
+    }
+
+    fn reject(&mut self, id: u64, reason: RejectReason) -> Response {
+        let resp = Response::rejected(id, reason);
+        self.done.push(resp.clone());
+        resp
+    }
+}
+
 /// The serving engine. See the module docs for the lifecycle.
 pub struct Server {
     cfg: ServerConfig,
     harness: Harness,
     pool: ThreadPool,
-    queue: BoundedQueue,
     journal: Option<Journal>,
-    stats: ServeStats,
-    done: Vec<Response>,
-    known: HashSet<u64>,
-    served: usize,
-    halted: bool,
+    shared: Shared,
+    front: Front,
 }
 
 impl Server {
@@ -315,9 +383,7 @@ impl Server {
     pub fn new(cfg: ServerConfig) -> Result<Self, JournalError> {
         let pool = ThreadPool::new(cfg.threads.max(1));
         let mut queue = BoundedQueue::new(cfg.capacity);
-        let mut stats = ServeStats::default();
-        let mut done = Vec::new();
-        let mut known = HashSet::new();
+        let mut front = Front::default();
         let journal = match &cfg.journal_dir {
             None => None,
             Some(dir) => {
@@ -329,14 +395,14 @@ impl Server {
                 if cfg.resume {
                     let (journal, records) = Journal::resume(dir, &manifest)?;
                     for rec in records {
-                        known.insert(rec.spec.id);
+                        front.known.insert(rec.spec.id);
                         match rec.response {
                             Some(resp) => {
-                                stats.recovered += 1;
-                                done.push(resp);
+                                front.stats.recovered += 1;
+                                front.done.push(resp);
                             }
                             None => {
-                                stats.replayed += 1;
+                                front.stats.replayed += 1;
                                 queue.push_replay(rec.spec, rec.plan());
                                 powerscale_trace::async_begin(
                                     powerscale_trace::Category::Serve,
@@ -348,7 +414,7 @@ impl Server {
                     }
                     Some(journal)
                 } else {
-                    Some(Journal::create(dir, &manifest))
+                    Some(Journal::create(dir, &manifest)?)
                 }
             }
         };
@@ -356,24 +422,27 @@ impl Server {
             cfg,
             harness: Harness::default(),
             pool,
-            queue,
             journal,
-            stats,
-            done,
-            known,
-            served: 0,
-            halted: false,
+            shared: Shared {
+                queue: Mutex::new(queue),
+                work: Condvar::new(),
+                space: Condvar::new(),
+                closed: AtomicBool::new(false),
+                halted: AtomicBool::new(false),
+                served: AtomicUsize::new(0),
+            },
+            front,
         })
     }
 
     /// Lifecycle counters so far.
     pub fn stats(&self) -> &ServeStats {
-        &self.stats
+        &self.front.stats
     }
 
     /// Queued (admitted, unserved) request count.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.shared.queue.lock().unwrap().len()
     }
 
     /// The admission queue's configured capacity.
@@ -381,171 +450,90 @@ impl Server {
         self.cfg.capacity
     }
 
-    /// True when this server drains with more than one executor.
-    pub fn is_concurrent(&self) -> bool {
-        self.cfg.executors > 1
-    }
-
     /// True once a `halt_after` crash point was reached.
     pub fn halted(&self) -> bool {
-        self.halted
+        self.shared.halted.load(Ordering::SeqCst)
     }
 
-    /// Offers a request to admission control. Returns the immediate
-    /// rejection when one is issued (also recorded in the response set);
-    /// `None` means the request was queued — or is already known from
-    /// the journal (recovered/replayed) and needs no re-admission, which
-    /// is what makes blind resubmission after a restart exactly-once.
+    /// Offers a request to admission control against the queue as it
+    /// stands: a full queue sheds, pressure degrades the frozen plan.
+    /// Returns the immediate rejection when one is issued (also recorded
+    /// in the response set); `None` means the request was queued — or is
+    /// already known from the journal (recovered/replayed) and needs no
+    /// re-admission, which is what makes blind resubmission after a
+    /// restart exactly-once.
     pub fn submit(&mut self, spec: JobSpec) -> Option<Response> {
-        self.stats.submitted += 1;
-        if !self.known.insert(spec.id) {
-            return None;
-        }
-        if spec.deadline_ms == Some(0) {
-            self.stats.rejected_deadline += 1;
-            let resp = Response::rejected(spec.id, RejectReason::DeadlineUnmeetable);
-            self.done.push(resp.clone());
-            return Some(resp);
-        }
-        if !self.queue.has_room() {
-            self.stats.shed += 1;
-            let resp = Response::rejected(spec.id, RejectReason::QueueFull);
-            self.done.push(resp.clone());
-            return Some(resp);
-        }
-        let plan = resolve_plan(&self.cfg, self.queue.pressure(), &spec);
-        // Write-ahead ordering: the pending record must exist before the
-        // request becomes poppable, or a concurrent executor could write
-        // the done record first and have it clobbered (see module docs).
-        if let Some(journal) = &self.journal {
-            journal.record_admitted(&JournalRecord::pending(spec, plan));
-        }
-        self.queue
-            .try_push(spec, plan)
-            .expect("has_room was checked");
-        self.stats.admitted += 1;
-        if plan.degraded.is_some() {
-            self.stats.degraded += 1;
-        }
-        powerscale_trace::async_begin(powerscale_trace::Category::Serve, "serve:queued", spec.id);
-        None
+        let (env, front) = self.split();
+        front.admit(&env, spec, OnFull::Shed)
     }
 
     /// Serves queued requests until the queue is empty (or the
-    /// `halt_after` crash point fires): the serial loop at
-    /// `executors <= 1`, the group-partitioned concurrent drain above.
+    /// `halt_after` crash point fires).
     pub fn drain(&mut self) {
-        if self.cfg.executors > 1 {
-            self.serve_concurrent(Vec::new());
-            return;
-        }
-        let env = ExecEnv {
-            cfg: &self.cfg,
-            harness: &self.harness,
-            pool: &self.pool,
-            journal: self.journal.as_ref(),
-        };
-        while !self.halted && !self.queue.is_empty() {
-            let batch = self.queue.pop_batch(self.cfg.batch.max(1));
-            for job in batch {
-                if self.halted {
-                    // Crash simulation: the rest of the batch dies with
-                    // the process; their pending journal records survive.
-                    continue;
-                }
-                let resp = serve_one(&env, ExecMode::WholePool, &job, &mut self.stats);
-                if let Some(journal) = &self.journal {
-                    let mut rec = JournalRecord::pending(job.spec, job.plan);
-                    rec.response = Some(resp.clone());
-                    journal.record_done(&rec);
-                }
-                self.done.push(resp);
-                self.served += 1;
-                if self.cfg.halt_after.is_some_and(|h| self.served >= h) {
-                    self.halted = true;
-                }
-            }
-        }
+        self.serve(std::iter::empty());
     }
 
     /// Serves a workload and returns all responses (including
     /// journal-recovered ones) ordered by request id.
     ///
-    /// Serial (`executors <= 1`): every spec is submitted, then the queue
-    /// drains. Concurrent: admission is **pipelined** with execution —
-    /// the front thread submits while the executors drain, pacing itself
-    /// below the degradation watermark instead of shedding. A concurrent
-    /// `run` therefore never sheds and never degrades, which can diverge
-    /// from a serial `run` of the same workload once the serial flood
-    /// crosses a watermark (see the module docs). Callers that want raw
-    /// shed/degrade admission semantics at any executor count submit
+    /// Admission is **pipelined** with execution: this thread admits
+    /// while the executors drain, pacing itself below the degradation
+    /// watermark instead of shedding, so `run` never sheds and never
+    /// degrades. Callers that want raw shed/degrade admission submit
     /// explicitly and call [`Server::drain`].
     pub fn run(&mut self, specs: impl IntoIterator<Item = JobSpec>) -> Vec<Response> {
-        if self.cfg.executors > 1 {
-            self.serve_concurrent(specs.into_iter().collect());
-        } else {
-            for spec in specs {
-                self.submit(spec);
-            }
-            self.drain();
-        }
+        self.serve(specs);
         self.take_responses()
     }
 
     /// Removes and returns every accumulated response, ordered by id.
     pub fn take_responses(&mut self) -> Vec<Response> {
-        let mut out = std::mem::take(&mut self.done);
+        let mut out = std::mem::take(&mut self.front.done);
         out.sort_by_key(|r| r.id);
         out
     }
 
-    /// The concurrent drain: G executor threads over G pool groups, with
-    /// `specs` admitted on this thread while they work.
-    fn serve_concurrent(&mut self, specs: Vec<JobSpec>) {
-        let threads = self.cfg.threads.max(1);
-        let g = self.cfg.executors.clamp(1, threads);
-        let ranges = placement::partition(threads, g);
-        let shared = Shared {
-            queue: Mutex::new(std::mem::replace(&mut self.queue, BoundedQueue::new(0))),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            closed: AtomicBool::new(false),
-            halted: AtomicBool::new(self.halted),
-            served: AtomicUsize::new(self.served),
-        };
+    /// The executors' view of the server, beside the admission state the
+    /// front thread mutates while they run.
+    fn split(&mut self) -> (ExecEnv<'_>, &mut Front) {
         let env = ExecEnv {
             cfg: &self.cfg,
             harness: &self.harness,
             pool: &self.pool,
             journal: self.journal.as_ref(),
+            shared: &self.shared,
         };
-        // Group isolation is a scheduling preference, not a correctness
-        // requirement (results are schedule-invariant), so a pool that
-        // already has a layout installed just runs ungrouped — executors
-        // then report whole-pool width instead of pretending confinement.
-        let groups = self.pool.try_install_groups(&ranges, false);
-        let grouped = groups.is_some();
-        let known = &mut self.known;
-        let stats = &mut self.stats;
-        let done = &mut self.done;
+        (env, &mut self.front)
+    }
+
+    /// The one serve loop: G executor threads over G pool groups drain the
+    /// queue while `specs` are admitted, paced, on this thread.
+    fn serve(&mut self, specs: impl IntoIterator<Item = JobSpec>) {
+        let ranges = placement::partition(self.cfg.threads, self.cfg.executors);
+        let (env, front) = self.split();
+        // The layout goes on the server's own pool and its guard ends
+        // with this drain, so no other layout can be installed here.
+        let _groups = env
+            .pool
+            .try_install_groups(&ranges, false)
+            .expect("the server's pool carries no other group layout");
+        env.shared.closed.store(false, Ordering::SeqCst);
         let collected: Vec<(ServeStats, Vec<Response>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = ranges
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(e, range)| {
-                    let range = range.clone();
-                    let shared = &shared;
                     let env = &env;
-                    scope.spawn(move || executor_loop(e, range, shared, env, grouped))
+                    scope.spawn(move || executor_loop(e, range, env))
                 })
                 .collect();
             for spec in specs {
-                if shared.halted.load(Ordering::SeqCst) {
+                if env.shared.halted.load(Ordering::SeqCst) {
                     // Crash simulation: un-admitted clients die with the
                     // process and come back via blind resubmission.
                     break;
                 }
-                front_submit(&env, &shared, known, stats, done, spec);
+                front.admit(&env, spec, OnFull::Pace);
             }
             {
                 // Flag flips happen under the queue mutex (lost-wakeup
@@ -553,97 +541,24 @@ impl Server {
                 // `closed == false` while holding the lock cannot reach
                 // its wait before we release it, so notify_all below
                 // cannot fire into a gap.
-                let _q = shared.queue.lock().unwrap();
-                shared.closed.store(true, Ordering::SeqCst);
+                let _q = env.shared.queue.lock().unwrap();
+                env.shared.closed.store(true, Ordering::SeqCst);
             }
-            shared.work.notify_all();
+            env.shared.work.notify_all();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        drop(groups);
-        self.queue = shared
-            .queue
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.served = shared.served.load(Ordering::SeqCst);
-        self.halted = shared.halted.load(Ordering::SeqCst);
         for (exec_stats, responses) in collected {
-            self.stats.absorb_exec(&exec_stats);
-            self.done.extend(responses);
+            front.stats.absorb_exec(&exec_stats);
+            front.done.extend(responses);
         }
     }
-}
-
-/// Pipelined admission (front thread of a concurrent drain): the same
-/// admission contract as [`Server::submit`] except that instead of
-/// shedding on a full queue, the front thread *paces* — it waits for the
-/// executors to pull the queue below the degradation watermark, which is
-/// the pipelined equivalent of the bench driver's chunked pacing and
-/// keeps plans deterministic (admission pressure never crosses the
-/// watermark, so nothing degrades behind the client's back).
-fn front_submit(
-    env: &ExecEnv<'_>,
-    shared: &Shared,
-    known: &mut HashSet<u64>,
-    stats: &mut ServeStats,
-    done: &mut Vec<Response>,
-    spec: JobSpec,
-) {
-    stats.submitted += 1;
-    if !known.insert(spec.id) {
-        return;
-    }
-    if spec.deadline_ms == Some(0) {
-        stats.rejected_deadline += 1;
-        done.push(Response::rejected(
-            spec.id,
-            RejectReason::DeadlineUnmeetable,
-        ));
-        return;
-    }
-    let mut q = shared.queue.lock().unwrap();
-    let cap = q.capacity();
-    if cap == 0 {
-        stats.shed += 1;
-        done.push(Response::rejected(spec.id, RejectReason::QueueFull));
-        return;
-    }
-    let mark = ((cap as f64 * env.cfg.degrade_watermark).ceil() as usize).clamp(1, cap);
-    while q.len() >= mark {
-        if shared.halted.load(Ordering::SeqCst) {
-            return;
-        }
-        q = shared.space.wait(q).unwrap();
-    }
-    let plan = resolve_plan(env.cfg, q.pressure(), &spec);
-    // Same write-ahead ordering as Server::submit, held under the queue
-    // lock: pending exists before the request is poppable.
-    if let Some(journal) = env.journal {
-        journal.record_admitted(&JournalRecord::pending(spec, plan));
-    }
-    q.try_push(spec, plan).expect("paced below the watermark");
-    stats.admitted += 1;
-    if plan.degraded.is_some() {
-        stats.degraded += 1;
-    }
-    powerscale_trace::async_begin(powerscale_trace::Category::Serve, "serve:queued", spec.id);
-    drop(q);
-    shared.work.notify_one();
 }
 
 /// One executor thread: pop a same-shape batch, place it by width, serve
 /// it, finalize (tickets + journal), repeat until closed or halted.
-///
-/// `grouped` says whether the group layout is actually installed on the
-/// pool; when it is not, width > 1 jobs run — and are reported — at
-/// whole-pool width, because nothing confines their fan-out to `range`.
-fn executor_loop(
-    e: usize,
-    range: Range<usize>,
-    shared: &Shared,
-    env: &ExecEnv<'_>,
-    grouped: bool,
-) -> (ServeStats, Vec<Response>) {
+fn executor_loop(e: usize, range: Range<usize>, env: &ExecEnv<'_>) -> (ServeStats, Vec<Response>) {
     powerscale_trace::set_thread_label("serve-exec", e as u32);
+    let shared = env.shared;
     let mut stats = ServeStats::default();
     let mut out = Vec::new();
     let batch_max = env.cfg.batch.max(1);
@@ -700,7 +615,7 @@ fn executor_loop(
             for (job, (slot_stats, resp)) in batch.iter().zip(slots) {
                 stats.absorb_exec(&slot_stats);
                 if let Some(resp) = resp {
-                    finalize(env, shared, job, resp, &mut out);
+                    finalize(env, job, resp, &mut out);
                 }
             }
         } else {
@@ -712,18 +627,14 @@ fn executor_loop(
                 }
                 let mode = if width <= 1 {
                     ExecMode::Inline
-                } else if grouped {
+                } else {
                     ExecMode::Grouped {
                         home: range.start,
                         width,
                     }
-                } else {
-                    // No layout installed: the fan-out is unconfined, so
-                    // report the honest width (see the doc comment above).
-                    ExecMode::WholePool
                 };
                 let resp = serve_one(env, mode, job, &mut stats);
-                finalize(env, shared, job, resp, &mut out);
+                finalize(env, job, resp, &mut out);
             }
         }
     }
@@ -733,13 +644,8 @@ fn executor_loop(
 /// Completion-ticket finalization (see the module docs' halt
 /// discipline): ticket > h ⇒ the response is discarded un-journaled,
 /// ticket == h ⇒ recorded, then the crash flag trips everyone.
-fn finalize(
-    env: &ExecEnv<'_>,
-    shared: &Shared,
-    job: &Admitted,
-    resp: Response,
-    out: &mut Vec<Response>,
-) {
+fn finalize(env: &ExecEnv<'_>, job: &Admitted, resp: Response, out: &mut Vec<Response>) {
+    let shared = env.shared;
     let ticket = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
     if let Some(h) = env.cfg.halt_after {
         if ticket > h {
@@ -876,8 +782,8 @@ fn serve_one(
                 let shift = (attempts - 1).min(6);
                 let pause = Duration::from_millis(env.cfg.backoff_ms.saturating_mul(1 << shift))
                     .min(Duration::from_millis(100));
-                // In the concurrent server this sleep overlaps with the
-                // other executors' work instead of stalling the loop.
+                // With G > 1 this sleep overlaps with the other
+                // executors' work instead of stalling the loop.
                 std::thread::sleep(pause);
             }
         }
@@ -902,12 +808,6 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
     };
     let t0 = Instant::now();
     let (result, width) = match mode {
-        ExecMode::WholePool => {
-            let r = env
-                .pool
-                .scope_with_cancel(token, |_| multiply(Some(env.pool)));
-            (Some(r), env.cfg.threads)
-        }
         ExecMode::Inline => {
             // Small-GEMM fast path: no pool, no handoff. The inline
             // multiply has no steal boundaries to poll, so the deadline
@@ -1047,10 +947,11 @@ mod tests {
             ..ServerConfig::default()
         };
         let mut s = Server::new(cfg).unwrap();
-        let specs: Vec<JobSpec> = (0..10)
-            .map(|i| JobSpec::new(i, 32, Algorithm::Strassen))
-            .collect();
-        let out = s.run(specs);
+        for i in 0..10 {
+            s.submit(JobSpec::new(i, 32, Algorithm::Strassen));
+        }
+        s.drain();
+        let out = s.take_responses();
         for r in &out {
             let expect = match r.id {
                 0..=4 => None,
@@ -1061,6 +962,56 @@ mod tests {
             assert_eq!(r.status, Status::Completed);
         }
         assert_eq!(s.stats().degraded, 5);
+    }
+
+    #[test]
+    fn run_paces_and_submit_sheds_at_every_executor_count() {
+        // The two admission contracts hold at every G: `run` paces its
+        // front thread below the degradation watermark, submit-all then
+        // drain floods the queue and meets the full ladder.
+        let specs: Vec<JobSpec> = (0..20)
+            .map(|i| JobSpec::new(i, 32, Algorithm::Strassen))
+            .collect();
+        for executors in [1usize, 2] {
+            let cfg = ServerConfig {
+                threads: 2,
+                executors,
+                capacity: 4,
+                ..ServerConfig::default()
+            };
+            let mut paced = Server::new(cfg.clone()).unwrap();
+            let out = paced.run(specs.clone());
+            assert_eq!(out.len(), specs.len(), "G={executors}");
+            assert_eq!(paced.stats().shed, 0, "run must pace, G={executors}");
+            assert_eq!(paced.stats().degraded, 0, "G={executors}");
+            assert!(out.iter().all(|r| r.status == Status::Completed));
+
+            let mut flooded = Server::new(cfg).unwrap();
+            for spec in &specs {
+                flooded.submit(*spec);
+            }
+            flooded.drain();
+            assert_eq!(flooded.take_responses().len(), specs.len());
+            assert!(flooded.stats().shed > 0, "submit must shed, G={executors}");
+            assert!(flooded.stats().degraded > 0, "G={executors}");
+        }
+    }
+
+    #[test]
+    fn uncreatable_journal_dir_is_a_typed_error() {
+        // A journal that cannot be created must stop the server, not
+        // leave it running un-journaled with nothing to resume from.
+        let file = tmpdir("journal-under-file");
+        std::fs::write(&file, "a regular file").unwrap();
+        let cfg = ServerConfig {
+            journal_dir: Some(file.join("journal")),
+            ..small_cfg()
+        };
+        assert!(matches!(
+            Server::new(cfg),
+            Err(JournalError::Manifest { .. })
+        ));
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]

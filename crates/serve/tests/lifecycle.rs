@@ -31,6 +31,17 @@ fn workload(count: u64) -> Vec<JobSpec> {
         .collect()
 }
 
+/// Admits every spec before anything executes, then drains: the crash
+/// legs need every request admitted (and journaled) before the halt
+/// ticket can fire, which `run`'s pipelined admission does not promise.
+fn submit_then_drain(server: &mut Server, specs: &[JobSpec]) -> Vec<Response> {
+    for spec in specs {
+        server.submit(*spec);
+    }
+    server.drain();
+    server.take_responses()
+}
+
 fn by_id(responses: &[Response]) -> HashMap<u64, &Response> {
     let mut map = HashMap::new();
     for r in responses {
@@ -90,7 +101,7 @@ fn killed_server_resumes_from_journal_with_no_lost_or_duplicated_responses() {
     // Crash-simulated run: dies after 7 completions, mid-lifecycle.
     let dir = tmpdir("kill-restart");
     let mut first = Server::new(cfg(Some(dir.clone()), false, Some(7))).unwrap();
-    let first_out = first.run(specs.clone());
+    let first_out = submit_then_drain(&mut first, &specs);
     assert!(first.halted(), "the crash point must have fired");
     assert!(
         first_out
@@ -206,7 +217,7 @@ fn concurrent_kill_and_restart_under_chaos_is_exactly_once_and_bit_consistent() 
     // completion tickets.
     let dir = tmpdir("concurrent-kill-restart");
     let mut first = Server::new(cfg(2, Some(dir.clone()), false, Some(5))).unwrap();
-    let first_out = first.run(specs.clone());
+    let first_out = submit_then_drain(&mut first, &specs);
     assert!(first.halted(), "the crash point must have fired");
     assert_eq!(
         first_out.len(),
@@ -306,7 +317,7 @@ fn degraded_plans_survive_the_journal_round_trip() {
     };
     let dir = tmpdir("degraded-replay");
     let mut first = Server::new(cfg(false, Some(3), dir.clone())).unwrap();
-    let _ = first.run(specs.clone());
+    let _ = submit_then_drain(&mut first, &specs);
     assert!(first.halted());
 
     let mut second = Server::new(cfg(true, None, dir)).unwrap();
