@@ -13,10 +13,6 @@
 //! - `POWERSCALE_E2E_REPS`     best-of repetitions, default 3
 //! - `POWERSCALE_E2E_THREADS`  pool width, default `available_parallelism`
 //! - `POWERSCALE_E2E_CHECK`    `0` skips the naive Frobenius check
-//! - `POWERSCALE_E2E_UNFUSED`  `1` adds `*_unfused` rows: the same
-//!   recursive algorithms with operand fusion disabled
-//!   ([`powerscale::gemm::Dispatch::unfused_leaf`]), quantifying the win from
-//!   packing `X ± Y` directly into the leaf buffers
 //! - `POWERSCALE_E2E_OUT`      output filename, default `BENCH_e2e.json`
 //! - `POWERSCALE_E2E_GATE`     baseline filename; when set, exits non-zero
 //!   if any algorithm's blocked-relative throughput regressed > 20%
@@ -109,66 +105,39 @@ fn main() {
             rel_err: err_of(&out),
         });
 
-        // Fused (default) pass, then optionally the same algorithms with
-        // operand fusion disabled to quantify the fused-packing win.
-        let unfused_too = std::env::var("POWERSCALE_E2E_UNFUSED").is_ok_and(|v| v == "1");
-        for unfused in [false, true] {
-            if unfused && !unfused_too {
-                break;
-            }
-            let dispatch = Dispatch {
-                unfused_leaf: unfused,
-                ..Dispatch::default()
-            };
-            let suffix = if unfused { "_unfused" } else { "" };
-
-            let classic = StrassenConfig {
-                dispatch,
-                ..StrassenConfig::paper()
-            };
-            let strassen_cfgs = [
-                ("strassen_classic", classic),
-                ("strassen_winograd", classic.winograd()),
-            ];
-            for (name, cfg) in strassen_cfgs {
-                let mut out = Matrix::zeros(n, n);
-                let secs = best_of(reps, || {
-                    out = powerscale::strassen::multiply(
-                        &a.view(),
-                        &b.view(),
-                        &cfg,
-                        Some(&pool),
-                        None,
-                    )
-                    .unwrap();
-                });
-                results.push(Measurement {
-                    algo: format!("{name}{suffix}"),
-                    n,
-                    secs,
-                    gflops: flops / secs / 1e9,
-                    rel_err: err_of(&out),
-                });
-            }
-
-            let caps_cfg = CapsConfig {
-                dispatch,
-                ..CapsConfig::paper()
-            };
+        let classic = StrassenConfig::paper();
+        let strassen_cfgs = [
+            ("strassen_classic", classic),
+            ("strassen_winograd", classic.winograd()),
+        ];
+        for (name, cfg) in strassen_cfgs {
             let mut out = Matrix::zeros(n, n);
             let secs = best_of(reps, || {
-                out =
-                    powerscale::caps::multiply(&a.view(), &b.view(), &caps_cfg, Some(&pool), None)
-                        .unwrap();
+                out = powerscale::strassen::multiply(&a.view(), &b.view(), &cfg, Some(&pool), None)
+                    .unwrap();
             });
             results.push(Measurement {
-                algo: format!("caps{suffix}"),
+                algo: name.to_string(),
                 n,
                 secs,
                 gflops: flops / secs / 1e9,
                 rel_err: err_of(&out),
             });
         }
+
+        let caps_cfg = CapsConfig::paper();
+        let mut out = Matrix::zeros(n, n);
+        let secs = best_of(reps, || {
+            out = powerscale::caps::multiply(&a.view(), &b.view(), &caps_cfg, Some(&pool), None)
+                .unwrap();
+        });
+        results.push(Measurement {
+            algo: "caps".to_string(),
+            n,
+            secs,
+            gflops: flops / secs / 1e9,
+            rel_err: err_of(&out),
+        });
 
         for m in results.iter().filter(|m| m.n == n) {
             println!(

@@ -12,10 +12,11 @@ pub struct CapsConfig {
     /// Tree depth below which steps are BFS; at or beyond it they are DFS
     /// (the paper settles on 4 after "much empirical testing").
     pub cutoff_depth: u32,
-    /// Workers the DFS work-sharing splits loops across (the paper's
-    /// 4-core testbed).
+    /// Workers the simulated plan's DFS work-sharing splits loops across
+    /// (the paper's 4-core testbed). It prices only the plan: an executed
+    /// shared leaf splits across its pool's width.
     pub dfs_ways: usize,
-    /// Kernel selection and leaf mode every leaf product runs under.
+    /// Kernel selection every leaf product runs under.
     pub dispatch: Dispatch,
 }
 

@@ -194,6 +194,48 @@ mod tests {
     }
 
     #[test]
+    fn pooled_caps_counts_what_sequential_caps_counts() {
+        // A pooled shared leaf is one leaf: one kernel call, one pass per
+        // fused operand, B packed and read once — whatever the pool width
+        // or `dfs_ways`. All-DFS (cutoff depth 0) and BFS-then-shared
+        // leaves (depth 4) alike.
+        let mut gen = MatrixGen::new(8);
+        let a = gen.paper_operand(128);
+        let b = gen.paper_operand(128);
+        let pool = ThreadPool::new(2);
+        for cutoff_depth in [0, 4] {
+            let cfg = CapsConfig {
+                cutoff: 16,
+                cutoff_depth,
+                dfs_ways: 4,
+                ..Default::default()
+            };
+            let run = |pool: Option<&ThreadPool>| {
+                let mut set = EventSet::with_all_events();
+                set.start().unwrap();
+                let c = multiply(&a.view(), &b.view(), &cfg, pool, Some(&set)).unwrap();
+                (c, set.stop().unwrap())
+            };
+            let ((seq, seq_events), (par, par_events)) = (run(None), run(Some(&pool)));
+            assert_eq!(seq, par, "cutoff depth {cutoff_depth}");
+            for event in [
+                Event::FpOps,
+                Event::FpAdds,
+                Event::KernelCalls,
+                Event::BytesRead,
+                Event::BytesWritten,
+                Event::PackBytes,
+            ] {
+                assert_eq!(
+                    par_events.get(event),
+                    seq_events.get(event),
+                    "{event:?} at cutoff depth {cutoff_depth}"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[ignore = "release-tier size (n = 2 x executed cutoff); run in the release-oracle CI job"]
     fn executed_default_caps_equals_strassen_at_one_step() {
         // The executed cutoffs agree, so one recursion step above the leaf

@@ -8,8 +8,9 @@
 //! the schedule decides only
 //!
 //! * **the dense cutover** — a leaf is work-shared over row bands across
-//!   all workers (the OpenMP work-sharing of the paper's DFS steps), so no
-//!   task and no operand migrates below the cutoff depth;
+//!   the pool (the OpenMP work-sharing of the paper's DFS steps: the fused
+//!   leaf's pooled nest, which packs B once for all bands), so no task and
+//!   no operand migrates below the cutoff depth;
 //! * **placement** — with the seven-group worker layout installed, each
 //!   root BFS product is seeded onto its group's first worker, and strict
 //!   stealing keeps its descendants inside the group;
@@ -21,17 +22,13 @@
 //!   where the Strassen plan's inline subtrees each pay a full operand
 //!   migration.
 
-use powerscale_counters::EventSet;
-use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
-use powerscale_matrix::MatrixViewMut;
-use powerscale_pool::ThreadPool;
-use powerscale_strassen::{resolve_operand, Schedule, StrassenConfig};
+use powerscale_strassen::Schedule;
 use powerscale_trace::{span_args, Category, SpanGuard};
 
 /// The BFS/DFS schedule of one CAPS multiply.
 pub(crate) struct BfsDfs {
-    /// Workers a DFS step's loops are shared across.
+    /// Workers the plan shares a DFS step's loops across.
     pub(crate) dfs_ways: usize,
     /// The worker each root product is seeded onto (its group's first),
     /// when the seven-group layout is installed.
@@ -49,49 +46,11 @@ impl BfsDfs {
 }
 
 impl Schedule for BfsDfs {
-    /// Work-shared `c (accum)= a · b` over row bands.
-    ///
-    /// A fused A operand bands along with its row range
-    /// ([`Operand::sub_rows`]); band boundaries leave every element's
-    /// k-accumulation order unchanged, so banded results are bitwise
-    /// identical to an unsplit leaf. A fused B operand would be repacked in
-    /// full by every band, so it is evaluated once up front instead (one
-    /// accounted pass — exactly what an unsplit fused leaf charges) and the
-    /// bands pack the plain view.
-    fn leaf(
-        &self,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        c: &mut MatrixViewMut<'_>,
-        accum: Accum,
-        cfg: &StrassenConfig,
-        pool: Option<&ThreadPool>,
-        events: Option<&EventSet>,
-    ) {
-        let (ways, dispatch) = (self.dfs_ways, cfg.dispatch);
-        let _span = span_args(Category::Caps, "shared_leaf", ways as u32, c.rows() as u32);
-        match pool {
-            Some(p) if ways > 1 && c.rows() >= 2 * ways => {
-                let bm = resolve_operand(b, c.cols(), pool, events);
-                let b = Operand::View(bm.view());
-                let bands = c.reborrow().split_row_bands(ways);
-                let mut row0 = 0usize;
-                p.scope(|s| {
-                    for mut band in bands {
-                        let asub = a.sub_rows(row0, band.rows()).expect("band rows within A");
-                        row0 += band.rows();
-                        s.spawn(move |_| {
-                            leaf_gemm_fused_with(dispatch, asub, b, &mut band, accum, events)
-                                .expect("band shapes valid by construction");
-                        });
-                    }
-                });
-            }
-            _ => {
-                leaf_gemm_fused_with(dispatch, a, b, c, accum, events)
-                    .expect("leaf shapes valid by construction");
-            }
-        }
+    /// Leaves are work-shared by row bands across the pool; band
+    /// boundaries leave every element's k-accumulation order unchanged, so
+    /// a shared leaf computes a sequential leaf's bits and events.
+    fn shares_leaves(&self) -> bool {
+        true
     }
 
     fn pin(&self, depth: u32, index: usize) -> Option<usize> {

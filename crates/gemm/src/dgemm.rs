@@ -1,15 +1,18 @@
-//! The Goto-structured DGEMM driver.
+//! The one packed GEMM loop nest ([`packed_nest`]) and the Goto-structured
+//! DGEMM driver that runs it at its autotuned blocking.
 
 use crate::arena;
 use crate::blocking::BlockingParams;
 use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo};
+use crate::leaf::Operand;
 use crate::pack::{
-    pack_a, pack_b, pack_b_strips, packed_a_len, packed_b_len, slots_for, PackScalar,
+    pack_b_strips, pack_operand_a, packed_a_len, packed_b_len, slots_for, PackScalar,
 };
 use powerscale_counters::{Event, EventSet, Profile};
 use powerscale_matrix::{ops, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
 use powerscale_pool::ThreadPool;
 use powerscale_trace as trace;
+use std::ops::Range;
 
 /// Execution context for [`dgemm`]: the dispatched microkernel, blocking
 /// factors derived for its tile shape, optional worker pool (sequential
@@ -137,29 +140,97 @@ pub fn dgemm(
         return Ok(());
     }
     let _span = trace::span_args(trace::Category::Gemm, "dgemm", m as u32, n as u32);
+    let BlockingParams { mc, kc, nc, mr, nr } = ctx.params;
+    packed_nest(
+        kernel,
+        (mc, kc, nc),
+        alpha,
+        &Operand::View(*a),
+        &Operand::View(*b),
+        c,
+        ctx.pool,
+    );
 
-    // One dtype dispatch up front; the blocked loops below are generic
-    // over the packed element type (the f64 instantiation is the code
-    // this refactor replaced, byte for byte in its packing and sweeps).
+    // The nest's work in closed form: B is packed once, A once per
+    // nc-panel, C merged once per kc-panel, one kernel call per register
+    // tile per kc-panel (every band but the last is whole `mr` strips).
+    if let Some(set) = ctx.events {
+        let (jc_panels, pc_panels) = (n.div_ceil(nc), k.div_ceil(kc));
+        let packed = (k * n + m * k * jc_panels) as u64;
+        let mut p = Profile::new();
+        p.add_count(Event::FpOps, 2 * (m * n * k) as u64);
+        p.add_count(Event::PackBytes, kernel.packed_elem_bytes() as u64 * packed);
+        p.add_count(Event::BytesRead, 8 * packed);
+        p.add_count(Event::BytesWritten, 8 * (m * n * pc_panels) as u64);
+        p.add_count(
+            Event::KernelCalls,
+            (pc_panels * m.div_ceil(mr) * n.div_ceil(nr)) as u64,
+        );
+        set.record_profile(&p);
+    }
+    Ok(())
+}
+
+/// The row bands of an `m`-row nest on `width` workers: `⌈m/mc⌉` bands
+/// rounded up to a multiple of `width`, each a near-equal run of whole
+/// `mr`-row strips (the last band takes the ragged rows). Every band but
+/// the last is a multiple of `mr` tall, heights differ by at most `mr`,
+/// and none is taller than `mc` when `mc` is a multiple of `mr`. Bands are
+/// empty only when there are fewer strips than bands.
+pub(crate) fn row_bands(
+    m: usize,
+    mc: usize,
+    mr: usize,
+    width: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let bands = m.div_ceil(mc).max(1).next_multiple_of(width.max(1));
+    let strips = m.div_ceil(mr);
+    let edge = move |i: usize| (i * strips / bands * mr).min(m);
+    (0..bands).map(move |i| edge(i)..edge(i + 1))
+}
+
+/// The one packed GEMM loop nest: `C += α · A·B` over jc (`nc` columns),
+/// pc (`kc` depth) and ic (row bands, [`row_bands`]), with A and B plain
+/// or fused [`Operand`]s. [`dgemm`] runs it at its autotuned blocking and
+/// the Strassen/CAPS leaf ([`crate::leaf::leaf_gemm_fused_with`]) at full
+/// extents, so a leaf packs each operand once and merges each C tile once.
+///
+/// Results do not depend on `pool`: the kc-panel order is fixed, bands
+/// write disjoint rows of C, and a B panel packed in parallel is
+/// byte-identical to a sequential pack. With a pool the bands and the B
+/// strips run as pool tasks. Polls cooperative cancellation once per
+/// kc-panel; a cancelled nest leaves C partially accumulated.
+///
+/// Shapes must agree (callers validate them).
+pub(crate) fn packed_nest(
+    kernel: &'static KernelInfo,
+    blocking: (usize, usize, usize),
+    alpha: f64,
+    a: &Operand<'_>,
+    b: &Operand<'_>,
+    c: &mut MatrixViewMut<'_>,
+    pool: Option<&ThreadPool>,
+) {
+    // One dtype dispatch; the loops are generic over the packed element.
     match kernel.func {
-        KernelFn::F64(_) => blocked_loops::<f64>(alpha, a, b, c, ctx),
-        KernelFn::F32(_) => blocked_loops::<f32>(alpha, a, b, c, ctx),
+        KernelFn::F64(_) => nest::<f64>(kernel, blocking, alpha, a, b, c, pool),
+        KernelFn::F32(_) => nest::<f32>(kernel, blocking, alpha, a, b, c, pool),
     }
 }
 
-/// The jc/pc/ic blocking loops, generic over the packed element type.
-fn blocked_loops<T: PackScalar>(
+/// [`packed_nest`] at packed element type `T`.
+fn nest<T: PackScalar>(
+    kernel: &'static KernelInfo,
+    (mc, kc, nc): (usize, usize, usize),
     alpha: f64,
-    a: &MatrixView<'_>,
-    b: &MatrixView<'_>,
+    a: &Operand<'_>,
+    b: &Operand<'_>,
     c: &mut MatrixViewMut<'_>,
-    ctx: &GemmContext<'_>,
-) -> DimResult<()> {
-    let kernel = ctx.kernel;
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let elem_bytes = kernel.dtype.packed_elem_bytes() as u64;
-    let BlockingParams { mc, kc, nc, nr, .. } = ctx.params;
+    pool: Option<&ThreadPool>,
+) {
+    let (m, n, k) = (c.rows(), c.cols(), a.shape().expect("shapes validated").1);
+    let (mr, nr) = (kernel.mr, kernel.nr);
+    let width = pool.map_or(1, ThreadPool::num_threads);
     let mut pb = arena::pack_buf(slots_for::<T>(packed_b_len(kc.min(k), nc.min(n), nr)));
     let pb_elems: &mut [T] = T::cast_mut(&mut pb[..]);
 
@@ -168,135 +239,98 @@ fn blocked_loops<T: PackScalar>(
         let ncb = nc.min(n - jc);
         let mut pc = 0;
         while pc < k {
-            // Cooperative cancellation poll, once per kc-panel (a leaf
-            // boundary: microseconds-to-milliseconds of work per panel).
-            // Under a cancelled request the partial C is garbage by
-            // contract — the owner that observed the fired token discards
-            // it — so bailing mid-accumulation is sound.
+            // Cooperative cancellation poll, once per kc-panel. Under a
+            // cancelled request the partial C is garbage by contract — the
+            // owner that observed the fired token discards it.
             if powerscale_pool::cancel_requested() {
-                return Ok(());
+                return;
             }
             let kcb = kc.min(k - pc);
-            // Pack the shared B panel — in parallel when a pool is
-            // available and there are enough strips to go around. Each
-            // worker writes a disjoint chunk of whole strips, so the bytes
-            // are identical to a sequential pack; the writes also
-            // first-touch the chunk on the packing worker's node.
-            let bpanel = b.sub_view((pc, jc), (kcb, ncb))?;
-            let b_strips = ncb.div_ceil(nr);
+            // Pack the shared B panel — in parallel when there are enough
+            // strips to go around. Each worker writes a disjoint chunk of
+            // whole strips (byte-identical to a sequential pack) and
+            // first-touches it on its own node.
+            let bpanel = b.sub_view((pc, jc), (kcb, ncb)).expect("B panel in bounds");
+            let (b_strips, strip_len) = (ncb.div_ceil(nr), nr * kcb);
+            let used = &mut pb_elems[..b_strips * strip_len];
             let pack_span =
                 trace::span_args(trace::Category::Gemm, "pack_b", kcb as u32, ncb as u32);
-            match ctx.pool {
-                Some(pool) if pool.num_threads() > 1 && b_strips >= 2 * pool.num_threads() => {
-                    let strip_len = nr * kcb;
-                    let chunk_strips = b_strips.div_ceil(pool.num_threads());
-                    let used = &mut pb_elems[..b_strips * strip_len];
+            match pool {
+                Some(pool) if width > 1 && b_strips >= 2 * width => {
+                    let chunk_strips = b_strips.div_ceil(width);
                     pool.scope(|s| {
                         for (ci, chunk) in used.chunks_mut(chunk_strips * strip_len).enumerate() {
                             s.spawn(move |_| {
-                                pack_b_strips(
-                                    &bpanel,
-                                    chunk,
-                                    nr,
-                                    ci * chunk_strips,
-                                    chunk.len() / strip_len,
-                                );
+                                let strips = chunk.len() / strip_len;
+                                pack_b_strips(&bpanel, chunk, nr, ci * chunk_strips, strips);
                             });
                         }
                     });
                 }
-                _ => {
-                    pack_b(&bpanel, pb_elems, nr);
-                }
+                _ => pack_b_strips(&bpanel, used, nr, 0, b_strips),
             }
             drop(pack_span);
-            if let Some(set) = ctx.events {
-                set.record(Event::PackBytes, elem_bytes * (kcb * ncb) as u64);
-                set.record(Event::BytesRead, 8 * (kcb * ncb) as u64);
-            }
 
-            // Sweep mc-row bands of this C panel (disjoint mutable views),
-            // splitting as we go — no per-panel band list is materialised.
-            let cpanel = c.reborrow().into_sub_view((0, jc), (m, ncb))?;
+            // Sweep the row bands of this C panel (disjoint mutable views).
             let pb_ref: &[T] = &*pb_elems;
-            match ctx.pool {
-                Some(pool) if m > mc => {
-                    pool.scope(|s| {
-                        let mut rest = cpanel;
-                        let mut ic = 0;
-                        while ic < m {
-                            let mcb = mc.min(m - ic);
-                            let (mut band, tail) =
-                                rest.split_rows_at(mcb).expect("band split within panel");
-                            s.spawn(move |_| {
-                                run_row_band(
-                                    kernel, a, pc, ic, kcb, ncb, pb_ref, alpha, &mut band,
-                                    ctx.events,
-                                );
-                            });
-                            rest = tail;
-                            ic += mcb;
-                        }
+            let sweep = |r0: usize, mut band: MatrixViewMut<'_>| {
+                row_band(kernel, a, (r0, pc, kcb), pb_ref, alpha, &mut band)
+            };
+            let cpanel = c
+                .reborrow()
+                .into_sub_view((0, jc), (m, ncb))
+                .expect("C panel");
+            let bands = row_bands(m, mc, mr, width);
+            match pool {
+                Some(pool) if width > 1 => pool.scope(|s| {
+                    for_each_band(cpanel, bands, |r0, band| {
+                        s.spawn(move |_| sweep(r0, band));
                     });
-                }
-                _ => {
-                    let mut rest = cpanel;
-                    let mut ic = 0;
-                    while ic < m {
-                        let mcb = mc.min(m - ic);
-                        let (mut band, tail) =
-                            rest.split_rows_at(mcb).expect("band split within panel");
-                        run_row_band(
-                            kernel, a, pc, ic, kcb, ncb, pb_ref, alpha, &mut band, ctx.events,
-                        );
-                        rest = tail;
-                        ic += mcb;
-                    }
-                }
+                }),
+                _ => for_each_band(cpanel, bands, sweep),
             }
             pc += kcb;
         }
         jc += ncb;
     }
-    Ok(())
 }
 
-/// One row-band task: packs its A block (into a lease from the executing
-/// thread's arena — a worker-local buffer under a pool) and sweeps the
-/// macro-kernel tiles.
-#[allow(clippy::too_many_arguments)]
-fn run_row_band<T: PackScalar>(
-    kernel: &'static KernelInfo,
-    a: &MatrixView<'_>,
-    pc: usize,
-    ic: usize,
-    kcb: usize,
-    ncb: usize,
+/// Splits `panel` along `bands` and hands each non-empty band to `f` with
+/// its first row.
+fn for_each_band<'p>(
+    mut panel: MatrixViewMut<'p>,
+    bands: impl Iterator<Item = Range<usize>>,
+    mut f: impl FnMut(usize, MatrixViewMut<'p>),
+) {
+    for rows in bands {
+        let (band, tail) = panel.split_rows_at(rows.len()).expect("band in panel");
+        panel = tail;
+        if !rows.is_empty() {
+            f(rows.start, band);
+        }
+    }
+}
+
+/// One row band of a kc-panel — rows from `r0`, depth `kcb` from `pc`:
+/// packs its A block into a lease from the executing thread's arena (a
+/// worker-local buffer under a pool) and sweeps it against the packed B
+/// panel — the nest's one call of the tile sweep.
+fn row_band<T: PackScalar>(
+    kernel: &KernelInfo,
+    a: &Operand<'_>,
+    (r0, pc, kcb): (usize, usize, usize),
     pb: &[T],
     alpha: f64,
     band: &mut MatrixViewMut<'_>,
-    events: Option<&EventSet>,
 ) {
-    let mcb = band.rows();
+    let (mcb, ncb) = band.shape();
     let _span = trace::span_args(trace::Category::Gemm, "row_band", mcb as u32, ncb as u32);
-    let ablock = a
-        .sub_view((ic, pc), (mcb, kcb))
-        .expect("A block within bounds by construction");
+    let ablock = a.sub_view((r0, pc), (mcb, kcb)).expect("A block in bounds");
     let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(mcb, kcb, kernel.mr)));
     let pa_elems: &mut [T] = T::cast_mut(&mut pa[..]);
-    let a_strips = pack_a(&ablock, pa_elems, kernel.mr);
+    let a_strips = pack_operand_a(&ablock, pa_elems, kernel.mr);
     let b_strips = ncb.div_ceil(kernel.nr);
     sweep_strips(kernel, kcb, pa_elems, pb, a_strips, b_strips, alpha, band);
-    if let Some(set) = events {
-        let elem_bytes = kernel.dtype.packed_elem_bytes() as u64;
-        let mut p = Profile::new();
-        p.add_count(Event::FpOps, 2 * (mcb * kcb * ncb) as u64);
-        p.add_count(Event::PackBytes, elem_bytes * (mcb * kcb) as u64);
-        p.add_count(Event::BytesRead, 8 * (mcb * kcb) as u64);
-        p.add_count(Event::BytesWritten, 8 * (mcb * ncb) as u64);
-        p.add_count(Event::KernelCalls, (a_strips * b_strips) as u64);
-        set.record_profile(&p);
-    }
 }
 
 /// Convenience: `A · B` with default (sequential) settings.
@@ -311,6 +345,7 @@ mod tests {
     use super::*;
     use crate::kernel::{scalar_kernel, simd_kernel};
     use crate::naive::naive_mm;
+    use crate::pack::K_CHUNK;
     use powerscale_matrix::norms::rel_frobenius_error;
     use powerscale_matrix::{Matrix, MatrixGen};
 
@@ -485,33 +520,92 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
+        let pools = [1, 2, 3, 4].map(ThreadPool::new);
+        // dgemm at its own blocking, merging as Set, Add and Sub do.
         let mut gen = MatrixGen::new(11);
         let a = gen.paper_operand(150);
         let b = gen.paper_operand(150);
-        let mut c_seq = Matrix::zeros(150, 150);
-        dgemm(
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c_seq.view_mut(),
-            &GemmContext::default(),
-        )
-        .unwrap();
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let mut c_par = Matrix::zeros(150, 150);
-            dgemm(
-                1.0,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut c_par.view_mut(),
-                &GemmContext::parallel(&pool),
-            )
-            .unwrap();
-            assert_eq!(c_par, c_seq, "thread count {threads} changed bits");
+        let c0 = gen.paper_operand(150);
+        for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (-1.0, 1.0)] {
+            let run = |ctx: &GemmContext<'_>| {
+                let mut c = c0.clone();
+                dgemm(alpha, &a.view(), &b.view(), beta, &mut c.view_mut(), ctx).unwrap();
+                c
+            };
+            let c_seq = run(&GemmContext::default());
+            for pool in &pools {
+                let threads = pool.num_threads();
+                let c_par = run(&GemmContext::parallel(pool));
+                assert_eq!(
+                    c_par, c_seq,
+                    "α={alpha} β={beta}: {threads} threads changed bits"
+                );
+            }
         }
+        // The nest itself at a small blocking, on fused operands, with
+        // shapes straddling mr, K_CHUNK, kc, mc and nc.
+        let kernel = Dispatch::default().kernel();
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let blocking = (2 * mr, 2 * K_CHUNK, 2 * nr);
+        for (m, k, n) in [
+            (mr - 1, K_CHUNK - 1, nr - 1),
+            (2 * mr + 1, K_CHUNK + 1, nr + 1),
+            (5 * mr + 3, 4 * K_CHUNK + 1, 3 * nr - 1),
+        ] {
+            let mut gen = MatrixGen::new((m * 1000 + k * 10 + n) as u64);
+            let [a1, a2] = [(); 2].map(|_| gen.uniform(m, k, -1.0, 1.0));
+            let [b1, b2] = [(); 2].map(|_| gen.uniform(k, n, -1.0, 1.0));
+            let c0 = gen.uniform(m, n, -1.0, 1.0);
+            let (fa, fb) = (
+                Operand::Add(a1.view(), a2.view()),
+                Operand::Sub(b1.view(), b2.view()),
+            );
+            for alpha in [1.0, -1.0] {
+                let run = |pool: Option<&ThreadPool>| {
+                    let mut c = c0.clone();
+                    packed_nest(kernel, blocking, alpha, &fa, &fb, &mut c.view_mut(), pool);
+                    c
+                };
+                let c_seq = run(None);
+                for pool in &pools {
+                    let threads = pool.num_threads();
+                    assert_eq!(
+                        run(Some(pool)),
+                        c_seq,
+                        "({m},{k},{n}) α={alpha}: {threads} threads changed bits"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_bands_balance_whole_strips() {
+        for mr in [4, 6] {
+            for mc in [mr, 3 * mr, 80 * mr] {
+                for width in 1..=4 {
+                    for m in 1..=200 {
+                        let bands: Vec<Range<usize>> = row_bands(m, mc, mr, width).collect();
+                        let at = format!("m={m} mc={mc} mr={mr} width={width}");
+                        assert_eq!(bands.len() % width, 0, "{at}: band count");
+                        assert!(bands.len() >= m.div_ceil(mc), "{at}: too few bands");
+                        assert_eq!(bands[0].start, 0, "{at}");
+                        assert_eq!(bands.last().unwrap().end, m, "{at}");
+                        assert!(bands.windows(2).all(|w| w[0].end == w[1].start), "{at}");
+                        let heights: Vec<usize> = bands.iter().map(|r| r.len()).collect();
+                        let (last, rest) = heights.split_last().unwrap();
+                        assert!(rest.iter().all(|h| h % mr == 0), "{at}: {heights:?}");
+                        let max = *heights.iter().max().unwrap();
+                        let min = *heights.iter().min().unwrap();
+                        assert!(max - min <= mr, "{at}: {heights:?}");
+                        assert!(max <= mc && *last <= mc, "{at}: {heights:?}");
+                    }
+                }
+            }
+        }
+        // Two workers at n = 2048: six near-equal bands of whole strips.
+        let heights: Vec<usize> = row_bands(2048, 480, 6, 2).map(|r| r.len()).collect();
+        assert_eq!(heights, [342, 342, 342, 342, 342, 338]);
     }
 
     #[test]

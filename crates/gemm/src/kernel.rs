@@ -21,13 +21,14 @@
 //! `mr`/`nr` (see [`crate::BlockingParams`]).
 //!
 //! What gets dispatched is decided by one explicit [`Dispatch`] value
-//! (ISA tier, dtype tier, exact-kernel override, leaf mode) that callers
-//! carry down to the kernels; its `Default` is the host's best f64 kernel,
-//! or the scalar one under the `force-scalar` feature.
+//! (ISA tier, dtype tier, exact-kernel override) that callers carry down
+//! to the kernels; its `Default` is the host's best f64 kernel, or the
+//! scalar one under the `force-scalar` feature. Every product — blocked
+//! DGEMM and the Strassen/CAPS leaf alike — runs the dispatched kernel
+//! through the one packed nest in [`crate::dgemm`].
 
 use crate::pack::{packed_a_len, PackScalar};
 use powerscale_matrix::MatrixViewMut;
-use std::sync::OnceLock;
 
 /// Register-tile rows of the portable scalar microkernel.
 pub const SCALAR_MR: usize = 4;
@@ -241,9 +242,9 @@ impl KernelInfo {
     }
 }
 
-/// The typed strip sweep shared by [`KernelInfo::sweep_tiles`], the Goto
-/// driver's row bands and the fused leaf: B strip `jr` stays hot while
-/// every A strip streams past it.
+/// The typed strip sweep shared by [`KernelInfo::sweep_tiles`] and the
+/// row bands of the packed nest: B strip `jr` stays hot while every A
+/// strip streams past it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_strips<T: PackScalar>(
     kernel: &KernelInfo,
@@ -343,8 +344,9 @@ impl Default for KernelTier {
 ///
 /// Resolution order ([`Dispatch::kernel`]): the exact-kernel override,
 /// else the ISA tier × dtype tier instance (SIMD degrading to scalar on
-/// hosts without one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// hosts without one). The default is the host's best f64 kernel (scalar
+/// under `force-scalar`) with no override.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Dispatch {
     /// ISA tier.
     pub tier: KernelTier,
@@ -353,27 +355,6 @@ pub struct Dispatch {
     /// One exact kernel instance (an entry of [`available_kernels`]) that
     /// wins over `tier` and `dtype` — the testkit's ISA×dtype lever.
     pub override_kernel: Option<&'static KernelInfo>,
-    /// Makes the fused leaf materialise operand sums into scratch before
-    /// packing (see [`crate::leaf`]); bitwise transparent.
-    pub unfused_leaf: bool,
-}
-
-impl Default for Dispatch {
-    /// The host's best f64 kernel (scalar under `force-scalar`), no
-    /// override, and the leaf mode `POWERSCALE_UNFUSED_LEAF` selects (read
-    /// once per process).
-    fn default() -> Self {
-        static LEAF_ENV: OnceLock<bool> = OnceLock::new();
-        Dispatch {
-            tier: KernelTier::default(),
-            dtype: DtypeTier::F64,
-            override_kernel: None,
-            unfused_leaf: *LEAF_ENV.get_or_init(|| {
-                std::env::var("POWERSCALE_UNFUSED_LEAF")
-                    .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            }),
-        }
-    }
 }
 
 impl Dispatch {

@@ -5,32 +5,27 @@
 //! * [`leaf_gemm`] — the historical BOTS-style unpacked solver ("manually
 //!   unrolled" dense base case, §IV-B of the paper), kept as the simple
 //!   in-place reference path.
-//! * [`leaf_gemm_fused`] — the packed, register-tiled leaf the
-//!   Strassen/CAPS executors now call. It accepts *fused operands*
-//!   ([`Operand::Add`] / [`Operand::Sub`]): the quadrant sums Strassen
-//!   feeds its seven products are combined **inside the packing pass**
-//!   (see [`crate::pack::pack_a_sum`]) instead of being materialised into
-//!   scratch matrices first, and the result can be merged into `C` with
+//! * [`leaf_gemm_fused`] — the Strassen/CAPS leaf: the one packed nest
+//!   ([`crate::dgemm`]'s jc/pc/ic loops) at full extents. It accepts
+//!   *fused operands* ([`Operand::Add`] / [`Operand::Sub`]): the quadrant
+//!   sums Strassen feeds its seven products are combined **inside the
+//!   packing pass** (see [`crate::pack::pack_a_sum`]) instead of being
+//!   materialised into scratch matrices first — bitwise the same panels,
+//!   since `1·x + 1·y` is exactly `x + y` and `1·x + (−1)·y` is exactly
+//!   `x − y` in IEEE-754 — and the result can be merged into `C` with
 //!   [`Accum::Add`] / [`Accum::Sub`] so combine steps need no product
 //!   temporaries either. Packing buffers come from the thread-local
 //!   [`crate::arena`], so steady-state leaves allocate nothing. The leaf
-//!   packs the full depth `k` at once, so at the executed cutoffs its
-//!   panels are megabytes, not cache-level sized (see [`leaf_gemm_fused`]).
-//!
-//! A [`Dispatch`] with `unfused_leaf` set (the default one when
-//! `POWERSCALE_UNFUSED_LEAF=1`) makes the fused leaf materialise operand
-//! sums into arena scratch before packing — same packed kernel, unfused
-//! operand traffic — which is the A/B lever the end-to-end benchmark uses
-//! to isolate the fusion win. The two modes are bitwise identical in output (`1·x + 1·y` is exactly
-//! `x + y` and `1·x + (−1)·y` is exactly `x − y` in IEEE-754).
+//!   packs the full depth `k` at once, so each C tile merges once and at
+//!   the executed cutoffs its panels are megabytes, not cache-level sized
+//!   (see [`leaf_gemm_fused`]). Given a pool it work-shares row bands and
+//!   packs B once for all of them.
 
-use crate::arena;
-use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo};
-use crate::pack::{
-    pack_a, pack_a_sum, pack_b, pack_b_sum, packed_a_len, packed_b_len, slots_for, PackScalar,
-};
+use crate::dgemm::packed_nest;
+use crate::kernel::Dispatch;
 use powerscale_counters::{Event, EventSet, Profile};
-use powerscale_matrix::{ops, DimError, DimResult, MatrixView, MatrixViewMut};
+use powerscale_matrix::{DimError, DimResult, MatrixView, MatrixViewMut};
+use powerscale_pool::ThreadPool;
 
 /// `C += A · B` on views, unpacked, i-k-j order with the inner j-loop
 /// blocked to the default dispatch's register-tile width
@@ -126,16 +121,18 @@ impl<'a> Operand<'a> {
         !matches!(self, Operand::View(_))
     }
 
-    /// The row band `[r0, r0 + rows)` of the operand — the unit CAPS
-    /// work-shared leaves split on. Band boundaries do not change any
-    /// element's k-accumulation order, so banded results are bitwise
-    /// identical to an unsplit leaf.
-    pub fn sub_rows(&self, r0: usize, rows: usize) -> DimResult<Operand<'a>> {
-        let band = |v: &MatrixView<'a>| v.sub_view((r0, 0), (rows, v.cols()));
+    /// The `shape` block at `origin` of the operand (of both sources, for
+    /// a fused one) — the panels and row-band blocks the packed nest packs.
+    pub fn sub_view(
+        &self,
+        origin: (usize, usize),
+        shape: (usize, usize),
+    ) -> DimResult<Operand<'a>> {
+        let block = |v: &MatrixView<'a>| v.sub_view(origin, shape);
         Ok(match self {
-            Operand::View(v) => Operand::View(band(v)?),
-            Operand::Add(x, y) => Operand::Add(band(x)?, band(y)?),
-            Operand::Sub(x, y) => Operand::Sub(band(x)?, band(y)?),
+            Operand::View(v) => Operand::View(block(v)?),
+            Operand::Add(x, y) => Operand::Add(block(x)?, block(y)?),
+            Operand::Sub(x, y) => Operand::Sub(block(x)?, block(y)?),
         })
     }
 }
@@ -149,60 +146,6 @@ pub enum Accum {
     Add,
     /// `C −= A·B`.
     Sub,
-}
-
-/// Packs operand `a` (plain or fused) into `buf` with the A-panel layout.
-fn pack_operand_a<T: PackScalar>(a: &Operand<'_>, buf: &mut [T], mr: usize) -> usize {
-    match a {
-        Operand::View(v) => pack_a(v, buf, mr),
-        Operand::Add(x, y) => pack_a_sum(x, 1.0, y, 1.0, buf, mr),
-        Operand::Sub(x, y) => pack_a_sum(x, 1.0, y, -1.0, buf, mr),
-    }
-}
-
-/// Packs operand `b` (plain or fused) into `buf` with the B-panel layout.
-fn pack_operand_b<T: PackScalar>(b: &Operand<'_>, buf: &mut [T], nr: usize) -> usize {
-    match b {
-        Operand::View(v) => pack_b(v, buf, nr),
-        Operand::Add(x, y) => pack_b_sum(x, 1.0, y, 1.0, buf, nr),
-        Operand::Sub(x, y) => pack_b_sum(x, 1.0, y, -1.0, buf, nr),
-    }
-}
-
-/// Materialises a fused operand into arena scratch (the unfused A/B mode)
-/// and packs the scratch with the plain packer. Produces bitwise-identical
-/// packed panels to the fused path (the combine happens in f64 either way,
-/// with one rounding to `T` per packed element).
-fn pack_operand_unfused<T: PackScalar>(
-    op: &Operand<'_>,
-    buf: &mut [T],
-    tile: usize,
-    is_a: bool,
-) -> usize {
-    if let Operand::View(v) = op {
-        return if is_a {
-            pack_a(v, buf, tile)
-        } else {
-            pack_b(v, buf, tile)
-        };
-    }
-    let (r, c) = op.shape().expect("shape validated by caller");
-    let mut scratch = arena::matrix_uninit(r, c);
-    match op {
-        Operand::View(_) => unreachable!(),
-        Operand::Add(x, y) => {
-            ops::add_into(x, y, &mut scratch.view_mut()).expect("shape validated by caller")
-        }
-        Operand::Sub(x, y) => {
-            ops::sub_into(x, y, &mut scratch.view_mut()).expect("shape validated by caller")
-        }
-    }
-    let v = scratch.view();
-    if is_a {
-        pack_a(&v, buf, tile)
-    } else {
-        pack_b(&v, buf, tile)
-    }
 }
 
 /// The packed, register-tiled leaf with fused operand combines.
@@ -220,9 +163,10 @@ fn pack_operand_unfused<T: PackScalar>(
 ///
 /// Event accounting (when `events` is armed): `FpOps = 2mnk`, one
 /// [`Event::FpAdds`] pass per fused operand (`m·k` / `k·n` elements) and
-/// one (`m·n`) for an accumulating merge — exactly the passes the unfused
-/// formulation would have spent on `ops::add_into` / `ops::add_assign`, so
-/// the per-node Strassen add count is invariant under fusion.
+/// one (`m·n`) for an accumulating merge — exactly the passes a
+/// materialise-then-multiply formulation would spend on `ops::add_into` /
+/// `ops::add_assign`, so the per-node Strassen add count is invariant
+/// under fusion.
 pub fn leaf_gemm_fused(
     a: Operand<'_>,
     b: Operand<'_>,
@@ -230,18 +174,22 @@ pub fn leaf_gemm_fused(
     accum: Accum,
     events: Option<&EventSet>,
 ) -> DimResult<()> {
-    leaf_gemm_fused_with(Dispatch::default(), a, b, c, accum, events)
+    leaf_gemm_fused_with(Dispatch::default(), a, b, c, accum, None, events)
 }
 
-/// [`leaf_gemm_fused`] under an explicit [`Dispatch`] (kernel and leaf
-/// mode) — what the Strassen/CAPS executors call with their config's
-/// dispatch, so concurrent multiplies can run different tiers.
+/// [`leaf_gemm_fused`] under an explicit [`Dispatch`], optionally
+/// work-shared over `pool` — what the Strassen/CAPS executors call with
+/// their config's dispatch, so concurrent multiplies can run different
+/// tiers. A pooled leaf splits C into row bands ([`crate::dgemm`]'s band
+/// rule), packs B once for all of them, and computes the same bits and
+/// the same event counts as a sequential one.
 pub fn leaf_gemm_fused_with(
     dispatch: Dispatch,
     a: Operand<'_>,
     b: Operand<'_>,
     c: &mut MatrixViewMut<'_>,
     accum: Accum,
+    pool: Option<&ThreadPool>,
     events: Option<&EventSet>,
 ) -> DimResult<()> {
     let (m, k) = a.shape()?;
@@ -266,20 +214,15 @@ pub fn leaf_gemm_fused_with(
         return Ok(());
     }
     let kernel = dispatch.kernel();
-    let unfused = dispatch.unfused_leaf;
     let _span = powerscale_trace::span_args(
         powerscale_trace::Category::Gemm,
         "leaf_gemm",
         m as u32,
         n as u32,
     );
-
-    // One dtype dispatch, then the packing and tile sweep run generic
-    // over the packed element type.
-    match kernel.func {
-        KernelFn::F64(_) => fused_leaf_body::<f64>(kernel, unfused, &a, &b, c, accum),
-        KernelFn::F32(_) => fused_leaf_body::<f32>(kernel, unfused, &a, &b, c, accum),
-    }
+    // Full extents: one B pack, one A pack per band, one merge per tile.
+    let alpha = if accum == Accum::Sub { -1.0 } else { 1.0 };
+    packed_nest(kernel, (m, k, n), alpha, &a, &b, c, pool);
 
     if let Some(set) = events {
         let elem_bytes = kernel.dtype.packed_elem_bytes() as u64;
@@ -312,41 +255,12 @@ pub fn leaf_gemm_fused_with(
     Ok(())
 }
 
-/// The packed sweep of one leaf product at element type `T` — shapes are
-/// validated (non-empty) by the caller.
-fn fused_leaf_body<T: PackScalar>(
-    kernel: &'static KernelInfo,
-    unfused: bool,
-    a: &Operand<'_>,
-    b: &Operand<'_>,
-    c: &mut MatrixViewMut<'_>,
-    accum: Accum,
-) {
-    let (m, k) = a.shape().expect("shape validated by caller");
-    let n = b.shape().expect("shape validated by caller").1;
-    let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(m, k, kernel.mr)));
-    let mut pb = arena::pack_buf(slots_for::<T>(packed_b_len(k, n, kernel.nr)));
-    let pa_elems: &mut [T] = T::cast_mut(&mut pa[..]);
-    let pb_elems: &mut [T] = T::cast_mut(&mut pb[..]);
-    let (a_strips, b_strips) = if unfused {
-        (
-            pack_operand_unfused(a, pa_elems, kernel.mr, true),
-            pack_operand_unfused(b, pb_elems, kernel.nr, false),
-        )
-    } else {
-        (
-            pack_operand_a(a, pa_elems, kernel.mr),
-            pack_operand_b(b, pb_elems, kernel.nr),
-        )
-    };
-    let alpha = if accum == Accum::Sub { -1.0 } else { 1.0 };
-    sweep_strips(kernel, k, pa_elems, pb_elems, a_strips, b_strips, alpha, c);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_mm;
+    use crate::pack::K_CHUNK;
+    use powerscale_counters::ALL_EVENTS;
     use powerscale_matrix::norms::rel_frobenius_error;
     use powerscale_matrix::{Matrix, MatrixGen};
 
@@ -572,67 +486,104 @@ mod tests {
 
     #[test]
     fn sub_rows_banding_is_bitwise_transparent() {
-        // The CAPS work-shared leaf splits operands into row bands whose
-        // boundaries need not align to the kernel tile; results must be
-        // bitwise identical to an unsplit leaf.
-        let mut gen = MatrixGen::new(21);
-        let a1 = gen.uniform(23, 17, -1.0, 1.0);
-        let a2 = gen.uniform(23, 17, -1.0, 1.0);
-        let b = gen.uniform(17, 19, -1.0, 1.0);
-        let a_op = Operand::Sub(a1.view(), a2.view());
-        let b_op = Operand::View(b.view());
-        let mut whole = Matrix::zeros(23, 19);
-        leaf_gemm_fused(a_op, b_op, &mut whole.view_mut(), Accum::Set, None).unwrap();
-        let mut banded = Matrix::zeros(23, 19);
-        {
-            let (top, bottom) = banded.view_mut().split_rows_at(10).unwrap();
-            let mut top = top;
-            let mut bottom = bottom;
-            leaf_gemm_fused(
-                a_op.sub_rows(0, 10).unwrap(),
-                b_op,
-                &mut top,
-                Accum::Set,
-                None,
-            )
-            .unwrap();
-            leaf_gemm_fused(
-                a_op.sub_rows(10, 13).unwrap(),
-                b_op,
-                &mut bottom,
-                Accum::Set,
-                None,
-            )
-            .unwrap();
+        // A pooled leaf splits C into row bands, each packing its rows of
+        // A (fused or not) against one shared packed B. Band boundaries
+        // leave every element's k-accumulation order alone, so any split —
+        // the pool's, or one off the kernel tile — gives the sequential
+        // leaf's bits, under every merge mode.
+        let mr = Dispatch::default().kernel().mr;
+        let pools = [1, 2, 3].map(ThreadPool::new);
+        for (m, k, n) in [
+            (mr - 1, K_CHUNK - 1, 5),
+            (mr + 1, K_CHUNK, 33),
+            (2 * mr + 1, K_CHUNK + 1, 19),
+            (97, 2 * K_CHUNK + 3, 65),
+        ] {
+            let mut gen = MatrixGen::new((m * 1000 + k * 10 + n) as u64);
+            let [a1, a2] = [(); 2].map(|_| gen.uniform(m, k, -1.0, 1.0));
+            let [b1, b2] = [(); 2].map(|_| gen.uniform(k, n, -1.0, 1.0));
+            let c0 = gen.uniform(m, n, -1.0, 1.0);
+            let operands = [
+                (Operand::View(a1.view()), Operand::View(b1.view())),
+                (Operand::Sub(a1.view(), a2.view()), Operand::View(b1.view())),
+                (
+                    Operand::Add(a1.view(), a2.view()),
+                    Operand::Sub(b1.view(), b2.view()),
+                ),
+            ];
+            for (a, b) in operands {
+                for accum in [Accum::Set, Accum::Add, Accum::Sub] {
+                    let run = |pool: Option<&ThreadPool>| {
+                        let mut c = c0.clone();
+                        let d = Dispatch::default();
+                        leaf_gemm_fused_with(d, a, b, &mut c.view_mut(), accum, pool, None)
+                            .unwrap();
+                        c
+                    };
+                    let want = run(None);
+                    for pool in &pools {
+                        let w = pool.num_threads();
+                        assert_eq!(run(Some(pool)), want, "({m},{k},{n}) {accum:?} width {w}");
+                    }
+                    // Two hand-cut bands, split one row off the tile.
+                    let mut banded = c0.clone();
+                    let cut = m / 2 + 1;
+                    let (mut top, mut bottom) = banded.view_mut().split_rows_at(cut).unwrap();
+                    for (r0, band) in [(0, &mut top), (cut, &mut bottom)] {
+                        let rows = a.sub_view((r0, 0), (band.rows(), k)).unwrap();
+                        leaf_gemm_fused(rows, b, band, accum, None).unwrap();
+                    }
+                    assert_eq!(banded, want, "({m},{k},{n}) {accum:?} cut at {cut}");
+                }
+            }
         }
-        assert_eq!(whole, banded);
     }
 
     #[test]
-    fn unfused_toggle_is_bitwise_transparent() {
-        let mut gen = MatrixGen::new(31);
-        let a1 = gen.uniform(20, 20, -1.0, 1.0);
-        let a2 = gen.uniform(20, 20, -1.0, 1.0);
-        let b1 = gen.uniform(20, 20, -1.0, 1.0);
-        let b2 = gen.uniform(20, 20, -1.0, 1.0);
-        let run = |unfused_leaf: bool| {
-            let dispatch = Dispatch {
-                unfused_leaf,
-                ..Dispatch::default()
-            };
-            let mut c = Matrix::zeros(20, 20);
+    fn operand_sub_view_blocks_both_sources() {
+        let x = Matrix::from_fn(6, 5, |i, j| (10 * i + j) as f64);
+        let y = Matrix::from_fn(6, 5, |i, j| -((10 * i + j) as f64));
+        let Operand::Sub(bx, by) = Operand::Sub(x.view(), y.view())
+            .sub_view((2, 1), (3, 4))
+            .unwrap()
+        else {
+            panic!("a block of a fused operand is fused");
+        };
+        assert_eq!((bx.shape(), by.shape()), ((3, 4), (3, 4)));
+        assert_eq!((bx.get(0, 0), by.get(2, 3)), (21.0, -44.0));
+        let view = Operand::View(x.view());
+        assert!(view.sub_view((4, 0), (3, 5)).is_err(), "rows past the end");
+    }
+
+    #[test]
+    fn pooled_leaf_counts_one_leaf() {
+        // A work-shared leaf is still one leaf: its events equal the
+        // sequential leaf's, not one leaf's worth per band.
+        let mut gen = MatrixGen::new(41);
+        let [a1, a2] = [(); 2].map(|_| gen.uniform(40, 24, -1.0, 1.0));
+        let [b1, b2] = [(); 2].map(|_| gen.uniform(24, 70, -1.0, 1.0));
+        let pool = ThreadPool::new(2);
+        let run = |pool: Option<&ThreadPool>| {
+            let mut set = EventSet::with_all_events();
+            set.start().unwrap();
+            let mut c = Matrix::zeros(40, 70);
             leaf_gemm_fused_with(
-                dispatch,
+                Dispatch::default(),
                 Operand::Add(a1.view(), a2.view()),
                 Operand::Sub(b1.view(), b2.view()),
                 &mut c.view_mut(),
-                Accum::Set,
-                None,
+                Accum::Add,
+                pool,
+                Some(&set),
             )
             .unwrap();
-            c
+            set.stop().unwrap()
         };
-        assert_eq!(run(false), run(true));
+        let (seq, par) = (run(None), run(Some(&pool)));
+        assert_eq!(par.get(Event::KernelCalls), 1);
+        for event in ALL_EVENTS {
+            assert_eq!(par.get(event), seq.get(event), "{event:?}");
+        }
     }
 
     #[test]

@@ -20,19 +20,21 @@
 //!   segments, packed in parallel across pool workers and drawn from
 //!   thread-local recycling arenas ([`arena`]) so steady-state invocations
 //!   allocate nothing,
-//! * parallelisation of the row-panel loop over a
+//! * parallelisation of the row-band loop over a
 //!   [`powerscale_pool::ThreadPool`] (the OpenMP-worksharing analog), and
 //! * optional [`powerscale_counters::EventSet`] instrumentation feeding the
 //!   machine model.
 //!
-//! It also hosts the *other* multiply kernels the paper's comparison
-//! needs: the naive reference ([`naive::naive_gemm`], the correctness
-//! oracle), the BOTS-style unpacked leaf solver ([`leaf::leaf_gemm`]), and
-//! the packed fused-operand leaf ([`leaf::leaf_gemm_fused`]) the
-//! Strassen/CAPS recursions call below their cutover size — its
-//! [`leaf::Operand`] combines quadrant sums inside the packing pass and
-//! its [`leaf::Accum`] merges products into `C` in place, so recursion
-//! nodes materialise neither operand sums nor product temporaries.
+//! One packed loop nest (jc/pc/ic over [`leaf::Operand`]s, in the `dgemm`
+//! module) runs every packed product: [`dgemm`] at its autotuned blocking,
+//! and the fused-operand leaf ([`leaf::leaf_gemm_fused`]) the
+//! Strassen/CAPS recursions call below their cutover size at full
+//! extents — its [`leaf::Operand`] combines quadrant sums inside the
+//! packing pass and its [`leaf::Accum`] merges products into `C` in place,
+//! so recursion nodes materialise neither operand sums nor product
+//! temporaries. The crate also hosts the naive reference
+//! ([`naive::naive_gemm`], the correctness oracle) and the BOTS-style
+//! unpacked leaf solver ([`leaf::leaf_gemm`]).
 //!
 //! # Example
 //!

@@ -39,6 +39,7 @@
 //! two elements per slot via [`PackScalar::cast_mut`].
 
 use crate::kernel::{KernelFn, KernelInfo, Microkernel};
+use crate::leaf::Operand;
 use powerscale_matrix::MatrixView;
 
 mod sealed {
@@ -288,8 +289,9 @@ pub fn pack_b<T: PackScalar>(b: &MatrixView<'_>, buf: &mut [T], nr: usize) -> us
     strips
 }
 
-/// Packs strips `[first_strip, first_strip + n_strips)` of a B panel into
-/// `buf`, which holds exactly those strips (`n_strips * nr * k` elements).
+/// Packs strips `[first_strip, first_strip + n_strips)` of a B panel —
+/// plain or fused ([`Operand`]) — into `buf`, which holds exactly those
+/// strips (`n_strips * nr * k` elements).
 ///
 /// This is the unit of parallel packing: disjoint strip ranges map to
 /// disjoint buffer chunks, so workers can pack one panel cooperatively and
@@ -298,13 +300,15 @@ pub fn pack_b<T: PackScalar>(b: &MatrixView<'_>, buf: &mut [T], nr: usize) -> us
 /// backing pages on the packing worker's NUMA node under first-touch
 /// placement policies.
 pub fn pack_b_strips<T: PackScalar>(
-    b: &MatrixView<'_>,
+    b: &Operand<'_>,
     buf: &mut [T],
     nr: usize,
     first_strip: usize,
     n_strips: usize,
 ) {
-    let (k, n) = b.shape();
+    let (k, n) = b
+        .shape()
+        .unwrap_or_else(|e| panic!("pack_b_strips: operand shapes differ ({e})"));
     assert!(
         buf.len() == n_strips * nr * k,
         "pack_b_strips: buffer {} != {n_strips} strips of {k}",
@@ -314,14 +318,29 @@ pub fn pack_b_strips<T: PackScalar>(
         first_strip + n_strips <= n.div_ceil(nr),
         "pack_b_strips: strip range beyond panel"
     );
-    pack_b_rows(
-        "pack_b_strips",
-        (k, n),
-        buf,
-        nr,
-        (first_strip, n_strips),
-        |kk, col0, dst| copy_segment(b, kk, col0, dst),
-    );
+    let (who, strips) = ("pack_b_strips", (first_strip, n_strips));
+    match b {
+        Operand::View(v) => pack_b_rows(who, (k, n), buf, nr, strips, |kk, col0, dst| {
+            copy_segment(v, kk, col0, dst)
+        }),
+        Operand::Add(x, y) => pack_b_rows(who, (k, n), buf, nr, strips, |kk, col0, dst| {
+            sum_segment((x, 1.0), (y, 1.0), kk, col0, dst)
+        }),
+        Operand::Sub(x, y) => pack_b_rows(who, (k, n), buf, nr, strips, |kk, col0, dst| {
+            sum_segment((x, 1.0), (y, -1.0), kk, col0, dst)
+        }),
+    }
+}
+
+/// Packs an `m × k` A block — plain or fused ([`Operand`]) — with the
+/// [`pack_a`] layout; a fused block goes through [`pack_a_sum`] at
+/// `α = 1, β = ±1`. Returns the number of strips written.
+pub(crate) fn pack_operand_a<T: PackScalar>(a: &Operand<'_>, buf: &mut [T], mr: usize) -> usize {
+    match a {
+        Operand::View(v) => pack_a(v, buf, mr),
+        Operand::Add(x, y) => pack_a_sum(x, 1.0, y, 1.0, buf, mr),
+        Operand::Sub(x, y) => pack_a_sum(x, 1.0, y, -1.0, buf, mr),
+    }
 }
 
 /// Packs the elementwise combine `α·X + β·Y` of two same-shape `m × k`
@@ -344,31 +363,6 @@ pub fn pack_a_sum<T: PackScalar>(
     pack_a_segments("pack_a_sum", x.shape(), buf, mr, |i, k0, dst| {
         sum_segment((x, alpha), (y, beta), i, k0, dst)
     })
-}
-
-/// Packs the elementwise combine `α·X + β·Y` of two same-shape `k × n`
-/// blocks into `buf` with the exact [`pack_b`] strip layout, in a single
-/// pass (see [`pack_a_sum`] for the bitwise-equivalence argument). Returns
-/// the number of strips written.
-pub fn pack_b_sum<T: PackScalar>(
-    x: &MatrixView<'_>,
-    alpha: f64,
-    y: &MatrixView<'_>,
-    beta: f64,
-    buf: &mut [T],
-    nr: usize,
-) -> usize {
-    assert_same_shape("pack_b_sum", x, y);
-    let strips = x.cols().div_ceil(nr);
-    pack_b_rows(
-        "pack_b_sum",
-        x.shape(),
-        buf,
-        nr,
-        (0, strips),
-        |kk, col0, dst| sum_segment((x, alpha), (y, beta), kk, col0, dst),
-    );
-    strips
 }
 
 /// Elements written by [`pack_a`] for an `m × k` block: whole `mr`-row
@@ -544,8 +538,8 @@ mod tests {
         })
     }
 
-    /// `pack_{a,b}_sum(X, 1, Y, ±1)` against `pack_{a,b}(X ± Y)`, bit for
-    /// bit, at element type `T`.
+    /// `pack_a_sum(X, 1, Y, ±1)` and `pack_b_strips` of the fused operand
+    /// `X ± Y` against `pack_{a,b}(X ± Y)`, bit for bit, at element type `T`.
     fn assert_fused_matches_materialised<T: PackScalar + Into<f64>>(
         x: &MatrixView<'_>,
         y: &MatrixView<'_>,
@@ -566,11 +560,16 @@ mod tests {
             let mut directb = vec![T::from_f64(f64::NAN); packed_b_len(r, c, tile)];
             let mut fusedb = directb.clone();
             pack_b(&summed.view(), &mut directb, tile);
-            pack_b_sum(x, 1.0, y, beta, &mut fusedb, tile);
+            let op = if beta > 0.0 {
+                Operand::Add(*x, *y)
+            } else {
+                Operand::Sub(*x, *y)
+            };
+            pack_b_strips(&op, &mut fusedb, tile, 0, c.div_ceil(tile));
             assert_eq!(
                 bits(&directb),
                 bits(&fusedb),
-                "pack_b_sum (β={beta}, tile {tile}) diverges from materialised pack"
+                "fused pack_b_strips (β={beta}, tile {tile}) diverges from materialised pack"
             );
         }
     }
@@ -706,7 +705,7 @@ mod tests {
                 let take = (1 + (bits_left & 3) as usize).min(strips - done);
                 bits_left = bits_left.rotate_right(2);
                 let chunk = &mut parts[done * strip_len..(done + take) * strip_len];
-                pack_b_strips(&b.view(), chunk, nr, done, take);
+                pack_b_strips(&Operand::View(b.view()), chunk, nr, done, take);
                 done += take;
             }
             prop_assert_eq!(bits(&whole), bits(&parts));

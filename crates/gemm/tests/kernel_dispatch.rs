@@ -229,6 +229,7 @@ fn fused_with(
         &mut c.view_mut(),
         Accum::Set,
         None,
+        None,
     )
     .unwrap();
     c

@@ -426,26 +426,6 @@ impl<'a> MatrixViewMut<'a> {
         self.split_cols_at(half).expect("half is in bounds")
     }
 
-    /// Splits into at most `n` row bands of near-equal height, consuming the
-    /// view. Used to fan elementwise work out across pool workers.
-    pub fn split_row_bands(self, n: usize) -> Vec<MatrixViewMut<'a>> {
-        let n = n.max(1).min(self.rows.max(1));
-        let mut bands = Vec::with_capacity(n);
-        let mut rest = self;
-        let mut remaining_rows = rest.rows;
-        let mut remaining_bands = n;
-        while remaining_bands > 1 && remaining_rows > 0 {
-            let take = remaining_rows.div_ceil(remaining_bands);
-            let (band, tail) = rest.split_rows_at(take).expect("band split in bounds");
-            bands.push(band);
-            rest = tail;
-            remaining_rows -= take;
-            remaining_bands -= 1;
-        }
-        bands.push(rest);
-        bands
-    }
-
     /// Fills the whole view with `v`.
     pub fn fill(&mut self, v: f64) {
         for i in 0..self.rows {
@@ -570,28 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn split_row_bands_partition() {
-        let mut m = Matrix::zeros(10, 3);
-        let bands = m.view_mut().split_row_bands(4);
-        assert_eq!(bands.len(), 4);
-        let total: usize = bands.iter().map(|b| b.rows()).sum();
-        assert_eq!(total, 10);
-        // Bands are near-equal: ceil(10/4)=3,3,2,2.
-        assert_eq!(
-            bands.iter().map(|b| b.rows()).collect::<Vec<_>>(),
-            vec![3, 3, 2, 2]
-        );
-    }
-
-    #[test]
-    fn split_row_bands_more_bands_than_rows() {
-        let mut m = Matrix::zeros(2, 2);
-        let bands = m.view_mut().split_row_bands(8);
-        assert_eq!(bands.iter().map(|b| b.rows()).sum::<usize>(), 2);
-        assert!(bands.len() <= 2);
-    }
-
-    #[test]
     fn copy_from_and_to_matrix_round_trip() {
         let src = sample(5);
         let mut dst = Matrix::zeros(3, 3);
@@ -621,8 +579,9 @@ mod tests {
     fn mutable_band_writes_visible_in_parent() {
         let mut m = Matrix::zeros(6, 2);
         {
-            let bands = m.view_mut().split_row_bands(3);
-            for (k, mut b) in bands.into_iter().enumerate() {
+            let (mut top, rest) = m.view_mut().split_rows_at(2).unwrap();
+            let (mut mid, mut bottom) = rest.split_rows_at(2).unwrap();
+            for (k, b) in [&mut top, &mut mid, &mut bottom].into_iter().enumerate() {
                 b.fill(k as f64);
             }
         }

@@ -107,17 +107,6 @@ proptest! {
     }
 
     #[test]
-    fn row_bands_partition_rows(seed in any::<u64>(), rows in 1usize..40, bands in 1usize..8) {
-        let mut m = MatrixGen::new(seed).uniform(rows, 3, 0.0, 1.0);
-        let parts = m.view_mut().split_row_bands(bands);
-        let total: usize = parts.iter().map(|b| b.rows()).sum();
-        prop_assert_eq!(total, rows);
-        let max = parts.iter().map(|b| b.rows()).max().unwrap();
-        let min = parts.iter().map(|b| b.rows()).min().unwrap();
-        prop_assert!(max - min <= 1, "bands should be balanced: {max} vs {min}");
-    }
-
-    #[test]
     fn axpy_linearity((a, b) in matrix_pair_same_shape(), alpha in -4.0f64..4.0) {
         // a + alpha*b computed two ways.
         let mut via_axpy = a.clone();

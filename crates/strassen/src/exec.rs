@@ -3,11 +3,12 @@
 //! The recursion works in **Set semantics** (`dst = A · B`) and is built
 //! around two scratch-avoiding primitives:
 //!
-//! * [`leaf_gemm_fused_with`](powerscale_gemm::leaf::leaf_gemm_fused_with)
-//!   — quadrant sums like `A21 + A22` are packed directly into the leaf's
-//!   panel buffers ([`Operand::Add`] / [`Operand::Sub`]) and products merge
-//!   into `C` in place ([`Accum::Add`] / [`Accum::Sub`]), so leaves
-//!   materialise neither operand sums nor product temporaries;
+//! * [`leaf_gemm_fused_with`] — quadrant sums like `A21 + A22` are packed
+//!   directly into the leaf's panel buffers ([`Operand::Add`] /
+//!   [`Operand::Sub`]) and products merge into `C` in place
+//!   ([`Accum::Add`] / [`Accum::Sub`]), so leaves materialise neither
+//!   operand sums nor product temporaries. The walker calls it itself,
+//!   handing it the pool when the schedule shares leaves;
 //! * in-place combine schedules — four of the seven products land
 //!   directly in their destination quadrants and the remaining cross-term
 //!   products cycle through a single scratch matrix (sequential paths),
@@ -34,7 +35,7 @@ use crate::schedule::{Schedule, Untied};
 use powerscale_counters::EventSet;
 use powerscale_gemm::arena;
 use powerscale_gemm::leaf::Operand::{Add, Sub, View};
-use powerscale_gemm::leaf::{Accum, Operand};
+use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_matrix::{ops, pad, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
 use powerscale_pool::{Scope, ThreadPool};
 
@@ -117,7 +118,7 @@ pub fn multiply_with<S: Schedule>(
 
 /// A fused operand resolved for a non-leaf child: either the original view
 /// or one arena-leased materialisation of the quadrant sum.
-pub enum Resolved<'v> {
+enum Resolved<'v> {
     /// Plain quadrant view, used as-is.
     View(MatrixView<'v>),
     /// The evaluated quadrant sum, leased from the worker-local arena.
@@ -126,7 +127,7 @@ pub enum Resolved<'v> {
 
 impl Resolved<'_> {
     /// The resolved operand as a view.
-    pub fn view(&self) -> MatrixView<'_> {
+    fn view(&self) -> MatrixView<'_> {
         match self {
             Resolved::View(v) => *v,
             Resolved::Scratch(s) => s.view(),
@@ -136,9 +137,8 @@ impl Resolved<'_> {
 
 /// Evaluates a fused operand into scratch when a child must recurse
 /// instead of going to the fused leaf (one elementwise pass — the same
-/// pass a leaf charges for fused packing). Shared with CAPS's row-band
-/// leaf.
-pub fn resolve_operand<'v>(
+/// pass a leaf charges for fused packing).
+fn resolve_operand<'v>(
     op: Operand<'v>,
     h: usize,
     pool: Option<&ThreadPool>,
@@ -195,10 +195,12 @@ impl<S: Schedule> Walker<'_, S> {
         }
     }
 
-    /// The schedule's dense cutover.
+    /// The dense cutover: the fused leaf, work-shared over the pool when
+    /// the schedule shares leaves.
     fn leaf(&self, a: Operand<'_>, b: Operand<'_>, c: &mut MatrixViewMut<'_>, accum: Accum) {
-        self.sched
-            .leaf(a, b, c, accum, self.cfg, self.pool, self.events);
+        let pool = self.pool.filter(|_| self.sched.shares_leaves());
+        leaf_gemm_fused_with(self.cfg.dispatch, a, b, c, accum, pool, self.events)
+            .expect("leaf shapes valid by construction");
     }
 
     /// Spawns product `index` of a parallel node at `depth`, seeded onto

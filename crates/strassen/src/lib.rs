@@ -52,6 +52,6 @@ pub mod plan;
 pub mod schedule;
 
 pub use config::{StrassenConfig, Variant};
-pub use exec::{multiply, multiply_with, resolve_operand, Resolved};
+pub use exec::{multiply, multiply_with};
 pub use plan::{strassen_graph, strassen_graph_with};
 pub use schedule::{Schedule, Untied};

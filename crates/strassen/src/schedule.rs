@@ -5,7 +5,7 @@
 //! Strassen and CAPS (paper §IV-B/§IV-C) is only *how* that tree is
 //! scheduled, and a [`Schedule`] names exactly those differences:
 //!
-//! * the dense cutover that runs at the leaves;
+//! * whether a leaf is work-shared across the pool;
 //! * the worker a depth-0 product is pinned to;
 //! * the trace category and span names of internal nodes;
 //! * how the task-graph plan prices a leaf, an inline subtree below the
@@ -17,28 +17,15 @@
 //! CAPS's BFS/DFS schedule lives in `powerscale-caps`. Schedules are
 //! statically dispatched: the walker is monomorphised per schedule.
 
-use crate::config::StrassenConfig;
-use powerscale_counters::EventSet;
-use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
-use powerscale_matrix::MatrixViewMut;
-use powerscale_pool::ThreadPool;
 use powerscale_trace::{span_args, Category, SpanGuard};
 
 /// What a schedule decides about one Strassen recursion.
 pub trait Schedule: Sync {
-    /// The dense cutover: `c (accum)= a · b` on one leaf sub-problem.
-    #[allow(clippy::too_many_arguments)]
-    fn leaf(
-        &self,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        c: &mut MatrixViewMut<'_>,
-        accum: Accum,
-        cfg: &StrassenConfig,
-        pool: Option<&ThreadPool>,
-        events: Option<&EventSet>,
-    );
+    /// Whether a leaf product is work-shared by row bands across the
+    /// walker's pool (the fused leaf's pooled nest) rather than run by the
+    /// one task that reaches it.
+    fn shares_leaves(&self) -> bool;
 
     /// The worker that product `index` (0..7, in spawn order) of a spawned
     /// node at `depth` is seeded onto; `None` leaves it on the spawner's
@@ -87,18 +74,9 @@ pub trait Schedule: Sync {
 pub struct Untied;
 
 impl Schedule for Untied {
-    fn leaf(
-        &self,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        c: &mut MatrixViewMut<'_>,
-        accum: Accum,
-        cfg: &StrassenConfig,
-        _pool: Option<&ThreadPool>,
-        events: Option<&EventSet>,
-    ) {
-        leaf_gemm_fused_with(cfg.dispatch, a, b, c, accum, events)
-            .expect("leaf shapes valid by construction");
+    /// BOTS leaves are sequential tasks.
+    fn shares_leaves(&self) -> bool {
+        false
     }
 
     fn pin(&self, _depth: u32, _index: usize) -> Option<usize> {

@@ -6,21 +6,20 @@
 //! | axis        | values                                        |
 //! |-------------|-----------------------------------------------|
 //! | algorithm   | blocked GEMM, Strassen (classic), CAPS        |
-//! | leaf mode   | fused operand packing / unfused (Strassen, CAPS) |
 //! | kernel      | scalar tier / SIMD tier                       |
 //! | distribution| single SMP / simulated 2- and 7-node clusters (CAPS) |
 //!
-//! — 14 candidate runs per matrix size, each scored by
+//! — 10 candidate runs per matrix size, each scored by
 //! [`max_rel_error`](crate::oracle::max_rel_error) against a single
-//! oracle product computed once. The kernel tier and leaf mode are fields
-//! of the explicit [`Dispatch`] each run carries in its config — nothing
-//! is process-global — so the cells of a sweep run on parallel threads,
-//! one pool per runner thread.
+//! oracle product computed once. The kernel tier is a field of the
+//! explicit [`Dispatch`] each run carries in its config — nothing is
+//! process-global — so the cells of a sweep run on parallel threads, one
+//! pool per runner thread.
 //!
 //! A second sweep, [`run_kernel_matrix`], covers the *kernel* matrix:
 //! every dispatchable ISA×dtype instance ([`available_kernels`]) pinned
 //! via [`Dispatch::with_kernel`] and driven through the blocked driver
-//! and both leaf modes of the Strassen recursion, scored against the same
+//! and the Strassen recursion's fused leaf, scored against the same
 //! oracle with precision-appropriate bounds ([`dtype_tol`]).
 //!
 //! Recursion depth is held constant across sizes by setting the
@@ -196,7 +195,7 @@ impl DiffConfig {
 /// Score of one candidate configuration against the oracle.
 #[derive(Debug, Clone)]
 pub struct DiffCase {
-    /// Human-readable configuration label, e.g. `strassen/unfused/simd`.
+    /// Human-readable configuration label, e.g. `strassen/simd`.
     pub label: String,
     /// Max-norm relative error against the compensated reference.
     pub rel_err: f64,
@@ -209,45 +208,27 @@ fn tier_label(tier: KernelTier) -> &'static str {
     }
 }
 
-fn leaf_label(unfused: bool) -> &'static str {
-    if unfused {
-        "unfused"
-    } else {
-        "fused"
-    }
-}
-
 /// Runs the full configuration matrix at `cfg` and returns every case's
 /// score. Panics only on dimension errors (a harness bug), never on
 /// tolerance — use [`assert_differential`] for the asserting form.
 pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
     let mut cells = Vec::new();
     let tiers = [KernelTier::Scalar, KernelTier::Simd];
-    let dispatch_at = |tier, unfused_leaf| Dispatch {
+    let dispatch_at = |tier| Dispatch {
         tier,
-        unfused_leaf,
         ..Dispatch::default()
     };
     for tier in tiers {
         let tl = tier_label(tier);
-        // Blocked GEMM has no recursive leaf, so the fused/unfused axis
-        // does not apply; one run per kernel tier.
-        cells.push(Cell {
-            label: format!("blocked/{tl}"),
-            algo: Algo::Blocked,
-            dispatch: dispatch_at(tier, false),
-        });
-        for unfused in [false, true] {
-            let ll = leaf_label(unfused);
+        for (name, algo) in [
+            ("blocked", Algo::Blocked),
+            ("strassen", Algo::Strassen),
+            ("caps", Algo::Caps),
+        ] {
             cells.push(Cell {
-                label: format!("strassen/{ll}/{tl}"),
-                algo: Algo::Strassen,
-                dispatch: dispatch_at(tier, unfused),
-            });
-            cells.push(Cell {
-                label: format!("caps/{ll}/{tl}"),
-                algo: Algo::Caps,
-                dispatch: dispatch_at(tier, unfused),
+                label: format!("{name}/{tl}"),
+                algo,
+                dispatch: dispatch_at(tier),
             });
         }
     }
@@ -256,7 +237,7 @@ pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
             cells.push(Cell {
                 label: format!("dist-caps/P{nodes}/{}", tier_label(tier)),
                 algo: Algo::DistCaps { nodes },
-                dispatch: dispatch_at(tier, false),
+                dispatch: dispatch_at(tier),
             });
         }
     }
@@ -275,7 +256,7 @@ pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
 /// failures (not just the first) with their observed errors.
 pub fn assert_differential(cfg: &DiffConfig) {
     let cases = run_differential(cfg);
-    assert_eq!(cases.len(), 14, "configuration matrix shrank unexpectedly");
+    assert_eq!(cases.len(), 10, "configuration matrix shrank unexpectedly");
     let failures: Vec<String> = cases
         .iter()
         .filter(|c| c.rel_err > cfg.tol || c.rel_err.is_nan())
@@ -308,10 +289,10 @@ pub fn dtype_tol(dtype: DtypeTier, f64_tol: f64) -> f64 {
     }
 }
 
-/// Score of one (kernel instance × leaf mode) cell against the oracle.
+/// Score of one (kernel instance × algorithm) cell against the oracle.
 #[derive(Debug, Clone)]
 pub struct KernelCase {
-    /// Configuration label, e.g. `strassen/unfused/avx2-f32`.
+    /// Configuration label, e.g. `strassen/avx2-f32`.
     pub label: String,
     /// The kernel's dtype tier (decides the acceptance bound).
     pub dtype: DtypeTier,
@@ -320,27 +301,17 @@ pub struct KernelCase {
 }
 
 /// Runs every dispatchable kernel instance (ISA tier × dtype tier) through
-/// the blocked driver and, for each leaf mode, through the Strassen
-/// recursion — the kernel-level companion to [`run_differential`]'s
-/// algorithm matrix. Three cells per kernel:
-/// `blocked`, `strassen/fused`, `strassen/unfused`.
+/// the blocked driver and through the Strassen recursion — the
+/// kernel-level companion to [`run_differential`]'s algorithm matrix. Two
+/// cells per kernel: `blocked` and `strassen`.
 pub fn run_kernel_matrix(cfg: &DiffConfig) -> Vec<KernelCase> {
     let mut cells = Vec::new();
     for kernel in available_kernels() {
-        let at = |unfused_leaf| Dispatch {
-            unfused_leaf,
-            ..Dispatch::default().with_kernel(kernel)
-        };
-        cells.push(Cell {
-            label: format!("blocked/{}", kernel.name),
-            algo: Algo::Blocked,
-            dispatch: at(false),
-        });
-        for unfused in [false, true] {
+        for (name, algo) in [("blocked", Algo::Blocked), ("strassen", Algo::Strassen)] {
             cells.push(Cell {
-                label: format!("strassen/{}/{}", leaf_label(unfused), kernel.name),
-                algo: Algo::Strassen,
-                dispatch: at(unfused),
+                label: format!("{name}/{}", kernel.name),
+                algo,
+                dispatch: Dispatch::default().with_kernel(kernel),
             });
         }
     }
@@ -363,7 +334,7 @@ pub fn assert_kernel_matrix(cfg: &DiffConfig) {
     let cases = run_kernel_matrix(cfg);
     assert_eq!(
         cases.len(),
-        3 * available_kernels().len(),
+        2 * available_kernels().len(),
         "kernel matrix shrank unexpectedly"
     );
     for dtype in DtypeTier::ALL {
@@ -400,12 +371,11 @@ mod tests {
     fn kernel_matrix_covers_every_tier_and_leaf_mode() {
         let cfg = DiffConfig::for_size(96);
         let cases = run_kernel_matrix(&cfg);
-        assert_eq!(cases.len(), 3 * available_kernels().len());
+        assert_eq!(cases.len(), 2 * available_kernels().len());
         for kernel in available_kernels() {
             for expected in [
                 format!("blocked/{}", kernel.name),
-                format!("strassen/fused/{}", kernel.name),
-                format!("strassen/unfused/{}", kernel.name),
+                format!("strassen/{}", kernel.name),
             ] {
                 assert!(
                     cases.iter().any(|c| c.label == expected),
@@ -450,15 +420,16 @@ mod tests {
             ..DiffConfig::for_size(64)
         };
         let cases = run_differential(&cfg);
-        assert_eq!(cases.len(), 14);
+        assert_eq!(cases.len(), 10);
         let labels: Vec<&str> = cases.iter().map(|c| c.label.as_str()).collect();
         for expected in [
             "blocked/scalar",
             "blocked/simd",
-            "strassen/fused/scalar",
-            "strassen/unfused/simd",
-            "caps/fused/scalar",
-            "caps/unfused/simd",
+            "strassen/scalar",
+            "strassen/simd",
+            "caps/scalar",
+            "caps/simd",
+            "dist-caps/P7/simd",
         ] {
             assert!(labels.contains(&expected), "missing case {expected}");
         }

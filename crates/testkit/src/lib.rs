@@ -6,8 +6,8 @@
 //!   max-norm relative-error metric every comparison in the suite uses;
 //! * [`metamorphic`] + [`differential`] — algebraic identities and the
 //!   full configuration-matrix sweep (blocked / Strassen / CAPS ×
-//!   fused/unfused leaves × scalar/SIMD kernels × single-SMP/distributed)
-//!   scored against the oracle;
+//!   scalar/SIMD kernels × single-SMP/distributed) scored against the
+//!   oracle;
 //! * [`chaos`] — seeded adversarial-schedule fuzzing on top of the
 //!   pool's `deterministic` feature, asserting bitwise
 //!   schedule-invariance and exact replay-from-trace.

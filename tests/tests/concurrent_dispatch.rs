@@ -13,16 +13,15 @@ use std::sync::Barrier;
 const N: usize = 96;
 const ROUNDS: usize = 4;
 
-/// {f64, f32, mixed} × {scalar, simd}; the f32 cells also flip the leaf mode.
+/// {f64, f32, mixed} × {scalar, simd}.
 fn dispatches() -> Vec<Dispatch> {
     let mut out = Vec::new();
-    for (i, dtype) in DtypeTier::ALL.into_iter().enumerate() {
+    for dtype in DtypeTier::ALL {
         for tier in [KernelTier::Scalar, KernelTier::Simd] {
             out.push(Dispatch {
                 tier,
                 dtype,
                 override_kernel: None,
-                unfused_leaf: i % 2 == 1,
             });
         }
     }
