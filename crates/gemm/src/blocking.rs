@@ -36,28 +36,6 @@ pub struct BlockingParams {
 }
 
 impl BlockingParams {
-    /// Derives parameters from a cache hierarchy (L1 first) for the
-    /// runtime-selected kernel's tile shape.
-    ///
-    /// Falls back to [`BlockingParams::default`] proportions when fewer
-    /// than three levels are described.
-    pub fn for_caches(caches: &[CacheConfig]) -> Self {
-        let k = crate::kernel::select_kernel();
-        Self::for_caches_and_tile(caches, k.mr, k.nr)
-    }
-
-    /// Derives parameters from the static (paper Haswell) hierarchy for a
-    /// specific kernel — the pre-autotuner constants, kept as the
-    /// baseline the benchmark's autotuned-vs-static delta is measured
-    /// against.
-    pub fn for_kernel(kernel: &KernelInfo) -> Self {
-        Self::for_caches_and_tile(
-            &powerscale_cachesim::presets::e3_1225_caches(),
-            kernel.mr,
-            kernel.nr,
-        )
-    }
-
     /// Derives parameters for `kernel` from the **host's** cache
     /// hierarchy, probed once per process ([`crate::autotune`]): sysfs
     /// capacities when available, the Haswell preset otherwise, with the
@@ -202,7 +180,7 @@ fn aligned_clamp(x: usize, multiple: usize, lo: usize, hi: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{scalar_kernel, select_kernel};
+    use crate::kernel::select_kernel;
     use powerscale_cachesim::presets::e3_1225_caches;
     use proptest::prelude::*;
 
@@ -221,8 +199,8 @@ mod tests {
 
     #[test]
     fn static_haswell_derivation_unchanged() {
-        // The pre-autotuner constants (the bench baseline) on the paper's
-        // Haswell hierarchy, per tile shape.
+        // The halves model on the paper's Haswell hierarchy, per tile
+        // shape (the 8×6 row is the simulated machine's blocking).
         let p = BlockingParams::for_caches_and_tile(&e3_1225_caches(), 4, 4);
         assert_eq!((p.mc, p.kc, p.nc), (64, 256, 2048));
         let q = BlockingParams::for_caches_and_tile(&e3_1225_caches(), 8, 6);
@@ -275,7 +253,8 @@ mod tests {
     #[test]
     fn fits_cache_budgets() {
         let caches = e3_1225_caches();
-        let p = BlockingParams::for_caches(&caches);
+        let k = select_kernel();
+        let p = BlockingParams::for_caches_and_tile(&caches, k.mr, k.nr);
         // Packed A panel within L2; packed B panel within L3.
         assert!(p.packed_a_bytes() <= caches[1].size_bytes);
         assert!(p.packed_b_bytes() <= caches[2].size_bytes);
@@ -285,9 +264,10 @@ mod tests {
 
     #[test]
     fn degenerate_hierarchy_still_valid() {
-        let p = BlockingParams::for_caches(&[]);
+        let k = select_kernel();
+        let p = BlockingParams::for_caches_and_tile(&[], k.mr, k.nr);
         p.validate().unwrap();
-        let one = BlockingParams::for_caches(&[CacheConfig::new(4096, 64, 1)]);
+        let one = BlockingParams::for_caches_and_tile(&[CacheConfig::new(4096, 64, 1)], k.mr, k.nr);
         one.validate().unwrap();
         // A tiny L1/L2 pair with a 6-column tile used to trip the
         // unaligned 2048 cap path on large L3 values.
@@ -333,26 +313,19 @@ mod tests {
 
     #[test]
     fn smaller_caches_give_smaller_blocks() {
-        let small = BlockingParams::for_caches(&[
-            CacheConfig::new(8 * 1024, 64, 2),
-            CacheConfig::new(64 * 1024, 64, 4),
-            CacheConfig::new(1024 * 1024, 64, 8),
-        ]);
-        let big = BlockingParams::for_caches(&e3_1225_caches());
+        let k = select_kernel();
+        let small = BlockingParams::for_caches_and_tile(
+            &[
+                CacheConfig::new(8 * 1024, 64, 2),
+                CacheConfig::new(64 * 1024, 64, 4),
+                CacheConfig::new(1024 * 1024, 64, 8),
+            ],
+            k.mr,
+            k.nr,
+        );
+        let big = BlockingParams::for_caches_and_tile(&e3_1225_caches(), k.mr, k.nr);
         assert!(small.kc <= big.kc);
         assert!(small.packed_b_bytes() <= big.packed_b_bytes());
-    }
-
-    #[test]
-    fn for_kernel_matches_tile() {
-        let p = BlockingParams::for_kernel(scalar_kernel());
-        p.validate().unwrap();
-        assert_eq!((p.mr, p.nr), (4, 4));
-        if let Some(simd) = crate::kernel::simd_kernel() {
-            let q = BlockingParams::for_kernel(simd);
-            q.validate().unwrap();
-            assert_eq!((q.mr, q.nr), (simd.mr, simd.nr));
-        }
     }
 
     proptest! {

@@ -428,8 +428,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match kernel")]
     fn mismatched_tile_rejected() {
-        let params = BlockingParams::for_kernel(scalar_kernel());
         let kernel = scalar_kernel();
+        let params = BlockingParams::for_caches_and_tile(&[], kernel.mr, kernel.nr);
         let bad = GemmContext {
             params: BlockingParams {
                 mr: kernel.mr * 2,

@@ -13,7 +13,7 @@
 //!   the host's best f64 kernel; the `force-scalar` cargo feature makes
 //!   that the scalar ISA),
 //! * blocking parameters derived from the cache hierarchy *and* the
-//!   selected kernel's tile shape ([`BlockingParams::for_caches`]), with
+//!   selected kernel's tile shape ([`BlockingParams::for_caches_and_tile`]), with
 //!   [`BlockingParams::autotuned_for`] probing the host's real cache
 //!   sizes at startup ([`autotune`]),
 //! * contiguous packing of A and B panels ([`pack`]) by cache-line row

@@ -16,10 +16,15 @@
 //! are both exercised regardless of what the host would auto-select.
 
 use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
-use powerscale_gemm::{dgemm, naive::naive_mm, Dispatch, DtypeTier, GemmContext, KernelInfo};
+use powerscale_gemm::pack::{pack_a, pack_b, packed_a_len, packed_b_len, PackScalar};
+use powerscale_gemm::{
+    available_kernels, dgemm, naive::naive_mm, scalar_kernel_for, Dispatch, DtypeTier, GemmContext,
+    KernelFn, KernelInfo,
+};
 use powerscale_matrix::norms::rel_frobenius_error;
 use powerscale_matrix::{Matrix, MatrixGen};
 use proptest::prelude::*;
+use std::time::Instant;
 
 /// `A · B` under an explicitly chosen kernel.
 fn multiply_with(ctx: &GemmContext, a: &Matrix, b: &Matrix) -> Matrix {
@@ -233,4 +238,82 @@ fn fused_with(
     )
     .unwrap();
     c
+}
+
+/// Depth and edge of the packed panel pair the tier timing rule sweeps.
+const SWEEP_KC: usize = 256;
+const SWEEP_EDGE: usize = 96;
+
+/// The same `SWEEP_EDGE × SWEEP_KC` A and `SWEEP_KC × SWEEP_EDGE` B,
+/// packed for `kernel`'s tile and element type into `f64`-slot buffers.
+fn packed_panels(kernel: &KernelInfo) -> (Vec<f64>, Vec<f64>) {
+    fn pack<T: PackScalar>(kernel: &KernelInfo) -> (Vec<f64>, Vec<f64>) {
+        let mut gen = MatrixGen::new(7);
+        let a = gen.uniform(SWEEP_EDGE, SWEEP_KC, -1.0, 1.0);
+        let b = gen.uniform(SWEEP_KC, SWEEP_EDGE, -1.0, 1.0);
+        let mut pa = vec![0.0; kernel.slots_for(packed_a_len(SWEEP_EDGE, SWEEP_KC, kernel.mr))];
+        let mut pb = vec![0.0; kernel.slots_for(packed_b_len(SWEEP_KC, SWEEP_EDGE, kernel.nr))];
+        pack_a(&a.view(), T::cast_mut(&mut pa), kernel.mr);
+        pack_b(&b.view(), T::cast_mut(&mut pb), kernel.nr);
+        (pa, pb)
+    }
+    match kernel.func {
+        KernelFn::F64(_) => pack::<f64>(kernel),
+        KernelFn::F32(_) => pack::<f32>(kernel),
+    }
+}
+
+/// Wall seconds of one sweep of every register tile of the panel pair.
+fn sweep_secs(kernel: &KernelInfo, (pa, pb): &(Vec<f64>, Vec<f64>), c: &mut Matrix) -> f64 {
+    let t0 = Instant::now();
+    kernel.sweep_tiles(
+        SWEEP_KC,
+        pa,
+        pb,
+        SWEEP_EDGE.div_ceil(kernel.mr),
+        SWEEP_EDGE.div_ceil(kernel.nr),
+        1.0,
+        &mut c.view_mut(),
+    );
+    t0.elapsed().as_secs_f64()
+}
+
+/// A tier slower than scalar code on its own packed panels has a broken
+/// tile body or dispatch. Each tier is held to the scalar tier of its
+/// dtype: the scalar mixed tier itself runs below scalar f64 (it widens
+/// every f32 load), so f64 scalar is not the floor for the other dtypes.
+/// The dispatched tier's rate is the benchmark's `gemm.kernel.*_gflops`.
+#[test]
+#[ignore = "release-tier timing rule"]
+fn every_tier_sweeps_at_least_as_fast_as_its_scalar_tier() {
+    const ROUNDS: usize = 30;
+    let mut c = Matrix::zeros(SWEEP_EDGE, SWEEP_EDGE);
+    for kernel in available_kernels() {
+        let scalar = scalar_kernel_for(kernel.dtype);
+        if kernel == scalar {
+            continue;
+        }
+        let (panels, scalar_panels) = (packed_panels(kernel), packed_panels(scalar));
+        // Interleaved best-of: a change in the host's speed state moves
+        // both sides alike.
+        let (mut best, mut best_scalar) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..ROUNDS {
+            best = best.min(sweep_secs(kernel, &panels, &mut c));
+            best_scalar = best_scalar.min(sweep_secs(scalar, &scalar_panels, &mut c));
+        }
+        let gflops = |secs: f64| (2 * SWEEP_EDGE * SWEEP_EDGE * SWEEP_KC) as f64 / secs / 1e9;
+        println!(
+            "{}: {:.1} GF/s, {}: {:.1} GF/s",
+            kernel.name,
+            gflops(best),
+            scalar.name,
+            gflops(best_scalar)
+        );
+        assert!(
+            best <= best_scalar,
+            "`{}` sweeps in {best:.3e} s, slower than `{}` ({best_scalar:.3e} s)",
+            kernel.name,
+            scalar.name
+        );
+    }
 }

@@ -76,16 +76,6 @@ pub fn ideal_test_machine(cores: usize) -> MachineConfig {
     }
 }
 
-/// A memory-starved variant of [`e3_1225`] (half the DRAM bandwidth):
-/// used by the ablation benches to show how the Strassen/blocked crossover
-/// (paper Eq. 9) moves with the platform's data-movement capability.
-pub fn e3_1225_half_bandwidth() -> MachineConfig {
-    let mut m = e3_1225();
-    m.name = format!("{} [half-bw]", m.name);
-    m.dram_bw_bytes_per_s /= 2.0;
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,12 +96,5 @@ mod tests {
         for e in m.compute.class_efficiency {
             assert!(e > 0.0 && e <= 1.0);
         }
-    }
-
-    #[test]
-    fn half_bandwidth_variant() {
-        let full = e3_1225();
-        let half = e3_1225_half_bandwidth();
-        assert!((half.dram_bw_bytes_per_s * 2.0 - full.dram_bw_bytes_per_s).abs() < 1.0);
     }
 }

@@ -107,15 +107,6 @@ pub struct Record {
     pub kind: Kind,
 }
 
-impl Default for Record {
-    fn default() -> Self {
-        Record {
-            ts: 0,
-            kind: Kind::End,
-        }
-    }
-}
-
 /// Everything one thread recorded during a session, in push order
 /// (timestamps are monotone within a thread).
 #[derive(Debug, Clone, Default)]

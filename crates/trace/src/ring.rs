@@ -6,7 +6,8 @@
 //! the hot path):
 //!
 //! * Each recording thread owns exactly one [`Ring`]: a fixed-capacity
-//!   `Box<[UnsafeCell<Record>]>` plus a `head: AtomicUsize`. The owning
+//!   `Box<[UnsafeCell<MaybeUninit<Record>>]>`, allocated uninitialised,
+//!   plus a `head: AtomicUsize`. The owning
 //!   thread is the only writer; it stores the record first and then
 //!   publishes with `head.store(i + 1, Release)`. Readers (the collector
 //!   in [`stop`]) `Acquire`-load `head` and read only slots `< head`, so
@@ -19,6 +20,7 @@
 //!   can never be freed out from under a writer racing with `stop`.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -28,25 +30,35 @@ use crate::TraceConfig;
 
 /// One thread's fixed-capacity event buffer.
 pub(crate) struct Ring {
-    buf: Box<[UnsafeCell<Record>]>,
+    /// Slots `< head` hold published records; the rest stay uninitialised
+    /// until the owner writes them.
+    buf: Box<[UnsafeCell<MaybeUninit<Record>>]>,
     /// Number of valid records. Written only by the owning thread.
     head: AtomicUsize,
     dropped: AtomicU64,
     label: String,
 }
 
-// The single-writer/Release-Acquire protocol above makes concurrent
-// snapshot reads sound; slots at or past `head` are never read.
+// SAFETY: `buf` follows the single-writer/Release-Acquire protocol above:
+// only the owning thread writes a slot, and only before publishing it, so
+// concurrent snapshot reads of slots `< head` are sound; slots at or past
+// `head` are never read. `head` and `dropped` are atomics and `label` is
+// never mutated after construction.
 unsafe impl Sync for Ring {}
 unsafe impl Send for Ring {}
 
 impl Ring {
     fn new(capacity: usize, label: String) -> Self {
-        let buf: Vec<UnsafeCell<Record>> = (0..capacity)
-            .map(|_| UnsafeCell::new(Record::default()))
-            .collect();
+        // Uninitialised slots: a large fresh allocation is untouched
+        // virtual memory, so a ring costs page faults only for the slots a
+        // session fills. Writing all 1 << 20 default slots up front takes
+        // tens of ms per thread in a debug build, outside every span.
+        let buf: Box<[MaybeUninit<UnsafeCell<MaybeUninit<Record>>>]> =
+            Box::new_uninit_slice(capacity);
+        // SAFETY: `UnsafeCell<MaybeUninit<Record>>` is valid uninitialised.
+        let buf = unsafe { buf.assume_init() };
         Ring {
-            buf: buf.into_boxed_slice(),
+            buf,
             head: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
             label,
@@ -63,7 +75,7 @@ impl Ring {
         }
         // SAFETY: only the owning thread writes, and slot `i` is not yet
         // published (readers stop at `head`).
-        unsafe { *self.buf[i].get() = rec };
+        unsafe { (*self.buf[i].get()).write(rec) };
         self.head.store(i + 1, Ordering::Release);
     }
 
@@ -71,9 +83,11 @@ impl Ring {
     /// thread, including while the owner is still pushing.
     fn snapshot(&self) -> ThreadTrace {
         let n = self.head.load(Ordering::Acquire);
-        // SAFETY: slots `< n` were published with Release and are never
-        // rewritten (overflow drops instead of wrapping).
-        let records = (0..n).map(|i| unsafe { *self.buf[i].get() }).collect();
+        // SAFETY: slots `< n` were written, then published with Release,
+        // and are never rewritten (overflow drops instead of wrapping).
+        let records = (0..n)
+            .map(|i| unsafe { (*self.buf[i].get()).assume_init_read() })
+            .collect();
         ThreadTrace {
             name: self.label.clone(),
             records,
