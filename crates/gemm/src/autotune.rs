@@ -317,8 +317,9 @@ mod tests {
         let again = host_caches();
         assert_eq!(first.as_ptr(), again.as_ptr(), "probe must run once");
         assert!(!first.is_empty());
-        // Every dispatchable kernel gets parameters honouring the Goto
-        // budgets on the real host hierarchy.
+        // Every dispatchable kernel gets parameters honouring the
+        // host-tuned budgets on the real host hierarchy: the depth between
+        // the L1 floor and the L2 bound, mc in a quarter of L2 at the floor.
         for kernel in crate::kernel::available_kernels() {
             let p = BlockingParams::autotuned_for(kernel);
             p.validate().unwrap();
@@ -326,14 +327,7 @@ mod tests {
             if crate::autotune::blocking_override().is_some() {
                 continue; // pinned externally; budget claims do not apply
             }
-            let l1 = first[0].size_bytes;
-            assert!(p.kc * 8 * (p.mr + p.nr) <= l1.max(32 * 8 * (p.mr + p.nr)));
-            if let Some(l2) = first.get(1) {
-                assert!(p.packed_a_bytes() <= l2.size_bytes.max(p.mr * p.kc * 8));
-            }
-            if let Some(l3) = first.get(2) {
-                assert!(p.packed_b_bytes() <= l3.size_bytes.max(p.kc * p.nr * 8));
-            }
+            crate::blocking::assert_host_tuned_budgets(&p, first);
         }
     }
 }

@@ -70,35 +70,42 @@ impl BlockingParams {
 
     /// The host-tuned derivation: same Goto structure as
     /// [`BlockingParams::for_caches_and_tile`], budgets taken from how the
-    /// row-accumulating kernel walks its operands.
+    /// row-accumulating kernel walks its operands. Budgets count doubles
+    /// for every dtype tier.
     ///
-    /// The sweep ([`KernelInfo::sweep_tiles`]) holds one `kc × nr` B
-    /// sliver while every `mr × kc` A strip of the panel streams past it,
-    /// so the sliver is the L1 resident and an A strip is a guest. The
-    /// sliver survives an LRU L1 when it fits beside *two* A strips — the
-    /// one being read and the one arriving behind it — which gives
-    /// `kc · 8 · (nr + 2·mr) ≤ L1`. Measured on the 48 KiB / 2 MiB host
-    /// with the 6×32 AVX-512 tile, one `mc × kc × nc` macro-block peaks at
-    /// `kc = 128` (3% over the plateau that follows once the sliver spills
-    /// to L2, from `kc = 144` to `512`) and loses 5% at `kc = 64`, 22% at
-    /// `kc = 32` (C merges no longer amortised); the rule gives `kc = 136`.
-    /// The packed A panel keeps a *quarter* of L2 (room for the B stream
-    /// and C traffic instead of monopolising the cache): `mc = 480`. Whole
-    /// `dgemm`s at n = 512 and 1024 are level to ±3% over `mc ∈ 96…576` ×
-    /// `kc ∈ 128…384` (DESIGN §6f has the grid), so the rule is chosen for
-    /// its derivation, not fitted to the grid.
+    /// **The L1 floor, which sizes `mc`.** The sweep
+    /// ([`KernelInfo::sweep_tiles`]) holds one `kc × nr` B sliver while
+    /// every `mr × kc` A strip of the panel streams past it. The sliver
+    /// survives an LRU L1 beside *two* A strips — the one being read and
+    /// the one arriving behind it — at `floor · 8 · (nr + 2·mr) ≤ L1`: 136
+    /// on the 48 KiB host with the 6×32 AVX-512 tile. A quarter of L2 holds
+    /// the `mc × floor` packed A block, leaving room for the B stream and
+    /// C: `mc = 480`. `mc` sets the executed Strassen cutoff and the serve
+    /// slot widths, so it stays on the floor.
+    ///
+    /// **The depth, which amortises the C epilogue.** Each kernel call
+    /// ends by reading, merging and writing back an `mr × nr` C tile that,
+    /// past L2, comes from LLC or DRAM. That is `16·mr·nr` bytes against
+    /// the call's `2·mr·nr·kc` flops: `8 / kc` LLC bytes per flop, so
+    /// the deeper the panel, the cheaper the epilogue. The depth stops
+    /// where the packed `mc × kc` A block, re-read once per B sliver,
+    /// would leave L2 beside the `kc × nr` sliver being swept:
+    /// `kc · 8 · (mc + nr) ≤ L2`. Past that bound every call also streams
+    /// its `mr × kc` A strip from LLC, `4 / nr` bytes per flop — as much as
+    /// the epilogue costs at `kc = 2·nr` — so deeper is worse. On the
+    /// 2 MiB host: `2 MiB / (8 · (480 + 32)) = 512`, against the floor's
+    /// 136, so `dgemm` at n = 1024 merges each C tile twice instead of
+    /// eight times (DESIGN §6f has the derivation and the measurements).
+    /// The depth never drops below the floor and keeps the 512 cap.
     pub fn host_tuned_for_caches_and_tile(caches: &[CacheConfig], mr: usize, nr: usize) -> Self {
         assert!(mr > 0 && nr > 0, "register tile must be non-empty");
-        let l1 = caches.first().map(|c| c.size_bytes).unwrap_or(32 * 1024);
-        let l2 = caches.get(1).map(|c| c.size_bytes).unwrap_or(256 * 1024);
-        let l3 = caches
-            .get(2)
-            .map(|c| c.size_bytes)
-            .unwrap_or(8 * 1024 * 1024);
-        // kc: L1 holds the kc*nr B sliver and two kc*mr A strips, in doubles.
-        let kc = aligned_clamp(l1 / (8 * (nr + 2 * mr)), 8, 32, 512);
-        // mc: a quarter of L2 holds mc*kc doubles, rounded to mr.
-        let mc = aligned_clamp(l2 / (4 * 8 * kc), mr, mr, 512);
+        let (l1, l2, l3) = capacities(caches);
+        // floor: L1 holds the kc*nr B sliver and two kc*mr A strips.
+        let floor = l1_depth(l1, mr, nr);
+        // mc: a quarter of L2 holds mc*floor doubles, rounded to mr.
+        let mc = aligned_clamp(l2 / (4 * 8 * floor), mr, mr, 512);
+        // kc: L2 holds the mc*kc A block beside one kc*nr B sliver.
+        let kc = aligned_clamp(l2 / (8 * (mc + nr)), 8, floor, 512);
         // nc: half of L3 holds kc*nc doubles, same cap as the base model.
         let nc = aligned_clamp(l3 / (2 * 8 * kc), nr, nr, 2048);
         BlockingParams { mc, kc, nc, mr, nr }
@@ -113,12 +120,7 @@ impl BlockingParams {
     /// not divide the nominal caps.
     pub fn for_caches_and_tile(caches: &[CacheConfig], mr: usize, nr: usize) -> Self {
         assert!(mr > 0 && nr > 0, "register tile must be non-empty");
-        let l1 = caches.first().map(|c| c.size_bytes).unwrap_or(32 * 1024);
-        let l2 = caches.get(1).map(|c| c.size_bytes).unwrap_or(256 * 1024);
-        let l3 = caches
-            .get(2)
-            .map(|c| c.size_bytes)
-            .unwrap_or(8 * 1024 * 1024);
+        let (l1, l2, l3) = capacities(caches);
         // kc: half of L1 holds kc*(mr+nr) doubles.
         let kc = aligned_clamp(l1 / (2 * 8 * (mr + nr)), 8, 32, 512);
         // mc: half of L2 holds mc*kc doubles, rounded to mr.
@@ -166,6 +168,24 @@ impl Default for BlockingParams {
     }
 }
 
+/// The L1, L2 and L3 capacities of `caches`, defaulting missing levels
+/// to 32 KiB, 256 KiB and 8 MiB.
+fn capacities(caches: &[CacheConfig]) -> (usize, usize, usize) {
+    let level = |i: usize, default: usize| caches.get(i).map_or(default, |c| c.size_bytes);
+    (
+        level(0, 32 * 1024),
+        level(1, 256 * 1024),
+        level(2, 8 * 1024 * 1024),
+    )
+}
+
+/// The host-tuned depth floor: the deepest `kc` (a multiple of 8 in
+/// `32..=512`) whose `kc × nr` B sliver fits an `l1`-byte L1 beside two
+/// `mr × kc` A strips.
+fn l1_depth(l1: usize, mr: usize, nr: usize) -> usize {
+    aligned_clamp(l1 / (8 * (nr + 2 * mr)), 8, 32, 512)
+}
+
 /// Rounds `x` down to a positive multiple of `multiple`, then clamps it to
 /// `[lo, hi]` with both bounds themselves aligned to `multiple` first (lo
 /// rounds up, hi rounds down). Without the bound alignment, a clamp that
@@ -175,6 +195,32 @@ fn aligned_clamp(x: usize, multiple: usize, lo: usize, hi: usize) -> usize {
     let lo = lo.div_ceil(multiple).max(1) * multiple;
     let hi = ((hi / multiple) * multiple).max(lo);
     ((x / multiple).max(1) * multiple).clamp(lo, hi)
+}
+
+/// The host-tuned budgets every hierarchy must honour: the depth lies
+/// between the L1 floor and the L2 bound of the A block beside one B
+/// sliver (the floor wins where that bound falls below it), `mc` fills
+/// a quarter of L2 at the floor's depth (plus one strip of slack for
+/// the `mr` floor on degenerate hierarchies), and the B panel fits L3.
+#[cfg(test)]
+pub(crate) fn assert_host_tuned_budgets(h: &BlockingParams, caches: &[CacheConfig]) {
+    let (l1, l2, l3) = capacities(caches);
+    let (mr, nr) = (h.mr, h.nr);
+    let floor = l1_depth(l1, mr, nr);
+    assert!(h.kc >= floor, "kc below the L1 floor {floor}: {h:?}");
+    assert!(
+        h.kc == floor || h.kc * 8 * (h.mc + nr) <= l2,
+        "A block + B sliver overflow L2: {h:?} vs l2={l2}"
+    );
+    assert!(h.kc <= 512, "{h:?}");
+    assert!(
+        h.mc * floor * 8 <= l2 / 4 + mr * floor * 8,
+        "A quarter-budget overflow at the floor: {h:?} vs l2={l2}"
+    );
+    assert!(
+        h.packed_b_bytes() <= l3,
+        "B panel overflow: {h:?} vs l3={l3}"
+    );
 }
 
 #[cfg(test)]
@@ -209,23 +255,27 @@ mod tests {
 
     #[test]
     fn host_tuned_derivation_on_known_hierarchies() {
-        // The 48K/2M/260M host with the 6×32 AVX-512 tile: the B sliver
-        // beside two A strips in L1 (48K / (8·(32 + 12)) = 139 → 136),
-        // packed A in a quarter of L2 (512K / (8·136) = 481 → 480).
+        // The 48K/2M/260M host with the 6×32 AVX-512 tile: the L1 floor is
+        // the B sliver beside two A strips (48K / (8·(32 + 12)) = 139 →
+        // 136), packed A at that floor in a quarter of L2 (512K / (8·136)
+        // = 481 → 480), and the depth the A block beside one B sliver in
+        // L2 (2M / (8·(480 + 32)) = 512).
         let host = [
             CacheConfig::new(48 * 1024, 64, 768),
             CacheConfig::new(2048 * 1024, 64, 32768),
             CacheConfig::new(266240 * 1024, 64, 266240 * 16),
         ];
         let p = BlockingParams::host_tuned_for_caches_and_tile(&host, 6, 32);
-        assert_eq!((p.mc, p.kc, p.nc), (480, 136, 2048));
-        // The other tiers on that hierarchy: AVX2 6×8 (48K / (8·20) = 307
-        // → 304), scalar 4×4 (512 cap), f32 AVX-512 6×64 (budgeted in
-        // doubles: 80 deep, mc at its 512 cap rounded to 6).
+        assert_eq!((p.mc, p.kc, p.nc), (480, 512, 2048));
+        // The other tiers on that hierarchy: AVX2 6×8 (floor 48K / (8·20)
+        // = 307 → 304, mc 210, depth at the 512 cap), scalar 4×4 (floor at
+        // the 512 cap, mc 128), f32 AVX-512 6×64 (budgeted in doubles:
+        // floor 80, mc at its 512 cap rounded to 6, depth 2M / (8·574) =
+        // 456). `mc` is the floor's in every row, as before the depth rule.
         let shapes = [
-            ((6, 8), (210, 304, 2048)),
+            ((6, 8), (210, 512, 2048)),
             ((4, 4), (128, 512, 2048)),
-            ((6, 64), (510, 80, 2048)),
+            ((6, 64), (510, 456, 2048)),
         ];
         for ((mr, nr), want) in shapes {
             let q = BlockingParams::host_tuned_for_caches_and_tile(&host, mr, nr);
@@ -236,12 +286,7 @@ mod tests {
         for (mr, nr) in [(4usize, 4usize), (6, 8), (6, 16), (6, 32), (6, 64)] {
             let q = BlockingParams::host_tuned_for_caches_and_tile(&host, mr, nr);
             q.validate().unwrap();
-            assert!(q.kc * 8 * (nr + 2 * mr) <= host[0].size_bytes, "{q:?}");
-            assert!(
-                q.packed_a_bytes() <= host[1].size_bytes / 4 + mr * q.kc * 8,
-                "{q:?}"
-            );
-            assert!(q.packed_b_bytes() <= host[2].size_bytes, "{q:?}");
+            assert_host_tuned_budgets(&q, &host);
         }
         // Falls back to the same defaults as the base model when the
         // hierarchy is underspecified.
@@ -372,22 +417,19 @@ mod tests {
                 prop_assert!(p.packed_a_bytes() <= l2, "A panel overflow: {p:?} vs l2={l2}");
                 prop_assert!(p.packed_b_bytes() <= l3, "B panel overflow: {p:?} vs l3={l3}");
             }
-            // The host-tuned variant obeys its own (resident-B-sliver,
-            // quarter-L2) budgets on the same hierarchies. The mr-floor on
-            // mc can exceed the quarter budget on degenerate l2 == l1
-            // hierarchies, hence the one-strip slack term.
+            // The host-tuned variant obeys its own budgets on the same
+            // hierarchies: the depth between the L1 floor (whose sliver
+            // fits L1 here) and the L2 bound, mc in a quarter of L2 at the
+            // floor's depth, the B panel in L3.
             let h = BlockingParams::host_tuned_for_caches_and_tile(&caches, mr, nr);
             prop_assert!(h.validate().is_ok(), "invalid host-tuned {h:?}");
             if realistic(32 * 8 * (nr + 2 * mr)) {
+                let floor = l1_depth(l1, mr, nr);
                 prop_assert!(
-                    h.kc * 8 * (nr + 2 * mr) <= l1,
-                    "L1 sliver overflow: {h:?} vs l1={l1}"
+                    floor * 8 * (nr + 2 * mr) <= l1,
+                    "L1 sliver overflow at the floor: {h:?} vs l1={l1}"
                 );
-                prop_assert!(
-                    h.packed_a_bytes() <= l2 / 4 + mr * h.kc * 8,
-                    "A quarter-budget overflow: {h:?} vs l2={l2}"
-                );
-                prop_assert!(h.packed_b_bytes() <= l3, "B panel overflow: {h:?} vs l3={l3}");
+                assert_host_tuned_budgets(&h, &caches);
             }
         }
     }

@@ -3,7 +3,7 @@
 
 use crate::arena;
 use crate::blocking::BlockingParams;
-use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo};
+use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo, Merge};
 use crate::leaf::Operand;
 use crate::pack::{
     pack_b_strips, pack_operand_a, packed_a_len, packed_b_len, slots_for, PackScalar,
@@ -122,29 +122,35 @@ pub fn dgemm(
         kernel.nr
     );
 
-    // beta pass: C := beta * C, once, up front. At beta = 0 C is written,
-    // never read (BLAS semantics): a NaN or inf in a reused buffer must
-    // not leak into the product as `0 · x`.
-    if beta != 1.0 {
-        if beta == 0.0 {
-            c.fill(0.0);
-        } else {
-            ops::scale_assign(c, beta);
-        }
+    // At beta = 0 C is written, never read (BLAS semantics): the first
+    // kc-panel stores into it, so a NaN or inf in a reused buffer cannot
+    // leak into the product as `0 · x`. Any other beta != 1 scales C once,
+    // up front.
+    if beta != 0.0 && beta != 1.0 {
+        ops::scale_assign(c, beta);
         if let Some(set) = ctx.events {
             set.record(Event::FpOps, (m * n) as u64);
             set.record(Event::BytesWritten, 8 * (m * n) as u64);
         }
     }
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        // No panel runs, so nothing stores: beta = 0 still owes C zeros.
+        if beta == 0.0 {
+            c.fill(0.0);
+        }
         return Ok(());
     }
     let _span = trace::span_args(trace::Category::Gemm, "dgemm", m as u32, n as u32);
     let BlockingParams { mc, kc, nc, mr, nr } = ctx.params;
+    let first = if beta == 0.0 {
+        Merge::Store(alpha)
+    } else {
+        Merge::Add(alpha)
+    };
     packed_nest(
         kernel,
         (mc, kc, nc),
-        alpha,
+        first,
         &Operand::View(*a),
         &Operand::View(*b),
         c,
@@ -152,8 +158,9 @@ pub fn dgemm(
     );
 
     // The nest's work in closed form: B is packed once, A once per
-    // nc-panel, C merged once per kc-panel, one kernel call per register
-    // tile per kc-panel (every band but the last is whole `mr` strips).
+    // nc-panel, C written once per kc-panel (stored by the first at
+    // beta = 0, merged by the rest), one kernel call per register tile per
+    // kc-panel (every band but the last is whole `mr` strips).
     if let Some(set) = ctx.events {
         let (jc_panels, pc_panels) = (n.div_ceil(nc), k.div_ceil(kc));
         let packed = (k * n + m * k * jc_panels) as u64;
@@ -189,11 +196,14 @@ pub(crate) fn row_bands(
     (0..bands).map(move |i| edge(i)..edge(i + 1))
 }
 
-/// The one packed GEMM loop nest: `C += α · A·B` over jc (`nc` columns),
-/// pc (`kc` depth) and ic (row bands, [`row_bands`]), with A and B plain
-/// or fused [`Operand`]s. [`dgemm`] runs it at its autotuned blocking and
-/// the Strassen/CAPS leaf ([`crate::leaf::leaf_gemm_fused_with`]) at full
-/// extents, so a leaf packs each operand once and merges each C tile once.
+/// The one packed GEMM loop nest: `C = α · A·B` (`first` is
+/// [`Merge::Store`]) or `C += α · A·B` ([`Merge::Add`]) over jc (`nc`
+/// columns), pc (`kc` depth) and ic (row bands, [`row_bands`]), with A
+/// and B plain or fused [`Operand`]s. The first kc-panel of each column
+/// panel merges per `first`, every later one adds. [`dgemm`] runs it at
+/// its autotuned blocking and the Strassen/CAPS leaf
+/// ([`crate::leaf::leaf_gemm_fused_with`]) at full extents, so a leaf
+/// packs each operand once and writes each C tile once.
 ///
 /// Results do not depend on `pool`: the kc-panel order is fixed, bands
 /// write disjoint rows of C, and a B panel packed in parallel is
@@ -205,7 +215,7 @@ pub(crate) fn row_bands(
 pub(crate) fn packed_nest(
     kernel: &'static KernelInfo,
     blocking: (usize, usize, usize),
-    alpha: f64,
+    first: Merge,
     a: &Operand<'_>,
     b: &Operand<'_>,
     c: &mut MatrixViewMut<'_>,
@@ -213,8 +223,8 @@ pub(crate) fn packed_nest(
 ) {
     // One dtype dispatch; the loops are generic over the packed element.
     match kernel.func {
-        KernelFn::F64(_) => nest::<f64>(kernel, blocking, alpha, a, b, c, pool),
-        KernelFn::F32(_) => nest::<f32>(kernel, blocking, alpha, a, b, c, pool),
+        KernelFn::F64(_) => nest::<f64>(kernel, blocking, first, a, b, c, pool),
+        KernelFn::F32(_) => nest::<f32>(kernel, blocking, first, a, b, c, pool),
     }
 }
 
@@ -222,7 +232,7 @@ pub(crate) fn packed_nest(
 fn nest<T: PackScalar>(
     kernel: &'static KernelInfo,
     (mc, kc, nc): (usize, usize, usize),
-    alpha: f64,
+    first: Merge,
     a: &Operand<'_>,
     b: &Operand<'_>,
     c: &mut MatrixViewMut<'_>,
@@ -273,8 +283,9 @@ fn nest<T: PackScalar>(
 
             // Sweep the row bands of this C panel (disjoint mutable views).
             let pb_ref: &[T] = &*pb_elems;
+            let merge = if pc == 0 { first } else { first.then_add() };
             let sweep = |r0: usize, mut band: MatrixViewMut<'_>| {
-                row_band(kernel, a, (r0, pc, kcb), pb_ref, alpha, &mut band)
+                row_band(kernel, a, (r0, pc, kcb), pb_ref, merge, &mut band)
             };
             let cpanel = c
                 .reborrow()
@@ -320,7 +331,7 @@ fn row_band<T: PackScalar>(
     a: &Operand<'_>,
     (r0, pc, kcb): (usize, usize, usize),
     pb: &[T],
-    alpha: f64,
+    merge: Merge,
     band: &mut MatrixViewMut<'_>,
 ) {
     let (mcb, ncb) = band.shape();
@@ -330,7 +341,7 @@ fn row_band<T: PackScalar>(
     let pa_elems: &mut [T] = T::cast_mut(&mut pa[..]);
     let a_strips = pack_operand_a(&ablock, pa_elems, kernel.mr);
     let b_strips = ncb.div_ceil(kernel.nr);
-    sweep_strips(kernel, kcb, pa_elems, pb, a_strips, b_strips, alpha, band);
+    sweep_strips(kernel, kcb, pa_elems, pb, a_strips, b_strips, merge, band);
 }
 
 /// Convenience: `A · B` with default (sequential) settings.
@@ -560,10 +571,10 @@ mod tests {
                 Operand::Add(a1.view(), a2.view()),
                 Operand::Sub(b1.view(), b2.view()),
             );
-            for alpha in [1.0, -1.0] {
+            for first in [Merge::Store(1.0), Merge::Add(1.0), Merge::Add(-1.0)] {
                 let run = |pool: Option<&ThreadPool>| {
                     let mut c = c0.clone();
-                    packed_nest(kernel, blocking, alpha, &fa, &fb, &mut c.view_mut(), pool);
+                    packed_nest(kernel, blocking, first, &fa, &fb, &mut c.view_mut(), pool);
                     c
                 };
                 let c_seq = run(None);
@@ -572,7 +583,7 @@ mod tests {
                     assert_eq!(
                         run(Some(pool)),
                         c_seq,
-                        "({m},{k},{n}) α={alpha}: {threads} threads changed bits"
+                        "({m},{k},{n}) {first:?}: {threads} threads changed bits"
                     );
                 }
             }
@@ -686,12 +697,17 @@ mod tests {
             ..GemmContext::default()
         };
         dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
-        let p = set.stop().unwrap();
-        // beta=0 pass adds m*n; the multiply adds exactly 2*n^3.
-        let expected = (n * n) as u64 + 2 * (n as u64).pow(3);
-        assert_eq!(p.get(Event::FpOps), expected);
+        let p = set.read().unwrap();
+        // beta = 0 has no pass of its own (the first panel stores): the
+        // multiply is exactly 2·n³.
+        let flops = 2 * (n as u64).pow(3);
+        assert_eq!(p.get(Event::FpOps), flops);
         assert!(p.get(Event::PackBytes) > 0);
         assert!(p.get(Event::KernelCalls) > 0);
+        // Any other beta != 1 scales C once, up front: n² more.
+        dgemm(1.0, &a.view(), &b.view(), 0.5, &mut c.view_mut(), &ctx).unwrap();
+        let scaled = set.read().unwrap().get(Event::FpOps) - p.get(Event::FpOps);
+        assert_eq!(scaled, (n * n) as u64 + flops);
     }
 
     #[test]

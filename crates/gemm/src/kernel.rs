@@ -35,16 +35,37 @@ pub const SCALAR_MR: usize = 4;
 /// Register-tile columns of the portable scalar microkernel.
 pub const SCALAR_NR: usize = 4;
 
+/// How a microkernel call writes its finished tile `t = a_strip · b_strip`
+/// into C: the epilogue's one choice, carrying the scale `alpha`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Merge {
+    /// `c += alpha · t` — every k-panel of an accumulating product.
+    Add(f64),
+    /// `c = alpha · t`, C never read — the first k-panel of a product that
+    /// overwrites C (`dgemm` at β = 0, [`crate::leaf::Accum::Set`]), so a
+    /// NaN or ∞ already in C cannot leak and C needs no zero-fill.
+    Store(f64),
+}
+
+impl Merge {
+    /// The merge of the k-panels after the first: the same `alpha`, added.
+    pub(crate) fn then_add(self) -> Merge {
+        match self {
+            Merge::Add(alpha) | Merge::Store(alpha) => Merge::Add(alpha),
+        }
+    }
+}
+
 /// The microkernel calling convention shared by every implementation:
-/// merge `alpha * (a_strip · b_strip)` into `c` at `(row0, col0)` over
-/// packed strips of depth `kc`, masking rows/columns outside `c`. The
-/// strip element type is the kernel's packed dtype (`f64`, or `f32` for
-/// the f32 and mixed tiers); `c` and `alpha` are always `f64`.
+/// merge `alpha · (a_strip · b_strip)` into `c` at `(row0, col0)` per
+/// `merge` over packed strips of depth `kc`, masking rows/columns outside
+/// `c`. The strip element type is the kernel's packed dtype (`f64`, or
+/// `f32` for the f32 and mixed tiers); `c` and `alpha` are always `f64`.
 pub type Microkernel<T> = fn(
     kc: usize,
     a_strip: &[T],
     b_strip: &[T],
-    alpha: f64,
+    merge: Merge,
     c: &mut MatrixViewMut<'_>,
     row0: usize,
     col0: usize,
@@ -217,6 +238,7 @@ impl KernelInfo {
         alpha: f64,
         c: &mut MatrixViewMut<'_>,
     ) {
+        let merge = Merge::Add(alpha);
         match self.func {
             KernelFn::F64(_) => sweep_strips(
                 self,
@@ -225,7 +247,7 @@ impl KernelInfo {
                 f64::cast(pb_slots),
                 a_strips,
                 b_strips,
-                alpha,
+                merge,
                 c,
             ),
             KernelFn::F32(_) => sweep_strips(
@@ -235,7 +257,7 @@ impl KernelInfo {
                 f32::cast(pb_slots),
                 a_strips,
                 b_strips,
-                alpha,
+                merge,
                 c,
             ),
         }
@@ -253,7 +275,7 @@ pub(crate) fn sweep_strips<T: PackScalar>(
     pb: &[T],
     a_strips: usize,
     b_strips: usize,
-    alpha: f64,
+    merge: Merge,
     c: &mut MatrixViewMut<'_>,
 ) {
     let micro = T::kernel_fn(kernel);
@@ -263,7 +285,7 @@ pub(crate) fn sweep_strips<T: PackScalar>(
         let pb_strip = &pb[jr * nr * kc..(jr + 1) * nr * kc];
         for ir in 0..a_strips {
             let pa_strip = &pa[ir * a_len..(ir + 1) * a_len];
-            micro(kc, pa_strip, pb_strip, alpha, c, ir * mr, jr * nr);
+            micro(kc, pa_strip, pb_strip, merge, c, ir * mr, jr * nr);
         }
     }
 }
@@ -427,7 +449,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::zeros(MR, NR);
-        microkernel()(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
+        microkernel()(kc, &pa, &pb, Merge::Add(1.0), &mut c.view_mut(), 0, 0);
         let expect = crate::naive::naive_mm(&a.view(), &b.view()).unwrap();
         assert!(c.approx_eq(&expect, 1e-12));
     }
@@ -442,7 +464,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::filled(MR, NR, 10.0);
-        microkernel()(kc, &pa, &pb, 0.5, &mut c.view_mut(), 0, 0);
+        microkernel()(kc, &pa, &pb, Merge::Add(0.5), &mut c.view_mut(), 0, 0);
         // 10 + 0.5 * 3 = 11.5 everywhere.
         assert!(c.approx_eq(&Matrix::filled(MR, NR, 11.5), 1e-12));
     }
@@ -458,7 +480,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::zeros(3, 2);
-        microkernel()(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
+        microkernel()(kc, &pa, &pb, Merge::Add(1.0), &mut c.view_mut(), 0, 0);
         assert!(c.approx_eq(&Matrix::filled(3, 2, 2.0), 1e-12));
     }
 
@@ -472,7 +494,7 @@ mod tests {
         pack_a(&a.view(), &mut pa, MR);
         pack_b(&b.view(), &mut pb, NR);
         let mut c = Matrix::zeros(8, 8);
-        microkernel()(kc, &pa, &pb, 1.0, &mut c.view_mut(), 4, 4);
+        microkernel()(kc, &pa, &pb, Merge::Add(1.0), &mut c.view_mut(), 4, 4);
         assert_eq!(c.get(4, 4), 6.0);
         assert_eq!(c.get(7, 7), 6.0);
         assert_eq!(c.get(3, 3), 0.0);

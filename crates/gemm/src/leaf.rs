@@ -22,7 +22,7 @@
 //!   packs B once for all of them.
 
 use crate::dgemm::packed_nest;
-use crate::kernel::Dispatch;
+use crate::kernel::{Dispatch, Merge};
 use powerscale_counters::{Event, EventSet, Profile};
 use powerscale_matrix::{DimError, DimResult, MatrixView, MatrixViewMut};
 use powerscale_pool::ThreadPool;
@@ -151,15 +151,15 @@ pub enum Accum {
 /// The packed, register-tiled leaf with fused operand combines.
 ///
 /// Computes `A·B` where each operand is an [`Operand`] (plain block or
-/// two-source combine) and merges it into `c` per `accum`: `Set` writes,
-/// `Add`/`Sub` accumulate in place — so a Strassen node's products land
-/// directly in `C` quadrants. Operands and `C` may be arbitrary strided
-/// views; packing runs over the full depth `k` in one pass. The panels need
-/// not fit a low cache level: at leaf sizes 512–1024 that is 2–8 MB per
-/// operand, and the leaf still outruns [`crate::dgemm`] on the same strided
-/// views (55–56 against 45–52 GF/s on one AVX-512 core, DESIGN §8). It
-/// merges each C tile once; `dgemm` merges it `k / kc` times (≈ 7.5 at
-/// n = 1024), which is the blocked path's next limiter.
+/// two-source combine) and merges it into `c` per `accum`: `Set` stores
+/// (C is never read, so needs no zero-fill), `Add`/`Sub` accumulate in
+/// place — so a Strassen node's products land directly in `C` quadrants.
+/// Operands and `C` may be arbitrary strided views; packing runs over the
+/// full depth `k` in one pass. The panels need not fit a low cache level:
+/// at leaf sizes 512–1024 that is 2–8 MB per operand. It writes each C
+/// tile once; `dgemm` writes it once per `kc`-deep panel, which the depth
+/// rule ([`crate::BlockingParams::host_tuned_for_caches_and_tile`]) makes
+/// 512 on one AVX-512 core — twice at n = 1024 (DESIGN §6f).
 ///
 /// Event accounting (when `events` is armed): `FpOps = 2mnk`, one
 /// [`Event::FpAdds`] pass per fused operand (`m·k` / `k·n` elements) and
@@ -207,10 +207,11 @@ pub fn leaf_gemm_fused_with(
             rhs: c.shape(),
         });
     }
-    if accum == Accum::Set {
-        c.fill(0.0);
-    }
     if m == 0 || n == 0 || k == 0 {
+        // An empty product stores nothing, so Set still owes C zeros.
+        if accum == Accum::Set {
+            c.fill(0.0);
+        }
         return Ok(());
     }
     let kernel = dispatch.kernel();
@@ -220,9 +221,14 @@ pub fn leaf_gemm_fused_with(
         m as u32,
         n as u32,
     );
-    // Full extents: one B pack, one A pack per band, one merge per tile.
-    let alpha = if accum == Accum::Sub { -1.0 } else { 1.0 };
-    packed_nest(kernel, (m, k, n), alpha, &a, &b, c, pool);
+    // Full extents: one B pack, one A pack per band, one write per tile —
+    // a store for Set, so C is never zero-filled or read.
+    let merge = match accum {
+        Accum::Set => Merge::Store(1.0),
+        Accum::Add => Merge::Add(1.0),
+        Accum::Sub => Merge::Add(-1.0),
+    };
+    packed_nest(kernel, (m, k, n), merge, &a, &b, c, pool);
 
     if let Some(set) = events {
         let elem_bytes = kernel.dtype.packed_elem_bytes() as u64;

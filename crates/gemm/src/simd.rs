@@ -48,12 +48,16 @@
 //! single f64→f32 rounding each element took during packing. Within one
 //! kernel every C element is one accumulator lane summed over `k` in
 //! order and merged as `c += alpha * acc` (multiply and add rounded
-//! separately), so each tier is individually deterministic, pool-size
+//! separately), or stored as `c = alpha * acc` on the first k-panel of a
+//! product that overwrites C ([`Merge::Store`]: the same bits as adding
+//! onto `+0.0` except that a zero `alpha * acc` keeps its sign, since an
+//! accumulator that starts at `+0.0` is never `-0.0` under
+//! round-to-nearest), so each tier is individually deterministic, pool-size
 //! independent, and independent of the tile's shape or orientation — the
 //! tests below hold the body to the bits of the column-accumulating body
 //! it replaced.
 
-use crate::kernel::{DtypeTier, KernelInfo};
+use crate::kernel::{DtypeTier, KernelInfo, Merge};
 use crate::pack::K_CHUNK;
 use core::mem::MaybeUninit;
 use powerscale_matrix::MatrixViewMut;
@@ -124,8 +128,9 @@ unsafe fn tile_step<V: MicroVec, const MR: usize, const CV: usize>(
 
 /// The one microkernel body every tier instantiates: accumulate an
 /// `MR × (CV·LANES)` register tile down packed strips of depth `kc`, then
-/// merge `alpha * tile` into `c` at `(row0, col0)`, masking rows/columns
-/// outside `c` (packing zero-pads, so masked products are zeros anyway).
+/// add or store `alpha * tile` into `c` at `(row0, col0)` per `merge`,
+/// masking rows/columns outside `c` (packing zero-pads, so masked products
+/// are zeros anyway).
 ///
 /// Accumulator layout `acc[i][h]`: columns `h·LANES..(h+1)·LANES` of tile
 /// row `i`. Each row is spilled to a contiguous row buffer and merged onto
@@ -141,7 +146,7 @@ unsafe fn tile_kernel<V: MicroVec, const MR: usize, const CV: usize>(
     kc: usize,
     a_strip: &[V::Elem],
     b_strip: &[V::Elem],
-    alpha: f64,
+    merge: Merge,
     c: &mut MatrixViewMut<'_>,
     row0: usize,
     col0: usize,
@@ -201,8 +206,17 @@ unsafe fn tile_kernel<V: MicroVec, const MR: usize, const CV: usize>(
         // initialised by the spill above.
         let trow = unsafe { core::slice::from_raw_parts(tp.add(i * MAX_NR), live_cols) };
         let crow = &mut c.row_mut(row0 + i)[col0..][..live_cols];
-        for (cj, &t) in crow.iter_mut().zip(trow) {
-            *cj += alpha * t;
+        match merge {
+            Merge::Add(alpha) => {
+                for (cj, &t) in crow.iter_mut().zip(trow) {
+                    *cj += alpha * t;
+                }
+            }
+            Merge::Store(alpha) => {
+                for (cj, &t) in crow.iter_mut().zip(trow) {
+                    *cj = alpha * t;
+                }
+            }
         }
     }
 }
@@ -285,7 +299,7 @@ pub(crate) fn host_simd_kernels() -> Vec<&'static KernelInfo> {
 /// separately (no FMA), the numerics the scalar tier has always had.
 pub(crate) mod generic {
     use super::{tile_kernel, MicroVec};
-    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, SCALAR_MR, SCALAR_NR};
+    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Merge, SCALAR_MR, SCALAR_NR};
     use powerscale_matrix::MatrixViewMut;
 
     #[derive(Clone, Copy)]
@@ -392,14 +406,14 @@ pub(crate) mod generic {
         kc: usize,
         a_strip: &[f64],
         b_strip: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: no ISA requirement; strip lengths asserted inside.
         unsafe {
-            tile_kernel::<S64, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, alpha, c, row0, col0)
+            tile_kernel::<S64, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, merge, c, row0, col0)
         }
     }
 
@@ -407,14 +421,14 @@ pub(crate) mod generic {
         kc: usize,
         a_strip: &[f32],
         b_strip: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: no ISA requirement; strip lengths asserted inside.
         unsafe {
-            tile_kernel::<S32, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, alpha, c, row0, col0)
+            tile_kernel::<S32, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, merge, c, row0, col0)
         }
     }
 
@@ -422,14 +436,14 @@ pub(crate) mod generic {
         kc: usize,
         a_strip: &[f32],
         b_strip: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: no ISA requirement; strip lengths asserted inside.
         unsafe {
-            tile_kernel::<SMixed, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, alpha, c, row0, col0)
+            tile_kernel::<SMixed, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, merge, c, row0, col0)
         }
     }
 
@@ -468,7 +482,7 @@ pub(crate) mod generic {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::{tile_kernel, MicroVec};
-    use crate::kernel::{DtypeTier, KernelFn, KernelInfo};
+    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Merge};
     use core::arch::x86_64::*;
     use powerscale_matrix::MatrixViewMut;
 
@@ -698,12 +712,12 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V256F64, 6, 2>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V256F64, 6, 2>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -711,12 +725,12 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V256F32, 6, 2>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V256F32, 6, 2>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -724,12 +738,12 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V256Mixed, 6, 2>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V256Mixed, 6, 2>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx512f", enable = "avx512vl")]
@@ -737,12 +751,12 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V512F64, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V512F64, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx512f", enable = "avx512vl")]
@@ -750,12 +764,12 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V512F32, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V512F32, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "avx512f", enable = "avx512vl")]
@@ -763,12 +777,12 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<V512Mixed, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V512Mixed, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     fn assert_avx2() {
@@ -802,84 +816,84 @@ pub(crate) mod x86 {
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_avx2();
         // SAFETY: feature presence asserted above.
-        unsafe { avx2_f64_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { avx2_f64_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn avx2_f32(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_avx2();
         // SAFETY: feature presence asserted above.
-        unsafe { avx2_f32_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { avx2_f32_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn avx2_mixed(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_avx2();
         // SAFETY: feature presence asserted above.
-        unsafe { avx2_mixed_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { avx2_mixed_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn avx512_f64(
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_avx512();
         // SAFETY: feature presence asserted above.
-        unsafe { avx512_f64_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { avx512_f64_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn avx512_f32(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_avx512();
         // SAFETY: feature presence asserted above.
-        unsafe { avx512_f32_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { avx512_f32_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn avx512_mixed(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_avx512();
         // SAFETY: feature presence asserted above.
-        unsafe { avx512_mixed_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { avx512_mixed_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     pub(crate) static AVX2_F64: KernelInfo = KernelInfo {
@@ -945,7 +959,7 @@ pub(crate) mod x86 {
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
     use super::{tile_kernel, MicroVec};
-    use crate::kernel::{DtypeTier, KernelFn, KernelInfo};
+    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Merge};
     use core::arch::aarch64::*;
     use powerscale_matrix::MatrixViewMut;
 
@@ -1058,12 +1072,12 @@ pub(crate) mod neon {
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<N128F64, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<N128F64, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "neon")]
@@ -1071,12 +1085,12 @@ pub(crate) mod neon {
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<N128F32, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<N128F32, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     #[target_feature(enable = "neon")]
@@ -1084,12 +1098,12 @@ pub(crate) mod neon {
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
-        unsafe { tile_kernel::<N128Mixed, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<N128Mixed, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     fn assert_neon() {
@@ -1103,42 +1117,42 @@ pub(crate) mod neon {
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_neon();
         // SAFETY: feature presence asserted above.
-        unsafe { neon_f64_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { neon_f64_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn neon_f32(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_neon();
         // SAFETY: feature presence asserted above.
-        unsafe { neon_f32_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { neon_f32_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     fn neon_mixed(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         assert_neon();
         // SAFETY: feature presence asserted above.
-        unsafe { neon_mixed_tf(kc, a, b, alpha, c, row0, col0) }
+        unsafe { neon_mixed_tf(kc, a, b, merge, c, row0, col0) }
     }
 
     pub(crate) static NEON_F64: KernelInfo = KernelInfo {
@@ -1177,7 +1191,7 @@ pub(crate) mod neon {
 #[cfg(all(target_arch = "wasm32", target_feature = "simd128"))]
 pub(crate) mod wasm {
     use super::{tile_kernel, MicroVec};
-    use crate::kernel::{DtypeTier, KernelFn, KernelInfo};
+    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Merge};
     use core::arch::wasm32::*;
     use powerscale_matrix::MatrixViewMut;
 
@@ -1292,40 +1306,40 @@ pub(crate) mod wasm {
         kc: usize,
         a: &[f64],
         b: &[f64],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: simd128 is a compile-time feature of this module; strip
         // lengths are asserted by the generic body.
-        unsafe { tile_kernel::<W128F64, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<W128F64, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     fn wasm_f32(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: as in `wasm_f64`.
-        unsafe { tile_kernel::<W128F32, 6, 2>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<W128F32, 6, 2>(kc, a, b, merge, c, row0, col0) }
     }
 
     fn wasm_mixed(
         kc: usize,
         a: &[f32],
         b: &[f32],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: as in `wasm_f64`.
-        unsafe { tile_kernel::<W128Mixed, 6, 4>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<W128Mixed, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     pub(crate) static WASM_F64: KernelInfo = KernelInfo {
@@ -1549,25 +1563,36 @@ mod tests {
         kc: usize,
         a: &[V::Elem],
         b: &[V::Elem],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
         // SAFETY: `Pv` needs no ISA; strip lengths asserted inside.
-        unsafe { tile_kernel::<V, MR, CV>(kc, a, b, alpha, c, row0, col0) }
+        unsafe { tile_kernel::<V, MR, CV>(kc, a, b, merge, c, row0, col0) }
     }
 
-    /// The replaced body, one lane at a time (`RV = mr`).
+    /// The replaced body, one lane at a time (`RV = mr`). A store is the
+    /// replaced formulation of one: zero-fill the live tile, then add.
     fn old_body<A: Arith, const MR: usize, const NR: usize>(
         kc: usize,
         a: &[A::Elem],
         b: &[A::Elem],
-        alpha: f64,
+        merge: Merge,
         c: &mut MatrixViewMut<'_>,
         row0: usize,
         col0: usize,
     ) {
+        let alpha = match merge {
+            Merge::Add(alpha) => alpha,
+            Merge::Store(alpha) => {
+                let live_cols = c.cols().saturating_sub(col0).min(NR);
+                for i in row0..c.rows().min(row0 + MR) {
+                    c.row_mut(i)[col0..][..live_cols].fill(0.0);
+                }
+                alpha
+            }
+        };
         // SAFETY: as in `new_body`.
         unsafe { tile_kernel_colacc::<Pv<A, 1>, MR, NR>(kc, a, b, alpha, c, row0, col0) }
     }
@@ -1613,8 +1638,10 @@ mod tests {
 
     /// Runs `new` and `reference` over every `(live_rows, live_cols)` a
     /// tile hanging over C's bottom-right corner can have, at a random
-    /// depth each, and asserts equal bits everywhere — the tile, the rest
-    /// of the strided C view, and the NaN canaries around it.
+    /// depth each, adding and storing, and asserts equal bits everywhere —
+    /// the tile, the rest of the strided C view, and the NaN canaries
+    /// around it. A store must match the reference's zero-fill-then-add
+    /// bit for bit (no tile here sums to zero, so no `-0.0` arises).
     fn assert_bitwise_vs_reference<T: PackScalar>(
         name: &str,
         (mr, nr): (usize, usize),
@@ -1658,31 +1685,33 @@ mod tests {
                         before.set(1 + i, 1 + j, rng.unit());
                     }
                 }
-                let run = |f: Microkernel<T>, pa: &[T]| {
+                let run = |f: Microkernel<T>, pa: &[T], merge: Merge| {
                     let mut m = before.clone();
                     let mut view = m.sub_view_mut((1, 1), (rows, cols)).unwrap();
-                    f(kc, pa, &pb, alpha, &mut view, row0, col0);
+                    f(kc, pa, &pb, merge, &mut view, row0, col0);
                     m
                 };
-                let (got, want) = (run(new, &pa), run(reference, &pa_old));
-                for i in 0..rows + 2 {
-                    for j in 0..cols + 3 {
-                        let at = format!(
-                            "kernel `{name}` kc={kc} alpha={alpha} live {live_rows}x{live_cols} \
+                for merge in [Merge::Add(alpha), Merge::Store(alpha)] {
+                    let (got, want) = (run(new, &pa, merge), run(reference, &pa_old, merge));
+                    for i in 0..rows + 2 {
+                        for j in 0..cols + 3 {
+                            let at = format!(
+                                "kernel `{name}` kc={kc} {merge:?} live {live_rows}x{live_cols} \
                              at backing ({i},{j})"
-                        );
-                        assert_eq!(
-                            got.get(i, j).to_bits(),
-                            want.get(i, j).to_bits(),
-                            "diverges from the replaced body: {at}"
-                        );
-                        let in_tile = i > row0 && i <= rows && j > col0 && j <= cols;
-                        if !in_tile {
+                            );
                             assert_eq!(
                                 got.get(i, j).to_bits(),
-                                before.get(i, j).to_bits(),
-                                "wrote outside the live tile: {at}"
+                                want.get(i, j).to_bits(),
+                                "diverges from the replaced body: {at}"
                             );
+                            let in_tile = i > row0 && i <= rows && j > col0 && j <= cols;
+                            if !in_tile {
+                                assert_eq!(
+                                    got.get(i, j).to_bits(),
+                                    before.get(i, j).to_bits(),
+                                    "wrote outside the live tile: {at}"
+                                );
+                            }
                         }
                     }
                 }
@@ -1773,7 +1802,7 @@ mod tests {
                     kc,
                     &pa[si * a_len..(si + 1) * a_len],
                     bs,
-                    1.5,
+                    Merge::Add(1.5),
                     &mut gen.view_mut(),
                     si * SCALAR_MR,
                     sj * SCALAR_NR,
@@ -1801,14 +1830,14 @@ mod tests {
                     let mut pb = vec![0.0f64; packed_b_len(kc, nr, nr)];
                     pack_a(&a.view(), &mut pa, mr);
                     pack_b(&b.view(), &mut pb, nr);
-                    f(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
+                    f(kc, &pa, &pb, Merge::Add(1.0), &mut c.view_mut(), 0, 0);
                 }
                 KernelFn::F32(f) => {
                     let mut pa = vec![0.0f32; packed_a_len(mr, kc, mr)];
                     let mut pb = vec![0.0f32; packed_b_len(kc, nr, nr)];
                     pack_a(&a.view(), &mut pa, mr);
                     pack_b(&b.view(), &mut pb, nr);
-                    f(kc, &pa, &pb, 1.0, &mut c.view_mut(), 0, 0);
+                    f(kc, &pa, &pb, Merge::Add(1.0), &mut c.view_mut(), 0, 0);
                 }
             }
             // These operands are exactly representable in f32 (eighths of
