@@ -6,7 +6,8 @@ use crate::blocking::BlockingParams;
 use crate::kernel::{sweep_strips, Dispatch, KernelFn, KernelInfo, Merge};
 use crate::leaf::Operand;
 use crate::pack::{
-    pack_b_strips, pack_operand_a, packed_a_len, packed_b_len, slots_for, PackScalar,
+    pack_b_strips, pack_operand_a, packed_a_len, packed_b_len, round_if_mixed, slots_for,
+    PackScalar,
 };
 use powerscale_counters::{Event, EventSet, Profile};
 use powerscale_matrix::{ops, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
@@ -211,6 +212,11 @@ pub(crate) fn row_bands(
 /// strips run as pool tasks. Polls cooperative cancellation once per
 /// kc-panel; a cancelled nest leaves C partially accumulated.
 ///
+/// A [`DtypeTier::Mixed`](crate::DtypeTier::Mixed) kernel packs f64
+/// panels and each packed block — an A band's block, a B strip range on
+/// the task that packed it — is rounded once through f32
+/// ([`crate::pack::round_if_mixed`]) before the f64 kernel sweeps it.
+///
 /// Shapes must agree (callers validate them).
 pub(crate) fn packed_nest(
     kernel: &'static KernelInfo,
@@ -273,11 +279,15 @@ fn nest<T: PackScalar>(
                             s.spawn(move |_| {
                                 let strips = chunk.len() / strip_len;
                                 pack_b_strips(&bpanel, chunk, nr, ci * chunk_strips, strips);
+                                round_if_mixed(kernel, chunk);
                             });
                         }
                     });
                 }
-                _ => pack_b_strips(&bpanel, used, nr, 0, b_strips),
+                _ => {
+                    pack_b_strips(&bpanel, used, nr, 0, b_strips);
+                    round_if_mixed(kernel, used);
+                }
             }
             drop(pack_span);
 
@@ -340,6 +350,7 @@ fn row_band<T: PackScalar>(
     let mut pa = arena::pack_buf(slots_for::<T>(packed_a_len(mcb, kcb, kernel.mr)));
     let pa_elems: &mut [T] = T::cast_mut(&mut pa[..]);
     let a_strips = pack_operand_a(&ablock, pa_elems, kernel.mr);
+    round_if_mixed(kernel, pa_elems);
     let b_strips = ncb.div_ceil(kernel.nr);
     sweep_strips(kernel, kcb, pa_elems, pb, a_strips, b_strips, merge, band);
 }

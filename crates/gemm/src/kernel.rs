@@ -12,7 +12,9 @@
 //!   [`crate::simd`].
 //! * **dtype tiers** ([`DtypeTier`]) — `f64` (the default), `f32`
 //!   (single-precision loads, multiplies and accumulation), and `mixed`
-//!   (f32 loads/multiplies widened into f64 accumulators).
+//!   (f64 arithmetic on operands rounded once through f32). Mixed is a
+//!   packing rule, not a kernel: its instances carry their ISA's f64
+//!   entry, and the packed nest rounds the panels it packs.
 //!
 //! A kernel instance is described by [`KernelInfo`]: its ISA and dtype
 //! tier, its register-tile shape (`mr × nr`), and the typed entry point
@@ -59,8 +61,8 @@ impl Merge {
 /// The microkernel calling convention shared by every implementation:
 /// merge `alpha · (a_strip · b_strip)` into `c` at `(row0, col0)` per
 /// `merge` over packed strips of depth `kc`, masking rows/columns outside
-/// `c`. The strip element type is the kernel's packed dtype (`f64`, or
-/// `f32` for the f32 and mixed tiers); `c` and `alpha` are always `f64`.
+/// `c`. The strip element type is the kernel's packed dtype (`f32` for
+/// the f32 tier, `f64` otherwise); `c` and `alpha` are always `f64`.
 pub type Microkernel<T> = fn(
     kc: usize,
     a_strip: &[T],
@@ -71,17 +73,14 @@ pub type Microkernel<T> = fn(
     col0: usize,
 );
 
-/// The f64 calling convention (kept as the historical name).
-pub type MicrokernelFn = Microkernel<f64>;
-
 /// A typed microkernel entry point, tagged by the packed element type its
-/// strips carry. The `mixed` tier packs `f32` (it widens in registers), so
-/// it uses the `F32` arm; [`KernelInfo::dtype`] distinguishes the two.
+/// strips carry. The `mixed` tier packs f64 panels rounded through f32,
+/// so it uses the `F64` arm; [`KernelInfo::dtype`] distinguishes the two.
 #[derive(Debug, Clone, Copy)]
 pub enum KernelFn {
-    /// Strips of `f64` (the `f64` dtype tier).
+    /// Strips of `f64` (the `f64` and `mixed` dtype tiers).
     F64(Microkernel<f64>),
-    /// Strips of `f32` (the `f32` and `mixed` dtype tiers).
+    /// Strips of `f32` (the `f32` dtype tier).
     F32(Microkernel<f32>),
 }
 
@@ -96,10 +95,12 @@ pub enum DtypeTier {
     /// accumulation. Fastest, loosest bounds (~1e-3 relative at leaf
     /// sizes; see the testkit tier tolerances).
     F32,
-    /// Mixed precision: f32 packing and multiplies, f64 accumulation —
-    /// halves operand bandwidth while keeping the accumulator error of
-    /// f64 (only the one f64→f32 input rounding per element, ~1e-7
-    /// relative, is added).
+    /// Mixed precision: every packed operand element is rounded once
+    /// through f32, then the f64 kernel multiplies and accumulates — the
+    /// accumulator error of f64 plus the one f64→f32 input rounding per
+    /// element (~1e-7 relative). It packs 8-byte panels and runs the f64
+    /// kernel, so it costs one rounding pass per packed panel and saves
+    /// no kernel time.
     Mixed,
 }
 
@@ -113,15 +114,6 @@ impl DtypeTier {
             DtypeTier::F64 => "f64",
             DtypeTier::F32 => "f32",
             DtypeTier::Mixed => "mixed",
-        }
-    }
-
-    /// Bytes per packed panel element (8 for f64; 4 for the f32 *and*
-    /// mixed tiers, which both pack single precision).
-    pub fn packed_elem_bytes(self) -> usize {
-        match self {
-            DtypeTier::F64 => 8,
-            DtypeTier::F32 | DtypeTier::Mixed => 4,
         }
     }
 }
@@ -203,9 +195,13 @@ impl PartialEq for KernelInfo {
 impl Eq for KernelInfo {}
 
 impl KernelInfo {
-    /// Bytes per packed panel element for this kernel.
+    /// Bytes per packed panel element for this kernel (8 for f64 panels,
+    /// the f64 and mixed tiers; 4 for f32).
     pub fn packed_elem_bytes(&self) -> usize {
-        self.dtype.packed_elem_bytes()
+        match self.func {
+            KernelFn::F64(_) => std::mem::size_of::<f64>(),
+            KernelFn::F32(_) => std::mem::size_of::<f32>(),
+        }
     }
 
     /// `f64` arena slots needed to hold `elems` packed elements (arena
@@ -601,10 +597,11 @@ mod tests {
                 d => assert_eq!(k.name, format!("{}-{}", k.isa, d.as_str())),
             }
             assert_eq!(kernel_by_name(k.name).unwrap().name, k.name);
-            // The typed entry matches the dtype's packed element type.
+            // The typed entry matches the dtype's packed element type:
+            // mixed packs f64 panels rounded through f32.
             match (k.dtype, k.func) {
-                (DtypeTier::F64, KernelFn::F64(_)) => {}
-                (DtypeTier::F32 | DtypeTier::Mixed, KernelFn::F32(_)) => {}
+                (DtypeTier::F64 | DtypeTier::Mixed, KernelFn::F64(_)) => {}
+                (DtypeTier::F32, KernelFn::F32(_)) => {}
                 _ => panic!("kernel `{}` has a mismatched entry type", k.name),
             }
         }
@@ -621,7 +618,8 @@ mod tests {
         assert_eq!(k32.slots_for(9), 5);
         assert_eq!(k32.packed_elem_bytes(), 4);
         let kmix = scalar_kernel_for(DtypeTier::Mixed);
-        assert_eq!(kmix.packed_elem_bytes(), 4);
+        assert_eq!(kmix.slots_for(10), 10);
+        assert_eq!(kmix.packed_elem_bytes(), 8);
     }
 
     #[test]

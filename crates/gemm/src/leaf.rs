@@ -231,7 +231,7 @@ pub fn leaf_gemm_fused_with(
     packed_nest(kernel, (m, k, n), merge, &a, &b, c, pool);
 
     if let Some(set) = events {
-        let elem_bytes = kernel.dtype.packed_elem_bytes() as u64;
+        let elem_bytes = kernel.packed_elem_bytes() as u64;
         let mut p = Profile::new();
         p.add_count(Event::FpOps, 2 * (m * n * k) as u64);
         let a_srcs = if a.is_fused() { 2 } else { 1 };

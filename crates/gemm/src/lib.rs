@@ -7,9 +7,9 @@
 //!   generic row-accumulating tile body ([`simd`]) instantiated as AVX-512
 //!   (6×32), AVX2+FMA (6×8), NEON (6×8), WASM128 (6×8) and portable
 //!   scalar (4×4) ISA tiers — each tile sized from its ISA's register
-//!   file — each in three dtype tiers — f64, f32, and mixed
-//!   (f32 operands, f64 accumulation) — selected by an explicit
-//!   [`Dispatch`] value callers carry down to the kernels (its default is
+//!   file — each in three dtype tiers — f64, f32, and mixed (the f64
+//!   kernel on panels rounded through f32 at pack time) — selected by an
+//!   explicit [`Dispatch`] value callers carry down to the kernels (its default is
 //!   the host's best f64 kernel; the `force-scalar` cargo feature makes
 //!   that the scalar ISA),
 //! * blocking parameters derived from the cache hierarchy *and* the

@@ -31,14 +31,20 @@
 //! # Element types
 //!
 //! Every packer is generic over [`PackScalar`] — the packed element type
-//! the microkernel streams. Source matrices are always `f64`; the f32 and
-//! mixed-precision dtype tiers round each element **once** during packing
-//! (`f64 → f32`), so fused combines (computed in `f64`, then rounded) are
-//! bitwise identical to materialise-then-pack for those tiers too. Arena
-//! buffers stay `Vec<f64>`; f32 panels reinterpret the same allocation at
-//! two elements per slot via [`PackScalar::cast_mut`].
+//! the microkernel streams. Source matrices are always `f64`; the f32
+//! dtype tier rounds each element **once** during packing (`f64 → f32`),
+//! so fused combines (computed in `f64`, then rounded) are bitwise
+//! identical to materialise-then-pack for that tier too. Arena buffers
+//! stay `Vec<f64>`; f32 panels reinterpret the same allocation at two
+//! elements per slot via [`PackScalar::cast_mut`].
+//!
+//! The mixed-precision tier is a packing rule on f64 panels: the packed
+//! nest rounds each block it has just packed in place through f32
+//! ([`round_if_mixed`]), so every element — a fused combine included,
+//! summed in `f64` first — takes the one rounding an f32 pack gives it,
+//! and the f64 kernel then runs on the rounded values.
 
-use crate::kernel::{KernelFn, KernelInfo, Microkernel};
+use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Microkernel};
 use crate::leaf::Operand;
 use powerscale_matrix::MatrixView;
 
@@ -48,8 +54,8 @@ mod sealed {
     impl Sealed for f32 {}
 }
 
-/// A packed-panel element type: `f64` (the default dtype tier) or `f32`
-/// (the f32 and mixed-precision tiers, which load/pack single precision).
+/// A packed-panel element type: `f64` (the f64 and mixed-precision dtype
+/// tiers) or `f32` (the f32 tier, which loads and packs single precision).
 ///
 /// The trait is sealed — the kernel calling convention, the arena slot
 /// layout and the dispatch enum ([`KernelFn`]) all enumerate exactly these
@@ -59,9 +65,14 @@ pub trait PackScalar: Copy + Default + Send + Sync + sealed::Sealed + 'static {
     const PER_SLOT: usize;
 
     /// Rounds a source element into the packed precision (identity for
-    /// f64; one `as f32` rounding for f32 — the only rounding the f32 and
-    /// mixed tiers add on the load side).
+    /// f64; one `as f32` rounding for f32 — the only rounding the f32
+    /// tier adds on the load side).
     fn from_f64(x: f64) -> Self;
+
+    /// Rounds packed elements in place through single precision: each f64
+    /// becomes the value an f32 pack would widen back to. A no-op on f32
+    /// panels, which already hold single precision.
+    fn round_through_f32(buf: &mut [Self]);
 
     /// Reinterprets an arena buffer (`f64` slots) as packed elements.
     fn cast(buf: &[f64]) -> &[Self];
@@ -81,6 +92,12 @@ impl PackScalar for f64 {
     #[inline(always)]
     fn from_f64(x: f64) -> Self {
         x
+    }
+
+    fn round_through_f32(buf: &mut [Self]) {
+        for x in buf {
+            *x = f64::from(*x as f32);
+        }
     }
 
     #[inline(always)]
@@ -109,6 +126,8 @@ impl PackScalar for f32 {
         x as f32
     }
 
+    fn round_through_f32(_: &mut [Self]) {}
+
     #[inline(always)]
     fn cast(buf: &[f64]) -> &[Self] {
         // SAFETY: f64 slots are 8-byte aligned (≥ f32's 4), the slice
@@ -131,6 +150,17 @@ impl PackScalar for f32 {
             KernelFn::F32(f) => f,
             KernelFn::F64(_) => panic!("kernel `{}` does not pack f32 panels", kernel.name),
         }
+    }
+}
+
+/// The mixed tier's packing rule: when `kernel` computes in
+/// [`DtypeTier::Mixed`], rounds the freshly packed `buf` in place through
+/// f32 ([`PackScalar::round_through_f32`]); other tiers keep their panels
+/// as packed. The packed nest calls it once per packed block, on the
+/// thread that packed it.
+pub(crate) fn round_if_mixed<T: PackScalar>(kernel: &KernelInfo, buf: &mut [T]) {
+    if kernel.dtype == DtypeTier::Mixed {
+        T::round_through_f32(buf);
     }
 }
 

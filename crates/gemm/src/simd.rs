@@ -8,24 +8,29 @@
 //! k-step), each A element is broadcast, and accumulator row `i` *is* row
 //! `i` of the C tile, so the merge into C is a contiguous vector
 //! multiply-add per row with no transpose. Each ISA tier supplies
-//! `MicroVec` impls for the three dtype tiers (f64, f32, mixed
-//! f32-load/f64-accumulate) and a thin `#[target_feature]` wrapper that
-//! monomorphises the body — generic functions cannot carry
-//! `target_feature`, so the wrapper is where the instruction set is
-//! enabled and `#[inline(always)]` carries the body into it. The tile is
+//! `MicroVec` impls for the two packed element types (f64 and f32) and a
+//! thin `#[target_feature]` wrapper that monomorphises the body —
+//! generic functions cannot carry `target_feature`, so the wrapper is
+//! where the instruction set is enabled and `#[inline(always)]` carries
+//! the body into it. The tile is
 //! sized from the ISA's **register file** (`MR·CV` accumulators + `CV`
 //! B vectors + one broadcast), not from one vector — six rows of four
 //! vectors where there are 32 registers, six rows of two where there are
 //! 16 — which also keeps loads per FMA low (`(MR + CV) / (MR·CV)`: 0.42
 //! at 6×4, against 1.1 for the one-vector-wide 8×8 tile this replaced):
 //!
-//! | ISA tier  | registers | `MR × CV` | f64 tile | f32 tile | mixed tile | vector types |
-//! |-----------|-----------|-----------|----------|----------|------------|--------------|
-//! | `avx512`  | 32 × 512  | 6 × 4     | 6×32     | 6×64     | 6×32       | `__m512d` / `__m512` |
-//! | `avx2`    | 16 × 256  | 6 × 2     | 6×8      | 6×16     | 6×8        | `__m256d` / `__m256` / `__m128` loads |
-//! | `neon`    | 32 × 128  | 6 × 4     | 6×8      | 6×16     | 6×8        | `float64x2_t` / `float32x4_t` |
-//! | `wasm128` | 16 × 128  | 6 × 4, f32 6 × 2 | 6×8 | 6×8     | 6×8        | `v128` |
-//! | `scalar`  | —         | 4 × 4     | 4×4      | 4×4      | 4×4        | plain `f64`/`f32` |
+//! | ISA tier  | registers | `MR × CV` | f64 tile | f32 tile | mixed | vector types |
+//! |-----------|-----------|-----------|----------|----------|-------|--------------|
+//! | `avx512`  | 32 × 512  | 6 × 4     | 6×32     | 6×64     | = f64 tile, f64 kernel | `__m512d` / `__m512` |
+//! | `avx2`    | 16 × 256  | 6 × 2     | 6×8      | 6×16     | = f64 tile, f64 kernel | `__m256d` / `__m256` |
+//! | `neon`    | 32 × 128  | 6 × 4     | 6×8      | 6×16     | = f64 tile, f64 kernel | `float64x2_t` / `float32x4_t` |
+//! | `wasm128` | 16 × 128  | 6 × 4, f32 6 × 2 | 6×8 | 6×8     | = f64 tile, f64 kernel | `v128` |
+//! | `scalar`  | —         | 4 × 4     | 4×4      | 4×4      | = f64 tile, f64 kernel | plain `f64`/`f32` |
+//!
+//! The mixed dtype tier has no body of its own: it is a packing rule.
+//! Each ISA's `*_MIXED` [`KernelInfo`] carries that ISA's f64 entry, and
+//! the packed nest ([`crate::dgemm`]) rounds every element of a mixed
+//! product's f64 panels once through f32 before the f64 kernel runs.
 //!
 //! [`detect`] returns the best instance for a dtype tier;
 //! [`host_simd_kernels`] enumerates every SIMD instance the host can run
@@ -43,10 +48,12 @@
 //! every product and partial sum is exactly representable, e.g. small
 //! power-of-two operands — the dispatch property tests exploit this).
 //! The wasm128 and scalar tiers round multiply and add separately (the
-//! simd128 MVP has no FMA). The mixed tiers widen each packed f32 to f64
-//! before multiplying, so their only deviation from f64 arithmetic is the
-//! single f64→f32 rounding each element took during packing. Within one
-//! kernel every C element is one accumulator lane summed over `k` in
+//! simd128 MVP has no FMA). The mixed tier runs the f64 kernel, so its
+//! only deviation from f64 arithmetic is the single f64→f32 rounding each
+//! element takes during packing; on those rounded operands every product
+//! is exact in f64 (barring underflow), so its scalar and FMA tiers agree
+//! bit for bit. Within
+//! one kernel every C element is one accumulator lane summed over `k` in
 //! order and merged as `c += alpha * acc` (multiply and add rounded
 //! separately), or stored as `c = alpha * acc` on the first k-panel of a
 //! product that overwrites C ([`Merge::Store`]: the same bits as adding
@@ -67,8 +74,7 @@ use powerscale_matrix::MatrixViewMut;
 const MAX_NR: usize = 64;
 
 /// A SIMD vector of accumulator lanes, loading from packed elements of
-/// type `Elem` and spilling to `f64`. The mixed tiers set `Elem = f32`
-/// with `f64` accumulator lanes (widening on load).
+/// type `Elem` and spilling to `f64`.
 ///
 /// # Safety
 ///
@@ -86,7 +92,7 @@ pub(crate) trait MicroVec: Copy {
 
     /// The additive identity.
     unsafe fn zero() -> Self;
-    /// Loads `LANES` consecutive packed elements (widening for mixed).
+    /// Loads `LANES` consecutive packed elements.
     unsafe fn load(p: *const Self::Elem) -> Self;
     /// Broadcasts the single element at `p` to all lanes.
     unsafe fn splat(p: *const Self::Elem) -> Self;
@@ -368,40 +374,6 @@ pub(crate) mod generic {
         }
     }
 
-    /// Mixed tier: f32 packed elements widened into an f64 accumulator.
-    #[derive(Clone, Copy)]
-    struct SMixed(f64);
-
-    impl MicroVec for SMixed {
-        type Elem = f32;
-        const LANES: usize = 1;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            SMixed(0.0)
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            SMixed(f64::from(unsafe { *p }))
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            SMixed(f64::from(unsafe { *p }))
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            SMixed(self.0 + a.0 * b.0)
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { *out = self.0 };
-        }
-    }
-
     fn scalar_f64(
         kc: usize,
         a_strip: &[f64],
@@ -432,21 +404,6 @@ pub(crate) mod generic {
         }
     }
 
-    fn scalar_mixed(
-        kc: usize,
-        a_strip: &[f32],
-        b_strip: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        // SAFETY: no ISA requirement; strip lengths asserted inside.
-        unsafe {
-            tile_kernel::<SMixed, SCALAR_MR, SCALAR_NR>(kc, a_strip, b_strip, merge, c, row0, col0)
-        }
-    }
-
     pub(crate) static SCALAR_F64: KernelInfo = KernelInfo {
         name: "scalar",
         isa: "scalar",
@@ -471,7 +428,7 @@ pub(crate) mod generic {
         dtype: DtypeTier::Mixed,
         mr: SCALAR_MR,
         nr: SCALAR_NR,
-        func: KernelFn::F32(scalar_mixed),
+        func: KernelFn::F64(scalar_f64),
     };
 }
 
@@ -560,41 +517,6 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Mixed tier on AVX2: 4 packed f32s widened into a 4-lane f64
-    /// accumulator per load.
-    #[derive(Clone, Copy)]
-    struct V256Mixed(__m256d);
-
-    impl MicroVec for V256Mixed {
-        type Elem = f32;
-        const LANES: usize = 4;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(unsafe { _mm256_setzero_pd() })
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            Self(unsafe { _mm256_cvtps_pd(_mm_loadu_ps(p)) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            Self(unsafe { _mm256_set1_pd(f64::from(*p)) })
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(unsafe { _mm256_fmadd_pd(a.0, b.0, self.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { _mm256_storeu_pd(out, self.0) };
-        }
-    }
-
     // ---- AVX-512 vectors ----------------------------------------------
 
     #[derive(Clone, Copy)]
@@ -670,41 +592,6 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Mixed tier on AVX-512: 8 packed f32s widened into an 8-lane f64
-    /// accumulator per load.
-    #[derive(Clone, Copy)]
-    struct V512Mixed(__m512d);
-
-    impl MicroVec for V512Mixed {
-        type Elem = f32;
-        const LANES: usize = 8;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(unsafe { _mm512_setzero_pd() })
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            Self(unsafe { _mm512_cvtps_pd(_mm256_loadu_ps(p)) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            Self(unsafe { _mm512_set1_pd(f64::from(*p)) })
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(unsafe { _mm512_fmadd_pd(a.0, b.0, self.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { _mm512_storeu_pd(out, self.0) };
-        }
-    }
-
     // ---- target_feature wrappers + safe entries -----------------------
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -733,19 +620,6 @@ pub(crate) mod x86 {
         unsafe { tile_kernel::<V256F32, 6, 2>(kc, a, b, merge, c, row0, col0) }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn avx2_mixed_tf(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        unsafe { tile_kernel::<V256Mixed, 6, 2>(kc, a, b, merge, c, row0, col0) }
-    }
-
     #[target_feature(enable = "avx512f", enable = "avx512vl")]
     unsafe fn avx512_f64_tf(
         kc: usize,
@@ -772,19 +646,6 @@ pub(crate) mod x86 {
         unsafe { tile_kernel::<V512F32, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
-    #[target_feature(enable = "avx512f", enable = "avx512vl")]
-    unsafe fn avx512_mixed_tf(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        unsafe { tile_kernel::<V512Mixed, 6, 4>(kc, a, b, merge, c, row0, col0) }
-    }
-
     fn assert_avx2() {
         assert!(
             is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
@@ -793,10 +654,10 @@ pub(crate) mod x86 {
     }
 
     /// The AVX-512 tier needs `avx512f` for the arithmetic and `avx512vl`
-    /// so 256-bit halves (the f32 tiers' widening spill, the mixed tiers'
-    /// loads) may live in any of the 32 registers — without it every
-    /// accumulator a half is taken from is confined to the low 16 and the
-    /// 24-accumulator tile spills inside the k loop. Every AVX-512 CPU
+    /// so 256-bit halves (the f32 tier's widening spill) may live in any
+    /// of the 32 registers — without it every accumulator a half is taken
+    /// from is confined to the low 16 and the 24-accumulator tile spills
+    /// inside the k loop. Every AVX-512 CPU
     /// except Knights Landing has both.
     pub(crate) fn has_avx512() -> bool {
         is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
@@ -840,20 +701,6 @@ pub(crate) mod x86 {
         unsafe { avx2_f32_tf(kc, a, b, merge, c, row0, col0) }
     }
 
-    fn avx2_mixed(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        assert_avx2();
-        // SAFETY: feature presence asserted above.
-        unsafe { avx2_mixed_tf(kc, a, b, merge, c, row0, col0) }
-    }
-
     fn avx512_f64(
         kc: usize,
         a: &[f64],
@@ -882,20 +729,6 @@ pub(crate) mod x86 {
         unsafe { avx512_f32_tf(kc, a, b, merge, c, row0, col0) }
     }
 
-    fn avx512_mixed(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        assert_avx512();
-        // SAFETY: feature presence asserted above.
-        unsafe { avx512_mixed_tf(kc, a, b, merge, c, row0, col0) }
-    }
-
     pub(crate) static AVX2_F64: KernelInfo = KernelInfo {
         name: "avx2",
         isa: "avx2",
@@ -920,7 +753,7 @@ pub(crate) mod x86 {
         dtype: DtypeTier::Mixed,
         mr: 6,
         nr: 8,
-        func: KernelFn::F32(avx2_mixed),
+        func: KernelFn::F64(avx2_f64),
     };
 
     pub(crate) static AVX512_F64: KernelInfo = KernelInfo {
@@ -947,12 +780,12 @@ pub(crate) mod x86 {
         dtype: DtypeTier::Mixed,
         mr: 6,
         nr: 32,
-        func: KernelFn::F32(avx512_mixed),
+        func: KernelFn::F64(avx512_f64),
     };
 }
 
 /// The NEON tier: 6 rows × 4 vectors (24 accumulators, 4 B vectors and a
-/// broadcast in 32 `v` registers) over 2-lane `float64x2_t` (f64, mixed:
+/// broadcast in 32 `v` registers) over 2-lane `float64x2_t` (f64:
 /// 6×8) and 4-lane `float32x4_t` (f32: 6×16) vectors, instantiated from
 /// the same generic body as every other ISA. Compiled only on AArch64; hosts without NEON
 /// fall back to the scalar tier via [`detect`].
@@ -1032,41 +865,6 @@ pub(crate) mod neon {
         }
     }
 
-    /// Mixed tier on NEON: 2 packed f32s widened into a 2-lane f64
-    /// accumulator per load.
-    #[derive(Clone, Copy)]
-    struct N128Mixed(float64x2_t);
-
-    impl MicroVec for N128Mixed {
-        type Elem = f32;
-        const LANES: usize = 2;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(unsafe { vdupq_n_f64(0.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            Self(unsafe { vcvt_f64_f32(vld1_f32(p)) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            Self(unsafe { vdupq_n_f64(f64::from(*p)) })
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(unsafe { vfmaq_f64(self.0, a.0, b.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { vst1q_f64(out, self.0) };
-        }
-    }
-
     #[target_feature(enable = "neon")]
     unsafe fn neon_f64_tf(
         kc: usize,
@@ -1091,19 +889,6 @@ pub(crate) mod neon {
         col0: usize,
     ) {
         unsafe { tile_kernel::<N128F32, 6, 4>(kc, a, b, merge, c, row0, col0) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_mixed_tf(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        unsafe { tile_kernel::<N128Mixed, 6, 4>(kc, a, b, merge, c, row0, col0) }
     }
 
     fn assert_neon() {
@@ -1141,20 +926,6 @@ pub(crate) mod neon {
         unsafe { neon_f32_tf(kc, a, b, merge, c, row0, col0) }
     }
 
-    fn neon_mixed(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        assert_neon();
-        // SAFETY: feature presence asserted above.
-        unsafe { neon_mixed_tf(kc, a, b, merge, c, row0, col0) }
-    }
-
     pub(crate) static NEON_F64: KernelInfo = KernelInfo {
         name: "neon",
         isa: "neon",
@@ -1179,7 +950,7 @@ pub(crate) mod neon {
         dtype: DtypeTier::Mixed,
         mr: 6,
         nr: 8,
-        func: KernelFn::F32(neon_mixed),
+        func: KernelFn::F64(neon_f64),
     };
 }
 
@@ -1265,43 +1036,6 @@ pub(crate) mod wasm {
         }
     }
 
-    /// Mixed tier on wasm128: 2 packed f32s widened into a 2-lane f64
-    /// accumulator per load.
-    #[derive(Clone, Copy)]
-    struct W128Mixed(v128);
-
-    impl MicroVec for W128Mixed {
-        type Elem = f32;
-        const LANES: usize = 2;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(f64x2_splat(0.0))
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            Self(f64x2_promote_low_f32x4(unsafe {
-                v128_load64_zero(p.cast())
-            }))
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            Self(f64x2_splat(f64::from(unsafe { *p })))
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(f64x2_add(self.0, f64x2_mul(a.0, b.0)))
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { v128_store(out.cast(), self.0) };
-        }
-    }
-
     fn wasm_f64(
         kc: usize,
         a: &[f64],
@@ -1329,19 +1063,6 @@ pub(crate) mod wasm {
         unsafe { tile_kernel::<W128F32, 6, 2>(kc, a, b, merge, c, row0, col0) }
     }
 
-    fn wasm_mixed(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        // SAFETY: as in `wasm_f64`.
-        unsafe { tile_kernel::<W128Mixed, 6, 4>(kc, a, b, merge, c, row0, col0) }
-    }
-
     pub(crate) static WASM_F64: KernelInfo = KernelInfo {
         name: "wasm128",
         isa: "wasm128",
@@ -1366,7 +1087,7 @@ pub(crate) mod wasm {
         dtype: DtypeTier::Mixed,
         mr: 6,
         nr: 8,
-        func: KernelFn::F32(wasm_mixed),
+        func: KernelFn::F64(wasm_f64),
     };
 }
 
@@ -1484,32 +1205,26 @@ mod tests {
 
     // ---- a portable vector of any lane count ---------------------------
 
-    /// Lane arithmetic of a [`Pv`]: packed element, accumulator type, and
+    /// Lane arithmetic of a [`Pv`]: packed (and accumulated) element, and
     /// whether multiply-add fuses.
     trait Arith: Copy {
         type Elem: PackScalar;
-        type Acc: Copy;
-        const ZERO: Self::Acc;
-        fn widen(e: Self::Elem) -> Self::Acc;
-        fn fma(acc: Self::Acc, a: Self::Acc, b: Self::Acc) -> Self::Acc;
-        fn to_f64(acc: Self::Acc) -> f64;
+        const ZERO: Self::Elem;
+        fn fma(acc: Self::Elem, a: Self::Elem, b: Self::Elem) -> Self::Elem;
+        fn to_f64(acc: Self::Elem) -> f64;
     }
 
     macro_rules! arith {
-        ($name:ident, $elem:ty, $acc:ty, |$s:ident, $a:ident, $b:ident| $fma:expr) => {
+        ($name:ident, $elem:ty, |$s:ident, $a:ident, $b:ident| $fma:expr) => {
             #[derive(Clone, Copy)]
             struct $name;
             impl Arith for $name {
                 type Elem = $elem;
-                type Acc = $acc;
-                const ZERO: $acc = 0.0;
-                fn widen(e: $elem) -> $acc {
-                    <$acc>::from(e)
-                }
-                fn fma($s: $acc, $a: $acc, $b: $acc) -> $acc {
+                const ZERO: $elem = 0.0;
+                fn fma($s: $elem, $a: $elem, $b: $elem) -> $elem {
                     $fma
                 }
-                fn to_f64(acc: $acc) -> f64 {
+                fn to_f64(acc: $elem) -> f64 {
                     f64::from(acc)
                 }
             }
@@ -1518,18 +1233,16 @@ mod tests {
     // `mul_add` is the correctly rounded fused operation, the bits of a
     // hardware FMA lane; `s + a * b` rounds twice like the scalar and
     // wasm128 tiers.
-    arith!(F64Fused, f64, f64, |s, a, b| a.mul_add(b, s));
-    arith!(F64Plain, f64, f64, |s, a, b| s + a * b);
-    arith!(F32Fused, f32, f32, |s, a, b| a.mul_add(b, s));
-    arith!(F32Plain, f32, f32, |s, a, b| s + a * b);
-    arith!(MixFused, f32, f64, |s, a, b| a.mul_add(b, s));
-    arith!(MixPlain, f32, f64, |s, a, b| s + a * b);
+    arith!(F64Fused, f64, |s, a, b| a.mul_add(b, s));
+    arith!(F64Plain, f64, |s, a, b| s + a * b);
+    arith!(F32Fused, f32, |s, a, b| a.mul_add(b, s));
+    arith!(F32Plain, f32, |s, a, b| s + a * b);
 
     /// A portable `L`-lane vector: runs the generic bodies at any lane
     /// count on any host — the NEON and WASM shapes on x86, and every
     /// tier's arithmetic one lane at a time for the references.
     #[derive(Clone, Copy)]
-    struct Pv<A: Arith, const L: usize>([A::Acc; L]);
+    struct Pv<A: Arith, const L: usize>([A::Elem; L]);
 
     impl<A: Arith, const L: usize> MicroVec for Pv<A, L> {
         type Elem = A::Elem;
@@ -1540,11 +1253,11 @@ mod tests {
         }
 
         unsafe fn load(p: *const A::Elem) -> Self {
-            Pv(core::array::from_fn(|l| A::widen(unsafe { *p.add(l) })))
+            Pv(core::array::from_fn(|l| unsafe { *p.add(l) }))
         }
 
         unsafe fn splat(p: *const A::Elem) -> Self {
-            Pv([A::widen(unsafe { *p }); L])
+            Pv([unsafe { *p }; L])
         }
 
         unsafe fn mul_add(self, a: Self, b: Self) -> Self {
@@ -1599,22 +1312,21 @@ mod tests {
 
     /// The replaced body at the shape and arithmetic of kernel `name`:
     /// `(mr, nr, entry)`. Every tier of every ISA is listed, so the test
-    /// below also pins each tier's shape.
+    /// below also pins each tier's shape; a mixed tier runs its ISA's f64
+    /// kernel, so it shares the f64 reference.
     fn reference_for(name: &str) -> (usize, usize, KernelFn) {
         use KernelFn::{F32, F64};
         match name {
-            "scalar" => (4, 4, F64(old_body::<F64Plain, 4, 4>)),
+            "scalar" | "scalar-mixed" => (4, 4, F64(old_body::<F64Plain, 4, 4>)),
             "scalar-f32" => (4, 4, F32(old_body::<F32Plain, 4, 4>)),
-            "scalar-mixed" => (4, 4, F32(old_body::<MixPlain, 4, 4>)),
-            "avx512" => (6, 32, F64(old_body::<F64Fused, 6, 32>)),
+            "avx512" | "avx512-mixed" => (6, 32, F64(old_body::<F64Fused, 6, 32>)),
             "avx512-f32" => (6, 64, F32(old_body::<F32Fused, 6, 64>)),
-            "avx512-mixed" => (6, 32, F32(old_body::<MixFused, 6, 32>)),
-            "avx2" | "neon" => (6, 8, F64(old_body::<F64Fused, 6, 8>)),
+            "avx2" | "neon" | "avx2-mixed" | "neon-mixed" => {
+                (6, 8, F64(old_body::<F64Fused, 6, 8>))
+            }
             "avx2-f32" | "neon-f32" => (6, 16, F32(old_body::<F32Fused, 6, 16>)),
-            "avx2-mixed" | "neon-mixed" => (6, 8, F32(old_body::<MixFused, 6, 8>)),
-            "wasm128" => (6, 8, F64(old_body::<F64Plain, 6, 8>)),
+            "wasm128" | "wasm128-mixed" => (6, 8, F64(old_body::<F64Plain, 6, 8>)),
             "wasm128-f32" => (6, 8, F32(old_body::<F32Plain, 6, 8>)),
-            "wasm128-mixed" => (6, 8, F32(old_body::<MixPlain, 6, 8>)),
             other => panic!("no reference instantiation for kernel `{other}`"),
         }
     }
@@ -1744,12 +1456,12 @@ mod tests {
         // Those wrappers only compile on their own targets; the same
         // `(MR, CV, LANES)` instantiations of the body run here through
         // the portable vector, with each tier's arithmetic (NEON fuses,
-        // simd128 does not).
+        // simd128 does not). A mixed tier is its ISA's f64 entry.
         use KernelFn::{F32, F64};
         let portable: [(&str, (usize, usize), KernelFn); 6] = [
             ("neon", (6, 8), F64(new_body::<Pv<F64Fused, 2>, 6, 4>)),
             ("neon-f32", (6, 16), F32(new_body::<Pv<F32Fused, 4>, 6, 4>)),
-            ("neon-mixed", (6, 8), F32(new_body::<Pv<MixFused, 2>, 6, 4>)),
+            ("neon-mixed", (6, 8), F64(new_body::<Pv<F64Fused, 2>, 6, 4>)),
             ("wasm128", (6, 8), F64(new_body::<Pv<F64Plain, 2>, 6, 4>)),
             (
                 "wasm128-f32",
@@ -1759,7 +1471,7 @@ mod tests {
             (
                 "wasm128-mixed",
                 (6, 8),
-                F32(new_body::<Pv<MixPlain, 2>, 6, 4>),
+                F64(new_body::<Pv<F64Plain, 2>, 6, 4>),
             ),
         ];
         for (name, shape, new) in portable {

@@ -23,6 +23,7 @@ use powerscale_gemm::{
 };
 use powerscale_matrix::norms::rel_frobenius_error;
 use powerscale_matrix::{Matrix, MatrixGen};
+use powerscale_pool::ThreadPool;
 use proptest::prelude::*;
 use std::time::Instant;
 
@@ -103,7 +104,7 @@ proptest! {
     fn every_dtype_tier_matches_naive_within_its_precision(
         m in 1usize..64, k in 1usize..64, n in 1usize..64, seed in any::<u64>()
     ) {
-        // The f32 and mixed tiers trade precision for bandwidth; each must
+        // The f32 and mixed tiers give up precision; each must
         // stay within its documented envelope of the f64 oracle, and the
         // SIMD instantiation of a dtype must track its scalar one.
         let mut gen = MatrixGen::new(seed);
@@ -240,6 +241,97 @@ fn fused_with(
     c
 }
 
+/// `x` with every element rounded once through f32.
+fn round_through_f32(x: &Matrix) -> Matrix {
+    Matrix::from_fn(x.rows(), x.cols(), |i, j| f64::from(x.get(i, j) as f32))
+}
+
+/// The f64 kernel of `mixed`'s ISA.
+fn f64_twin(mixed: &KernelInfo) -> &'static KernelInfo {
+    available_kernels()
+        .into_iter()
+        .find(|k| k.isa == mixed.isa && k.dtype == DtypeTier::F64)
+        .expect("every ISA has an f64 kernel")
+}
+
+#[test]
+fn mixed_is_f64_arithmetic_on_f32_rounded_operands() {
+    // The mixed tier is a packing rule: the same ISA's f64 kernel on
+    // operands rounded once through f32 must reproduce it bit for bit —
+    // across k-panels, ragged edges, both merges, fused sums (combined in
+    // f64, then rounded) and pooled B packing. n = 600 is two k-panels
+    // at the host-tuned depth and several row bands; it runs in release
+    // builds (CI's release gemm jobs), as a debug build takes a minute
+    // over it.
+    let sizes: &[usize] = if cfg!(debug_assertions) {
+        &[37, 257]
+    } else {
+        &[37, 257, 600]
+    };
+    let pool = ThreadPool::new(2);
+    for mixed in available_kernels()
+        .into_iter()
+        .filter(|k| k.dtype == DtypeTier::Mixed)
+    {
+        let f64_kernel = f64_twin(mixed);
+        for &n in sizes {
+            let mut gen = MatrixGen::new(n as u64);
+            let [a, b, c0] = [(); 3].map(|_| gen.uniform(n, n, -2.0, 2.0));
+            let (ar, br) = (round_through_f32(&a), round_through_f32(&b));
+            for beta in [0.0, 1.0] {
+                let run = |kernel, a: &Matrix, b: &Matrix| {
+                    let mut c = c0.clone();
+                    let ctx = GemmContext::with_kernel(kernel);
+                    dgemm(-0.75, &a.view(), &b.view(), beta, &mut c.view_mut(), &ctx).unwrap();
+                    c
+                };
+                assert_eq!(
+                    run(mixed, &a, &b),
+                    run(f64_kernel, &ar, &br),
+                    "`{}` vs `{}` at n = {n}, β = {beta}",
+                    mixed.name,
+                    f64_kernel.name
+                );
+            }
+        }
+        let n = 257;
+        let mut gen = MatrixGen::new(7);
+        let [x1, x2, y1, y2] = [(); 4].map(|_| gen.uniform(n, n, -2.0, 2.0));
+        let diff = |x: &Matrix, y: &Matrix| {
+            round_through_f32(&Matrix::from_fn(n, n, |i, j| x.get(i, j) - y.get(i, j)))
+        };
+        let (xr, yr) = (diff(&x1, &x2), diff(&y1, &y2));
+        for p in [None, Some(&pool)] {
+            let leaf = |kernel, a: Operand<'_>, b: Operand<'_>| {
+                let mut c = Matrix::zeros(n, n);
+                let dispatch = Dispatch::default().with_kernel(kernel);
+                leaf_gemm_fused_with(dispatch, a, b, &mut c.view_mut(), Accum::Set, p, None)
+                    .unwrap();
+                c
+            };
+            let (x, y) = (x1.view(), y1.view());
+            let got = leaf(
+                mixed,
+                Operand::Sub(x, x2.view()),
+                Operand::Sub(y, y2.view()),
+            );
+            let want = leaf(
+                f64_kernel,
+                Operand::View(xr.view()),
+                Operand::View(yr.view()),
+            );
+            assert_eq!(
+                got,
+                want,
+                "fused `{}` vs `{}` (pool: {})",
+                mixed.name,
+                f64_kernel.name,
+                p.is_some()
+            );
+        }
+    }
+}
+
 /// Depth and edge of the packed panel pair the tier timing rule sweeps.
 const SWEEP_KC: usize = 256;
 const SWEEP_EDGE: usize = 96;
@@ -280,8 +372,9 @@ fn sweep_secs(kernel: &KernelInfo, (pa, pb): &(Vec<f64>, Vec<f64>), c: &mut Matr
 
 /// A tier slower than scalar code on its own packed panels has a broken
 /// tile body or dispatch. Each tier is held to the scalar tier of its
-/// dtype: the scalar mixed tier itself runs below scalar f64 (it widens
-/// every f32 load), so f64 scalar is not the floor for the other dtypes.
+/// dtype. A mixed tier sweeps its ISA's f64 kernel (mixed rounds at pack
+/// time, which this sweep leaves out), so it is timed against the scalar
+/// f64 body under the `scalar-mixed` label.
 /// The dispatched tier's rate is the benchmark's `gemm.kernel.*_gflops`.
 #[test]
 #[ignore = "release-tier timing rule"]

@@ -15,8 +15,8 @@
 //! schedule; two runs with the same seed are identical).
 //!
 //! `--dtype` selects the kernel numeric tier every cell is stamped
-//! with: `f64` (default), `f32`, or `mixed` (f32 operands, f64
-//! accumulate). Real executions (`--trace`) dispatch kernels of that
+//! with: `f64` (default), `f32`, or `mixed` (f64 arithmetic on
+//! operands rounded through f32). Real executions (`--trace`) dispatch kernels of that
 //! tier; the simulated sweep records it as scenario metadata.
 //!
 //! `--trace PATH` skips the sweep and instead runs traced real

@@ -269,9 +269,6 @@ pub enum Phase {
     Gather,
 }
 
-/// All phases, in counter-index order.
-pub const ALL_PHASES: [Phase; 3] = [Phase::Scatter, Phase::Algo, Phase::Gather];
-
 impl Phase {
     /// Dense index into per-phase counter arrays.
     pub fn index(self) -> usize {
@@ -567,14 +564,6 @@ impl NetReport {
     /// (the "words moved per processor" that Eq. 8 bounds, in bytes).
     pub fn rank_phase_bytes(&self, rank: usize, phase: Phase) -> u64 {
         self.sent_bytes(rank, phase) + self.recv_bytes(rank, phase)
-    }
-
-    /// The largest per-rank communication volume in one phase.
-    pub fn max_rank_phase_bytes(&self, phase: Phase) -> u64 {
-        (0..self.ranks.len())
-            .map(|r| self.rank_phase_bytes(r, phase))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The largest per-rank *incoming* volume in one phase: every

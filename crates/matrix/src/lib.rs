@@ -50,6 +50,3 @@ pub use view::{MatrixView, MatrixViewMut, Quadrants, QuadrantsMut};
 /// line-aligned makes the blocked-GEMM packing kernels and the cache
 /// simulator's line-granularity accounting exact.
 pub const ALIGN: usize = 64;
-
-/// Number of `f64` elements per cache line ([`ALIGN`] / 8).
-pub const DOUBLES_PER_LINE: usize = ALIGN / core::mem::size_of::<f64>();

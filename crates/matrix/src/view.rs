@@ -227,11 +227,6 @@ impl<'a> MatrixView<'a> {
         }
         out
     }
-
-    /// Iterates over `(row_index, row_slice)` pairs.
-    pub fn rows_iter(&self) -> impl Iterator<Item = (usize, &'a [f64])> + '_ {
-        (0..self.rows).map(move |i| (i, self.row(i)))
-    }
 }
 
 impl<'a> MatrixViewMut<'a> {

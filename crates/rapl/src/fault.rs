@@ -115,15 +115,6 @@ impl FaultConfig {
         self.death = Some((domain, reads));
         self
     }
-
-    /// `true` when every fault class is disabled.
-    pub fn is_quiet(&self) -> bool {
-        self.transient_rate == 0.0
-            && self.torn_rate == 0.0
-            && self.wrap_rate == 0.0
-            && self.stuck_rate == 0.0
-            && self.death.is_none()
-    }
 }
 
 /// Counts of faults actually injected for one domain.

@@ -118,7 +118,8 @@ pub enum FailReason {
 /// up the *algorithm* hint (recursive algorithms fall back to blocked
 /// DGEMM, which needs no task tree and has the best latency at small n);
 /// under severe pressure it additionally gives up *precision*
-/// (f64 → mixed, halving operand bandwidth). Shedding is the rung below
+/// (f64 → mixed: operands rounded through f32, computed by the f64
+/// kernel). Shedding is the rung below
 /// both — degradation exists precisely to delay it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradeStep {

@@ -440,16 +440,6 @@ impl Server {
         &self.front.stats
     }
 
-    /// Queued (admitted, unserved) request count.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().unwrap().len()
-    }
-
-    /// The admission queue's configured capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.cfg.capacity
-    }
-
     /// True once a `halt_after` crash point was reached.
     pub fn halted(&self) -> bool {
         self.shared.halted.load(Ordering::SeqCst)
