@@ -15,7 +15,7 @@
 //! There is no second recursion here: CAPS is `powerscale-strassen`'s one
 //! walker run under a BFS/DFS [`Schedule`](powerscale_strassen::Schedule),
 //! for real matrices ([`multiply`]) and for the simulated machine
-//! ([`caps_graph`]). The schedule names the row-band dense cutover, the
+//! ([`caps_graph_with`]). The schedule names the row-band dense cutover, the
 //! pinning of the seven root products onto seven worker groups, and the
 //! plan's migration prices; the arithmetic is Strassen's, bit for bit.
 //!
@@ -48,4 +48,4 @@ mod schedule;
 
 pub use config::CapsConfig;
 pub use exec::multiply;
-pub use plan::{caps_graph, caps_graph_with};
+pub use plan::caps_graph_with;

@@ -19,12 +19,8 @@ use crate::config::CapsConfig;
 use crate::schedule::BfsDfs;
 use powerscale_machine::{TaskGraph, TrafficModel};
 
-/// Emits the CAPS task graph for an `n × n` multiply under `cfg`.
-pub fn caps_graph(n: usize, cfg: &CapsConfig) -> TaskGraph {
-    caps_graph_with(n, cfg, &TrafficModel::default())
-}
-
-/// Like [`caps_graph`] with an explicit LLC traffic model.
+/// Emits the CAPS task graph for an `n × n` multiply under `cfg`, with an
+/// explicit LLC traffic model.
 pub fn caps_graph_with(n: usize, cfg: &CapsConfig, tm: &TrafficModel) -> TaskGraph {
     let sched = BfsDfs {
         dfs_ways: cfg.dfs_ways,
@@ -38,6 +34,11 @@ mod tests {
     use super::*;
     use powerscale_machine::{presets, simulate};
     use powerscale_strassen::{cost, strassen_graph_with, StrassenConfig};
+
+    /// Emits the CAPS task graph for an `n × n` multiply under `cfg`.
+    fn caps_graph(n: usize, cfg: &CapsConfig) -> TaskGraph {
+        caps_graph_with(n, cfg, &TrafficModel::default())
+    }
 
     #[test]
     fn flops_conserved() {

@@ -18,14 +18,6 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Static power of the whole cluster when idle (nodes idle + network).
-    pub fn idle_watts(&self) -> f64 {
-        let node_idle = self.node.power.pkg_base_w
-            + self.node.power.dram_static_w
-            + self.node.cores as f64 * self.node.power.core_idle_w;
-        self.nodes as f64 * (node_idle + self.fabric.nic_idle_w) + self.fabric.switch_w
-    }
-
     /// Simulates `graph` on this cluster: every node's cores, the fabric,
     /// and the network energy plane ([`simulate_nodes`]).
     pub fn simulate(&self, graph: &TaskGraph) -> Result<Schedule, ConfigError> {
@@ -44,8 +36,20 @@ impl ClusterConfig {
 
 #[cfg(test)]
 mod tests {
+    use super::ClusterConfig;
     use crate::presets::e3_1225_cluster;
     use powerscale_machine::ConfigError;
+
+    impl ClusterConfig {
+        /// Static power of the whole cluster when idle (nodes idle +
+        /// network).
+        fn idle_watts(&self) -> f64 {
+            let node_idle = self.node.power.pkg_base_w
+                + self.node.power.dram_static_w
+                + self.node.cores as f64 * self.node.power.core_idle_w;
+            self.nodes as f64 * (node_idle + self.fabric.nic_idle_w) + self.fabric.switch_w
+        }
+    }
 
     #[test]
     fn derived_quantities() {

@@ -55,7 +55,7 @@ use powerscale_strassen::cost::is_leaf;
 
 /// A matrix block on the wire; the transport meters its actual element
 /// storage (`rows · cols · 8` bytes).
-pub struct Block(pub Matrix);
+pub(crate) struct Block(pub Matrix);
 
 impl NetPayload for Block {
     fn payload_bytes(&self) -> u64 {
@@ -187,7 +187,7 @@ impl DistOutcome {
 /// Block-column ownership: rank `idx` of a `g`-rank group owns columns
 /// `[idx·m/g, (idx+1)·m/g)` of an `m`-column matrix (floor partition — no
 /// divisibility constraint).
-pub fn owner_cols(m: usize, g: usize, idx: usize) -> (usize, usize) {
+pub(crate) fn owner_cols(m: usize, g: usize, idx: usize) -> (usize, usize) {
     ((idx * m) / g, ((idx + 1) * m) / g)
 }
 
@@ -212,7 +212,7 @@ pub fn bfs_child_ranges(g: usize) -> [(usize, usize); 7] {
 /// `frame` is the leaf size of the halving chain from the padded top-level
 /// size — every matrix the distributed recursion touches has `frame · 2^j`
 /// columns. Within each frame, rank `idx` of a `g`-rank group owns the same
-/// slice [`owner_cols`]`(frame, g, idx)`, and a rank's panel stores its
+/// slice `owner_cols``(frame, g, idx)`, and a rank's panel stores its
 /// owned columns in increasing global order.
 ///
 /// Because every split size `h = frame · 2^(j−1)` is a multiple of the
@@ -294,7 +294,7 @@ impl Layout {
 }
 
 /// A per-frame column slice `[lo, hi)` of the [`Layout`].
-pub type Slice = (usize, usize);
+pub(crate) type Slice = (usize, usize);
 
 fn width(s: Slice) -> usize {
     s.1 - s.0
@@ -431,7 +431,7 @@ fn place(dst: &mut Matrix, (r0, c0): (usize, usize), src: Source<'_>, rows: usiz
 
 /// Sequential CAPS/Strassen flop count: `7 F(m/2) + 18 (m/2)²` above the
 /// cutoff, `2 m³` at the dense leaf.
-pub fn seq_caps_flops(m: usize, cutoff: usize) -> u64 {
+pub(crate) fn seq_caps_flops(m: usize, cutoff: usize) -> u64 {
     if m == 0 {
         return 0;
     }

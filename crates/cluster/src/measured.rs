@@ -90,7 +90,7 @@ impl Eq8Cell {
 
     /// The `M` (in words) that actually fed `bound_words`: the swept
     /// budget when one was set, else the measured high-water mark.
-    pub fn bound_m_words(&self) -> u64 {
+    pub(crate) fn bound_m_words(&self) -> u64 {
         self.mem_limit_words.unwrap_or(self.peak_words).max(1)
     }
 
@@ -114,7 +114,7 @@ impl Eq8Cell {
 
 /// Runs one `(n, P, mem_limit)` cell: distributed CAPS always, SUMMA when
 /// the node count admits a square grid that divides `n`.
-pub fn eq8_cell(
+pub(crate) fn eq8_cell(
     n: usize,
     nodes: usize,
     mem_limit_words: Option<u64>,
@@ -155,7 +155,7 @@ pub struct Eq8Study {
     pub cells: Vec<Eq8Cell>,
 }
 
-/// Runs [`eq8_cell`] over a sweep grid.
+/// Runs `eq8_cell` over a sweep grid.
 pub fn run_eq8_study(grid: &[(usize, usize, Option<u64>)]) -> Result<Eq8Study, DistError> {
     let cells = grid
         .iter()

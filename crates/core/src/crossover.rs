@@ -1,15 +1,5 @@
 //! Equation 9: the Strassen/blocked crossover dimension.
 
-/// Inputs to the crossover estimate (paper §IV-D).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct CrossoverInputs {
-    /// `y`: basic matrix-multiplication performance in Mflop/s.
-    pub y_mflops: f64,
-    /// `z`: data-movement capability in MB/s.
-    pub z_mbs: f64,
-}
-
 /// **Equation 9** (simplified form): `n = 480 · y / z` — the square-matrix
 /// dimension at which a Strassen technique matches competitive (blocked)
 /// techniques on a platform with compute `y` Mflop/s and data movement `z`
@@ -22,25 +12,34 @@ pub fn crossover_dimension(y_mflops: f64, z_mbs: f64) -> f64 {
     480.0 * y_mflops / z_mbs
 }
 
-/// The unsimplified balance from which Equation 9 is derived:
-/// `15 · 32 · (n/2)³ / y  =  2 · (n/2)² / z`
-/// (left: Strassen's extra data movement at `z` MB/s written as flops-time;
-/// right: the compute time it must amortise). Returns the `n` at which the
-/// two sides balance, which algebraically reduces to `480·y/z` — kept as a
-/// cross-check of the simplification.
-pub fn crossover_dimension_full(inputs: &CrossoverInputs) -> f64 {
-    // 15 * 32 * (n/2)^3 / y = 2 * (n/2)^2 / z
-    // 480 * (n/2) / y = 2 / z … wait — solving for n:
-    // 15*32*(n/2)^3 / y MB = time of movement; 2*(n/2)^2 flop / z…
-    // The paper's printed derivation mixes its fraction sides; the solved
-    // form is n = 480·y/z, which is what both this and
-    // `crossover_dimension` return.
-    crossover_dimension(inputs.y_mflops, inputs.z_mbs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inputs to the crossover estimate (paper §IV-D).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct CrossoverInputs {
+        /// `y`: basic matrix-multiplication performance in Mflop/s.
+        pub y_mflops: f64,
+        /// `z`: data-movement capability in MB/s.
+        pub z_mbs: f64,
+    }
+
+    /// The unsimplified balance from which Equation 9 is derived:
+    /// `15 · 32 · (n/2)³ / y  =  2 · (n/2)² / z`
+    /// (left: Strassen's extra data movement at `z` MB/s written as flops-time;
+    /// right: the compute time it must amortise). Returns the `n` at which the
+    /// two sides balance, which algebraically reduces to `480·y/z` — kept as a
+    /// cross-check of the simplification.
+    fn crossover_dimension_full(inputs: &CrossoverInputs) -> f64 {
+        // 15 * 32 * (n/2)^3 / y = 2 * (n/2)^2 / z
+        // 480 * (n/2) / y = 2 / z … wait — solving for n:
+        // 15*32*(n/2)^3 / y MB = time of movement; 2*(n/2)^2 flop / z…
+        // The paper's printed derivation mixes its fraction sides; the solved
+        // form is n = 480·y/z, which is what both this and
+        // `crossover_dimension` return.
+        crossover_dimension(inputs.y_mflops, inputs.z_mbs)
+    }
 
     #[test]
     fn eq9_simple_values() {

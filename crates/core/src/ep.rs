@@ -1,4 +1,6 @@
-//! Equations 1–4: energy-performance ratios.
+//! Equations 1–4: energy-performance ratios. Equations 2 and 4 live in the
+//! unit tests as reference forms: the harness applies Equation 1 to whole
+//! runs.
 
 /// One measured execution phase: average energy draw `EAvg` over runtime
 /// `T`. The paper leaves units open; the harness uses watts and seconds.
@@ -24,15 +26,6 @@ impl PhaseMeasure {
         );
         PhaseMeasure { energy_avg, t }
     }
-
-    /// Non-panicking constructor for measured (possibly degenerate) data:
-    /// `None` on a zero/negative/non-finite runtime or a negative or
-    /// non-finite energy reading — the cases where Eq. 1 would otherwise
-    /// mint a NaN/inf EP and propagate it silently into tables.
-    pub fn try_new(energy_avg: f64, t: f64) -> Option<Self> {
-        (t.is_finite() && t > 0.0 && energy_avg.is_finite() && energy_avg >= 0.0)
-            .then_some(PhaseMeasure { energy_avg, t })
-    }
 }
 
 /// **Equation 1**: `EP_p = EAvg_p / T_p`.
@@ -42,43 +35,6 @@ impl PhaseMeasure {
 /// the linear threshold to judge scaling quality.
 pub fn ep_ratio(m: &PhaseMeasure) -> f64 {
     m.energy_avg / m.t
-}
-
-/// A mixed sequential/parallel execution (Equation 2's operands): the
-/// sequential portion plus one measure per parallel unit.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct MixedMeasure {
-    /// The sequential portion (`EAvg_s`, `T_s`).
-    pub sequential: PhaseMeasure,
-    /// Per-parallel-unit measures (`EAvg_p`, `T_p` for each unit).
-    pub parallel_units: Vec<PhaseMeasure>,
-}
-
-/// **Equation 2**:
-/// `EP_t = (EAvg_s + max(EAvg_p)) / (T_s + max(T_p))`.
-///
-/// The `max` over parallel units captures the slowest/most power-hungry
-/// unit dominating the phase.
-///
-/// # Panics
-/// Panics if there are no parallel units (the equation's max is undefined).
-pub fn ep_total(m: &MixedMeasure) -> f64 {
-    assert!(
-        !m.parallel_units.is_empty(),
-        "Equation 2 requires at least one parallel unit"
-    );
-    let max_e = m
-        .parallel_units
-        .iter()
-        .map(|u| u.energy_avg)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let max_t = m
-        .parallel_units
-        .iter()
-        .map(|u| u.t)
-        .fold(f64::NEG_INFINITY, f64::max);
-    (m.sequential.energy_avg + max_e) / (m.sequential.t + max_t)
 }
 
 /// Measurement fidelity of an aggregate: whether every contributing plane
@@ -188,50 +144,97 @@ impl PlaneSet {
     }
 }
 
-/// **Equation 4**: Equation 2 with per-plane sums substituted:
-/// `EP_t = (Σ PPL_s + max_p(Σ PPL_p)) / (T_s + max(T_p))`.
-///
-/// `parallel` pairs each unit's plane set with its runtime.
-///
-/// # Panics
-/// Panics if `parallel` is empty.
-pub fn ep_total_planes(sequential: (&PlaneSet, f64), parallel: &[(PlaneSet, f64)]) -> f64 {
-    assert!(
-        !parallel.is_empty(),
-        "Equation 4 requires at least one parallel unit"
-    );
-    let max_e = parallel
-        .iter()
-        .map(|(ps, _)| ps.total())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let max_t = parallel
-        .iter()
-        .map(|&(_, t)| t)
-        .fold(f64::NEG_INFINITY, f64::max);
-    (sequential.0.total() + max_e) / (sequential.1 + max_t)
-}
-
-/// **Equation 4 with fidelity tracking**: the same ratio as
-/// [`ep_total_planes`], tagged [`MeasureQuality::Degraded`] when any
-/// contributing plane set lost planes.
-///
-/// # Panics
-/// Panics if `parallel` is empty.
-pub fn ep_total_planes_qualified(
-    sequential: (&PlaneSet, f64),
-    parallel: &[(PlaneSet, f64)],
-) -> QualifiedEp {
-    let value = ep_total_planes(sequential, parallel);
-    let quality = parallel
-        .iter()
-        .map(|(ps, _)| ps.quality())
-        .fold(sequential.0.quality(), MeasureQuality::and);
-    QualifiedEp { value, quality }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhaseMeasure {
+        /// Non-panicking constructor for measured (possibly degenerate)
+        /// data: `None` on a zero/negative/non-finite runtime or a negative
+        /// or non-finite energy reading — the cases where Eq. 1 would
+        /// otherwise mint a NaN/inf EP.
+        fn try_new(energy_avg: f64, t: f64) -> Option<Self> {
+            (t.is_finite() && t > 0.0 && energy_avg.is_finite() && energy_avg >= 0.0)
+                .then_some(PhaseMeasure { energy_avg, t })
+        }
+    }
+
+    /// A mixed sequential/parallel execution (Equation 2's operands): the
+    /// sequential portion plus one measure per parallel unit.
+    #[derive(Debug, Clone, PartialEq)]
+    struct MixedMeasure {
+        /// The sequential portion (`EAvg_s`, `T_s`).
+        pub sequential: PhaseMeasure,
+        /// Per-parallel-unit measures (`EAvg_p`, `T_p` for each unit).
+        pub parallel_units: Vec<PhaseMeasure>,
+    }
+
+    /// **Equation 2**:
+    /// `EP_t = (EAvg_s + max(EAvg_p)) / (T_s + max(T_p))`.
+    ///
+    /// The `max` over parallel units captures the slowest/most power-hungry
+    /// unit dominating the phase.
+    ///
+    /// # Panics
+    /// Panics if there are no parallel units (the equation's max is undefined).
+    fn ep_total(m: &MixedMeasure) -> f64 {
+        assert!(
+            !m.parallel_units.is_empty(),
+            "Equation 2 requires at least one parallel unit"
+        );
+        let max_e = m
+            .parallel_units
+            .iter()
+            .map(|u| u.energy_avg)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let max_t = m
+            .parallel_units
+            .iter()
+            .map(|u| u.t)
+            .fold(f64::NEG_INFINITY, f64::max);
+        (m.sequential.energy_avg + max_e) / (m.sequential.t + max_t)
+    }
+
+    /// **Equation 4**: Equation 2 with per-plane sums substituted:
+    /// `EP_t = (Σ PPL_s + max_p(Σ PPL_p)) / (T_s + max(T_p))`.
+    ///
+    /// `parallel` pairs each unit's plane set with its runtime.
+    ///
+    /// # Panics
+    /// Panics if `parallel` is empty.
+    fn ep_total_planes(sequential: (&PlaneSet, f64), parallel: &[(PlaneSet, f64)]) -> f64 {
+        assert!(
+            !parallel.is_empty(),
+            "Equation 4 requires at least one parallel unit"
+        );
+        let max_e = parallel
+            .iter()
+            .map(|(ps, _)| ps.total())
+            .fold(f64::NEG_INFINITY, f64::max);
+        let max_t = parallel
+            .iter()
+            .map(|&(_, t)| t)
+            .fold(f64::NEG_INFINITY, f64::max);
+        (sequential.0.total() + max_e) / (sequential.1 + max_t)
+    }
+
+    /// **Equation 4 with fidelity tracking**: the same ratio as
+    /// [`ep_total_planes`], tagged [`MeasureQuality::Degraded`] when any
+    /// contributing plane set lost planes.
+    ///
+    /// # Panics
+    /// Panics if `parallel` is empty.
+    fn ep_total_planes_qualified(
+        sequential: (&PlaneSet, f64),
+        parallel: &[(PlaneSet, f64)],
+    ) -> QualifiedEp {
+        let value = ep_total_planes(sequential, parallel);
+        let quality = parallel
+            .iter()
+            .map(|(ps, _)| ps.quality())
+            .fold(sequential.0.quality(), MeasureQuality::and);
+        QualifiedEp { value, quality }
+    }
 
     #[test]
     fn eq1_simple_ratio() {

@@ -9,9 +9,9 @@
 //! | Paper | Here |
 //! |---|---|
 //! | Eq. 1 `EP_p = EAvg_p / T_p` | [`ep_ratio`] |
-//! | Eq. 2 mixed sequential/parallel `EP_t` | [`ep_total`] |
+//! | Eq. 2 mixed sequential/parallel `EP_t` | unit-test reference form only |
 //! | Eq. 3 plane aggregation `EAvg_n = Σ PPL` | [`PlaneSet::total`] |
-//! | Eq. 4 plane-discretised `EP_t` | [`ep_total_planes`] |
+//! | Eq. 4 plane-discretised `EP_t` | unit-test reference form only |
 //! | Eq. 5/6 scaling `S = EP_p / EP_1` | [`ep_scaling`], [`EpCurve`] |
 //! | Fig. 1 ideal vs superlinear regions | [`ScalingClass`], [`classify_point`] |
 //! | Eq. 9 Strassen/blocked crossover | [`crossover_dimension`] |
@@ -40,9 +40,6 @@ mod crossover;
 mod ep;
 mod scaling;
 
-pub use crossover::{crossover_dimension, crossover_dimension_full, CrossoverInputs};
-pub use ep::{
-    ep_ratio, ep_total, ep_total_planes, ep_total_planes_qualified, MeasureQuality, MixedMeasure,
-    PhaseMeasure, PlaneSet, QualifiedEp,
-};
+pub use crossover::crossover_dimension;
+pub use ep::{ep_ratio, MeasureQuality, PhaseMeasure, PlaneSet, QualifiedEp};
 pub use scaling::{classify_point, ep_scaling, EpCurve, EpPoint, ScalingClass};

@@ -55,7 +55,7 @@ pub enum Event {
 }
 
 /// Number of distinct [`Event`] variants (array-index bound).
-pub const EVENT_COUNT: usize = 14;
+pub(crate) const EVENT_COUNT: usize = 14;
 
 /// Every event, in `repr` order. Kept in sync with the enum by the
 /// `all_events_listed` test.
@@ -84,7 +84,7 @@ impl Event {
     }
 
     /// PAPI-flavoured mnemonic used in reports.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             Event::FpOps => "PS_FP_OPS",
             Event::FpAdds => "PS_FP_ADDS",

@@ -36,6 +36,6 @@ mod event;
 mod eventset;
 mod profile;
 
-pub use event::{Event, ALL_EVENTS, EVENT_COUNT};
+pub use event::{Event, ALL_EVENTS};
 pub use eventset::{CounterError, EventSet, SetState};
 pub use profile::Profile;

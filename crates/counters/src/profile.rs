@@ -69,12 +69,12 @@ impl Profile {
     }
 
     /// `true` when every counter is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.counts.iter().all(|&c| c == 0)
     }
 
     /// Iterates `(event, count)` for non-zero events.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (Event, u64)> + '_ {
+    pub(crate) fn iter_nonzero(&self) -> impl Iterator<Item = (Event, u64)> + '_ {
         ALL_EVENTS
             .into_iter()
             .map(|e| (e, self.get(e)))

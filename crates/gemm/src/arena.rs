@@ -5,7 +5,7 @@
 //! to heap-allocate on every panel / recursion node. This module replaces
 //! those allocations with leases drawn from per-thread free lists:
 //!
-//! * [`pack_buf`] leases a `Vec<f64>` of at least the requested length;
+//! * `pack_buf` leases a `Vec<f64>` of at least the requested length;
 //! * [`matrix`] / [`matrix_uninit`] lease a [`Matrix`] of an exact shape.
 //!
 //! Dropping a lease returns the buffer to the current thread's free list,
@@ -113,7 +113,7 @@ const LINE_SLOTS: usize = 8;
 /// exactly the requested length. Contents beyond what the packer writes
 /// are unspecified (stale values from a previous lease) — packing
 /// overwrites its entire region.
-pub struct PackBuf {
+pub(crate) struct PackBuf {
     buf: Vec<f64>,
     /// Slots skipped to reach the first line boundary (`< LINE_SLOTS`).
     start: usize,
@@ -156,7 +156,7 @@ impl Drop for PackBuf {
 /// Leases a cache-line-aligned packing buffer of length `min_len` from the
 /// thread-local arena, allocating only when no cached buffer is large
 /// enough.
-pub fn pack_buf(min_len: usize) -> PackBuf {
+pub(crate) fn pack_buf(min_len: usize) -> PackBuf {
     // Room to slide the start up to the next line boundary.
     let need = min_len + LINE_SLOTS - 1;
     let mut buf = PACK_FREE.with(|f| {

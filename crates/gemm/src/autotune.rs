@@ -31,7 +31,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 /// A capacity with an optional binary suffix: `48K`, `2m`, `1G`, `262144`.
-pub fn parse_size(s: &str) -> Option<usize> {
+pub(crate) fn parse_size(s: &str) -> Option<usize> {
     let s = s.trim();
     let (digits, mult) = match s.as_bytes().last()? {
         b'k' | b'K' => (&s[..s.len() - 1], 1024),
@@ -54,7 +54,7 @@ pub fn parse_cache_list(s: &str) -> Option<Vec<CacheConfig>> {
 }
 
 /// A `mc,kc,nc` triple — the `POWERSCALE_BLOCKING` override format.
-pub fn parse_blocking(s: &str) -> Option<(usize, usize, usize)> {
+pub(crate) fn parse_blocking(s: &str) -> Option<(usize, usize, usize)> {
     let mut it = s.split(',').map(|p| p.trim().parse::<usize>().ok());
     let (mc, kc, nc) = (it.next()??, it.next()??, it.next()??);
     if it.next().is_some() || mc == 0 || kc == 0 || nc == 0 {
@@ -85,7 +85,7 @@ fn fully_associative(size_bytes: usize, line_bytes: usize) -> CacheConfig {
 ///
 /// The probe is pure directory reading, so repeated calls on the same
 /// tree return identical hierarchies.
-pub fn probe_sysfs(root: &Path) -> Option<Vec<CacheConfig>> {
+pub(crate) fn probe_sysfs(root: &Path) -> Option<Vec<CacheConfig>> {
     let cache_dir = root.join("cpu0/cache");
     let mut levels: [Option<(usize, usize)>; 3] = [None; 3];
     for entry in std::fs::read_dir(&cache_dir).ok()?.flatten() {
@@ -179,7 +179,7 @@ static BLOCKING_OVERRIDE: OnceLock<Option<(usize, usize, usize)>> = OnceLock::ne
 /// # Panics
 /// Panics when the variable is non-empty but not a positive `mc,kc,nc`
 /// triple.
-pub fn blocking_override() -> Option<(usize, usize, usize)> {
+pub(crate) fn blocking_override() -> Option<(usize, usize, usize)> {
     *BLOCKING_OVERRIDE.get_or_init(|| {
         env_override(
             "POWERSCALE_BLOCKING",

@@ -148,16 +148,6 @@ impl BlockingParams {
         }
         Ok(())
     }
-
-    /// Bytes of packing buffer needed for one A panel.
-    pub fn packed_a_bytes(&self) -> usize {
-        self.mc * self.kc * 8
-    }
-
-    /// Bytes of packing buffer needed for one B panel.
-    pub fn packed_b_bytes(&self) -> usize {
-        self.kc * self.nc * 8
-    }
 }
 
 impl Default for BlockingParams {
@@ -202,6 +192,19 @@ fn aligned_clamp(x: usize, multiple: usize, lo: usize, hi: usize) -> usize {
 /// sliver (the floor wins where that bound falls below it), `mc` fills
 /// a quarter of L2 at the floor's depth (plus one strip of slack for
 /// the `mr` floor on degenerate hierarchies), and the B panel fits L3.
+#[cfg(test)]
+impl BlockingParams {
+    /// Bytes of packing buffer needed for one A panel.
+    pub(crate) fn packed_a_bytes(&self) -> usize {
+        self.mc * self.kc * 8
+    }
+
+    /// Bytes of packing buffer needed for one B panel.
+    pub(crate) fn packed_b_bytes(&self) -> usize {
+        self.kc * self.nc * 8
+    }
+}
+
 #[cfg(test)]
 pub(crate) fn assert_host_tuned_budgets(h: &BlockingParams, caches: &[CacheConfig]) {
     let (l1, l2, l3) = capacities(caches);

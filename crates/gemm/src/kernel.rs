@@ -33,9 +33,9 @@ use crate::pack::{packed_a_len, PackScalar};
 use powerscale_matrix::MatrixViewMut;
 
 /// Register-tile rows of the portable scalar microkernel.
-pub const SCALAR_MR: usize = 4;
+pub(crate) const SCALAR_MR: usize = 4;
 /// Register-tile columns of the portable scalar microkernel.
-pub const SCALAR_NR: usize = 4;
+pub(crate) const SCALAR_NR: usize = 4;
 
 /// How a microkernel call writes its finished tile `t = a_strip · b_strip`
 /// into C: the epilogue's one choice, carrying the scale `alpha`.
@@ -63,7 +63,7 @@ impl Merge {
 /// `merge` over packed strips of depth `kc`, masking rows/columns outside
 /// `c`. The strip element type is the kernel's packed dtype (`f32` for
 /// the f32 tier, `f64` otherwise); `c` and `alpha` are always `f64`.
-pub type Microkernel<T> = fn(
+pub(crate) type Microkernel<T> = fn(
     kc: usize,
     a_strip: &[T],
     b_strip: &[T],
@@ -197,7 +197,7 @@ impl Eq for KernelInfo {}
 impl KernelInfo {
     /// Bytes per packed panel element for this kernel (8 for f64 panels,
     /// the f64 and mixed tiers; 4 for f32).
-    pub fn packed_elem_bytes(&self) -> usize {
+    pub(crate) fn packed_elem_bytes(&self) -> usize {
         match self.func {
             KernelFn::F64(_) => std::mem::size_of::<f64>(),
             KernelFn::F32(_) => std::mem::size_of::<f32>(),
@@ -326,11 +326,6 @@ pub fn available_kernels() -> Vec<&'static KernelInfo> {
     v
 }
 
-/// Looks a dispatchable kernel up by its [`KernelInfo::name`] label.
-pub fn kernel_by_name(name: &str) -> Option<&'static KernelInfo> {
-    available_kernels().into_iter().find(|k| k.name == name)
-}
-
 /// The ISA tier a [`Dispatch`] resolves kernels in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
@@ -414,18 +409,17 @@ pub fn select_kernel() -> &'static KernelInfo {
     Dispatch::default().kernel()
 }
 
-/// Flops performed by one microkernel call of depth `kc` for an `mr × nr`
-/// tile (full tile, padding included).
-#[inline]
-pub fn microkernel_flops(kc: usize, mr: usize, nr: usize) -> u64 {
-    2 * (kc * mr * nr) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
     use powerscale_matrix::Matrix;
+
+    /// Flops performed by one microkernel call of depth `kc` for an `mr × nr`
+    /// tile (full tile, padding included).
+    fn microkernel_flops(kc: usize, mr: usize, nr: usize) -> u64 {
+        2 * (kc * mr * nr) as u64
+    }
 
     const MR: usize = SCALAR_MR;
     const NR: usize = SCALAR_NR;
@@ -596,7 +590,6 @@ mod tests {
                 DtypeTier::F64 => assert_eq!(k.name, k.isa),
                 d => assert_eq!(k.name, format!("{}-{}", k.isa, d.as_str())),
             }
-            assert_eq!(kernel_by_name(k.name).unwrap().name, k.name);
             // The typed entry matches the dtype's packed element type:
             // mixed packs f64 panels rounded through f32.
             match (k.dtype, k.func) {
@@ -605,7 +598,6 @@ mod tests {
                 _ => panic!("kernel `{}` has a mismatched entry type", k.name),
             }
         }
-        assert!(kernel_by_name("no-such-kernel").is_none());
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl<'a> Operand<'a> {
     }
 
     /// `true` for the two-source combines.
-    pub fn is_fused(&self) -> bool {
+    pub(crate) fn is_fused(&self) -> bool {
         !matches!(self, Operand::View(_))
     }
 

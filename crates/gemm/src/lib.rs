@@ -33,7 +33,7 @@
 //! packing pass and its [`leaf::Accum`] merges products into `C` in place,
 //! so recursion nodes materialise neither operand sums nor product
 //! temporaries. The crate also hosts the naive reference
-//! ([`naive::naive_gemm`], the correctness oracle) and the BOTS-style
+//! (`naive::naive_gemm`, the correctness oracle) and the BOTS-style
 //! unpacked leaf solver ([`leaf::leaf_gemm`]).
 //!
 //! # Example
@@ -68,8 +68,7 @@ mod simd;
 pub use blocking::BlockingParams;
 pub use dgemm::{dgemm, multiply, GemmContext};
 pub use kernel::{
-    available_kernels, kernel_by_name, scalar_kernel, scalar_kernel_for, select_kernel,
-    select_kernel_for, simd_kernel, simd_kernel_for, Dispatch, DtypeTier, KernelFn, KernelInfo,
-    KernelTier,
+    available_kernels, scalar_kernel, scalar_kernel_for, select_kernel, select_kernel_for,
+    simd_kernel, simd_kernel_for, Dispatch, DtypeTier, KernelFn, KernelInfo, KernelTier,
 };
 pub use leaf::{leaf_gemm_fused, leaf_gemm_fused_with, Accum, Operand};

@@ -8,7 +8,7 @@ use powerscale_matrix::{DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
 ///
 /// Deliberately unoptimised beyond loop order; this is the oracle, not a
 /// contender.
-pub fn naive_gemm(
+pub(crate) fn naive_gemm(
     a: &MatrixView<'_>,
     b: &MatrixView<'_>,
     c: &mut MatrixViewMut<'_>,

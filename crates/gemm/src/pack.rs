@@ -25,7 +25,7 @@
 //! The strip widths are runtime parameters (the dispatched kernel's tile
 //! shape, see [`crate::kernel::select_kernel`]). Because each B strip is an
 //! independent contiguous slice of the buffer, a panel can be packed by
-//! several workers in parallel ([`pack_b_strips`]) with byte-identical
+//! several workers in parallel (`pack_b_strips`) with byte-identical
 //! output regardless of how the strips are divided.
 //!
 //! # Element types
@@ -172,7 +172,7 @@ pub fn slots_for<T: PackScalar>(elems: usize) -> usize {
 /// Depth of one A-strip k-chunk: the run of consecutive k-elements of one
 /// row that packing copies as a unit and the kernel then broadcasts from,
 /// one per k-step. Eight `f64`s are one 64-byte cache line of the source.
-pub const K_CHUNK: usize = 8;
+pub(crate) const K_CHUNK: usize = 8;
 
 /// `dst[j] = src[r][c0 + j]`, rounded to `T` — one row segment of a plain
 /// operand.
@@ -291,7 +291,7 @@ fn pack_b_rows<T: PackScalar>(
 
 /// Packs an `m × k` block of A (m ≤ mc, k ≤ kc) into `buf` as `mr`-row
 /// strips of `K_CHUNK`-deep k-chunks, zero-padding rows up to a multiple
-/// of `mr` and the depth up to a multiple of [`K_CHUNK`]. Returns the
+/// of `mr` and the depth up to a multiple of `K_CHUNK`. Returns the
 /// number of strips written.
 ///
 /// `buf` must hold at least [`packed_a_len`]`(m, k, mr)` elements.
@@ -329,7 +329,7 @@ pub fn pack_b<T: PackScalar>(b: &MatrixView<'_>, buf: &mut [T], nr: usize) -> us
 /// worker also writes (first-touches) the chunk it packs, which places the
 /// backing pages on the packing worker's NUMA node under first-touch
 /// placement policies.
-pub fn pack_b_strips<T: PackScalar>(
+pub(crate) fn pack_b_strips<T: PackScalar>(
     b: &Operand<'_>,
     buf: &mut [T],
     nr: usize,
@@ -396,7 +396,7 @@ pub fn pack_a_sum<T: PackScalar>(
 }
 
 /// Elements written by [`pack_a`] for an `m × k` block: whole `mr`-row
-/// strips of whole [`K_CHUNK`]-deep chunks (row and k-tail padding
+/// strips of whole `K_CHUNK`-deep chunks (row and k-tail padding
 /// included). One strip is `packed_a_len(mr, k, mr)` elements.
 pub fn packed_a_len(m: usize, k: usize, mr: usize) -> usize {
     m.div_ceil(mr) * mr * k.next_multiple_of(K_CHUNK)

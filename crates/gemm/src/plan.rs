@@ -19,7 +19,7 @@ use crate::blocking::BlockingParams;
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
 
 /// Flops of a dense `m × n × k` multiply-accumulate.
-pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
+pub(crate) fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * (m as u64) * (k as u64) * (n as u64)
 }
 
@@ -35,7 +35,7 @@ pub fn blocked_gemm_graph_with(n: usize, params: &BlockingParams, tm: &TrafficMo
 }
 
 /// Emits the blocked-DGEMM task graph for general `m × k × n` shapes.
-pub fn blocked_gemm_graph_rect(
+pub(crate) fn blocked_gemm_graph_rect(
     m: usize,
     k: usize,
     n: usize,

@@ -2,7 +2,7 @@
 
 /// One plotted series: a label, a marker character and `(x, y)` points.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label.
     pub label: String,
     /// Marker drawn at each point.

@@ -1,7 +1,7 @@
 //! Run specification and the simulated-measurement runner.
 
 use powerscale_caps::CapsConfig;
-use powerscale_core::{MeasureQuality, PlaneSet, QualifiedEp};
+use powerscale_core::{MeasureQuality, PlaneSet};
 use powerscale_gemm::{BlockingParams, DtypeTier};
 use powerscale_machine::{simulate, MachineConfig, TaskGraph};
 use powerscale_rapl::{
@@ -55,7 +55,7 @@ pub struct RunSpec {
     pub threads: usize,
     /// Numeric tier the kernels compute in. The simulated machine models
     /// f64 arithmetic regardless, so this axis changes *real* executions
-    /// ([`Harness::run_real`] pins the process dtype tier from it) and is
+    /// (`Harness::run_real` pins the process dtype tier from it) and is
     /// carried through sweeps/checkpoints as scenario metadata. Old
     /// checkpoints without the field deserialise as [`DtypeTier::F64`].
     pub dtype: DtypeTier,
@@ -113,21 +113,6 @@ impl RunResult {
     /// Equation 1 on the package plane (the paper's primary reading).
     pub fn ep(&self) -> f64 {
         self.pkg_watts / self.t_seconds
-    }
-
-    /// Equation 1 tagged with measurement fidelity: a `Degraded` EP was
-    /// computed from planes that lost samples or died mid-run — or is not
-    /// a finite number at all (degenerate measurement window).
-    pub fn ep_qualified(&self) -> QualifiedEp {
-        let value = self.ep();
-        QualifiedEp {
-            value,
-            quality: if value.is_finite() {
-                self.quality
-            } else {
-                MeasureQuality::Degraded
-            },
-        }
     }
 
     /// The run's power planes as an Equation 3 set
@@ -233,7 +218,7 @@ impl Harness {
     /// so resumed sweeps recorded before the dtype axis existed keep their
     /// fault schedules, and dtype comparisons at one cell see identical
     /// measurement faults.
-    pub fn cell_fault_seed(base: u64, spec: &RunSpec) -> u64 {
+    pub(crate) fn cell_fault_seed(base: u64, spec: &RunSpec) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01B3;
         let mut h = base ^ 0xCBF2_9CE4_8422_2325;
         for v in [spec.algorithm as u64, spec.n as u64, spec.threads as u64] {
@@ -363,6 +348,24 @@ pub fn find(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powerscale_core::QualifiedEp;
+
+    impl RunResult {
+        /// Equation 1 tagged with measurement fidelity: a `Degraded` EP was
+        /// computed from planes that lost samples or died mid-run — or is
+        /// not a finite number at all (degenerate measurement window).
+        fn ep_qualified(&self) -> QualifiedEp {
+            let value = self.ep();
+            QualifiedEp {
+                value,
+                quality: if value.is_finite() {
+                    self.quality
+                } else {
+                    MeasureQuality::Degraded
+                },
+            }
+        }
+    }
 
     fn harness() -> Harness {
         Harness::default()

@@ -27,15 +27,15 @@
 
 #![warn(missing_docs)]
 
-pub mod ascii;
+pub(crate) mod ascii;
 pub mod experiment;
 pub mod figures;
 pub mod manifest;
-pub mod realexec;
+pub(crate) mod realexec;
 pub mod report;
 pub mod sweep;
 pub mod tables;
-pub mod tracerun;
+pub(crate) mod tracerun;
 
 pub use experiment::{Algorithm, Harness, RunResult, RunSpec};
 pub use powerscale_gemm::DtypeTier;

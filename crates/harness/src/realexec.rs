@@ -54,7 +54,7 @@ impl Harness {
     ///
     /// Operands are seeded from the spec, so identical specs multiply
     /// identical matrices.
-    pub fn run_real(&self, spec: RunSpec, pool: &ThreadPool) -> RealRunResult {
+    pub(crate) fn run_real(&self, spec: RunSpec, pool: &ThreadPool) -> RealRunResult {
         let run_name = match spec.algorithm {
             Algorithm::Blocked => "run:blocked",
             Algorithm::Strassen => "run:strassen",

@@ -208,7 +208,7 @@ pub fn future_work_markdown() -> String {
 /// and the arXiv 1202.3177 strong-scaling figure, both read off the
 /// message-passing transport's own counters (not declared plan volumes).
 /// Also rendered stand-alone by `reproduce --cluster`.
-pub fn cluster_measured_markdown() -> String {
+pub(crate) fn cluster_measured_markdown() -> String {
     use powerscale_cluster::measured;
     let mut md = String::from(
         "### Distributed memory, measured (Eq. 8 verification + strong scaling)\n\n\

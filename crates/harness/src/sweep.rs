@@ -19,7 +19,7 @@
 //! On `--resume`, the manifest must match the requested sweep exactly
 //! (same sizes, threads and fault seed); a mismatch discards the stale
 //! checkpoints rather than silently mixing two different experiments.
-//! Cell fault seeds are derived per-spec ([`Harness::cell_fault_seed`]),
+//! Cell fault seeds are derived per-spec (`Harness::cell_fault_seed`),
 //! so a resumed sweep reproduces the identical fault schedule — and
 //! therefore identical results — as an uninterrupted run.
 

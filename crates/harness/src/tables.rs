@@ -16,7 +16,7 @@ pub mod paper {
     /// Table II: average CAPS slowdown per problem size.
     pub const TABLE2_CAPS: [f64; 5] = [2.840, 2.942, 2.809, 2.561, 2.788];
     /// §VI-B: average CAPS-over-Strassen performance improvement.
-    pub const CAPS_PERF_IMPROVEMENT_PCT: f64 = 5.97;
+    pub(crate) const CAPS_PERF_IMPROVEMENT_PCT: f64 = 5.97;
     /// Table III: average watts per thread count (1..4), final = average.
     pub const TABLE3_OPENBLAS: [f64; 5] = [20.2, 30.9, 40.98, 49.13, 35.3];
     /// Table III: Strassen watts.
@@ -24,13 +24,13 @@ pub mod paper {
     /// Table III: CAPS watts.
     pub const TABLE3_CAPS: [f64; 5] = [17.7, 25.75, 30.175, 33.175, 26.7];
     /// §VI-C: average CAPS-over-Strassen power improvement.
-    pub const CAPS_POWER_IMPROVEMENT_PCT: f64 = 2.59;
+    pub(crate) const CAPS_POWER_IMPROVEMENT_PCT: f64 = 2.59;
     /// Table IV: average EP per size (512/1024/2048/4096), final = average.
     pub const TABLE4_OPENBLAS: [f64; 5] = [6356.33, 1052.34, 136.38, 19.53, 1891.15];
     /// Table IV: Strassen EP.
-    pub const TABLE4_STRASSEN: [f64; 5] = [1912.76, 239.27, 24.60, 4.70, 545.33];
+    pub(crate) const TABLE4_STRASSEN: [f64; 5] = [1912.76, 239.27, 24.60, 4.70, 545.33];
     /// Table IV: CAPS EP.
-    pub const TABLE4_CAPS: [f64; 5] = [1961.28, 244.57, 25.32, 4.86, 559.00];
+    pub(crate) const TABLE4_CAPS: [f64; 5] = [1961.28, 244.57, 25.32, 4.86, 559.00];
     /// §V-C power extremes for OpenBLAS.
     pub const OPENBLAS_MIN_W: f64 = 17.7;
     /// §VI-C highest observed OpenBLAS power.
@@ -182,7 +182,7 @@ pub fn ep_table(results: &[RunResult], sizes: &[usize], threads: &[usize]) -> Ta
 
 /// Average CAPS improvement over Strassen in percent, by metric `f`
 /// (positive = CAPS better, i.e. lower).
-pub fn caps_improvement_pct(
+pub(crate) fn caps_improvement_pct(
     results: &[RunResult],
     sizes: &[usize],
     threads: &[usize],

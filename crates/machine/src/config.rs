@@ -20,7 +20,7 @@ pub struct ComputeModel {
 
 impl ComputeModel {
     /// Peak flops/second of one core.
-    pub fn peak_core_flops(&self) -> f64 {
+    pub(crate) fn peak_core_flops(&self) -> f64 {
         self.freq_ghz * 1e9 * self.flops_per_cycle
     }
 
@@ -131,15 +131,10 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// Peak machine flops/second (all cores).
-    pub fn peak_flops(&self) -> f64 {
-        self.compute.peak_core_flops() * self.cores as f64
-    }
-
     /// Duration of `cost` on one core of an otherwise idle machine
     /// (full DRAM bandwidth, no contention): communication first, then
     /// roofline `max(flop_time, mem_time)`.
-    pub fn unloaded_duration(&self, cost: &TaskCost) -> f64 {
+    pub(crate) fn unloaded_duration(&self, cost: &TaskCost) -> f64 {
         let comm = cost.comm_bytes as f64 / self.comm_bw_bytes_per_s;
         let flop_rate = self.compute.achieved_flops(cost.class);
         let flop_t = if cost.flops == 0 {
@@ -150,12 +145,6 @@ impl MachineConfig {
         let bw = self.dram_bw_bytes_per_s.min(self.core_dram_bw_bytes_per_s);
         let mem_t = cost.dram_bytes as f64 / bw;
         comm + flop_t.max(mem_t)
-    }
-
-    /// The machine's flop/byte balance point: kernels below this arithmetic
-    /// intensity are memory-bound on an idle machine.
-    pub fn machine_balance(&self, class: KernelClass) -> f64 {
-        self.compute.achieved_flops(class) / self.dram_bw_bytes_per_s
     }
 
     /// The traffic model induced by this machine's LLC.
@@ -287,7 +276,6 @@ mod tests {
         let m = presets::e3_1225();
         // 3.2 GHz x 8 flops/cycle = 25.6 Gflop/s per core.
         assert!((m.compute.peak_core_flops() - 25.6e9).abs() < 1.0);
-        assert!((m.peak_flops() - 4.0 * 25.6e9).abs() < 1.0);
     }
 
     #[test]
@@ -405,9 +393,10 @@ mod tests {
     #[test]
     fn balance_point_sane() {
         let m = presets::e3_1225();
-        // Haswell-class machine balance for packed kernels is O(1) flop/byte
-        // — between 0.5 and 10.
-        let b = m.machine_balance(KernelClass::PackedGemm);
+        // Haswell-class machine balance (the flop/byte intensity below which
+        // a kernel is memory-bound on an idle machine) for packed kernels is
+        // O(1) flop/byte — between 0.5 and 10.
+        let b = m.compute.achieved_flops(KernelClass::PackedGemm) / m.dram_bw_bytes_per_s;
         assert!((0.5..10.0).contains(&b), "balance {b}");
     }
 }

@@ -65,4 +65,4 @@ pub use net::{
     NetReport, Phase, RankStats,
 };
 pub use schedule::{simulate, simulate_nodes, EnergyBreakdown, Schedule, ScheduledTask};
-pub use task::{KernelClass, TaskCost, TaskGraph, TaskId, ALL_KERNEL_CLASSES, KERNEL_CLASS_COUNT};
+pub use task::{KernelClass, TaskCost, TaskGraph, TaskId, ALL_KERNEL_CLASSES};

@@ -92,7 +92,7 @@ impl LinkModel {
     }
 
     /// Seconds to move `bytes` in `msgs` messages over this link.
-    pub fn transfer_seconds(&self, bytes: u64, msgs: u64) -> f64 {
+    pub(crate) fn transfer_seconds(&self, bytes: u64, msgs: u64) -> f64 {
         bytes as f64 / (self.bw_bytes_per_s * self.efficiency) + msgs as f64 * self.latency_s
     }
 }
@@ -146,7 +146,7 @@ impl NetConfig {
     }
 
     /// The scale-up group a rank belongs to.
-    pub fn group_of(&self, rank: usize) -> usize {
+    pub(crate) fn group_of(&self, rank: usize) -> usize {
         rank / self.group_size
     }
 
@@ -560,12 +560,6 @@ impl NetReport {
         self.ranks[rank].sent_bytes[phase.index()]
     }
 
-    /// A rank's communication volume in one phase: sent + received bytes
-    /// (the "words moved per processor" that Eq. 8 bounds, in bytes).
-    pub fn rank_phase_bytes(&self, rank: usize, phase: Phase) -> u64 {
-        self.sent_bytes(rank, phase) + self.recv_bytes(rank, phase)
-    }
-
     /// The largest per-rank *incoming* volume in one phase: every
     /// transported byte counted exactly once, at the node it lands on (the
     /// "per-node traffic" the Eq. 8 verification gates on; sender-side
@@ -593,7 +587,7 @@ impl NetReport {
 
     /// Seconds rank `r` spends on the wire: its outgoing traffic plus its
     /// incoming traffic, each folded through the link model it rode on.
-    pub fn comm_seconds(&self, rank: usize) -> f64 {
+    pub(crate) fn comm_seconds(&self, rank: usize) -> f64 {
         let n = self.config.nodes;
         let mut secs = 0.0;
         for peer in 0..n {
@@ -772,7 +766,8 @@ mod tests {
         assert_eq!(report.total_bytes(), 0);
         assert_eq!(report.total_msgs(), 0);
         for r in 0..2 {
-            assert_eq!(report.rank_phase_bytes(r, Phase::Algo), 0);
+            assert_eq!(report.sent_bytes(r, Phase::Algo), 0);
+            assert_eq!(report.recv_bytes(r, Phase::Algo), 0);
         }
     }
 

@@ -51,7 +51,8 @@ pub fn e3_1225() -> MachineConfig {
 /// A uniform, friction-free machine for unit tests: 4 cores, every kernel
 /// class at 100% of a 1 Gflop/s core, effectively unlimited bandwidth, and
 /// round-number power coefficients. Makes hand-computed expectations exact.
-pub fn ideal_test_machine(cores: usize) -> MachineConfig {
+#[cfg(test)]
+pub(crate) fn ideal_test_machine(cores: usize) -> MachineConfig {
     MachineConfig {
         name: format!("ideal-{cores}c"),
         cores,

@@ -24,7 +24,7 @@ pub enum KernelClass {
 }
 
 /// Number of [`KernelClass`] variants.
-pub const KERNEL_CLASS_COUNT: usize = 5;
+pub(crate) const KERNEL_CLASS_COUNT: usize = 5;
 
 /// All kernel classes in `repr` order.
 pub const ALL_KERNEL_CLASSES: [KernelClass; KERNEL_CLASS_COUNT] = [

@@ -49,4 +49,4 @@ pub use view::{MatrixView, MatrixViewMut, Quadrants, QuadrantsMut};
 /// 64 bytes = one x86 cache line = one AVX-512 register; keeping operands
 /// line-aligned makes the blocked-GEMM packing kernels and the cache
 /// simulator's line-granularity accounting exact.
-pub const ALIGN: usize = 64;
+pub(crate) const ALIGN: usize = 64;

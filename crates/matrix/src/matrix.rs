@@ -1,14 +1,14 @@
 //! Owned, cache-line-aligned dense matrices.
 
 use crate::view::{MatrixView, MatrixViewMut};
-use crate::{DimError, DimResult, ALIGN};
+use crate::{DimResult, ALIGN};
 use std::alloc::{self, Layout};
 use std::fmt;
 
 /// An owned, row-major, 64-byte-aligned dense matrix of `f64`.
 ///
 /// The backing buffer is allocated with cache-line alignment (see
-/// [`crate::ALIGN`]) so that SIMD-friendly packing kernels and the cache
+/// `ALIGN`) so that SIMD-friendly packing kernels and the cache
 /// simulator's line-level accounting see a deterministic layout. The leading
 /// dimension of an owned matrix always equals its column count (rows are
 /// dense); strided sub-blocks are expressed with [`MatrixView`].
@@ -278,18 +278,6 @@ impl Matrix {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Validates that `self * rhs` is well-formed and returns the output
-    /// shape.
-    pub fn product_shape(&self, rhs: &Matrix) -> DimResult<(usize, usize)> {
-        if self.cols != rhs.rows {
-            return Err(DimError::Inner {
-                lhs_cols: self.cols,
-                rhs_rows: rhs.rows,
-            });
-        }
-        Ok((self.rows, rhs.cols))
-    }
 }
 
 impl Clone for Matrix {
@@ -372,6 +360,21 @@ mod serde_impl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DimError;
+
+    impl Matrix {
+        /// Validates that `self * rhs` is well-formed and returns the output
+        /// shape.
+        fn product_shape(&self, rhs: &Matrix) -> DimResult<(usize, usize)> {
+            if self.cols != rhs.rows {
+                return Err(DimError::Inner {
+                    lhs_cols: self.cols,
+                    rhs_rows: rhs.rows,
+                });
+            }
+            Ok((self.rows, rhs.cols))
+        }
+    }
 
     #[test]
     fn zeros_are_zero_and_aligned() {

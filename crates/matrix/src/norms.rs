@@ -17,38 +17,6 @@ pub fn frobenius(a: &MatrixView<'_>) -> f64 {
     acc.sqrt()
 }
 
-/// Max-absolute-value (infinity on elements) norm: `max |a_ij|`.
-pub fn max_abs(a: &MatrixView<'_>) -> f64 {
-    let mut m = 0.0f64;
-    for i in 0..a.rows() {
-        for &x in a.row(i) {
-            m = m.max(x.abs());
-        }
-    }
-    m
-}
-
-/// Row-sum (infinity) operator norm: `max_i Σ_j |a_ij|`.
-pub fn inf_norm(a: &MatrixView<'_>) -> f64 {
-    let mut m = 0.0f64;
-    for i in 0..a.rows() {
-        let s: f64 = a.row(i).iter().map(|x| x.abs()).sum();
-        m = m.max(s);
-    }
-    m
-}
-
-/// One (column-sum) operator norm: `max_j Σ_i |a_ij|`.
-pub fn one_norm(a: &MatrixView<'_>) -> f64 {
-    let mut sums = vec![0.0f64; a.cols()];
-    for i in 0..a.rows() {
-        for (j, &x) in a.row(i).iter().enumerate() {
-            sums[j] += x.abs();
-        }
-    }
-    sums.into_iter().fold(0.0, f64::max)
-}
-
 /// Largest elementwise absolute difference between two equally-shaped views.
 ///
 /// # Panics
@@ -87,6 +55,38 @@ pub fn rel_frobenius_error(a: &MatrixView<'_>, b: &MatrixView<'_>) -> f64 {
 mod tests {
     use super::*;
     use crate::Matrix;
+
+    /// Max-absolute-value (infinity on elements) norm: `max |a_ij|`.
+    fn max_abs(a: &MatrixView<'_>) -> f64 {
+        let mut m = 0.0f64;
+        for i in 0..a.rows() {
+            for &x in a.row(i) {
+                m = m.max(x.abs());
+            }
+        }
+        m
+    }
+
+    /// Row-sum (infinity) operator norm: `max_i Σ_j |a_ij|`.
+    fn inf_norm(a: &MatrixView<'_>) -> f64 {
+        let mut m = 0.0f64;
+        for i in 0..a.rows() {
+            let s: f64 = a.row(i).iter().map(|x| x.abs()).sum();
+            m = m.max(s);
+        }
+        m
+    }
+
+    /// One (column-sum) operator norm: `max_j Σ_i |a_ij|`.
+    fn one_norm(a: &MatrixView<'_>) -> f64 {
+        let mut sums = vec![0.0f64; a.cols()];
+        for i in 0..a.rows() {
+            for (j, &x) in a.row(i).iter().enumerate() {
+                sums[j] += x.abs();
+            }
+        }
+        sums.into_iter().fold(0.0, f64::max)
+    }
 
     #[test]
     fn frobenius_of_identity() {

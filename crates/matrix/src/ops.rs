@@ -34,7 +34,7 @@ pub fn add_into(
 }
 
 /// `dst = a - b` elementwise.
-pub fn sub_into(
+pub(crate) fn sub_into(
     a: &MatrixView<'_>,
     b: &MatrixView<'_>,
     dst: &mut MatrixViewMut<'_>,
@@ -63,26 +63,12 @@ pub fn add_assign(dst: &mut MatrixViewMut<'_>, src: &MatrixView<'_>) -> DimResul
 }
 
 /// `dst -= src` elementwise.
-pub fn sub_assign(dst: &mut MatrixViewMut<'_>, src: &MatrixView<'_>) -> DimResult<()> {
+pub(crate) fn sub_assign(dst: &mut MatrixViewMut<'_>, src: &MatrixView<'_>) -> DimResult<()> {
     check2("sub_assign", dst.shape(), src.shape())?;
     for i in 0..src.rows() {
         let (rs, rd) = (src.row(i), dst.row_mut(i));
         for j in 0..rs.len() {
             rd[j] -= rs[j];
-        }
-    }
-    Ok(())
-}
-
-/// `dst = src - dst` elementwise (reversed subtraction in place) — the
-/// accumulate form the Winograd combine `C21 = U3 - P4` needs when `P4`
-/// was computed directly into the `C21` quadrant.
-pub fn rsub_assign(dst: &mut MatrixViewMut<'_>, src: &MatrixView<'_>) -> DimResult<()> {
-    check2("rsub_assign", dst.shape(), src.shape())?;
-    for i in 0..src.rows() {
-        let (rs, rd) = (src.row(i), dst.row_mut(i));
-        for j in 0..rs.len() {
-            rd[j] = rs[j] - rd[j];
         }
     }
     Ok(())
@@ -121,24 +107,6 @@ pub fn sub(a: &MatrixView<'_>, b: &MatrixView<'_>) -> DimResult<Matrix> {
     let mut out = Matrix::zeros(a.rows(), a.cols());
     sub_into(a, b, &mut out.view_mut())?;
     Ok(out)
-}
-
-/// Transposes `src` into `dst` (`dst[j][i] = src[i][j]`).
-pub fn transpose_into(src: &MatrixView<'_>, dst: &mut MatrixViewMut<'_>) -> DimResult<()> {
-    if (src.cols(), src.rows()) != dst.shape() {
-        return Err(DimError::Mismatch {
-            op: "transpose",
-            lhs: (src.cols(), src.rows()),
-            rhs: dst.shape(),
-        });
-    }
-    for i in 0..src.rows() {
-        let r = src.row(i);
-        for (j, &v) in r.iter().enumerate() {
-            dst.set(j, i, v);
-        }
-    }
-    Ok(())
 }
 
 /// Minimum rows per band before the parallel elementwise ops split work:
@@ -270,57 +238,50 @@ pub fn par_sub_assign(
     Ok(())
 }
 
-/// `dst = src - dst`, row-band parallel; see [`par_add_into`].
-pub fn par_rsub_assign(
-    dst: &mut MatrixViewMut<'_>,
-    src: &MatrixView<'_>,
-    pool: Option<&ThreadPool>,
-) -> DimResult<()> {
-    check2("rsub_assign", dst.shape(), src.shape())?;
-    if !should_split(pool, dst.rows()) {
-        return rsub_assign(dst, src);
-    }
-    let f = |d: &mut MatrixViewMut<'_>, s: &MatrixView<'_>| {
-        rsub_assign(d, s).expect("band shapes pre-checked");
-    };
-    pool.expect("checked by should_split")
-        .scope(|s| par_bands1(s, dst.reborrow(), *src, &f));
-    Ok(())
-}
-
-/// `dst += alpha * src`, row-band parallel; see [`par_add_into`].
-pub fn par_axpy_assign(
-    dst: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    src: &MatrixView<'_>,
-    pool: Option<&ThreadPool>,
-) -> DimResult<()> {
-    check2("axpy", dst.shape(), src.shape())?;
-    if !should_split(pool, dst.rows()) {
-        return axpy_assign(dst, alpha, src);
-    }
-    let f = move |d: &mut MatrixViewMut<'_>, s: &MatrixView<'_>| {
-        axpy_assign(d, alpha, s).expect("band shapes pre-checked");
-    };
-    pool.expect("checked by should_split")
-        .scope(|s| par_bands1(s, dst.reborrow(), *src, &f));
-    Ok(())
-}
-
-/// Number of f64 additions performed by an elementwise op over `shape`.
-///
-/// Used by the cost models: every `add_into`/`sub_into`/`add_assign` on an
-/// `r × c` block performs exactly `r * c` flops and moves `3 * r * c`
-/// (two reads + one write) or `2 * r * c` (accumulate forms) elements.
-#[inline]
-pub fn elementwise_flops(shape: (usize, usize)) -> u64 {
-    shape.0 as u64 * shape.1 as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Matrix;
+
+    /// `dst = src - dst` elementwise (reversed subtraction in place).
+    fn rsub_assign(dst: &mut MatrixViewMut<'_>, src: &MatrixView<'_>) -> DimResult<()> {
+        check2("rsub_assign", dst.shape(), src.shape())?;
+        for i in 0..src.rows() {
+            let (rs, rd) = (src.row(i), dst.row_mut(i));
+            for j in 0..rs.len() {
+                rd[j] = rs[j] - rd[j];
+            }
+        }
+        Ok(())
+    }
+
+    /// Transposes `src` into `dst` (`dst[j][i] = src[i][j]`).
+    fn transpose_into(src: &MatrixView<'_>, dst: &mut MatrixViewMut<'_>) -> DimResult<()> {
+        if (src.cols(), src.rows()) != dst.shape() {
+            return Err(DimError::Mismatch {
+                op: "transpose",
+                lhs: (src.cols(), src.rows()),
+                rhs: dst.shape(),
+            });
+        }
+        for i in 0..src.rows() {
+            let r = src.row(i);
+            for (j, &v) in r.iter().enumerate() {
+                dst.set(j, i, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of f64 additions performed by an elementwise op over `shape`.
+    ///
+    /// Used by the cost models: every `add_into`/`sub_into`/`add_assign` on an
+    /// `r × c` block performs exactly `r * c` flops and moves `3 * r * c`
+    /// (two reads + one write) or `2 * r * c` (accumulate forms) elements.
+    #[inline]
+    fn elementwise_flops(shape: (usize, usize)) -> u64 {
+        shape.0 as u64 * shape.1 as u64
+    }
 
     fn m(rows: usize, cols: usize, f: impl FnMut(usize, usize) -> f64) -> Matrix {
         Matrix::from_fn(rows, cols, f)
@@ -437,7 +398,7 @@ mod tests {
         par_sub_into(&a.view(), &b.view(), &mut par.view_mut(), Some(&pool)).unwrap();
         assert_eq!(seq, par);
 
-        for variant in 0..4 {
+        for variant in 0..2 {
             let mut seq = a.clone();
             let mut par = a.clone();
             match variant {
@@ -445,17 +406,9 @@ mod tests {
                     add_assign(&mut seq.view_mut(), &b.view()).unwrap();
                     par_add_assign(&mut par.view_mut(), &b.view(), Some(&pool)).unwrap();
                 }
-                1 => {
+                _ => {
                     sub_assign(&mut seq.view_mut(), &b.view()).unwrap();
                     par_sub_assign(&mut par.view_mut(), &b.view(), Some(&pool)).unwrap();
-                }
-                2 => {
-                    rsub_assign(&mut seq.view_mut(), &b.view()).unwrap();
-                    par_rsub_assign(&mut par.view_mut(), &b.view(), Some(&pool)).unwrap();
-                }
-                _ => {
-                    axpy_assign(&mut seq.view_mut(), 0.75, &b.view()).unwrap();
-                    par_axpy_assign(&mut par.view_mut(), 0.75, &b.view(), Some(&pool)).unwrap();
                 }
             }
             assert_eq!(seq, par, "variant {variant} diverged");
@@ -483,11 +436,11 @@ mod tests {
         let src = Matrix::filled(rows, rows, 2.0);
         {
             let mut q = big.sub_view_mut((rows, rows), (rows, rows)).unwrap();
-            par_rsub_assign(&mut q, &src.view(), Some(&pool)).unwrap();
+            par_sub_assign(&mut q, &src.view(), Some(&pool)).unwrap();
         }
-        // Inside: 2 - (-1) = 3. Outside: untouched.
-        assert_eq!(big.get(rows, rows), 3.0);
-        assert_eq!(big.get(2 * rows - 1, 2 * rows - 1), 3.0);
+        // Inside: -1 - 2 = -3. Outside: untouched.
+        assert_eq!(big.get(rows, rows), -3.0);
+        assert_eq!(big.get(2 * rows - 1, 2 * rows - 1), -3.0);
         assert_eq!(big.get(rows - 1, rows), -1.0);
         assert_eq!(big.get(rows, rows - 1), -1.0);
     }

@@ -9,11 +9,6 @@
 
 use crate::{Matrix, MatrixView};
 
-/// Smallest power of two ≥ `n` (with `pad_to_pow2(0) == 1`).
-pub fn next_pow2(n: usize) -> usize {
-    n.max(1).next_power_of_two()
-}
-
 /// Smallest `base · 2^k ≥ n` (k ≥ 0).
 ///
 /// This is the padding target used by the Strassen/CAPS drivers: rather than
@@ -32,22 +27,6 @@ pub fn next_recursive_size(n: usize, base: usize) -> usize {
         k += 1;
     }
     n.div_ceil(1 << k) << k
-}
-
-/// Number of recursion levels available before hitting `cutoff`:
-/// the largest `k` with `n / 2^k ≥ cutoff` (0 when `n < 2·cutoff` or inputs
-/// are degenerate).
-pub fn recursion_depth(n: usize, cutoff: usize) -> u32 {
-    if cutoff == 0 || n < cutoff {
-        return 0;
-    }
-    let mut k = 0u32;
-    let mut m = n;
-    while m.is_multiple_of(2) && m / 2 >= cutoff {
-        m /= 2;
-        k += 1;
-    }
-    k
 }
 
 /// Embeds `src` in the top-left corner of a `size × size` zero matrix.
@@ -83,6 +62,27 @@ pub fn crop(src: &MatrixView<'_>, rows: usize, cols: usize) -> Matrix {
 mod tests {
     use super::*;
     use crate::Matrix;
+
+    /// Smallest power of two ≥ `n` (with `pad_to_pow2(0) == 1`).
+    fn next_pow2(n: usize) -> usize {
+        n.max(1).next_power_of_two()
+    }
+
+    /// Number of recursion levels available before hitting `cutoff`:
+    /// the largest `k` with `n / 2^k ≥ cutoff` (0 when `n < 2·cutoff` or inputs
+    /// are degenerate).
+    fn recursion_depth(n: usize, cutoff: usize) -> u32 {
+        if cutoff == 0 || n < cutoff {
+            return 0;
+        }
+        let mut k = 0u32;
+        let mut m = n;
+        while m.is_multiple_of(2) && m / 2 >= cutoff {
+            m /= 2;
+            k += 1;
+        }
+        k
+    }
 
     #[test]
     fn next_pow2_values() {

@@ -74,7 +74,7 @@ impl<'a> MatrixView<'a> {
     /// `ptr` must point to an allocation valid for reads of
     /// `(rows - 1) * ld + cols` consecutive `f64`s for lifetime `'a`, with
     /// `cols <= ld` (or `rows == 0`), and no mutable alias may exist.
-    pub unsafe fn from_raw(ptr: *const f64, rows: usize, cols: usize, ld: usize) -> Self {
+    pub(crate) unsafe fn from_raw(ptr: *const f64, rows: usize, cols: usize, ld: usize) -> Self {
         debug_assert!(cols <= ld || rows == 0);
         MatrixView {
             ptr,
@@ -95,12 +95,6 @@ impl<'a> MatrixView<'a> {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Leading dimension (row stride) of the parent allocation.
-    #[inline]
-    pub fn ld(&self) -> usize {
-        self.ld
     }
 
     /// `(rows, cols)` pair.
@@ -175,21 +169,6 @@ impl<'a> MatrixView<'a> {
         ))
     }
 
-    /// Splits into `(left, right)` at column `c`.
-    pub fn split_cols_at(&self, c: usize) -> DimResult<(MatrixView<'a>, MatrixView<'a>)> {
-        if c > self.cols {
-            return Err(DimError::OutOfBounds {
-                origin: (0, c),
-                shape: (0, 0),
-                parent: self.shape(),
-            });
-        }
-        Ok((
-            self.sub_view((0, 0), (self.rows, c))?,
-            self.sub_view((0, c), (self.rows, self.cols - c))?,
-        ))
-    }
-
     /// Splits a square, even-dimensioned view into its four quadrants.
     pub fn quadrants(&self) -> DimResult<Quadrants<'a>> {
         let (h, w) = self.even_halves("quadrants")?;
@@ -238,7 +217,7 @@ impl<'a> MatrixViewMut<'a> {
     /// `cols <= ld` (or `rows == 0`), and the region addressed by the view
     /// (each row `i` spanning `[i*ld, i*ld + cols)`) must not be aliased by
     /// any other live reference or view.
-    pub unsafe fn from_raw(ptr: *mut f64, rows: usize, cols: usize, ld: usize) -> Self {
+    pub(crate) unsafe fn from_raw(ptr: *mut f64, rows: usize, cols: usize, ld: usize) -> Self {
         debug_assert!(cols <= ld || rows == 0);
         MatrixViewMut {
             ptr,
@@ -259,12 +238,6 @@ impl<'a> MatrixViewMut<'a> {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Leading dimension (row stride) of the parent allocation.
-    #[inline]
-    pub fn ld(&self) -> usize {
-        self.ld
     }
 
     /// `(rows, cols)` pair.
@@ -369,7 +342,10 @@ impl<'a> MatrixViewMut<'a> {
     }
 
     /// Splits into disjoint `(left, right)` mutable views at column `c`.
-    pub fn split_cols_at(self, c: usize) -> DimResult<(MatrixViewMut<'a>, MatrixViewMut<'a>)> {
+    pub(crate) fn split_cols_at(
+        self,
+        c: usize,
+    ) -> DimResult<(MatrixViewMut<'a>, MatrixViewMut<'a>)> {
         if c > self.cols {
             return Err(DimError::OutOfBounds {
                 origin: (0, c),
@@ -485,7 +461,7 @@ mod tests {
         let v = m.sub_view((2, 3), (4, 4)).unwrap();
         assert_eq!(v.get(0, 0), m.get(2, 3));
         assert_eq!(v.get(3, 3), m.get(5, 6));
-        assert_eq!(v.ld(), 8);
+        assert_eq!(v.ld, 8);
     }
 
     #[test]
@@ -538,7 +514,8 @@ mod tests {
         assert_eq!(bottom.shape(), (3, 4));
         assert_eq!(bottom.get(0, 0), m.get(1, 0));
 
-        let (left, right) = m.view().split_cols_at(3).unwrap();
+        let mut copy = m.clone();
+        let (left, right) = copy.view_mut().split_cols_at(3).unwrap();
         assert_eq!(left.shape(), (4, 3));
         assert_eq!(right.shape(), (4, 1));
         assert_eq!(right.get(2, 0), m.get(2, 3));

@@ -15,10 +15,8 @@
 //!   recursion boundaries and return early,
 //!
 //! so an expired request frees its workers within one leaf's latency
-//! instead of running the whole task tree to completion. Skipped tasks are
-//! counted as `jobs_cancelled` in [`crate::PoolStats`] — distinct from
-//! `panics_caught`, because a cancelled job is a *policy* outcome, not a
-//! failure.
+//! instead of running the whole task tree to completion. A skipped task is
+//! a *policy* outcome, not a failure: it never runs, so it cannot panic.
 //!
 //! The token travels implicitly: while a cancellable task runs, the token
 //! is installed in a thread-local, so nested [`crate::ThreadPool::scope`]
@@ -86,11 +84,6 @@ impl CancelToken {
                 deadline: Some(deadline),
             }),
         }
-    }
-
-    /// A token firing `budget` from now.
-    pub fn with_timeout(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
     }
 
     /// The absolute deadline, if the token has one.
@@ -165,7 +158,7 @@ thread_local! {
 /// Inside a task spawned (transitively) under
 /// [`crate::ThreadPool::scope_with_cancel`], this is that scope's token;
 /// elsewhere `None`.
-pub fn current_cancel_token() -> Option<CancelToken> {
+pub(crate) fn current_cancel_token() -> Option<CancelToken> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
@@ -242,7 +235,7 @@ mod tests {
 
     #[test]
     fn future_deadline_stays_live_until_it_passes() {
-        let t = CancelToken::with_timeout(Duration::from_secs(3600));
+        let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         assert!(t.remaining().unwrap() > Duration::from_secs(3000));
     }

@@ -12,7 +12,7 @@
 //! drains, so recursive task trees never deadlock, exactly like untied OpenMP
 //! tasks migrating between threads.
 //!
-//! Per-worker [`stats`](WorkerStats) (tasks run, steals, injector hits) feed
+//! Per-worker [`stats`](PoolStats) (tasks run, steals, injector hits) feed
 //! the communication accounting in the machine model: a steal is exactly the
 //! event that moves operand data between cores' caches.
 //!
@@ -20,15 +20,14 @@
 //! [`ThreadPool::scope_with_cancel`] and its [`CancelToken`] (explicit or
 //! deadline-armed) is consulted at spawn and steal/pop boundaries and
 //! exposed to leaf kernels via [`cancel_requested`], so an expired request
-//! frees its workers instead of running to completion. Cancelled jobs are
-//! tallied separately from panics ([`PoolStats::jobs_cancelled`]).
+//! frees its workers instead of running to completion.
 //!
 //! Workers can further be partitioned into **scheduling groups**
 //! ([`ThreadPool::try_install_groups`]) — the disjoint processor groups of
 //! a CAPS BFS step. Grouped workers steal own-group first; under a strict
 //! layout they never execute work from another group, and the
 //! in-group/cross-group split of every steal is reported in
-//! [`WorkerStats`]/[`PoolStats`].
+//! [`PoolStats`].
 //!
 //! # Example
 //!
@@ -59,9 +58,9 @@ mod pool;
 mod scope;
 mod stats;
 
-pub use cancel::{cancel_requested, current_cancel_token, CancelReason, CancelToken};
+pub use cancel::{cancel_requested, CancelReason, CancelToken};
 #[cfg(feature = "deterministic")]
 pub use det::{DetConfig, DetEvent, DetTrace};
 pub use pool::{current_worker_index, GroupGuard, ThreadPool};
 pub use scope::Scope;
-pub use stats::{PoolStats, WorkerSnapshot, WorkerStats};
+pub use stats::PoolStats;

@@ -140,30 +140,11 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         }
     }
 
-    /// The cancellation token governing this scope, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// `true` when the scope's token (if any) has fired: new spawns will
     /// be dropped and queued tasks skipped, so the caller should stop
     /// generating work and discard partial results.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Spawn boundary of the cancellation protocol: when the scope is
-    /// cancelled, records `n` dropped tasks and tells the caller to skip
-    /// queueing them.
-    fn skip_cancelled(&self, n: usize) -> bool {
-        if self.is_cancelled() {
-            for _ in 0..n {
-                self.pool.count_cancelled_current();
-            }
-            true
-        } else {
-            false
-        }
     }
 
     /// Wraps a task closure in the latch/panic protocol and erases its
@@ -194,7 +175,6 @@ impl<'pool, 'env> Scope<'pool, 'env> {
                 // Steal/pop boundary: the scope was cancelled after this
                 // task was queued. Skip the body — a cancelled job is a
                 // policy outcome, not a panic.
-                pool.count_cancelled_current();
                 latch.complete_one();
                 return;
             }
@@ -206,7 +186,6 @@ impl<'pool, 'env> Scope<'pool, 'env> {
             let scope = Scope::new(pool, &latch, cancel);
             let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
             if let Err(payload) = result {
-                pool.count_panic_current();
                 latch.record_panic(payload);
             }
             latch.complete_one();
@@ -227,13 +206,12 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// Panics inside the task are captured and re-raised when the scope
     /// closes (first panic wins).
     ///
-    /// On a cancelled scope the task is dropped (counted in
-    /// `jobs_cancelled`) instead of queued.
+    /// On a cancelled scope the task is dropped instead of queued.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'_, 'env>) + Send + 'env,
     {
-        if self.skip_cancelled(1) {
+        if self.is_cancelled() {
             return;
         }
         self.latch.increment();
@@ -266,7 +244,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         G: FnMut(usize) -> F,
         F: FnOnce(&Scope<'_, 'env>) + Send + 'env,
     {
-        if n == 0 || self.skip_cancelled(n) {
+        if n == 0 || self.is_cancelled() {
             return;
         }
         self.latch.increment_by(n);
@@ -289,7 +267,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
             worker < self.pool.num_workers(),
             "spawn_in: worker {worker} out of range"
         );
-        if self.skip_cancelled(1) {
+        if self.is_cancelled() {
             return;
         }
         self.latch.increment();

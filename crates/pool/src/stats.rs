@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// All counters are monotonically increasing over the pool's lifetime and may
 /// be read at any time with [`WorkerStats::snapshot`].
 #[derive(Debug, Default)]
-pub struct WorkerStats {
+pub(crate) struct WorkerStats {
     /// Tasks executed after being popped from this worker's own deque.
     pub(crate) local: CachePadded<AtomicU64>,
     /// Tasks executed after being stolen from another worker's deque.
@@ -29,16 +29,11 @@ pub struct WorkerStats {
     pub(crate) injected: CachePadded<AtomicU64>,
     /// Times this worker went to sleep waiting for work.
     pub(crate) parks: CachePadded<AtomicU64>,
-    /// Task panics caught and deferred to the scope boundary.
-    pub(crate) panics: CachePadded<AtomicU64>,
-    /// Tasks dropped at spawn or skipped at the steal/pop boundary because
-    /// their scope's [`crate::CancelToken`] had fired.
-    pub(crate) cancelled: CachePadded<AtomicU64>,
 }
 
 /// An immutable snapshot of one worker's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerSnapshot {
+pub(crate) struct WorkerSnapshot {
     /// Tasks popped from the worker's own deque.
     pub local: u64,
     /// Tasks stolen from sibling workers.
@@ -52,11 +47,6 @@ pub struct WorkerSnapshot {
     pub injected: u64,
     /// Times the worker parked.
     pub parks: u64,
-    /// Task panics this worker caught (recovery events, not crashes).
-    pub panics: u64,
-    /// Tasks this worker dropped or skipped due to cancellation — policy
-    /// outcomes, deliberately **not** counted as panics.
-    pub cancelled: u64,
 }
 
 impl WorkerSnapshot {
@@ -88,14 +78,6 @@ impl WorkerStats {
         self.parks.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Reads the current counter values.
     pub fn snapshot(&self) -> WorkerSnapshot {
         WorkerSnapshot {
@@ -105,8 +87,6 @@ impl WorkerStats {
             steals_cross_group: self.steals_cross_group.load(Ordering::Relaxed),
             injected: self.injected.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
         }
     }
 }
@@ -115,7 +95,7 @@ impl WorkerStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
     /// One snapshot per worker, in worker-index order.
-    pub workers: Vec<WorkerSnapshot>,
+    pub(crate) workers: Vec<WorkerSnapshot>,
 }
 
 impl PoolStats {
@@ -138,23 +118,6 @@ impl PoolStats {
     /// analogue of the paper's inter-group communication.
     pub fn steals_cross_group(&self) -> u64 {
         self.workers.iter().map(|w| w.steals_cross_group).sum()
-    }
-
-    /// Total task panics caught across workers. Non-zero means some work
-    /// unwound and was recovered at a scope boundary — results computed in
-    /// that scope may be partial.
-    pub fn panics_caught(&self) -> u64 {
-        self.workers.iter().map(|w| w.panics).sum()
-    }
-
-    /// Total jobs dropped at spawn or skipped at the steal/pop boundary
-    /// because their scope's [`crate::CancelToken`] had fired. A
-    /// cancellation is a *policy* outcome (a deadline or an explicit
-    /// cancel), deliberately kept distinct from [`PoolStats::panics_caught`]:
-    /// a serving layer sheds expired work without its failure counters
-    /// moving.
-    pub fn jobs_cancelled(&self) -> u64 {
-        self.workers.iter().map(|w| w.cancelled).sum()
     }
 
     /// Fraction of executed tasks that migrated (steal or injector) rather
@@ -186,8 +149,6 @@ mod tests {
         s.count_stolen(false);
         s.count_injected();
         s.count_park();
-        s.count_panic();
-        s.count_cancelled();
         let snap = s.snapshot();
         assert_eq!(snap.local, 2);
         assert_eq!(snap.stolen, 2);
@@ -195,8 +156,6 @@ mod tests {
         assert_eq!(snap.steals_cross_group, 1);
         assert_eq!(snap.injected, 1);
         assert_eq!(snap.parks, 1);
-        assert_eq!(snap.panics, 1);
-        assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.executed(), 5);
     }
 
@@ -221,8 +180,6 @@ mod tests {
                     steals_cross_group: 0,
                     injected: 2,
                     parks: 0,
-                    panics: 1,
-                    cancelled: 3,
                 },
                 WorkerSnapshot {
                     local: 4,
@@ -231,8 +188,6 @@ mod tests {
                     steals_cross_group: 3,
                     injected: 2,
                     parks: 1,
-                    panics: 2,
-                    cancelled: 1,
                 },
             ],
         };
@@ -240,8 +195,6 @@ mod tests {
         assert_eq!(stats.total_stolen(), 6);
         assert_eq!(stats.steals_in_group(), 3);
         assert_eq!(stats.steals_cross_group(), 3);
-        assert_eq!(stats.panics_caught(), 3);
-        assert_eq!(stats.jobs_cancelled(), 4);
         assert!((stats.migration_fraction() - 0.5).abs() < 1e-12);
     }
 

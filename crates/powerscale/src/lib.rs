@@ -26,6 +26,7 @@
 //! | [`sparse`] | `powerscale-sparse` | sparse formats + SpMV EP study (§VIII) |
 //! | [`cluster`] | `powerscale-cluster` | distributed-memory study (§VIII) |
 //! | [`harness`] | `powerscale-harness` | the paper's 48-run experiment matrix |
+//! | [`trace`] | `powerscale-trace` | run-timeline recorder + trace exporters |
 //!
 //! # Quickstart
 //!

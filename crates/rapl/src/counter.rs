@@ -19,13 +19,6 @@ impl Default for RaplUnits {
 }
 
 impl RaplUnits {
-    /// Decodes the unit field of a raw `MSR_RAPL_POWER_UNIT` value.
-    pub fn from_power_unit_msr(raw: u64) -> Self {
-        RaplUnits {
-            esu_exponent: ((raw >> 8) & 0x1F) as u8,
-        }
-    }
-
     /// Joules per counter tick.
     pub fn joules_per_tick(&self) -> f64 {
         1.0 / f64::from(1u32 << self.esu_exponent)
@@ -104,6 +97,15 @@ impl EnergyCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RaplUnits {
+        /// Decodes the unit field of a raw `MSR_RAPL_POWER_UNIT` value.
+        fn from_power_unit_msr(raw: u64) -> Self {
+            RaplUnits {
+                esu_exponent: ((raw >> 8) & 0x1F) as u8,
+            }
+        }
+    }
 
     #[test]
     fn default_units_are_haswell() {

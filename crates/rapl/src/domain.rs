@@ -22,18 +22,9 @@ pub enum Domain {
     Psys,
 }
 
-/// Every domain, in canonical order.
-pub const ALL_DOMAINS: [Domain; 5] = [
-    Domain::Package,
-    Domain::PP0,
-    Domain::PP1,
-    Domain::Dram,
-    Domain::Psys,
-];
-
 impl Domain {
     /// The x86 MSR address of the domain's energy-status register.
-    pub fn msr_address(self) -> u32 {
+    pub(crate) fn msr_address(self) -> u32 {
         match self {
             Domain::Package => 0x611,
             Domain::PP0 => 0x639,
@@ -43,19 +34,8 @@ impl Domain {
         }
     }
 
-    /// The powercap-sysfs `name` file contents identifying the domain.
-    pub fn sysfs_name(self) -> &'static str {
-        match self {
-            Domain::Package => "package-0",
-            Domain::PP0 => "core",
-            Domain::PP1 => "uncore",
-            Domain::Dram => "dram",
-            Domain::Psys => "psys",
-        }
-    }
-
     /// Parses a powercap `name` file value.
-    pub fn from_sysfs_name(s: &str) -> Option<Domain> {
+    pub(crate) fn from_sysfs_name(s: &str) -> Option<Domain> {
         let s = s.trim();
         if s.starts_with("package") {
             return Some(Domain::Package);
@@ -86,6 +66,28 @@ impl fmt::Display for Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every domain, in canonical order.
+    const ALL_DOMAINS: [Domain; 5] = [
+        Domain::Package,
+        Domain::PP0,
+        Domain::PP1,
+        Domain::Dram,
+        Domain::Psys,
+    ];
+
+    impl Domain {
+        /// The powercap-sysfs `name` file contents identifying the domain.
+        fn sysfs_name(self) -> &'static str {
+            match self {
+                Domain::Package => "package-0",
+                Domain::PP0 => "core",
+                Domain::PP1 => "uncore",
+                Domain::Dram => "dram",
+                Domain::Psys => "psys",
+            }
+        }
+    }
 
     #[test]
     fn msr_addresses_canonical() {

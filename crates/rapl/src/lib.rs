@@ -14,10 +14,8 @@
 //! * [`EnergyReader`] — the backend trait, with
 //!   [`ModelReader`](model::ModelReader) (driven by a simulated
 //!   [`powerscale_machine::Schedule`]),
-//!   [`SysfsReader`](sysfs::SysfsReader) (parsing a
-//!   `/sys/class/powercap/intel-rapl` tree, injectable for tests) and
-//!   [`MsrImageReader`](msr::MsrImageReader) (the paper's
-//!   `/dev/cpu/*/msr` access pattern over any file);
+//!   and [`SysfsReader`](sysfs::SysfsReader) (parsing a
+//!   `/sys/class/powercap/intel-rapl` tree, injectable for tests);
 //! * [`FaultInjectingReader`] / [`ResilientReader`] — the measurement
 //!   pipeline's fault layer: seeded counter faults (transient failures,
 //!   torn reads, resets, stuck counters, dying domains) and the
@@ -56,12 +54,11 @@ mod domain;
 pub mod fault;
 mod meter;
 pub mod model;
-pub mod msr;
 pub mod resilient;
 pub mod sysfs;
 
 pub use counter::{EnergyCounter, RaplUnits};
-pub use domain::{Domain, ALL_DOMAINS};
+pub use domain::Domain;
 pub use fault::{FaultConfig, FaultInjectingReader};
 pub use meter::{EnergyMeter, EnergyReport, SampleQuality};
 pub use resilient::{DomainHealth, DomainQuality, ResilientConfig, ResilientReader};

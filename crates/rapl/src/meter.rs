@@ -65,14 +65,6 @@ impl EnergyReport {
         })
     }
 
-    /// Sample quality for one domain.
-    pub fn quality_for(&self, domain: Domain) -> Option<SampleQuality> {
-        self.quality
-            .iter()
-            .find(|&&(d, _)| d == domain)
-            .map(|&(_, q)| q)
-    }
-
     /// True when any tracked domain lost samples or finished unhealthy.
     pub fn is_degraded(&self) -> bool {
         self.quality.iter().any(|(_, q)| !q.is_clean())
@@ -196,6 +188,16 @@ impl EnergyMeter {
 mod tests {
     use super::*;
     use crate::model::ModelReader;
+
+    impl EnergyReport {
+        /// Sample quality for one domain.
+        fn quality_for(&self, domain: Domain) -> Option<SampleQuality> {
+            self.quality
+                .iter()
+                .find(|&&(d, _)| d == domain)
+                .map(|&(_, q)| q)
+        }
+    }
 
     #[test]
     fn meter_integrates_constant_power() {

@@ -17,7 +17,7 @@ use crate::EnergyReader;
 use std::path::{Path, PathBuf};
 
 /// The canonical tree root on Linux.
-pub const DEFAULT_ROOT: &str = "/sys/class/powercap/intel-rapl";
+pub(crate) const DEFAULT_ROOT: &str = "/sys/class/powercap/intel-rapl";
 
 /// One discovered powercap domain directory.
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ impl SysfsReader {
     }
 
     /// Scans an explicit tree root (used by tests and containers).
-    pub fn from_root(root: &Path) -> Self {
+    pub(crate) fn from_root(root: &Path) -> Self {
         let mut zones = Vec::new();
         let Ok(entries) = std::fs::read_dir(root) else {
             return SysfsReader { zones };

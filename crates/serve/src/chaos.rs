@@ -60,7 +60,7 @@ impl ChaosConfig {
     }
 
     /// True when this `(request, attempt)` pair is scheduled to panic.
-    pub fn attempt_panics(&self, id: u64, attempt: u32) -> bool {
+    pub(crate) fn attempt_panics(&self, id: u64, attempt: u32) -> bool {
         if self.panic_permille == 0 {
             return false;
         }
@@ -73,7 +73,7 @@ impl ChaosConfig {
     /// Panics if the schedule says this attempt dies. Called at task
     /// start inside the executor's `catch_unwind` perimeter, so it lands
     /// exactly where a real worker fault would.
-    pub fn maybe_panic(&self, id: u64, attempt: u32) {
+    pub(crate) fn maybe_panic(&self, id: u64, attempt: u32) {
         if self.attempt_panics(id, attempt) {
             panic!("chaos: injected worker panic (request {id}, attempt {attempt})");
         }
@@ -81,7 +81,7 @@ impl ChaosConfig {
 
     /// The RAPL fault schedule for one request, derived so per-request
     /// schedules are independent but reproducible.
-    pub fn fault_config(&self, id: u64) -> FaultConfig {
+    pub(crate) fn fault_config(&self, id: u64) -> FaultConfig {
         FaultConfig::chaos(fnv1a(&[self.seed, id, 0x5eed]))
     }
 }

@@ -52,7 +52,7 @@ pub mod server;
 
 pub use chaos::ChaosConfig;
 pub use journal::{Journal, JournalError, JournalRecord, ServeManifest};
-pub use placement::{partition, scaling_cap, slot_width};
-pub use queue::{Admitted, BoundedQueue, ExecPlan};
+pub use placement::partition;
+pub use queue::ExecPlan;
 pub use request::{checksum_f64, DegradeStep, FailReason, JobSpec, RejectReason, Response, Status};
 pub use server::{ServeStats, Server, ServerConfig};

@@ -9,7 +9,7 @@
 //!   fan-out stays on its own workers (the paper's disjoint processor
 //!   groups, reused from the CAPS BFS steps).
 //! * **Width** — how many of a group's workers one request may use
-//!   ([`slot_width`]). The blocked algorithm fans out in `mc`-row bands,
+//!   (`slot_width`). The blocked algorithm fans out in `mc`-row bands,
 //!   so a request of dimension `n` can keep at most `ceil(n / mc)`
 //!   workers busy; handing it more just parks them. This is the
 //!   strong-scaling cap of the memory-independent communication bounds
@@ -49,7 +49,7 @@ pub fn partition(threads: usize, executors: usize) -> Vec<Range<usize>> {
 /// at least 1. More workers than bands cannot reduce the critical path —
 /// the strong-scaling limit of arXiv 1202.3177 expressed in this
 /// codebase's blocking terms.
-pub fn scaling_cap(n: usize, mc: usize) -> usize {
+pub(crate) fn scaling_cap(n: usize, mc: usize) -> usize {
     let mc = mc.max(1);
     n.div_ceil(mc).max(1)
 }
@@ -57,7 +57,7 @@ pub fn scaling_cap(n: usize, mc: usize) -> usize {
 /// Workers one request actually gets inside a group of `group_width`
 /// workers: the scaling cap, clamped to the group. Width 1 means the
 /// request runs inline on the executor (small-GEMM fast path).
-pub fn slot_width(n: usize, mc: usize, group_width: usize) -> usize {
+pub(crate) fn slot_width(n: usize, mc: usize, group_width: usize) -> usize {
     scaling_cap(n, mc).min(group_width.max(1))
 }
 

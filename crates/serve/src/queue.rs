@@ -1,9 +1,9 @@
 //! The bounded, shape-bucketed admission queue.
 //!
 //! Backpressure lives here: the queue holds at most `capacity` admitted
-//! requests, and [`BoundedQueue::pressure`] (fill fraction) is what the
+//! requests, and `BoundedQueue::pressure` (fill fraction) is what the
 //! server's admission controller reads to decide degradation. Jobs are
-//! bucketed by `n` so [`BoundedQueue::pop_batch`] hands the executor a
+//! bucketed by `n` so `BoundedQueue::pop_batch` hands the executor a
 //! run of same-shape multiplies — one blocking plan, warm packing
 //! buffers — while picking *which* bucket to serve by earliest deadline
 //! (FIFO admission order as the tiebreak, so deadline-free traffic can't
@@ -31,7 +31,7 @@ pub struct ExecPlan {
 
 /// One admitted request waiting for an executor.
 #[derive(Debug, Clone)]
-pub struct Admitted {
+pub(crate) struct Admitted {
     /// The request as submitted.
     pub spec: JobSpec,
     /// The plan admission control froze for it.
@@ -63,7 +63,7 @@ impl Admitted {
 /// server keeps it under one mutex shared by the admitting thread and the
 /// executors (see the server's concurrency discipline).
 #[derive(Debug)]
-pub struct BoundedQueue {
+pub(crate) struct BoundedQueue {
     capacity: usize,
     buckets: BTreeMap<usize, VecDeque<Admitted>>,
     len: usize,
@@ -112,12 +112,12 @@ impl BoundedQueue {
     /// *before* writing the journal's write-ahead record so a pending
     /// record is only ever created for a request that will actually be
     /// queued (a shed request must never be replayable).
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.len < self.capacity
     }
 
     /// Admits a job, or returns it when the queue is at capacity.
-    pub fn try_push(&mut self, spec: JobSpec, plan: ExecPlan) -> Result<(), JobSpec> {
+    pub(crate) fn try_push(&mut self, spec: JobSpec, plan: ExecPlan) -> Result<(), JobSpec> {
         if self.len >= self.capacity {
             return Err(spec);
         }
@@ -135,7 +135,7 @@ impl BoundedQueue {
 
     /// Re-enqueues an already-admitted job (journal replay): keeps its
     /// original plan, takes a fresh admission instant and sequence slot.
-    pub fn push_replay(&mut self, spec: JobSpec, plan: ExecPlan) {
+    pub(crate) fn push_replay(&mut self, spec: JobSpec, plan: ExecPlan) {
         let job = Admitted {
             spec,
             plan,
@@ -150,7 +150,7 @@ impl BoundedQueue {
     /// Pops up to `max` same-shape jobs from the most urgent bucket
     /// (earliest head deadline, admission order as tiebreak). Returns an
     /// empty vec when the queue is empty or `max` is zero.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<Admitted> {
+    pub(crate) fn pop_batch(&mut self, max: usize) -> Vec<Admitted> {
         if max == 0 || self.len == 0 {
             return Vec::new();
         }

@@ -206,12 +206,6 @@ impl Response {
             checksum: None,
         }
     }
-
-    /// True when the request met its deadline (rejections don't count
-    /// either way; they were never admitted).
-    pub fn deadline_hit(&self) -> bool {
-        self.status == Status::Completed
-    }
 }
 
 /// FNV-1a over the bit patterns of a slice of doubles — the checksum the
@@ -247,7 +241,7 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: Response = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);
-        assert!(!back.deadline_hit());
+        assert_eq!(back.status, Status::Rejected);
     }
 
     #[test]

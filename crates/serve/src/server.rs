@@ -43,7 +43,7 @@
 //! algorithms are schedule-invariant.
 //!
 //! Placement is size-aware: a request only gets
-//! [`crate::placement::slot_width`] workers — the strong-scaling cap
+//! `placement::slot_width` workers — the strong-scaling cap
 //! `ceil(n / mc)` clamped to its group — and a width-1 request takes the
 //! **batched small-GEMM fast path**: the multiply runs inline (no
 //! cross-thread handoff), and a homogeneous batch is spread
@@ -1055,7 +1055,6 @@ mod tests {
         for r in &out {
             assert_eq!(r.status, Status::Failed, "{r:?}");
             assert_eq!(r.failure, Some(FailReason::DeadlineExceeded));
-            assert!(!r.deadline_hit());
         }
         assert_eq!(s.stats().failed_deadline, 2);
     }

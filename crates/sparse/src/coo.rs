@@ -22,7 +22,11 @@ impl Coo {
     ///
     /// # Panics
     /// Panics if any index is out of bounds.
-    pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> Self {
+    pub(crate) fn from_triplets(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> Self {
         let mut entries: Vec<(u32, u32, f64)> = triplets
             .iter()
             .map(|&(r, c, v)| {
@@ -48,19 +52,6 @@ impl Coo {
             cols,
             entries: dedup,
         }
-    }
-
-    /// Extracts the nonzeros of a dense matrix.
-    pub fn from_dense(m: &Matrix) -> Self {
-        let mut triplets = Vec::new();
-        for i in 0..m.rows() {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                if v != 0.0 {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        Coo::from_triplets(m.rows(), m.cols(), &triplets)
     }
 
     /// Materialises as a dense matrix.
@@ -103,7 +94,7 @@ impl Coo {
     }
 
     /// Length of the longest row (ELL's padding width).
-    pub fn max_row_nnz(&self) -> usize {
+    pub(crate) fn max_row_nnz(&self) -> usize {
         let mut counts = vec![0usize; self.rows];
         for &(r, _, _) in &self.entries {
             counts[r as usize] += 1;
@@ -114,6 +105,22 @@ impl Coo {
     /// Bytes of storage: 8 per value + 4 + 4 per index pair.
     pub fn storage_bytes(&self) -> u64 {
         self.nnz() as u64 * 16
+    }
+}
+
+#[cfg(test)]
+impl Coo {
+    /// Extracts the nonzeros of a dense matrix.
+    pub(crate) fn from_dense(m: &Matrix) -> Self {
+        let mut triplets = Vec::new();
+        for i in 0..m.rows() {
+            for (j, &v) in m.row(i).iter().enumerate() {
+                if v != 0.0 {
+                    triplets.push((i, j, v));
+                }
+            }
+        }
+        Coo::from_triplets(m.rows(), m.cols(), &triplets)
     }
 }
 

@@ -13,7 +13,7 @@
 //! These three properties are what make the formats' *energy-performance
 //! scaling* differ even when their flop counts are identical.
 
-use crate::{Coo, Ell, Format};
+use crate::{Coo, Format};
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TrafficModel};
 
 /// Structural statistics of a sparse operand, format-independent.
@@ -40,22 +40,12 @@ impl SpmvStats {
             ell_width: a.max_row_nnz(),
         }
     }
-
-    /// Reads the statistics off an ELL matrix (exact width).
-    pub fn of_ell(a: &Ell) -> Self {
-        SpmvStats {
-            rows: a.rows(),
-            cols: a.cols(),
-            nnz: a.nnz(),
-            ell_width: a.width(),
-        }
-    }
 }
 
 /// Cost components of one SpMV in a given format.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SpmvCost {
+pub(crate) struct SpmvCost {
     /// Executed flops (padding included for ELL).
     pub flops: u64,
     /// DRAM bytes: structure streams + gathers + y traffic.
@@ -78,7 +68,7 @@ fn gather_bytes_per_access(cols: usize, tm: &TrafficModel) -> u64 {
 /// The cost model for one format. Structure streams (values, indices,
 /// pointers) are discounted by LLC residency — an iterative solver re-runs
 /// SpMV over the same operand, so a small matrix streams from cache.
-pub fn spmv_cost(format: Format, s: &SpmvStats, tm: &TrafficModel) -> SpmvCost {
+pub(crate) fn spmv_cost(format: Format, s: &SpmvStats, tm: &TrafficModel) -> SpmvCost {
     let nnz = s.nnz as u64;
     let rows = s.rows as u64;
     let cols = s.cols as u64;
@@ -128,7 +118,7 @@ pub fn spmv_cost(format: Format, s: &SpmvStats, tm: &TrafficModel) -> SpmvCost {
 /// row-partitionable formats, one serial task otherwise. `repeats` chains
 /// that structure end-to-end (the iterative-solver inner loop the study
 /// simulates).
-pub fn spmv_graph(
+pub(crate) fn spmv_graph(
     format: Format,
     s: &SpmvStats,
     ways: usize,
@@ -238,6 +228,6 @@ mod tests {
         assert_eq!(s.nnz, coo.nnz());
         assert_eq!(s.ell_width, coo.max_row_nnz());
         let ell = crate::Ell::from_coo(&coo);
-        assert_eq!(SpmvStats::of_ell(&ell).ell_width, s.ell_width);
+        assert_eq!(ell.width(), s.ell_width);
     }
 }

@@ -45,7 +45,7 @@ impl Csc {
     }
 
     /// Back to COO.
-    pub fn to_coo(&self) -> Coo {
+    pub(crate) fn to_coo(&self) -> Coo {
         let mut triplets = Vec::with_capacity(self.nnz());
         for j in 0..self.cols {
             for k in self.col_range(j) {
@@ -77,17 +77,17 @@ impl Csc {
 
     /// The index range of column `j`'s entries.
     #[inline]
-    pub fn col_range(&self, j: usize) -> core::ops::Range<usize> {
+    pub(crate) fn col_range(&self, j: usize) -> core::ops::Range<usize> {
         self.indptr[j] as usize..self.indptr[j + 1] as usize
     }
 
     /// Row indices of column `j`.
-    pub fn col_indices(&self, j: usize) -> &[u32] {
+    pub(crate) fn col_indices(&self, j: usize) -> &[u32] {
         &self.indices[self.col_range(j)]
     }
 
     /// Values of column `j`.
-    pub fn col_values(&self, j: usize) -> &[f64] {
+    pub(crate) fn col_values(&self, j: usize) -> &[f64] {
         &self.values[self.col_range(j)]
     }
 

@@ -42,7 +42,7 @@ impl Csr {
     }
 
     /// Back to COO.
-    pub fn to_coo(&self) -> Coo {
+    pub(crate) fn to_coo(&self) -> Coo {
         let mut triplets = Vec::with_capacity(self.nnz());
         for i in 0..self.rows {
             for k in self.row_range(i) {
@@ -74,17 +74,17 @@ impl Csr {
 
     /// The index range of row `i`'s entries.
     #[inline]
-    pub fn row_range(&self, i: usize) -> core::ops::Range<usize> {
+    pub(crate) fn row_range(&self, i: usize) -> core::ops::Range<usize> {
         self.indptr[i] as usize..self.indptr[i + 1] as usize
     }
 
     /// Column indices of row `i`.
-    pub fn row_indices(&self, i: usize) -> &[u32] {
+    pub(crate) fn row_indices(&self, i: usize) -> &[u32] {
         &self.indices[self.row_range(i)]
     }
 
     /// Values of row `i`.
-    pub fn row_values(&self, i: usize) -> &[f64] {
+    pub(crate) fn row_values(&self, i: usize) -> &[f64] {
         &self.values[self.row_range(i)]
     }
 

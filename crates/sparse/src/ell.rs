@@ -61,7 +61,7 @@ impl Ell {
     }
 
     /// Back to COO.
-    pub fn to_coo(&self) -> Coo {
+    pub(crate) fn to_coo(&self) -> Coo {
         let mut triplets = Vec::new();
         for r in 0..self.rows {
             for s in 0..self.row_nnz[r] as usize {
@@ -101,18 +101,13 @@ impl Ell {
     }
 
     /// Row `r`'s padded value slots.
-    pub fn row_values(&self, r: usize) -> &[f64] {
+    pub(crate) fn row_values(&self, r: usize) -> &[f64] {
         &self.values[r * self.width..(r + 1) * self.width]
     }
 
     /// Row `r`'s padded index slots.
-    pub fn row_indices(&self, r: usize) -> &[u32] {
+    pub(crate) fn row_indices(&self, r: usize) -> &[u32] {
         &self.indices[r * self.width..(r + 1) * self.width]
-    }
-
-    /// Useful entries in row `r`.
-    pub fn row_len(&self, r: usize) -> usize {
-        self.row_nnz[r] as usize
     }
 
     /// Bytes of storage, padding included.
@@ -158,8 +153,8 @@ mod tests {
         let ell = Ell::from_coo(&coo);
         assert_eq!(ell.width(), 4);
         assert_eq!(ell.nnz(), 7);
-        assert_eq!(ell.row_len(0), 4);
-        assert_eq!(ell.row_len(2), 1);
+        assert_eq!(ell.row_nnz[0], 4);
+        assert_eq!(ell.row_nnz[2], 1);
         assert_eq!(ell.to_coo(), coo);
         assert_eq!(ell.to_dense(), coo.to_dense());
     }

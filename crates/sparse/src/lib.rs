@@ -63,7 +63,7 @@ pub enum Format {
 }
 
 /// All formats, in presentation order.
-pub const ALL_FORMATS: [Format; 4] = [Format::Coo, Format::Csr, Format::Csc, Format::Ell];
+pub(crate) const ALL_FORMATS: [Format; 4] = [Format::Coo, Format::Csr, Format::Csc, Format::Ell];
 
 impl Format {
     /// Display name.

@@ -4,7 +4,7 @@
 //! task-spawn events; this module is the single home for those helpers
 //! (they used to be copy-pasted between the two crates). It also bridges
 //! the pool's group-affine steal statistics into the event taxonomy:
-//! [`steal_snapshot`] / [`record_steal_delta`] attribute the steals a
+//! `steal_snapshot` / `record_steal_delta` attribute the steals a
 //! multiply incurred to [`Event::StealsInGroup`] /
 //! [`Event::StealsCrossGroup`], which is the measured input to the Eq. 8
 //! communication story (cross-group steals are the task migrations that
@@ -17,7 +17,7 @@ use powerscale_pool::ThreadPool;
 /// Records one `h × h` elementwise quadrant pass (add/sub/accumulate):
 /// `h²` FP additions, two operand reads and one destination write per
 /// element.
-pub fn record_add(events: Option<&EventSet>, h: usize) {
+pub(crate) fn record_add(events: Option<&EventSet>, h: usize) {
     if let Some(set) = events {
         let hh = (h * h) as u64;
         set.record(Event::FpAdds, hh);
@@ -27,7 +27,7 @@ pub fn record_add(events: Option<&EventSet>, h: usize) {
 }
 
 /// Records entry into one internal recursion node.
-pub fn record_level(events: Option<&EventSet>) {
+pub(crate) fn record_level(events: Option<&EventSet>) {
     if let Some(set) = events {
         set.record(Event::RecursionLevels, 1);
     }
@@ -35,7 +35,7 @@ pub fn record_level(events: Option<&EventSet>) {
 
 /// Records a fan-out of `tasks` sub-products over `h × h` operands: each
 /// task may migrate its two half-size inputs to another worker.
-pub fn record_spawns(events: Option<&EventSet>, tasks: u64, h: usize) {
+pub(crate) fn record_spawns(events: Option<&EventSet>, tasks: u64, h: usize) {
     if let Some(set) = events {
         set.record(Event::TasksSpawned, tasks);
         set.record(Event::CommBytes, tasks * 2 * 8 * (h * h) as u64);
@@ -44,7 +44,7 @@ pub fn record_spawns(events: Option<&EventSet>, tasks: u64, h: usize) {
 
 /// `dst += src` as one accounted quadrant pass (row-band parallel when a
 /// pool is supplied and the operand is tall enough; bitwise transparent).
-pub fn add_pass(
+pub(crate) fn add_pass(
     dst: &mut MatrixViewMut<'_>,
     src: &MatrixView<'_>,
     pool: Option<&ThreadPool>,
@@ -56,7 +56,7 @@ pub fn add_pass(
 }
 
 /// `dst -= src` as one accounted quadrant pass.
-pub fn sub_pass(
+pub(crate) fn sub_pass(
     dst: &mut MatrixViewMut<'_>,
     src: &MatrixView<'_>,
     pool: Option<&ThreadPool>,
@@ -70,14 +70,14 @@ pub fn sub_pass(
 /// Pool steal counters captured before a multiply, so the delta can be
 /// attributed to it afterwards.
 #[derive(Debug, Clone, Copy)]
-pub struct StealSnapshot {
+pub(crate) struct StealSnapshot {
     in_group: u64,
     cross_group: u64,
 }
 
 /// Captures the pool's current steal-split counters (`None` without a
 /// pool).
-pub fn steal_snapshot(pool: Option<&ThreadPool>) -> Option<StealSnapshot> {
+pub(crate) fn steal_snapshot(pool: Option<&ThreadPool>) -> Option<StealSnapshot> {
     pool.map(|p| {
         let s = p.stats();
         StealSnapshot {
@@ -89,7 +89,7 @@ pub fn steal_snapshot(pool: Option<&ThreadPool>) -> Option<StealSnapshot> {
 
 /// Records the steals incurred since `base` as
 /// [`Event::StealsInGroup`] / [`Event::StealsCrossGroup`].
-pub fn record_steal_delta(
+pub(crate) fn record_steal_delta(
     events: Option<&EventSet>,
     pool: Option<&ThreadPool>,
     base: Option<StealSnapshot>,

@@ -25,7 +25,7 @@ use powerscale_gemm::{BlockingParams, KernelInfo};
 pub const PAPER_CUTOFF: usize = 64;
 
 /// The dense cutover the executed recursion uses under `kernel`:
-/// [`cutoff_for_panel_rows`] of the row-panel height `mc` the autotuner
+/// `cutoff_for_panel_rows` of the row-panel height `mc` the autotuner
 /// derives for that kernel.
 ///
 /// One Strassen step at size `n` saves `n³/4` flops at the leaf rate `y`
@@ -45,7 +45,7 @@ pub fn executed_cutoff(kernel: &KernelInfo) -> usize {
 }
 
 /// `max(64, next_power_of_two(mc))`: the cutover for a row-panel height.
-pub fn cutoff_for_panel_rows(mc: usize) -> usize {
+pub(crate) fn cutoff_for_panel_rows(mc: usize) -> usize {
     mc.next_power_of_two().max(PAPER_CUTOFF)
 }
 
@@ -68,7 +68,7 @@ pub fn is_leaf(n: usize, cutoff: usize) -> bool {
 }
 
 /// Dimension at which the recursion starting from `n` hits the leaf solver.
-pub fn leaf_dim(mut n: usize, cutoff: usize) -> usize {
+pub(crate) fn leaf_dim(mut n: usize, cutoff: usize) -> usize {
     while !is_leaf(n, cutoff) {
         n /= 2;
     }
@@ -86,19 +86,19 @@ pub fn levels(mut n: usize, cutoff: usize) -> u32 {
 }
 
 /// Number of leaf multiplications: `7^levels`.
-pub fn mult_leaves(n: usize, cutoff: usize) -> u64 {
+pub(crate) fn mult_leaves(n: usize, cutoff: usize) -> u64 {
     7u64.pow(levels(n, cutoff))
 }
 
 /// Total multiply flops (leaf GEMM work): `7^L · 2·d³` with `d` the leaf
 /// dimension.
-pub fn mult_flops(n: usize, cutoff: usize) -> u64 {
+pub(crate) fn mult_flops(n: usize, cutoff: usize) -> u64 {
     let d = leaf_dim(n, cutoff) as u64;
     mult_leaves(n, cutoff) * 2 * d * d * d
 }
 
 /// Total quadrant-add flops of the whole recursion.
-pub fn add_flops(n: usize, cfg: &StrassenConfig) -> u64 {
+pub(crate) fn add_flops(n: usize, cfg: &StrassenConfig) -> u64 {
     if is_leaf(n, cfg.cutoff) {
         return 0;
     }
@@ -144,20 +144,20 @@ pub fn dram_bytes_effective(
     (pre + comb) * per_pass + 7 * dram_bytes_effective(n / 2, cfg, tm)
 }
 
-/// The classic-multiply flop count `2n³` for comparison.
-pub fn dense_flops(n: usize) -> u64 {
-    2 * (n as u64).pow(3)
-}
-
-/// Flop-count ratio Strassen/dense: below 1 once `n` is a few doublings
-/// above the cutoff (the source of Strassen's asymptotic advantage).
-pub fn flop_ratio(n: usize, cfg: &StrassenConfig) -> f64 {
-    total_flops(n, cfg) as f64 / dense_flops(n) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classic-multiply flop count `2n³` for comparison.
+    fn dense_flops(n: usize) -> u64 {
+        2 * (n as u64).pow(3)
+    }
+
+    /// Flop-count ratio Strassen/dense: below 1 once `n` is a few doublings
+    /// above the cutoff (the source of Strassen's asymptotic advantage).
+    fn flop_ratio(n: usize, cfg: &StrassenConfig) -> f64 {
+        total_flops(n, cfg) as f64 / dense_flops(n) as f64
+    }
 
     fn cfg(cutoff: usize) -> StrassenConfig {
         StrassenConfig {

@@ -24,7 +24,7 @@
 //!
 //! The recursion exists once. Its executor and its plan are generic over a
 //! [`Schedule`]: [`multiply`] and [`strassen_graph_with`] run it under the
-//! BOTS [`Untied`] schedule, and `powerscale-caps` runs the same walker
+//! BOTS `Untied` schedule, and `powerscale-caps` runs the same walker
 //! under its BFS/DFS schedule.
 //!
 //! # Example
@@ -53,5 +53,5 @@ pub mod schedule;
 
 pub use config::{StrassenConfig, Variant};
 pub use exec::{multiply, multiply_with};
-pub use plan::{strassen_graph, strassen_graph_with};
-pub use schedule::{Schedule, Untied};
+pub use plan::strassen_graph_with;
+pub use schedule::Schedule;

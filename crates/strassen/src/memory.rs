@@ -33,7 +33,7 @@ use crate::config::{StrassenConfig, Variant};
 use crate::cost::is_leaf;
 
 /// Bytes of the three user-visible operands (A, B, C) at dimension `n`.
-pub fn operand_bytes(n: usize) -> u64 {
+pub(crate) fn operand_bytes(n: usize) -> u64 {
     3 * 8 * (n as u64) * (n as u64)
 }
 
@@ -52,7 +52,7 @@ fn node_temp_bytes(n: usize, variant: Variant) -> u64 {
 
 /// Peak temporary bytes for a **sequential** (DFS-style) execution: one
 /// node's buffers per level along a single recursion path.
-pub fn sequential_peak_bytes(n: usize, cfg: &StrassenConfig) -> u64 {
+pub(crate) fn sequential_peak_bytes(n: usize, cfg: &StrassenConfig) -> u64 {
     if is_leaf(n, cfg.cutoff) {
         return 0;
     }
@@ -65,7 +65,7 @@ pub fn sequential_peak_bytes(n: usize, cfg: &StrassenConfig) -> u64 {
 /// carries one [`sequential_peak_bytes`] worth of node buffers. (Paths
 /// share ancestors, so this slightly over-counts — a safe upper bound,
 /// and the "additional buffer memory" BFS costs over DFS.)
-pub fn parallel_peak_bytes(n: usize, cfg: &StrassenConfig, workers: usize) -> u64 {
+pub(crate) fn parallel_peak_bytes(n: usize, cfg: &StrassenConfig, workers: usize) -> u64 {
     workers.max(1) as u64 * sequential_peak_bytes(n, cfg)
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Like the executor, the emitter walks one recursion under a
 //! [`Schedule`], which prices the leaves, the inline subtrees and the
-//! migration volumes. Under [`Untied`] (classic Strassen, [`strassen_graph`])
+//! migration volumes. Under `Untied` (classic Strassen, [`strassen_graph_with`])
 //! scheduling is placement-oblivious: every spawned product pays a full
 //! migration and an inline subtree is one sequential task.
 
@@ -39,15 +39,10 @@ const WINOGRAD_PRE: [u64; 7] = [8, 0, 0, 0, 0, 0, 0];
 /// pass is charged to C21, whose U2 consumes it).
 const WINOGRAD_COMBINE: [u64; 4] = [1, 2, 3, 1];
 
-/// Emits the Strassen task graph for an `n × n` multiply under `cfg`.
+/// Emits the Strassen task graph for an `n × n` multiply under `cfg`, with
+/// an explicit LLC traffic model (usually `machine.traffic_model()`).
 ///
 /// Returns the graph; its sink tasks are the final combine passes.
-pub fn strassen_graph(n: usize, cfg: &StrassenConfig) -> TaskGraph {
-    strassen_graph_with(n, cfg, &TrafficModel::default())
-}
-
-/// Like [`strassen_graph`] with an explicit LLC traffic model (usually
-/// `machine.traffic_model()`).
 pub fn strassen_graph_with(n: usize, cfg: &StrassenConfig, tm: &TrafficModel) -> TaskGraph {
     graph(n, cfg, &Untied, tm)
 }
@@ -155,6 +150,13 @@ fn emit<S: Schedule>(
 mod tests {
     use super::*;
     use powerscale_machine::{presets, simulate};
+
+    /// Emits the Strassen task graph for an `n × n` multiply under `cfg`.
+    ///
+    /// Returns the graph; its sink tasks are the final combine passes.
+    fn strassen_graph(n: usize, cfg: &StrassenConfig) -> TaskGraph {
+        strassen_graph_with(n, cfg, &TrafficModel::default())
+    }
 
     fn cfg(cutoff: usize, task_depth: u32) -> StrassenConfig {
         StrassenConfig {

@@ -13,7 +13,7 @@
 //!   combine tasks.
 //!
 //! Arithmetic order, event counts and task order belong to the walker, so
-//! every schedule computes the same bits. [`Untied`] is the BOTS schedule;
+//! every schedule computes the same bits. `Untied` is the BOTS schedule;
 //! CAPS's BFS/DFS schedule lives in `powerscale-caps`. Schedules are
 //! statically dispatched: the walker is monomorphised per schedule.
 
@@ -71,7 +71,7 @@ pub trait Schedule: Sync {
 /// charges every spawned product and every inline subtree a full operand
 /// migration.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Untied;
+pub(crate) struct Untied;
 
 impl Schedule for Untied {
     /// BOTS leaves are sequential tasks.

@@ -15,7 +15,7 @@
 //! the failure — comes back exactly, or replay the recorded
 //! [`DetTrace`](powerscale_pool::DetTrace) to step through it.
 //!
-//! Batch size comes from [`schedules_from_env`]: smoke defaults keep
+//! Batch size comes from `schedules_from_env`: smoke defaults keep
 //! `cargo test` quick, CI raises `POWERSCALE_CHAOS_SCHEDULES` into the
 //! thousands in release builds.
 
@@ -29,7 +29,7 @@ use std::collections::HashSet;
 /// Reads the schedule budget from `POWERSCALE_CHAOS_SCHEDULES`, falling
 /// back to `default` when unset or unparsable. A zero budget is clamped
 /// to one so a misconfigured CI job can never silently skip the fuzz.
-pub fn schedules_from_env(default: usize) -> usize {
+pub(crate) fn schedules_from_env(default: usize) -> usize {
     std::env::var("POWERSCALE_CHAOS_SCHEDULES")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -85,7 +85,7 @@ pub struct ChaosReport {
 /// # Panics
 /// Panics (test-style) on any schedule-dependent divergence or replay
 /// mismatch; the message names the offending seed.
-pub fn chaos_batch(
+pub(crate) fn chaos_batch(
     pool: &ThreadPool,
     cfg: &ChaosConfig,
     label: &str,

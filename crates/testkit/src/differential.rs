@@ -16,7 +16,7 @@
 //! process-global — so the cells of a sweep run on parallel threads, one
 //! pool per runner thread.
 //!
-//! A second sweep, [`run_kernel_matrix`], covers the *kernel* matrix:
+//! A second sweep, `run_kernel_matrix`, covers the *kernel* matrix:
 //! every dispatchable ISA×dtype instance ([`available_kernels`]) pinned
 //! via [`Dispatch::with_kernel`] and driven through the blocked driver
 //! and the Strassen recursion's fused leaf, scored against the same
@@ -194,7 +194,7 @@ impl DiffConfig {
 
 /// Score of one candidate configuration against the oracle.
 #[derive(Debug, Clone)]
-pub struct DiffCase {
+pub(crate) struct DiffCase {
     /// Human-readable configuration label, e.g. `strassen/simd`.
     pub label: String,
     /// Max-norm relative error against the compensated reference.
@@ -211,7 +211,7 @@ fn tier_label(tier: KernelTier) -> &'static str {
 /// Runs the full configuration matrix at `cfg` and returns every case's
 /// score. Panics only on dimension errors (a harness bug), never on
 /// tolerance — use [`assert_differential`] for the asserting form.
-pub fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
+pub(crate) fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
     let mut cells = Vec::new();
     let tiers = [KernelTier::Scalar, KernelTier::Simd];
     let dispatch_at = |tier| Dispatch {
@@ -291,7 +291,7 @@ pub fn dtype_tol(dtype: DtypeTier, f64_tol: f64) -> f64 {
 
 /// Score of one (kernel instance × algorithm) cell against the oracle.
 #[derive(Debug, Clone)]
-pub struct KernelCase {
+pub(crate) struct KernelCase {
     /// Configuration label, e.g. `strassen/avx2-f32`.
     pub label: String,
     /// The kernel's dtype tier (decides the acceptance bound).
@@ -304,7 +304,7 @@ pub struct KernelCase {
 /// the blocked driver and through the Strassen recursion — the
 /// kernel-level companion to [`run_differential`]'s algorithm matrix. Two
 /// cells per kernel: `blocked` and `strassen`.
-pub fn run_kernel_matrix(cfg: &DiffConfig) -> Vec<KernelCase> {
+pub(crate) fn run_kernel_matrix(cfg: &DiffConfig) -> Vec<KernelCase> {
     let mut cells = Vec::new();
     for kernel in available_kernels() {
         for (name, algo) in [("blocked", Algo::Blocked), ("strassen", Algo::Strassen)] {

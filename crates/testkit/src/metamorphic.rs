@@ -21,7 +21,7 @@ use crate::oracle::max_rel_error;
 use powerscale_matrix::{ops, Matrix, MatrixGen, MatrixView};
 
 /// A multiply implementation under metamorphic test.
-pub type MulFn<'a> = dyn Fn(&MatrixView<'_>, &MatrixView<'_>) -> Matrix + 'a;
+pub(crate) type MulFn<'a> = dyn Fn(&MatrixView<'_>, &MatrixView<'_>) -> Matrix + 'a;
 
 /// Observed deviations of one implementation from the identity set.
 #[derive(Debug, Clone, Copy)]

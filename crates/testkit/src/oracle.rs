@@ -2,8 +2,8 @@
 //! schoolbook GEMM used as the ground truth of the differential engine.
 //!
 //! Every inner product is accumulated in an error-free-transformation
-//! pair: [`two_prod`] splits each `aᵢₖ·bₖⱼ` into a rounded product and its
-//! exact rounding error (via FMA), and [`two_sum`] folds the products into
+//! pair: `two_prod` splits each `aᵢₖ·bₖⱼ` into a rounded product and its
+//! exact rounding error (via FMA), and `two_sum` folds the products into
 //! a `hi + lo` running sum whose `lo` carries the bits an `f64`
 //! accumulator would have discarded. The result is correct to well under
 //! one ulp of the true dot product for the dimensions the suite runs
@@ -16,7 +16,7 @@ use powerscale_matrix::{Matrix, MatrixView};
 /// Error-free sum: returns `(s, e)` with `s = fl(a + b)` and
 /// `a + b = s + e` exactly (Knuth's TwoSum, no magnitude precondition).
 #[inline]
-pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let s = a + b;
     let bb = s - a;
     let e = (a - (s - bb)) + (b - bb);
@@ -26,7 +26,7 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
 /// Error-free product: returns `(p, e)` with `p = fl(a · b)` and
 /// `a · b = p + e` exactly (FMA-based TwoProd).
 #[inline]
-pub fn two_prod(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_prod(a: f64, b: f64) -> (f64, f64) {
     let p = a * b;
     let e = a.mul_add(b, -p);
     (p, e)
@@ -35,7 +35,7 @@ pub fn two_prod(a: f64, b: f64) -> (f64, f64) {
 /// A compensated accumulator: `hi` is the running rounded sum, `lo` the
 /// accumulated rounding error of every fold so far.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DdAcc {
+pub(crate) struct DdAcc {
     hi: f64,
     lo: f64,
 }

@@ -111,9 +111,7 @@ pub fn span_args(cat: Category, name: &'static str, arg0: u32, arg1: u32) -> Spa
 mod ring;
 
 #[cfg(feature = "enable")]
-pub use ring::{
-    active, async_begin, async_end, counter, instant, now_ns, set_thread_label, start, stop,
-};
+pub use ring::{active, async_begin, async_end, counter, instant, set_thread_label, start, stop};
 
 #[cfg(not(feature = "enable"))]
 mod noop {
@@ -156,15 +154,7 @@ mod noop {
     pub fn stop() -> Trace {
         Trace::default()
     }
-
-    /// Trace-clock read — always 0 in this build.
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
 }
 
 #[cfg(not(feature = "enable"))]
-pub use noop::{
-    active, async_begin, async_end, counter, instant, now_ns, set_thread_label, start, stop,
-};
+pub use noop::{active, async_begin, async_end, counter, instant, set_thread_label, start, stop};

@@ -135,7 +135,7 @@ pub struct Trace {
 
 impl Trace {
     /// Session wall-clock length in nanoseconds.
-    pub fn wall_ns(&self) -> u64 {
+    pub(crate) fn wall_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 

@@ -118,7 +118,7 @@ thread_local! {
 
 /// Nanoseconds since the process-wide trace epoch (the first call wins the
 /// epoch; all threads share it, so timestamps are directly comparable).
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos() as u64
 }
