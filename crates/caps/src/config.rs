@@ -12,10 +12,6 @@ pub struct CapsConfig {
     /// Tree depth below which steps are BFS; at or beyond it they are DFS
     /// (the paper settles on 4 after "much empirical testing").
     pub cutoff_depth: u32,
-    /// Workers the simulated plan's DFS work-sharing splits loops across
-    /// (the paper's 4-core testbed). It prices only the plan: an executed
-    /// shared leaf splits across its pool's width.
-    pub dfs_ways: usize,
     /// Kernel selection every leaf product runs under.
     pub dispatch: Dispatch,
 }
@@ -33,26 +29,23 @@ impl Default for CapsConfig {
 }
 
 impl CapsConfig {
-    /// The paper's configuration: cutoff 64, cutoff depth 4, four DFS ways.
-    /// Every simulated artifact, paper claim and pinned recursion shape uses
-    /// it.
+    /// The paper's configuration: cutoff 64, cutoff depth 4. Every
+    /// simulated artifact, paper claim and pinned recursion shape uses it.
     pub fn paper() -> Self {
         CapsConfig {
             cutoff: powerscale_strassen::cost::PAPER_CUTOFF,
             cutoff_depth: 4,
-            dfs_ways: 4,
             dispatch: Dispatch::default(),
         }
     }
 
-    /// The Strassen configuration equivalent to this one (classic variant,
-    /// task spawning bounded by the BFS depth) — what the shared walker,
-    /// plan and cost recurrences run CAPS under.
+    /// The Strassen configuration equivalent to this one (task spawning
+    /// bounded by the BFS depth) — what the shared walker, plan and cost
+    /// recurrences run CAPS under.
     pub fn as_strassen(&self) -> powerscale_strassen::StrassenConfig {
         powerscale_strassen::StrassenConfig {
             cutoff: self.cutoff,
             task_depth: self.cutoff_depth,
-            variant: powerscale_strassen::Variant::Classic,
             dispatch: self.dispatch,
         }
     }
@@ -61,9 +54,6 @@ impl CapsConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.cutoff < 2 {
             return Err(format!("cutoff {} must be at least 2", self.cutoff));
-        }
-        if self.dfs_ways == 0 {
-            return Err("dfs_ways must be positive".to_string());
         }
         Ok(())
     }
@@ -92,12 +82,6 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(CapsConfig {
             cutoff: 1,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(CapsConfig {
-            dfs_ways: 0,
             ..Default::default()
         }
         .validate()

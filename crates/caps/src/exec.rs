@@ -76,10 +76,7 @@ pub fn multiply(
         }
         _ => None,
     };
-    let sched = BfsDfs {
-        dfs_ways: cfg.dfs_ways,
-        seed,
-    };
+    let sched = BfsDfs { seed };
     Ok(powerscale_strassen::multiply_with(
         a,
         b,
@@ -125,7 +122,6 @@ mod tests {
         let cfg = CapsConfig {
             cutoff: 8,
             cutoff_depth: 1,
-            dfs_ways: 3,
             ..Default::default()
         };
         let pool = ThreadPool::new(3);
@@ -196,9 +192,9 @@ mod tests {
     #[test]
     fn pooled_caps_counts_what_sequential_caps_counts() {
         // A pooled shared leaf is one leaf: one kernel call, one pass per
-        // fused operand, B packed and read once — whatever the pool width
-        // or `dfs_ways`. All-DFS (cutoff depth 0) and BFS-then-shared
-        // leaves (depth 4) alike.
+        // fused operand, B packed and read once — whatever the pool width.
+        // All-DFS (cutoff depth 0) and BFS-then-shared leaves (depth 4)
+        // alike.
         let mut gen = MatrixGen::new(8);
         let a = gen.paper_operand(128);
         let b = gen.paper_operand(128);
@@ -207,7 +203,6 @@ mod tests {
             let cfg = CapsConfig {
                 cutoff: 16,
                 cutoff_depth,
-                dfs_ways: 4,
                 ..Default::default()
             };
             let run = |pool: Option<&ThreadPool>| {
@@ -275,7 +270,6 @@ mod tests {
             &CapsConfig {
                 cutoff: 16,
                 cutoff_depth: 8,
-                dfs_ways: 2,
                 ..Default::default()
             },
             Some(&pool),
@@ -295,7 +289,6 @@ mod tests {
             &CapsConfig {
                 cutoff: 16,
                 cutoff_depth: 0,
-                dfs_ways: 2,
                 ..Default::default()
             },
             Some(&pool),
@@ -316,7 +309,6 @@ mod tests {
         let cfg = CapsConfig {
             cutoff: 16,
             cutoff_depth: 8,
-            dfs_ways: 1,
             ..Default::default()
         };
         let mut set = EventSet::with_all_events();
@@ -343,7 +335,6 @@ mod tests {
         let cfg = CapsConfig {
             cutoff: 16,
             cutoff_depth: 8,
-            dfs_ways: 1,
             ..Default::default()
         };
         let mut gen = MatrixGen::new(13);
@@ -359,13 +350,13 @@ mod tests {
     fn invalid_config_reports_invalid_config_error() {
         let a = Matrix::zeros(4, 4);
         let cfg = CapsConfig {
-            dfs_ways: 0,
+            cutoff: 1,
             ..Default::default()
         };
         match multiply(&a.view(), &a.view(), &cfg, None, None) {
             Err(DimError::InvalidConfig { op, reason }) => {
                 assert_eq!(op, "caps");
-                assert!(reason.contains("dfs_ways"), "reason: {reason}");
+                assert!(reason.contains("cutoff"), "reason: {reason}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }

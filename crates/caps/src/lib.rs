@@ -13,9 +13,10 @@
 //!   work-sharing (row bands), so no task — and no operand — migrates.
 //!
 //! There is no second recursion here: CAPS is `powerscale-strassen`'s one
-//! walker run under a BFS/DFS [`Schedule`](powerscale_strassen::Schedule),
-//! for real matrices ([`multiply`]) and for the simulated machine
-//! ([`caps_graph_with`]). The schedule names the row-band dense cutover, the
+//! walker run under a BFS/DFS [`Schedule`](powerscale_strassen::Schedule)
+//! for real matrices ([`multiply`]), and its plan priced by the same
+//! schedule's [`Pricing`](powerscale_strassen::Pricing) for the simulated
+//! machine ([`caps_graph_with`]). The schedule names the row-band dense cutover, the
 //! pinning of the seven root products onto seven worker groups, and the
 //! plan's migration prices; the arithmetic is Strassen's, bit for bit.
 //!

@@ -9,24 +9,22 @@
 //!   Strassen does, but placement is deterministic — operands migrate only
 //!   while sub-problems outnumber the workers, and combine steps pull about
 //!   half the operand volume a steal-scheduled Strassen combine does.
-//! * **DFS steps** (deeper levels) are loop work-sharing: `dfs_ways` fluid
-//!   band tasks carrying equal shares of the subtree's work, in place. No
+//! * **DFS steps** (deeper levels) are loop work-sharing: one fluid band
+//!   task per core carrying an equal share of the subtree's work. No
 //!   task migrates, so those levels contribute **zero** communication —
 //!   whereas the Strassen plan's inline subtrees each pay a full operand
 //!   migration.
 
 use crate::config::CapsConfig;
-use crate::schedule::BfsDfs;
+use crate::schedule::BfsDfsPricing;
 use powerscale_machine::{TaskGraph, TrafficModel};
 
-/// Emits the CAPS task graph for an `n × n` multiply under `cfg`, with an
+/// Emits the CAPS task graph for an `n × n` multiply under `cfg` on a
+/// machine with `cores` cores (the width of every DFS step), with an
 /// explicit LLC traffic model.
-pub fn caps_graph_with(n: usize, cfg: &CapsConfig, tm: &TrafficModel) -> TaskGraph {
-    let sched = BfsDfs {
-        dfs_ways: cfg.dfs_ways,
-        seed: None,
-    };
-    powerscale_strassen::plan::graph(n, &cfg.as_strassen(), &sched, tm)
+pub fn caps_graph_with(n: usize, cfg: &CapsConfig, cores: usize, tm: &TrafficModel) -> TaskGraph {
+    let pricing = BfsDfsPricing { cores };
+    powerscale_strassen::plan::graph(n, &cfg.as_strassen(), &pricing, tm)
 }
 
 #[cfg(test)]
@@ -35,9 +33,10 @@ mod tests {
     use powerscale_machine::{presets, simulate};
     use powerscale_strassen::{cost, strassen_graph_with, StrassenConfig};
 
-    /// Emits the CAPS task graph for an `n × n` multiply under `cfg`.
+    /// Emits the CAPS task graph for an `n × n` multiply under `cfg` on
+    /// the paper's four cores.
     fn caps_graph(n: usize, cfg: &CapsConfig) -> TaskGraph {
-        caps_graph_with(n, cfg, &TrafficModel::default())
+        caps_graph_with(n, cfg, 4, &TrafficModel::default())
     }
 
     #[test]
@@ -67,7 +66,7 @@ mod tests {
         let tm = m.traffic_model();
         let cfg = CapsConfig::paper();
         let sg = strassen_graph_with(1024, &StrassenConfig::paper(), &tm);
-        let cg = caps_graph_with(1024, &cfg, &tm);
+        let cg = caps_graph_with(1024, &cfg, m.cores, &tm);
         assert!(
             cg.total_comm_bytes() < sg.total_comm_bytes(),
             "caps {} vs strassen {}",
@@ -84,7 +83,7 @@ mod tests {
         let strassen_cfg = StrassenConfig::paper();
         for n in [1024usize, 2048] {
             let sg = strassen_graph_with(n, &strassen_cfg, &tm);
-            let cg = caps_graph_with(n, &CapsConfig::paper(), &tm);
+            let cg = caps_graph_with(n, &CapsConfig::paper(), m.cores, &tm);
             let ts = simulate(&sg, &m, 4).makespan;
             let tc = simulate(&cg, &m, 4).makespan;
             assert!(
@@ -103,13 +102,15 @@ mod tests {
             ..CapsConfig::paper()
         };
         let (scfg, tm) = (cfg.as_strassen(), TrafficModel::default());
-        let g = caps_graph(1000, &cfg);
-        assert_eq!(g.len(), cfg.dfs_ways);
-        assert_eq!(g.total_flops(), cost::total_flops(1000, &scfg));
-        assert_eq!(
-            g.total_dram_bytes(),
-            cost::dram_bytes_effective(1000, &scfg, &tm)
-        );
+        for cores in [2, 4] {
+            let g = caps_graph_with(1000, &cfg, cores, &tm);
+            assert_eq!(g.len(), cores);
+            assert_eq!(g.total_flops(), cost::total_flops(1000, &scfg));
+            assert_eq!(
+                g.total_dram_bytes(),
+                cost::dram_bytes_effective(1000, &scfg, &tm)
+            );
+        }
     }
 
     #[test]
@@ -117,10 +118,9 @@ mod tests {
         let cfg = CapsConfig {
             cutoff: 64,
             cutoff_depth: 0,
-            dfs_ways: 3,
             ..Default::default()
         };
-        let g = caps_graph(512, &cfg);
+        let g = caps_graph_with(512, &cfg, 3, &TrafficModel::default());
         assert_eq!(g.len(), 3);
     }
 

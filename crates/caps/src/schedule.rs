@@ -14,34 +14,39 @@
 //! * **placement** — with the seven-group worker layout installed, each
 //!   root BFS product is seeded onto its group's first worker, and strict
 //!   stealing keeps its descendants inside the group;
-//! * **the plan's prices** — BFS steps place operands deterministically,
-//!   so sub-results stay group-local and combine steps pull about half the
-//!   operand volume a steal-scheduled Strassen combine does; DFS subtrees
-//!   are `dfs_ways` fluid band tasks carrying equal shares of the work
-//!   (the fluid-model image of work-sharing) with **zero** communication,
-//!   where the Strassen plan's inline subtrees each pay a full operand
-//!   migration.
+//! * **the plan's prices** ([`BfsDfsPricing`]) — BFS steps place operands
+//!   deterministically, so sub-results stay group-local and combine steps
+//!   pull about half the operand volume a steal-scheduled Strassen combine
+//!   does; DFS subtrees are one fluid band task per machine core carrying
+//!   equal shares of the work (the fluid-model image of work-sharing,
+//!   whose DFS step the CAPS papers define over all P processors) with
+//!   **zero** communication, where the Strassen plan's inline subtrees
+//!   each pay a full operand migration.
 
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
-use powerscale_strassen::Schedule;
+use powerscale_strassen::{Pricing, Schedule};
 use powerscale_trace::{span_args, Category, SpanGuard};
 
-/// The BFS/DFS schedule of one CAPS multiply.
+/// The BFS/DFS schedule of one executed CAPS multiply.
 pub(crate) struct BfsDfs {
-    /// Workers the plan shares a DFS step's loops across.
-    pub(crate) dfs_ways: usize,
     /// The worker each root product is seeded onto (its group's first),
     /// when the seven-group layout is installed.
     pub(crate) seed: Option<[usize; 7]>,
 }
 
-impl BfsDfs {
+/// The BFS/DFS schedule's prices in the plan of one CAPS multiply on a
+/// machine with `cores` cores, across which every DFS step is shared.
+pub(crate) struct BfsDfsPricing {
+    pub(crate) cores: usize,
+}
+
+impl BfsDfsPricing {
     /// Fraction of a BFS step's operand volume that migrates at `depth`:
     /// there are 7^depth concurrent sub-problems, so once they outnumber
-    /// the workers the split is core-local and (almost) nothing crosses.
+    /// the cores the split is core-local and (almost) nothing crosses.
     /// This factor is the "communication avoiding" in CAPS.
     fn placement(&self, depth: u32) -> f64 {
-        (self.dfs_ways as f64 / 7f64.powi(depth as i32)).min(1.0)
+        (self.cores as f64 / 7f64.powi(depth as i32)).min(1.0)
     }
 }
 
@@ -63,7 +68,9 @@ impl Schedule for BfsDfs {
         let name = if parallel { "bfs" } else { "dfs" };
         span_args(Category::Caps, name, depth, (n / 2) as u32)
     }
+}
 
+impl Pricing for BfsDfsPricing {
     fn plan_leaf(
         &self,
         g: &mut TaskGraph,
@@ -72,8 +79,8 @@ impl Schedule for BfsDfs {
         deps: &[TaskId],
     ) -> Vec<TaskId> {
         // A leaf inside a BFS task belongs to that task outright; a DFS
-        // leaf is work-shared across all workers.
-        let ways = if inline { self.dfs_ways } else { 1 };
+        // leaf is work-shared across all cores.
+        let ways = if inline { self.cores } else { 1 };
         g.add_shared(0, 0, leaf.class, leaf.flops, leaf.dram_bytes, ways, deps)
     }
 
@@ -85,15 +92,7 @@ impl Schedule for BfsDfs {
         dram: u64,
         deps: &[TaskId],
     ) -> Vec<TaskId> {
-        g.add_shared(
-            0,
-            0,
-            KernelClass::LeafGemm,
-            flops,
-            dram,
-            self.dfs_ways,
-            deps,
-        )
+        g.add_shared(0, 0, KernelClass::LeafGemm, flops, dram, self.cores, deps)
     }
 
     fn prepare_comm(&self, depth: u32, hh: u64) -> u64 {

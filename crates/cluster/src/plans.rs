@@ -3,7 +3,7 @@
 use crate::config::ClusterConfig;
 use crate::dist::bfs_child_ranges;
 use powerscale_caps::CapsConfig;
-use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
+use powerscale_machine::{KernelClass, MachineConfig, TaskCost, TaskGraph, TaskId};
 use powerscale_strassen::cost as scost;
 use powerscale_strassen::plan::{CLASSIC_COMBINE, CLASSIC_PRE, CLASSIC_QUADRANT_INPUTS};
 
@@ -17,17 +17,13 @@ pub fn dist_caps_graph(n: usize, cluster: &ClusterConfig) -> TaskGraph {
     if n == 0 {
         return g;
     }
-    let cfg = CapsConfig {
-        dfs_ways: cluster.node.cores,
-        ..CapsConfig::paper()
-    };
-    let tm = cluster.node.traffic_model();
-    emit_caps(&mut g, n, 0, cluster.nodes, &cfg, &tm, &[]);
+    let cfg = CapsConfig::paper();
+    emit_caps(&mut g, n, 0, cluster.nodes, &cfg, &cluster.node, &[]);
     g
 }
 
-/// Emits one product's subtree on nodes `[base, base + count)`; returns
-/// its sink tasks.
+/// Emits one product's subtree on nodes `[base, base + count)`, each a
+/// `node`; returns its sink tasks.
 #[allow(clippy::too_many_arguments)]
 fn emit_caps(
     g: &mut TaskGraph,
@@ -35,10 +31,10 @@ fn emit_caps(
     base: usize,
     count: usize,
     cfg: &CapsConfig,
-    tm: &TrafficModel,
+    node: &MachineConfig,
     deps: &[TaskId],
 ) -> Vec<TaskId> {
-    let scfg = cfg.as_strassen();
+    let (scfg, tm) = (cfg.as_strassen(), &node.traffic_model());
     if count <= 1 || scost::is_leaf(n, cfg.cutoff) {
         // Node-local execution: the whole subtree as fluid bands across
         // the node's cores (the SMP study's DFS image).
@@ -50,7 +46,7 @@ fn emit_caps(
             KernelClass::LeafGemm,
             flops,
             dram,
-            cfg.dfs_ways,
+            node.cores,
             deps,
         );
     }
@@ -81,7 +77,8 @@ fn emit_caps(
             TaskCost::new(KernelClass::Elementwise, pre * hh, pre * per_pass, 0),
             deps,
         );
-        product_sinks.push(emit_caps(g, n / 2, base + lo, hi - lo, cfg, tm, &[prepare]));
+        let sinks = emit_caps(g, n / 2, base + lo, hi - lo, cfg, node, &[prepare]);
+        product_sinks.push(sinks);
     }
     // Combines gather the products back to the group lead.
     let mut combines = Vec::with_capacity(4);
@@ -167,10 +164,7 @@ mod tests {
     #[test]
     fn caps_flops_conserved() {
         let cluster = e3_1225_cluster(4);
-        let cfg = CapsConfig {
-            dfs_ways: 4,
-            ..CapsConfig::paper()
-        };
+        let cfg = CapsConfig::paper();
         for n in [512usize, 2048] {
             let g = dist_caps_graph(n, &cluster);
             assert_eq!(

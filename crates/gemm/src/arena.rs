@@ -35,12 +35,13 @@ use std::ops::{Deref, DerefMut};
 /// two per invocation: one B panel and one A panel per in-flight band).
 const PACK_RETAIN: usize = 8;
 
-/// Maximum recycled scratch matrices kept per thread. A Winograd node
-/// holds up to 18 live leases (7 products, 8 pre-additions, 3 combines)
-/// and one root-to-leaf recursion path keeps one node per level live, so
-/// the cap covers ~10 levels. Because lease sizes halve per level, the
-/// retained bytes stay within a small constant of the top level's
-/// footprint even at this count.
+/// Maximum recycled scratch matrices kept per thread. A Strassen node
+/// holds at most 17 buffers in the textbook footprint (7 products, 10
+/// operand temporaries; the walker leases fewer) and one root-to-leaf
+/// recursion path keeps one node per level live, so the cap covers ~11
+/// levels. Because lease sizes halve per level, the retained bytes stay
+/// within a small constant of the top level's footprint even at this
+/// count.
 const MATRIX_RETAIN: usize = 192;
 
 thread_local! {

@@ -167,9 +167,8 @@ impl Default for Harness {
 
 impl Harness {
     /// A harness on `machine` with the paper's algorithm configurations
-    /// ([`StrassenConfig::paper`], [`CapsConfig::paper`] with one DFS way
-    /// per machine core): cutoff 64 for the simulator, the paper figures
-    /// and [`Harness::multiply`] alike.
+    /// ([`StrassenConfig::paper`], [`CapsConfig::paper`]): cutoff 64 for
+    /// the simulator, the paper figures and [`Harness::multiply`] alike.
     ///
     /// The simulated blocking is derived from the *machine's* caches for
     /// the 8×6 AVX2 register tile — the kernel shape of the simulated
@@ -181,10 +180,7 @@ impl Harness {
         Harness {
             blocking: BlockingParams::for_caches_and_tile(&machine.caches, 8, 6),
             strassen: StrassenConfig::paper(),
-            caps: CapsConfig {
-                dfs_ways: machine.cores,
-                ..CapsConfig::paper()
-            },
+            caps: CapsConfig::paper(),
             machine,
             meter_samples: 64,
             faults: None,
@@ -198,7 +194,8 @@ impl Harness {
         self
     }
 
-    /// Builds the task graph for one spec.
+    /// Builds the task graph for one spec. CAPS shares its DFS steps
+    /// across all of the machine's cores.
     pub fn graph(&self, algorithm: Algorithm, n: usize) -> TaskGraph {
         let tm = self.machine.traffic_model();
         match algorithm {
@@ -206,7 +203,9 @@ impl Harness {
                 powerscale_gemm::plan::blocked_gemm_graph_with(n, &self.blocking, &tm)
             }
             Algorithm::Strassen => powerscale_strassen::strassen_graph_with(n, &self.strassen, &tm),
-            Algorithm::Caps => powerscale_caps::caps_graph_with(n, &self.caps, &tm),
+            Algorithm::Caps => {
+                powerscale_caps::caps_graph_with(n, &self.caps, self.machine.cores, &tm)
+            }
         }
     }
 
@@ -377,13 +376,23 @@ mod tests {
         // paper's cutoff 64 whatever the executed `default()` cutoff is.
         let h = harness();
         assert_eq!(h.strassen, StrassenConfig::paper());
-        assert_eq!(
-            h.caps,
-            CapsConfig {
-                dfs_ways: h.machine.cores,
-                ..CapsConfig::paper()
-            }
-        );
+        assert_eq!(h.caps, CapsConfig::paper());
+    }
+
+    #[test]
+    fn caps_plan_shares_dfs_steps_across_the_machine_cores() {
+        // An all-DFS plan is one work-shared subtree: one band per core.
+        let e3 = powerscale_machine::presets::e3_1225();
+        let two_core = MachineConfig {
+            cores: 2,
+            ..e3.clone()
+        };
+        for machine in [two_core, e3] {
+            let cores = machine.cores;
+            let mut h = Harness::new(machine);
+            h.caps.cutoff_depth = 0;
+            assert_eq!(h.graph(Algorithm::Caps, 1024).len(), cores);
+        }
     }
 
     #[test]

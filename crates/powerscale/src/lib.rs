@@ -16,7 +16,7 @@
 //! | [`model`] | `powerscale-core` | the EP scaling model (Eq. 1–6, 9) |
 //! | [`matrix`] | `powerscale-matrix` | dense matrices, views, quadrants |
 //! | [`gemm`] | `powerscale-gemm` | blocked/packed DGEMM + leaf/naive kernels |
-//! | [`strassen`] | `powerscale-strassen` | task-parallel Strassen(-Winograd) |
+//! | [`strassen`] | `powerscale-strassen` | task-parallel Strassen (Eq. 7) |
 //! | [`caps`] | `powerscale-caps` | CAPS BFS/DFS hybrid + Eq. 8 bound |
 //! | [`pool`] | `powerscale-pool` | work-stealing task pool |
 //! | [`counters`] | `powerscale-counters` | PAPI-style event sets |
@@ -84,7 +84,7 @@ pub mod gemm {
     pub use powerscale_gemm::*;
 }
 
-/// Strassen and Strassen-Winograd (`powerscale-strassen`).
+/// Strassen's Equation 7 recursion (`powerscale-strassen`).
 pub mod strassen {
     pub use powerscale_strassen::*;
 }
@@ -140,5 +140,5 @@ pub mod prelude {
     pub use powerscale_machine::{presets::e3_1225, simulate, KernelClass, TaskCost, TaskGraph};
     pub use powerscale_matrix::{Matrix, MatrixGen};
     pub use powerscale_pool::ThreadPool;
-    pub use powerscale_strassen::{StrassenConfig, Variant};
+    pub use powerscale_strassen::StrassenConfig;
 }

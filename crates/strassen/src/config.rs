@@ -2,18 +2,6 @@
 
 use powerscale_gemm::Dispatch;
 
-/// Which seven-multiply arrangement to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// Strassen's original scheme: 7 multiplies, 18 quadrant adds
-    /// (the paper's Equation 7).
-    #[default]
-    Classic,
-    /// The Winograd arrangement: 7 multiplies, 15 quadrant adds
-    /// (what the BOTS suite implements).
-    Winograd,
-}
-
 /// Tuning knobs of the recursive algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrassenConfig {
@@ -30,8 +18,6 @@ pub struct StrassenConfig {
     /// leaves, i.e. it reproduces the BOTS behaviour while bounding the
     /// task count for pathological inputs.
     pub task_depth: u32,
-    /// Multiply arrangement.
-    pub variant: Variant,
     /// Kernel selection and leaf mode every leaf product runs under.
     pub dispatch: Dispatch,
 }
@@ -50,21 +36,14 @@ impl Default for StrassenConfig {
 }
 
 impl StrassenConfig {
-    /// The paper's configuration: cutoff 64, task depth 5, Classic. Every
+    /// The paper's configuration: cutoff 64, task depth 5. Every
     /// simulated artifact, paper claim and pinned recursion shape uses it.
     pub fn paper() -> Self {
         StrassenConfig {
             cutoff: crate::cost::PAPER_CUTOFF,
             task_depth: 5,
-            variant: Variant::Classic,
             dispatch: Dispatch::default(),
         }
-    }
-
-    /// A Winograd-variant copy of this configuration.
-    pub fn winograd(mut self) -> Self {
-        self.variant = Variant::Winograd;
-        self
     }
 
     /// Validates the knobs.
@@ -75,11 +54,9 @@ impl StrassenConfig {
         Ok(())
     }
 
-    /// Quadrant adds per recursion level for the configured variant: the
-    /// operand and combine passes of [`crate::cost::add_passes`].
+    /// Quadrant adds per recursion level: 10 operand and 8 combine passes.
     pub fn adds_per_level(&self) -> u32 {
-        let (pre, combine) = crate::cost::add_passes(self.variant);
-        (pre + combine) as u32
+        crate::cost::PASSES_PER_LEVEL as u32
     }
 }
 
@@ -91,14 +68,12 @@ mod tests {
     fn defaults_match_paper() {
         let c = StrassenConfig::paper();
         assert_eq!(c.cutoff, 64);
-        assert_eq!(c.variant, Variant::Classic);
         c.validate().unwrap();
     }
 
     #[test]
     fn add_counts_by_variant() {
         assert_eq!(StrassenConfig::default().adds_per_level(), 18);
-        assert_eq!(StrassenConfig::default().winograd().adds_per_level(), 15);
     }
 
     #[test]

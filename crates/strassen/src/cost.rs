@@ -6,18 +6,17 @@
 //! the operation-count advantage the paper attributes to Strassen.
 //!
 //! Counts follow the *implementation*, which since the fused-leaf rewrite
-//! hits the textbook minimum: the classic variant performs 10 operand
-//! passes and 8 in-place combines per level (18 quadrant passes), Winograd
-//! 8 and 7 (15 passes). Operand sums are packed directly into the leaf
-//! GEMM's buffers and products accumulate into the quadrants they feed, so
-//! no accumulate-form splitting inflates the counts
-//! ([`StrassenConfig::adds_per_level`] is read from [`add_passes`]).
+//! hits the textbook minimum for Strassen's Equation 7: 10 operand passes
+//! and 8 in-place combines per level (18 quadrant passes). Operand sums are
+//! packed directly into the leaf GEMM's buffers and products accumulate
+//! into the quadrants they feed, so no accumulate-form splitting inflates
+//! the counts ([`StrassenConfig::adds_per_level`] reads the same count).
 //!
 //! The dense cutover itself has two values. [`PAPER_CUTOFF`] is the
 //! paper's 64, which every simulated artifact and paper claim keeps;
 //! [`executed_cutoff`] is the rule the executed recursion runs by default.
 
-use crate::config::{StrassenConfig, Variant};
+use crate::config::StrassenConfig;
 use powerscale_gemm::{BlockingParams, KernelInfo};
 
 /// The paper's dense cutover (§IV-B): the optimum for the unpacked BOTS
@@ -49,15 +48,9 @@ pub(crate) fn cutoff_for_panel_rows(mc: usize) -> usize {
     mc.next_power_of_two().max(PAPER_CUTOFF)
 }
 
-/// Operand-formation and combine pass counts per recursion level
-/// `(pre, combine)` for a variant, matching the executor's fused in-place
-/// schedule.
-pub fn add_passes(variant: Variant) -> (u64, u64) {
-    match variant {
-        Variant::Classic => (10, 8),
-        Variant::Winograd => (8, 7),
-    }
-}
+/// Quadrant passes per recursion level, matching the executor's fused
+/// in-place schedule: 10 operand formations plus 8 combines.
+pub(crate) const PASSES_PER_LEVEL: u64 = 10 + 8;
 
 /// `true` when the recursion bottoms out at dimension `n`: at or below the
 /// cutover size, or at an odd size that cannot split into quadrants. The
@@ -103,8 +96,7 @@ pub(crate) fn add_flops(n: usize, cfg: &StrassenConfig) -> u64 {
         return 0;
     }
     let h = (n / 2) as u64;
-    let (pre, comb) = add_passes(cfg.variant);
-    (pre + comb) * h * h + 7 * add_flops(n / 2, cfg)
+    PASSES_PER_LEVEL * h * h + 7 * add_flops(n / 2, cfg)
 }
 
 /// Total flops (multiplies + adds).
@@ -121,8 +113,7 @@ pub fn dram_bytes(n: usize, cfg: &StrassenConfig) -> u64 {
         return 32 * d * d;
     }
     let h = (n / 2) as u64;
-    let (pre, comb) = add_passes(cfg.variant);
-    (pre + comb) * 24 * h * h + 7 * dram_bytes(n / 2, cfg)
+    PASSES_PER_LEVEL * 24 * h * h + 7 * dram_bytes(n / 2, cfg)
 }
 
 /// Like [`dram_bytes`] but discounted by LLC residency: passes whose
@@ -139,9 +130,8 @@ pub fn dram_bytes_effective(
         return tm.effective_bytes(4 * 8 * d * d, 32 * d * d);
     }
     let h = (n / 2) as u64;
-    let (pre, comb) = add_passes(cfg.variant);
     let per_pass = tm.effective_bytes(3 * 8 * h * h, 24 * h * h);
-    (pre + comb) * per_pass + 7 * dram_bytes_effective(n / 2, cfg, tm)
+    PASSES_PER_LEVEL * per_pass + 7 * dram_bytes_effective(n / 2, cfg, tm)
 }
 
 #[cfg(test)]
@@ -189,8 +179,6 @@ mod tests {
         let c = cfg(64);
         // One level at 128: 18 passes of 64².
         assert_eq!(add_flops(128, &c), 18 * 64 * 64);
-        // Winograd: 15 passes.
-        assert_eq!(add_flops(128, &c.winograd()), 15 * 64 * 64);
     }
 
     #[test]
@@ -211,9 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn winograd_cheaper_than_classic() {
-        let c = cfg(32);
-        assert!(total_flops(1024, &c.winograd()) < total_flops(1024, &c));
+    fn deeper_recursion_saves_flops() {
+        // One more level at n = 1024 trades 1/8 of the 64³ leaves' flops
+        // for 18 passes of 32² per node: fewer flops in total.
+        assert!(total_flops(1024, &cfg(32)) < total_flops(1024, &cfg(64)));
     }
 
     #[test]

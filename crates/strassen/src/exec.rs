@@ -5,18 +5,17 @@
 //!
 //! * [`leaf_gemm_fused_with`] — quadrant sums like `A21 + A22` are packed
 //!   directly into the leaf's panel buffers ([`Operand::Add`] /
-//!   [`Operand::Sub`]) and products merge into `C` in place
-//!   ([`Accum::Add`] / [`Accum::Sub`]), so leaves materialise neither
-//!   operand sums nor product temporaries. The walker calls it itself,
-//!   handing it the pool when the schedule shares leaves;
-//! * in-place combine schedules — four of the seven products land
+//!   [`Operand::Sub`]), so leaves never materialise operand sums. The
+//!   walker calls it itself, handing it the pool when the schedule shares
+//!   leaves;
+//! * an in-place combine schedule — four of the seven products land
 //!   directly in their destination quadrants and the remaining cross-term
-//!   products cycle through a single scratch matrix (sequential paths),
+//!   products cycle through a single scratch matrix (sequential path),
 //!   cutting per-node scratch from the textbook 7+ temporaries to one
-//!   (Classic) or three (Winograd) half-size matrices.
+//!   half-size matrix.
 //!
-//! The parallel paths use the same per-quadrant update order as the
-//! sequential ones, so results are bitwise identical; they only widen the
+//! The parallel path uses the same per-quadrant update order as the
+//! sequential one, so results are bitwise identical; it only widens the
 //! scratch set enough to give the seven spawned products disjoint
 //! destinations. Quadrant-sized elementwise passes go through the
 //! row-band-parallel `ops::par_*` family, which is bitwise transparent.
@@ -29,7 +28,7 @@
 use crate::accounting::{
     add_pass, record_add, record_level, record_spawns, record_steal_delta, steal_snapshot, sub_pass,
 };
-use crate::config::{StrassenConfig, Variant};
+use crate::config::StrassenConfig;
 use crate::cost::is_leaf;
 use crate::schedule::{Schedule, Untied};
 use powerscale_counters::EventSet;
@@ -181,25 +180,24 @@ impl<S: Schedule> Walker<'_, S> {
         }
         let n = a.rows();
         if is_leaf(n, self.cfg.cutoff) {
-            self.leaf(View(a), View(b), c, Accum::Set);
+            self.leaf(View(a), View(b), c);
             return;
         }
         record_level(self.events);
         let parallel = self.pool.is_some() && depth < self.cfg.task_depth;
         let _span = self.sched.node_span(parallel, depth, n);
-        match (self.cfg.variant, parallel) {
-            (Variant::Classic, false) => self.classic_seq(a, b, c, depth),
-            (Variant::Classic, true) => self.classic_par(a, b, c, depth),
-            (Variant::Winograd, false) => self.winograd_seq(a, b, c, depth),
-            (Variant::Winograd, true) => self.winograd_par(a, b, c, depth),
+        if parallel {
+            self.classic_par(a, b, c, depth);
+        } else {
+            self.classic_seq(a, b, c, depth);
         }
     }
 
     /// The dense cutover: the fused leaf, work-shared over the pool when
     /// the schedule shares leaves.
-    fn leaf(&self, a: Operand<'_>, b: Operand<'_>, c: &mut MatrixViewMut<'_>, accum: Accum) {
+    fn leaf(&self, a: Operand<'_>, b: Operand<'_>, c: &mut MatrixViewMut<'_>) {
         let pool = self.pool.filter(|_| self.sched.shares_leaves());
-        leaf_gemm_fused_with(self.cfg.dispatch, a, b, c, accum, pool, self.events)
+        leaf_gemm_fused_with(self.cfg.dispatch, a, b, c, Accum::Set, pool, self.events)
             .expect("leaf shapes valid by construction");
     }
 
@@ -215,37 +213,19 @@ impl<S: Schedule> Walker<'_, S> {
         }
     }
 
-    /// One Strassen sub-product: `dst (op)= A · B` with unevaluated operand
-    /// sums. Leaf children fuse the sums into the packing pass and the
-    /// merge into the kernel's `C` update; internal children materialise
-    /// each sum once and recurse (merging through scratch for `Add`/`Sub`),
-    /// keeping the per-node elementwise pass count identical on both paths.
-    fn product(
-        &self,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        dst: &mut MatrixViewMut<'_>,
-        accum: Accum,
-        depth: u32,
-    ) {
+    /// One Strassen sub-product: `dst = A · B` with unevaluated operand
+    /// sums. Leaf children fuse the sums into the packing pass; internal
+    /// children materialise each sum once and recurse, keeping the
+    /// per-node elementwise pass count identical on both paths.
+    fn product(&self, a: Operand<'_>, b: Operand<'_>, dst: &mut MatrixViewMut<'_>, depth: u32) {
         let h = dst.rows();
         if is_leaf(h, self.cfg.cutoff) {
-            self.leaf(a, b, dst, accum);
+            self.leaf(a, b, dst);
             return;
         }
         let am = resolve_operand(a, h, self.pool, self.events);
         let bm = resolve_operand(b, h, self.pool, self.events);
-        if accum == Accum::Set {
-            self.rec(am.view(), bm.view(), dst, depth);
-            return;
-        }
-        let mut t = arena::matrix_uninit(h, h);
-        self.rec(am.view(), bm.view(), &mut t.view_mut(), depth);
-        if accum == Accum::Add {
-            add_pass(dst, &t.view(), self.pool, self.events);
-        } else {
-            sub_pass(dst, &t.view(), self.pool, self.events);
-        }
+        self.rec(am.view(), bm.view(), dst, depth);
     }
 
     /// Classic Strassen, sequential: 18 elementwise passes, one half-size
@@ -270,20 +250,20 @@ impl<S: Schedule> Walker<'_, S> {
         let (b11, b12, b21, b22) = (qb.a11, qb.a12, qb.a21, qb.a22);
         let qc = c.reborrow().quadrants().expect("even dimension");
         let (mut c11, mut c12, mut c21, mut c22) = (qc.a11, qc.a12, qc.a21, qc.a22);
-        let (d, set) = (depth + 1, Accum::Set);
+        let d = depth + 1;
 
         // M2 = (A21 + A22) B11          -> C21
-        self.product(Add(a21, a22), View(b11), &mut c21, set, d);
+        self.product(Add(a21, a22), View(b11), &mut c21, d);
         // M3 = A11 (B12 - B22)          -> C12
-        self.product(View(a11), Sub(b12, b22), &mut c12, set, d);
+        self.product(View(a11), Sub(b12, b22), &mut c12, d);
         // M6 = (A21 - A11)(B11 + B12)   -> C22
-        self.product(Sub(a21, a11), Add(b11, b12), &mut c22, set, d);
+        self.product(Sub(a21, a11), Add(b11, b12), &mut c22, d);
         // M7 = (A12 - A22)(B21 + B22)   -> C11
-        self.product(Sub(a12, a22), Add(b21, b22), &mut c11, set, d);
+        self.product(Sub(a12, a22), Add(b21, b22), &mut c11, d);
 
         let mut p = arena::matrix_uninit(h, h);
         // M1 = (A11 + A22)(B11 + B22)
-        self.product(Add(a11, a22), Add(b11, b22), &mut p.view_mut(), set, d);
+        self.product(Add(a11, a22), Add(b11, b22), &mut p.view_mut(), d);
         add_pass(&mut c11, &p.view(), pool, events);
         add_pass(&mut c22, &p.view(), pool, events);
         // C22 = M6 + M1 - M2 + M3, taking M2/M3 from C21/C12 while they still
@@ -291,11 +271,11 @@ impl<S: Schedule> Walker<'_, S> {
         sub_pass(&mut c22, &c21.as_view(), pool, events);
         add_pass(&mut c22, &c12.as_view(), pool, events);
         // M4 = A22 (B21 - B11)
-        self.product(View(a22), Sub(b21, b11), &mut p.view_mut(), set, d);
+        self.product(View(a22), Sub(b21, b11), &mut p.view_mut(), d);
         add_pass(&mut c11, &p.view(), pool, events);
         add_pass(&mut c21, &p.view(), pool, events);
         // M5 = (A11 + A12) B22
-        self.product(Add(a11, a12), View(b22), &mut p.view_mut(), set, d);
+        self.product(Add(a11, a12), View(b22), &mut p.view_mut(), d);
         sub_pass(&mut c11, &p.view(), pool, events);
         add_pass(&mut c12, &p.view(), pool, events);
     }
@@ -319,7 +299,7 @@ impl<S: Schedule> Walker<'_, S> {
         let (b11, b12, b21, b22) = (qb.a11, qb.a12, qb.a21, qb.a22);
         let qc = c.reborrow().quadrants().expect("even dimension");
         let (mut c11, mut c12, mut c21, mut c22) = (qc.a11, qc.a12, qc.a21, qc.a22);
-        let (d, set) = (depth + 1, Accum::Set);
+        let d = depth + 1;
 
         let mut p1 = arena::matrix_uninit(h, h);
         let mut p4 = arena::matrix_uninit(h, h);
@@ -331,25 +311,25 @@ impl<S: Schedule> Walker<'_, S> {
             let (r1, r4, r5) = (&mut *p1, &mut *p4, &mut *p5);
             pl.scope(|s| {
                 self.spawn(s, depth, 0, move |_| {
-                    self.product(Add(a21, a22), View(b11), rc21, set, d);
+                    self.product(Add(a21, a22), View(b11), rc21, d);
                 });
                 self.spawn(s, depth, 1, move |_| {
-                    self.product(View(a11), Sub(b12, b22), rc12, set, d);
+                    self.product(View(a11), Sub(b12, b22), rc12, d);
                 });
                 self.spawn(s, depth, 2, move |_| {
-                    self.product(Sub(a21, a11), Add(b11, b12), rc22, set, d);
+                    self.product(Sub(a21, a11), Add(b11, b12), rc22, d);
                 });
                 self.spawn(s, depth, 3, move |_| {
-                    self.product(Sub(a12, a22), Add(b21, b22), rc11, set, d);
+                    self.product(Sub(a12, a22), Add(b21, b22), rc11, d);
                 });
                 self.spawn(s, depth, 4, move |_| {
-                    self.product(Add(a11, a22), Add(b11, b22), &mut r1.view_mut(), set, d);
+                    self.product(Add(a11, a22), Add(b11, b22), &mut r1.view_mut(), d);
                 });
                 self.spawn(s, depth, 5, move |_| {
-                    self.product(View(a22), Sub(b21, b11), &mut r4.view_mut(), set, d);
+                    self.product(View(a22), Sub(b21, b11), &mut r4.view_mut(), d);
                 });
                 self.spawn(s, depth, 6, move |_| {
-                    self.product(Add(a11, a12), View(b22), &mut r5.view_mut(), set, d);
+                    self.product(Add(a11, a12), View(b22), &mut r5.view_mut(), d);
                 });
             });
         }
@@ -361,148 +341,6 @@ impl<S: Schedule> Walker<'_, S> {
         add_pass(&mut c21, &p4.view(), pool, events);
         sub_pass(&mut c11, &p5.view(), pool, events);
         add_pass(&mut c12, &p5.view(), pool, events);
-    }
-
-    /// Strassen-Winograd, sequential: 15 elementwise passes, three
-    /// half-size scratch matrices.
-    ///
-    /// `x`/`y` start as S1 = A21+A22 / T3 = B22−B12 and are updated *in
-    /// place* to S2 / T2 once the products needing the first generation
-    /// (P7, P5) are taken; T4 and the final P4/P2 merges are fused into the
-    /// leaves.
-    fn winograd_seq(
-        &self,
-        a: MatrixView<'_>,
-        b: MatrixView<'_>,
-        c: &mut MatrixViewMut<'_>,
-        depth: u32,
-    ) {
-        let (pool, events) = (self.pool, self.events);
-        let h = a.rows() / 2;
-        let qa = a.quadrants().expect("even dimension");
-        let qb = b.quadrants().expect("even dimension");
-        let (a11, a12, a21, a22) = (qa.a11, qa.a12, qa.a21, qa.a22);
-        let (b11, b12, b21, b22) = (qb.a11, qb.a12, qb.a21, qb.a22);
-        let qc = c.reborrow().quadrants().expect("even dimension");
-        let (mut c11, mut c12, mut c21, mut c22) = (qc.a11, qc.a12, qc.a21, qc.a22);
-        let (d, set) = (depth + 1, Accum::Set);
-
-        let mut x = arena::matrix_uninit(h, h);
-        let mut y = arena::matrix_uninit(h, h);
-        // X = S1 = A21 + A22; Y = T3 = B22 - B12.
-        ops::par_add_into(&a21, &a22, &mut x.view_mut(), pool).expect("quadrant shapes");
-        record_add(events, h);
-        ops::par_sub_into(&b22, &b12, &mut y.view_mut(), pool).expect("quadrant shapes");
-        record_add(events, h);
-        // C21 = P7 = (A11 - A21) T3; C22 = P5 = S1 (B12 - B11).
-        self.product(Sub(a11, a21), View(y.view()), &mut c21, set, d);
-        self.product(View(x.view()), Sub(b12, b11), &mut c22, set, d);
-        // X -> S2 = S1 - A11; Y -> T2 = T3 + B11.
-        sub_pass(&mut x.view_mut(), &a11, pool, events);
-        add_pass(&mut y.view_mut(), &b11, pool, events);
-        let mut p = arena::matrix_uninit(h, h);
-        // P = P6 = S2 T2; C11 = P1 = A11 B11.
-        self.product(View(x.view()), View(y.view()), &mut p.view_mut(), set, d);
-        self.product(View(a11), View(b11), &mut c11, set, d);
-        // P -> U1 = P1 + P6; C21 -> U2 = U1 + P7.
-        add_pass(&mut p.view_mut(), &c11.as_view(), pool, events);
-        add_pass(&mut c21, &p.view(), pool, events);
-        // C12 = P3 = (A12 - S2) B22, then U3 + P3 (C22 still holds P5).
-        self.product(Sub(a12, x.view()), View(b22), &mut c12, set, d);
-        add_pass(&mut c12, &p.view(), pool, events);
-        add_pass(&mut c12, &c22.as_view(), pool, events);
-        // C22 = U3 + P7 = P5 + U2 (C21 holds U2).
-        add_pass(&mut c22, &c21.as_view(), pool, events);
-        // C21 = U2 - P4, with T4 = T2 - B21 fused into the packing pass and
-        // the subtraction fused into the kernel merge.
-        self.product(View(a22), Sub(y.view(), b21), &mut c21, Accum::Sub, d);
-        // C11 = P1 + P2, merge fused likewise.
-        self.product(View(a12), View(b21), &mut c11, Accum::Add, d);
-    }
-
-    /// Strassen-Winograd, task-parallel: same 15 passes and per-quadrant
-    /// update order as [`Walker::winograd_seq`] (bitwise identical); both
-    /// generations of the pre-adds coexist so the seven products can run
-    /// concurrently.
-    fn winograd_par(
-        &self,
-        a: MatrixView<'_>,
-        b: MatrixView<'_>,
-        c: &mut MatrixViewMut<'_>,
-        depth: u32,
-    ) {
-        let (pool, events) = (self.pool, self.events);
-        let h = a.rows() / 2;
-        let qa = a.quadrants().expect("even dimension");
-        let qb = b.quadrants().expect("even dimension");
-        let (a11, a12, a21, a22) = (qa.a11, qa.a12, qa.a21, qa.a22);
-        let (b11, b12, b21, b22) = (qb.a11, qb.a12, qb.a21, qb.a22);
-        let qc = c.reborrow().quadrants().expect("even dimension");
-        let (mut c11, mut c12, mut c21, mut c22) = (qc.a11, qc.a12, qc.a21, qc.a22);
-        let (d, set) = (depth + 1, Accum::Set);
-
-        // S1, T3 and their second generation S2 = S1 - A11, T2 = T3 + B11.
-        let mut x = arena::matrix_uninit(h, h);
-        let mut y = arena::matrix_uninit(h, h);
-        let mut x2 = arena::matrix_uninit(h, h);
-        let mut y2 = arena::matrix_uninit(h, h);
-        ops::par_add_into(&a21, &a22, &mut x.view_mut(), pool).expect("quadrant shapes");
-        record_add(events, h);
-        ops::par_sub_into(&b22, &b12, &mut y.view_mut(), pool).expect("quadrant shapes");
-        record_add(events, h);
-        ops::par_sub_into(&x.view(), &a11, &mut x2.view_mut(), pool).expect("quadrant shapes");
-        record_add(events, h);
-        ops::par_add_into(&y.view(), &b11, &mut y2.view_mut(), pool).expect("quadrant shapes");
-        record_add(events, h);
-
-        let mut pa = arena::matrix_uninit(h, h); // P6
-        let mut pb = arena::matrix_uninit(h, h); // P4
-        let mut pc = arena::matrix_uninit(h, h); // P2
-        let pl = pool.expect("parallel path requires a pool");
-        record_spawns(events, 7, h);
-        {
-            let (rc11, rc12, rc21, rc22) = (&mut c11, &mut c12, &mut c21, &mut c22);
-            let (ra, rb, rp) = (&mut *pa, &mut *pb, &mut *pc);
-            let (yv, xv, x2v, y2v) = (y.view(), x.view(), x2.view(), y2.view());
-            pl.scope(|s| {
-                // P7 -> C21
-                self.spawn(s, depth, 0, move |_| {
-                    self.product(Sub(a11, a21), View(yv), rc21, set, d);
-                });
-                // P5 -> C22
-                self.spawn(s, depth, 1, move |_| {
-                    self.product(View(xv), Sub(b12, b11), rc22, set, d);
-                });
-                // P6
-                self.spawn(s, depth, 2, move |_| {
-                    self.product(View(x2v), View(y2v), &mut ra.view_mut(), set, d);
-                });
-                // P1 -> C11
-                self.spawn(s, depth, 3, move |_| {
-                    self.product(View(a11), View(b11), rc11, set, d);
-                });
-                // P3 -> C12
-                self.spawn(s, depth, 4, move |_| {
-                    self.product(Sub(a12, x2v), View(b22), rc12, set, d);
-                });
-                // P4, with T4 = T2 - B21 fused
-                self.spawn(s, depth, 5, move |_| {
-                    self.product(View(a22), Sub(y2v, b21), &mut rb.view_mut(), set, d);
-                });
-                // P2
-                self.spawn(s, depth, 6, move |_| {
-                    self.product(View(a12), View(b21), &mut rp.view_mut(), set, d);
-                });
-            });
-        }
-        // Combines in the sequential schedule's per-quadrant order.
-        add_pass(&mut pa.view_mut(), &c11.as_view(), pool, events); // U1
-        add_pass(&mut c21, &pa.view(), pool, events); // U2
-        add_pass(&mut c12, &pa.view(), pool, events);
-        add_pass(&mut c12, &c22.as_view(), pool, events); // C12 final
-        add_pass(&mut c22, &c21.as_view(), pool, events); // C22 final
-        sub_pass(&mut c21, &pb.view(), pool, events); // C21 final
-        add_pass(&mut c11, &pc.view(), pool, events); // C11 final
     }
 }
 
@@ -520,7 +358,7 @@ mod tests {
         let c = multiply(&a.view(), &b.view(), cfg, pool, None).unwrap();
         let r = naive_mm(&a.view(), &b.view()).unwrap();
         let err = rel_frobenius_error(&c.view(), &r.view());
-        assert!(err < 1e-11, "n={n} variant={:?}: err {err}", cfg.variant);
+        assert!(err < 1e-11, "n={n}: err {err}");
     }
 
     #[test]
@@ -535,18 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn winograd_matches_naive_power_of_two() {
-        let cfg = StrassenConfig {
-            cutoff: 8,
-            ..Default::default()
-        }
-        .winograd();
-        for n in [8, 16, 32, 64] {
-            check(n, &cfg, None, n as u64);
-        }
-    }
-
-    #[test]
     fn non_power_of_two_padded() {
         let cfg = StrassenConfig {
             cutoff: 8,
@@ -554,27 +380,24 @@ mod tests {
         };
         for n in [12, 17, 31, 100] {
             check(n, &cfg, None, n as u64);
-            check(n, &cfg.winograd(), None, n as u64 + 1);
         }
     }
 
     #[test]
     fn parallel_matches_sequential() {
-        let classic = StrassenConfig {
+        let cfg = StrassenConfig {
             cutoff: 16,
             ..Default::default()
         };
-        for cfg in [classic, classic.winograd()] {
-            let mut gen = MatrixGen::new(99);
-            let a = gen.paper_operand(128);
-            let b = gen.paper_operand(128);
-            let seq = multiply(&a.view(), &b.view(), &cfg, None, None).unwrap();
-            let pool = ThreadPool::new(4);
-            let par = multiply(&a.view(), &b.view(), &cfg, Some(&pool), None).unwrap();
-            // Identical per-quadrant update order in both schedules:
-            // results are bitwise equal.
-            assert_eq!(seq, par, "variant {:?}", cfg.variant);
-        }
+        let mut gen = MatrixGen::new(99);
+        let a = gen.paper_operand(128);
+        let b = gen.paper_operand(128);
+        let seq = multiply(&a.view(), &b.view(), &cfg, None, None).unwrap();
+        let pool = ThreadPool::new(4);
+        let par = multiply(&a.view(), &b.view(), &cfg, Some(&pool), None).unwrap();
+        // Identical per-quadrant update order in both schedules: results
+        // are bitwise equal.
+        assert_eq!(seq, par);
     }
 
     #[test]
@@ -643,34 +466,12 @@ mod tests {
         // Leaves: 49 multiplications of 16^3, one packed kernel sweep each.
         assert_eq!(p.get(Event::KernelCalls), 49);
         assert_eq!(p.get(Event::FpOps), 49 * 2 * 16 * 16 * 16);
-        // Classic in-place form: 18 elementwise passes per node (10 fused
+        // In-place form: 18 elementwise passes per node (10 fused
         // operand passes + 8 combines), matching `adds_per_level()`.
         let expected_adds = 18 * 32 * 32 + 7 * 18 * 16 * 16;
         assert_eq!(p.get(Event::FpAdds), expected_adds as u64);
         // No tasks spawned without a pool.
         assert_eq!(p.get(Event::TasksSpawned), 0);
-    }
-
-    #[test]
-    fn winograd_event_accounting_matches_adds_per_level() {
-        use powerscale_counters::{Event, EventSet};
-        let cfg = StrassenConfig {
-            cutoff: 16,
-            ..Default::default()
-        }
-        .winograd();
-        let mut gen = MatrixGen::new(7);
-        let a = gen.paper_operand(64);
-        let b = gen.paper_operand(64);
-        let mut set = EventSet::with_all_events();
-        set.start().unwrap();
-        let _ = multiply(&a.view(), &b.view(), &cfg, None, Some(&set)).unwrap();
-        let p = set.stop().unwrap();
-        assert_eq!(p.get(Event::RecursionLevels), 8);
-        assert_eq!(p.get(Event::KernelCalls), 49);
-        // Winograd in-place form: 15 passes per node.
-        let expected_adds = 15 * 32 * 32 + 7 * 15 * 16 * 16;
-        assert_eq!(p.get(Event::FpAdds), expected_adds as u64);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Task-parallel Strassen and Strassen-Winograd matrix multiplication.
+//! Task-parallel Strassen matrix multiplication.
 //!
 //! This crate reproduces the paper's second comparator (§IV-B): the BOTS
 //! Strassen, an OpenMP-task recursion that partitions the operands into
@@ -8,24 +8,22 @@
 //! [`StrassenConfig::default`] stops where a step stops paying for the
 //! dispatched kernel ([`cost::executed_cutoff`]).
 //!
-//! Two variants are provided:
+//! The arrangement is Strassen's classic 7-multiply / 18-add scheme printed
+//! as Equation 7 of the paper (with the two well-known typos in the
+//! paper's rendition of Q5/Q6 corrected to Strassen's original formulas).
+//! BOTS runs a 15-add arrangement instead; DESIGN §2 gives the measured
+//! speed/error trade behind keeping only Equation 7.
 //!
-//! * [`Variant::Classic`] — the 7-multiply / 18-add scheme printed as
-//!   Equation 7 of the paper (with the two well-known typos in the paper's
-//!   rendition of Q5/Q6 corrected to Strassen's original formulas);
-//! * [`Variant::Winograd`] — the 7-multiply / 15-add Winograd arrangement
-//!   the BOTS benchmark actually implements.
-//!
-//! Both recurse on padded operands when the dimension is not
-//! `cutoff · 2^k`-shaped (zero padding is multiplication-neutral), spawn
+//! The recursion pads its operands when the dimension is not
+//! `cutoff · 2^k`-shaped (zero padding is multiplication-neutral), spawns
 //! through [`powerscale_pool::ThreadPool`] down to a configurable task
-//! depth, and report their work through [`powerscale_counters::EventSet`].
+//! depth, and reports its work through [`powerscale_counters::EventSet`].
 //! [`plan`] emits the equivalent task graph for the simulated machine.
 //!
-//! The recursion exists once. Its executor and its plan are generic over a
-//! [`Schedule`]: [`multiply`] and [`strassen_graph_with`] run it under the
-//! BOTS `Untied` schedule, and `powerscale-caps` runs the same walker
-//! under its BFS/DFS schedule.
+//! The recursion exists once. Its executor is generic over a [`Schedule`]
+//! and its plan over a [`Pricing`]: [`multiply`] and
+//! [`strassen_graph_with`] run it under the BOTS `Untied` schedule, and
+//! `powerscale-caps` runs the same walker under its BFS/DFS schedule.
 //!
 //! # Example
 //!
@@ -51,7 +49,7 @@ pub mod memory;
 pub mod plan;
 pub mod schedule;
 
-pub use config::{StrassenConfig, Variant};
+pub use config::StrassenConfig;
 pub use exec::{multiply, multiply_with};
 pub use plan::strassen_graph_with;
-pub use schedule::Schedule;
+pub use schedule::{Pricing, Schedule};

@@ -11,10 +11,8 @@
 //! is derived from:
 //!
 //! * every internal recursion node holds seven `h × h` product buffers
-//!   (`Q1..Q7` / `P1..P7`);
-//! * classic products each hold up to two `h × h` operand temporaries;
-//!   Winograd holds eight shared `S/T` buffers per node plus three `U`
-//!   combine temporaries;
+//!   (`Q1..Q7`);
+//! * the products each hold up to two `h × h` operand temporaries;
 //! * buffers are allocated when a task *executes* (untied-task
 //!   semantics), so a parallel run keeps at most one root-to-leaf path of
 //!   buffers live per worker; a sequential run keeps exactly one.
@@ -22,14 +20,12 @@
 //! It is an **upper bound** on what the walker behind [`crate::multiply`]
 //! actually leases from its per-thread recycling arenas
 //! ([`powerscale_gemm::arena`]): one half-size scratch per sequential
-//! Classic node, three per spawned Classic node, and at most two resolved
-//! operand temporaries per non-leaf child (a leaf child's operand sums are
-//! fused into its packing and never materialised). Winograd leases three
-//! per sequential node and seven per spawned one, plus one merge temporary
-//! per accumulating non-leaf child. The figures below keep the textbook
-//! model; they have not been reconciled with a measured peak.
+//! node, three per spawned node, and at most two resolved operand
+//! temporaries per non-leaf child (a leaf child's operand sums are fused
+//! into its packing and never materialised). The figures below keep the
+//! textbook model; they have not been reconciled with a measured peak.
 
-use crate::config::{StrassenConfig, Variant};
+use crate::config::StrassenConfig;
 use crate::cost::is_leaf;
 
 /// Bytes of the three user-visible operands (A, B, C) at dimension `n`.
@@ -39,15 +35,11 @@ pub(crate) fn operand_bytes(n: usize) -> u64 {
 
 /// Temporary bytes allocated by one recursion node at size `n` (its own
 /// buffers, excluding children): the seven products plus operand temps.
-fn node_temp_bytes(n: usize, variant: Variant) -> u64 {
+fn node_temp_bytes(n: usize) -> u64 {
     let h = (n / 2) as u64;
     let hh = 8 * h * h;
-    match variant {
-        // 7 product buffers + 10 operand temporaries across the products.
-        Variant::Classic => 7 * hh + 10 * hh,
-        // 7 products + 8 shared S/T + 3 U combine temporaries.
-        Variant::Winograd => 7 * hh + 8 * hh + 3 * hh,
-    }
+    // 7 product buffers + 10 operand temporaries across the products.
+    7 * hh + 10 * hh
 }
 
 /// Peak temporary bytes for a **sequential** (DFS-style) execution: one
@@ -56,7 +48,7 @@ pub(crate) fn sequential_peak_bytes(n: usize, cfg: &StrassenConfig) -> u64 {
     if is_leaf(n, cfg.cutoff) {
         return 0;
     }
-    node_temp_bytes(n, cfg.variant) + sequential_peak_bytes(n / 2, cfg)
+    node_temp_bytes(n) + sequential_peak_bytes(n / 2, cfg)
 }
 
 /// Peak temporary bytes for a **parallel** execution on `workers`
@@ -123,26 +115,16 @@ mod tests {
 
     #[test]
     fn sequential_peak_geometric() {
-        // One classic node at n: 17 buffers of (n/2)²; the path sums a
+        // One node at n: 17 buffers of (n/2)²; the path sums a
         // geometric series (ratio 1/4).
         let c = StrassenConfig {
             cutoff: 64,
             ..Default::default()
         };
-        let one_level = node_temp_bytes(128, Variant::Classic);
+        let one_level = node_temp_bytes(128);
         assert_eq!(sequential_peak_bytes(128, &c), one_level);
-        let two_level = node_temp_bytes(256, Variant::Classic) + one_level;
+        let two_level = node_temp_bytes(256) + one_level;
         assert_eq!(sequential_peak_bytes(256, &c), two_level);
-    }
-
-    #[test]
-    fn winograd_node_is_leaner_than_classic_products() {
-        // 18 vs 17 buffers per node — Winograd's shared S/T actually costs
-        // one more buffer than classic's per-product temps in our
-        // implementation; both are ~4x the operand quadrant.
-        let cl = node_temp_bytes(256, Variant::Classic);
-        let wi = node_temp_bytes(256, Variant::Winograd);
-        assert!((cl as f64 / wi as f64 - 17.0 / 18.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,37 +7,27 @@
 //! subtrees, and four per-quadrant *combine* tasks. Below the task-spawn
 //! depth the whole subtree is emitted as the schedule runs it inline.
 //!
-//! Like the executor, the emitter walks one recursion under a
-//! [`Schedule`], which prices the leaves, the inline subtrees and the
+//! Like the executor, the emitter walks one recursion under a schedule,
+//! whose [`Pricing`] prices the leaves, the inline subtrees and the
 //! migration volumes. Under `Untied` (classic Strassen, [`strassen_graph_with`])
 //! scheduling is placement-oblivious: every spawned product pays a full
 //! migration and an inline subtree is one sequential task.
 
-use crate::config::{StrassenConfig, Variant};
+use crate::config::StrassenConfig;
 use crate::cost;
-use crate::schedule::{Schedule, Untied};
+use crate::schedule::{Pricing, Untied};
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
 
-/// Operand-formation counts per product for the classic variant (the
-/// executor fuses these into the leaf packing, but the work is still one
-/// pass per operand sum).
+/// Operand-formation counts per product (the executor fuses these into
+/// the leaf packing, but the work is still one pass per operand sum).
 pub const CLASSIC_PRE: [u64; 7] = [2, 1, 1, 1, 1, 2, 2];
-/// In-place combine passes per C quadrant for the classic variant:
-/// four products land via `Accum::Set` (no pass), the remaining eight
-/// accumulations split as C11 += P1,P4,−P5; C12 += P5; C21 += P4;
-/// C22 += P1,−C21,+C12.
+/// In-place combine passes per C quadrant: four products land via
+/// `Accum::Set` (no pass), the remaining eight accumulations split as
+/// C11 += P1,P4,−P5; C12 += P5; C21 += P4; C22 += P1,−C21,+C12.
 pub const CLASSIC_COMBINE: [u64; 4] = [3, 1, 1, 3];
-/// Products feeding each C quadrant for the classic variant (indices into
-/// the seven products): C11 = Q1+Q4−Q5+Q7; C12 = Q3+Q5; C21 = Q2+Q4;
-/// C22 = Q1−Q2+Q3+Q6.
+/// Products feeding each C quadrant (indices into the seven products):
+/// C11 = Q1+Q4−Q5+Q7; C12 = Q3+Q5; C21 = Q2+Q4; C22 = Q1−Q2+Q3+Q6.
 pub const CLASSIC_QUADRANT_INPUTS: [&[usize]; 4] = [&[0, 3, 4, 6], &[2, 4], &[1, 3], &[0, 1, 2, 5]];
-/// Winograd: 8 shared S/T operand passes charged to the first prepare
-/// task, then the per-product extras are zero (products read the shared
-/// S/T values, half of them fused straight into the leaf packing).
-const WINOGRAD_PRE: [u64; 7] = [8, 0, 0, 0, 0, 0, 0];
-/// Winograd in-place combine passes per quadrant (7 total: the U1 chain
-/// pass is charged to C21, whose U2 consumes it).
-const WINOGRAD_COMBINE: [u64; 4] = [1, 2, 3, 1];
 
 /// Emits the Strassen task graph for an `n × n` multiply under `cfg`, with
 /// an explicit LLC traffic model (usually `machine.traffic_model()`).
@@ -47,9 +37,9 @@ pub fn strassen_graph_with(n: usize, cfg: &StrassenConfig, tm: &TrafficModel) ->
     graph(n, cfg, &Untied, tm)
 }
 
-/// The task graph of an `n × n` multiply under `cfg`, scheduled by
-/// `sched`, with an explicit LLC traffic model.
-pub fn graph<S: Schedule>(
+/// The task graph of an `n × n` multiply under `cfg`, priced by `sched`,
+/// with an explicit LLC traffic model.
+pub fn graph<S: Pricing>(
     n: usize,
     cfg: &StrassenConfig,
     sched: &S,
@@ -65,7 +55,7 @@ pub fn graph<S: Schedule>(
 
 /// Emits the subtree for one `n × n` product; returns the tasks whose
 /// completion makes the product's result available.
-fn emit<S: Schedule>(
+fn emit<S: Pricing>(
     g: &mut TaskGraph,
     n: usize,
     depth: u32,
@@ -93,14 +83,9 @@ fn emit<S: Schedule>(
 
     let h = (n / 2) as u64;
     let hh = h * h;
-    let (pre_counts, combine_counts): (&[u64; 7], &[u64; 4]) = match cfg.variant {
-        Variant::Classic => (&CLASSIC_PRE, &CLASSIC_COMBINE),
-        Variant::Winograd => (&WINOGRAD_PRE, &WINOGRAD_COMBINE),
-    };
-
     let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
     let mut product_sinks: Vec<Vec<TaskId>> = Vec::with_capacity(7);
-    for &pre in pre_counts.iter() {
+    for &pre in CLASSIC_PRE.iter() {
         // Prepare task: the product's operand adds plus the migration of
         // its two half-size operands, as the schedule prices it.
         let prepare = g.add(
@@ -116,18 +101,10 @@ fn emit<S: Schedule>(
         product_sinks.push(sinks);
     }
 
-    // Which products feed which C quadrant (indices into product_sinks).
-    let quadrant_inputs: [&[usize]; 4] = match cfg.variant {
-        Variant::Classic => CLASSIC_QUADRANT_INPUTS,
-        // C11 = P1+P2; C12 = U3+P3; C21 = U2-P4; C22 = U3+P7 where the U
-        // chain consumes P1, P5, P6, P7.
-        Variant::Winograd => [&[0, 1], &[0, 2, 4, 5], &[0, 3, 5, 6], &[0, 4, 5, 6]],
-    };
-
     let mut combines = Vec::with_capacity(4);
-    for (q, &passes) in combine_counts.iter().enumerate() {
+    for (q, &passes) in CLASSIC_COMBINE.iter().enumerate() {
         let mut cdeps: Vec<TaskId> = Vec::new();
-        for &pi in quadrant_inputs[q] {
+        for &pi in CLASSIC_QUADRANT_INPUTS[q] {
             cdeps.extend_from_slice(&product_sinks[pi]);
         }
         cdeps.sort_unstable();
@@ -137,7 +114,7 @@ fn emit<S: Schedule>(
                 KernelClass::Elementwise,
                 passes * hh,
                 passes * per_pass,
-                sched.combine_comm(depth, quadrant_inputs[q].len(), hh),
+                sched.combine_comm(depth, CLASSIC_QUADRANT_INPUTS[q].len(), hh),
             ),
             &cdeps,
         );
@@ -192,13 +169,6 @@ mod tests {
                 "n={n} cutoff={cutoff} td={td}"
             );
         }
-    }
-
-    #[test]
-    fn winograd_flops_match_too() {
-        let c = cfg(64, 2).winograd();
-        let g = strassen_graph(512, &c);
-        assert_eq!(g.total_flops(), cost::total_flops(512, &c));
     }
 
     #[test]

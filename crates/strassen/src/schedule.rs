@@ -3,14 +3,15 @@
 //! There is one recursion: [`crate::multiply_with`] walks it on real
 //! matrices and [`crate::plan::graph`] emits its task graph. What differs between the BOTS
 //! Strassen and CAPS (paper §IV-B/§IV-C) is only *how* that tree is
-//! scheduled, and a [`Schedule`] names exactly those differences:
+//! scheduled. A [`Schedule`] names those differences for the walker:
 //!
 //! * whether a leaf is work-shared across the pool;
 //! * the worker a depth-0 product is pinned to;
-//! * the trace category and span names of internal nodes;
-//! * how the task-graph plan prices a leaf, an inline subtree below the
-//!   spawn depth, and operand migration at a spawned node's prepare and
-//!   combine tasks.
+//! * the trace category and span names of internal nodes.
+//!
+//! Its [`Pricing`] names them for the task-graph plan: how a leaf, an
+//! inline subtree below the spawn depth, and operand migration at a
+//! spawned node's prepare and combine tasks are priced.
 //!
 //! Arithmetic order, event counts and task order belong to the walker, so
 //! every schedule computes the same bits. `Untied` is the BOTS schedule;
@@ -20,7 +21,7 @@
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
 use powerscale_trace::{span_args, Category, SpanGuard};
 
-/// What a schedule decides about one Strassen recursion.
+/// What a schedule decides about one executed Strassen recursion.
 pub trait Schedule: Sync {
     /// Whether a leaf product is work-shared by row bands across the
     /// walker's pool (the fused leaf's pooled nest) rather than run by the
@@ -35,7 +36,10 @@ pub trait Schedule: Sync {
     /// Opens the trace span of one internal `n × n` node at `depth`,
     /// spawned (`parallel`) or inline.
     fn node_span(&self, parallel: bool, depth: u32, n: usize) -> SpanGuard;
+}
 
+/// How a schedule prices one Strassen recursion's task-graph plan.
+pub trait Pricing {
     /// Emits the task(s) of one dense leaf costing `leaf`; `inline` is true
     /// below the spawn depth. Returns the sink tasks.
     fn plan_leaf(
@@ -87,7 +91,9 @@ impl Schedule for Untied {
         let name = if parallel { "rec:par" } else { "rec:seq" };
         span_args(Category::Strassen, name, depth, n as u32)
     }
+}
 
+impl Pricing for Untied {
     fn plan_leaf(
         &self,
         g: &mut TaskGraph,

@@ -156,7 +156,6 @@ pub fn chaos_caps(pool: &ThreadPool, cfg: &ChaosConfig) -> ChaosReport {
     let ccfg = CapsConfig {
         cutoff: cfg.cutoff,
         cutoff_depth: 2,
-        dfs_ways: 2,
         ..CapsConfig::default()
     };
     let mul = move |p: Option<&ThreadPool>| {

@@ -9,7 +9,7 @@ use powerscale_caps::CapsConfig;
 use powerscale_gemm::GemmContext;
 use powerscale_matrix::{Matrix, MatrixView};
 use powerscale_pool::ThreadPool;
-use powerscale_strassen::{StrassenConfig, Variant};
+use powerscale_strassen::StrassenConfig;
 use powerscale_testkit::check_identities;
 
 const N: usize = 96;
@@ -48,7 +48,6 @@ fn strassen_satisfies_the_identities() {
     let cfg = StrassenConfig {
         cutoff: 16,
         task_depth: 4,
-        variant: Variant::Classic,
         ..Default::default()
     };
     assert_identities("strassen", &|a, b| {
@@ -57,16 +56,14 @@ fn strassen_satisfies_the_identities() {
 }
 
 #[test]
-fn winograd_strassen_satisfies_the_identities() {
-    let pool = ThreadPool::new(4);
+fn sequential_strassen_satisfies_the_identities() {
+    // No pool: every node takes the walker's one-scratch sequential path.
     let cfg = StrassenConfig {
         cutoff: 16,
-        task_depth: 4,
-        variant: Variant::Winograd,
         ..Default::default()
     };
-    assert_identities("strassen-winograd", &|a, b| {
-        powerscale_strassen::multiply(a, b, &cfg, Some(&pool), None).expect("dims")
+    assert_identities("strassen-sequential", &|a, b| {
+        powerscale_strassen::multiply(a, b, &cfg, None, None).expect("dims")
     });
 }
 
@@ -76,7 +73,6 @@ fn caps_satisfies_the_identities() {
     let cfg = CapsConfig {
         cutoff: 16,
         cutoff_depth: 2,
-        dfs_ways: 2,
         ..Default::default()
     };
     assert_identities("caps", &|a, b| {

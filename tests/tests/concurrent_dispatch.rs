@@ -91,7 +91,6 @@ fn caps_dispatches_run_concurrently_bitwise() {
             cutoff: 24,
             cutoff_depth: 1,
             dispatch,
-            ..CapsConfig::default()
         };
         powerscale::caps::multiply(&a.view(), &b.view(), &cfg, Some(pool), None).unwrap()
     });

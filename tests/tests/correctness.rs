@@ -7,7 +7,7 @@ use powerscale::gemm::naive::naive_mm;
 use powerscale::matrix::norms::rel_frobenius_error;
 use powerscale::matrix::{Matrix, MatrixGen};
 use powerscale::pool::ThreadPool;
-use powerscale::strassen::{StrassenConfig, Variant};
+use powerscale::strassen::StrassenConfig;
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-10;
@@ -41,7 +41,6 @@ fn all_algorithms_agree_across_sizes() {
             &CapsConfig {
                 cutoff: 16,
                 cutoff_depth: 2,
-                dfs_ways: 3,
                 ..Default::default()
             },
             Some(&pool),
@@ -60,7 +59,8 @@ fn all_algorithms_agree_across_sizes() {
 }
 
 #[test]
-fn winograd_variant_agrees_too() {
+fn strassen_inline_below_task_depth_agrees_too() {
+    // A pooled run that spawns two levels and walks the rest inline.
     let pool = ThreadPool::new(2);
     for n in [48usize, 100, 128] {
         let (a, b) = operands(n, 1000 + n as u64);
@@ -71,7 +71,6 @@ fn winograd_variant_agrees_too() {
             &StrassenConfig {
                 cutoff: 16,
                 task_depth: 2,
-                variant: Variant::Winograd,
                 ..Default::default()
             },
             Some(&pool),
@@ -153,7 +152,7 @@ proptest! {
     fn caps_matches_naive_random_sizes(n in 1usize..80, seed in any::<u64>()) {
         let (a, b) = operands(n, seed);
         let oracle = naive_mm(&a.view(), &b.view()).unwrap();
-        let cfg = CapsConfig { cutoff: 8, cutoff_depth: 2, dfs_ways: 2, ..Default::default() };
+        let cfg = CapsConfig { cutoff: 8, cutoff_depth: 2, ..Default::default() };
         let c = powerscale::caps::multiply(&a.view(), &b.view(), &cfg, None, None).unwrap();
         prop_assert!(rel_frobenius_error(&c.view(), &oracle.view()) < TOL);
     }

@@ -22,7 +22,6 @@ fn same_seed_reproduces_a_caps_run_byte_for_byte() {
     let cfg = CapsConfig {
         cutoff: 8,
         cutoff_depth: 2,
-        dfs_ways: 2,
         ..Default::default()
     };
     let det = DetConfig::chaotic(0xD00F);

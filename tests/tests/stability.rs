@@ -12,22 +12,22 @@ use powerscale::caps::CapsConfig;
 use powerscale::gemm::naive::naive_mm;
 use powerscale::matrix::norms;
 use powerscale::matrix::MatrixGen;
-use powerscale::strassen::{StrassenConfig, Variant};
+use powerscale::strassen::StrassenConfig;
 
-/// Normwise relative error of `algorithm(a,b)` against the naive oracle.
-fn error_of(n: usize, cutoff: usize, variant: Option<Variant>, seed: u64) -> f64 {
+/// Normwise relative error against the naive oracle of Strassen at
+/// `cutoff`, or of the blocked kernel for `None`.
+fn error_of(n: usize, cutoff: Option<usize>, seed: u64) -> f64 {
     let mut gen = MatrixGen::new(seed);
     let a = gen.paper_operand(n);
     let b = gen.paper_operand(n);
     let oracle = naive_mm(&a.view(), &b.view()).unwrap();
-    let got = match variant {
+    let got = match cutoff {
         None => powerscale::gemm::multiply(&a.view(), &b.view()).unwrap(),
-        Some(v) => powerscale::strassen::multiply(
+        Some(cutoff) => powerscale::strassen::multiply(
             &a.view(),
             &b.view(),
             &StrassenConfig {
                 cutoff,
-                variant: v,
                 ..Default::default()
             },
             None,
@@ -41,7 +41,7 @@ fn error_of(n: usize, cutoff: usize, variant: Option<Variant>, seed: u64) -> f64
 #[test]
 fn blocked_error_is_at_roundoff_scale() {
     for n in [64usize, 128, 256] {
-        let e = error_of(n, 64, None, n as u64);
+        let e = error_of(n, None, n as u64);
         assert!(e < 1e-13, "blocked n={n}: {e}");
     }
 }
@@ -50,8 +50,8 @@ fn blocked_error_is_at_roundoff_scale() {
 fn strassen_error_grows_with_recursion_depth() {
     // Same size, deeper recursion (smaller cutoff) = more Strassen levels
     // = larger error constant (Higham's n^log2(12) factor).
-    let shallow = error_of(256, 128, Some(Variant::Classic), 7);
-    let deep = error_of(256, 8, Some(Variant::Classic), 7);
+    let shallow = error_of(256, Some(128), 7);
+    let deep = error_of(256, Some(8), 7);
     assert!(
         deep > shallow,
         "deeper recursion should lose more digits: shallow {shallow}, deep {deep}"
@@ -64,23 +64,10 @@ fn strassen_error_bounded_and_acceptable() {
     // error stays far below anything that would matter at f64 working
     // precision for these operand magnitudes.
     for n in [64usize, 128, 256] {
-        let e = error_of(n, 8, Some(Variant::Classic), n as u64 + 1);
+        let e = error_of(n, Some(8), n as u64 + 1);
         assert!(e < 1e-10, "strassen n={n}: {e}");
         assert!(e > 0.0, "identical to oracle is suspicious at n={n}");
     }
-}
-
-#[test]
-fn winograd_error_comparable_to_classic() {
-    // Winograd's error constant is somewhat larger than classic
-    // Strassen's; both stay in the same decade here.
-    let classic = error_of(256, 16, Some(Variant::Classic), 3);
-    let winograd = error_of(256, 16, Some(Variant::Winograd), 3);
-    assert!(
-        winograd < classic * 50.0,
-        "winograd {winograd} vs classic {classic}"
-    );
-    assert!(classic < winograd * 50.0);
 }
 
 #[test]
