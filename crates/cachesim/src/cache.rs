@@ -4,7 +4,6 @@ use crate::config::CacheConfig;
 
 /// Hit/miss/eviction counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

@@ -2,7 +2,6 @@
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

@@ -5,7 +5,6 @@ use crate::config::CacheConfig;
 
 /// Per-level statistics with the level's name attached.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LevelStats {
     /// Level index (0 = L1).
     pub level: usize,
@@ -15,7 +14,6 @@ pub struct LevelStats {
 
 /// Whole-hierarchy statistics: per-level counters plus DRAM traffic.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyStats {
     /// One entry per level, L1 first.
     pub levels: Vec<LevelStats>,

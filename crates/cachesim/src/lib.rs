@@ -2,12 +2,14 @@
 //!
 //! The blocked-DGEMM baseline in *Communication Avoiding Power Scaling* owes
 //! its performance (and its power draw) to how well its blocking factors fit
-//! the cache hierarchy of the paper's Haswell testbed. Since this
-//! reproduction runs on a simulated machine, we need a faithful source of
-//! *miss rates per kernel*: this crate simulates the cache hierarchy at line
-//! granularity, and `powerscale-machine` uses the resulting
-//! [`HierarchyStats`] to convert kernel work into memory traffic, time and
-//! energy.
+//! the cache hierarchy of the paper's Haswell testbed. The rest of the
+//! workspace uses only this crate's cache *descriptions*: [`CacheConfig`]
+//! and the [`presets`] size `gemm`'s blocking and describe
+//! `powerscale-machine`'s hierarchies. Every simulated DRAM byte comes from
+//! `powerscale-machine`'s analytic `TrafficModel`, not from this simulator.
+//! The simulator itself ([`Cache`], [`Hierarchy`], [`trace`]) simulates the
+//! hierarchy at line granularity and has no caller outside this crate's own
+//! tests.
 //!
 //! The simulator is deliberately classic — physical-address streams, LRU
 //! replacement per set, write-back/write-allocate, inclusive levels — because

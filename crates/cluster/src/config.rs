@@ -4,7 +4,6 @@ use powerscale_machine::{simulate_nodes, ConfigError, Fabric, MachineConfig, Sch
 
 /// A homogeneous cluster: `nodes` copies of one SMP joined by a fabric.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterConfig {
     /// Human-readable name.
     pub name: String,

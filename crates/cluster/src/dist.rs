@@ -429,19 +429,6 @@ fn place(dst: &mut Matrix, (r0, c0): (usize, usize), src: Source<'_>, rows: usiz
     }
 }
 
-/// Sequential CAPS/Strassen flop count: `7 F(m/2) + 18 (m/2)²` above the
-/// cutoff, `2 m³` at the dense leaf.
-pub(crate) fn seq_caps_flops(m: usize, cutoff: usize) -> u64 {
-    if m == 0 {
-        return 0;
-    }
-    if is_leaf(m, cutoff) {
-        return 2 * (m as u64).pow(3);
-    }
-    let h = (m / 2) as u64;
-    7 * seq_caps_flops(m / 2, cutoff) + 18 * h * h
-}
-
 /// Predicted per-rank residency (bytes) of running an `m`-sized sub-problem
 /// on a `g`-rank group: panel storage while distributed, full operands +
 /// result + DFS scratch once node-local.
@@ -837,7 +824,7 @@ impl RankCtx<'_, '_> {
         self.ep.mem_alloc((m as u64 * m as u64) * 8 + scratch);
         let c = powerscale_caps::multiply(&t.view(), &s.view(), self.caps, None, None)
             .expect("leaf shapes valid by construction");
-        self.flops += seq_caps_flops(m, self.caps.cutoff);
+        self.flops += powerscale_strassen::cost::total_flops(m, &self.caps.as_strassen());
         drop((t, s));
         self.ep.mem_free(scratch + in_bytes);
         c

@@ -47,6 +47,7 @@ use crate::presets::e3_1225_net;
 use powerscale_caps::comm::{caps_comm_words, OMEGA0};
 use powerscale_machine::net::Phase;
 use powerscale_matrix::{Matrix, MatrixGen};
+use serde::{Deserialize, Serialize};
 
 /// Deterministic operands for every measured run: the study is a fixed
 /// experiment, not a property sweep, so one seed is part of its identity.
@@ -58,8 +59,7 @@ fn operands(n: usize) -> (Matrix, Matrix) {
 }
 
 /// One measured cell of the Eq. 8 verification sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Eq8Cell {
     /// Problem dimension.
     pub n: usize,
@@ -148,8 +148,7 @@ pub(crate) fn eq8_cell(
 
 /// The Eq. 8 verification sweep: measured traffic vs the bound across a
 /// grid of `(n, P, M)` cells.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Eq8Study {
     /// Every swept cell.
     pub cells: Vec<Eq8Cell>,
@@ -267,8 +266,7 @@ pub fn perfect_scaling_limit(n: usize, mem_words: u64) -> f64 {
 }
 
 /// One node count of the strong-scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScalingPoint {
     /// Node count `P`.
     pub nodes: usize,
@@ -282,8 +280,7 @@ pub struct ScalingPoint {
 }
 
 /// The strong-scaling study at fixed `(n, M)`.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StrongScalingStudy {
     /// Problem dimension.
     pub n: usize,

@@ -12,7 +12,6 @@ use powerscale_core::{EpCurve, PhaseMeasure};
 
 /// Which distributed algorithm a run used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DistAlgorithm {
     /// Distributed CAPS (BFS across node groups).
     Caps,
@@ -32,7 +31,6 @@ impl DistAlgorithm {
 
 /// One measured cell of the distributed study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistRun {
     /// Algorithm.
     pub algorithm: DistAlgorithm,

@@ -14,7 +14,7 @@
 use powerscale_caps::CapsConfig;
 use powerscale_cluster::presets::e3_1225_net;
 use powerscale_cluster::{dist_caps_multiply, DistCapsConfig};
-use powerscale_gemm::{Dispatch, KernelTier};
+use powerscale_gemm::{scalar_kernel, Dispatch};
 use powerscale_matrix::MatrixGen;
 
 const N: usize = 256;
@@ -173,10 +173,7 @@ const CELLS: &[Cell] = &[
 
 #[test]
 fn counters_meter_flops_and_bits_match_the_pinned_constants() {
-    let scalar = Dispatch {
-        tier: KernelTier::Scalar,
-        ..Dispatch::default()
-    };
+    let scalar = Dispatch::default().with_kernel(scalar_kernel());
     let mut gen = MatrixGen::new(SEED);
     let (a, b) = (gen.paper_operand(N), gen.paper_operand(N));
     let mut actual = String::new();

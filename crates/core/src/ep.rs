@@ -2,10 +2,11 @@
 //! unit tests as reference forms: the harness applies Equation 1 to whole
 //! runs.
 
+use serde::{Deserialize, Serialize};
+
 /// One measured execution phase: average energy draw `EAvg` over runtime
 /// `T`. The paper leaves units open; the harness uses watts and seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseMeasure {
     /// Average energy utilisation of the phase (`EAvg`).
     pub energy_avg: f64,
@@ -45,8 +46,7 @@ pub fn ep_ratio(m: &PhaseMeasure) -> f64 {
 /// easy case). Aggregates computed from an incomplete or unhealthy plane
 /// set carry `Degraded` so downstream tables can flag them instead of
 /// presenting partial sums as full-fidelity data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum MeasureQuality {
     /// Every plane reported every sample.
     #[default]
@@ -83,7 +83,6 @@ impl core::fmt::Display for MeasureQuality {
 
 /// An EP value tagged with the fidelity of the measurements behind it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QualifiedEp {
     /// The Eq. 2/4 ratio.
     pub value: f64,
@@ -99,7 +98,6 @@ pub struct QualifiedEp {
 /// have contributed but produced no (or degraded) data — their energy is
 /// absent from [`PlaneSet::total`], making it a lower bound.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlaneSet {
     /// Per-plane readings (`PPL_l`).
     pub planes: Vec<f64>,

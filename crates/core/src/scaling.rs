@@ -17,7 +17,6 @@ pub fn ep_scaling(ep_p: f64, ep_1: f64) -> f64 {
 /// performance"); above it, "the system power must scale at a higher rate
 /// than the respective performance scaling".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScalingClass {
     /// `S` below the linear threshold: power grows slower than
     /// performance.
@@ -43,7 +42,6 @@ pub fn classify_point(p: usize, s: f64, tol: f64) -> ScalingClass {
 
 /// One point of an EP scaling curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EpPoint {
     /// Degree of parallelism.
     pub p: usize,
@@ -56,7 +54,6 @@ pub struct EpPoint {
 /// An EP scaling curve over degrees of parallelism (the data behind
 /// Figure 7).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EpCurve {
     /// Points in increasing `p`, including the trivial `p = 1`.
     pub points: Vec<EpPoint>,

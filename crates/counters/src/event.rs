@@ -1,6 +1,7 @@
 //! The event taxonomy.
 
 use core::fmt;
+use serde::{Deserialize, Serialize};
 
 /// Software events recorded by the powerscale kernels.
 ///
@@ -8,8 +9,7 @@ use core::fmt;
 /// would have used (`PAPI_FP_OPS`, `PAPI_LST_INS`, …) plus the
 /// tasking/communication events that the energy model needs and that real
 /// hardware cannot attribute to an algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[repr(usize)]
 pub enum Event {
     /// Multiply-accumulate floating-point operations (2 flops each counted
@@ -139,7 +139,6 @@ mod tests {
         assert_eq!(Event::FpOps.to_string(), "PS_FP_OPS");
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_round_trip() {
         for e in ALL_EVENTS {

@@ -3,6 +3,7 @@
 use crate::event::{Event, ALL_EVENTS, EVENT_COUNT};
 use core::fmt;
 use core::ops::{Add, AddAssign};
+use serde::{Deserialize, Serialize};
 
 /// A snapshot of event counts — the value read out of an
 /// [`EventSet`](crate::EventSet), and the unit of work accounting passed to
@@ -10,8 +11,7 @@ use core::ops::{Add, AddAssign};
 ///
 /// Profiles form a commutative monoid under `+` (used to merge per-task and
 /// per-thread contributions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Profile {
     counts: [u64; EVENT_COUNT],
 }
@@ -185,7 +185,6 @@ mod tests {
         assert!(!s.contains("PS_FP_ADDS"));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_round_trip() {
         let p = Profile::from_pairs(&[(Event::FpOps, 3), (Event::PackBytes, 9)]);

@@ -13,7 +13,7 @@
 //! The register-tile shape (`mr × nr`) is no longer a compile-time
 //! constant: it comes from the microkernel selected at runtime
 //! ([`crate::kernel::select_kernel`]), so `mc`/`nc` alignment follows the
-//! dispatched kernel (4×4 scalar, 6×8 AVX2/NEON/WASM, 6×32 AVX-512; the
+//! dispatched kernel (4×4 scalar, 6×8 AVX2, 6×32 AVX-512; the
 //! f32 tiers are twice as wide — the table is in `simd.rs`).
 
 use crate::kernel::KernelInfo;

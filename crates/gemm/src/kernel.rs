@@ -4,12 +4,11 @@
 //! instantiated per ISA tier and per dtype tier, and picks an instance at
 //! runtime:
 //!
-//! * **ISA tiers** — `avx512` (6×32 over 512-bit lanes), `avx2` (6×8,
-//!   AVX2+FMA), `neon` (6×8 over 2-lane `float64x2_t`), `wasm128` (6×8
-//!   over `v128`), and the portable `scalar` 4×4 tier that is always
-//!   available (and the `force-scalar` feature's pin). Each tile is sized
-//!   from its ISA's register file; the per-dtype shapes are tabulated in
-//!   [`crate::simd`].
+//! * **ISA tiers** — on x86-64, `avx512` (6×32 over 512-bit lanes) and
+//!   `avx2` (6×8, AVX2+FMA); everywhere, the portable `scalar` 4×4 tier
+//!   (the only tier off x86-64, and the `force-scalar` feature's pin).
+//!   Each tile is sized from its ISA's register file; the per-dtype shapes
+//!   are tabulated in [`crate::simd`].
 //! * **dtype tiers** ([`DtypeTier`]) — `f64` (the default), `f32`
 //!   (single-precision loads, multiplies and accumulation), and `mixed`
 //!   (f64 arithmetic on operands rounded once through f32). Mixed is a
@@ -22,10 +21,10 @@
 //! blocking, packing and the driver all consume the selected kernel's
 //! `mr`/`nr` (see [`crate::BlockingParams`]).
 //!
-//! What gets dispatched is decided by one explicit [`Dispatch`] value
-//! (ISA tier, dtype tier, exact-kernel override) that callers carry down
-//! to the kernels; its `Default` is the host's best f64 kernel, or the
-//! scalar one under the `force-scalar` feature. Every product — blocked
+//! What gets dispatched is one explicit [`Dispatch`] value — the kernel
+//! instance itself — that callers carry down to the kernels; its `Default`
+//! is the host's best f64 kernel, or the scalar one under the
+//! `force-scalar` feature. Every product — blocked
 //! DGEMM and the Strassen/CAPS leaf alike — runs the dispatched kernel
 //! through the one packed nest in [`crate::dgemm`].
 
@@ -139,14 +138,12 @@ impl std::str::FromStr for DtypeTier {
     }
 }
 
-#[cfg(feature = "serde")]
 impl serde::Serialize for DtypeTier {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.as_str().to_string())
     }
 }
 
-#[cfg(feature = "serde")]
 impl serde::Deserialize for DtypeTier {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         match value {
@@ -168,8 +165,7 @@ pub struct KernelInfo {
     /// `"scalar"`, …); other dtypes append it (`"avx2-f32"`,
     /// `"scalar-mixed"`, …).
     pub name: &'static str,
-    /// The ISA tier (`"scalar"`, `"avx2"`, `"avx512"`, `"neon"`,
-    /// `"wasm128"`).
+    /// The ISA tier (`"scalar"`, `"avx2"`, `"avx512"`).
     pub isa: &'static str,
     /// The numeric tier the kernel computes in.
     pub dtype: DtypeTier,
@@ -326,87 +322,67 @@ pub fn available_kernels() -> Vec<&'static KernelInfo> {
     v
 }
 
-/// The ISA tier a [`Dispatch`] resolves kernels in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelTier {
-    /// Always the portable scalar kernel (of the dispatched dtype tier).
-    Scalar,
-    /// The host's best SIMD kernel; falls back to scalar when the host has
-    /// none (so a SIMD test matrix degrades instead of aborting).
-    Simd,
-}
-
-impl Default for KernelTier {
-    /// `Simd`, unless the `force-scalar` cargo feature pins the scalar ISA
-    /// (used by CI to exercise the portable path on SIMD-capable hosts).
-    fn default() -> Self {
-        if cfg!(feature = "force-scalar") {
-            KernelTier::Scalar
-        } else {
-            KernelTier::Simd
-        }
-    }
-}
-
-/// Everything kernel selection depends on, as one explicit value.
+/// Kernel selection as one explicit value: the kernel instance every
+/// product under it runs.
 ///
 /// Nothing here is process-global: a [`crate::GemmContext`] is built from
 /// a `Dispatch`, the Strassen/CAPS configs hold one and hand it to every
 /// leaf, and the harness and server derive one per run or per request —
-/// so two threads can multiply under different tiers at the same instant.
-///
-/// Resolution order ([`Dispatch::kernel`]): the exact-kernel override,
-/// else the ISA tier × dtype tier instance (SIMD degrading to scalar on
-/// hosts without one). The default is the host's best f64 kernel (scalar
-/// under `force-scalar`) with no override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// so two threads can multiply under different kernels at the same
+/// instant. The default is [`select_kernel`]: the host's best f64 kernel,
+/// or the scalar one under the `force-scalar` feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
-    /// ISA tier.
-    pub tier: KernelTier,
-    /// Numeric tier.
-    pub dtype: DtypeTier,
-    /// One exact kernel instance (an entry of [`available_kernels`]) that
-    /// wins over `tier` and `dtype` — the testkit's ISA×dtype lever.
-    pub override_kernel: Option<&'static KernelInfo>,
+    kernel: &'static KernelInfo,
+}
+
+impl Default for Dispatch {
+    fn default() -> Self {
+        Dispatch {
+            kernel: select_kernel(),
+        }
+    }
 }
 
 impl Dispatch {
-    /// This dispatch at another dtype tier.
+    /// This dispatch at another dtype tier: the same ISA's instance of
+    /// `dtype`.
     pub fn with_dtype(self, dtype: DtypeTier) -> Self {
-        Dispatch { dtype, ..self }
+        let isa = self.kernel.isa;
+        let kernel = available_kernels()
+            .into_iter()
+            .find(|k| k.isa == isa && k.dtype == dtype)
+            .expect("every dispatchable ISA has an instance of every dtype tier");
+        Dispatch { kernel }
     }
 
-    /// This dispatch pinned to one exact kernel instance.
+    /// This dispatch pinned to one exact kernel instance (an entry of
+    /// [`available_kernels`]).
     pub fn with_kernel(self, kernel: &'static KernelInfo) -> Self {
-        Dispatch {
-            override_kernel: Some(kernel),
-            ..self
-        }
+        Dispatch { kernel }
     }
 
-    /// The kernel instance this dispatch resolves to. Feature detection is
-    /// cached by the standard library, so this is cheap enough to call per
-    /// leaf.
+    /// The kernel instance this dispatch runs.
     pub fn kernel(&self) -> &'static KernelInfo {
-        if let Some(k) = self.override_kernel {
-            return k;
-        }
-        let scalar = scalar_kernel_for(self.dtype);
-        match self.tier {
-            KernelTier::Scalar => scalar,
-            KernelTier::Simd => simd_kernel_for(self.dtype).unwrap_or(scalar),
-        }
+        self.kernel
     }
 }
 
-/// The default dispatch's kernel at a specific dtype tier.
+/// The default kernel at a specific dtype tier: the host's best SIMD
+/// instance, or the scalar one when the host has none or under the
+/// `force-scalar` feature (CI's portable-path job).
 pub fn select_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
-    Dispatch::default().with_dtype(dtype).kernel()
+    let scalar = scalar_kernel_for(dtype);
+    if cfg!(feature = "force-scalar") {
+        scalar
+    } else {
+        simd_kernel_for(dtype).unwrap_or(scalar)
+    }
 }
 
-/// The default dispatch's kernel ([`Dispatch::default`]).
+/// The default f64 kernel ([`Dispatch::default`]).
 pub fn select_kernel() -> &'static KernelInfo {
-    Dispatch::default().kernel()
+    select_kernel_for(DtypeTier::F64)
 }
 
 #[cfg(test)]
@@ -499,29 +475,25 @@ mod tests {
 
     #[test]
     fn tier_pin_round_trips_and_drives_dispatch() {
-        let scalar = Dispatch {
-            tier: KernelTier::Scalar,
-            ..Dispatch::default()
-        };
+        let scalar = Dispatch::default().with_kernel(scalar_kernel());
         assert_eq!(scalar.kernel().name, "scalar");
-        let simd = Dispatch {
-            tier: KernelTier::Simd,
-            ..scalar
-        };
+        let simd = scalar.with_kernel(simd_kernel().unwrap_or(scalar_kernel()));
         match simd_kernel() {
-            Some(k) => assert_eq!(simd.kernel().name, k.name),
-            None => assert_eq!(simd.kernel().name, "scalar"),
+            Some(k) => {
+                assert_eq!(simd.kernel().name, k.name);
+                assert_ne!(simd, scalar);
+            }
+            None => assert_eq!(simd, scalar),
         }
         // The value round-trips through copies untouched.
         let copy = simd;
         assert_eq!(copy, simd);
-        assert_ne!(copy, scalar);
     }
 
     #[test]
     fn dtype_pin_round_trips_and_drives_dispatch() {
         let base = Dispatch::default();
-        assert_eq!(base.dtype, DtypeTier::F64);
+        assert_eq!(base.kernel().dtype, DtypeTier::F64);
         for dtype in DtypeTier::ALL {
             let d = base.with_dtype(dtype);
             assert_eq!(d.kernel().dtype, dtype);
@@ -533,16 +505,27 @@ mod tests {
     #[test]
     fn override_pin_wins_over_every_other_pin() {
         let target = scalar_kernel_for(DtypeTier::Mixed);
-        let d = Dispatch {
-            tier: KernelTier::Simd,
-            dtype: DtypeTier::F32,
-            ..Dispatch::default()
-        }
-        .with_kernel(target);
+        let d = Dispatch::default()
+            .with_dtype(DtypeTier::F32)
+            .with_kernel(target);
         assert_eq!(d.kernel().name, target.name);
-        assert_eq!(d.with_dtype(DtypeTier::F64).kernel().name, target.name);
-        // An override is part of the value's identity.
+        // A pin is part of the value's identity.
         assert_ne!(d, d.with_kernel(scalar_kernel()));
+    }
+
+    #[test]
+    fn with_dtype_keeps_the_pinned_kernels_isa() {
+        for k in available_kernels() {
+            if k.dtype != DtypeTier::F64 {
+                continue;
+            }
+            let got = Dispatch::default()
+                .with_kernel(k)
+                .with_dtype(DtypeTier::F32)
+                .kernel();
+            assert_eq!(got.isa, k.isa, "pinned `{}`", k.name);
+            assert_eq!(got.dtype, DtypeTier::F32, "pinned `{}`", k.name);
+        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! * a runtime-dispatched register-tile microkernel ([`kernel`]): one
 //!   generic row-accumulating tile body ([`simd`]) instantiated as AVX-512
-//!   (6×32), AVX2+FMA (6×8), NEON (6×8), WASM128 (6×8) and portable
-//!   scalar (4×4) ISA tiers — each tile sized from its ISA's register
-//!   file — each in three dtype tiers — f64, f32, and mixed (the f64
+//!   (6×32), AVX2+FMA (6×8) and portable scalar (4×4) ISA tiers — each
+//!   tile sized from its ISA's register file — each in three dtype tiers — f64, f32, and mixed (the f64
 //!   kernel on panels rounded through f32 at pack time) — selected by an
 //!   explicit [`Dispatch`] value callers carry down to the kernels (its default is
 //!   the host's best f64 kernel; the `force-scalar` cargo feature makes
@@ -69,6 +68,6 @@ pub use blocking::BlockingParams;
 pub use dgemm::{dgemm, multiply, GemmContext};
 pub use kernel::{
     available_kernels, scalar_kernel, scalar_kernel_for, select_kernel, select_kernel_for,
-    simd_kernel, simd_kernel_for, Dispatch, DtypeTier, KernelFn, KernelInfo, KernelTier,
+    simd_kernel, simd_kernel_for, Dispatch, DtypeTier, KernelFn, KernelInfo,
 };
 pub use leaf::{leaf_gemm_fused, leaf_gemm_fused_with, Accum, Operand};

@@ -23,8 +23,6 @@
 //! |-----------|-----------|-----------|----------|----------|-------|--------------|
 //! | `avx512`  | 32 × 512  | 6 × 4     | 6×32     | 6×64     | = f64 tile, f64 kernel | `__m512d` / `__m512` |
 //! | `avx2`    | 16 × 256  | 6 × 2     | 6×8      | 6×16     | = f64 tile, f64 kernel | `__m256d` / `__m256` |
-//! | `neon`    | 32 × 128  | 6 × 4     | 6×8      | 6×16     | = f64 tile, f64 kernel | `float64x2_t` / `float32x4_t` |
-//! | `wasm128` | 16 × 128  | 6 × 4, f32 6 × 2 | 6×8 | 6×8     | = f64 tile, f64 kernel | `v128` |
 //! | `scalar`  | —         | 4 × 4     | 4×4      | 4×4      | = f64 tile, f64 kernel | plain `f64`/`f32` |
 //!
 //! The mixed dtype tier has no body of its own: it is a packing rule.
@@ -36,23 +34,22 @@
 //! [`host_simd_kernels`] enumerates every SIMD instance the host can run
 //! (the differential matrix iterates it). The dispatcher
 //! ([`crate::kernel::select_kernel`]) falls back to the portable scalar
-//! instantiations when no SIMD tier matches the host. The NEON tier is a
-//! full implementation (6×8 over 2-lane `float64x2_t` vectors), not a
-//! stub — it goes through the same generic body as every other tier.
+//! instantiations when no SIMD tier matches the host, which off x86-64 is
+//! always: the only SIMD tiers are the x86 ones, the ISAs this crate is
+//! built and tested on.
 //!
 //! # Numerics
 //!
-//! The x86 and NEON tiers use fused multiply-add, so individual products
-//! are not rounded before accumulation: results can differ from the
-//! scalar kernel in the last few ulps (they are *bitwise* identical when
-//! every product and partial sum is exactly representable, e.g. small
-//! power-of-two operands — the dispatch property tests exploit this).
-//! The wasm128 and scalar tiers round multiply and add separately (the
-//! simd128 MVP has no FMA). The mixed tier runs the f64 kernel, so its
-//! only deviation from f64 arithmetic is the single f64→f32 rounding each
-//! element takes during packing; on those rounded operands every product
-//! is exact in f64 (barring underflow), so its scalar and FMA tiers agree
-//! bit for bit. Within
+//! The x86 tiers use fused multiply-add, so individual products are not
+//! rounded before accumulation: results can differ from the scalar kernel
+//! in the last few ulps (they are *bitwise* identical when every product
+//! and partial sum is exactly representable, e.g. small power-of-two
+//! operands — the dispatch property tests exploit this). The scalar tier
+//! rounds multiply and add separately. The mixed tier runs the f64
+//! kernel, so its only deviation from f64 arithmetic is the single
+//! f64→f32 rounding each element takes during packing; on those rounded
+//! operands every product is exact in f64 (barring underflow), so its
+//! scalar and FMA tiers agree bit for bit. Within
 //! one kernel every C element is one accumulator lane summed over `k` in
 //! order and merged as `c += alpha * acc` (multiply and add rounded
 //! separately), or stored as `c = alpha * acc` on the first k-panel of a
@@ -247,35 +244,16 @@ pub(crate) fn detect(dtype: DtypeTier) -> Option<&'static KernelInfo> {
             });
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Some(match dtype {
-                DtypeTier::F64 => &neon::NEON_F64,
-                DtypeTier::F32 => &neon::NEON_F32,
-                DtypeTier::Mixed => &neon::NEON_MIXED,
-            });
-        }
-    }
-    #[cfg(all(target_arch = "wasm32", target_feature = "simd128"))]
-    {
-        return Some(match dtype {
-            DtypeTier::F64 => &wasm::WASM_F64,
-            DtypeTier::F32 => &wasm::WASM_F32,
-            DtypeTier::Mixed => &wasm::WASM_MIXED,
-        });
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = dtype;
-        None
-    }
+    // No SIMD tier on this host (always so off x86-64).
+    let _ = dtype;
+    None
 }
 
 /// Every SIMD kernel instance the host can run, best ISA first — all
 /// dtype tiers of every supported ISA, not just the dispatch winners
 /// (the testkit differential matrix covers each one).
 pub(crate) fn host_simd_kernels() -> Vec<&'static KernelInfo> {
+    #[allow(unused_mut)] // off x86-64 there is nothing to add
     let mut v: Vec<&'static KernelInfo> = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
@@ -285,16 +263,6 @@ pub(crate) fn host_simd_kernels() -> Vec<&'static KernelInfo> {
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             v.extend([&x86::AVX2_F64, &x86::AVX2_F32, &x86::AVX2_MIXED]);
         }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            v.extend([&neon::NEON_F64, &neon::NEON_F32, &neon::NEON_MIXED]);
-        }
-    }
-    #[cfg(all(target_arch = "wasm32", target_feature = "simd128"))]
-    {
-        v.extend([&wasm::WASM_F64, &wasm::WASM_F32, &wasm::WASM_MIXED]);
     }
     v
 }
@@ -784,313 +752,6 @@ pub(crate) mod x86 {
     };
 }
 
-/// The NEON tier: 6 rows × 4 vectors (24 accumulators, 4 B vectors and a
-/// broadcast in 32 `v` registers) over 2-lane `float64x2_t` (f64:
-/// 6×8) and 4-lane `float32x4_t` (f32: 6×16) vectors, instantiated from
-/// the same generic body as every other ISA. Compiled only on AArch64; hosts without NEON
-/// fall back to the scalar tier via [`detect`].
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon {
-    use super::{tile_kernel, MicroVec};
-    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Merge};
-    use core::arch::aarch64::*;
-    use powerscale_matrix::MatrixViewMut;
-
-    #[derive(Clone, Copy)]
-    struct N128F64(float64x2_t);
-
-    impl MicroVec for N128F64 {
-        type Elem = f64;
-        const LANES: usize = 2;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(unsafe { vdupq_n_f64(0.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f64) -> Self {
-            Self(unsafe { vld1q_f64(p) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f64) -> Self {
-            Self(unsafe { vdupq_n_f64(*p) })
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(unsafe { vfmaq_f64(self.0, a.0, b.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { vst1q_f64(out, self.0) };
-        }
-    }
-
-    #[derive(Clone, Copy)]
-    struct N128F32(float32x4_t);
-
-    impl MicroVec for N128F32 {
-        type Elem = f32;
-        const LANES: usize = 4;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(unsafe { vdupq_n_f32(0.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            Self(unsafe { vld1q_f32(p) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            Self(unsafe { vdupq_n_f32(*p) })
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(unsafe { vfmaq_f32(self.0, a.0, b.0) })
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe {
-                vst1q_f64(out, vcvt_f64_f32(vget_low_f32(self.0)));
-                vst1q_f64(out.add(2), vcvt_high_f64_f32(self.0));
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_f64_tf(
-        kc: usize,
-        a: &[f64],
-        b: &[f64],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        unsafe { tile_kernel::<N128F64, 6, 4>(kc, a, b, merge, c, row0, col0) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_f32_tf(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        unsafe { tile_kernel::<N128F32, 6, 4>(kc, a, b, merge, c, row0, col0) }
-    }
-
-    fn assert_neon() {
-        assert!(
-            std::arch::is_aarch64_feature_detected!("neon"),
-            "neon microkernel dispatched on a host without NEON"
-        );
-    }
-
-    fn neon_f64(
-        kc: usize,
-        a: &[f64],
-        b: &[f64],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        assert_neon();
-        // SAFETY: feature presence asserted above.
-        unsafe { neon_f64_tf(kc, a, b, merge, c, row0, col0) }
-    }
-
-    fn neon_f32(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        assert_neon();
-        // SAFETY: feature presence asserted above.
-        unsafe { neon_f32_tf(kc, a, b, merge, c, row0, col0) }
-    }
-
-    pub(crate) static NEON_F64: KernelInfo = KernelInfo {
-        name: "neon",
-        isa: "neon",
-        dtype: DtypeTier::F64,
-        mr: 6,
-        nr: 8,
-        func: KernelFn::F64(neon_f64),
-    };
-
-    pub(crate) static NEON_F32: KernelInfo = KernelInfo {
-        name: "neon-f32",
-        isa: "neon",
-        dtype: DtypeTier::F32,
-        mr: 6,
-        nr: 16,
-        func: KernelFn::F32(neon_f32),
-    };
-
-    pub(crate) static NEON_MIXED: KernelInfo = KernelInfo {
-        name: "neon-mixed",
-        isa: "neon",
-        dtype: DtypeTier::Mixed,
-        mr: 6,
-        nr: 8,
-        func: KernelFn::F64(neon_f64),
-    };
-}
-
-/// The WASM SIMD128 tier: 6×8 tiles over `v128` vectors (6 rows × 4
-/// two-lane or 2 four-lane vectors). Available only
-/// when the module is compiled with `-C target-feature=+simd128` (there
-/// is no runtime detection on wasm); the simd128 MVP has no FMA, so
-/// multiply and add round separately like the scalar tier.
-#[cfg(all(target_arch = "wasm32", target_feature = "simd128"))]
-pub(crate) mod wasm {
-    use super::{tile_kernel, MicroVec};
-    use crate::kernel::{DtypeTier, KernelFn, KernelInfo, Merge};
-    use core::arch::wasm32::*;
-    use powerscale_matrix::MatrixViewMut;
-
-    #[derive(Clone, Copy)]
-    struct W128F64(v128);
-
-    impl MicroVec for W128F64 {
-        type Elem = f64;
-        const LANES: usize = 2;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(f64x2_splat(0.0))
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f64) -> Self {
-            Self(unsafe { v128_load(p.cast()) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f64) -> Self {
-            Self(f64x2_splat(unsafe { *p }))
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(f64x2_add(self.0, f64x2_mul(a.0, b.0)))
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe { v128_store(out.cast(), self.0) };
-        }
-    }
-
-    #[derive(Clone, Copy)]
-    struct W128F32(v128);
-
-    impl MicroVec for W128F32 {
-        type Elem = f32;
-        const LANES: usize = 4;
-
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(f32x4_splat(0.0))
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            Self(unsafe { v128_load(p.cast()) })
-        }
-
-        #[inline(always)]
-        unsafe fn splat(p: *const f32) -> Self {
-            Self(f32x4_splat(unsafe { *p }))
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Self(f32x4_add(self.0, f32x4_mul(a.0, b.0)))
-        }
-
-        #[inline(always)]
-        unsafe fn store_f64(self, out: *mut f64) {
-            unsafe {
-                v128_store(out.cast(), f64x2_promote_low_f32x4(self.0));
-                let hi = i32x4_shuffle::<2, 3, 2, 3>(self.0, self.0);
-                v128_store(out.add(2).cast(), f64x2_promote_low_f32x4(hi));
-            }
-        }
-    }
-
-    fn wasm_f64(
-        kc: usize,
-        a: &[f64],
-        b: &[f64],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        // SAFETY: simd128 is a compile-time feature of this module; strip
-        // lengths are asserted by the generic body.
-        unsafe { tile_kernel::<W128F64, 6, 4>(kc, a, b, merge, c, row0, col0) }
-    }
-
-    fn wasm_f32(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        // SAFETY: as in `wasm_f64`.
-        unsafe { tile_kernel::<W128F32, 6, 2>(kc, a, b, merge, c, row0, col0) }
-    }
-
-    pub(crate) static WASM_F64: KernelInfo = KernelInfo {
-        name: "wasm128",
-        isa: "wasm128",
-        dtype: DtypeTier::F64,
-        mr: 6,
-        nr: 8,
-        func: KernelFn::F64(wasm_f64),
-    };
-
-    pub(crate) static WASM_F32: KernelInfo = KernelInfo {
-        name: "wasm128-f32",
-        isa: "wasm128",
-        dtype: DtypeTier::F32,
-        mr: 6,
-        nr: 8,
-        func: KernelFn::F32(wasm_f32),
-    };
-
-    pub(crate) static WASM_MIXED: KernelInfo = KernelInfo {
-        name: "wasm128-mixed",
-        isa: "wasm128",
-        dtype: DtypeTier::Mixed,
-        mr: 6,
-        nr: 8,
-        func: KernelFn::F64(wasm_f64),
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1203,7 +864,7 @@ mod tests {
         buf
     }
 
-    // ---- a portable vector of any lane count ---------------------------
+    // ---- a portable one-lane vector --------------------------------------
 
     /// Lane arithmetic of a [`Pv`]: packed (and accumulated) element, and
     /// whether multiply-add fuses.
@@ -1231,58 +892,40 @@ mod tests {
         };
     }
     // `mul_add` is the correctly rounded fused operation, the bits of a
-    // hardware FMA lane; `s + a * b` rounds twice like the scalar and
-    // wasm128 tiers.
+    // hardware FMA lane; `s + a * b` rounds twice like the scalar tier.
     arith!(F64Fused, f64, |s, a, b| a.mul_add(b, s));
     arith!(F64Plain, f64, |s, a, b| s + a * b);
     arith!(F32Fused, f32, |s, a, b| a.mul_add(b, s));
     arith!(F32Plain, f32, |s, a, b| s + a * b);
 
-    /// A portable `L`-lane vector: runs the generic bodies at any lane
-    /// count on any host — the NEON and WASM shapes on x86, and every
-    /// tier's arithmetic one lane at a time for the references.
+    /// A portable one-lane vector: runs the replaced body with every
+    /// tier's arithmetic on any host.
     #[derive(Clone, Copy)]
-    struct Pv<A: Arith, const L: usize>([A::Elem; L]);
+    struct Pv<A: Arith>(A::Elem);
 
-    impl<A: Arith, const L: usize> MicroVec for Pv<A, L> {
+    impl<A: Arith> MicroVec for Pv<A> {
         type Elem = A::Elem;
-        const LANES: usize = L;
+        const LANES: usize = 1;
 
         unsafe fn zero() -> Self {
-            Pv([A::ZERO; L])
+            Pv(A::ZERO)
         }
 
         unsafe fn load(p: *const A::Elem) -> Self {
-            Pv(core::array::from_fn(|l| unsafe { *p.add(l) }))
+            Pv(unsafe { *p })
         }
 
         unsafe fn splat(p: *const A::Elem) -> Self {
-            Pv([unsafe { *p }; L])
+            Pv(unsafe { *p })
         }
 
         unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-            Pv(core::array::from_fn(|l| A::fma(self.0[l], a.0[l], b.0[l])))
+            Pv(A::fma(self.0, a.0, b.0))
         }
 
         unsafe fn store_f64(self, out: *mut f64) {
-            for (l, &v) in self.0.iter().enumerate() {
-                unsafe { *out.add(l) = A::to_f64(v) };
-            }
+            unsafe { *out = A::to_f64(self.0) };
         }
-    }
-
-    /// The current body at `V`'s shape, as a dispatchable entry point.
-    fn new_body<V: MicroVec, const MR: usize, const CV: usize>(
-        kc: usize,
-        a: &[V::Elem],
-        b: &[V::Elem],
-        merge: Merge,
-        c: &mut MatrixViewMut<'_>,
-        row0: usize,
-        col0: usize,
-    ) {
-        // SAFETY: `Pv` needs no ISA; strip lengths asserted inside.
-        unsafe { tile_kernel::<V, MR, CV>(kc, a, b, merge, c, row0, col0) }
     }
 
     /// The replaced body, one lane at a time (`RV = mr`). A store is the
@@ -1306,8 +949,8 @@ mod tests {
                 alpha
             }
         };
-        // SAFETY: as in `new_body`.
-        unsafe { tile_kernel_colacc::<Pv<A, 1>, MR, NR>(kc, a, b, alpha, c, row0, col0) }
+        // SAFETY: `Pv` needs no ISA; strip lengths asserted inside.
+        unsafe { tile_kernel_colacc::<Pv<A>, MR, NR>(kc, a, b, alpha, c, row0, col0) }
     }
 
     /// The replaced body at the shape and arithmetic of kernel `name`:
@@ -1321,12 +964,8 @@ mod tests {
             "scalar-f32" => (4, 4, F32(old_body::<F32Plain, 4, 4>)),
             "avx512" | "avx512-mixed" => (6, 32, F64(old_body::<F64Fused, 6, 32>)),
             "avx512-f32" => (6, 64, F32(old_body::<F32Fused, 6, 64>)),
-            "avx2" | "neon" | "avx2-mixed" | "neon-mixed" => {
-                (6, 8, F64(old_body::<F64Fused, 6, 8>))
-            }
-            "avx2-f32" | "neon-f32" => (6, 16, F32(old_body::<F32Fused, 6, 16>)),
-            "wasm128" | "wasm128-mixed" => (6, 8, F64(old_body::<F64Plain, 6, 8>)),
-            "wasm128-f32" => (6, 8, F32(old_body::<F32Plain, 6, 8>)),
+            "avx2" | "avx2-mixed" => (6, 8, F64(old_body::<F64Fused, 6, 8>)),
+            "avx2-f32" => (6, 16, F32(old_body::<F32Fused, 6, 16>)),
             other => panic!("no reference instantiation for kernel `{other}`"),
         }
     }
@@ -1448,34 +1087,6 @@ mod tests {
     fn every_host_tier_is_bitwise_the_replaced_body() {
         for kernel in crate::kernel::available_kernels() {
             check_against_reference(kernel.name, (kernel.mr, kernel.nr), kernel.func);
-        }
-    }
-
-    #[test]
-    fn neon_and_wasm_shapes_are_bitwise_the_replaced_body() {
-        // Those wrappers only compile on their own targets; the same
-        // `(MR, CV, LANES)` instantiations of the body run here through
-        // the portable vector, with each tier's arithmetic (NEON fuses,
-        // simd128 does not). A mixed tier is its ISA's f64 entry.
-        use KernelFn::{F32, F64};
-        let portable: [(&str, (usize, usize), KernelFn); 6] = [
-            ("neon", (6, 8), F64(new_body::<Pv<F64Fused, 2>, 6, 4>)),
-            ("neon-f32", (6, 16), F32(new_body::<Pv<F32Fused, 4>, 6, 4>)),
-            ("neon-mixed", (6, 8), F64(new_body::<Pv<F64Fused, 2>, 6, 4>)),
-            ("wasm128", (6, 8), F64(new_body::<Pv<F64Plain, 2>, 6, 4>)),
-            (
-                "wasm128-f32",
-                (6, 8),
-                F32(new_body::<Pv<F32Plain, 4>, 6, 2>),
-            ),
-            (
-                "wasm128-mixed",
-                (6, 8),
-                F64(new_body::<Pv<F64Plain, 2>, 6, 4>),
-            ),
-        ];
-        for (name, shape, new) in portable {
-            check_against_reference(name, shape, new);
         }
     }
 

@@ -7,7 +7,6 @@ use std::fmt;
 
 /// Core compute capability and per-kernel-class efficiency.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComputeModel {
     /// Core clock in GHz.
     pub freq_ghz: f64,
@@ -37,7 +36,6 @@ impl ComputeModel {
 /// cores in the *active* state (high draw), the Strassen variants spend much
 /// of their time *stalled* on memory or *idle* on dependencies (low draw).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerModel {
     /// Uncore/static package power excluding cores and DRAM (W).
     pub pkg_base_w: f64,
@@ -66,7 +64,6 @@ pub struct PowerModel {
 /// add passes at deep recursion levels are cache-resident while the
 /// top-level passes stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficModel {
     /// Shared last-level cache capacity in bytes.
     pub llc_bytes: u64,
@@ -105,7 +102,6 @@ impl Default for TrafficModel {
 
 /// Full description of the simulated SMP.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Human-readable name (appears in reports).
     pub name: String,
@@ -183,7 +179,6 @@ impl MachineConfig {
 /// The fabric joining the nodes of a cluster: what a task's inter-node
 /// ingress drains through, and what the network energy plane charges.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fabric {
     /// Per-node NIC bandwidth, bytes/second, each direction.
     pub link_bw_bytes_per_s: f64,

@@ -57,7 +57,6 @@ impl NetPayload for Vec<u8> {
 
 /// One link class: achievable bandwidth, per-message latency, efficiency.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkModel {
     /// Peak bandwidth in bytes per second.
     pub bw_bytes_per_s: f64,
@@ -100,7 +99,6 @@ impl LinkModel {
 /// Two-level network topology: ranks in the same `group_size`-sized group
 /// talk over the scale-up link, everyone else over scale-out.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetConfig {
     /// Number of ranks (one per simulated node).
     pub nodes: usize,
@@ -259,7 +257,6 @@ impl std::error::Error for NetError {}
 /// per phase so scatter/gather overheads can be separated from the
 /// algorithm's own traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Phase {
     /// Initial operand distribution.
     Scatter,
@@ -286,7 +283,6 @@ impl Phase {
 /// what it allocates (received blocks included) so the meter reflects the
 /// algorithm's residency policy, which is exactly the `M` in Eq. 8.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemMeter {
     /// Bytes currently charged.
     pub current_bytes: u64,
@@ -322,7 +318,6 @@ enum Wire<T> {
 
 /// Per-rank traffic and memory statistics, indexed by [`Phase::index`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RankStats {
     /// Bytes sent to other ranks, per phase.
     pub sent_bytes: [u64; 3],
@@ -338,7 +333,6 @@ pub struct RankStats {
 
 /// Bytes and message count over one directed link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkTraffic {
     /// Payload bytes carried.
     pub bytes: u64,
@@ -521,7 +515,6 @@ impl<T: NetPayload> Endpoint<T> {
 /// Metered outcome of an SPMD run: per-rank counters, the directed per-link
 /// traffic matrix, and the topology they were measured on.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetReport {
     /// The topology the run used.
     pub config: NetConfig,

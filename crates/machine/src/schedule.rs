@@ -20,7 +20,6 @@ use std::collections::VecDeque;
 
 /// Placement and timing of one task in a simulated schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduledTask {
     /// The task.
     pub id: TaskId,
@@ -35,7 +34,6 @@ pub struct ScheduledTask {
 /// Energy totals per RAPL-style plane, summed over all nodes, plus the
 /// fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
     /// Core plane (PP0): active/stall/idle core power integrated.
     pub pp0_joules: f64,
@@ -101,7 +99,6 @@ impl EnergyBreakdown {
 
 /// Result of simulating a [`TaskGraph`] on a machine or cluster.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     /// Total simulated wall-clock (s).
     pub makespan: f64,

@@ -5,7 +5,6 @@ use powerscale_counters::{Event, Profile};
 /// The kind of kernel a task runs — selects its compute efficiency and its
 /// active-core power draw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(usize)]
 pub enum KernelClass {
     /// Packed, register-tiled GEMM macro-kernel (the OpenBLAS-style path):
@@ -52,7 +51,6 @@ impl KernelClass {
 /// progressing concurrently — the task completes when both drain (roofline
 /// semantics).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskCost {
     /// Kernel class (efficiency + power bucket).
     pub class: KernelClass,
@@ -107,7 +105,6 @@ impl TaskCost {
 
 /// Identifier of a task within one [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskId(pub(crate) u32);
 
 impl TaskId {
@@ -124,7 +121,6 @@ impl TaskId {
 }
 
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct Node {
     pub(crate) cost: TaskCost,
     pub(crate) deps: Vec<TaskId>,
@@ -140,7 +136,6 @@ pub(crate) struct Node {
 /// Acyclicity is guaranteed by construction: a task may only depend on
 /// previously added tasks.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskGraph {
     pub(crate) nodes: Vec<Node>,
 }

@@ -317,7 +317,6 @@ impl fmt::Debug for Matrix {
     }
 }
 
-#[cfg(feature = "serde")]
 mod serde_impl {
     use super::Matrix;
     use serde::de::Error;
@@ -484,7 +483,6 @@ mod tests {
         assert!(s.contains('…'));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_round_trip() {
         let m = Matrix::from_fn(3, 4, |i, j| i as f64 - j as f64);
@@ -493,7 +491,6 @@ mod tests {
         assert_eq!(m, back);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn serde_rejects_bad_len() {
         let bad = r#"{"rows":2,"cols":2,"data":[1.0]}"#;

@@ -6,7 +6,6 @@
 /// counter tick is `1 / 2^e` joules. Haswell-class parts report `e = 14`
 /// (61.04 µJ/tick), which is this type's default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RaplUnits {
     /// Energy-status-unit exponent (`1 tick = 2^-esu_exponent J`).
     pub esu_exponent: u8,

@@ -1,14 +1,14 @@
 //! RAPL power-plane domains.
 
 use core::fmt;
+use serde::{Deserialize, Serialize};
 
 /// A RAPL power plane.
 ///
 /// The paper's driver reads "the entire package and the primary power
 /// plane (PP0) that corresponds to the CPU socket" (§V-C); DRAM is listed
 /// for completeness since later harness revisions report it too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Domain {
     /// Whole processor package (`MSR_PKG_ENERGY_STATUS`).
     Package,

@@ -24,7 +24,6 @@ use rand_chacha::ChaCha8Rng;
 /// from [`FaultConfig::seed`], so fault schedules are independent of the
 /// interleaving of reads *across* domains and fully reproducible.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Seed for the fault schedule streams.
     pub seed: u64,

@@ -12,7 +12,6 @@ use crate::EnergyReader;
 /// verdict at finish time. A domain with any failed samples or non-Healthy
 /// finish state marks the whole report degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampleQuality {
     /// Samples attempted for this domain.
     pub attempted: u64,
@@ -33,7 +32,6 @@ impl SampleQuality {
 
 /// Integrated energy per domain over one measured interval.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyReport {
     /// `(domain, joules)` pairs in the backend's domain order.
     pub joules: Vec<(Domain, f64)>,

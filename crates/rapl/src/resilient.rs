@@ -24,7 +24,6 @@ use crate::EnergyReader;
 
 /// Health of one measured domain, as judged by [`ResilientReader`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DomainHealth {
     /// No anomalies observed recently.
     #[default]
@@ -48,7 +47,6 @@ impl core::fmt::Display for DomainHealth {
 
 /// Tuning knobs for [`ResilientReader`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResilientConfig {
     /// Extra attempts after a failed inner read, per sample.
     pub max_retries: u32,
@@ -82,7 +80,6 @@ impl Default for ResilientConfig {
 
 /// Per-domain sample accounting exported by [`ResilientReader`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DomainQuality {
     /// Samples requested by the caller.
     pub attempts: u64,

@@ -8,7 +8,6 @@ use powerscale_matrix::Matrix;
 /// Triplets are kept sorted row-major; duplicates are summed on
 /// construction (the usual assembly semantics).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coo {
     rows: usize,
     cols: usize,

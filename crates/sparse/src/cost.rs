@@ -18,7 +18,6 @@ use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TrafficModel};
 
 /// Structural statistics of a sparse operand, format-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpmvStats {
     /// Rows.
     pub rows: usize,
@@ -44,7 +43,6 @@ impl SpmvStats {
 
 /// Cost components of one SpMV in a given format.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct SpmvCost {
     /// Executed flops (padding included for ELL).
     pub flops: u64,

@@ -9,7 +9,6 @@ use powerscale_matrix::Matrix;
 /// columns, which serialises naive parallelisation — the property the
 /// energy study exposes.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Csc {
     rows: usize,
     cols: usize,

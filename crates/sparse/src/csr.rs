@@ -9,7 +9,6 @@ use powerscale_matrix::Matrix;
 /// `indptr[i]..indptr[i+1]`, so disjoint row bands partition trivially
 /// across workers.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Csr {
     rows: usize,
     cols: usize,

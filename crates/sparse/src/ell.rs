@@ -12,7 +12,6 @@ use powerscale_matrix::Matrix;
 /// skewed matrices and the fewest index bytes per useful flop on uniform
 /// ones.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ell {
     rows: usize,
     cols: usize,

@@ -50,7 +50,6 @@ pub use gen::SparseGen;
 
 /// The storage formats under study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Format {
     /// Coordinate list: `(row, col, value)` triplets.
     Coo,

@@ -8,7 +8,6 @@ use powerscale_machine::{simulate, MachineConfig};
 
 /// One measured cell: a format at a thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FormatRun {
     /// Storage format.
     pub format: Format,

@@ -31,7 +31,9 @@
 use crate::oracle::{max_rel_error, reference_mm};
 use powerscale_caps::CapsConfig;
 use powerscale_cluster::DistCapsConfig;
-use powerscale_gemm::{available_kernels, dgemm, Dispatch, DtypeTier, GemmContext, KernelTier};
+use powerscale_gemm::{
+    available_kernels, dgemm, scalar_kernel, simd_kernel, Dispatch, DtypeTier, GemmContext,
+};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::ThreadPool;
 use powerscale_strassen::StrassenConfig;
@@ -201,25 +203,18 @@ pub(crate) struct DiffCase {
     pub rel_err: f64,
 }
 
-fn tier_label(tier: KernelTier) -> &'static str {
-    match tier {
-        KernelTier::Scalar => "scalar",
-        KernelTier::Simd => "simd",
-    }
-}
-
 /// Runs the full configuration matrix at `cfg` and returns every case's
 /// score. Panics only on dimension errors (a harness bug), never on
 /// tolerance — use [`assert_differential`] for the asserting form.
 pub(crate) fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
     let mut cells = Vec::new();
-    let tiers = [KernelTier::Scalar, KernelTier::Simd];
-    let dispatch_at = |tier| Dispatch {
-        tier,
-        ..Dispatch::default()
-    };
-    for tier in tiers {
-        let tl = tier_label(tier);
+    // The scalar f64 kernel and the host's best SIMD one (scalar again on
+    // a host without SIMD, so the matrix degrades instead of aborting).
+    let tiers = [
+        ("scalar", scalar_kernel()),
+        ("simd", simd_kernel().unwrap_or(scalar_kernel())),
+    ];
+    for (tl, kernel) in tiers {
         for (name, algo) in [
             ("blocked", Algo::Blocked),
             ("strassen", Algo::Strassen),
@@ -228,16 +223,16 @@ pub(crate) fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
             cells.push(Cell {
                 label: format!("{name}/{tl}"),
                 algo,
-                dispatch: dispatch_at(tier),
+                dispatch: Dispatch::default().with_kernel(kernel),
             });
         }
     }
     for nodes in [2usize, 7] {
-        for tier in tiers {
+        for (tl, kernel) in tiers {
             cells.push(Cell {
-                label: format!("dist-caps/P{nodes}/{}", tier_label(tier)),
+                label: format!("dist-caps/P{nodes}/{tl}"),
                 algo: Algo::DistCaps { nodes },
-                dispatch: dispatch_at(tier),
+                dispatch: Dispatch::default().with_kernel(kernel),
             });
         }
     }

@@ -4,7 +4,9 @@
 //! tier — must each get exactly the bits they get alone.
 
 use powerscale::caps::CapsConfig;
-use powerscale::gemm::{dgemm, Dispatch, DtypeTier, GemmContext, KernelTier};
+use powerscale::gemm::{
+    dgemm, scalar_kernel_for, simd_kernel_for, Dispatch, DtypeTier, GemmContext,
+};
 use powerscale::matrix::{Matrix, MatrixGen};
 use powerscale::pool::ThreadPool;
 use powerscale::strassen::StrassenConfig;
@@ -17,12 +19,9 @@ const ROUNDS: usize = 4;
 fn dispatches() -> Vec<Dispatch> {
     let mut out = Vec::new();
     for dtype in DtypeTier::ALL {
-        for tier in [KernelTier::Scalar, KernelTier::Simd] {
-            out.push(Dispatch {
-                tier,
-                dtype,
-                override_kernel: None,
-            });
+        let scalar = scalar_kernel_for(dtype);
+        for kernel in [scalar, simd_kernel_for(dtype).unwrap_or(scalar)] {
+            out.push(Dispatch::default().with_kernel(kernel));
         }
     }
     out
