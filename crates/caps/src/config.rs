@@ -52,10 +52,7 @@ impl CapsConfig {
 
     /// Validates the knobs.
     pub fn validate(&self) -> Result<(), String> {
-        if self.cutoff < 2 {
-            return Err(format!("cutoff {} must be at least 2", self.cutoff));
-        }
-        Ok(())
+        self.as_strassen().validate()
     }
 }
 

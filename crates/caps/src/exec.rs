@@ -1,13 +1,14 @@
 //! The CAPS executor: Strassen's recursion under the BFS/DFS schedule.
 //!
-//! [`multiply`] validates, installs the group layout, and hands the
-//! multiply to the one Strassen walker
-//! ([`powerscale_strassen::multiply_with`]) under [`BfsDfs`]: BFS task
+//! [`multiply`] opens the CAPS span, installs the group layout, and hands
+//! the multiply to the one Strassen walker
+//! ([`powerscale_strassen::multiply_with`]), which validates it: BFS task
 //! spawning above the cutoff depth, DFS work-sharing below it. The walker's
 //! in-place Classic combine schedule — 18 elementwise passes per node,
-//! quadrant sums fused into the leaf packing pass, one half-size scratch
-//! matrix on the DFS path — is Strassen's, so a CAPS run is bitwise
-//! identical to a Strassen run with the same cutoff.
+//! quadrant sums fused into the leaf packing pass, every pooled leaf
+//! shared by row bands, one half-size scratch matrix on the DFS path — is
+//! Strassen's, so a CAPS run is bitwise identical to a Strassen run with
+//! the same cutoff.
 //!
 //! The BFS phase is **group-affine**: with seven or more pool workers,
 //! [`multiply`] partitions the pool into seven strict worker groups (one
@@ -20,10 +21,11 @@
 //! the Eq. 8 communication model.
 
 use crate::config::CapsConfig;
-use crate::schedule::BfsDfs;
 use powerscale_counters::EventSet;
-use powerscale_matrix::{DimError, DimResult, Matrix, MatrixView};
+use powerscale_matrix::{DimResult, Matrix, MatrixView};
 use powerscale_pool::ThreadPool;
+use powerscale_strassen::Schedule;
+use powerscale_trace::{span_args, Category};
 
 /// `A · B` by the CAPS hybrid traversal.
 ///
@@ -36,25 +38,8 @@ pub fn multiply(
     pool: Option<&ThreadPool>,
     events: Option<&EventSet>,
 ) -> DimResult<Matrix> {
-    cfg.validate()
-        .map_err(|reason| DimError::InvalidConfig { op: "caps", reason })?;
-    if !a.is_square() || !b.is_square() || a.shape() != b.shape() {
-        return Err(DimError::Mismatch {
-            op: "caps",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
     let n = a.rows();
-    if n == 0 {
-        return Ok(Matrix::zeros(0, 0));
-    }
-    let _span = powerscale_trace::span_args(
-        powerscale_trace::Category::Caps,
-        "caps",
-        n as u32,
-        cfg.cutoff_depth,
-    );
+    let _span = span_args(Category::Caps, "caps", n as u32, cfg.cutoff_depth);
 
     // Group-affine plan: when a BFS phase lies ahead and the pool is wide
     // enough, dedicate one strict worker group to each of the seven root
@@ -76,15 +61,12 @@ pub fn multiply(
         }
         _ => None,
     };
-    let sched = BfsDfs { seed };
-    Ok(powerscale_strassen::multiply_with(
-        a,
-        b,
-        &cfg.as_strassen(),
-        &sched,
-        pool,
-        events,
-    ))
+    let sched = Schedule {
+        seed,
+        category: Category::Caps,
+        spans: ["bfs", "dfs"],
+    };
+    powerscale_strassen::multiply_with(a, b, &cfg.as_strassen(), &sched, pool, events)
 }
 
 #[cfg(test)]
@@ -93,7 +75,7 @@ mod tests {
     use powerscale_counters::{Event, EventSet};
     use powerscale_gemm::naive::naive_mm;
     use powerscale_matrix::norms::rel_frobenius_error;
-    use powerscale_matrix::MatrixGen;
+    use powerscale_matrix::{DimError, MatrixGen};
 
     fn check(n: usize, cfg: &CapsConfig, pool: Option<&ThreadPool>, seed: u64) {
         let mut gen = MatrixGen::new(seed);
@@ -192,27 +174,46 @@ mod tests {
     #[test]
     fn pooled_caps_counts_what_sequential_caps_counts() {
         // A pooled shared leaf is one leaf: one kernel call, one pass per
-        // fused operand, B packed and read once — whatever the pool width.
-        // All-DFS (cutoff depth 0) and BFS-then-shared leaves (depth 4)
-        // alike.
+        // fused operand, B packed and read once — whatever the pool width
+        // or the schedule. CAPS all-DFS (cutoff depth 0), CAPS with
+        // BFS-then-shared leaves (depth 4) and Strassen alike.
         let mut gen = MatrixGen::new(8);
         let a = gen.paper_operand(128);
         let b = gen.paper_operand(128);
         let pool = ThreadPool::new(2);
-        for cutoff_depth in [0, 4] {
-            let cfg = CapsConfig {
-                cutoff: 16,
-                cutoff_depth,
-                ..Default::default()
-            };
+        let strassen = powerscale_strassen::StrassenConfig {
+            cutoff: 16,
+            ..Default::default()
+        };
+        for (label, caps_depth) in [
+            ("caps depth 0", Some(0)),
+            ("caps depth 4", Some(4)),
+            ("strassen", None),
+        ] {
             let run = |pool: Option<&ThreadPool>| {
                 let mut set = EventSet::with_all_events();
                 set.start().unwrap();
-                let c = multiply(&a.view(), &b.view(), &cfg, pool, Some(&set)).unwrap();
-                (c, set.stop().unwrap())
+                let c = match caps_depth {
+                    Some(cutoff_depth) => {
+                        let cfg = CapsConfig {
+                            cutoff: 16,
+                            cutoff_depth,
+                            ..Default::default()
+                        };
+                        multiply(&a.view(), &b.view(), &cfg, pool, Some(&set))
+                    }
+                    None => powerscale_strassen::multiply(
+                        &a.view(),
+                        &b.view(),
+                        &strassen,
+                        pool,
+                        Some(&set),
+                    ),
+                };
+                (c.unwrap(), set.stop().unwrap())
             };
             let ((seq, seq_events), (par, par_events)) = (run(None), run(Some(&pool)));
-            assert_eq!(seq, par, "cutoff depth {cutoff_depth}");
+            assert_eq!(seq, par, "{label}");
             for event in [
                 Event::FpOps,
                 Event::FpAdds,
@@ -224,7 +225,7 @@ mod tests {
                 assert_eq!(
                     par_events.get(event),
                     seq_events.get(event),
-                    "{event:?} at cutoff depth {cutoff_depth}"
+                    "{event:?} for {label}"
                 );
             }
         }

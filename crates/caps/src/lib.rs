@@ -14,11 +14,12 @@
 //!
 //! There is no second recursion here: CAPS is `powerscale-strassen`'s one
 //! walker run under a BFS/DFS [`Schedule`](powerscale_strassen::Schedule)
-//! for real matrices ([`multiply`]), and its plan priced by the same
-//! schedule's [`Pricing`](powerscale_strassen::Pricing) for the simulated
-//! machine ([`caps_graph_with`]). The schedule names the row-band dense cutover, the
-//! pinning of the seven root products onto seven worker groups, and the
-//! plan's migration prices; the arithmetic is Strassen's, bit for bit.
+//! value for real matrices ([`multiply`]), and its plan priced by the
+//! BFS/DFS [`Pricing`](powerscale_strassen::Pricing) for the simulated
+//! machine ([`caps_graph_with`]). The schedule names the pinning of the
+//! seven root products onto seven worker groups and the trace spans; the
+//! pricing names the plan's migration prices. The arithmetic and the
+//! row-band dense cutover are Strassen's, bit for bit.
 //!
 //! The total communication obeys the paper's Equation 8,
 //! `max(n^ω₀ / (P·M^(ω₀/2−1)), n² / P^(2/ω₀))` with ω₀ = log₂ 7

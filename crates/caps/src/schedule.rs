@@ -1,16 +1,16 @@
-//! The CAPS schedule: BFS steps above the cutoff depth, DFS steps below it
-//! (paper §IV-C, Figure 2).
+//! The CAPS schedule's plan prices: BFS steps above the cutoff depth, DFS
+//! steps below it (paper §IV-C, Figure 2).
 //!
-//! CAPS is Strassen's recursion run under [`BfsDfs`]: the executor is
-//! [`powerscale_strassen::multiply_with`] and the plan is
-//! [`powerscale_strassen::plan::graph`]. The walker fixes the arithmetic,
+//! CAPS is Strassen's recursion run under the BFS/DFS schedule: the
+//! executor is [`powerscale_strassen::multiply_with`] under the
+//! [`Schedule`](powerscale_strassen::Schedule) value [`crate::multiply`]
+//! builds, and the plan is [`powerscale_strassen::plan::graph`] priced by
+//! [`BfsDfsPricing`]. The walker fixes the arithmetic and shares every
+//! pooled leaf over row bands (the OpenMP work-sharing of the paper's DFS
+//! steps: the fused leaf's pooled nest, which packs B once for all bands),
 //! so a CAPS product is bitwise a Strassen product with the same cutoff;
 //! the schedule decides only
 //!
-//! * **the dense cutover** — a leaf is work-shared over row bands across
-//!   the pool (the OpenMP work-sharing of the paper's DFS steps: the fused
-//!   leaf's pooled nest, which packs B once for all bands), so no task and
-//!   no operand migrates below the cutoff depth;
 //! * **placement** — with the seven-group worker layout installed, each
 //!   root BFS product is seeded onto its group's first worker, and strict
 //!   stealing keeps its descendants inside the group;
@@ -24,15 +24,7 @@
 //!   each pay a full operand migration.
 
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
-use powerscale_strassen::{Pricing, Schedule};
-use powerscale_trace::{span_args, Category, SpanGuard};
-
-/// The BFS/DFS schedule of one executed CAPS multiply.
-pub(crate) struct BfsDfs {
-    /// The worker each root product is seeded onto (its group's first),
-    /// when the seven-group layout is installed.
-    pub(crate) seed: Option<[usize; 7]>,
-}
+use powerscale_strassen::Pricing;
 
 /// The BFS/DFS schedule's prices in the plan of one CAPS multiply on a
 /// machine with `cores` cores, across which every DFS step is shared.
@@ -47,26 +39,6 @@ impl BfsDfsPricing {
     /// This factor is the "communication avoiding" in CAPS.
     fn placement(&self, depth: u32) -> f64 {
         (self.cores as f64 / 7f64.powi(depth as i32)).min(1.0)
-    }
-}
-
-impl Schedule for BfsDfs {
-    /// Leaves are work-shared by row bands across the pool; band
-    /// boundaries leave every element's k-accumulation order unchanged, so
-    /// a shared leaf computes a sequential leaf's bits and events.
-    fn shares_leaves(&self) -> bool {
-        true
-    }
-
-    fn pin(&self, depth: u32, index: usize) -> Option<usize> {
-        self.seed
-            .filter(|_| depth == 0)
-            .map(|workers| workers[index])
-    }
-
-    fn node_span(&self, parallel: bool, depth: u32, n: usize) -> SpanGuard {
-        let name = if parallel { "bfs" } else { "dfs" };
-        span_args(Category::Caps, name, depth, (n / 2) as u32)
     }
 }
 

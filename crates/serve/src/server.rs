@@ -107,6 +107,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Queue pressure at which recursive algorithm hints degrade to blocked
+/// DGEMM; [`Server::run`] paces admission below it.
+const DEGRADE_WATERMARK: f64 = 0.5;
+/// Queue pressure at which f64 additionally degrades to mixed.
+const PRECISION_WATERMARK: f64 = 0.85;
+
 /// Knobs for one serving run.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -130,11 +136,6 @@ pub struct ServerConfig {
     pub retries: u32,
     /// Base retry backoff in milliseconds (doubles per retry, capped).
     pub backoff_ms: u64,
-    /// Queue pressure at which recursive algorithm hints degrade to
-    /// blocked DGEMM.
-    pub degrade_watermark: f64,
-    /// Queue pressure at which f64 additionally degrades to mixed.
-    pub precision_watermark: f64,
     /// Fault-injection plan; `None` serves cleanly.
     pub chaos: Option<ChaosConfig>,
     /// Write-ahead journal directory; `None` disables journaling.
@@ -156,8 +157,6 @@ impl Default for ServerConfig {
             batch: 8,
             retries: 2,
             backoff_ms: 1,
-            degrade_watermark: 0.5,
-            precision_watermark: 0.85,
             chaos: None,
             journal_dir: None,
             resume: false,
@@ -289,15 +288,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The degradation ladder, applied at admission so the plan is frozen in
 /// the write-ahead record (a replay after a crash must not re-decide
 /// under different pressure — that would change the result's bits).
-fn resolve_plan(cfg: &ServerConfig, pressure: f64, spec: &JobSpec) -> ExecPlan {
+fn resolve_plan(pressure: f64, spec: &JobSpec) -> ExecPlan {
     let mut algorithm = spec.algorithm;
     let mut dtype = spec.dtype;
     let mut step = None;
-    if pressure >= cfg.degrade_watermark && algorithm != Algorithm::Blocked {
+    if pressure >= DEGRADE_WATERMARK && algorithm != Algorithm::Blocked {
         algorithm = Algorithm::Blocked;
         step = Some(DegradeStep::Algorithm);
     }
-    if pressure >= cfg.precision_watermark && dtype == DtypeTier::F64 {
+    if pressure >= PRECISION_WATERMARK && dtype == DtypeTier::F64 {
         dtype = DtypeTier::Mixed;
         step = Some(match step {
             Some(DegradeStep::Algorithm) => DegradeStep::Full,
@@ -331,7 +330,7 @@ impl Front {
         let mut q = shared.queue.lock().unwrap();
         let cap = q.capacity();
         if on_full == OnFull::Pace && cap > 0 {
-            let mark = ((cap as f64 * env.cfg.degrade_watermark).ceil() as usize).clamp(1, cap);
+            let mark = ((cap as f64 * DEGRADE_WATERMARK).ceil() as usize).clamp(1, cap);
             while q.len() >= mark {
                 if shared.halted.load(Ordering::SeqCst) {
                     return None;
@@ -343,7 +342,7 @@ impl Front {
             self.stats.shed += 1;
             return Some(self.reject(spec.id, RejectReason::QueueFull));
         }
-        let plan = resolve_plan(env.cfg, q.pressure(), &spec);
+        let plan = resolve_plan(q.pressure(), &spec);
         // Write-ahead ordering: the pending record must exist before the
         // request becomes poppable, or an executor could write the done
         // record first and have it clobbered (see module docs).

@@ -104,22 +104,12 @@ pub fn total_flops(n: usize, cfg: &StrassenConfig) -> u64 {
     mult_flops(n, cfg.cutoff) + add_flops(n, cfg)
 }
 
-/// Total DRAM traffic of the recursion in bytes: each add pass streams
-/// three `h × h` operands (two reads + one write); each leaf multiply
-/// touches `4·d²` elements (A, B, C read + C write).
-pub fn dram_bytes(n: usize, cfg: &StrassenConfig) -> u64 {
-    if is_leaf(n, cfg.cutoff) {
-        let d = n as u64;
-        return 32 * d * d;
-    }
-    let h = (n / 2) as u64;
-    PASSES_PER_LEVEL * 24 * h * h + 7 * dram_bytes(n / 2, cfg)
-}
-
-/// Like [`dram_bytes`] but discounted by LLC residency: passes whose
-/// working set fits the shared cache mostly hit it (their operands were
-/// just produced there). This is the traffic figure the task-graph plan
-/// uses.
+/// Total DRAM traffic of the recursion in bytes, discounted by LLC
+/// residency. Each add pass streams three `h × h` operands (two reads +
+/// one write) and each leaf multiply touches `4·d²` elements (A, B, C
+/// read + C write); passes whose working set fits the shared cache mostly
+/// hit it (their operands were just produced there). This is the traffic
+/// figure the task-graph plan uses.
 pub fn dram_bytes_effective(
     n: usize,
     cfg: &StrassenConfig,
@@ -230,17 +220,5 @@ mod tests {
                 kernel.name
             );
         }
-    }
-
-    #[test]
-    fn dram_bytes_positive_and_growing() {
-        let c = cfg(64);
-        assert_eq!(dram_bytes(64, &c), 32 * 64 * 64);
-        assert!(dram_bytes(512, &c) > dram_bytes(256, &c));
-        // Strassen's O(n²) add traffic makes it move more bytes than a
-        // well-blocked dense multiply at these sizes (part of why it is
-        // slower in the paper's Table II).
-        let blocked_estimate = 32u64 * 512 * 512; // one streaming pass set
-        assert!(dram_bytes(512, &c) > blocked_estimate);
     }
 }

@@ -6,8 +6,8 @@
 //! * [`leaf_gemm_fused_with`] — quadrant sums like `A21 + A22` are packed
 //!   directly into the leaf's panel buffers ([`Operand::Add`] /
 //!   [`Operand::Sub`]), so leaves never materialise operand sums. The
-//!   walker calls it itself, handing it the pool when the schedule shares
-//!   leaves;
+//!   walker calls it itself and hands it the pool, so every pooled leaf
+//!   is work-shared by row bands;
 //! * an in-place combine schedule — four of the seven products land
 //!   directly in their destination quadrants and the remaining cross-term
 //!   products cycle through a single scratch matrix (sequential path),
@@ -20,23 +20,30 @@
 //! destinations. Quadrant-sized elementwise passes go through the
 //! row-band-parallel `ops::par_*` family, which is bitwise transparent.
 //!
-//! This is the one Strassen recursion in the workspace. It is generic over
-//! a [`Schedule`]: [`multiply`] runs it under the BOTS [`Untied`]
-//! schedule, and CAPS runs it under its BFS/DFS schedule through
-//! [`multiply_with`].
+//! This is the one Strassen recursion in the workspace. It takes a
+//! [`Schedule`] value: [`multiply`] runs it under the BOTS schedule, and
+//! CAPS runs it under its BFS/DFS schedule through [`multiply_with`].
 
 use crate::accounting::{
     add_pass, record_add, record_level, record_spawns, record_steal_delta, steal_snapshot, sub_pass,
 };
 use crate::config::StrassenConfig;
 use crate::cost::is_leaf;
-use crate::schedule::{Schedule, Untied};
+use crate::schedule::Schedule;
 use powerscale_counters::EventSet;
 use powerscale_gemm::arena;
 use powerscale_gemm::leaf::Operand::{Add, Sub, View};
 use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_matrix::{ops, pad, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
 use powerscale_pool::{Scope, ThreadPool};
+use powerscale_trace::{span_args, Category};
+
+/// The BOTS schedule: untied tasks, placed wherever a worker steals them.
+const UNTIED: Schedule = Schedule {
+    seed: None,
+    category: Category::Strassen,
+    spans: ["rec:par", "rec:seq"],
+};
 
 /// `A · B` by Strassen recursion.
 ///
@@ -46,8 +53,9 @@ use powerscale_pool::{Scope, ThreadPool};
 /// multiplication.
 ///
 /// `pool` enables task-parallel execution of the seven sub-products down to
-/// `cfg.task_depth`; `events` receives the work accounting (including the
-/// in-group/cross-group steal split the pool observed during the run).
+/// `cfg.task_depth` and row-band sharing of every leaf; `events` receives
+/// the work accounting (including the in-group/cross-group steal split the
+/// pool observed during the run).
 pub fn multiply(
     a: &MatrixView<'_>,
     b: &MatrixView<'_>,
@@ -55,13 +63,33 @@ pub fn multiply(
     pool: Option<&ThreadPool>,
     events: Option<&EventSet>,
 ) -> DimResult<Matrix> {
-    cfg.validate().map_err(|reason| DimError::InvalidConfig {
-        op: "strassen",
-        reason,
-    })?;
+    let _span = span_args(
+        Category::Strassen,
+        "strassen",
+        a.rows() as u32,
+        cfg.task_depth,
+    );
+    multiply_with(a, b, cfg, &UNTIED, pool, events)
+}
+
+/// `A · B` by the Strassen recursion under `sched`: validates `cfg` and
+/// the operands (errors name `sched.category`), pads to a `base · 2^k`
+/// dimension when necessary, walks the recursion and attributes the
+/// pool's steals during the walk to `events`.
+pub fn multiply_with(
+    a: &MatrixView<'_>,
+    b: &MatrixView<'_>,
+    cfg: &StrassenConfig,
+    sched: &Schedule,
+    pool: Option<&ThreadPool>,
+    events: Option<&EventSet>,
+) -> DimResult<Matrix> {
+    let op = sched.category.as_str();
+    cfg.validate()
+        .map_err(|reason| DimError::InvalidConfig { op, reason })?;
     if !a.is_square() || !b.is_square() || a.shape() != b.shape() {
         return Err(DimError::Mismatch {
-            op: "strassen",
+            op,
             lhs: a.shape(),
             rhs: b.shape(),
         });
@@ -70,34 +98,12 @@ pub fn multiply(
     if n == 0 {
         return Ok(Matrix::zeros(0, 0));
     }
-    let _span = powerscale_trace::span_args(
-        powerscale_trace::Category::Strassen,
-        "strassen",
-        n as u32,
-        cfg.task_depth,
-    );
-    Ok(multiply_with(a, b, cfg, &Untied, pool, events))
-}
-
-/// `A · B` by the Strassen recursion under `sched`, for operands the
-/// caller has already checked square, equal-shaped and non-empty: pads to
-/// a `base · 2^k` dimension when necessary, walks the recursion and
-/// attributes the pool's steals during the walk to `events`.
-pub fn multiply_with<S: Schedule>(
-    a: &MatrixView<'_>,
-    b: &MatrixView<'_>,
-    cfg: &StrassenConfig,
-    sched: &S,
-    pool: Option<&ThreadPool>,
-    events: Option<&EventSet>,
-) -> Matrix {
     let walker = Walker {
         cfg,
         sched,
         pool,
         events,
     };
-    let n = a.rows();
     let snap = steal_snapshot(pool);
     let target = pad::next_recursive_size(n, cfg.cutoff);
     let result = if target == n {
@@ -112,7 +118,7 @@ pub fn multiply_with<S: Schedule>(
         pad::crop(&pc.view(), n, n)
     };
     record_steal_delta(events, pool, snap);
-    result
+    Ok(result)
 }
 
 /// A fused operand resolved for a non-leaf child: either the original view
@@ -162,14 +168,14 @@ fn resolve_operand<'v>(
 
 /// One recursion's fixed context: the knobs, the schedule, and where the
 /// work runs and is accounted.
-struct Walker<'a, S> {
+struct Walker<'a> {
     cfg: &'a StrassenConfig,
-    sched: &'a S,
+    sched: &'a Schedule,
     pool: Option<&'a ThreadPool>,
     events: Option<&'a EventSet>,
 }
 
-impl<S: Schedule> Walker<'_, S> {
+impl Walker<'_> {
     /// `c = a · b`, recursively. `c` is fully overwritten.
     fn rec(&self, a: MatrixView<'_>, b: MatrixView<'_>, c: &mut MatrixViewMut<'_>, depth: u32) {
         // Cooperative cancellation poll at every recursion node: a cancelled
@@ -185,7 +191,9 @@ impl<S: Schedule> Walker<'_, S> {
         }
         record_level(self.events);
         let parallel = self.pool.is_some() && depth < self.cfg.task_depth;
-        let _span = self.sched.node_span(parallel, depth, n);
+        let [spawned, inline] = self.sched.spans;
+        let name = if parallel { spawned } else { inline };
+        let _span = span_args(self.sched.category, name, depth, n as u32);
         if parallel {
             self.classic_par(a, b, c, depth);
         } else {
@@ -193,12 +201,21 @@ impl<S: Schedule> Walker<'_, S> {
         }
     }
 
-    /// The dense cutover: the fused leaf, work-shared over the pool when
-    /// the schedule shares leaves.
+    /// The dense cutover: the fused leaf, work-shared by row bands over
+    /// the pool. Band boundaries leave every element's k-accumulation
+    /// order unchanged, so a shared leaf computes a sequential leaf's bits
+    /// and events.
     fn leaf(&self, a: Operand<'_>, b: Operand<'_>, c: &mut MatrixViewMut<'_>) {
-        let pool = self.pool.filter(|_| self.sched.shares_leaves());
-        leaf_gemm_fused_with(self.cfg.dispatch, a, b, c, Accum::Set, pool, self.events)
-            .expect("leaf shapes valid by construction");
+        leaf_gemm_fused_with(
+            self.cfg.dispatch,
+            a,
+            b,
+            c,
+            Accum::Set,
+            self.pool,
+            self.events,
+        )
+        .expect("leaf shapes valid by construction");
     }
 
     /// Spawns product `index` of a parallel node at `depth`, seeded onto
@@ -207,8 +224,8 @@ impl<S: Schedule> Walker<'_, S> {
     where
         F: FnOnce(&Scope<'_, 'env>) + Send + 'env,
     {
-        match self.sched.pin(depth, index) {
-            Some(worker) => s.spawn_in(worker, f),
+        match self.sched.seed.filter(|_| depth == 0) {
+            Some(workers) => s.spawn_in(workers[index], f),
             None => s.spawn(f),
         }
     }
@@ -397,6 +414,24 @@ mod tests {
         let par = multiply(&a.view(), &b.view(), &cfg, Some(&pool), None).unwrap();
         // Identical per-quadrant update order in both schedules: results
         // are bitwise equal.
+        assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn pooled_single_leaf_is_shared_by_row_bands() {
+        // n = cutoff is one leaf and no recursion node; on a pool it runs
+        // as row-band tasks and still computes the sequential leaf's bits.
+        let cfg = StrassenConfig::paper();
+        let n = cfg.cutoff;
+        let mut gen = MatrixGen::new(21);
+        let a = gen.paper_operand(n);
+        let b = gen.paper_operand(n);
+        let seq = multiply(&a.view(), &b.view(), &cfg, None, None).unwrap();
+        let pool = ThreadPool::new(2);
+        let before = pool.stats().total_executed();
+        let par = multiply(&a.view(), &b.view(), &cfg, Some(&pool), None).unwrap();
+        let executed = pool.stats().total_executed() - before;
+        assert!(executed >= 2, "{executed} pool tasks ran the leaf");
         assert_eq!(seq, par);
     }
 

@@ -20,10 +20,11 @@
 //! depth, and reports its work through [`powerscale_counters::EventSet`].
 //! [`plan`] emits the equivalent task graph for the simulated machine.
 //!
-//! The recursion exists once. Its executor is generic over a [`Schedule`]
-//! and its plan over a [`Pricing`]: [`multiply`] and
-//! [`strassen_graph_with`] run it under the BOTS `Untied` schedule, and
+//! The recursion exists once. Its executor takes a [`Schedule`] value and
+//! its plan is generic over a [`Pricing`]: [`multiply`] and
+//! [`strassen_graph_with`] run it under the BOTS schedule, and
 //! `powerscale-caps` runs the same walker under its BFS/DFS schedule.
+//! Every pooled leaf is work-shared by row bands under either.
 //!
 //! # Example
 //!

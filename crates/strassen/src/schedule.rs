@@ -1,41 +1,38 @@
 //! The schedule a Strassen recursion runs under.
 //!
 //! There is one recursion: [`crate::multiply_with`] walks it on real
-//! matrices and [`crate::plan::graph`] emits its task graph. What differs between the BOTS
-//! Strassen and CAPS (paper §IV-B/§IV-C) is only *how* that tree is
-//! scheduled. A [`Schedule`] names those differences for the walker:
+//! matrices and [`crate::plan::graph`] emits its task graph. What differs
+//! between the BOTS Strassen and CAPS (paper §IV-B/§IV-C) is only *how*
+//! that tree is scheduled. A [`Schedule`] value names those differences
+//! for the walker:
 //!
-//! * whether a leaf is work-shared across the pool;
-//! * the worker a depth-0 product is pinned to;
+//! * the worker each depth-0 product is seeded onto;
 //! * the trace category and span names of internal nodes.
 //!
-//! Its [`Pricing`] names them for the task-graph plan: how a leaf, an
-//! inline subtree below the spawn depth, and operand migration at a
-//! spawned node's prepare and combine tasks are priced.
+//! Every pooled leaf is work-shared by row bands across the pool, whatever
+//! the schedule. Its [`Pricing`] names the differences for the task-graph
+//! plan: how a leaf, an inline subtree below the spawn depth, and operand
+//! migration at a spawned node's prepare and combine tasks are priced.
 //!
 //! Arithmetic order, event counts and task order belong to the walker, so
-//! every schedule computes the same bits. `Untied` is the BOTS schedule;
-//! CAPS's BFS/DFS schedule lives in `powerscale-caps`. Schedules are
-//! statically dispatched: the walker is monomorphised per schedule.
+//! every schedule computes the same bits. `Untied` is the BOTS pricing;
+//! CAPS's BFS/DFS schedule and pricing live in `powerscale-caps`.
 
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
-use powerscale_trace::{span_args, Category, SpanGuard};
+use powerscale_trace::Category;
 
 /// What a schedule decides about one executed Strassen recursion.
-pub trait Schedule: Sync {
-    /// Whether a leaf product is work-shared by row bands across the
-    /// walker's pool (the fused leaf's pooled nest) rather than run by the
-    /// one task that reaches it.
-    fn shares_leaves(&self) -> bool;
-
-    /// The worker that product `index` (0..7, in spawn order) of a spawned
-    /// node at `depth` is seeded onto; `None` leaves it on the spawner's
-    /// own deque.
-    fn pin(&self, depth: u32, index: usize) -> Option<usize>;
-
-    /// Opens the trace span of one internal `n × n` node at `depth`,
-    /// spawned (`parallel`) or inline.
-    fn node_span(&self, parallel: bool, depth: u32, n: usize) -> SpanGuard;
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule {
+    /// Entry `i` is the worker the root node's product `i` (in spawn
+    /// order) is seeded onto; `None` leaves every product on its
+    /// spawner's own deque.
+    pub seed: Option<[usize; 7]>,
+    /// The trace category of internal-node spans. Its label names the
+    /// multiply in errors.
+    pub category: Category,
+    /// Internal-node span names: spawned, then inline.
+    pub spans: [&'static str; 2],
 }
 
 /// How a schedule prices one Strassen recursion's task-graph plan.
@@ -70,28 +67,13 @@ pub trait Pricing {
     fn combine_comm(&self, depth: u32, inputs: usize, hh: u64) -> u64;
 }
 
-/// The BOTS schedule: an untied task per product down to the spawn depth,
+/// The BOTS pricing: an untied task per product down to the spawn depth,
 /// placed wherever a worker steals it. Placement-oblivious, so the plan
 /// charges every spawned product and every inline subtree a full operand
-/// migration.
+/// migration. Its leaves are BOTS's sequential tasks; the executor shares
+/// every pooled leaf regardless (DESIGN §6c).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Untied;
-
-impl Schedule for Untied {
-    /// BOTS leaves are sequential tasks.
-    fn shares_leaves(&self) -> bool {
-        false
-    }
-
-    fn pin(&self, _depth: u32, _index: usize) -> Option<usize> {
-        None
-    }
-
-    fn node_span(&self, parallel: bool, depth: u32, n: usize) -> SpanGuard {
-        let name = if parallel { "rec:par" } else { "rec:seq" };
-        span_args(Category::Strassen, name, depth, n as u32)
-    }
-}
 
 impl Pricing for Untied {
     fn plan_leaf(
