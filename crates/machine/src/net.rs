@@ -20,16 +20,18 @@
 //!
 //! Determinism: each rank's counters are accumulated by that rank alone, and
 //! the per-link matrix is assembled from sender-side rows after all ranks
-//! join, so reports are bit-identical across runs regardless of thread
+//! finish, so reports are bit-identical across runs regardless of thread
 //! interleaving. Blocking receives carry a timeout that converts a deadlock
 //! into a typed [`NetError`], never a hang; a rank that fails or panics
 //! poisons its peers, so their blocked receives return
 //! [`NetError::PeerFailed`] at once instead of waiting the timeout out.
 
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -160,7 +162,7 @@ impl NetConfig {
 
 /// Typed transport failures. The transport never hangs: a blocked receive
 /// times out into [`NetError::RecvTimeout`] and invalid configs are rejected
-/// before any rank spawns.
+/// before any rank starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// A link model has zero, negative or non-finite bandwidth.
@@ -613,10 +615,105 @@ impl NetReport {
     }
 }
 
+/// A rank program with its borrows erased, as a rank thread receives it.
+type RankJob = Box<dyn FnOnce() + Send + 'static>;
+
+/// What one rank's program left behind: its result (or panic) and counters.
+type RankOutcome<R> = (
+    thread::Result<Result<R, NetError>>,
+    RankStats,
+    Vec<LinkTraffic>,
+);
+
+/// Idle rank threads a calling thread keeps between runs. A `P`-rank run
+/// holds `P − 1`, so every run up to `P = 33` finds its whole crew warm;
+/// a wider run's extra threads exit after it.
+const MAX_IDLE_RANK_THREADS: usize = 32;
+
+thread_local! {
+    /// This thread's idle rank threads, each named by its job inbox. Entry
+    /// `i` runs rank `i + 1`, so a rank meets its own warm allocator and
+    /// `gemm::arena` state from run to run; dropping an inbox ends its
+    /// thread, so the crew goes when the calling thread does.
+    static CREW: Cell<Vec<Sender<RankJob>>> = const { Cell::new(Vec::new()) };
+}
+
+/// A rank thread: runs the jobs sent to it until its inbox is dropped, then
+/// ends. It is never joined; a job catches its program's panic itself and
+/// hands it to the caller.
+fn spawn_rank_thread() -> Sender<RankJob> {
+    let (tx, rx) = channel::<RankJob>();
+    thread::Builder::new()
+        .name("powerscale-rank".into())
+        .spawn(move || rx.into_iter().for_each(|job| job()))
+        .expect("spawn a rank thread");
+    tx
+}
+
+/// Counts the rank jobs that may still touch `run_spmd`'s frame.
+///
+/// Shared by `Arc`: `run_spmd` may see the count reach zero and return while
+/// the last job is still between its decrement and its notify, so the
+/// latch must not live in that frame.
+#[derive(Default)]
+struct Latch {
+    pending: Mutex<usize>,
+    all_done: Condvar,
+}
+
+/// One job's share of the latch: counted when the job is built, released
+/// when it drops — after the job's last touch of the borrowed frame, or
+/// with the job itself if it is dropped unrun.
+struct Pending(Arc<Latch>);
+
+impl Pending {
+    fn new(latch: &Arc<Latch>) -> Self {
+        *latch.pending.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        Pending(Arc::clone(latch))
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        let mut pending = self
+            .0
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *pending -= 1;
+        if *pending == 0 {
+            self.0.all_done.notify_all();
+        }
+    }
+}
+
+/// Waits for every job of a run when dropped, so `run_spmd` cannot leave
+/// its frame — by return or by unwind — while a job still borrows it.
+struct WaitAll(Arc<Latch>);
+
+impl Drop for WaitAll {
+    fn drop(&mut self) {
+        let mut pending = self
+            .0
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while *pending > 0 {
+            pending = self
+                .0
+                .all_done
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// Run one closure per rank, each holding an [`Endpoint`], and collect
 /// results plus the metered [`NetReport`]. Rank 0 runs on the calling
-/// thread (a 1-node run spawns nothing); every other rank gets its own OS
-/// thread.
+/// thread (a 1-node run involves no other thread); every other rank runs on
+/// a long-lived rank thread the calling thread keeps between runs, created
+/// on first use, so repeated runs reuse warm threads rather than paying
+/// for a cold one per rank per run.
 ///
 /// Rank closures return `Result<R, NetError>`. The first rank to fail —
 /// return an error or panic — poisons its peers, so receives blocked on it
@@ -638,27 +735,23 @@ where
         txs.push(tx);
         rxs.push(rx);
     }
-    let endpoints: Vec<Endpoint<T>> = rxs
-        .into_iter()
-        .enumerate()
-        .map(|(rank, rx)| Endpoint {
-            rank,
-            cfg: cfg.clone(),
-            txs: txs.clone(),
-            rx,
-            stash: Vec::new(),
-            failed_peer: None,
-            phase: Phase::Algo,
-            stats: RankStats::default(),
-            matrix_row: vec![LinkTraffic::default(); n],
-        })
-        .collect();
-    drop(txs);
+    let mut endpoints = rxs.into_iter().enumerate().map(|(rank, rx)| Endpoint {
+        rank,
+        cfg: cfg.clone(),
+        txs: txs.clone(),
+        rx,
+        stash: Vec::new(),
+        failed_peer: None,
+        phase: Phase::Algo,
+        stats: RankStats::default(),
+        matrix_row: vec![LinkTraffic::default(); n],
+    });
+    let ep0 = endpoints.next().expect("validated: at least one node");
 
     // The rank whose failure came first; echoes (`PeerFailed`, sends to a
     // rank that is gone) can only happen after it is recorded.
     let first_failed = AtomicUsize::new(usize::MAX);
-    let run_rank = |mut ep: Endpoint<T>| {
+    let run_rank = |mut ep: Endpoint<T>| -> RankOutcome<R> {
         let out = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ep)));
         if !matches!(out, Ok(Ok(_))) {
             let _ = first_failed.compare_exchange(
@@ -672,17 +765,49 @@ where
         let (stats, row) = ep.into_stats();
         (out, stats, row)
     };
-    let mut joined: Vec<_> = thread::scope(|scope| {
-        let mut endpoints = endpoints.into_iter();
-        let ep0 = endpoints.next().expect("validated: at least one node");
-        let handles: Vec<_> = endpoints.map(|ep| scope.spawn(|| run_rank(ep))).collect();
-        let mut joined = vec![run_rank(ep0)];
-        joined.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panics are caught inside run_rank")),
-        );
-        joined
+    let run_rank = &run_rank;
+    let slots: Vec<Mutex<Option<RankOutcome<R>>>> = (1..n).map(|_| Mutex::new(None)).collect();
+
+    let mut crew = CREW.with(Cell::take);
+    while crew.len() < n - 1 {
+        crew.push(spawn_rank_thread());
+    }
+    let latch = Arc::new(Latch::default());
+    // Declared after everything a job borrows, so it is dropped — and
+    // waits — before any of it.
+    let all_done = WaitAll(Arc::clone(&latch));
+    for ((ep, slot), inbox) in endpoints.zip(&slots).zip(&crew) {
+        let pending = Pending::new(&latch);
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            let _pending = pending;
+            let out = run_rank(ep);
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+        });
+        // SAFETY: lifetime erasure. The job borrows `f` and `first_failed`
+        // (through `run_rank`) and its slot, all of which outlive
+        // `all_done`. The job's `Pending` share is released only after its
+        // last access to them — the slot store — or when the job is
+        // dropped unrun, and `all_done` waits in its drop until every share
+        // is released, on return and on unwind alike. The latch the share
+        // releases is reference-counted, so that release may race this
+        // frame's end without touching it.
+        let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RankJob>(job) };
+        inbox
+            .send(job)
+            .expect("a rank thread lives while its inbox does");
+    }
+    drop(txs);
+    let mut joined = vec![run_rank(ep0)];
+    drop(all_done);
+    joined.extend(slots.into_iter().map(|slot| {
+        slot.into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("every rank job ran to its slot store")
+    }));
+    CREW.with(|idle| {
+        crew.append(&mut idle.take());
+        crew.truncate(MAX_IDLE_RANK_THREADS);
+        idle.set(crew);
     });
 
     let first_failed = first_failed.into_inner();
@@ -717,6 +842,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     fn fast_cfg(nodes: usize) -> NetConfig {
         let mut cfg = NetConfig::uniform(nodes, LinkModel::new(1e9, 1e-6));
@@ -1009,6 +1135,145 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    /// Idle rank threads the calling thread keeps.
+    fn idle_rank_threads() -> usize {
+        CREW.with(|idle| {
+            let crew = idle.take();
+            let len = crew.len();
+            idle.set(crew);
+            len
+        })
+    }
+
+    /// Ring exchange that reports each rank's thread.
+    fn ring_ids(cfg: &NetConfig) -> (Vec<thread::ThreadId>, NetReport) {
+        run_spmd::<Vec<f64>, _, _>(cfg, |ep| {
+            let next = (ep.rank() + 1) % ep.nodes();
+            let prev = (ep.rank() + ep.nodes() - 1) % ep.nodes();
+            ep.send(next, 3, vec![ep.rank() as f64; 16])?;
+            assert_eq!(ep.recv(prev, 3)?, vec![prev as f64; 16]);
+            Ok(thread::current().id())
+        })
+        .unwrap()
+    }
+
+    fn assert_exact_ring_traffic(report: &NetReport) {
+        let p = report.config.nodes;
+        for src in 0..p {
+            for dst in 0..p {
+                let want = if dst == (src + 1) % p { 128 } else { 0 };
+                assert_eq!(report.matrix[src][dst].bytes, want, "link {src} -> {dst}");
+                assert_eq!(report.matrix[src][dst].msgs, want / 128);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_threads_are_reused_across_runs() {
+        let cfg = fast_cfg(3);
+        let (first, _) = ring_ids(&cfg);
+        let (second, report) = ring_ids(&cfg);
+        assert_eq!(
+            first[0],
+            thread::current().id(),
+            "rank 0 runs on the caller"
+        );
+        assert_ne!(first[1], first[0]);
+        assert_ne!(first[2], first[0]);
+        assert_ne!(first[1], first[2]);
+        assert_eq!(first, second, "ranks 1 and 2 keep their threads");
+        assert_exact_ring_traffic(&report);
+    }
+
+    #[test]
+    fn rank_threads_survive_a_rank_panic() {
+        let cfg = fast_cfg(3);
+        let (before, _) = ring_ids(&cfg);
+        let caught = panic::catch_unwind(|| {
+            run_spmd::<Vec<f64>, (), _>(&cfg, |ep| {
+                if ep.rank() == 1 {
+                    panic!("rank 1 exploded");
+                }
+                ep.recv(1, 7).map(|_| ())
+            })
+        })
+        .expect_err("the rank's panic propagates");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"rank 1 exploded"));
+        let (after, report) = ring_ids(&cfg);
+        assert_eq!(before, after, "the panicking rank's thread is kept");
+        assert_exact_ring_traffic(&report);
+    }
+
+    #[test]
+    fn rank_threads_are_never_shared_between_concurrent_callers() {
+        const CALLERS: usize = 4;
+        let runs = if cfg!(miri) { 2 } else { 25 };
+        let (tx, rx) = channel();
+        let handles: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    let cfg = fast_cfg(3);
+                    let mut seen: HashSet<thread::ThreadId> = HashSet::new();
+                    for _ in 0..runs {
+                        let (ids, report) = ring_ids(&cfg);
+                        assert_eq!(ids[0], thread::current().id());
+                        assert_exact_ring_traffic(&report);
+                        seen.extend(&ids[1..]);
+                    }
+                    let _ = tx.send((thread::current().id(), seen, idle_rank_threads()));
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut owners = HashMap::new();
+        let mut callers = Vec::new();
+        for _ in 0..CALLERS {
+            // A caller that hangs or panics never reports: fail within a
+            // bounded wait instead of hanging the suite (Miri interprets
+            // every instruction, so it gets a longer one).
+            let (caller, seen, idle) = rx
+                .recv_timeout(Duration::from_secs(if cfg!(miri) { 600 } else { 60 }))
+                .expect("every caller finishes its runs");
+            assert_eq!(
+                seen.len(),
+                2,
+                "{caller:?} used {seen:?}: the crew grew per run"
+            );
+            assert_eq!(idle, 2);
+            for id in seen {
+                if let Some(other) = owners.insert(id, caller) {
+                    panic!("rank thread {id:?} served both {other:?} and {caller:?}");
+                }
+            }
+            callers.push(caller);
+        }
+        for caller in &callers {
+            assert!(
+                !owners.contains_key(caller),
+                "{caller:?} ran as a rank thread"
+            );
+        }
+        for handle in handles {
+            handle
+                .join()
+                .expect("every caller reported, so none panicked");
+        }
+    }
+
+    #[test]
+    fn rank_thread_crew_is_bounded() {
+        let wide = fast_cfg(MAX_IDLE_RANK_THREADS + 3);
+        run_spmd::<Vec<f64>, (), _>(&wide, |_| Ok(())).unwrap();
+        assert_eq!(idle_rank_threads(), MAX_IDLE_RANK_THREADS);
+        let cfg = fast_cfg(3);
+        let (first, _) = ring_ids(&cfg);
+        for _ in 0..5 {
+            assert_eq!(ring_ids(&cfg).0, first);
+            assert_eq!(idle_rank_threads(), MAX_IDLE_RANK_THREADS);
+        }
     }
 
     #[test]
