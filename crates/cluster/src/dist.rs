@@ -18,9 +18,11 @@
 //!   elementwise with one rounding per element — the same values
 //!   `resolve_operand` produces on the single-node DFS path, and the fused
 //!   leaf packers are documented bitwise-equal to materialise-then-pack;
-//! * the combine uses the single-node 18-pass schedule's association orders
-//!   per element: `C11 = ((M7 + M1) + M4) − M5`, `C12 = M3 + M5`,
-//!   `C21 = M2 + M4`, `C22 = ((M6 + M1) − M2) + M3`;
+//! * the sub-problems and the combine both read
+//!   [`powerscale_strassen::arith`]'s table: child `i` computes the
+//!   `i`-th product of `launch()`, and each C element starts from its
+//!   quadrant's home product and takes the `combine()` steps in order, the
+//!   single-node walker's association order per element;
 //! * node-local leaves call [`powerscale_caps::multiply`] with no pool —
 //!   the identical code path a sequential single-node run takes.
 //!
@@ -51,6 +53,7 @@ use powerscale_machine::net::{
     run_spmd, Endpoint, NetConfig, NetError, NetPayload, NetReport, Phase,
 };
 use powerscale_matrix::{pad, DimError, Matrix};
+use powerscale_strassen::arith::{combine, launch, Form, Quad, PRODUCTS};
 use powerscale_strassen::cost::is_leaf;
 
 /// A matrix block on the wire; the transport meters its actual element
@@ -367,51 +370,24 @@ impl<'a> Win<'a> {
     }
 }
 
-/// One thing, or the sum / difference of two: a sub-problem operand over
-/// quadrants ([`OpSpec`]), and the same over the windows a strided-run copy
-/// reads ([`Source`]).
-#[derive(Clone, Copy, Debug)]
-enum Form<T> {
-    One(T),
-    Add(T, T),
-    Sub(T, T),
-}
-
-impl<T> Form<T> {
-    fn map<U>(self, mut f: impl FnMut(T) -> U) -> Form<U> {
-        match self {
-            Form::One(x) => Form::One(f(x)),
-            Form::Add(x, y) => Form::Add(f(x), f(y)),
-            Form::Sub(x, y) => Form::Sub(f(x), f(y)),
-        }
-    }
-}
-
 /// What a strided-run copy reads: one window, or `X + Y` / `X − Y` of two
 /// formed on the way with one rounding per element — the same value
 /// single-node `resolve_operand` produces.
 type Source<'a> = Form<Win<'a>>;
 
-impl Source<'_> {
-    /// Whether forming costs a flop per element.
-    fn adds(&self) -> bool {
-        !matches!(self, Form::One(_))
-    }
-
-    /// Row `r` of the source into `out`, run by run.
-    fn write_row(&self, r: usize, out: &mut [f64], g: &Runs) {
-        fn zip(d: &mut [f64], x: &[f64], y: &[f64], op: impl Fn(f64, f64) -> f64) {
-            for ((d, &a), &b) in d.iter_mut().zip(x).zip(y) {
-                *d = op(a, b);
-            }
+/// Row `r` of `src` into `out`, run by run.
+fn write_row(src: &Source<'_>, r: usize, out: &mut [f64], g: &Runs) {
+    fn zip(d: &mut [f64], x: &[f64], y: &[f64], op: impl Fn(f64, f64) -> f64) {
+        for ((d, &a), &b) in d.iter_mut().zip(x).zip(y) {
+            *d = op(a, b);
         }
-        for f in 0..g.frames {
-            let d = &mut out[f * g.ds + g.d0..][..g.ow];
-            match self {
-                Form::One(x) => d.copy_from_slice(x.run(r, f, g)),
-                Form::Add(x, y) => zip(d, x.run(r, f, g), y.run(r, f, g), |a, b| a + b),
-                Form::Sub(x, y) => zip(d, x.run(r, f, g), y.run(r, f, g), |a, b| a - b),
-            }
+    }
+    for f in 0..g.frames {
+        let d = &mut out[f * g.ds + g.d0..][..g.ow];
+        match src {
+            Form::One(x) => d.copy_from_slice(x.run(r, f, g)),
+            Form::Add(x, y) => zip(d, x.run(r, f, g), y.run(r, f, g), |a, b| a + b),
+            Form::Sub(x, y) => zip(d, x.run(r, f, g), y.run(r, f, g), |a, b| a - b),
         }
     }
 }
@@ -419,13 +395,13 @@ impl Source<'_> {
 /// A fresh `rows × cols` matrix holding the runs of `src`; columns the runs
 /// do not cover stay zero (for later pieces to [`place`]).
 fn formed(src: Source<'_>, rows: usize, cols: usize, runs: &Runs) -> Matrix {
-    Matrix::from_row_fn(rows, cols, |r, out| src.write_row(r, out, runs))
+    Matrix::from_row_fn(rows, cols, |r, out| write_row(&src, r, out, runs))
 }
 
 /// The runs of `src` written into `dst` from `(r0, c0)`.
 fn place(dst: &mut Matrix, (r0, c0): (usize, usize), src: Source<'_>, rows: usize, runs: &Runs) {
     for r in 0..rows {
-        src.write_row(r, &mut dst.row_mut(r0 + r)[c0..], runs);
+        write_row(&src, r, &mut dst.row_mut(r0 + r)[c0..], runs);
     }
 }
 
@@ -508,65 +484,27 @@ fn mat_bytes(m: &Matrix) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// sub-problem operand specs (launch order of the single-node executor)
+// sub-problem operands, read off the table
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Quad {
-    Q11,
-    Q12,
-    Q21,
-    Q22,
+/// Quadrant `q` of a rank's `2h × 2·w2` panel. The fractal layout puts
+/// global column `c` in the left panel half and `c + h` at the same offset
+/// in the right, so each quadrant is a window of `w2` columns.
+fn quadrant(q: Quad, panel: &Matrix, h: usize) -> Win<'_> {
+    let (r0, c0) = (q as usize / 2 * h, q as usize % 2 * panel.cols() / 2);
+    Win { m: panel, r0, c0 }
 }
 
-impl Quad {
-    /// This quadrant of a rank's `2h × 2·w2` panel. The fractal layout puts
-    /// global column `c` in the left panel half and `c + h` at the same
-    /// offset in the right, so each quadrant is a window of `w2` columns.
-    fn of(self, panel: &Matrix, h: usize) -> Win<'_> {
-        let w2 = panel.cols() / 2;
-        let (r0, c0) = match self {
-            Quad::Q11 => (0, 0),
-            Quad::Q12 => (0, w2),
-            Quad::Q21 => (h, 0),
-            Quad::Q22 => (h, w2),
-        };
-        Win { m: panel, r0, c0 }
-    }
+/// Product `p`'s operands (`T_i`, `S_i`) read out of a rank's parent
+/// panels: both quadrant elements of every column are local under the
+/// fractal layout.
+fn operands<'a>(p: usize, t: &'a Matrix, s: &'a Matrix, h: usize) -> [Source<'a>; 2] {
+    let p = &PRODUCTS[p];
+    [
+        p.a.map(|q| quadrant(q, t, h)),
+        p.b.map(|q| quadrant(q, s, h)),
+    ]
 }
-
-type OpSpec = Form<Quad>;
-
-impl OpSpec {
-    /// This operand (`T_i`/`S_i`) read out of a rank's parent panel: both
-    /// quadrant elements of every column are local under the fractal
-    /// layout.
-    fn of(self, panel: &Matrix, h: usize) -> Source<'_> {
-        self.map(|q| q.of(panel, h))
-    }
-}
-
-/// The seven sub-products in the executor's launch order: child `i`
-/// computes `M_{PRODUCT_OF[i]}` from `(T_i, S_i)`.
-/// `i`: 0 → M2, 1 → M3, 2 → M6, 3 → M7, 4 → M1, 5 → M4, 6 → M5.
-const CHILD_OPS: [(OpSpec, OpSpec); 7] = [
-    (OpSpec::Add(Quad::Q21, Quad::Q22), OpSpec::One(Quad::Q11)), // M2 = (A21+A22) B11
-    (OpSpec::One(Quad::Q11), OpSpec::Sub(Quad::Q12, Quad::Q22)), // M3 = A11 (B12−B22)
-    (
-        OpSpec::Sub(Quad::Q21, Quad::Q11),
-        OpSpec::Add(Quad::Q11, Quad::Q12),
-    ), // M6
-    (
-        OpSpec::Sub(Quad::Q12, Quad::Q22),
-        OpSpec::Add(Quad::Q21, Quad::Q22),
-    ), // M7
-    (
-        OpSpec::Add(Quad::Q11, Quad::Q22),
-        OpSpec::Add(Quad::Q11, Quad::Q22),
-    ), // M1
-    (OpSpec::One(Quad::Q22), OpSpec::Sub(Quad::Q21, Quad::Q11)), // M4 = A22 (B21−B11)
-    (OpSpec::Add(Quad::Q11, Quad::Q12), OpSpec::One(Quad::Q22)), // M5 = (A11+A12) B22
-];
 
 // ---------------------------------------------------------------------------
 // the per-rank program
@@ -596,9 +534,7 @@ impl RankCtx<'_, '_> {
     /// counts one flop per element.
     fn piece(&mut self, src: Source<'_>, h: usize, own: Slice, sub: Slice, mine: Slice) -> Matrix {
         let frames = h / self.layout.frame;
-        if src.adds() {
-            self.flops += (h * frames * width(sub)) as u64;
-        }
+        self.flops += src.sums() * (h * frames * width(sub)) as u64;
         let runs = Runs::new(frames, own, mine, sub);
         formed(src, h, frames * width(mine), &runs)
     }
@@ -720,7 +656,7 @@ impl RankCtx<'_, '_> {
         let own = self.my_slice(grp);
         let panel_bytes = mat_bytes(&t) + mat_bytes(&s);
 
-        // prod[i]: this rank's columns of M_i in *parent* layout — local
+        // prod[p]: this rank's columns of product p in *parent* layout — local
         // column k feeds C's left column k (global j < h) and its right
         // column w/2 + k (global j + h), the same owner by the fractal
         // property.
@@ -732,20 +668,20 @@ impl RankCtx<'_, '_> {
                 // while this rank forms the shares it keeps. Then release
                 // the parent panels — BFS trades memory for placement-once
                 // communication.
-                for (i, &(ta, tb)) in CHILD_OPS.iter().enumerate() {
-                    self.ship(ta.of(&t, h), h, own, child_grp(i), 2 * i as u64, path)?;
-                    self.ship(tb.of(&s, h), h, own, child_grp(i), 2 * i as u64 + 1, path)?;
+                for (i, p) in launch().enumerate() {
+                    let [ta, tb] = operands(p, &t, &s, h);
+                    self.ship(ta, h, own, child_grp(i), 2 * i as u64, path)?;
+                    self.ship(tb, h, own, child_grp(i), 2 * i as u64 + 1, path)?;
                 }
                 let mut kept: [(Option<Matrix>, Option<Matrix>); 7] = Default::default();
-                for (i, &(ta, tb)) in CHILD_OPS.iter().enumerate() {
-                    kept[i] = (
-                        self.keep(ta.of(&t, h), h, own, child_grp(i)),
-                        self.keep(tb.of(&s, h), h, own, child_grp(i)),
-                    );
+                for (i, p) in launch().enumerate() {
+                    let [ta, tb] = operands(p, &t, &s, h);
+                    let cg = child_grp(i);
+                    kept[i] = (self.keep(ta, h, own, cg), self.keep(tb, h, own, cg));
                 }
                 drop((t, s));
                 self.ep.mem_free(panel_bytes);
-                for i in 0..7 {
+                for (i, p) in launch().enumerate() {
                     let cg = child_grp(i);
                     if !cg.contains(self.me()) {
                         continue;
@@ -759,13 +695,14 @@ impl RankCtx<'_, '_> {
                     // never holds more than one child product here.
                     let (src, cown) = (Form::One(Win::whole(&mi)), self.my_slice(cg));
                     self.ship(src, h, cown, grp, 16 + i as u64, path)?;
-                    prod[i] = self.keep(src, h, cown, grp);
+                    prod[p] = self.keep(src, h, cown, grp);
                     self.ep.mem_free(mat_bytes(&mi));
                     drop(mi);
                 }
-                for (i, slot) in prod.iter_mut().enumerate() {
-                    let kept = slot.take();
-                    *slot = Some(self.assemble(kept, h, child_grp(i), grp, 16 + i as u64, path)?);
+                for (i, p) in launch().enumerate() {
+                    let kept = prod[p].take();
+                    prod[p] =
+                        Some(self.assemble(kept, h, child_grp(i), grp, 16 + i as u64, path)?);
                 }
             }
             StepMode::Dfs => {
@@ -774,39 +711,46 @@ impl RankCtx<'_, '_> {
                 // share of `T_i`/`S_i` is exactly its child panel, and the
                 // product panel the recursion returns is exactly its share
                 // of `M_i` — zero bytes move on the wire at this step.
-                for (i, &(ta, tb)) in CHILD_OPS.iter().enumerate() {
-                    let ti = self.piece(ta.of(&t, h), h, own, own, own);
+                for (i, p) in launch().enumerate() {
+                    let [ta, tb] = operands(p, &t, &s, h);
+                    let ti = self.piece(ta, h, own, own, own);
                     self.ep.mem_alloc(mat_bytes(&ti));
-                    let si = self.piece(tb.of(&s, h), h, own, own, own);
+                    let si = self.piece(tb, h, own, own, own);
                     self.ep.mem_alloc(mat_bytes(&si));
-                    prod[i] = Some(self.rec(ti, si, h, grp, path * 7 + i as u64 + 1)?);
+                    prod[p] = Some(self.rec(ti, si, h, grp, path * 7 + i as u64 + 1)?);
                 }
                 drop((t, s));
                 self.ep.mem_free(panel_bytes);
             }
         }
 
-        // Combine with the single-node 18-pass schedule's association
-        // orders, applied to this rank's product columns: one pass over the
-        // seven product rows writes the two C rows they feed.
+        // Combine by the table, applied to this rank's product columns: per
+        // row, each C quadrant starts from its home product, then the
+        // `combine()` steps run in order over contiguous row slices — the
+        // single-node walker's association order for every element.
         let w2 = (h / self.layout.frame) * width(own);
         let mut c = Matrix::zeros(m, 2 * w2);
         self.ep.mem_alloc(mat_bytes(&c));
         let (top, bottom) = c.as_mut_slice().split_at_mut(h * 2 * w2);
         for r in 0..h {
-            let [m2, m3, m6, m7, m1, m4, m5] = prod
+            let rows = prod
                 .each_ref()
                 .map(|p| &p.as_ref().expect("all seven products present").row(r)[..w2]);
             let (c11, c12) = top[r * 2 * w2..][..2 * w2].split_at_mut(w2);
             let (c21, c22) = bottom[r * 2 * w2..][..2 * w2].split_at_mut(w2);
-            for k in 0..w2 {
-                c11[k] = ((m7[k] + m1[k]) + m4[k]) - m5[k];
-                c12[k] = m3[k] + m5[k];
-                c21[k] = m2[k] + m4[k];
-                c22[k] = ((m6[k] + m1[k]) - m2[k]) + m3[k];
+            let quads = [c11, c12, c21, c22];
+            for (p, product) in PRODUCTS.iter().enumerate() {
+                if let Some(q) = product.home {
+                    quads[q as usize].copy_from_slice(rows[p]);
+                }
+            }
+            for s in combine() {
+                for (d, &x) in quads[s.quad as usize].iter_mut().zip(rows[s.product]) {
+                    *d = if s.sub { *d - x } else { *d + x };
+                }
             }
         }
-        self.flops += 8 * (h * w2) as u64;
+        self.flops += combine().count() as u64 * (h * w2) as u64;
         for slot in prod.iter_mut() {
             if let Some(p) = slot.take() {
                 self.ep.mem_free(mat_bytes(&p));

@@ -4,8 +4,8 @@ use crate::config::ClusterConfig;
 use crate::dist::bfs_child_ranges;
 use powerscale_caps::CapsConfig;
 use powerscale_machine::{KernelClass, MachineConfig, TaskCost, TaskGraph, TaskId};
+use powerscale_strassen::arith::{self, Quad, PRODUCTS};
 use powerscale_strassen::cost as scost;
-use powerscale_strassen::plan::{CLASSIC_COMBINE, CLASSIC_PRE, CLASSIC_QUADRANT_INPUTS};
 
 /// Distributed CAPS: BFS steps split the seven sub-problems across
 /// disjoint *node groups* (the CAPS papers' scheme — operands move once,
@@ -59,17 +59,17 @@ fn emit_caps(
     // executor does.
     let children = bfs_child_ranges(count);
     let missing = |(lo, hi): (usize, usize)| 1.0 - (hi - lo) as f64 / count as f64;
-    let mut product_sinks: Vec<Vec<TaskId>> = Vec::with_capacity(7);
-    for (&pre, &(lo, hi)) in CLASSIC_PRE.iter().zip(&children) {
+    let sinks = PRODUCTS.iter().zip(children).map(|(product, (lo, hi))| {
         // Operands are fractally (frame-cyclically) distributed over the
         // whole group — the layout `dist::Layout` implements — so a child
         // group already owns `(hi - lo) / count` of each quadrant; the
         // BFS split ships only the complement, with the seven linear
         // combinations formed at the senders (the CAPS SC'12
         // implementation trick, and exactly what the measured executor's
-        // `form_cols` does). Two operands per product. DFS steps keep the
-        // whole group and ship nothing, so they appear in no declared
+        // `RankCtx::ship` does). Two operands per product. DFS steps keep
+        // the whole group and ship nothing, so they appear in no declared
         // volume here either.
+        let pre = product.sums();
         let net = (2.0 * 8.0 * hh as f64 * missing((lo, hi))) as u64;
         let prepare = g.add_on(
             base + lo,
@@ -77,15 +77,15 @@ fn emit_caps(
             TaskCost::new(KernelClass::Elementwise, pre * hh, pre * per_pass, 0),
             deps,
         );
-        let sinks = emit_caps(g, n / 2, base + lo, hi - lo, cfg, node, &[prepare]);
-        product_sinks.push(sinks);
-    }
+        emit_caps(g, n / 2, base + lo, hi - lo, cfg, node, &[prepare])
+    });
+    let product_sinks: Vec<_> = sinks.collect();
     // Combines gather the products back to the group lead.
-    let mut combines = Vec::with_capacity(4);
-    for (q, &passes) in CLASSIC_COMBINE.iter().enumerate() {
+    let combines = Quad::ALL.map(|q| {
+        let passes = arith::combine().filter(|s| s.quad == q).count() as u64;
         let mut cdeps: Vec<TaskId> = Vec::new();
         let mut net = 0.0f64;
-        for &pi in CLASSIC_QUADRANT_INPUTS[q] {
+        for pi in arith::inputs(q) {
             cdeps.extend_from_slice(&product_sinks[pi]);
             // Results scatter back into the block-cyclic layout: each
             // producing group keeps its owned share.
@@ -94,14 +94,14 @@ fn emit_caps(
         let net = net as u64;
         cdeps.sort_unstable();
         cdeps.dedup();
-        combines.push(g.add_on(
+        g.add_on(
             base,
             net,
             TaskCost::new(KernelClass::Elementwise, passes * hh, passes * per_pass, 0),
             &cdeps,
-        ));
-    }
-    combines
+        )
+    });
+    combines.to_vec()
 }
 
 /// 2D SUMMA on a `q × q` node grid (`nodes` must be a perfect square and

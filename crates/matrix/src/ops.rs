@@ -160,81 +160,51 @@ fn par_bands2<'env, F>(
     f(&a, &b, &mut dst);
 }
 
-/// `dst = a + b`, row-band parallel over `pool` (sequential fallback when
-/// the pool is absent, single-threaded, or the block is small). Bitwise
-/// identical to [`add_into`].
-pub fn par_add_into(
+/// `dst = a + b`, or `a − b` when `sub`, row-band parallel over `pool`
+/// (sequential fallback when the pool is absent, single-threaded, or the
+/// block is small). Bitwise identical to [`add_into`] / `sub_into`.
+pub fn par_sum_into(
     a: &MatrixView<'_>,
     b: &MatrixView<'_>,
     dst: &mut MatrixViewMut<'_>,
+    sub: bool,
     pool: Option<&ThreadPool>,
 ) -> DimResult<()> {
-    check2("add", a.shape(), b.shape())?;
-    check2("add", a.shape(), dst.shape())?;
-    if !should_split(pool, dst.rows()) {
-        return add_into(a, b, dst);
-    }
+    let op = if sub { sub_into } else { add_into };
+    let name = if sub { "sub" } else { "add" };
+    check2(name, a.shape(), b.shape())?;
+    check2(name, a.shape(), dst.shape())?;
     let f = |a: &MatrixView<'_>, b: &MatrixView<'_>, d: &mut MatrixViewMut<'_>| {
-        add_into(a, b, d).expect("band shapes pre-checked");
+        op(a, b, d).expect("shapes pre-checked");
     };
-    pool.expect("checked by should_split")
-        .scope(|s| par_bands2(s, *a, *b, dst.reborrow(), &f));
+    match pool.filter(|_| should_split(pool, dst.rows())) {
+        Some(p) => p.scope(|s| par_bands2(s, *a, *b, dst.reborrow(), &f)),
+        None => f(a, b, dst),
+    }
     Ok(())
 }
 
-/// `dst = a - b`, row-band parallel; see [`par_add_into`].
-pub fn par_sub_into(
-    a: &MatrixView<'_>,
-    b: &MatrixView<'_>,
-    dst: &mut MatrixViewMut<'_>,
-    pool: Option<&ThreadPool>,
-) -> DimResult<()> {
-    check2("sub", a.shape(), b.shape())?;
-    check2("sub", a.shape(), dst.shape())?;
-    if !should_split(pool, dst.rows()) {
-        return sub_into(a, b, dst);
-    }
-    let f = |a: &MatrixView<'_>, b: &MatrixView<'_>, d: &mut MatrixViewMut<'_>| {
-        sub_into(a, b, d).expect("band shapes pre-checked");
-    };
-    pool.expect("checked by should_split")
-        .scope(|s| par_bands2(s, *a, *b, dst.reborrow(), &f));
-    Ok(())
-}
-
-/// `dst += src`, row-band parallel; see [`par_add_into`].
-pub fn par_add_assign(
+/// `dst += src`, or `dst −= src` when `sub`, row-band parallel; see
+/// [`par_sum_into`].
+pub fn par_sum_assign(
     dst: &mut MatrixViewMut<'_>,
     src: &MatrixView<'_>,
+    sub: bool,
     pool: Option<&ThreadPool>,
 ) -> DimResult<()> {
-    check2("add_assign", dst.shape(), src.shape())?;
-    if !should_split(pool, dst.rows()) {
-        return add_assign(dst, src);
-    }
+    let op = if sub { sub_assign } else { add_assign };
+    check2(
+        if sub { "sub_assign" } else { "add_assign" },
+        dst.shape(),
+        src.shape(),
+    )?;
     let f = |d: &mut MatrixViewMut<'_>, s: &MatrixView<'_>| {
-        add_assign(d, s).expect("band shapes pre-checked");
+        op(d, s).expect("shapes pre-checked");
     };
-    pool.expect("checked by should_split")
-        .scope(|s| par_bands1(s, dst.reborrow(), *src, &f));
-    Ok(())
-}
-
-/// `dst -= src`, row-band parallel; see [`par_add_into`].
-pub fn par_sub_assign(
-    dst: &mut MatrixViewMut<'_>,
-    src: &MatrixView<'_>,
-    pool: Option<&ThreadPool>,
-) -> DimResult<()> {
-    check2("sub_assign", dst.shape(), src.shape())?;
-    if !should_split(pool, dst.rows()) {
-        return sub_assign(dst, src);
+    match pool.filter(|_| should_split(pool, dst.rows())) {
+        Some(p) => p.scope(|s| par_bands1(s, dst.reborrow(), *src, &f)),
+        None => f(dst, src),
     }
-    let f = |d: &mut MatrixViewMut<'_>, s: &MatrixView<'_>| {
-        sub_assign(d, s).expect("band shapes pre-checked");
-    };
-    pool.expect("checked by should_split")
-        .scope(|s| par_bands1(s, dst.reborrow(), *src, &f));
     Ok(())
 }
 
@@ -391,11 +361,18 @@ mod tests {
         let mut seq = Matrix::zeros(rows, cols);
         add_into(&a.view(), &b.view(), &mut seq.view_mut()).unwrap();
         let mut par = Matrix::zeros(rows, cols);
-        par_add_into(&a.view(), &b.view(), &mut par.view_mut(), Some(&pool)).unwrap();
+        par_sum_into(
+            &a.view(),
+            &b.view(),
+            &mut par.view_mut(),
+            false,
+            Some(&pool),
+        )
+        .unwrap();
         assert_eq!(seq, par);
 
         sub_into(&a.view(), &b.view(), &mut seq.view_mut()).unwrap();
-        par_sub_into(&a.view(), &b.view(), &mut par.view_mut(), Some(&pool)).unwrap();
+        par_sum_into(&a.view(), &b.view(), &mut par.view_mut(), true, Some(&pool)).unwrap();
         assert_eq!(seq, par);
 
         for variant in 0..2 {
@@ -404,11 +381,11 @@ mod tests {
             match variant {
                 0 => {
                     add_assign(&mut seq.view_mut(), &b.view()).unwrap();
-                    par_add_assign(&mut par.view_mut(), &b.view(), Some(&pool)).unwrap();
+                    par_sum_assign(&mut par.view_mut(), &b.view(), false, Some(&pool)).unwrap();
                 }
                 _ => {
                     sub_assign(&mut seq.view_mut(), &b.view()).unwrap();
-                    par_sub_assign(&mut par.view_mut(), &b.view(), Some(&pool)).unwrap();
+                    par_sum_assign(&mut par.view_mut(), &b.view(), true, Some(&pool)).unwrap();
                 }
             }
             assert_eq!(seq, par, "variant {variant} diverged");
@@ -420,12 +397,12 @@ mod tests {
         let a = m(8, 8, |i, j| (i + j) as f64);
         let b = m(8, 8, |i, j| (i * j) as f64);
         let mut out = Matrix::zeros(8, 8);
-        par_add_into(&a.view(), &b.view(), &mut out.view_mut(), None).unwrap();
+        par_sum_into(&a.view(), &b.view(), &mut out.view_mut(), false, None).unwrap();
         let want = add(&a.view(), &b.view()).unwrap();
         assert_eq!(out, want);
         // Shape errors still reported on the parallel path.
         let bad = Matrix::zeros(4, 4);
-        assert!(par_add_assign(&mut out.view_mut(), &bad.view(), None).is_err());
+        assert!(par_sum_assign(&mut out.view_mut(), &bad.view(), false, None).is_err());
     }
 
     #[test]
@@ -436,7 +413,7 @@ mod tests {
         let src = Matrix::filled(rows, rows, 2.0);
         {
             let mut q = big.sub_view_mut((rows, rows), (rows, rows)).unwrap();
-            par_sub_assign(&mut q, &src.view(), Some(&pool)).unwrap();
+            par_sum_assign(&mut q, &src.view(), true, Some(&pool)).unwrap();
         }
         // Inside: -1 - 2 = -3. Outside: untouched.
         assert_eq!(big.get(rows, rows), -3.0);

@@ -42,28 +42,18 @@ pub(crate) fn record_spawns(events: Option<&EventSet>, tasks: u64, h: usize) {
     }
 }
 
-/// `dst += src` as one accounted quadrant pass (row-band parallel when a
-/// pool is supplied and the operand is tall enough; bitwise transparent).
-pub(crate) fn add_pass(
+/// `dst += src`, or `dst -= src` when `sub`, as one accounted quadrant
+/// pass (row-band parallel when a pool is supplied and the operand is tall
+/// enough; bitwise transparent).
+pub(crate) fn combine_pass(
     dst: &mut MatrixViewMut<'_>,
     src: &MatrixView<'_>,
+    sub: bool,
     pool: Option<&ThreadPool>,
     events: Option<&EventSet>,
 ) {
     let h = dst.rows();
-    ops::par_add_assign(dst, src, pool).expect("quadrant shapes");
-    record_add(events, h);
-}
-
-/// `dst -= src` as one accounted quadrant pass.
-pub(crate) fn sub_pass(
-    dst: &mut MatrixViewMut<'_>,
-    src: &MatrixView<'_>,
-    pool: Option<&ThreadPool>,
-    events: Option<&EventSet>,
-) {
-    let h = dst.rows();
-    ops::par_sub_assign(dst, src, pool).expect("quadrant shapes");
+    ops::par_sum_assign(dst, src, sub, pool).expect("quadrant shapes");
     record_add(events, h);
 }
 

@@ -54,9 +54,10 @@ impl StrassenConfig {
         Ok(())
     }
 
-    /// Quadrant adds per recursion level: 10 operand and 8 combine passes.
+    /// Quadrant adds per recursion level: one per operand sum and per
+    /// combine step of [`crate::arith`]'s table (10 + 8).
     pub fn adds_per_level(&self) -> u32 {
-        crate::cost::PASSES_PER_LEVEL as u32
+        crate::arith::node_passes() as u32
     }
 }
 

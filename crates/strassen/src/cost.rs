@@ -6,16 +6,18 @@
 //! the operation-count advantage the paper attributes to Strassen.
 //!
 //! Counts follow the *implementation*, which since the fused-leaf rewrite
-//! hits the textbook minimum for Strassen's Equation 7: 10 operand passes
-//! and 8 in-place combines per level (18 quadrant passes). Operand sums are
-//! packed directly into the leaf GEMM's buffers and products accumulate
-//! into the quadrants they feed, so no accumulate-form splitting inflates
-//! the counts ([`StrassenConfig::adds_per_level`] reads the same count).
+//! hits the textbook minimum for Strassen's Equation 7: one pass per
+//! operand sum and per combine step of [`crate::arith`]'s table, 10 + 8 =
+//! 18 quadrant passes per level. Operand sums are packed directly into the
+//! leaf GEMM's buffers and products accumulate into the quadrants they
+//! feed, so no accumulate-form splitting inflates the counts
+//! ([`StrassenConfig::adds_per_level`] reads the same count).
 //!
 //! The dense cutover itself has two values. [`PAPER_CUTOFF`] is the
 //! paper's 64, which every simulated artifact and paper claim keeps;
 //! [`executed_cutoff`] is the rule the executed recursion runs by default.
 
+use crate::arith::node_passes;
 use crate::config::StrassenConfig;
 use powerscale_gemm::{BlockingParams, KernelInfo};
 
@@ -47,10 +49,6 @@ pub fn executed_cutoff(kernel: &KernelInfo) -> usize {
 pub(crate) fn cutoff_for_panel_rows(mc: usize) -> usize {
     mc.next_power_of_two().max(PAPER_CUTOFF)
 }
-
-/// Quadrant passes per recursion level, matching the executor's fused
-/// in-place schedule: 10 operand formations plus 8 combines.
-pub(crate) const PASSES_PER_LEVEL: u64 = 10 + 8;
 
 /// `true` when the recursion bottoms out at dimension `n`: at or below the
 /// cutover size, or at an odd size that cannot split into quadrants. The
@@ -96,7 +94,7 @@ pub(crate) fn add_flops(n: usize, cfg: &StrassenConfig) -> u64 {
         return 0;
     }
     let h = (n / 2) as u64;
-    PASSES_PER_LEVEL * h * h + 7 * add_flops(n / 2, cfg)
+    node_passes() * h * h + 7 * add_flops(n / 2, cfg)
 }
 
 /// Total flops (multiplies + adds).
@@ -121,7 +119,7 @@ pub fn dram_bytes_effective(
     }
     let h = (n / 2) as u64;
     let per_pass = tm.effective_bytes(3 * 8 * h * h, 24 * h * h);
-    PASSES_PER_LEVEL * per_pass + 7 * dram_bytes_effective(n / 2, cfg, tm)
+    node_passes() * per_pass + 7 * dram_bytes_effective(n / 2, cfg, tm)
 }
 
 #[cfg(test)]

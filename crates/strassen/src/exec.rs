@@ -1,37 +1,35 @@
 //! The recursive executor (real computation path).
 //!
-//! The recursion works in **Set semantics** (`dst = A · B`) and is built
-//! around two scratch-avoiding primitives:
+//! The recursion works in **Set semantics** (`dst = A · B`): each internal
+//! node runs the seven products of [`crate::arith`]'s table, then replays
+//! its combine sequence. Two things keep it scratch-light:
 //!
-//! * [`leaf_gemm_fused_with`] — quadrant sums like `A21 + A22` are packed
-//!   directly into the leaf's panel buffers ([`Operand::Add`] /
-//!   [`Operand::Sub`]), so leaves never materialise operand sums. The
-//!   walker calls it itself and hands it the pool, so every pooled leaf
-//!   is work-shared by row bands;
-//! * an in-place combine schedule — four of the seven products land
-//!   directly in their destination quadrants and the remaining cross-term
-//!   products cycle through a single scratch matrix (sequential path),
-//!   cutting per-node scratch from the textbook 7+ temporaries to one
-//!   half-size matrix.
+//! * [`leaf_gemm_fused_with`] packs quadrant sums like `A21 + A22` directly
+//!   into the leaf's panel buffers ([`Operand::Add`] / [`Operand::Sub`]),
+//!   so leaves never materialise operand sums. The walker hands it the
+//!   pool, so every pooled leaf is work-shared by row bands;
+//! * four products are Set straight into their home quadrants. The other
+//!   three cycle through one half-size scratch matrix when the node runs
+//!   inline, or get one each when it spawns, so that the seven spawned
+//!   products have disjoint destinations.
 //!
-//! The parallel path uses the same per-quadrant update order as the
-//! sequential one, so results are bitwise identical; it only widens the
-//! scratch set enough to give the seven spawned products disjoint
-//! destinations. Quadrant-sized elementwise passes go through the
-//! row-band-parallel `ops::par_*` family, which is bitwise transparent.
+//! Both paths replay the one combine sequence, so they compute the same
+//! bits. Quadrant passes go through the row-band-parallel `ops::par_sum_*`
+//! pair, which is bitwise transparent.
 //!
 //! This is the one Strassen recursion in the workspace. It takes a
 //! [`Schedule`] value: [`multiply`] runs it under the BOTS schedule, and
 //! CAPS runs it under its BFS/DFS schedule through [`multiply_with`].
 
 use crate::accounting::{
-    add_pass, record_add, record_level, record_spawns, record_steal_delta, steal_snapshot, sub_pass,
+    combine_pass, record_add, record_level, record_spawns, record_steal_delta, steal_snapshot,
 };
+use crate::arith::{combine, launch, Form, Quad, PRODUCTS};
 use crate::config::StrassenConfig;
 use crate::cost::is_leaf;
 use crate::schedule::Schedule;
 use powerscale_counters::EventSet;
-use powerscale_gemm::arena;
+use powerscale_gemm::arena::{self, ScratchMatrix};
 use powerscale_gemm::leaf::Operand::{Add, Sub, View};
 use powerscale_gemm::leaf::{leaf_gemm_fused_with, Accum, Operand};
 use powerscale_matrix::{ops, pad, DimError, DimResult, Matrix, MatrixView, MatrixViewMut};
@@ -121,48 +119,18 @@ pub fn multiply_with(
     Ok(result)
 }
 
-/// A fused operand resolved for a non-leaf child: either the original view
-/// or one arena-leased materialisation of the quadrant sum.
-enum Resolved<'v> {
-    /// Plain quadrant view, used as-is.
-    View(MatrixView<'v>),
-    /// The evaluated quadrant sum, leased from the worker-local arena.
-    Scratch(arena::ScratchMatrix),
+/// The four quadrants of `v`, in [`Quad`] order.
+fn quadrants(v: MatrixView<'_>) -> [MatrixView<'_>; 4] {
+    let q = v.quadrants().expect("even dimension");
+    [q.a11, q.a12, q.a21, q.a22]
 }
 
-impl Resolved<'_> {
-    /// The resolved operand as a view.
-    fn view(&self) -> MatrixView<'_> {
-        match self {
-            Resolved::View(v) => *v,
-            Resolved::Scratch(s) => s.view(),
-        }
-    }
-}
-
-/// Evaluates a fused operand into scratch when a child must recurse
-/// instead of going to the fused leaf (one elementwise pass — the same
-/// pass a leaf charges for fused packing).
-fn resolve_operand<'v>(
-    op: Operand<'v>,
-    h: usize,
-    pool: Option<&ThreadPool>,
-    events: Option<&EventSet>,
-) -> Resolved<'v> {
-    match op {
-        Operand::View(v) => Resolved::View(v),
-        Operand::Add(x, y) => {
-            let mut t = arena::matrix_uninit(h, h);
-            ops::par_add_into(&x, &y, &mut t.view_mut(), pool).expect("quadrant shapes");
-            record_add(events, h);
-            Resolved::Scratch(t)
-        }
-        Operand::Sub(x, y) => {
-            let mut t = arena::matrix_uninit(h, h);
-            ops::par_sub_into(&x, &y, &mut t.view_mut(), pool).expect("quadrant shapes");
-            record_add(events, h);
-            Resolved::Scratch(t)
-        }
+/// The leaf operand a table operand names over the quadrants `q`.
+fn operand<'v>(f: Form<Quad>, q: &[MatrixView<'v>; 4]) -> Operand<'v> {
+    match f.map(|x| q[x as usize]) {
+        Form::One(x) => View(x),
+        Form::Add(x, y) => Add(x, y),
+        Form::Sub(x, y) => Sub(x, y),
     }
 }
 
@@ -190,15 +158,11 @@ impl Walker<'_> {
             return;
         }
         record_level(self.events);
-        let parallel = self.pool.is_some() && depth < self.cfg.task_depth;
+        let spawn = self.pool.filter(|_| depth < self.cfg.task_depth);
         let [spawned, inline] = self.sched.spans;
-        let name = if parallel { spawned } else { inline };
+        let name = if spawn.is_some() { spawned } else { inline };
         let _span = span_args(self.sched.category, name, depth, n as u32);
-        if parallel {
-            self.classic_par(a, b, c, depth);
-        } else {
-            self.classic_seq(a, b, c, depth);
-        }
+        self.node(a, b, c, depth, spawn);
     }
 
     /// The dense cutover: the fused leaf, work-shared by row bands over
@@ -218,18 +182,6 @@ impl Walker<'_> {
         .expect("leaf shapes valid by construction");
     }
 
-    /// Spawns product `index` of a parallel node at `depth`, seeded onto
-    /// the worker the schedule pins it to, if any.
-    fn spawn<'env, F>(&self, s: &Scope<'_, 'env>, depth: u32, index: usize, f: F)
-    where
-        F: FnOnce(&Scope<'_, 'env>) + Send + 'env,
-    {
-        match self.sched.seed.filter(|_| depth == 0) {
-            Some(workers) => s.spawn_in(workers[index], f),
-            None => s.spawn(f),
-        }
-    }
-
     /// One Strassen sub-product: `dst = A · B` with unevaluated operand
     /// sums. Leaf children fuse the sums into the packing pass; internal
     /// children materialise each sum once and recurse, keeping the
@@ -240,124 +192,109 @@ impl Walker<'_> {
             self.leaf(a, b, dst);
             return;
         }
-        let am = resolve_operand(a, h, self.pool, self.events);
-        let bm = resolve_operand(b, h, self.pool, self.events);
-        self.rec(am.view(), bm.view(), dst, depth);
+        let (mut sa, mut sb) = (None, None);
+        let (am, bm) = (self.resolve(a, h, &mut sa), self.resolve(b, h, &mut sb));
+        self.rec(am, bm, dst, depth);
     }
 
-    /// Classic Strassen, sequential: 18 elementwise passes, one half-size
-    /// scratch matrix.
-    ///
-    /// M2, M3, M6, M7 are Set straight into C21, C12, C22, C11; the shared
-    /// products M1, M4, M5 cycle through `p`. C22's M2/M3 cross-terms are
-    /// folded out of the quadrants that hold them before those quadrants
-    /// take their own accumulations.
-    fn classic_seq(
+    /// `op` as a view for a child that recurses instead of going to the
+    /// fused leaf: a sum is evaluated once into arena scratch leased into
+    /// `slot` (one elementwise pass, the one a leaf charges for fused
+    /// packing).
+    fn resolve<'v>(
+        &self,
+        op: Operand<'v>,
+        h: usize,
+        slot: &'v mut Option<ScratchMatrix>,
+    ) -> MatrixView<'v> {
+        let (x, y, sub) = match op {
+            View(v) => return v,
+            Add(x, y) => (x, y, false),
+            Sub(x, y) => (x, y, true),
+        };
+        let t = slot.insert(arena::matrix_uninit(h, h));
+        ops::par_sum_into(&x, &y, &mut t.view_mut(), sub, self.pool).expect("quadrant shapes");
+        record_add(self.events, h);
+        t.view()
+    }
+
+    /// One internal node: the seven products of [`PRODUCTS`] in [`launch`]
+    /// order, spawned onto `spawn` (the root ones seeded where the schedule
+    /// pins them) or run inline, then the [`combine`] sequence. A combine
+    /// step reads a product with a home out of its quadrant. Inline, a
+    /// product without one runs into the shared scratch just before its
+    /// first combine step.
+    fn node(
         &self,
         a: MatrixView<'_>,
         b: MatrixView<'_>,
         c: &mut MatrixViewMut<'_>,
         depth: u32,
+        spawn: Option<&ThreadPool>,
     ) {
-        let (pool, events) = (self.pool, self.events);
         let h = a.rows() / 2;
-        let qa = a.quadrants().expect("even dimension");
-        let qb = b.quadrants().expect("even dimension");
-        let (a11, a12, a21, a22) = (qa.a11, qa.a12, qa.a21, qa.a22);
-        let (b11, b12, b21, b22) = (qb.a11, qb.a12, qb.a21, qb.a22);
+        let (qa, qb) = (quadrants(a), quadrants(b));
         let qc = c.reborrow().quadrants().expect("even dimension");
-        let (mut c11, mut c12, mut c21, mut c22) = (qc.a11, qc.a12, qc.a21, qc.a22);
+        let mut qc = [qc.a11, qc.a12, qc.a21, qc.a22];
+        let operands = |p: usize| (operand(PRODUCTS[p].a, &qa), operand(PRODUCTS[p].b, &qb));
         let d = depth + 1;
-
-        // M2 = (A21 + A22) B11          -> C21
-        self.product(Add(a21, a22), View(b11), &mut c21, d);
-        // M3 = A11 (B12 - B22)          -> C12
-        self.product(View(a11), Sub(b12, b22), &mut c12, d);
-        // M6 = (A21 - A11)(B11 + B12)   -> C22
-        self.product(Sub(a21, a11), Add(b11, b12), &mut c22, d);
-        // M7 = (A12 - A22)(B21 + B22)   -> C11
-        self.product(Sub(a12, a22), Add(b21, b22), &mut c11, d);
-
-        let mut p = arena::matrix_uninit(h, h);
-        // M1 = (A11 + A22)(B11 + B22)
-        self.product(Add(a11, a22), Add(b11, b22), &mut p.view_mut(), d);
-        add_pass(&mut c11, &p.view(), pool, events);
-        add_pass(&mut c22, &p.view(), pool, events);
-        // C22 = M6 + M1 - M2 + M3, taking M2/M3 from C21/C12 while they still
-        // hold exactly those products.
-        sub_pass(&mut c22, &c21.as_view(), pool, events);
-        add_pass(&mut c22, &c12.as_view(), pool, events);
-        // M4 = A22 (B21 - B11)
-        self.product(View(a22), Sub(b21, b11), &mut p.view_mut(), d);
-        add_pass(&mut c11, &p.view(), pool, events);
-        add_pass(&mut c21, &p.view(), pool, events);
-        // M5 = (A11 + A12) B22
-        self.product(Add(a11, a12), View(b22), &mut p.view_mut(), d);
-        sub_pass(&mut c11, &p.view(), pool, events);
-        add_pass(&mut c12, &p.view(), pool, events);
-    }
-
-    /// Classic Strassen, task-parallel: the same 18 passes and per-quadrant
-    /// update order as [`Walker::classic_seq`] (results are bitwise
-    /// identical), with M1/M4/M5 given their own scratch so all seven
-    /// products have disjoint destinations.
-    fn classic_par(
-        &self,
-        a: MatrixView<'_>,
-        b: MatrixView<'_>,
-        c: &mut MatrixViewMut<'_>,
-        depth: u32,
-    ) {
-        let (pool, events) = (self.pool, self.events);
-        let h = a.rows() / 2;
-        let qa = a.quadrants().expect("even dimension");
-        let qb = b.quadrants().expect("even dimension");
-        let (a11, a12, a21, a22) = (qa.a11, qa.a12, qa.a21, qa.a22);
-        let (b11, b12, b21, b22) = (qb.a11, qb.a12, qb.a21, qb.a22);
-        let qc = c.reborrow().quadrants().expect("even dimension");
-        let (mut c11, mut c12, mut c21, mut c22) = (qc.a11, qc.a12, qc.a21, qc.a22);
-        let d = depth + 1;
-
-        let mut p1 = arena::matrix_uninit(h, h);
-        let mut p4 = arena::matrix_uninit(h, h);
-        let mut p5 = arena::matrix_uninit(h, h);
-        let pl = pool.expect("parallel path requires a pool");
-        record_spawns(events, 7, h);
-        {
-            let (rc11, rc12, rc21, rc22) = (&mut c11, &mut c12, &mut c21, &mut c22);
-            let (r1, r4, r5) = (&mut *p1, &mut *p4, &mut *p5);
-            pl.scope(|s| {
-                self.spawn(s, depth, 0, move |_| {
-                    self.product(Add(a21, a22), View(b11), rc21, d);
+        let mut scratch: [Option<ScratchMatrix>; 7] = Default::default();
+        match spawn {
+            Some(pl) => {
+                scratch = PRODUCTS.map(|p| p.home.is_none().then(|| arena::matrix_uninit(h, h)));
+                record_spawns(self.events, PRODUCTS.len() as u64, h);
+                let mut homes = qc.each_mut().map(|q| Some(q.reborrow()));
+                let mut spares = scratch.each_mut().map(|s| s.as_mut().map(|m| m.view_mut()));
+                pl.scope(|s| {
+                    for (i, p) in launch().enumerate() {
+                        let (x, y) = operands(p);
+                        let mut dst = match PRODUCTS[p].home {
+                            Some(q) => homes[q as usize].take(),
+                            None => spares[p].take(),
+                        }
+                        .expect("one destination per product");
+                        let f = move |_: &Scope<'_, '_>| self.product(x, y, &mut dst, d);
+                        match self.sched.seed.filter(|_| depth == 0) {
+                            Some(workers) => s.spawn_in(workers[i], f),
+                            None => s.spawn(f),
+                        }
+                    }
                 });
-                self.spawn(s, depth, 1, move |_| {
-                    self.product(View(a11), Sub(b12, b22), rc12, d);
-                });
-                self.spawn(s, depth, 2, move |_| {
-                    self.product(Sub(a21, a11), Add(b11, b12), rc22, d);
-                });
-                self.spawn(s, depth, 3, move |_| {
-                    self.product(Sub(a12, a22), Add(b21, b22), rc11, d);
-                });
-                self.spawn(s, depth, 4, move |_| {
-                    self.product(Add(a11, a22), Add(b11, b22), &mut r1.view_mut(), d);
-                });
-                self.spawn(s, depth, 5, move |_| {
-                    self.product(View(a22), Sub(b21, b11), &mut r4.view_mut(), d);
-                });
-                self.spawn(s, depth, 6, move |_| {
-                    self.product(Add(a11, a12), View(b22), &mut r5.view_mut(), d);
-                });
-            });
+            }
+            None => {
+                for p in launch() {
+                    if let Some(q) = PRODUCTS[p].home {
+                        let (x, y) = operands(p);
+                        self.product(x, y, &mut qc[q as usize], d);
+                    }
+                }
+            }
         }
-        add_pass(&mut c11, &p1.view(), pool, events);
-        add_pass(&mut c22, &p1.view(), pool, events);
-        sub_pass(&mut c22, &c21.as_view(), pool, events);
-        add_pass(&mut c22, &c12.as_view(), pool, events);
-        add_pass(&mut c11, &p4.view(), pool, events);
-        add_pass(&mut c21, &p4.view(), pool, events);
-        sub_pass(&mut c11, &p5.view(), pool, events);
-        add_pass(&mut c12, &p5.view(), pool, events);
+        for step in combine() {
+            let p = step.product;
+            let (dst, src) = match PRODUCTS[p].home {
+                Some(q) => {
+                    let [dst, src] = qc
+                        .get_disjoint_mut([step.quad as usize, q as usize])
+                        .expect("a product is not added into its home");
+                    (dst, src.as_view())
+                }
+                None => {
+                    if scratch[p].is_none() {
+                        // Inline: this product takes the one scratch over
+                        // from the product before it.
+                        let mut m = (scratch.iter_mut().find_map(Option::take))
+                            .unwrap_or_else(|| arena::matrix_uninit(h, h));
+                        let (x, y) = operands(p);
+                        self.product(x, y, &mut m.view_mut(), d);
+                        scratch[p] = Some(m);
+                    }
+                    let held = scratch[p].as_ref().expect("product computed");
+                    (&mut qc[step.quad as usize], held.view())
+                }
+            };
+            combine_pass(dst, &src, step.sub, self.pool, self.events);
+        }
     }
 }
 

@@ -10,7 +10,9 @@
 //!
 //! The arrangement is Strassen's classic 7-multiply / 18-add scheme printed
 //! as Equation 7 of the paper (with the two well-known typos in the
-//! paper's rendition of Q5/Q6 corrected to Strassen's original formulas).
+//! paper's rendition of Q5/Q6 corrected to Strassen's original formulas),
+//! written once as the coefficient table in [`arith`]: the executor, the
+//! plan, the cost and memory models and distributed CAPS all read it.
 //! BOTS runs a 15-add arrangement instead; DESIGN §2 gives the measured
 //! speed/error trade behind keeping only Equation 7.
 //!
@@ -43,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
+pub mod arith;
 mod config;
 pub mod cost;
 mod exec;

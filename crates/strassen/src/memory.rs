@@ -10,9 +10,10 @@
 //! The model is the BOTS textbook footprint, the one §VI-A's 4096 ceiling
 //! is derived from:
 //!
-//! * every internal recursion node holds seven `h × h` product buffers
-//!   (`Q1..Q7`);
-//! * the products each hold up to two `h × h` operand temporaries;
+//! * every internal recursion node holds one `h × h` buffer per product
+//!   of [`crate::arith::PRODUCTS`] (`Q1..Q7`);
+//! * each product holds one `h × h` temporary per operand sum (ten in
+//!   all);
 //! * buffers are allocated when a task *executes* (untied-task
 //!   semantics), so a parallel run keeps at most one root-to-leaf path of
 //!   buffers live per worker; a sequential run keeps exactly one.
@@ -20,11 +21,13 @@
 //! It is an **upper bound** on what the walker behind [`crate::multiply`]
 //! actually leases from its per-thread recycling arenas
 //! ([`powerscale_gemm::arena`]): one half-size scratch per sequential
-//! node, three per spawned node, and at most two resolved operand
-//! temporaries per non-leaf child (a leaf child's operand sums are fused
-//! into its packing and never materialised). The figures below keep the
+//! node, one per product without a [`home`](crate::arith::Product::home)
+//! (three) per spawned node, and one resolved temporary per operand sum
+//! of a non-leaf child (a leaf child's operand sums are fused into its
+//! packing and never materialised). The figures below keep the
 //! textbook model; they have not been reconciled with a measured peak.
 
+use crate::arith::{operand_sums, PRODUCTS};
 use crate::config::StrassenConfig;
 use crate::cost::is_leaf;
 
@@ -34,12 +37,10 @@ pub(crate) fn operand_bytes(n: usize) -> u64 {
 }
 
 /// Temporary bytes allocated by one recursion node at size `n` (its own
-/// buffers, excluding children): the seven products plus operand temps.
+/// buffers, excluding children): the products plus operand temps.
 fn node_temp_bytes(n: usize) -> u64 {
     let h = (n / 2) as u64;
-    let hh = 8 * h * h;
-    // 7 product buffers + 10 operand temporaries across the products.
-    7 * hh + 10 * hh
+    (PRODUCTS.len() as u64 + operand_sums()) * h * h * 8
 }
 
 /// Peak temporary bytes for a **sequential** (DFS-style) execution: one

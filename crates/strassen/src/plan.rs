@@ -4,8 +4,10 @@
 //! spawned level, seven *prepare* tasks (the product's operand additions,
 //! which also carry the **communication cost** of migrating the quadrant
 //! operands to whichever core runs the product), the seven sub-product
-//! subtrees, and four per-quadrant *combine* tasks. Below the task-spawn
-//! depth the whole subtree is emitted as the schedule runs it inline.
+//! subtrees, and four per-quadrant *combine* tasks. Every count comes from
+//! [`crate::arith`]'s table, and products are emitted in its M1…M7 order.
+//! Below the task-spawn depth the whole subtree is emitted as the schedule
+//! runs it inline.
 //!
 //! Like the executor, the emitter walks one recursion under a schedule,
 //! whose [`Pricing`] prices the leaves, the inline subtrees and the
@@ -13,21 +15,11 @@
 //! scheduling is placement-oblivious: every spawned product pays a full
 //! migration and an inline subtree is one sequential task.
 
+use crate::arith::{self, Quad, PRODUCTS};
 use crate::config::StrassenConfig;
 use crate::cost;
 use crate::schedule::{Pricing, Untied};
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId, TrafficModel};
-
-/// Operand-formation counts per product (the executor fuses these into
-/// the leaf packing, but the work is still one pass per operand sum).
-pub const CLASSIC_PRE: [u64; 7] = [2, 1, 1, 1, 1, 2, 2];
-/// In-place combine passes per C quadrant: four products land via
-/// `Accum::Set` (no pass), the remaining eight accumulations split as
-/// C11 += P1,P4,−P5; C12 += P5; C21 += P4; C22 += P1,−C21,+C12.
-pub const CLASSIC_COMBINE: [u64; 4] = [3, 1, 1, 3];
-/// Products feeding each C quadrant (indices into the seven products):
-/// C11 = Q1+Q4−Q5+Q7; C12 = Q3+Q5; C21 = Q2+Q4; C22 = Q1−Q2+Q3+Q6.
-pub const CLASSIC_QUADRANT_INPUTS: [&[usize]; 4] = [&[0, 3, 4, 6], &[2, 4], &[1, 3], &[0, 1, 2, 5]];
 
 /// Emits the Strassen task graph for an `n × n` multiply under `cfg`, with
 /// an explicit LLC traffic model (usually `machine.traffic_model()`).
@@ -84,8 +76,8 @@ fn emit<S: Pricing>(
     let h = (n / 2) as u64;
     let hh = h * h;
     let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
-    let mut product_sinks: Vec<Vec<TaskId>> = Vec::with_capacity(7);
-    for &pre in CLASSIC_PRE.iter() {
+    let product_sinks = PRODUCTS.map(|product| {
+        let pre = product.sums();
         // Prepare task: the product's operand adds plus the migration of
         // its two half-size operands, as the schedule prices it.
         let prepare = g.add(
@@ -97,30 +89,28 @@ fn emit<S: Pricing>(
             ),
             deps,
         );
-        let sinks = emit(g, n / 2, depth + 1, cfg, sched, tm, &[prepare]);
-        product_sinks.push(sinks);
-    }
+        emit(g, n / 2, depth + 1, cfg, sched, tm, &[prepare])
+    });
 
-    let mut combines = Vec::with_capacity(4);
-    for (q, &passes) in CLASSIC_COMBINE.iter().enumerate() {
+    let combines = Quad::ALL.map(|q| {
+        let passes = arith::combine().filter(|s| s.quad == q).count() as u64;
         let mut cdeps: Vec<TaskId> = Vec::new();
-        for &pi in CLASSIC_QUADRANT_INPUTS[q] {
+        for pi in arith::inputs(q) {
             cdeps.extend_from_slice(&product_sinks[pi]);
         }
         cdeps.sort_unstable();
         cdeps.dedup();
-        let combine = g.add(
+        g.add(
             TaskCost::new(
                 KernelClass::Elementwise,
                 passes * hh,
                 passes * per_pass,
-                sched.combine_comm(depth, CLASSIC_QUADRANT_INPUTS[q].len(), hh),
+                sched.combine_comm(depth, arith::inputs(q).count(), hh),
             ),
             &cdeps,
-        );
-        combines.push(combine);
-    }
-    combines
+        )
+    });
+    combines.to_vec()
 }
 
 #[cfg(test)]
