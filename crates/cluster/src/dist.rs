@@ -197,8 +197,11 @@ pub(crate) fn owner_cols(m: usize, g: usize, idx: usize) -> (usize, usize) {
 /// The BFS rank-range split of `g` ranks into 7 child groups (relative to
 /// group base 0). Ranges are equal-or-disjoint: with `g ≥ 7` they are
 /// disjoint; with `g < 7` several children share one rank and run
-/// sequentially on it. The declared [`crate::plans`] split node groups
-/// with this function too, so declared and measured placements agree.
+/// sequentially on it. Here child group `i` runs the `i`-th product of
+/// `arith::launch()` (M2, M3, M6, M7, M1, M4, M5). The declared
+/// [`crate::plans`] split node groups with this function too, but place
+/// product M`i+1` (`PRODUCTS` order) on group `i`: the ranges agree, the
+/// products on them do not.
 pub fn bfs_child_ranges(g: usize) -> [(usize, usize); 7] {
     let mut out = [(0usize, 0usize); 7];
     for (i, slot) in out.iter_mut().enumerate() {

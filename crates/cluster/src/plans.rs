@@ -55,8 +55,11 @@ fn emit_caps(
     let h = (n / 2) as u64;
     let hh = h * h;
     let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
-    // Block-partition the group over the seven children, exactly as the
-    // executor does.
+    // Block-partition the group over the seven children with the
+    // executor's ranges. Child `i` here is product M`i+1` (`PRODUCTS`
+    // order); the executor gives it the `i`-th product of
+    // `arith::launch()` instead, so a group's declared volume can differ
+    // from its measured one.
     let children = bfs_child_ranges(count);
     let missing = |(lo, hi): (usize, usize)| 1.0 - (hi - lo) as f64 / count as f64;
     let sinks = PRODUCTS.iter().zip(children).map(|(product, (lo, hi))| {

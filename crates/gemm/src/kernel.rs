@@ -147,7 +147,7 @@ impl serde::Serialize for DtypeTier {
 impl serde::Deserialize for DtypeTier {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         match value {
-            // Absent field in a pre-dtype RunSpec checkpoint: the default.
+            // An absent field (a record from before the dtype axis): the default.
             serde::Value::Null => Ok(DtypeTier::F64),
             serde::Value::String(s) => s.parse().map_err(|e: String| serde::Error::custom(e)),
             other => Err(serde::Error::custom(format!(

@@ -1,32 +1,35 @@
 //! Regenerates every paper artifact: tables, figures, EXPERIMENTS.md.
 //!
 //! ```text
-//! reproduce [--out DIR] [--quick] [--resume] [--faults] [--seed N]
-//!           [--retries K] [--trace PATH] [--cluster] [--dtype f64|f32|mixed]
+//! reproduce [--out DIR] [--quick] [--faults] [--seed N] [--trace PATH]
+//!           [--cluster] [--dtype f64|f32|mixed]
 //! ```
 //!
 //! `--out DIR` additionally writes `EXPERIMENTS.md`, per-figure CSVs,
-//! the raw result JSON and per-cell checkpoints into `DIR`. `--quick`
-//! runs a reduced matrix (sizes 256/512) for smoke testing. `--resume`
-//! skips cells already checkpointed in `DIR` from an earlier
-//! (interrupted) run with the same matrix and fault seed. `--faults`
+//! the raw result JSON and per-algorithm timelines into `DIR`. `--quick`
+//! runs a reduced matrix (sizes 256/512) for smoke testing. `--faults`
 //! reads the energy counters through the seeded fault-injection +
 //! recovery decorators (`--seed N` or `POWERSCALE_FAULT_SEED` picks the
 //! schedule; two runs with the same seed are identical).
 //!
+//! The matrix is a deterministic simulation that takes seconds, so a
+//! rerun is the recovery from an interrupted one. A cell that panics is
+//! a bug: the run stops, stderr names the cell, and the exit code is
+//! non-zero.
+//!
 //! `--dtype` selects the kernel numeric tier every cell is stamped
 //! with: `f64` (default), `f32`, or `mixed` (f64 arithmetic on
 //! operands rounded through f32). Real executions (`--trace`) dispatch kernels of that
-//! tier; the simulated sweep records it as scenario metadata.
+//! tier; the simulated matrix records it as scenario metadata.
 //!
-//! `--trace PATH` skips the sweep and instead runs traced real
+//! `--trace PATH` skips the matrix and instead runs traced real
 //! executions of all three algorithms (n = 512, or 256 with `--quick`),
 //! writing a Perfetto-loadable Chrome trace to `PATH`, folded flamegraph
 //! stacks to `PATH.folded`, and the per-phase EP summary to
 //! `PATH.phases.json`. Needs a build with `--features
 //! powerscale-harness/trace`.
 //!
-//! `--cluster` skips the sweep and runs the measured distributed-memory
+//! `--cluster` skips the matrix and runs the measured distributed-memory
 //! studies instead: the Eq. 8 verification grid and the arXiv 1202.3177
 //! strong-scaling figure, both metered by the simulated message-passing
 //! transport. `--quick` shrinks both to the fast sizes; `--out DIR`
@@ -34,11 +37,11 @@
 //! Exits non-zero if any swept cell exceeds its Eq. 8 gate (4× single-level
 //! cells, 5× multi-level cells).
 
-use powerscale_harness::{figures, manifest, report, sweep, tables, DtypeTier, Harness};
+use powerscale_harness::{figures, manifest, report, tables, DtypeTier, Harness};
 use powerscale_rapl::FaultConfig;
 
-const USAGE: &str = "usage: reproduce [--out DIR] [--quick] [--resume] [--faults] [--seed N] \
-                     [--retries K] [--trace PATH] [--cluster] [--dtype f64|f32|mixed]";
+const USAGE: &str = "usage: reproduce [--out DIR] [--quick] [--faults] [--seed N] \
+                     [--trace PATH] [--cluster] [--dtype f64|f32|mixed]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -57,7 +60,7 @@ fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
 
 /// The `--trace PATH` mode: traced real executions of all three
 /// algorithms on one timeline, exported as Chrome JSON + folded stacks +
-/// a per-phase EP summary. Skips the sweep entirely.
+/// a per-phase EP summary. Skips the matrix entirely.
 fn run_traced(h: &Harness, path: &str, quick: bool, dtype: DtypeTier) {
     use powerscale_harness::{Algorithm, RunSpec};
     if !powerscale_trace::build_enabled() {
@@ -117,7 +120,7 @@ fn run_traced(h: &Harness, path: &str, quick: bool, dtype: DtypeTier) {
 /// The `--cluster` mode: the measured distributed-memory studies — the
 /// Eq. 8 verification sweep and the arXiv 1202.3177 strong-scaling
 /// figure — printed to stdout and, with `--out`, written as
-/// `CLUSTER_eq8.json` plus per-figure CSVs. Skips the sweep entirely.
+/// `CLUSTER_eq8.json` plus per-figure CSVs. Skips the matrix entirely.
 /// Exits non-zero if any swept cell breaks its Eq. 8 gate (≤ 4× for
 /// single-distribution-level cells, ≤ 5× for multi-level cells).
 fn run_cluster(quick: bool, out_dir: Option<&str>) {
@@ -219,10 +222,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_dir: Option<String> = None;
     let mut quick = false;
-    let mut resume = false;
     let mut faults = false;
     let mut seed: Option<u64> = None;
-    let mut retries: u32 = 1;
     let mut trace_path: Option<String> = None;
     let mut cluster = false;
     let mut dtype = DtypeTier::F64;
@@ -240,12 +241,6 @@ fn main() {
                 );
                 faults = true;
             }
-            "--retries" => {
-                let v = take_value(&args, &mut i, "--retries");
-                retries = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("--retries: not a number: {v}")));
-            }
             "--dtype" => {
                 let v = take_value(&args, &mut i, "--dtype");
                 dtype = v
@@ -253,16 +248,12 @@ fn main() {
                     .unwrap_or_else(|e: String| usage_error(&format!("--dtype: {e}")));
             }
             "--quick" => quick = true,
-            "--resume" => resume = true,
             "--faults" => faults = true,
             other => usage_error(&format!("unknown argument: {other}")),
         }
         i += 1;
     }
-    if resume && out_dir.is_none() {
-        usage_error("--resume needs --out DIR (there is nowhere to resume from)");
-    }
-    if cluster && (trace_path.is_some() || faults || resume) {
+    if cluster && (trace_path.is_some() || faults) {
         usage_error("--cluster is a stand-alone mode; it combines only with --quick and --out");
     }
     if cluster {
@@ -299,34 +290,9 @@ fn main() {
         "running execution matrix: 3 algorithms x {:?} x {:?} threads…",
         sizes, threads
     );
-    let opts = sweep::SweepOptions {
-        retries,
-        out_dir: out_dir.as_ref().map(std::path::PathBuf::from),
-        resume,
-        dtype,
-        ..sweep::SweepOptions::default()
-    };
-    let outcome = match sweep::run_sweep(&h, sizes, threads, &opts) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    };
-    if outcome.resumed > 0 {
-        eprintln!(
-            "resumed {} of {} cells from checkpoints",
-            outcome.resumed,
-            outcome.cells.len()
-        );
-    }
-    for (spec, err) in outcome.errors() {
-        eprintln!(
-            "cell FAILED ({} n={} t={}): {err}",
-            spec.algorithm, spec.n, spec.threads
-        );
-    }
-    for r in outcome.degraded() {
+    let results = h.run_matrix(sizes, threads, dtype);
+    let degraded: Vec<_> = results.iter().filter(|r| r.quality.is_degraded()).collect();
+    for r in &degraded {
         eprintln!(
             "cell degraded ({} n={} t={}): planes {:?}, {} failed samples, {} wraps",
             r.spec.algorithm,
@@ -336,11 +302,6 @@ fn main() {
             r.samples_failed,
             r.wraps_corrected
         );
-    }
-    let results = outcome.results();
-    if results.is_empty() {
-        eprintln!("every cell failed; nothing to report");
-        std::process::exit(1);
     }
 
     println!("{}", manifest::to_markdown(&manifest::manifest(&h)));
@@ -377,13 +338,11 @@ fn main() {
         println!("  [{}] {claim}", if ok { "PASS" } else { "FAIL" });
         all_ok &= ok;
     }
-    let degraded = outcome.degraded().len();
     println!(
-        "Measurement quality: {}/{} cells full fidelity, {} degraded, {} failed.",
-        results.len() - degraded,
-        outcome.cells.len(),
-        degraded,
-        outcome.errors().len()
+        "Measurement quality: {}/{} cells full fidelity, {} degraded.",
+        results.len() - degraded.len(),
+        results.len(),
+        degraded.len()
     );
 
     if let Some(dir) = out_dir {
@@ -458,7 +417,7 @@ fn main() {
         eprintln!("artifacts written to {}", dir.display());
     }
 
-    if !outcome.errors().is_empty() || (!all_ok && !quick) {
+    if !all_ok && !quick {
         std::process::exit(1);
     }
 }

@@ -11,6 +11,7 @@ use powerscale_rapl::{
 use powerscale_strassen::StrassenConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::io::Write;
 
 /// The three algorithms of the paper's study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,9 +56,9 @@ pub struct RunSpec {
     pub threads: usize,
     /// Numeric tier the kernels compute in. The simulated machine models
     /// f64 arithmetic regardless, so this axis changes *real* executions
-    /// (`Harness::run_real` pins the process dtype tier from it) and is
-    /// carried through sweeps/checkpoints as scenario metadata. Old
-    /// checkpoints without the field deserialise as [`DtypeTier::F64`].
+    /// (`Harness::run_real` dispatches kernels of this tier) and is
+    /// carried through the matrix and `results.json` as scenario
+    /// metadata.
     pub dtype: DtypeTier,
 }
 
@@ -152,8 +153,7 @@ pub struct Harness {
     /// every cell reads its counters through a seeded
     /// [`FaultInjectingReader`] wrapped in a [`ResilientReader`]; the
     /// per-cell fault seed is derived from this plan's seed and the cell's
-    /// spec, so a resumed sweep sees the same schedule as an uninterrupted
-    /// one.
+    /// spec, so a cell sees the same schedule whichever other cells run.
     pub faults: Option<FaultConfig>,
     /// Tuning for the recovery decorator (used only when `faults` is set).
     pub resilience: ResilientConfig,
@@ -210,13 +210,11 @@ impl Harness {
     }
 
     /// The fault seed for one cell, derived from the plan seed and the
-    /// spec (FNV-style mixing). Cells are independent: skipping completed
-    /// cells on resume cannot shift the schedules of the remaining ones.
+    /// spec (FNV-style mixing). Cells are independent: which other cells
+    /// run, and in what order, cannot shift a cell's schedule.
     ///
     /// Deliberately mixes only `[algorithm, n, threads]` — NOT `dtype` —
-    /// so resumed sweeps recorded before the dtype axis existed keep their
-    /// fault schedules, and dtype comparisons at one cell see identical
-    /// measurement faults.
+    /// so dtype comparisons at one cell see identical measurement faults.
     pub(crate) fn cell_fault_seed(base: u64, spec: &RunSpec) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01B3;
         let mut h = base ^ 0xCBF2_9CE4_8422_2325;
@@ -300,21 +298,63 @@ impl Harness {
         }
     }
 
-    /// Runs a full matrix of sizes × threads × all algorithms.
+    /// Runs a full matrix of all algorithms × sizes × threads, every cell
+    /// stamped with `dtype`, in that order.
     ///
-    /// Cells run under panic isolation ([`crate::sweep::run_sweep`]): a
-    /// cell that panics is dropped from the result set instead of taking
-    /// the whole matrix down. Use `run_sweep` directly for retry
-    /// budgets, failure records and checkpoint/resume.
-    pub fn run_matrix(&self, sizes: &[usize], threads: &[usize]) -> Vec<RunResult> {
-        crate::sweep::run_sweep(self, sizes, threads, &crate::sweep::SweepOptions::default())
-            .expect("infallible without a checkpoint directory")
-            .results()
+    /// A cell that panics is a bug, not a measurement: the panic
+    /// propagates and stderr names the cell.
+    pub fn run_matrix(
+        &self,
+        sizes: &[usize],
+        threads: &[usize],
+        dtype: DtypeTier,
+    ) -> Vec<RunResult> {
+        let mut results = Vec::with_capacity(ALL_ALGORITHMS.len() * sizes.len() * threads.len());
+        for &algorithm in &ALL_ALGORITHMS {
+            for &n in sizes {
+                for &t in threads {
+                    let spec = RunSpec::new(algorithm, n, t).with_dtype(dtype);
+                    let _span = powerscale_trace::span_args(
+                        powerscale_trace::Category::Harness,
+                        "cell",
+                        n as u32,
+                        t as u32,
+                    );
+                    let _cell = NameOnPanic(spec);
+                    results.push(self.run(spec));
+                }
+            }
+        }
+        results
     }
 
-    /// The paper's 48-run execution matrix (§VI-A).
+    /// The paper's 48-run execution matrix (§VI-A), in f64.
     pub fn paper_matrix(&self) -> Vec<RunResult> {
-        self.run_matrix(&crate::tables::PAPER_SIZES, &crate::tables::PAPER_THREADS)
+        self.run_matrix(
+            &crate::tables::PAPER_SIZES,
+            &crate::tables::PAPER_THREADS,
+            DtypeTier::F64,
+        )
+    }
+}
+
+/// Names a matrix cell on stderr if its run unwinds.
+struct NameOnPanic(RunSpec);
+
+impl Drop for NameOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let s = self.0;
+            // A write error is ignored: a panic here would abort.
+            let _ = writeln!(
+                std::io::stderr(),
+                "cell panicked: {} n={} t={} dtype={}",
+                s.algorithm,
+                s.n,
+                s.threads,
+                s.dtype
+            );
+        }
     }
 }
 
@@ -439,10 +479,62 @@ mod tests {
     #[test]
     fn matrix_covers_all_cells() {
         let h = harness();
-        let rs = h.run_matrix(&[128, 256], &[1, 2]);
+        let rs = h.run_matrix(&[128, 256], &[1, 2], DtypeTier::F64);
         assert_eq!(rs.len(), 12);
         assert!(find(&rs, Algorithm::Caps, 256, 2).is_some());
         assert!(find(&rs, Algorithm::Caps, 512, 2).is_none());
+    }
+
+    #[test]
+    fn matrix_cells_match_direct_runs() {
+        // Every cell, in algorithm × size × threads order, is a direct run.
+        let h = harness();
+        let rs = h.run_matrix(&[128, 256], &[1, 2], DtypeTier::F32);
+        let mut cells = rs.iter();
+        for algorithm in ALL_ALGORITHMS {
+            for n in [128, 256] {
+                for t in [1, 2] {
+                    let spec = RunSpec::new(algorithm, n, t).with_dtype(DtypeTier::F32);
+                    assert_eq!(cells.next(), Some(&h.run(spec)));
+                }
+            }
+        }
+        assert_eq!(cells.next(), None);
+    }
+
+    #[test]
+    fn faulty_cell_does_not_depend_on_the_rest_of_the_matrix() {
+        // Per-cell fault seeds: a cell's fault schedule, and so its
+        // result, is the same alone, among other cells, and in any order.
+        let h = harness().with_faults(FaultConfig::chaos(4242));
+        let alone = h.run_matrix(&[256], &[2], DtypeTier::F64);
+        let among = h.run_matrix(&[128, 256], &[1, 2], DtypeTier::F64);
+        let reordered = h.run_matrix(&[256, 128], &[2, 1], DtypeTier::F64);
+        assert_eq!(alone.len(), 3);
+        for r in &alone {
+            assert!(r.quality.is_degraded(), "chaos must degrade {:?}", r.spec);
+            let (a, n, t) = (r.spec.algorithm, r.spec.n, r.spec.threads);
+            assert_eq!(find(&among, a, n, t), Some(r));
+            assert_eq!(find(&reordered, a, n, t), Some(r));
+        }
+    }
+
+    #[test]
+    fn run_result_round_trips_through_json() {
+        // `reproduce --out` writes `results.json` from these values.
+        let h = harness().with_faults(FaultConfig::chaos(4242));
+        let rs = h.run_matrix(&[128], &[2], DtypeTier::Mixed);
+        let json = serde_json::to_string_pretty(&rs).unwrap();
+        let back: Vec<RunResult> = serde_json::from_str(&json).unwrap();
+        assert_eq!(rs, back);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn panicking_cell_stops_the_matrix() {
+        // A cell that panics is a bug: the matrix stops and returns no
+        // partial result set.
+        harness().run_matrix(&[128], &[1, 0], DtypeTier::F64);
     }
 
     #[test]

@@ -214,10 +214,11 @@ pub fn ep_curve(
 mod tests {
     use super::*;
     use crate::experiment::Harness;
+    use crate::DtypeTier;
     use powerscale_core::ScalingClass;
 
     fn rs() -> Vec<RunResult> {
-        Harness::default().run_matrix(&[256, 512], &[1, 2, 3, 4])
+        Harness::default().run_matrix(&[256, 512], &[1, 2, 3, 4], DtypeTier::F64)
     }
 
     #[test]

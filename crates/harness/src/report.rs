@@ -335,6 +335,7 @@ pub fn claim_checks(results: &[RunResult]) -> Vec<(String, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DtypeTier;
 
     #[test]
     fn markdown_contains_all_artifacts() {
@@ -365,7 +366,7 @@ mod tests {
         // Regression: artifacts and claim checks used to hardcode the
         // paper sizes and panicked on any smaller (--quick) matrix.
         let h = Harness::default();
-        let results = h.run_matrix(&[128, 256], &[1, 2]);
+        let results = h.run_matrix(&[128, 256], &[1, 2], DtypeTier::F64);
         let md = experiments_markdown(&h, &results);
         assert!(md.contains("128"));
         let checks = claim_checks(&results);

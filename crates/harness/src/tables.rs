@@ -211,9 +211,10 @@ pub(crate) fn caps_improvement_pct(
 mod tests {
     use super::*;
     use crate::experiment::{Harness, RunSpec};
+    use crate::DtypeTier;
 
     fn small_matrix() -> Vec<RunResult> {
-        Harness::default().run_matrix(&[256, 512], &[1, 2, 4])
+        Harness::default().run_matrix(&[256, 512], &[1, 2, 4], DtypeTier::F64)
     }
 
     #[test]
@@ -261,7 +262,7 @@ mod tests {
     #[test]
     fn caps_improvement_positive_on_time() {
         let h = Harness::default();
-        let rs = h.run_matrix(&[1024], &[1, 2, 4]);
+        let rs = h.run_matrix(&[1024], &[1, 2, 4], DtypeTier::F64);
         let pct = caps_improvement_pct(&rs, &[1024], &[1, 2, 4], |r| r.t_seconds);
         assert!(pct > -2.0, "caps should not be much slower: {pct}%");
     }

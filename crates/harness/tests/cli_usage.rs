@@ -1,6 +1,6 @@
 //! Scripted CLI contract tests for `reproduce`: every malformed
 //! invocation must exit with code 2 and print the usage line; it must
-//! never start the (expensive) sweep.
+//! never start the matrix.
 
 use std::process::Command;
 
@@ -45,7 +45,6 @@ fn unknown_flags_exit_2_with_usage() {
 fn flags_missing_values_exit_2_with_usage() {
     assert_usage_exit(&["--out"]);
     assert_usage_exit(&["--seed"]);
-    assert_usage_exit(&["--retries"]);
     assert_usage_exit(&["--trace"]);
     // A following flag is not a value.
     assert_usage_exit(&["--out", "--quick"]);
@@ -55,21 +54,22 @@ fn flags_missing_values_exit_2_with_usage() {
 #[test]
 fn non_numeric_values_exit_2_with_usage() {
     assert_usage_exit(&["--seed", "not-a-number"]);
-    assert_usage_exit(&["--retries", "many"]);
 }
 
 #[test]
-fn resume_without_out_exits_2_with_usage() {
+fn removed_sweep_flags_exit_2_with_usage() {
+    // The matrix reruns in seconds, so it has no checkpoints to resume
+    // and no retry budget: both flags are unknown arguments.
     assert_usage_exit(&["--resume"]);
+    assert_usage_exit(&["--retries", "2"]);
 }
 
 #[test]
 fn cluster_combined_with_other_modes_exits_2_with_usage() {
     // `--cluster` is a stand-alone mode: mixing it with the trace or
-    // fault machinery is a usage error, caught before any sweep starts.
+    // fault machinery is a usage error, caught before any matrix starts.
     assert_usage_exit(&["--cluster", "--trace", "/tmp/never-written.json"]);
     assert_usage_exit(&["--cluster", "--faults"]);
-    assert_usage_exit(&["--cluster", "--resume", "--out", "/tmp/never-written"]);
 }
 
 #[cfg(not(feature = "trace"))]

@@ -10,8 +10,8 @@
 use powerscale_rapl::FaultConfig;
 
 /// FNV-1a over a sequence of words — the workspace's standard cheap
-/// deterministic mixer (the sweep derives per-cell fault seeds the same
-/// way).
+/// deterministic mixer (the harness derives per-cell fault seeds the
+/// same way).
 pub fn fnv1a(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {

@@ -1,6 +1,6 @@
 //! Crash-safe write-ahead journal of in-flight requests.
 //!
-//! Layout (mirroring the sweep checkpoint convention):
+//! Layout:
 //!
 //! ```text
 //! DIR/serve.json          — manifest binding the journal to one serving
@@ -18,11 +18,11 @@
 //! execution plan, so the replay multiplies the same operands at the
 //! same tier and reproduces the same checksum bit-for-bit.
 //!
-//! As with sweep checkpoints, a *missing* file is never an error — that
-//! is the normal state of a fresh or partially-recovered journal. A file
-//! that exists but cannot be decoded is, and so is a journal directory
-//! that cannot be created; both surface as a typed [`JournalError`], not
-//! a panic or a silently un-journaled run.
+//! A *missing* file is never an error — that is the normal state of a
+//! fresh or partially-recovered journal. A file that exists but cannot
+//! be decoded is, and so is a journal directory that cannot be created;
+//! both surface as a typed [`JournalError`], not a panic or a silently
+//! un-journaled run.
 
 use crate::queue::ExecPlan;
 use crate::request::{DegradeStep, JobSpec, Response};
@@ -76,9 +76,8 @@ impl std::error::Error for JournalError {}
 /// Guard record binding a journal directory to one serving run's
 /// configuration. Resuming under a different configuration would change
 /// replay semantics (capacity changes admission, threads change the
-/// power model), so a mismatch is an error rather than a silent wipe —
-/// unlike sweep checkpoints, a journal holds responses that must not be
-/// lost.
+/// power model), so a mismatch is an error rather than a silent wipe:
+/// a journal holds responses that must not be lost.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeManifest {
     /// Workload / chaos seed.

@@ -3,8 +3,7 @@
 //! Everything here round-trips through the JSON journal, so the shapes
 //! follow the workspace serde conventions: named-field structs and
 //! payload-free enums (which serialise as plain strings), with `Option`
-//! fields for everything that only applies to some outcomes — the same
-//! struct-of-options pattern as the sweep's `CellRecord`.
+//! fields for everything that only applies to some outcomes.
 
 use powerscale_gemm::DtypeTier;
 use powerscale_harness::Algorithm;

@@ -79,7 +79,7 @@
 //!   later ones are discarded un-journaled (they "die with the process"),
 //!   which keeps crash simulation exact under concurrency.
 //!
-//! Fault isolation reuses the sweep's `catch_unwind` perimeter; deadline
+//! Fault isolation is a `catch_unwind` perimeter per attempt; deadline
 //! enforcement reuses the pool's cooperative [`CancelToken`] protocol
 //! (checked at spawn, steal and leaf boundaries), so an expired request
 //! stops consuming its group within one leaf tile.
@@ -274,7 +274,7 @@ enum OnFull {
     Pace,
 }
 
-/// Best-effort panic payload extraction (the sweep uses the same shape).
+/// Best-effort panic payload extraction.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -835,7 +835,7 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
 /// Model package joules for one served request: a [`ModelReader`]
 /// emitting the profile-estimated watts, sampled over the measured
 /// wall window — read through the fault-injection + recovery
-/// decorators when chaos is on, exactly like the sweep's measurement
+/// decorators when chaos is on, exactly like the harness's measurement
 /// path.
 fn measure_joules(cfg: &ServerConfig, id: u64, watts: f64, wall: f64) -> Option<f64> {
     const SAMPLES: usize = 16;

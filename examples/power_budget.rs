@@ -12,6 +12,7 @@
 //! cargo run --release -p powerscale-examples --bin power_budget -- [watts]
 //! ```
 
+use powerscale::harness::DtypeTier;
 use powerscale::prelude::*;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     let h = Harness::default();
     let sizes = [512usize, 1024, 2048, 4096];
     let threads = [1usize, 2, 3, 4];
-    let results = h.run_matrix(&sizes, &threads);
+    let results = h.run_matrix(&sizes, &threads, DtypeTier::F64);
 
     println!(
         "{:<6} | {:<28} | {:>10} | {:>8} | {:>9}",

@@ -6,6 +6,7 @@
 //! cargo run --release -p powerscale-examples --bin quickstart
 //! ```
 
+use powerscale::harness::DtypeTier;
 use powerscale::prelude::*;
 
 fn main() {
@@ -79,7 +80,7 @@ fn main() {
 
     // 4. Equation 5/6 verdicts.
     println!("\nEP scaling verdicts at n = 512 (Eq. 5/6 vs the linear threshold):");
-    let results = h.run_matrix(&[512], &[1, 2, 3, 4]);
+    let results = h.run_matrix(&[512], &[1, 2, 3, 4], DtypeTier::F64);
     for algorithm in [Algorithm::Blocked, Algorithm::Strassen, Algorithm::Caps] {
         let curve = powerscale::harness::figures::ep_curve(&results, algorithm, 512, &[1, 2, 3, 4]);
         println!(
