@@ -2,8 +2,6 @@
 //! unit tests as reference forms: the harness applies Equation 1 to whole
 //! runs.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured execution phase: average energy draw `EAvg` over runtime
 /// `T`. The paper leaves units open; the harness uses watts and seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,91 +36,26 @@ pub fn ep_ratio(m: &PhaseMeasure) -> f64 {
     m.energy_avg / m.t
 }
 
-/// Measurement fidelity of an aggregate: whether every contributing plane
-/// was sampled at full quality.
-///
-/// The paper's Eq. 3 sum silently assumes all `F` planes reported; on real
-/// hardware planes drop out mid-run (§V-B's permission plumbing is the
-/// easy case). Aggregates computed from an incomplete or unhealthy plane
-/// set carry `Degraded` so downstream tables can flag them instead of
-/// presenting partial sums as full-fidelity data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum MeasureQuality {
-    /// Every plane reported every sample.
-    #[default]
-    Full,
-    /// One or more planes were missing, lossy, or unhealthy; the value is
-    /// a lower bound on the true energy.
-    Degraded,
-}
-
-impl MeasureQuality {
-    /// Combines two verdicts: any degradation taints the aggregate.
-    pub fn and(self, other: MeasureQuality) -> MeasureQuality {
-        if self == MeasureQuality::Full && other == MeasureQuality::Full {
-            MeasureQuality::Full
-        } else {
-            MeasureQuality::Degraded
-        }
-    }
-
-    /// `true` for [`MeasureQuality::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        *self == MeasureQuality::Degraded
-    }
-}
-
-impl core::fmt::Display for MeasureQuality {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            MeasureQuality::Full => "full",
-            MeasureQuality::Degraded => "degraded",
-        })
-    }
-}
-
-/// An EP value tagged with the fidelity of the measurements behind it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualifiedEp {
-    /// The Eq. 2/4 ratio.
-    pub value: f64,
-    /// Whether every contributing plane set was complete.
-    pub quality: MeasureQuality,
-}
-
 /// **Equation 3**: a set of per-plane measurements whose sum is the
 /// encapsulated energy `EAvg_n = Σ_{l=0}^{F} PPL_l`.
 ///
 /// All architectures expose at least one plane ("generally associated with
-/// the incoming system power source"). `missing` counts planes that should
-/// have contributed but produced no (or degraded) data — their energy is
-/// absent from [`PlaneSet::total`], making it a lower bound.
+/// the incoming system power source").
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlaneSet {
     /// Per-plane readings (`PPL_l`).
     pub planes: Vec<f64>,
-    /// Planes expected but lost or degraded during measurement.
-    pub missing: usize,
 }
 
 impl PlaneSet {
-    /// A plane set from complete readings.
+    /// A plane set from its readings.
     pub fn new(planes: &[f64]) -> Self {
         PlaneSet {
             planes: planes.to_vec(),
-            missing: 0,
         }
     }
 
-    /// A plane set that lost `missing` of its expected planes.
-    pub fn with_missing(planes: &[f64], missing: usize) -> Self {
-        PlaneSet {
-            planes: planes.to_vec(),
-            missing,
-        }
-    }
-
-    /// Equation 3's sum (a lower bound when planes are missing).
+    /// Equation 3's sum.
     pub fn total(&self) -> f64 {
         self.planes.iter().sum()
     }
@@ -130,15 +63,6 @@ impl PlaneSet {
     /// Number of reporting planes (`F`).
     pub fn f(&self) -> usize {
         self.planes.len()
-    }
-
-    /// Fidelity verdict for this set.
-    pub fn quality(&self) -> MeasureQuality {
-        if self.missing == 0 {
-            MeasureQuality::Full
-        } else {
-            MeasureQuality::Degraded
-        }
     }
 }
 
@@ -216,24 +140,6 @@ mod tests {
         (sequential.0.total() + max_e) / (sequential.1 + max_t)
     }
 
-    /// **Equation 4 with fidelity tracking**: the same ratio as
-    /// [`ep_total_planes`], tagged [`MeasureQuality::Degraded`] when any
-    /// contributing plane set lost planes.
-    ///
-    /// # Panics
-    /// Panics if `parallel` is empty.
-    fn ep_total_planes_qualified(
-        sequential: (&PlaneSet, f64),
-        parallel: &[(PlaneSet, f64)],
-    ) -> QualifiedEp {
-        let value = ep_total_planes(sequential, parallel);
-        let quality = parallel
-            .iter()
-            .map(|(ps, _)| ps.quality())
-            .fold(sequential.0.quality(), MeasureQuality::and);
-        QualifiedEp { value, quality }
-    }
-
     #[test]
     fn eq1_simple_ratio() {
         let m = PhaseMeasure::new(35.0, 7.0);
@@ -308,46 +214,6 @@ mod tests {
         assert_eq!(ps.total(), 36.0);
         assert_eq!(ps.f(), 3);
         assert_eq!(PlaneSet::default().total(), 0.0);
-    }
-
-    #[test]
-    fn quality_combines_pessimistically() {
-        use MeasureQuality::{Degraded, Full};
-        assert_eq!(Full.and(Full), Full);
-        assert_eq!(Full.and(Degraded), Degraded);
-        assert_eq!(Degraded.and(Full), Degraded);
-        assert!(!Full.is_degraded());
-        assert!(Degraded.is_degraded());
-    }
-
-    #[test]
-    fn missing_planes_degrade_the_set() {
-        let full = PlaneSet::new(&[10.0, 5.0]);
-        assert_eq!(full.quality(), MeasureQuality::Full);
-        let partial = PlaneSet::with_missing(&[10.0], 1);
-        assert_eq!(partial.quality(), MeasureQuality::Degraded);
-        // The sum is still a usable lower bound.
-        assert_eq!(partial.total(), 10.0);
-        assert_eq!(partial.f(), 1);
-    }
-
-    #[test]
-    fn qualified_ep_flags_any_degraded_contributor() {
-        let seq = PlaneSet::new(&[3.0, 2.0]);
-        let par_full = vec![
-            (PlaneSet::new(&[15.0, 5.0]), 2.0),
-            (PlaneSet::new(&[20.0, 10.0]), 1.5),
-        ];
-        let q = ep_total_planes_qualified((&seq, 1.0), &par_full);
-        assert_eq!(q.quality, MeasureQuality::Full);
-        assert!((q.value - ep_total_planes((&seq, 1.0), &par_full)).abs() < 1e-12);
-
-        let par_degraded = vec![
-            (PlaneSet::new(&[15.0, 5.0]), 2.0),
-            (PlaneSet::with_missing(&[20.0], 1), 1.5),
-        ];
-        let q = ep_total_planes_qualified((&seq, 1.0), &par_degraded);
-        assert_eq!(q.quality, MeasureQuality::Degraded);
     }
 
     #[test]

@@ -41,5 +41,5 @@ mod ep;
 mod scaling;
 
 pub use crossover::crossover_dimension;
-pub use ep::{ep_ratio, MeasureQuality, PhaseMeasure, PlaneSet, QualifiedEp};
+pub use ep::{ep_ratio, PhaseMeasure, PlaneSet};
 pub use scaling::{classify_point, ep_scaling, EpCurve, EpPoint, ScalingClass};

@@ -37,10 +37,6 @@ pub enum Event {
     KernelCalls,
     /// Recursion levels entered (Strassen/CAPS tree depth events).
     RecursionLevels,
-    /// Energy-counter read anomalies absorbed by the measurement pipeline
-    /// (retries, discarded garbage, rebased resets, failed samples) — the
-    /// observability hook for the fault-injection/resilience layer.
-    EnergyReadFaults,
     /// Tasks stolen by a worker from a victim in its *own* scheduling
     /// group — traffic that stays inside a BFS level's disjoint processor
     /// group and therefore does not count against the Eq. 8 bound.
@@ -55,7 +51,7 @@ pub enum Event {
 }
 
 /// Number of distinct [`Event`] variants (array-index bound).
-pub(crate) const EVENT_COUNT: usize = 14;
+pub(crate) const EVENT_COUNT: usize = 13;
 
 /// Every event, in `repr` order. Kept in sync with the enum by the
 /// `all_events_listed` test.
@@ -70,7 +66,6 @@ pub const ALL_EVENTS: [Event; EVENT_COUNT] = [
     Event::TasksMigrated,
     Event::KernelCalls,
     Event::RecursionLevels,
-    Event::EnergyReadFaults,
     Event::StealsInGroup,
     Event::StealsCrossGroup,
     Event::JobCancelled,
@@ -96,7 +91,6 @@ impl Event {
             Event::TasksMigrated => "PS_TASKS_MIG",
             Event::KernelCalls => "PS_KERNELS",
             Event::RecursionLevels => "PS_REC_LEVELS",
-            Event::EnergyReadFaults => "PS_ENERGY_FAULTS",
             Event::StealsInGroup => "PS_STEALS_GRP",
             Event::StealsCrossGroup => "PS_STEALS_XGRP",
             Event::JobCancelled => "PS_JOBS_CANCELLED",

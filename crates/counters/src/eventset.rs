@@ -157,13 +157,6 @@ impl EventSet {
         Ok(())
     }
 
-    /// Zeroes every counter (any state).
-    pub fn reset(&mut self) {
-        for c in &self.counters {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Records `n` occurrences of `event`.
     ///
     /// No-op when the set is stopped or the event is not a member — kernels
@@ -204,6 +197,15 @@ impl EventSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventSet {
+        /// Zeroes every counter (any state).
+        fn reset(&mut self) {
+            for c in &self.counters {
+                c.store(0, Ordering::Relaxed);
+            }
+        }
+    }
 
     #[test]
     fn life_cycle_happy_path() {

@@ -1,16 +1,13 @@
 //! Regenerates every paper artifact: tables, figures, EXPERIMENTS.md.
 //!
 //! ```text
-//! reproduce [--out DIR] [--quick] [--faults] [--seed N] [--trace PATH]
-//!           [--cluster] [--dtype f64|f32|mixed]
+//! reproduce [--out DIR] [--quick] [--trace PATH] [--cluster]
+//!           [--dtype f64|f32|mixed]
 //! ```
 //!
 //! `--out DIR` additionally writes `EXPERIMENTS.md`, per-figure CSVs,
 //! the raw result JSON and per-algorithm timelines into `DIR`. `--quick`
-//! runs a reduced matrix (sizes 256/512) for smoke testing. `--faults`
-//! reads the energy counters through the seeded fault-injection +
-//! recovery decorators (`--seed N` or `POWERSCALE_FAULT_SEED` picks the
-//! schedule; two runs with the same seed are identical).
+//! runs a reduced matrix (sizes 256/512) for smoke testing.
 //!
 //! The matrix is a deterministic simulation that takes seconds, so a
 //! rerun is the recovery from an interrupted one. A cell that panics is
@@ -38,10 +35,9 @@
 //! cells, 5× multi-level cells).
 
 use powerscale_harness::{figures, manifest, report, tables, DtypeTier, Harness};
-use powerscale_rapl::FaultConfig;
 
-const USAGE: &str = "usage: reproduce [--out DIR] [--quick] [--faults] [--seed N] \
-                     [--trace PATH] [--cluster] [--dtype f64|f32|mixed]";
+const USAGE: &str =
+    "usage: reproduce [--out DIR] [--quick] [--trace PATH] [--cluster] [--dtype f64|f32|mixed]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -222,8 +218,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_dir: Option<String> = None;
     let mut quick = false;
-    let mut faults = false;
-    let mut seed: Option<u64> = None;
     let mut trace_path: Option<String> = None;
     let mut cluster = false;
     let mut dtype = DtypeTier::F64;
@@ -233,14 +227,6 @@ fn main() {
             "--out" => out_dir = Some(take_value(&args, &mut i, "--out").to_string()),
             "--trace" => trace_path = Some(take_value(&args, &mut i, "--trace").to_string()),
             "--cluster" => cluster = true,
-            "--seed" => {
-                let v = take_value(&args, &mut i, "--seed");
-                seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| usage_error(&format!("--seed: not a number: {v}"))),
-                );
-                faults = true;
-            }
             "--dtype" => {
                 let v = take_value(&args, &mut i, "--dtype");
                 dtype = v
@@ -248,12 +234,11 @@ fn main() {
                     .unwrap_or_else(|e: String| usage_error(&format!("--dtype: {e}")));
             }
             "--quick" => quick = true,
-            "--faults" => faults = true,
             other => usage_error(&format!("unknown argument: {other}")),
         }
         i += 1;
     }
-    if cluster && (trace_path.is_some() || faults) {
+    if cluster && trace_path.is_some() {
         usage_error("--cluster is a stand-alone mode; it combines only with --quick and --out");
     }
     if cluster {
@@ -261,18 +246,7 @@ fn main() {
         return;
     }
 
-    let mut h = Harness::default();
-    if faults {
-        let seed = seed
-            .or_else(|| {
-                std::env::var("POWERSCALE_FAULT_SEED")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(2015);
-        eprintln!("fault injection: chaos profile, seed {seed}");
-        h = h.with_faults(FaultConfig::chaos(seed));
-    }
+    let h = Harness::default();
     eprintln!("platform: {}", h.machine.name);
     if dtype != DtypeTier::F64 {
         eprintln!("dtype tier: {dtype}");
@@ -291,18 +265,6 @@ fn main() {
         sizes, threads
     );
     let results = h.run_matrix(sizes, threads, dtype);
-    let degraded: Vec<_> = results.iter().filter(|r| r.quality.is_degraded()).collect();
-    for r in &degraded {
-        eprintln!(
-            "cell degraded ({} n={} t={}): planes {:?}, {} failed samples, {} wraps",
-            r.spec.algorithm,
-            r.spec.n,
-            r.spec.threads,
-            r.degraded_planes,
-            r.samples_failed,
-            r.wraps_corrected
-        );
-    }
 
     println!("{}", manifest::to_markdown(&manifest::manifest(&h)));
     println!(
@@ -338,12 +300,6 @@ fn main() {
         println!("  [{}] {claim}", if ok { "PASS" } else { "FAIL" });
         all_ok &= ok;
     }
-    println!(
-        "Measurement quality: {}/{} cells full fidelity, {} degraded.",
-        results.len() - degraded.len(),
-        results.len(),
-        degraded.len()
-    );
 
     if let Some(dir) = out_dir {
         let dir = std::path::Path::new(&dir);

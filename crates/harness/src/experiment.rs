@@ -1,13 +1,10 @@
 //! Run specification and the simulated-measurement runner.
 
 use powerscale_caps::CapsConfig;
-use powerscale_core::{MeasureQuality, PlaneSet};
+use powerscale_core::PlaneSet;
 use powerscale_gemm::{BlockingParams, DtypeTier};
 use powerscale_machine::{simulate, MachineConfig, TaskGraph};
-use powerscale_rapl::{
-    model::ModelReader, Domain, EnergyMeter, EnergyReader, EnergyReport, FaultConfig,
-    FaultInjectingReader, ResilientConfig, ResilientReader,
-};
+use powerscale_rapl::{model::ModelReader, Domain, EnergyMeter};
 use powerscale_strassen::StrassenConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -100,14 +97,6 @@ pub struct RunResult {
     pub comm_bytes: u64,
     /// Mean core utilisation in `[0, 1]`.
     pub utilisation: f64,
-    /// Fidelity of the energy measurement behind the power numbers.
-    pub quality: MeasureQuality,
-    /// Power planes that lost samples, finished unhealthy, or disappeared.
-    pub degraded_planes: Vec<Domain>,
-    /// Meter samples that produced no reading, summed over planes.
-    pub samples_failed: u64,
-    /// Counter wraparounds corrected while integrating, summed over planes.
-    pub wraps_corrected: u64,
 }
 
 impl RunResult {
@@ -118,15 +107,8 @@ impl RunResult {
 
     /// The run's power planes as an Equation 3 set
     /// (package already contains PP0; the DRAM plane is separate).
-    /// Degraded planes are counted as missing so Eq. 3/4 aggregates built
-    /// from this set inherit the degradation.
     pub fn planes(&self) -> PlaneSet {
-        let missing = self
-            .degraded_planes
-            .iter()
-            .filter(|&&d| d == Domain::Package || d == Domain::Dram)
-            .count();
-        PlaneSet::with_missing(&[self.pkg_watts, self.dram_watts], missing)
+        PlaneSet::new(&[self.pkg_watts, self.dram_watts])
     }
 
     /// Achieved Gflop/s.
@@ -149,14 +131,6 @@ pub struct Harness {
     /// RAPL meter samples per run (the paper's driver polls PAPI
     /// periodically; 64 samples comfortably out-paces counter wrap).
     pub meter_samples: usize,
-    /// Optional fault-injection plan for the measurement path. When set,
-    /// every cell reads its counters through a seeded
-    /// [`FaultInjectingReader`] wrapped in a [`ResilientReader`]; the
-    /// per-cell fault seed is derived from this plan's seed and the cell's
-    /// spec, so a cell sees the same schedule whichever other cells run.
-    pub faults: Option<FaultConfig>,
-    /// Tuning for the recovery decorator (used only when `faults` is set).
-    pub resilience: ResilientConfig,
 }
 
 impl Default for Harness {
@@ -183,15 +157,7 @@ impl Harness {
             caps: CapsConfig::paper(),
             machine,
             meter_samples: 64,
-            faults: None,
-            resilience: ResilientConfig::default(),
         }
-    }
-
-    /// Enables fault injection on the measurement path.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
     }
 
     /// Builds the task graph for one spec. CAPS shares its DFS steps
@@ -209,27 +175,9 @@ impl Harness {
         }
     }
 
-    /// The fault seed for one cell, derived from the plan seed and the
-    /// spec (FNV-style mixing). Cells are independent: which other cells
-    /// run, and in what order, cannot shift a cell's schedule.
-    ///
-    /// Deliberately mixes only `[algorithm, n, threads]` — NOT `dtype` —
-    /// so dtype comparisons at one cell see identical measurement faults.
-    pub(crate) fn cell_fault_seed(base: u64, spec: &RunSpec) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = base ^ 0xCBF2_9CE4_8422_2325;
-        for v in [spec.algorithm as u64, spec.n as u64, spec.threads as u64] {
-            h ^= v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    }
-
     /// Runs one cell of the matrix: simulate, then measure the simulated
     /// schedule through the RAPL counter/meter stack (quantisation and
-    /// wrap semantics included). With [`Harness::faults`] set, the
-    /// counters are read through the fault-injection + recovery decorators
-    /// and the result carries degradation metadata.
+    /// wrap semantics included).
     pub fn run(&self, spec: RunSpec) -> RunResult {
         let graph = self.graph(spec.algorithm, spec.n);
         let schedule = simulate(&graph, &self.machine, spec.threads);
@@ -237,49 +185,13 @@ impl Harness {
         let samples = self.meter_samples.max(1);
         let dt = mk / samples as f64;
 
-        let model = ModelReader::from_schedule(&schedule);
-        let expected: Vec<Domain> = model.domains();
-        let report = match &self.faults {
-            None => {
-                let mut reader = model;
-                let mut meter = EnergyMeter::start(&mut reader);
-                for _ in 0..samples {
-                    reader.advance(dt);
-                    meter.sample(&mut reader);
-                }
-                meter.finish(&mut reader, mk)
-            }
-            Some(plan) => {
-                let cfg = FaultConfig {
-                    seed: Self::cell_fault_seed(plan.seed, &spec),
-                    ..plan.clone()
-                };
-                let mut reader = ResilientReader::with_config(
-                    FaultInjectingReader::new(model, cfg),
-                    self.resilience,
-                );
-                let mut meter = EnergyMeter::start(&mut reader);
-                for _ in 0..samples {
-                    reader.inner_mut().inner_mut().advance(dt);
-                    meter.sample(&mut reader);
-                }
-                meter.finish(&mut reader, mk)
-            }
-        };
-
-        let mut degraded_planes: Vec<Domain> = report.degraded_domains();
-        // A plane whose opening read failed never makes it into the
-        // report at all — that is the strongest form of degradation.
-        for d in expected {
-            if report.joules_for(d).is_none() && !degraded_planes.contains(&d) {
-                degraded_planes.push(d);
-            }
+        let mut reader = ModelReader::from_schedule(&schedule);
+        let mut meter = EnergyMeter::start(&mut reader);
+        for _ in 0..samples {
+            reader.advance(dt);
+            meter.sample(&mut reader);
         }
-        let quality = if degraded_planes.is_empty() {
-            MeasureQuality::Full
-        } else {
-            MeasureQuality::Degraded
-        };
+        let report = meter.finish(&mut reader, mk);
 
         RunResult {
             spec,
@@ -291,10 +203,6 @@ impl Harness {
             dram_bytes: graph.total_dram_bytes(),
             comm_bytes: graph.total_comm_bytes(),
             utilisation: schedule.utilisation(),
-            quality,
-            degraded_planes,
-            samples_failed: sum_quality(&report, |q| q.failed),
-            wraps_corrected: sum_quality(&report, |q| q.wraps_corrected),
         }
     }
 
@@ -358,10 +266,6 @@ impl Drop for NameOnPanic {
     }
 }
 
-fn sum_quality(report: &EnergyReport, f: impl Fn(&powerscale_rapl::SampleQuality) -> u64) -> u64 {
-    report.quality.iter().map(|(_, q)| f(q)).sum()
-}
-
 /// Simulates a prepared graph on the harness's machine (exposed for the
 /// timeline artifacts and external tooling).
 pub fn simulate_for(
@@ -387,24 +291,6 @@ pub fn find(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powerscale_core::QualifiedEp;
-
-    impl RunResult {
-        /// Equation 1 tagged with measurement fidelity: a `Degraded` EP was
-        /// computed from planes that lost samples or died mid-run — or is
-        /// not a finite number at all (degenerate measurement window).
-        fn ep_qualified(&self) -> QualifiedEp {
-            let value = self.ep();
-            QualifiedEp {
-                value,
-                quality: if value.is_finite() {
-                    self.quality
-                } else {
-                    MeasureQuality::Degraded
-                },
-            }
-        }
-    }
 
     fn harness() -> Harness {
         Harness::default()
@@ -445,19 +331,6 @@ mod tests {
         assert_eq!(r.flops, 2 * 256u64.pow(3));
         assert!(r.ep() > 0.0);
         assert!(r.gflops() > 1.0);
-    }
-
-    #[test]
-    fn non_finite_ep_is_flagged_degraded() {
-        let h = harness();
-        let mut r = h.run(RunSpec::new(Algorithm::Blocked, 128, 1));
-        assert_eq!(r.ep_qualified().quality, MeasureQuality::Full);
-        // A degenerate watts reading (e.g. an upstream NaN that slipped
-        // past the meter) must surface as Degraded, never as a clean EP.
-        r.pkg_watts = f64::NAN;
-        assert_eq!(r.ep_qualified().quality, MeasureQuality::Degraded);
-        r.pkg_watts = f64::INFINITY;
-        assert_eq!(r.ep_qualified().quality, MeasureQuality::Degraded);
     }
 
     #[test]
@@ -503,27 +376,9 @@ mod tests {
     }
 
     #[test]
-    fn faulty_cell_does_not_depend_on_the_rest_of_the_matrix() {
-        // Per-cell fault seeds: a cell's fault schedule, and so its
-        // result, is the same alone, among other cells, and in any order.
-        let h = harness().with_faults(FaultConfig::chaos(4242));
-        let alone = h.run_matrix(&[256], &[2], DtypeTier::F64);
-        let among = h.run_matrix(&[128, 256], &[1, 2], DtypeTier::F64);
-        let reordered = h.run_matrix(&[256, 128], &[2, 1], DtypeTier::F64);
-        assert_eq!(alone.len(), 3);
-        for r in &alone {
-            assert!(r.quality.is_degraded(), "chaos must degrade {:?}", r.spec);
-            let (a, n, t) = (r.spec.algorithm, r.spec.n, r.spec.threads);
-            assert_eq!(find(&among, a, n, t), Some(r));
-            assert_eq!(find(&reordered, a, n, t), Some(r));
-        }
-    }
-
-    #[test]
     fn run_result_round_trips_through_json() {
         // `reproduce --out` writes `results.json` from these values.
-        let h = harness().with_faults(FaultConfig::chaos(4242));
-        let rs = h.run_matrix(&[128], &[2], DtypeTier::Mixed);
+        let rs = harness().run_matrix(&[128], &[2], DtypeTier::Mixed);
         let json = serde_json::to_string_pretty(&rs).unwrap();
         let back: Vec<RunResult> = serde_json::from_str(&json).unwrap();
         assert_eq!(rs, back);

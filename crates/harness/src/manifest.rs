@@ -48,12 +48,10 @@ pub fn manifest(h: &Harness) -> Vec<ManifestEntry> {
         ManifestEntry {
             component: "powerscale-caps".into(),
             version: v,
-            // Table I keeps its DFS-width key, now the machine's core count.
-            // The key is split so CI's ban on the deleted config field's
-            // name does not match this line.
+            // CAPS shares its DFS steps across all of the machine's cores.
             config: format!(
-                "cutoff={} cutoff_depth={} dfs_{}={}",
-                h.caps.cutoff, h.caps.cutoff_depth, "ways", h.machine.cores
+                "cutoff={} cutoff_depth={} cores={}",
+                h.caps.cutoff, h.caps.cutoff_depth, h.machine.cores
             ),
         },
     ]

@@ -44,16 +44,16 @@ fn unknown_flags_exit_2_with_usage() {
 #[test]
 fn flags_missing_values_exit_2_with_usage() {
     assert_usage_exit(&["--out"]);
-    assert_usage_exit(&["--seed"]);
     assert_usage_exit(&["--trace"]);
+    assert_usage_exit(&["--dtype"]);
     // A following flag is not a value.
     assert_usage_exit(&["--out", "--quick"]);
     assert_usage_exit(&["--trace", "--quick"]);
 }
 
 #[test]
-fn non_numeric_values_exit_2_with_usage() {
-    assert_usage_exit(&["--seed", "not-a-number"]);
+fn unparsable_dtype_exits_2_with_usage() {
+    assert_usage_exit(&["--dtype", "f16"]);
 }
 
 #[test]
@@ -65,11 +65,20 @@ fn removed_sweep_flags_exit_2_with_usage() {
 }
 
 #[test]
+fn removed_fault_flags_exit_2_with_usage() {
+    // The energy counters are read as the backend delivers them, with no
+    // injected faults and so no fault seed: both flags are unknown
+    // arguments.
+    assert_usage_exit(&["--faults"]);
+    assert_usage_exit(&["--seed", "3"]);
+    assert_usage_exit(&["--quick", "--faults", "--seed", "3"]);
+}
+
+#[test]
 fn cluster_combined_with_other_modes_exits_2_with_usage() {
-    // `--cluster` is a stand-alone mode: mixing it with the trace or
-    // fault machinery is a usage error, caught before any matrix starts.
+    // `--cluster` is a stand-alone mode: mixing it with the trace mode
+    // is a usage error, caught before any matrix starts.
     assert_usage_exit(&["--cluster", "--trace", "/tmp/never-written.json"]);
-    assert_usage_exit(&["--cluster", "--faults"]);
 }
 
 #[cfg(not(feature = "trace"))]

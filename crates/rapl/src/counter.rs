@@ -88,7 +88,7 @@ impl EnergyCounter {
 
     /// Wraparounds corrected since construction (backwards register
     /// movements interpreted as wraps).
-    pub fn wraps_corrected(&self) -> u64 {
+    pub(crate) fn wraps_corrected(&self) -> u64 {
         self.wraps
     }
 }
@@ -203,9 +203,10 @@ mod tests {
 
     #[test]
     fn backwards_jump_reads_as_wrap() {
-        // A garbage backwards jump is indistinguishable from a wrap at this
-        // layer: the counter must interpret it as one (huge wrapped delta)
-        // and report the wrap, so the resilient layer above can veto it.
+        // A backwards jump is indistinguishable from a wrap at this layer:
+        // the counter must interpret it as one (huge wrapped delta) and
+        // report the wrap. A backend whose counter wraps at another range
+        // takes its deltas modulo that range before it reaches here.
         let u = RaplUnits::default();
         let mut c = EnergyCounter::new(u, 1_000_000);
         let j = c.update(999_000); // 1000 ticks "backwards"

@@ -23,17 +23,6 @@ pub enum Domain {
 }
 
 impl Domain {
-    /// The x86 MSR address of the domain's energy-status register.
-    pub(crate) fn msr_address(self) -> u32 {
-        match self {
-            Domain::Package => 0x611,
-            Domain::PP0 => 0x639,
-            Domain::PP1 => 0x641,
-            Domain::Dram => 0x619,
-            Domain::Psys => 0x64D,
-        }
-    }
-
     /// Parses a powercap `name` file value.
     pub(crate) fn from_sysfs_name(s: &str) -> Option<Domain> {
         let s = s.trim();
@@ -77,6 +66,17 @@ mod tests {
     ];
 
     impl Domain {
+        /// The x86 MSR address of the domain's energy-status register.
+        fn msr_address(self) -> u32 {
+            match self {
+                Domain::Package => 0x611,
+                Domain::PP0 => 0x639,
+                Domain::PP1 => 0x641,
+                Domain::Dram => 0x619,
+                Domain::Psys => 0x64D,
+            }
+        }
+
         /// The powercap-sysfs `name` file contents identifying the domain.
         fn sysfs_name(self) -> &'static str {
             match self {

@@ -7,24 +7,23 @@
 //! that measurement code written against it ports to real hardware
 //! unchanged:
 //!
-//! * [`Domain`] — the power planes (PKG, PP0, PP1, DRAM, PSys) with their
-//!   canonical MSR addresses;
+//! * [`Domain`] — the power planes (PKG, PP0, PP1, DRAM, PSys), each
+//!   documented with its energy-status MSR;
 //! * [`RaplUnits`] / [`EnergyCounter`] — raw-register arithmetic including
 //!   **wraparound-correct deltas**;
 //! * [`EnergyReader`] — the backend trait, with
 //!   [`ModelReader`](model::ModelReader) (driven by a simulated
 //!   [`powerscale_machine::Schedule`]),
 //!   and [`SysfsReader`](sysfs::SysfsReader) (parsing a
-//!   `/sys/class/powercap/intel-rapl` tree, injectable for tests);
-//! * [`FaultInjectingReader`] / [`ResilientReader`] — the measurement
-//!   pipeline's fault layer: seeded counter faults (transient failures,
-//!   torn reads, resets, stuck counters, dying domains) and the
-//!   self-healing decorator that retries, sanitises and demotes
-//!   (Healthy → Flaky → Dead) so one bad plane degrades a report instead
-//!   of corrupting it;
+//!   `/sys/class/powercap/intel-rapl` tree, injectable for tests: it
+//!   takes its deltas modulo each zone's `max_energy_range_uj`, and a
+//!   zone whose `energy_uj` cannot be read is listed apart from the
+//!   readable domains);
 //! * [`EnergyMeter`] — the sampling integrator the experiment harness uses
-//!   (the analog of the paper's PAPI-instrumented test driver), folding
-//!   per-domain health into its report quality metadata.
+//!   (the analog of the paper's PAPI-instrumented test driver). A failed
+//!   read is counted and the next good sample integrates the deferred
+//!   delta: the failures a real backend has (read errors, wraps, a zone
+//!   that stops answering) need no decorator.
 //!
 //! # Example
 //!
@@ -51,17 +50,13 @@
 
 mod counter;
 mod domain;
-pub mod fault;
 mod meter;
 pub mod model;
-pub mod resilient;
 pub mod sysfs;
 
 pub use counter::{EnergyCounter, RaplUnits};
 pub use domain::Domain;
-pub use fault::{FaultConfig, FaultInjectingReader};
 pub use meter::{EnergyMeter, EnergyReport, SampleQuality};
-pub use resilient::{DomainHealth, DomainQuality, ResilientConfig, ResilientReader};
 
 /// A backend that exposes RAPL-style raw energy counters.
 pub trait EnergyReader {
@@ -71,12 +66,4 @@ pub trait EnergyReader {
     fn read_raw(&mut self, domain: Domain) -> Option<u32>;
     /// Unit scaling for this package.
     fn units(&self) -> RaplUnits;
-    /// Health of one domain, as judged by this backend. Plain backends
-    /// have no failure tracking and report every domain healthy; the
-    /// [`ResilientReader`] decorator overrides this with its observed
-    /// per-domain state, which the [`EnergyMeter`] folds into report
-    /// quality metadata.
-    fn health(&self, _domain: Domain) -> DomainHealth {
-        DomainHealth::Healthy
-    }
 }

@@ -2,15 +2,14 @@
 
 use crate::counter::EnergyCounter;
 use crate::domain::Domain;
-use crate::resilient::DomainHealth;
 use crate::EnergyReader;
 
-/// Per-domain measurement quality over one metered interval.
+/// Per-domain sample counts over one metered interval.
 ///
 /// `attempted`/`failed` count [`EnergyMeter::sample`] reads (including the
-/// final one taken by [`EnergyMeter::finish`]); `health` is the backend's
-/// verdict at finish time. A domain with any failed samples or non-Healthy
-/// finish state marks the whole report degraded.
+/// final one taken by [`EnergyMeter::finish`]). A failed read loses no
+/// energy: the counter is cumulative, so the next good sample integrates
+/// the deferred delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SampleQuality {
     /// Samples attempted for this domain.
@@ -19,15 +18,6 @@ pub struct SampleQuality {
     pub failed: u64,
     /// Counter wraparounds corrected while integrating.
     pub wraps_corrected: u64,
-    /// Backend health verdict when the measurement finished.
-    pub health: DomainHealth,
-}
-
-impl SampleQuality {
-    /// True when every sample landed and the domain finished healthy.
-    pub fn is_clean(&self) -> bool {
-        self.failed == 0 && self.health == DomainHealth::Healthy
-    }
 }
 
 /// Integrated energy per domain over one measured interval.
@@ -62,20 +52,6 @@ impl EnergyReport {
             w.is_finite().then_some(w)
         })
     }
-
-    /// True when any tracked domain lost samples or finished unhealthy.
-    pub fn is_degraded(&self) -> bool {
-        self.quality.iter().any(|(_, q)| !q.is_clean())
-    }
-
-    /// Domains that lost samples or finished unhealthy.
-    pub fn degraded_domains(&self) -> Vec<Domain> {
-        self.quality
-            .iter()
-            .filter(|(_, q)| !q.is_clean())
-            .map(|&(d, _)| d)
-            .collect()
-    }
 }
 
 /// Trace-counter name for a domain's cumulative-joules series.
@@ -104,8 +80,7 @@ struct Tracked {
 impl EnergyMeter {
     /// Begins a measurement: snapshots every domain. Domains whose opening
     /// read fails are dropped from the report entirely (there is no
-    /// baseline to integrate from); callers detect that as a missing
-    /// plane, not a degraded one.
+    /// baseline to integrate from); callers see that as a missing plane.
     pub fn start<R: EnergyReader + ?Sized>(reader: &mut R) -> Self {
         let units = reader.units();
         let counters = reader
@@ -169,7 +144,6 @@ impl EnergyMeter {
                         attempted: t.attempted,
                         failed: t.failed,
                         wraps_corrected: t.counter.wraps_corrected(),
-                        health: reader.health(*d),
                     },
                 )
             })
@@ -208,11 +182,9 @@ mod tests {
         let report = m.finish(&mut r, 5.0);
         assert!((report.joules_for(Domain::Package).unwrap() - 150.0).abs() < 0.1);
         assert!((report.avg_watts(Domain::Dram).unwrap() - 3.0).abs() < 0.05);
-        assert!(!report.is_degraded());
         let q = report.quality_for(Domain::Package).unwrap();
         assert_eq!(q.attempted, 51); // 50 samples + finish
         assert_eq!(q.failed, 0);
-        assert_eq!(q.health, DomainHealth::Healthy);
     }
 
     #[test]
@@ -231,7 +203,7 @@ mod tests {
         assert!((j - 300.0).abs() < 0.1, "j = {j}");
         let q = report.quality_for(Domain::PP0).unwrap();
         assert_eq!(q.wraps_corrected, 1);
-        assert!(!report.is_degraded(), "a corrected wrap is not degradation");
+        assert_eq!(q.failed, 0, "a corrected wrap is not a failed sample");
     }
 
     #[test]
@@ -276,11 +248,11 @@ mod tests {
         let report = m.finish(&mut r, 1.0);
         assert!(report.joules.is_empty());
         assert_eq!(report.joules_for(Domain::Package), None);
-        assert!(!report.is_degraded());
+        assert!(report.quality.is_empty());
     }
 
     #[test]
-    fn failed_samples_mark_report_degraded() {
+    fn failed_samples_are_counted_and_deferred() {
         struct FlakyOnce {
             inner: ModelReader,
             fail_next: bool,
@@ -314,43 +286,8 @@ mod tests {
         let report = m.finish(&mut r, 1.0);
         // Energy is deferred, not lost, across the failed sample.
         assert!((report.joules_for(Domain::Package).unwrap() - 50.0).abs() < 0.1);
-        assert!(report.is_degraded());
-        assert_eq!(report.degraded_domains(), vec![Domain::Package]);
         let q = report.quality_for(Domain::Package).unwrap();
         assert_eq!(q.attempted, 11);
         assert_eq!(q.failed, 1);
-    }
-
-    #[test]
-    fn unhealthy_finish_state_marks_report_degraded() {
-        struct SickReader(ModelReader);
-        impl EnergyReader for SickReader {
-            fn domains(&self) -> Vec<Domain> {
-                self.0.domains()
-            }
-            fn read_raw(&mut self, d: Domain) -> Option<u32> {
-                self.0.read_raw(d)
-            }
-            fn units(&self) -> crate::RaplUnits {
-                self.0.units()
-            }
-            fn health(&self, d: Domain) -> DomainHealth {
-                match d {
-                    Domain::Dram => DomainHealth::Flaky,
-                    _ => DomainHealth::Healthy,
-                }
-            }
-        }
-        let mut r = SickReader(ModelReader::from_powers(&[
-            (Domain::Package, 30.0),
-            (Domain::Dram, 3.0),
-        ]));
-        let mut m = EnergyMeter::start(&mut r);
-        r.0.advance(1.0);
-        m.sample(&mut r);
-        let report = m.finish(&mut r, 1.0);
-        assert!(report.is_degraded());
-        assert_eq!(report.degraded_domains(), vec![Domain::Dram]);
-        assert!(report.quality_for(Domain::Package).unwrap().is_clean());
     }
 }

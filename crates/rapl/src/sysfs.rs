@@ -4,12 +4,15 @@
 //! `intel-rapl:0/` is the package domain, with `intel-rapl:0:N/`
 //! sub-domains (core, uncore, dram). Each directory holds `name` and
 //! `energy_uj` (microjoules, already unit-scaled by the kernel) plus
-//! `max_energy_range_uj`.
+//! `max_energy_range_uj`, the value at which `energy_uj` wraps to zero.
 //!
 //! The reader takes the tree root as a parameter, so tests inject a fake
-//! tree and CI machines without RAPL (or without permissions — the paper
-//! had to grant its binaries MSR access explicitly, §V-B) simply get an
-//! empty domain list rather than an error.
+//! tree and CI machines without RAPL simply get an empty domain list
+//! rather than an error. A zone whose `energy_uj` exists but cannot be
+//! read is not a domain: since the CVE-2020-8694 fix the file is readable
+//! by root only (the paper had to grant its binaries MSR access
+//! explicitly, §V-B), and discovery lists such zones apart, in
+//! [`SysfsReader::unreadable_domains`].
 
 use crate::counter::RaplUnits;
 use crate::domain::Domain;
@@ -19,17 +22,46 @@ use std::path::{Path, PathBuf};
 /// The canonical tree root on Linux.
 pub(crate) const DEFAULT_ROOT: &str = "/sys/class/powercap/intel-rapl";
 
-/// One discovered powercap domain directory.
+/// One readable powercap domain directory and its delta state.
 #[derive(Debug, Clone)]
 struct Zone {
     domain: Domain,
     energy_file: PathBuf,
+    /// The counter's modulus: `max_energy_range_uj + 1`.
+    range_uj: u64,
+    /// The last `energy_uj` read; `None` before the first good read.
+    last_uj: Option<u64>,
+    /// Microjoules integrated from the first good read on, starting at
+    /// that reading.
+    total_uj: u64,
+}
+
+impl Zone {
+    /// Folds a new `energy_uj` reading into the running total. The kernel
+    /// counter runs `0..=max_energy_range_uj` and then restarts at zero,
+    /// so a reading below the last one crossed the top once.
+    fn advance(&mut self, uj: u64) {
+        self.total_uj = match self.last_uj {
+            None => uj,
+            Some(last) if uj >= last => self.total_uj.wrapping_add(uj - last),
+            Some(last) => self
+                .total_uj
+                .wrapping_add(self.range_uj.wrapping_sub(last).wrapping_add(uj)),
+        };
+        self.last_uj = Some(uj);
+    }
 }
 
 /// An [`EnergyReader`] over a powercap sysfs tree.
 #[derive(Debug, Clone)]
 pub struct SysfsReader {
     zones: Vec<Zone>,
+    unreadable: Vec<Domain>,
+}
+
+/// The contents of a counter file as a number.
+fn read_u64(path: &Path) -> Option<u64> {
+    std::fs::read_to_string(path).ok()?.trim().parse().ok()
 }
 
 impl SysfsReader {
@@ -40,10 +72,13 @@ impl SysfsReader {
     }
 
     /// Scans an explicit tree root (used by tests and containers).
-    pub(crate) fn from_root(root: &Path) -> Self {
-        let mut zones = Vec::new();
+    pub fn from_root(root: &Path) -> Self {
+        let mut reader = SysfsReader {
+            zones: Vec::new(),
+            unreadable: Vec::new(),
+        };
         let Ok(entries) = std::fs::read_dir(root) else {
-            return SysfsReader { zones };
+            return reader;
         };
         let mut dirs: Vec<PathBuf> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -71,27 +106,49 @@ impl SysfsReader {
             all.push(d);
         }
         for dir in all {
-            let name_file = dir.join("name");
-            let energy_file = dir.join("energy_uj");
-            let Ok(name) = std::fs::read_to_string(&name_file) else {
+            let Ok(name) = std::fs::read_to_string(dir.join("name")) else {
                 continue;
             };
             let Some(domain) = Domain::from_sysfs_name(&name) else {
                 continue;
             };
-            if energy_file.exists() && !zones.iter().any(|z: &Zone| z.domain == domain) {
-                zones.push(Zone {
-                    domain,
-                    energy_file,
-                });
+            let energy_file = dir.join("energy_uj");
+            // A zone without a range cannot take a wrap-correct delta.
+            let Some(max_uj) = read_u64(&dir.join("max_energy_range_uj")) else {
+                continue;
+            };
+            // The first zone naming a domain decides it.
+            if !energy_file.exists()
+                || reader.domains().contains(&domain)
+                || reader.unreadable.contains(&domain)
+            {
+                continue;
             }
+            if std::fs::read_to_string(&energy_file).is_err() {
+                reader.unreadable.push(domain);
+                continue;
+            }
+            reader.zones.push(Zone {
+                domain,
+                energy_file,
+                range_uj: max_uj.wrapping_add(1),
+                last_uj: None,
+                total_uj: 0,
+            });
         }
-        SysfsReader { zones }
+        reader
     }
 
     /// `true` when at least one domain was found.
     pub fn is_available(&self) -> bool {
         !self.zones.is_empty()
+    }
+
+    /// Domains whose `energy_uj` is present but could not be read at
+    /// discovery (root-only since CVE-2020-8694). They are not in
+    /// [`EnergyReader::domains`].
+    pub fn unreadable_domains(&self) -> &[Domain] {
+        &self.unreadable
     }
 }
 
@@ -101,15 +158,16 @@ impl EnergyReader for SysfsReader {
     }
 
     fn read_raw(&mut self, domain: Domain) -> Option<u32> {
-        let zone = self.zones.iter().find(|z| z.domain == domain)?;
-        let text = std::fs::read_to_string(&zone.energy_file).ok()?;
-        let uj: u64 = text.trim().parse().ok()?;
-        // Convert microjoules to the raw tick domain so downstream code is
-        // backend-agnostic. Integer math throughout: a u64 microjoule count
-        // exceeds f64's 53-bit mantissa after ~104 days of counting, and the
-        // low bits we'd lose are exactly the ones wrap-corrected deltas
-        // depend on. ticks = uj * 2^esu / 1e6, wrapped into 32 bits.
-        let ticks = ((uj as u128) << self.units().esu_exponent) / 1_000_000;
+        let esu = self.units().esu_exponent;
+        let zone = self.zones.iter_mut().find(|z| z.domain == domain)?;
+        zone.advance(read_u64(&zone.energy_file)?);
+        // Convert the integrated microjoules to the raw tick domain so
+        // downstream code is backend-agnostic. Integer math throughout: a
+        // u64 microjoule count exceeds f64's 53-bit mantissa after ~104
+        // days of counting, and the low bits we'd lose are exactly the
+        // ones wrap-corrected deltas depend on. ticks = uj * 2^esu / 1e6,
+        // wrapped into 32 bits; the meter's counter undoes that wrap.
+        let ticks = ((zone.total_uj as u128) << esu) / 1_000_000;
         Some((ticks & 0xFFFF_FFFF) as u32)
     }
 
@@ -121,7 +179,12 @@ impl EnergyReader for SysfsReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnergyMeter;
     use std::fs;
+
+    /// The `max_energy_range_uj` of a Haswell package: 2^32 ticks of
+    /// 61.035 µJ, rounded down by the kernel.
+    const MAX_UJ: u64 = 262_143_328_850;
 
     fn fake_tree(root: &Path, zones: &[(&str, &str, u64)]) {
         for (dir, name, uj) in zones {
@@ -129,7 +192,7 @@ mod tests {
             fs::create_dir_all(&d).unwrap();
             fs::write(d.join("name"), name).unwrap();
             fs::write(d.join("energy_uj"), uj.to_string()).unwrap();
-            fs::write(d.join("max_energy_range_uj"), "262143328850").unwrap();
+            fs::write(d.join("max_energy_range_uj"), MAX_UJ.to_string()).unwrap();
         }
     }
 
@@ -178,6 +241,46 @@ mod tests {
     }
 
     #[test]
+    fn wrap_at_max_energy_range_is_exact() {
+        // The counter wraps to 0 after `max_energy_range_uj`, not after
+        // 2^32 ticks: a delta taken modulo the range is exact across the
+        // wrap, where one taken modulo 2^32 ticks over-counts by the
+        // 10 996 ticks (~0.67 J) between the two.
+        let root = tmpdir("wrap");
+        let start = MAX_UJ - 999_999;
+        fake_tree(&root, &[("intel-rapl:0", "package-0", start)]);
+        let file = root.join("intel-rapl:0/energy_uj");
+        let mut r = SysfsReader::from_root(&root);
+        let mut m = EnergyMeter::start(&mut r);
+        // Four 0.5 J steps; the second lands on the wrap at 0.
+        for k in 1..=4 {
+            fs::write(&file, ((start + k * 500_000) % (MAX_UJ + 1)).to_string()).unwrap();
+            m.sample(&mut r);
+        }
+        let report = m.finish(&mut r, 1.0);
+        let j = report.joules_for(Domain::Package).unwrap();
+        assert!((j - 2.0).abs() <= r.units().joules_per_tick(), "j = {j}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unreadable_energy_file_is_listed_apart() {
+        // Since the CVE-2020-8694 fix `energy_uj` is root-only. Tests run
+        // as root, so a chmod proves nothing here; an `energy_uj` that is
+        // a directory is present and unreadable the same way.
+        let root = tmpdir("unreadable");
+        fake_tree(&root, &[("intel-rapl:0/intel-rapl:0:0", "core", 5)]);
+        let pkg = root.join("intel-rapl:0");
+        fs::write(pkg.join("name"), "package-0").unwrap();
+        fs::write(pkg.join("max_energy_range_uj"), MAX_UJ.to_string()).unwrap();
+        fs::create_dir_all(pkg.join("energy_uj")).unwrap();
+        let r = SysfsReader::from_root(&root);
+        assert_eq!(r.domains(), vec![Domain::PP0]);
+        assert_eq!(r.unreadable_domains(), &[Domain::Package]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn missing_tree_is_graceful() {
         let r = SysfsReader::from_root(Path::new("/nonexistent/powercap"));
         assert!(!r.is_available());
@@ -195,8 +298,14 @@ mod tests {
         fs::create_dir_all(&d2).unwrap();
         fs::write(d2.join("name"), "mystery").unwrap();
         fs::write(d2.join("energy_uj"), "1").unwrap();
+        // Zone without a wrap range.
+        let d3 = root.join("intel-rapl:2");
+        fs::create_dir_all(&d3).unwrap();
+        fs::write(d3.join("name"), "dram").unwrap();
+        fs::write(d3.join("energy_uj"), "1").unwrap();
         let r = SysfsReader::from_root(&root);
         assert!(!r.is_available());
+        assert!(r.unreadable_domains().is_empty());
         let _ = fs::remove_dir_all(&root);
     }
 

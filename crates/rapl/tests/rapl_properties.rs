@@ -1,11 +1,60 @@
-//! Property-based tests for RAPL counter arithmetic and the meter.
+//! Property-based tests for RAPL counter arithmetic, the meter, and the
+//! meter over the sysfs backend's wraps and read errors.
 
-use powerscale_rapl::fault::{FaultConfig, FaultInjectingReader};
 use powerscale_rapl::model::ModelReader;
-use powerscale_rapl::{
-    Domain, DomainHealth, EnergyCounter, EnergyMeter, EnergyReader, RaplUnits, ResilientReader,
-};
+use powerscale_rapl::sysfs::SysfsReader;
+use powerscale_rapl::{Domain, EnergyCounter, EnergyMeter, EnergyReader, RaplUnits};
 use proptest::prelude::*;
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The fixture counter's `max_energy_range_uj` (a Haswell package's).
+const MAX_UJ: u64 = 262_143_328_850;
+
+/// A fresh powercap tree with one zone per `(dir, name)`, each counter at
+/// `uj`; removed on drop.
+struct Tree(PathBuf);
+
+impl Tree {
+    fn new(zones: &[(&str, &str)], uj: u64) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "powerscale-rapl-prop-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = fs::remove_dir_all(&root);
+        for (dir, name) in zones {
+            let d = root.join(dir);
+            fs::create_dir_all(&d).unwrap();
+            fs::write(d.join("name"), name).unwrap();
+            fs::write(d.join("energy_uj"), uj.to_string()).unwrap();
+            fs::write(d.join("max_energy_range_uj"), MAX_UJ.to_string()).unwrap();
+        }
+        Tree(root)
+    }
+
+    fn energy_file(&self, dir: &str) -> PathBuf {
+        self.0.join(dir).join("energy_uj")
+    }
+
+    fn root(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Tree {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One tick of slack (plus float dust): the meter sees the integrated
+/// microjoules floored to whole ticks at both ends.
+fn tick_slack() -> f64 {
+    RaplUnits::default().joules_per_tick() * 1.0001
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -88,113 +137,83 @@ proptest! {
     }
 
     #[test]
-    fn resilient_energy_stays_sane_under_any_fault_schedule(
-        seed in any::<u64>(),
-        watts in 10.0f64..200.0,
-        transient in 0.0f64..0.4,
-        torn in 0.0f64..0.15,
-        wraps in 0.0f64..0.05,
-        stuck in 0.0f64..0.05,
+    fn sysfs_energy_is_exact_under_any_wraps_and_read_errors(
+        start in 0u64..=MAX_UJ,
+        steps in proptest::collection::vec((0u64..MAX_UJ / 8, any::<bool>()), 1..40),
     ) {
-        // Whatever the fault mix, the sanitised measurement must stay
-        // within the physically-possible envelope: never above true energy
-        // by more than sampling noise (garbage must not inflate it), and
-        // never below it by more than what resets/stuck tails can drop.
-        let cfg = FaultConfig::with_seed(seed)
-            .transient(transient)
-            .torn(torn)
-            .wraps(wraps)
-            .stuck(stuck, 3);
-        let inner = ModelReader::from_powers(&[(Domain::Package, watts)]);
-        let mut r = ResilientReader::new(FaultInjectingReader::new(inner, cfg));
+        // The counter runs `0..=max_energy_range_uj` and wraps to 0; any
+        // read may fail. Whatever the sequence, the meter over the sysfs
+        // backend integrates exactly the energy the counter advanced by:
+        // a failed read defers its delta to the next good one, and a wrap
+        // is a delta modulo the range. At most six reads fail in a row, so
+        // no gap between good reads spans a whole range.
+        let tree = Tree::new(&[("intel-rapl:0", "package-0")], start);
+        let file = tree.energy_file("intel-rapl:0");
+        let mut r = SysfsReader::from_root(tree.root());
         let mut m = EnergyMeter::start(&mut r);
-        let steps = 120usize;
-        let dt = 0.1f64;
-        for _ in 0..steps {
-            r.inner_mut().inner_mut().advance(dt);
+        let (mut advanced, mut failed, mut in_row) = (0u64, 0u64, 0);
+        for &(delta, fail) in &steps {
+            advanced += delta;
+            if fail && in_row < 6 {
+                fs::write(&file, "").unwrap();
+                failed += 1;
+                in_row += 1;
+            } else {
+                fs::write(&file, ((start + advanced) % (MAX_UJ + 1)).to_string()).unwrap();
+                in_row = 0;
+            }
             m.sample(&mut r);
         }
-        let elapsed = steps as f64 * dt;
-        let report = m.finish(&mut r, elapsed);
+        fs::write(&file, ((start + advanced) % (MAX_UJ + 1)).to_string()).unwrap();
+        let report = m.finish(&mut r, 1.0);
         let j = report.joules_for(Domain::Package).unwrap();
-        let true_j = watts * elapsed;
-        let per_sample = watts * dt;
-        // Upper bound: true energy + sampling slack + the unavoidable
-        // garbage tail. A torn value landing inside the plausibility
-        // window (p ≈ 2^24/2^32 per torn read) is indistinguishable from
-        // real data and can add up to max_step_ticks ≈ 1 kJ — but never
-        // the ~262 kJ an unsanitised wild read would inject.
-        let stats = r.inner().stats(Domain::Package);
-        let max_step_j = (1u64 << 24) as f64 * r.units().joules_per_tick();
-        prop_assert!(
-            j <= true_j + 4.0 * per_sample + stats.torn as f64 * max_step_j,
-            "j {j} vs true {true_j} with {} torn reads",
-            stats.torn
-        );
-        // Lower bound: each rebased reset or stuck-read tail drops at most
-        // ~one interval; failed samples defer energy rather than lose it.
-        let q = r.quality(Domain::Package);
-        let dropped_budget =
-            (q.resets_rebased + q.stuck_episodes * 4 + q.garbage_discarded + 4) as f64
-                * per_sample;
-        prop_assert!(
-            j >= true_j - dropped_budget,
-            "j {j} vs true {true_j}, budget {dropped_budget}"
-        );
-        // Quality accounting must reflect what the schedule injected.
-        if stats.transient == 0
-            && stats.torn == 0
-            && stats.wraps_forced == 0
-            && stats.stuck_episodes == 0
-        {
-            prop_assert!(q.is_clean());
-            prop_assert!(!report.is_degraded());
-        }
+        let expect = advanced as f64 / 1e6;
+        prop_assert!((j - expect).abs() <= tick_slack(), "j {j} vs {expect}");
+        let (_, q) = report.quality[0];
+        prop_assert_eq!(q.failed, failed);
+        prop_assert_eq!(q.attempted, steps.len() as u64 + 1);
     }
 
     #[test]
-    fn resilient_reader_is_deterministic_for_any_seed(
-        seed in any::<u64>(),
-        transient in 0.0f64..0.5,
+    fn sysfs_zone_that_stops_answering_is_counted_and_isolated(
+        alive in 0u64..30,
+        step_uj in 1u64..5_000_000,
     ) {
-        let run = || {
-            let cfg = FaultConfig::with_seed(seed)
-                .transient(transient)
-                .torn(0.05)
-                .wraps(0.01)
-                .kill(Domain::Dram, 40);
-            let inner = ModelReader::from_powers(&[
-                (Domain::Package, 50.0),
-                (Domain::Dram, 4.0),
-            ]);
-            let mut r = ResilientReader::new(FaultInjectingReader::new(inner, cfg));
-            let mut out = Vec::new();
-            for _ in 0..80 {
-                r.inner_mut().inner_mut().advance(0.1);
-                out.push((r.read_raw(Domain::Package), r.read_raw(Domain::Dram)));
+        // DRAM's `energy_uj` stops answering after `alive` samples (read
+        // errors forever, here a file turned into a directory): its energy
+        // up to then is kept, every later sample counts as failed, and the
+        // package plane beside it is untouched.
+        let zones = [
+            ("intel-rapl:0", "package-0"),
+            ("intel-rapl:0/intel-rapl:0:0", "dram"),
+        ];
+        let tree = Tree::new(&zones, 0);
+        let pkg = tree.energy_file("intel-rapl:0");
+        let dram = tree.energy_file("intel-rapl:0/intel-rapl:0:0");
+        let mut r = SysfsReader::from_root(tree.root());
+        let mut m = EnergyMeter::start(&mut r);
+        let samples = 40u64;
+        for k in 1..=samples {
+            fs::write(&pkg, (k * step_uj).to_string()).unwrap();
+            if k <= alive {
+                fs::write(&dram, (k * step_uj / 10).to_string()).unwrap();
+            } else if k == alive + 1 {
+                fs::remove_file(&dram).unwrap();
+                fs::create_dir(&dram).unwrap();
             }
-            (out, r.qualities(), r.health(Domain::Dram))
-        };
-        prop_assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn killed_domain_always_demoted_dead(
-        seed in any::<u64>(),
-        kill_after in 0u64..30,
-    ) {
-        let cfg = FaultConfig::with_seed(seed).kill(Domain::Dram, kill_after);
-        let inner = ModelReader::from_powers(&[(Domain::Package, 50.0), (Domain::Dram, 4.0)]);
-        let mut r = ResilientReader::new(FaultInjectingReader::new(inner, cfg));
-        for _ in 0..80 {
-            r.inner_mut().inner_mut().advance(0.1);
-            let _ = r.read_raw(Domain::Package);
-            let _ = r.read_raw(Domain::Dram);
+            m.sample(&mut r);
         }
-        prop_assert_eq!(r.health(Domain::Dram), DomainHealth::Dead);
+        let report = m.finish(&mut r, 1.0);
+        let pkg_j = report.joules_for(Domain::Package).unwrap();
+        let pkg_expect = (samples * step_uj) as f64 / 1e6;
+        prop_assert!((pkg_j - pkg_expect).abs() <= tick_slack(), "pkg {pkg_j} vs {pkg_expect}");
+        let dram_j = report.joules_for(Domain::Dram).unwrap();
+        let dram_expect = (alive * step_uj / 10) as f64 / 1e6;
+        prop_assert!((dram_j - dram_expect).abs() <= tick_slack(), "dram {dram_j} vs {dram_expect}");
+        for &(d, q) in &report.quality {
+            let failed = if d == Domain::Dram { samples - alive + 1 } else { 0 };
+            prop_assert_eq!(q.failed, failed, "{}", d);
+        }
         prop_assert_eq!(r.read_raw(Domain::Dram), None);
-        // The surviving plane never degrades from a neighbour's death.
-        prop_assert_eq!(r.health(Domain::Package), DomainHealth::Healthy);
-        prop_assert!(r.quality(Domain::Package).is_clean());
     }
 }

@@ -395,13 +395,13 @@ fn main() {
         usage_error("--executors must be at least 1");
     }
     if chaos {
-        // Env override mirrors the reproduce binary's convention so CI
-        // can vary the schedule per run.
+        // An env override lets CI vary the schedule per run; the seed is
+        // printed, so any run replays.
         let seed = std::env::var("POWERSCALE_FAULT_SEED")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(cfg.seed);
-        eprintln!("chaos: worker panics + RAPL faults, seed {seed}");
+        eprintln!("chaos: worker panics, seed {seed}");
         cfg.chaos = Some(ChaosConfig::chaos(seed));
         // Injected panics are routine under chaos and all caught at the
         // executor's perimeter; keep the default hook's backtrace spam

@@ -2,16 +2,12 @@
 //!
 //! Everything is a pure function of `(seed, request id, attempt)`, so a
 //! chaos run is reproducible: the same seed injects the same worker
-//! panics into the same attempts and the same RAPL fault schedule into
-//! the same requests, interrupted or not. That determinism is what lets
-//! the lifecycle tests assert exactly-once delivery *under* faults —
-//! rerunning the scenario replays the identical failure pattern.
-
-use powerscale_rapl::FaultConfig;
+//! panics into the same attempts, interrupted or not. That determinism is
+//! what lets the lifecycle tests assert exactly-once delivery *under*
+//! faults — rerunning the scenario replays the identical failure pattern.
 
 /// FNV-1a over a sequence of words — the workspace's standard cheap
-/// deterministic mixer (the harness derives per-cell fault seeds the
-/// same way).
+/// deterministic mixer.
 pub fn fnv1a(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {
@@ -31,21 +27,16 @@ pub struct ChaosConfig {
     /// Per-attempt probability (in permille) that the worker executing a
     /// request panics at task start.
     pub panic_permille: u32,
-    /// When true, each request's energy counters are read through the
-    /// seeded fault-injection + recovery decorators (transient failures,
-    /// torn reads, counter wraps, stuck values, a dying DRAM plane).
-    pub rapl_faults: bool,
 }
 
 impl ChaosConfig {
     /// The standard chaos profile: 20% of attempts panic (so a retry
     /// budget of 2 almost always recovers, and occasionally doesn't —
-    /// exercising budget exhaustion too), with RAPL faults on.
+    /// exercising budget exhaustion too).
     pub fn chaos(seed: u64) -> Self {
         ChaosConfig {
             seed,
             panic_permille: 200,
-            rapl_faults: true,
         }
     }
 
@@ -55,7 +46,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             panic_permille: 1000,
-            rapl_faults: false,
         }
     }
 
@@ -77,12 +67,6 @@ impl ChaosConfig {
         if self.attempt_panics(id, attempt) {
             panic!("chaos: injected worker panic (request {id}, attempt {attempt})");
         }
-    }
-
-    /// The RAPL fault schedule for one request, derived so per-request
-    /// schedules are independent but reproducible.
-    pub(crate) fn fault_config(&self, id: u64) -> FaultConfig {
-        FaultConfig::chaos(fnv1a(&[self.seed, id, 0x5eed]))
     }
 }
 
@@ -118,8 +102,11 @@ mod tests {
 
     #[test]
     fn different_requests_get_different_fault_schedules() {
+        // A request's panic schedule over its attempts is its own: two
+        // requests under one seed do not fail the same attempts.
         let c = ChaosConfig::chaos(5);
-        assert_ne!(c.fault_config(1).seed, c.fault_config(2).seed);
+        let schedule = |id| (0..64).map(|a| c.attempt_panics(id, a)).collect::<Vec<_>>();
+        assert_ne!(schedule(1), schedule(2));
     }
 
     #[test]

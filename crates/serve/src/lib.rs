@@ -20,9 +20,8 @@
 //!
 //! Per-request observability rides the existing layers: a `serve:exec`
 //! trace span per execution plus a cross-thread `serve:queued` async span
-//! for queue wait (feature `trace`), and model package joules read
-//! through the RAPL fault-injection + recovery decorators when chaos is
-//! on.
+//! for queue wait (feature `trace`), and model package joules sampled
+//! through the RAPL meter.
 //!
 //! ```no_run
 //! use powerscale_harness::Algorithm;

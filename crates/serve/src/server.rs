@@ -96,9 +96,7 @@ use powerscale_gemm::DtypeTier;
 use powerscale_harness::{Algorithm, Harness, RunSpec};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::{CancelToken, ThreadPool};
-use powerscale_rapl::{
-    model::ModelReader, Domain, EnergyMeter, FaultInjectingReader, ResilientReader,
-};
+use powerscale_rapl::{model::ModelReader, Domain, EnergyMeter};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -717,7 +715,7 @@ fn serve_one(
                 wall,
                 watts,
             }) => {
-                let joules = measure_joules(env.cfg, spec.id, watts, wall);
+                let joules = measure_joules(watts, wall);
                 stats.completed += 1;
                 return finish(Response {
                     id: spec.id,
@@ -834,35 +832,17 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
 
 /// Model package joules for one served request: a [`ModelReader`]
 /// emitting the profile-estimated watts, sampled over the measured
-/// wall window — read through the fault-injection + recovery
-/// decorators when chaos is on, exactly like the harness's measurement
-/// path.
-fn measure_joules(cfg: &ServerConfig, id: u64, watts: f64, wall: f64) -> Option<f64> {
+/// wall window, like the harness's measurement path.
+fn measure_joules(watts: f64, wall: f64) -> Option<f64> {
     const SAMPLES: usize = 16;
     let dt = wall / SAMPLES as f64;
-    let model = ModelReader::from_powers(&[(Domain::Package, watts)]);
-    let report = match cfg.chaos.filter(|c| c.rapl_faults) {
-        Some(chaos) => {
-            let mut reader =
-                ResilientReader::new(FaultInjectingReader::new(model, chaos.fault_config(id)));
-            let mut meter = EnergyMeter::start(&mut reader);
-            for _ in 0..SAMPLES {
-                reader.inner_mut().inner_mut().advance(dt);
-                meter.sample(&mut reader);
-            }
-            meter.finish(&mut reader, wall)
-        }
-        None => {
-            let mut reader = model;
-            let mut meter = EnergyMeter::start(&mut reader);
-            for _ in 0..SAMPLES {
-                reader.advance(dt);
-                meter.sample(&mut reader);
-            }
-            meter.finish(&mut reader, wall)
-        }
-    };
-    report.joules_for(Domain::Package)
+    let mut reader = ModelReader::from_powers(&[(Domain::Package, watts)]);
+    let mut meter = EnergyMeter::start(&mut reader);
+    for _ in 0..SAMPLES {
+        reader.advance(dt);
+        meter.sample(&mut reader);
+    }
+    meter.finish(&mut reader, wall).joules_for(Domain::Package)
 }
 
 #[cfg(test)]

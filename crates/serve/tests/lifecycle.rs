@@ -145,7 +145,7 @@ fn killed_server_resumes_from_journal_with_no_lost_or_duplicated_responses() {
 
 #[test]
 fn kill_and_restart_under_chaos_is_still_exactly_once_and_bit_consistent() {
-    // Same round trip with worker panics + RAPL faults injected. The
+    // Same round trip with worker panics injected. The
     // chaos schedule is a pure function of (seed, id, attempt), so the
     // replayed requests see the same faults the uninterrupted run saw.
     let specs = workload(18);

@@ -29,12 +29,22 @@ fn main() {
 
     // Real RAPL, if this host exposes it (it usually will not in CI).
     let rapl = SysfsReader::system();
+    let unreadable = rapl.unreadable_domains();
     if rapl.is_available() {
-        println!("real RAPL domains found: {:?}\n", rapl.domains());
-    } else {
-        println!("no readable RAPL sysfs tree on this host (expected in containers);");
-        println!("event profiles below are what would parameterise the machine model.\n");
+        println!("real RAPL domains found: {:?}", rapl.domains());
+    } else if unreadable.is_empty() {
+        println!("no RAPL sysfs tree on this host (expected in containers);");
     }
+    if !unreadable.is_empty() {
+        println!(
+            "RAPL domains present but unreadable: {unreadable:?} (energy_uj is \
+             root-only since the CVE-2020-8694 fix);"
+        );
+    }
+    if !rapl.is_available() {
+        println!("event profiles below are what would parameterise the machine model.");
+    }
+    println!();
 
     let reference = powerscale::gemm::naive::naive_mm(&a.view(), &b.view()).expect("naive");
 
