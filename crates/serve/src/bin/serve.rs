@@ -45,6 +45,12 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Prints `error: {err}` and exits 1: the run itself failed.
+fn fatal(err: impl std::fmt::Display) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(1);
+}
+
 /// The flag's value, or a usage error (not a panic) when it is missing.
 fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
     *i += 1;
@@ -430,15 +436,11 @@ fn main() {
         cfg.capacity
     );
 
-    let mut server = match Server::new(cfg.clone()) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    };
-
+    let mut server = Server::new(cfg.clone()).unwrap_or_else(|err| fatal(err));
     let (responses, wall_s) = serve_phase(&mut server, &specs, mix);
+    if let Some(err) = server.journal_error() {
+        fatal(err);
+    }
 
     let report = build_report(&specs, &responses, server.stats(), mix, &cfg, wall_s);
     if server.halted() {
@@ -477,19 +479,12 @@ fn main() {
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&out_path, json) {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("report written to {out_path}");
-        }
-        Err(e) => {
-            eprintln!("error: cannot serialise report: {e}");
-            std::process::exit(1);
-        }
+    let json = serde_json::to_string_pretty(&report)
+        .unwrap_or_else(|e| fatal(format!("cannot serialise report: {e}")));
+    if let Err(e) = std::fs::write(&out_path, json) {
+        fatal(format!("cannot write {out_path}: {e}"));
     }
+    eprintln!("report written to {out_path}");
 
     if do_gate {
         // A halted (crash-simulated) run is mid-lifecycle by design; its

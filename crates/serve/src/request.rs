@@ -5,6 +5,7 @@
 //! payload-free enums (which serialise as plain strings), with `Option`
 //! fields for everything that only applies to some outcomes.
 
+use crate::chaos::fnv1a_bytes;
 use powerscale_gemm::DtypeTier;
 use powerscale_harness::Algorithm;
 use serde::{Deserialize, Serialize};
@@ -210,14 +211,7 @@ impl Response {
 /// FNV-1a over the bit patterns of a slice of doubles — the checksum the
 /// journal uses to compare results across process restarts.
 pub fn checksum_f64(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a_bytes(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 #[cfg(test)]

@@ -57,13 +57,12 @@
 //! * The queue lives under one mutex for the server's whole life;
 //!   executors block on a condvar for work, and `run`'s pacing front
 //!   thread blocks on another for space.
-//! * The journal's write-ahead (pending) record is written **under the
+//! * The journal's write-ahead (pending) line is appended **under the
 //!   queue lock, before the push** — an executor can therefore never
-//!   complete a request (and write its done record) before the pending
-//!   record exists, so a done record is never clobbered by a late
-//!   pending write. Done records are per-request files owned by exactly
-//!   one executor; the manifest is written once at creation. The dedup
-//!   map (`known`) is only touched by the admitting thread.
+//!   complete a request (and append its done line) before the pending
+//!   line exists, so on resume the done line always wins. Each line is
+//!   one append under the journal's file lock. The dedup map (`known`)
+//!   is only touched by the admitting thread.
 //! * The `closed`/`halted` flags flip **under the queue mutex** before
 //!   their condvars are broadcast: a waiter that read the old value
 //!   while holding the lock cannot reach its wait before the flipping
@@ -78,6 +77,9 @@
 //!   exactly the first `h` finalized requests are recorded and returned,
 //!   later ones are discarded un-journaled (they "die with the process"),
 //!   which keeps crash simulation exact under concurrency.
+//! * A failed journal append trips the same halt: a request whose pending
+//!   line failed is not queued, a response whose done line failed is not
+//!   returned (its pending line replays on resume).
 //!
 //! Fault isolation is a `catch_unwind` perimeter per attempt; deadline
 //! enforcement reuses the pool's cooperative [`CancelToken`] protocol
@@ -246,10 +248,22 @@ struct Shared {
     /// No further admissions will arrive in this drain; executors exit
     /// once the queue is empty.
     closed: AtomicBool,
-    /// The `halt_after` crash point fired.
+    /// The `halt_after` crash point fired, or a journal append failed.
     halted: AtomicBool,
     /// Completion tickets (see the module docs' halt discipline).
     served: AtomicUsize,
+}
+
+impl Shared {
+    /// Raises `closed` or `halted` under the queue mutex, then wakes every
+    /// waiter (the lost-wakeup discipline in the module docs).
+    fn raise(&self, flag: &AtomicBool) {
+        let q = self.queue.lock().unwrap();
+        flag.store(true, Ordering::SeqCst);
+        drop(q);
+        self.work.notify_all();
+        self.space.notify_all();
+    }
 }
 
 /// Admission-side state: only the admitting thread touches it (the
@@ -313,8 +327,8 @@ impl Front {
     /// degradation ladder, the write-ahead record under the queue lock,
     /// the push. Returns the immediate rejection when one is issued (also
     /// recorded in the response set). A paced request the crash point
-    /// overtakes while it waits is dropped, like a client that dies with
-    /// the process.
+    /// overtakes while it waits, or whose write-ahead append fails, dies
+    /// with the process.
     fn admit(&mut self, env: &ExecEnv<'_>, spec: JobSpec, on_full: OnFull) -> Option<Response> {
         self.stats.submitted += 1;
         if !self.known.insert(spec.id) {
@@ -341,11 +355,17 @@ impl Front {
             return Some(self.reject(spec.id, RejectReason::QueueFull));
         }
         let plan = resolve_plan(q.pressure(), &spec);
-        // Write-ahead ordering: the pending record must exist before the
-        // request becomes poppable, or an executor could write the done
-        // record first and have it clobbered (see module docs).
+        // Write-ahead ordering: the pending line must precede the done
+        // line, so it is appended before the request can be popped.
         if let Some(journal) = env.journal {
-            journal.record_admitted(&JournalRecord::pending(spec, plan));
+            if journal
+                .record_admitted(&JournalRecord::pending(spec, plan))
+                .is_err()
+            {
+                drop(q);
+                shared.raise(&shared.halted);
+                return None;
+            }
         }
         q.try_push(spec, plan).expect("room was checked");
         powerscale_trace::async_begin(powerscale_trace::Category::Serve, "serve:queued", spec.id);
@@ -381,40 +401,37 @@ impl Server {
         let pool = ThreadPool::new(cfg.threads.max(1));
         let mut queue = BoundedQueue::new(cfg.capacity);
         let mut front = Front::default();
-        let journal = match &cfg.journal_dir {
-            None => None,
-            Some(dir) => {
-                let manifest = ServeManifest {
-                    seed: cfg.seed,
-                    capacity: cfg.capacity,
-                    threads: cfg.threads,
-                };
-                if cfg.resume {
-                    let (journal, records) = Journal::resume(dir, &manifest)?;
-                    for rec in records {
-                        front.known.insert(rec.spec.id);
-                        match rec.response {
-                            Some(resp) => {
-                                front.stats.recovered += 1;
-                                front.done.push(resp);
-                            }
-                            None => {
-                                front.stats.replayed += 1;
-                                queue.push_replay(rec.spec, rec.plan());
-                                powerscale_trace::async_begin(
-                                    powerscale_trace::Category::Serve,
-                                    "serve:queued",
-                                    rec.spec.id,
-                                );
-                            }
-                        }
+        let mut journal = None;
+        if let Some(dir) = &cfg.journal_dir {
+            let manifest = ServeManifest {
+                seed: cfg.seed,
+                capacity: cfg.capacity,
+                threads: cfg.threads,
+            };
+            let (opened, records) = match cfg.resume {
+                true => Journal::resume(dir, &manifest)?,
+                false => (Journal::create(dir, &manifest)?, Vec::new()),
+            };
+            for rec in records {
+                front.known.insert(rec.spec.id);
+                match rec.response {
+                    Some(resp) => {
+                        front.stats.recovered += 1;
+                        front.done.push(resp);
                     }
-                    Some(journal)
-                } else {
-                    Some(Journal::create(dir, &manifest)?)
+                    None => {
+                        front.stats.replayed += 1;
+                        queue.push_replay(rec.spec, rec.plan());
+                        powerscale_trace::async_begin(
+                            powerscale_trace::Category::Serve,
+                            "serve:queued",
+                            rec.spec.id,
+                        );
+                    }
                 }
             }
-        };
+            journal = Some(opened);
+        }
         Ok(Server {
             cfg,
             harness: Harness::default(),
@@ -437,18 +454,23 @@ impl Server {
         &self.front.stats
     }
 
-    /// True once a `halt_after` crash point was reached.
+    /// True once the `halt_after` crash point or a failed journal append halted serving.
     pub fn halted(&self) -> bool {
         self.shared.halted.load(Ordering::SeqCst)
+    }
+
+    /// The first journal append that failed, which halted the server.
+    pub fn journal_error(&self) -> Option<JournalError> {
+        self.journal.as_ref()?.error()
     }
 
     /// Offers a request to admission control against the queue as it
     /// stands: a full queue sheds, pressure degrades the frozen plan.
     /// Returns the immediate rejection when one is issued (also recorded
-    /// in the response set); `None` means the request was queued — or is
-    /// already known from the journal (recovered/replayed) and needs no
-    /// re-admission, which is what makes blind resubmission after a
-    /// restart exactly-once.
+    /// in the response set); `None` means the request was queued, failed
+    /// its write-ahead append, or is already known from the journal
+    /// (recovered/replayed) and needs no re-admission, which is what
+    /// makes blind resubmission after a restart exactly-once.
     pub fn submit(&mut self, spec: JobSpec) -> Option<Response> {
         let (env, front) = self.split();
         front.admit(&env, spec, OnFull::Shed)
@@ -522,16 +544,7 @@ impl Server {
                 }
                 front.admit(&env, spec, OnFull::Pace);
             }
-            {
-                // Flag flips happen under the queue mutex (lost-wakeup
-                // discipline, see the module docs): an executor that read
-                // `closed == false` while holding the lock cannot reach
-                // its wait before we release it, so notify_all below
-                // cannot fire into a gap.
-                let _q = env.shared.queue.lock().unwrap();
-                env.shared.closed.store(true, Ordering::SeqCst);
-            }
-            env.shared.work.notify_all();
+            env.shared.raise(&env.shared.closed);
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (exec_stats, responses) in collected {
@@ -639,22 +652,16 @@ fn finalize(env: &ExecEnv<'_>, job: &Admitted, resp: Response, out: &mut Vec<Res
             return;
         }
         if ticket == h {
-            {
-                // Same lost-wakeup discipline as the close path: trip
-                // the flag under the queue mutex so no waiter that read
-                // `halted == false` under the lock can slip into its
-                // wait after the broadcasts fire.
-                let _q = shared.queue.lock().unwrap();
-                shared.halted.store(true, Ordering::SeqCst);
-            }
-            shared.work.notify_all();
-            shared.space.notify_all();
+            shared.raise(&shared.halted);
         }
     }
     if let Some(journal) = env.journal {
         let mut rec = JournalRecord::pending(job.spec, job.plan);
         rec.response = Some(resp.clone());
-        journal.record_done(&rec);
+        if journal.record_done(&rec).is_err() {
+            shared.raise(&shared.halted);
+            return;
+        }
     }
     out.push(resp);
 }
@@ -858,6 +865,16 @@ mod tests {
         d
     }
 
+    /// The journal's records, read the way a restart reads them.
+    fn journaled(dir: &std::path::Path, cfg: &ServerConfig) -> Vec<JournalRecord> {
+        let manifest = ServeManifest {
+            seed: cfg.seed,
+            capacity: cfg.capacity,
+            threads: cfg.threads,
+        };
+        Journal::resume(dir, &manifest).unwrap().1
+    }
+
     fn small_cfg() -> ServerConfig {
         ServerConfig {
             threads: 2,
@@ -1013,12 +1030,13 @@ mod tests {
             journal_dir: Some(dir.clone()),
             ..ServerConfig::default()
         };
-        let mut s = Server::new(cfg).unwrap();
+        let mut s = Server::new(cfg.clone()).unwrap();
         assert!(s.submit(JobSpec::new(1, 32, Algorithm::Blocked)).is_none());
         assert!(s.submit(JobSpec::new(2, 32, Algorithm::Blocked)).is_some());
-        assert!(dir.join("requests").join("1.json").exists());
+        let ids: Vec<u64> = journaled(&dir, &cfg).iter().map(|r| r.spec.id).collect();
+        assert!(ids.contains(&1));
         assert!(
-            !dir.join("requests").join("2.json").exists(),
+            !ids.contains(&2),
             "shed request must never reach the journal"
         );
     }
@@ -1074,12 +1092,101 @@ mod tests {
             journal_dir: Some(dir.clone()),
             ..ServerConfig::default()
         };
-        let mut s = Server::new(cfg).unwrap();
+        let mut s = Server::new(cfg.clone()).unwrap();
         let out = s.run((0..3).map(|i| JobSpec::new(i, 32, Algorithm::Blocked)));
         assert_eq!(out.len(), 3);
+        let ids: Vec<u64> = journaled(&dir, &cfg).iter().map(|r| r.spec.id).collect();
         for i in 0..3 {
-            assert!(dir.join("requests").join(format!("{i}.json")).exists());
+            assert!(ids.contains(&i));
         }
+    }
+
+    #[test]
+    fn journal_is_one_file_whatever_the_request_count() {
+        for count in [1u64, 40] {
+            let dir = tmpdir(&format!("one-file-{count}"));
+            let cfg = ServerConfig {
+                journal_dir: Some(dir.clone()),
+                ..small_cfg()
+            };
+            let out = Server::new(cfg.clone())
+                .unwrap()
+                .run((0..count).map(|i| JobSpec::new(i, 32, Algorithm::Blocked)));
+            assert_eq!(out.len() as u64, count);
+            let names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names, ["journal.log"], "{count} requests");
+            assert_eq!(journaled(&dir, &cfg).len() as u64, count);
+        }
+    }
+
+    #[test]
+    fn failed_pending_append_halts_and_queues_nothing() {
+        let dir = tmpdir("pending-append-fails");
+        let cfg = ServerConfig {
+            journal_dir: Some(dir.clone()),
+            ..small_cfg()
+        };
+        let spec = JobSpec::new(1, 32, Algorithm::Blocked);
+        let mut s = Server::new(cfg.clone()).unwrap();
+        s.journal = Some(crate::journal::tests::full_journal());
+        assert!(s.submit(spec).is_none());
+        assert!(s.halted());
+        assert!(matches!(
+            s.journal_error(),
+            Some(JournalError::Append { .. })
+        ));
+        s.drain();
+        assert!(s.take_responses().is_empty());
+        assert_eq!(s.stats().admitted, 0);
+
+        // Never journaled, so a restart admits it afresh.
+        let mut r = Server::new(ServerConfig {
+            resume: true,
+            ..cfg
+        })
+        .unwrap();
+        assert_eq!((r.stats().recovered, r.stats().replayed), (0, 0));
+        let out = r.run([spec]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].status, Status::Completed);
+    }
+
+    #[test]
+    fn failed_done_append_withholds_the_response_and_replays_it() {
+        let dir = tmpdir("done-append-fails");
+        let cfg = ServerConfig {
+            journal_dir: Some(dir.clone()),
+            ..small_cfg()
+        };
+        let spec = JobSpec::new(1, 32, Algorithm::Blocked);
+        let mut s = Server::new(cfg.clone()).unwrap();
+        assert!(s.submit(spec).is_none(), "the pending line lands");
+        s.journal = Some(crate::journal::tests::full_journal());
+        s.drain();
+        assert!(s.halted());
+        assert!(matches!(
+            s.journal_error(),
+            Some(JournalError::Append { .. })
+        ));
+        assert!(
+            s.take_responses().is_empty(),
+            "an unjournaled response is withheld"
+        );
+
+        let mut r = Server::new(ServerConfig {
+            resume: true,
+            ..cfg
+        })
+        .unwrap();
+        assert_eq!((r.stats().recovered, r.stats().replayed), (0, 1));
+        let out = r.run([spec]);
+        let clean = Server::new(small_cfg()).unwrap().run([spec]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].status, Status::Completed);
+        assert_eq!(out[0].checksum, clean[0].checksum);
     }
 
     #[test]
