@@ -229,7 +229,7 @@ pub(crate) fn assert_host_tuned_budgets(h: &BlockingParams, caches: &[CacheConfi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::select_kernel;
+    use crate::kernel::{scalar_kernel, select_kernel};
     use powerscale_cachesim::presets::e3_1225_caches;
     use proptest::prelude::*;
 
@@ -244,6 +244,14 @@ mod tests {
         assert!((8..=2048).contains(&p.nc), "nc={}", p.nc);
         let k = select_kernel();
         assert_eq!((p.mr, p.nr), (k.mr, k.nr));
+        // The scalar tier's autotuned blocking obeys the same clamps.
+        let s = BlockingParams::autotuned_for(scalar_kernel());
+        s.validate().unwrap();
+        assert!(
+            (32..=512).contains(&s.kc) && (8..=512).contains(&s.mc),
+            "{s:?}"
+        );
+        assert_eq!((s.mr, s.nr), (scalar_kernel().mr, scalar_kernel().nr));
     }
 
     #[test]
@@ -301,22 +309,29 @@ mod tests {
     #[test]
     fn fits_cache_budgets() {
         let caches = e3_1225_caches();
-        let k = select_kernel();
-        let p = BlockingParams::for_caches_and_tile(&caches, k.mr, k.nr);
-        // Packed A panel within L2; packed B panel within L3.
-        assert!(p.packed_a_bytes() <= caches[1].size_bytes);
-        assert!(p.packed_b_bytes() <= caches[2].size_bytes);
-        // The L1 sliver constraint.
-        assert!(p.kc * 8 * (p.mr + p.nr) <= caches[0].size_bytes);
+        for k in [select_kernel(), scalar_kernel()] {
+            let p = BlockingParams::for_caches_and_tile(&caches, k.mr, k.nr);
+            // Packed A panel within L2; packed B panel within L3.
+            assert!(p.packed_a_bytes() <= caches[1].size_bytes, "{}", k.name);
+            assert!(p.packed_b_bytes() <= caches[2].size_bytes, "{}", k.name);
+            // The L1 sliver constraint.
+            assert!(
+                p.kc * 8 * (p.mr + p.nr) <= caches[0].size_bytes,
+                "{}",
+                k.name
+            );
+        }
     }
 
     #[test]
     fn degenerate_hierarchy_still_valid() {
-        let k = select_kernel();
-        let p = BlockingParams::for_caches_and_tile(&[], k.mr, k.nr);
-        p.validate().unwrap();
-        let one = BlockingParams::for_caches_and_tile(&[CacheConfig::new(4096, 64, 1)], k.mr, k.nr);
-        one.validate().unwrap();
+        for k in [select_kernel(), scalar_kernel()] {
+            let p = BlockingParams::for_caches_and_tile(&[], k.mr, k.nr);
+            p.validate().unwrap();
+            let l1 = [CacheConfig::new(4096, 64, 1)];
+            let one = BlockingParams::for_caches_and_tile(&l1, k.mr, k.nr);
+            one.validate().unwrap();
+        }
         // A tiny L1/L2 pair with a 6-column tile used to trip the
         // unaligned 2048 cap path on large L3 values.
         let tiny = BlockingParams::for_caches_and_tile(
@@ -361,19 +376,17 @@ mod tests {
 
     #[test]
     fn smaller_caches_give_smaller_blocks() {
-        let k = select_kernel();
-        let small = BlockingParams::for_caches_and_tile(
-            &[
-                CacheConfig::new(8 * 1024, 64, 2),
-                CacheConfig::new(64 * 1024, 64, 4),
-                CacheConfig::new(1024 * 1024, 64, 8),
-            ],
-            k.mr,
-            k.nr,
-        );
-        let big = BlockingParams::for_caches_and_tile(&e3_1225_caches(), k.mr, k.nr);
-        assert!(small.kc <= big.kc);
-        assert!(small.packed_b_bytes() <= big.packed_b_bytes());
+        let small_caches = [
+            CacheConfig::new(8 * 1024, 64, 2),
+            CacheConfig::new(64 * 1024, 64, 4),
+            CacheConfig::new(1024 * 1024, 64, 8),
+        ];
+        for k in [select_kernel(), scalar_kernel()] {
+            let small = BlockingParams::for_caches_and_tile(&small_caches, k.mr, k.nr);
+            let big = BlockingParams::for_caches_and_tile(&e3_1225_caches(), k.mr, k.nr);
+            assert!(small.kc <= big.kc, "{}", k.name);
+            assert!(small.packed_b_bytes() <= big.packed_b_bytes(), "{}", k.name);
+        }
     }
 
     proptest! {

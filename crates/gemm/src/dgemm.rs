@@ -66,7 +66,7 @@ impl<'a> GemmContext<'a> {
     }
 
     /// A sequential context pinned to a specific microkernel. Used to
-    /// force a dispatch tier (tests, benchmarks, CI's scalar job).
+    /// force a dispatch tier (tests, benchmarks).
     pub fn with_kernel(kernel: &'static KernelInfo) -> Self {
         GemmContext::new(Dispatch::default().with_kernel(kernel), None, None)
     }
@@ -371,46 +371,55 @@ mod tests {
     use powerscale_matrix::norms::rel_frobenius_error;
     use powerscale_matrix::{Matrix, MatrixGen};
 
-    fn check_against_naive(m: usize, k: usize, n: usize, seed: u64) {
+    /// The default dispatch and the scalar tier pinned: the tests below
+    /// hold under both, whatever the host's best kernel is.
+    fn dispatches() -> [Dispatch; 2] {
+        [
+            Dispatch::default(),
+            Dispatch::default().with_kernel(scalar_kernel()),
+        ]
+    }
+
+    fn check_against_naive(d: Dispatch, m: usize, k: usize, n: usize, seed: u64) {
         let mut gen = MatrixGen::new(seed);
         let a = gen.uniform(m, k, -1.0, 1.0);
         let b = gen.uniform(k, n, -1.0, 1.0);
         let mut c = Matrix::zeros(m, n);
-        dgemm(
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &GemmContext::default(),
-        )
-        .unwrap();
+        let ctx = GemmContext::new(d, None, None);
+        dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
         let r = naive_mm(&a.view(), &b.view()).unwrap();
         let err = rel_frobenius_error(&c.view(), &r.view());
-        assert!(err < 1e-13, "({m}x{k})·({k}x{n}): err {err}");
+        let name = d.kernel().name;
+        assert!(err < 1e-13, "{name} ({m}x{k})·({k}x{n}): err {err}");
     }
 
     #[test]
     fn matches_naive_small_squares() {
-        for n in [1, 2, 3, 4, 5, 8, 16, 17] {
-            check_against_naive(n, n, n, n as u64);
+        for d in dispatches() {
+            for n in [1, 2, 3, 4, 5, 8, 16, 17] {
+                check_against_naive(d, n, n, n, n as u64);
+            }
         }
     }
 
     #[test]
     fn matches_naive_blocking_boundaries() {
-        // Sizes straddling mc/kc/nc and mr/nr boundaries.
-        let p = BlockingParams::default();
-        for &dim in &[p.mc - 1, p.mc, p.mc + 1, p.kc, p.kc + 3, 2 * p.mc + 5] {
-            check_against_naive(dim, dim, dim, dim as u64);
+        // Sizes straddling each kernel's own mc/kc/nc and mr/nr boundaries.
+        for d in dispatches() {
+            let p = BlockingParams::autotuned_for(d.kernel());
+            for &dim in &[p.mc - 1, p.mc, p.mc + 1, p.kc, p.kc + 3, 2 * p.mc + 5] {
+                check_against_naive(d, dim, dim, dim, dim as u64);
+            }
         }
     }
 
     #[test]
     fn matches_naive_rectangular() {
-        check_against_naive(3, 300, 7, 1);
-        check_against_naive(130, 2, 64, 2);
-        check_against_naive(65, 129, 33, 3);
+        for d in dispatches() {
+            check_against_naive(d, 3, 300, 7, 1);
+            check_against_naive(d, 130, 2, 64, 2);
+            check_against_naive(d, 65, 129, 33, 3);
+        }
     }
 
     #[test]
@@ -473,20 +482,16 @@ mod tests {
         let a = gen.paper_operand(32);
         let b = gen.paper_operand(32);
         let c0 = gen.paper_operand(32);
-        // c = 2*a*b + 3*c0
-        let mut c = c0.clone();
-        dgemm(
-            2.0,
-            &a.view(),
-            &b.view(),
-            3.0,
-            &mut c.view_mut(),
-            &GemmContext::default(),
-        )
-        .unwrap();
         let ab = naive_mm(&a.view(), &b.view()).unwrap();
         let expect = Matrix::from_fn(32, 32, |i, j| 2.0 * ab.get(i, j) + 3.0 * c0.get(i, j));
-        assert!(rel_frobenius_error(&c.view(), &expect.view()) < 1e-13);
+        for d in dispatches() {
+            // c = 2*a*b + 3*c0
+            let mut c = c0.clone();
+            let ctx = GemmContext::new(d, None, None);
+            dgemm(2.0, &a.view(), &b.view(), 3.0, &mut c.view_mut(), &ctx).unwrap();
+            let err = rel_frobenius_error(&c.view(), &expect.view());
+            assert!(err < 1e-13, "{}: err {err}", d.kernel().name);
+        }
     }
 
     #[test]
@@ -494,13 +499,16 @@ mod tests {
         let mut gen = MatrixGen::new(10);
         let a = gen.paper_operand(40);
         let b = gen.paper_operand(40);
-        let mut want = Matrix::zeros(40, 40);
-        let ctx = GemmContext::default();
-        dgemm(1.0, &a.view(), &b.view(), 0.0, &mut want.view_mut(), &ctx).unwrap();
-        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut c = Matrix::filled(40, 40, poison);
-            dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
-            assert_eq!(c, want, "beta = 0 read a C holding {poison}");
+        for d in dispatches() {
+            let mut want = Matrix::zeros(40, 40);
+            let ctx = GemmContext::new(d, None, None);
+            dgemm(1.0, &a.view(), &b.view(), 0.0, &mut want.view_mut(), &ctx).unwrap();
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = Matrix::filled(40, 40, poison);
+                dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
+                let name = d.kernel().name;
+                assert_eq!(c, want, "{name}: beta = 0 read a C holding {poison}");
+            }
         }
     }
 
@@ -509,17 +517,16 @@ mod tests {
         let mut gen = MatrixGen::new(12);
         let a = gen.paper_operand(16);
         let b = gen.paper_operand(16);
-        let mut c = Matrix::filled(16, 16, f64::NAN);
-        dgemm(
-            1.0,
-            &a.view(),
-            &b.view(),
-            1.0,
-            &mut c.view_mut(),
-            &GemmContext::default(),
-        )
-        .unwrap();
-        assert!(c.as_slice().iter().all(|x| x.is_nan()));
+        for d in dispatches() {
+            let mut c = Matrix::filled(16, 16, f64::NAN);
+            let ctx = GemmContext::new(d, None, None);
+            dgemm(1.0, &a.view(), &b.view(), 1.0, &mut c.view_mut(), &ctx).unwrap();
+            assert!(
+                c.as_slice().iter().all(|x| x.is_nan()),
+                "{}",
+                d.kernel().name
+            );
+        }
     }
 
     #[test]
@@ -527,22 +534,25 @@ mod tests {
         let mut gen = MatrixGen::new(4);
         let a = gen.paper_operand(16);
         let b = gen.paper_operand(16);
-        let mut c = Matrix::filled(16, 16, 2.0);
-        dgemm(
-            0.0,
-            &a.view(),
-            &b.view(),
-            0.5,
-            &mut c.view_mut(),
-            &GemmContext::default(),
-        )
-        .unwrap();
-        assert!(c.approx_eq(&Matrix::filled(16, 16, 1.0), 1e-15));
+        for d in dispatches() {
+            let mut c = Matrix::filled(16, 16, 2.0);
+            let ctx = GemmContext::new(d, None, None);
+            dgemm(0.0, &a.view(), &b.view(), 0.5, &mut c.view_mut(), &ctx).unwrap();
+            let want = Matrix::filled(16, 16, 1.0);
+            assert!(c.approx_eq(&want, 1e-15), "{}", d.kernel().name);
+        }
     }
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
         let pools = [1, 2, 3, 4].map(ThreadPool::new);
+        for d in dispatches() {
+            parallel_matches_sequential_under(d, &pools);
+        }
+    }
+
+    fn parallel_matches_sequential_under(d: Dispatch, pools: &[ThreadPool]) {
+        let name = d.kernel().name;
         // dgemm at its own blocking, merging as Set, Add and Sub do.
         let mut gen = MatrixGen::new(11);
         let a = gen.paper_operand(150);
@@ -554,19 +564,19 @@ mod tests {
                 dgemm(alpha, &a.view(), &b.view(), beta, &mut c.view_mut(), ctx).unwrap();
                 c
             };
-            let c_seq = run(&GemmContext::default());
-            for pool in &pools {
+            let c_seq = run(&GemmContext::new(d, None, None));
+            for pool in pools {
                 let threads = pool.num_threads();
-                let c_par = run(&GemmContext::parallel(pool));
+                let c_par = run(&GemmContext::new(d, Some(pool), None));
                 assert_eq!(
                     c_par, c_seq,
-                    "α={alpha} β={beta}: {threads} threads changed bits"
+                    "{name} α={alpha} β={beta}: {threads} threads changed bits"
                 );
             }
         }
         // The nest itself at a small blocking, on fused operands, with
         // shapes straddling mr, K_CHUNK, kc, mc and nc.
-        let kernel = Dispatch::default().kernel();
+        let kernel = d.kernel();
         let (mr, nr) = (kernel.mr, kernel.nr);
         let blocking = (2 * mr, 2 * K_CHUNK, 2 * nr);
         for (m, k, n) in [
@@ -589,12 +599,12 @@ mod tests {
                     c
                 };
                 let c_seq = run(None);
-                for pool in &pools {
+                for pool in pools {
                     let threads = pool.num_threads();
                     assert_eq!(
                         run(Some(pool)),
                         c_seq,
-                        "({m},{k},{n}) {first:?}: {threads} threads changed bits"
+                        "{name} ({m},{k},{n}) {first:?}: {threads} threads changed bits"
                     );
                 }
             }
@@ -637,32 +647,23 @@ mod tests {
         let mut gen = MatrixGen::new(13);
         let a = gen.uniform(24, 40, -1.0, 1.0);
         let b = gen.uniform(40, 900, -1.0, 1.0);
-        let mut c_seq = Matrix::zeros(24, 900);
-        dgemm(
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c_seq.view_mut(),
-            &GemmContext::default(),
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            let pool = ThreadPool::new(threads);
-            let mut c_par = Matrix::zeros(24, 900);
-            dgemm(
-                1.0,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut c_par.view_mut(),
-                &GemmContext::parallel(&pool),
-            )
-            .unwrap();
-            assert_eq!(
-                c_par, c_seq,
-                "parallel packing with {threads} threads changed bits"
-            );
+        let pools = [2, 4].map(ThreadPool::new);
+        for d in dispatches() {
+            let run = |pool: Option<&ThreadPool>| {
+                let mut c = Matrix::zeros(24, 900);
+                let ctx = GemmContext::new(d, pool, None);
+                dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
+                c
+            };
+            let c_seq = run(None);
+            for pool in &pools {
+                let (name, threads) = (d.kernel().name, pool.num_threads());
+                assert_eq!(
+                    run(Some(pool)),
+                    c_seq,
+                    "{name}: parallel packing with {threads} threads changed bits"
+                );
+            }
         }
     }
 

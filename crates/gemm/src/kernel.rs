@@ -6,7 +6,8 @@
 //!
 //! * **ISA tiers** — on x86-64, `avx512` (6×32 over 512-bit lanes) and
 //!   `avx2` (6×8, AVX2+FMA); everywhere, the portable `scalar` 4×4 tier
-//!   (the only tier off x86-64, and the `force-scalar` feature's pin).
+//!   (the only tier off x86-64, and pinnable anywhere at run time with
+//!   [`Dispatch::with_kernel`]).
 //!   Each tile is sized from its ISA's register file; the per-dtype shapes
 //!   are tabulated in [`crate::simd`].
 //! * **dtype tiers** ([`DtypeTier`]) — `f64` (the default), `f32`
@@ -23,8 +24,7 @@
 //!
 //! What gets dispatched is one explicit [`Dispatch`] value — the kernel
 //! instance itself — that callers carry down to the kernels; its `Default`
-//! is the host's best f64 kernel, or the scalar one under the
-//! `force-scalar` feature. Every product — blocked
+//! is the host's best f64 kernel. Every product — blocked
 //! DGEMM and the Strassen/CAPS leaf alike — runs the dispatched kernel
 //! through the one packed nest in [`crate::dgemm`].
 
@@ -298,9 +298,7 @@ pub fn scalar_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
 }
 
 /// The best SIMD f64 kernel the host supports, or `None` when only the
-/// scalar path is available. Forcing this kernel (via
-/// [`Dispatch::with_kernel`]) pins the SIMD tier regardless of the
-/// `force-scalar` feature.
+/// scalar path is available.
 pub fn simd_kernel() -> Option<&'static KernelInfo> {
     crate::simd::detect(DtypeTier::F64)
 }
@@ -329,8 +327,7 @@ pub fn available_kernels() -> Vec<&'static KernelInfo> {
 /// a `Dispatch`, the Strassen/CAPS configs hold one and hand it to every
 /// leaf, and the harness and server derive one per run or per request —
 /// so two threads can multiply under different kernels at the same
-/// instant. The default is [`select_kernel`]: the host's best f64 kernel,
-/// or the scalar one under the `force-scalar` feature.
+/// instant. The default is [`select_kernel`]: the host's best f64 kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
     kernel: &'static KernelInfo,
@@ -369,15 +366,9 @@ impl Dispatch {
 }
 
 /// The default kernel at a specific dtype tier: the host's best SIMD
-/// instance, or the scalar one when the host has none or under the
-/// `force-scalar` feature (CI's portable-path job).
+/// instance, or the scalar one when the host has none.
 pub fn select_kernel_for(dtype: DtypeTier) -> &'static KernelInfo {
-    let scalar = scalar_kernel_for(dtype);
-    if cfg!(feature = "force-scalar") {
-        scalar
-    } else {
-        simd_kernel_for(dtype).unwrap_or(scalar)
-    }
+    simd_kernel_for(dtype).unwrap_or_else(|| scalar_kernel_for(dtype))
 }
 
 /// The default f64 kernel ([`Dispatch::default`]).
@@ -532,9 +523,7 @@ mod tests {
     fn dispatch_is_consistent() {
         let k = select_kernel();
         assert!(k.mr > 0 && k.nr > 0);
-        if cfg!(feature = "force-scalar") {
-            assert_eq!(k.name, "scalar");
-        } else if let Some(simd) = simd_kernel() {
+        if let Some(simd) = simd_kernel() {
             assert_eq!(k.name, simd.name);
         } else {
             assert_eq!(k.name, "scalar");
@@ -546,14 +535,13 @@ mod tests {
 
     #[test]
     fn force_scalar_covers_every_dtype_tier() {
-        // Under the force-scalar feature, every dtype still dispatches —
+        // With the scalar kernel pinned, every dtype still dispatches —
         // to the scalar instantiation of the generic body.
+        let pinned = Dispatch::default().with_kernel(scalar_kernel());
         for dtype in DtypeTier::ALL {
-            let k = select_kernel_for(dtype);
-            assert_eq!(k.dtype, dtype);
-            if cfg!(feature = "force-scalar") {
-                assert_eq!(k.isa, "scalar", "dtype {dtype}");
-            }
+            assert_eq!(select_kernel_for(dtype).dtype, dtype);
+            let k = pinned.with_dtype(dtype).kernel();
+            assert_eq!((k.isa, k.dtype), ("scalar", dtype), "dtype {dtype}");
         }
     }
 

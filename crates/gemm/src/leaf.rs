@@ -270,6 +270,18 @@ mod tests {
     use powerscale_matrix::norms::rel_frobenius_error;
     use powerscale_matrix::{Matrix, MatrixGen};
 
+    /// The default dispatch and the scalar tier pinned: the fused-leaf
+    /// tests below hold under both, whatever the host's best kernel is.
+    fn dispatches() -> [Dispatch; 2] {
+        let scalar = crate::kernel::scalar_kernel();
+        [Dispatch::default(), Dispatch::default().with_kernel(scalar)]
+    }
+
+    /// [`leaf_gemm_fused_with`], sequential and uninstrumented.
+    fn fused(d: Dispatch, a: Operand<'_>, b: Operand<'_>, c: &mut Matrix, accum: Accum) {
+        leaf_gemm_fused_with(d, a, b, &mut c.view_mut(), accum, None, None).unwrap();
+    }
+
     #[test]
     fn matches_naive_on_assorted_sizes() {
         for (m, k, n) in [(1, 1, 1), (4, 4, 4), (7, 3, 5), (64, 64, 64), (33, 65, 9)] {
@@ -396,25 +408,18 @@ mod tests {
         let b1 = gen.uniform(24, 24, -1.0, 1.0);
         let b2 = gen.uniform(24, 24, -1.0, 1.0);
         let (sa, sb) = (combine(&a1, &a2, -1.0), combine(&b1, &b2, 1.0));
-        let mut fused = Matrix::zeros(24, 24);
-        let mut plain = Matrix::zeros(24, 24);
-        leaf_gemm_fused(
-            Operand::Sub(a1.view(), a2.view()),
-            Operand::Add(b1.view(), b2.view()),
-            &mut fused.view_mut(),
-            Accum::Set,
-            None,
-        )
-        .unwrap();
-        leaf_gemm_fused(
-            Operand::View(sa.view()),
-            Operand::View(sb.view()),
-            &mut plain.view_mut(),
-            Accum::Set,
-            None,
-        )
-        .unwrap();
-        assert_eq!(fused, plain);
+        for d in dispatches() {
+            let mut from_sources = Matrix::zeros(24, 24);
+            let mut plain = Matrix::zeros(24, 24);
+            let (a, b) = (
+                Operand::Sub(a1.view(), a2.view()),
+                Operand::Add(b1.view(), b2.view()),
+            );
+            fused(d, a, b, &mut from_sources, Accum::Set);
+            let (a, b) = (Operand::View(sa.view()), Operand::View(sb.view()));
+            fused(d, a, b, &mut plain, Accum::Set);
+            assert_eq!(from_sources, plain, "{}", d.kernel().name);
+        }
     }
 
     #[test]
@@ -423,40 +428,29 @@ mod tests {
         let a = gen.uniform(12, 12, -1.0, 1.0);
         let b = gen.uniform(12, 12, -1.0, 1.0);
         let p = naive_mm(&a.view(), &b.view()).unwrap();
-        // Set ignores stale destination contents entirely.
-        let mut c = Matrix::filled(12, 12, f64::NAN);
-        leaf_gemm_fused(
-            Operand::View(a.view()),
-            Operand::View(b.view()),
-            &mut c.view_mut(),
-            Accum::Set,
-            None,
-        )
-        .unwrap();
-        assert!(rel_frobenius_error(&c.view(), &p.view()) < 1e-13);
-        // Add merges on top; Sub takes it back off exactly.
-        let before = c.clone();
-        leaf_gemm_fused(
-            Operand::View(a.view()),
-            Operand::View(b.view()),
-            &mut c.view_mut(),
-            Accum::Add,
-            None,
-        )
-        .unwrap();
-        let doubled = Matrix::from_fn(12, 12, |i, j| 2.0 * before.get(i, j));
-        assert!(rel_frobenius_error(&c.view(), &doubled.view()) < 1e-13);
-        leaf_gemm_fused(
-            Operand::View(a.view()),
-            Operand::View(b.view()),
-            &mut c.view_mut(),
-            Accum::Sub,
-            None,
-        )
-        .unwrap();
-        // Subtracting the product again lands back on the single product
-        // (up to the one extra rounding of the round trip).
-        assert!(rel_frobenius_error(&c.view(), &before.view()) < 1e-12);
+        let (oa, ob) = (Operand::View(a.view()), Operand::View(b.view()));
+        for d in dispatches() {
+            let name = d.kernel().name;
+            // Set ignores stale destination contents entirely.
+            let mut c = Matrix::filled(12, 12, f64::NAN);
+            fused(d, oa, ob, &mut c, Accum::Set);
+            assert!(rel_frobenius_error(&c.view(), &p.view()) < 1e-13, "{name}");
+            // Add merges on top; Sub takes it back off exactly.
+            let before = c.clone();
+            fused(d, oa, ob, &mut c, Accum::Add);
+            let doubled = Matrix::from_fn(12, 12, |i, j| 2.0 * before.get(i, j));
+            assert!(
+                rel_frobenius_error(&c.view(), &doubled.view()) < 1e-13,
+                "{name}"
+            );
+            fused(d, oa, ob, &mut c, Accum::Sub);
+            // Subtracting the product again lands back on the single product
+            // (up to the one extra rounding of the round trip).
+            assert!(
+                rel_frobenius_error(&c.view(), &before.view()) < 1e-12,
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -464,30 +458,30 @@ mod tests {
         let mut gen = MatrixGen::new(11);
         let big_a = gen.paper_operand(16);
         let big_b = gen.paper_operand(16);
-        let mut big_c = Matrix::zeros(16, 16);
         let qa = big_a.view().quadrants().unwrap();
         let qb = big_b.view().quadrants().unwrap();
-        {
-            let qc = big_c.view_mut().quadrants().unwrap();
-            let mut c21 = qc.a21;
-            // M2 = (A21 + A22)·B11 straight into the C21 quadrant.
-            leaf_gemm_fused(
-                Operand::Add(qa.a21, qa.a22),
-                Operand::View(qb.a11),
-                &mut c21,
-                Accum::Set,
-                None,
-            )
-            .unwrap();
-        }
         let s = combine(&qa.a21.to_matrix(), &qa.a22.to_matrix(), 1.0);
         let want = naive_mm(&s.view(), &qb.a11).unwrap();
-        let got = big_c.sub_view((8, 0), (8, 8)).unwrap().to_matrix();
-        assert!(rel_frobenius_error(&got.view(), &want.view()) < 1e-13);
-        // Other quadrants untouched.
-        assert_eq!(big_c.get(0, 0), 0.0);
-        assert_eq!(big_c.get(0, 8), 0.0);
-        assert_eq!(big_c.get(8, 8), 0.0);
+        for d in dispatches() {
+            let mut big_c = Matrix::zeros(16, 16);
+            {
+                let qc = big_c.view_mut().quadrants().unwrap();
+                let mut c21 = qc.a21;
+                // M2 = (A21 + A22)·B11 straight into the C21 quadrant.
+                let (a, b) = (Operand::Add(qa.a21, qa.a22), Operand::View(qb.a11));
+                leaf_gemm_fused_with(d, a, b, &mut c21, Accum::Set, None, None).unwrap();
+            }
+            let got = big_c.sub_view((8, 0), (8, 8)).unwrap().to_matrix();
+            let name = d.kernel().name;
+            assert!(
+                rel_frobenius_error(&got.view(), &want.view()) < 1e-13,
+                "{name}"
+            );
+            // Other quadrants untouched.
+            assert_eq!(big_c.get(0, 0), 0.0, "{name}");
+            assert_eq!(big_c.get(0, 8), 0.0, "{name}");
+            assert_eq!(big_c.get(8, 8), 0.0, "{name}");
+        }
     }
 
     #[test]
@@ -496,9 +490,15 @@ mod tests {
         // A (fused or not) against one shared packed B. Band boundaries
         // leave every element's k-accumulation order alone, so any split —
         // the pool's, or one off the kernel tile — gives the sequential
-        // leaf's bits, under every merge mode.
-        let mr = Dispatch::default().kernel().mr;
+        // leaf's bits, under every merge mode and kernel.
         let pools = [1, 2, 3].map(ThreadPool::new);
+        for d in dispatches() {
+            sub_rows_banding_under(d, &pools);
+        }
+    }
+
+    fn sub_rows_banding_under(d: Dispatch, pools: &[ThreadPool]) {
+        let (name, mr) = (d.kernel().name, d.kernel().mr);
         for (m, k, n) in [
             (mr - 1, K_CHUNK - 1, 5),
             (mr + 1, K_CHUNK, 33),
@@ -521,15 +521,15 @@ mod tests {
                 for accum in [Accum::Set, Accum::Add, Accum::Sub] {
                     let run = |pool: Option<&ThreadPool>| {
                         let mut c = c0.clone();
-                        let d = Dispatch::default();
                         leaf_gemm_fused_with(d, a, b, &mut c.view_mut(), accum, pool, None)
                             .unwrap();
                         c
                     };
                     let want = run(None);
-                    for pool in &pools {
+                    for pool in pools {
                         let w = pool.num_threads();
-                        assert_eq!(run(Some(pool)), want, "({m},{k},{n}) {accum:?} width {w}");
+                        let at = format!("{name} ({m},{k},{n}) {accum:?} width {w}");
+                        assert_eq!(run(Some(pool)), want, "{at}");
                     }
                     // Two hand-cut bands, split one row off the tile.
                     let mut banded = c0.clone();
@@ -537,9 +537,9 @@ mod tests {
                     let (mut top, mut bottom) = banded.view_mut().split_rows_at(cut).unwrap();
                     for (r0, band) in [(0, &mut top), (cut, &mut bottom)] {
                         let rows = a.sub_view((r0, 0), (band.rows(), k)).unwrap();
-                        leaf_gemm_fused(rows, b, band, accum, None).unwrap();
+                        leaf_gemm_fused_with(d, rows, b, band, accum, None, None).unwrap();
                     }
-                    assert_eq!(banded, want, "({m},{k},{n}) {accum:?} cut at {cut}");
+                    assert_eq!(banded, want, "{name} ({m},{k},{n}) {accum:?} cut at {cut}");
                 }
             }
         }

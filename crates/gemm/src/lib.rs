@@ -9,8 +9,8 @@
 //!   tile sized from its ISA's register file — each in three dtype tiers — f64, f32, and mixed (the f64
 //!   kernel on panels rounded through f32 at pack time) — selected by an
 //!   explicit [`Dispatch`] value callers carry down to the kernels (its default is
-//!   the host's best f64 kernel; the `force-scalar` cargo feature makes
-//!   that the scalar ISA),
+//!   the host's best f64 kernel; [`Dispatch::with_kernel`] pins any other,
+//!   the scalar one included),
 //! * blocking parameters derived from the cache hierarchy *and* the
 //!   selected kernel's tile shape ([`BlockingParams::for_caches_and_tile`]), with
 //!   [`BlockingParams::autotuned_for`] probing the host's real cache

@@ -269,7 +269,7 @@ pub(crate) fn host_simd_kernels() -> Vec<&'static KernelInfo> {
 
 /// Portable scalar instantiations of the generic body: 1-lane "vectors"
 /// over plain `f64`/`f32` at the 4×4 shape — the always-available tier of
-/// every dtype and the `force-scalar` pins. Multiply and add round
+/// every dtype and the run-time scalar pins. Multiply and add round
 /// separately (no FMA), the numerics the scalar tier has always had.
 pub(crate) mod generic {
     use super::{tile_kernel, MicroVec};

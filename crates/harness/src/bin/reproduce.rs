@@ -23,8 +23,7 @@
 //! executions of all three algorithms (n = 512, or 256 with `--quick`),
 //! writing a Perfetto-loadable Chrome trace to `PATH`, folded flamegraph
 //! stacks to `PATH.folded`, and the per-phase EP summary to
-//! `PATH.phases.json`. Needs a build with `--features
-//! powerscale-harness/trace`.
+//! `PATH.phases.json`.
 //!
 //! `--cluster` skips the matrix and runs the measured distributed-memory
 //! studies instead: the Eq. 8 verification grid and the arXiv 1202.3177
@@ -59,13 +58,6 @@ fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
 /// a per-phase EP summary. Skips the matrix entirely.
 fn run_traced(h: &Harness, path: &str, quick: bool, dtype: DtypeTier) {
     use powerscale_harness::{Algorithm, RunSpec};
-    if !powerscale_trace::build_enabled() {
-        eprintln!(
-            "--trace needs the recorder compiled in; rebuild with\n  \
-             cargo build --release -p powerscale-harness --features powerscale-harness/trace"
-        );
-        std::process::exit(1);
-    }
     let n = if quick { 256 } else { 512 };
     let threads = 4;
     let pool = powerscale_pool::ThreadPool::new(threads);

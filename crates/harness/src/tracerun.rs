@@ -3,13 +3,12 @@
 //! RAPL samples onto the *same* clock, then collects the session into
 //! Chrome-trace / folded-stack / per-phase-EP exports.
 //!
-//! This is the `reproduce --trace <path>` backend. It needs the workspace
-//! built with the `trace` feature (`powerscale-trace/enable`); callers
-//! should check [`powerscale_trace::build_enabled`] first and tell the
-//! user to rebuild rather than silently writing an empty trace.
+//! This is the `reproduce --trace <path>` backend. The sampler here is
+//! the one energy meter that runs on the wall clock, so it is the only
+//! source of the `joules:<domain>` counters a session carries: each
+//! series is cumulative and never decreases.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use crate::experiment::{Harness, RunSpec};
@@ -50,9 +49,10 @@ impl Harness {
         }
         trace::set_thread_label("main", u32::MAX);
 
-        let stop = Arc::new(AtomicBool::new(false));
+        // Dropping `stop_tx` wakes the sampler at once for its last sample,
+        // so the session does not idle out the rest of a sample period.
+        let (stop_tx, stop) = mpsc::channel::<()>();
         let sampler = {
-            let stop = Arc::clone(&stop);
             let machine = self.machine.clone();
             let threads = specs.iter().map(|s| s.threads).max().unwrap_or(1);
             std::thread::spawn(move || {
@@ -83,7 +83,7 @@ impl Harness {
 
         let runs: Vec<RealRunResult> = specs.iter().map(|&s| self.run_real(s, pool)).collect();
 
-        stop.store(true, Ordering::Release);
+        drop(stop_tx);
         sampler.join().expect("sampler thread never panics");
         let collected = trace::stop();
         let summary = trace::phase_summary(&collected);
@@ -95,18 +95,35 @@ impl Harness {
     }
 }
 
-/// The sampler loop: sample every [`SAMPLE_PERIOD`] until `stop`, with a
-/// per-tick hook (the model reader uses it to advance simulated time by
-/// real elapsed time).
-fn run_sampler<R: EnergyReader>(mut reader: R, stop: &AtomicBool, mut tick: impl FnMut(&mut R)) {
+/// The sampler loop: stamp each domain's cumulative joules onto the
+/// trace, starting with the opening zero (without it the curve begins at
+/// the first sample, and a run that ends before it is attributed no
+/// energy); then every [`SAMPLE_PERIOD`], and once more when `stop`
+/// disconnects, advance the reader (`tick`: the model reader moves
+/// simulated time by real elapsed time), sample and stamp again.
+fn run_sampler<R: EnergyReader>(mut reader: R, stop: &Receiver<()>, mut tick: impl FnMut(&mut R)) {
     let mut meter = EnergyMeter::start(&mut reader);
-    let t0 = Instant::now();
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(SAMPLE_PERIOD);
+    let mut last = false;
+    loop {
+        for (domain, joules) in meter.joules() {
+            trace::counter(trace_counter_name(domain), joules);
+        }
+        if last {
+            return;
+        }
+        last = stop.recv_timeout(SAMPLE_PERIOD) != Err(RecvTimeoutError::Timeout);
         tick(&mut reader);
-        // `sample` stamps each domain's cumulative joules onto the trace.
         meter.sample(&mut reader);
     }
-    tick(&mut reader);
-    let _ = meter.finish(&mut reader, t0.elapsed().as_secs_f64());
+}
+
+/// Trace-counter name for a domain's cumulative-joules series.
+fn trace_counter_name(d: Domain) -> &'static str {
+    match d {
+        Domain::Package => "joules:package",
+        Domain::PP0 => "joules:pp0",
+        Domain::PP1 => "joules:pp1",
+        Domain::Dram => "joules:dram",
+        Domain::Psys => "joules:psys",
+    }
 }

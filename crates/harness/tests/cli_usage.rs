@@ -1,7 +1,9 @@
 //! Scripted CLI contract tests for `reproduce`: every malformed
 //! invocation must exit with code 2 and print the usage line; it must
-//! never start the matrix.
+//! never start the matrix. A well-formed `--quick --trace` run writes
+//! its three exports.
 
+use serde::{Deserialize, Value};
 use std::process::Command;
 
 fn reproduce(args: &[&str]) -> std::process::Output {
@@ -81,16 +83,57 @@ fn cluster_combined_with_other_modes_exits_2_with_usage() {
     assert_usage_exit(&["--cluster", "--trace", "/tmp/never-written.json"]);
 }
 
-#[cfg(not(feature = "trace"))]
 #[test]
-fn trace_flag_without_trace_build_exits_1_with_hint() {
-    // A well-formed `--trace` in a build without the recorder is NOT a
-    // usage error: it exits 1 with a rebuild hint instead.
-    let out = reproduce(&["--trace", "/tmp/never-written.json", "--quick"]);
+fn quick_trace_writes_chrome_json_phases_and_folded_stacks() {
+    let dir =
+        std::env::temp_dir().join(format!("powerscale-reproduce-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    let path = dir.join("out.json");
+    let out = reproduce(&[
+        "--quick",
+        "--trace",
+        path.to_str().expect("utf-8 temp path"),
+    ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(
-        stderr.contains("--features"),
-        "must hint at the trace feature; stderr: {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let read = |suffix: &str| {
+        let p = format!("{}{suffix}", path.display());
+        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("{p}: {e}"))
+    };
+
+    // The Chrome trace parses, every event carries its phase, process and
+    // thread, and it holds both spans (`X`) and energy counters (`C`).
+    let chrome: Value = serde_json::from_str(&read("")).expect("Chrome trace JSON");
+    let events = chrome.get_field("traceEvents").unwrap().as_array().unwrap();
+    let phase = |ev: &Value| ev.get_field("ph").unwrap().as_str().unwrap().to_owned();
+    for ev in events {
+        for field in ["ph", "pid", "tid"] {
+            assert_ne!(
+                ev.get_field(field).unwrap(),
+                &Value::Null,
+                "no `{field}`: {ev:?}"
+            );
+        }
+        if matches!(phase(ev).as_str(), "X" | "i" | "C") {
+            for field in ["ts", "name"] {
+                assert_ne!(
+                    ev.get_field(field).unwrap(),
+                    &Value::Null,
+                    "no `{field}`: {ev:?}"
+                );
+            }
+        }
+    }
+    for ph in ["X", "C"] {
+        assert!(events.iter().any(|ev| phase(ev) == ph), "no `{ph}` events");
+    }
+
+    let phases: Value = serde_json::from_str(&read(".phases.json")).expect("phase summary JSON");
+    let coverage = f64::from_value(phases.get_field("coverage").unwrap()).unwrap();
+    let dropped = u64::from_value(phases.get_field("dropped").unwrap()).unwrap();
+    assert!(coverage >= 0.95, "span coverage {coverage} < 0.95");
+    assert_eq!(dropped, 0, "records dropped on ring overflow");
+
+    assert!(!read(".folded").trim().is_empty(), "empty folded stacks");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,11 @@
 //! Armed-recorder overhead gate: n = 1024 Strassen at the paper's cutoff
 //! with a trace session active (every span and instant recorded) against
-//! the same multiplies with the hooks compiled in but no session (one
-//! relaxed atomic load each). The bar is < 3% and zero dropped records.
+//! the same multiplies with no session (one relaxed atomic load per
+//! hook). The bar is < 3% and zero dropped records.
 //!
 //! Release tier (a debug build's timings say nothing about the recorder):
-//! `cargo test -p powerscale-harness --features trace --release --test
-//! trace_overhead -- --include-ignored`.
-#![cfg(feature = "trace")]
+//! `cargo test -p powerscale-harness --release --test trace_overhead --
+//! --include-ignored`.
 
 use powerscale_matrix::MatrixGen;
 use powerscale_pool::ThreadPool;

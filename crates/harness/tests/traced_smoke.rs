@@ -2,10 +2,6 @@
 //! recorder session, validating the acceptance bars — Chrome-trace JSON
 //! parses with spans from every subsystem, energy samples ride the same
 //! clock, span coverage ≥ 95% of wall time, and nothing was dropped.
-//!
-//! Needs the recorder compiled in: run with
-//! `cargo test -p powerscale-harness --features trace --test traced_smoke`.
-#![cfg(feature = "trace")]
 
 use powerscale_harness::{Algorithm, Harness, RunSpec};
 use powerscale_pool::ThreadPool;

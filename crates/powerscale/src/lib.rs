@@ -111,7 +111,7 @@ pub mod harness {
 
 /// Run-timeline observability (`powerscale-trace`): span/event recorder,
 /// Chrome-trace and flamegraph exporters, per-phase EP attribution.
-/// Hooks are no-ops unless built with the facade's `trace` feature.
+/// Always compiled; with no session active a hook is one relaxed load.
 pub mod trace {
     pub use powerscale_trace::*;
 }

@@ -54,17 +54,6 @@ impl EnergyReport {
     }
 }
 
-/// Trace-counter name for a domain's cumulative-joules series.
-fn trace_counter_name(d: Domain) -> &'static str {
-    match d {
-        Domain::Package => "joules:package",
-        Domain::PP0 => "joules:pp0",
-        Domain::PP1 => "joules:pp1",
-        Domain::Dram => "joules:dram",
-        Domain::Psys => "joules:psys",
-    }
-}
-
 /// Samples an [`EnergyReader`] and integrates wrap-corrected deltas — the
 /// equivalent of the paper's PAPI-instrumented driver loop.
 pub struct EnergyMeter {
@@ -112,14 +101,18 @@ impl EnergyMeter {
             match reader.read_raw(*d) {
                 Some(raw) => {
                     t.counter.update(raw);
-                    // Stamp the cumulative integral onto the trace
-                    // timeline so per-phase energy attribution sees the
-                    // same samples the report integrates.
-                    powerscale_trace::counter(trace_counter_name(*d), t.counter.total_joules());
                 }
                 None => t.failed += 1,
             }
         }
+    }
+
+    /// Cumulative wrap-corrected joules per domain since [`start`](Self::start),
+    /// as of the last sample.
+    pub fn joules(&self) -> impl Iterator<Item = (Domain, f64)> + '_ {
+        self.counters
+            .iter()
+            .map(|(d, t)| (*d, t.counter.total_joules()))
     }
 
     /// Final sample + report over `elapsed` seconds.
@@ -129,11 +122,7 @@ impl EnergyMeter {
         elapsed: f64,
     ) -> EnergyReport {
         self.sample(reader);
-        let joules = self
-            .counters
-            .iter()
-            .map(|(d, t)| (*d, t.counter.total_joules()))
-            .collect();
+        let joules = self.joules().collect();
         let quality = self
             .counters
             .iter()

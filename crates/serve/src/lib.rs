@@ -20,8 +20,8 @@
 //!
 //! Per-request observability rides the existing layers: a `serve:exec`
 //! trace span per execution plus a cross-thread `serve:queued` async span
-//! for queue wait (feature `trace`), and model package joules sampled
-//! through the RAPL meter.
+//! for queue wait, recorded whenever a trace session is active, and model
+//! package joules (profile watts × measured wall time).
 //!
 //! ```no_run
 //! use powerscale_harness::Algorithm;

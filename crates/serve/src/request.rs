@@ -161,8 +161,8 @@ pub struct Response {
     /// `queued_ms`. `queued_ms + exec_ms` is the request's full latency
     /// from admission.
     pub exec_ms: Option<f64>,
-    /// Model-estimated package joules for the successful attempt (read
-    /// through the fault-injection + recovery decorators under chaos).
+    /// Model-estimated package joules for the successful attempt: the
+    /// profile's package watts times the attempt's measured wall time.
     pub joules: Option<f64>,
     /// FNV-1a hash over the result's f64 bit patterns — lets a resumed
     /// run prove bit-consistency against an uninterrupted one without

@@ -98,7 +98,6 @@ use powerscale_gemm::DtypeTier;
 use powerscale_harness::{Algorithm, Harness, RunSpec};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::{CancelToken, ThreadPool};
-use powerscale_rapl::{model::ModelReader, Domain, EnergyMeter};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -722,7 +721,6 @@ fn serve_one(
                 wall,
                 watts,
             }) => {
-                let joules = measure_joules(watts, wall);
                 stats.completed += 1;
                 return finish(Response {
                     id: spec.id,
@@ -735,7 +733,7 @@ fn serve_one(
                     wall_ms: Some(wall * 1e3),
                     queued_ms: None,
                     exec_ms: None,
-                    joules,
+                    joules: Some(watts * wall),
                     checksum: Some(checksum_f64(result.as_slice())),
                 });
             }
@@ -835,21 +833,6 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
         wall,
         watts,
     }
-}
-
-/// Model package joules for one served request: a [`ModelReader`]
-/// emitting the profile-estimated watts, sampled over the measured
-/// wall window, like the harness's measurement path.
-fn measure_joules(watts: f64, wall: f64) -> Option<f64> {
-    const SAMPLES: usize = 16;
-    let dt = wall / SAMPLES as f64;
-    let mut reader = ModelReader::from_powers(&[(Domain::Package, watts)]);
-    let mut meter = EnergyMeter::start(&mut reader);
-    for _ in 0..SAMPLES {
-        reader.advance(dt);
-        meter.sample(&mut reader);
-    }
-    meter.finish(&mut reader, wall).joules_for(Domain::Package)
 }
 
 #[cfg(test)]

@@ -3,11 +3,15 @@
 //! * exactly one response per request, chaos or not;
 //! * a killed-and-restarted server resumes from the journal with no
 //!   lost and no duplicated responses, and the replayed requests
-//!   reproduce the uninterrupted run's results bit-for-bit.
+//!   reproduce the uninterrupted run's results bit-for-bit;
+//! * a traced run records its requests, and no per-request energy figure
+//!   lands on the timeline as a `joules:*` counter: those series are
+//!   cumulative and never decrease.
 
 use powerscale_harness::Algorithm;
 use powerscale_serve::{ChaosConfig, FailReason, JobSpec, Response, Server, ServerConfig, Status};
-use std::collections::HashMap;
+use powerscale_trace as trace;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -76,6 +80,51 @@ fn chaos_run_yields_exactly_one_response_per_request() {
         );
         if r.status == Status::Completed {
             assert!(r.checksum.is_some() && r.joules.is_some());
+        }
+    }
+}
+
+#[test]
+fn traced_run_keeps_every_joules_series_non_decreasing() {
+    assert!(
+        trace::start(trace::TraceConfig::default()),
+        "a trace session was already active"
+    );
+    let cfg = ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let out = Server::new(cfg).unwrap().run(workload(12));
+    let t = trace::stop();
+    assert!(out.iter().all(|r| r.status == Status::Completed), "{out:?}");
+
+    let mut execs = 0;
+    let mut series: BTreeMap<&str, Vec<(u64, f64)>> = BTreeMap::new();
+    for rec in t.threads.iter().flat_map(|th| &th.records) {
+        match rec.kind {
+            trace::Kind::Begin {
+                name: "serve:exec", ..
+            } => execs += 1,
+            trace::Kind::Counter { name, value } if name.starts_with("joules:") => {
+                series.entry(name).or_default().push((rec.ts, value));
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        execs >= out.len(),
+        "{execs} serve:exec spans for {} requests",
+        out.len()
+    );
+    for (name, mut samples) in series {
+        samples.sort_by_key(|&(ts, _)| ts);
+        for w in samples.windows(2) {
+            assert!(
+                w[1].1 >= w[0].1,
+                "`{name}` falls from {} J to {} J",
+                w[0].1,
+                w[1].1
+            );
         }
     }
 }

@@ -1,11 +1,8 @@
 //! Span-tree determinism: two `replay_deterministic` replays of the same
 //! recorded schedule must produce *structurally identical* span forests —
 //! same spans, same nesting, same per-thread assignment — even though
-//! wall-clock timestamps differ between replays.
-//!
-//! Needs both the pool's deterministic scheduler (always on in testkit)
-//! and the recorder: run with `-p powerscale-testkit --features trace`.
-#![cfg(feature = "trace")]
+//! wall-clock timestamps differ between replays. Uses the pool's
+//! deterministic scheduler, which the testkit always enables.
 
 use powerscale_matrix::MatrixGen;
 use powerscale_pool::{DetConfig, ThreadPool};

@@ -2,8 +2,7 @@
 //! trace-event JSON (Perfetto-loadable), folded-stack flamegraph text,
 //! and the span-coverage metric.
 //!
-//! All exporters are pure functions of a collected [`Trace`] and compile
-//! regardless of the `enable` feature.
+//! All exporters are pure functions of a collected [`Trace`].
 
 use crate::model::{Category, Kind, Record, Trace};
 

@@ -1,9 +1,5 @@
-//! The always-available data model: records, per-thread captures and the
-//! collected [`Trace`] the exporters consume.
-//!
-//! Everything here compiles regardless of the `enable` feature so that
-//! exporters, tests and downstream tooling never need `cfg` guards; only
-//! the *recording* hooks are feature-gated (see the crate root).
+//! The data model: records, per-thread captures and the collected
+//! [`Trace`] the exporters consume.
 
 /// Subsystem a record belongs to — the Chrome trace-event `cat` field and
 /// the first component of a phase key.
@@ -149,8 +145,7 @@ impl Trace {
         self.threads.iter().map(|t| t.dropped).sum()
     }
 
-    /// `true` when nothing was captured (e.g. the `enable` feature is
-    /// off, or no session was active).
+    /// `true` when nothing was captured (e.g. no session was active).
     pub fn is_empty(&self) -> bool {
         self.threads.is_empty()
     }

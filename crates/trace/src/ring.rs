@@ -1,6 +1,6 @@
 //! The recorder: per-thread lock-free rings plus the global session
-//! registry. Compiled only with the `enable` feature; the crate root maps
-//! every hook to an empty inline function otherwise.
+//! registry. Every hook first loads `ACTIVE`; with no session that one
+//! relaxed load is all it costs.
 //!
 //! Design (mirrors the PR 1 packing-arena discipline — no allocation on
 //! the hot path):

@@ -1,7 +1,4 @@
-//! Recorder + exporter round-trip tests. These need the real recorder,
-//! so the whole file is gated on the `enable` feature (CI runs them with
-//! `-p powerscale-trace --features enable`).
-#![cfg(feature = "enable")]
+//! Recorder + exporter round-trip tests.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
