@@ -11,20 +11,12 @@
 //! absent (macOS, wasm, sandboxes) the probe falls back to the paper's
 //! Haswell preset, so behaviour is unchanged from the static constants.
 //!
-//! Reproducibility overrides, read once per process (a variable that is
-//! set but empty counts as unset):
-//!
-//! * `POWERSCALE_CACHES=32K,1M,8M` — replace the probed hierarchy with
-//!   explicit L1/L2/L3 capacities (suffixes `K`/`M`/`G`, case-insensitive).
-//!   CI uses this to run the differential suite under a synthetic
-//!   tiny-cache hierarchy.
-//! * `POWERSCALE_BLOCKING=mc,kc,nc` — bypass the derivation entirely and
-//!   pin the blocking factors (they must still align to the selected
-//!   kernel's tile; misalignment panics with the validator's message).
-//!
-//! Both the probe result and the parsed overrides are cached in
-//! `OnceLock`s: repeated calls are deterministic and free, and every
-//! `GemmContext` in the process sees the same hierarchy.
+//! The probe result is cached in a `OnceLock`: repeated calls are
+//! deterministic and free, and every `GemmContext` in the process sees the
+//! same hierarchy. Nothing else feeds it. Other blocking is a value: build
+//! [`BlockingParams`](crate::BlockingParams) from any hierarchy
+//! ([`hierarchy`] makes one from capacities) or by hand, and set it as
+//! `GemmContext::params`.
 
 use powerscale_cachesim::CacheConfig;
 use std::path::Path;
@@ -43,24 +35,14 @@ pub(crate) fn parse_size(s: &str) -> Option<usize> {
     n.checked_mul(mult).filter(|&b| b > 0)
 }
 
-/// A comma-separated capacity list (`32K,1M,8M`, L1 first) as a cache
-/// hierarchy — the `POWERSCALE_CACHES` override format.
-pub fn parse_cache_list(s: &str) -> Option<Vec<CacheConfig>> {
-    let levels: Option<Vec<CacheConfig>> = s
-        .split(',')
-        .map(|part| parse_size(part).map(|b| fully_associative(b, 64)))
-        .collect();
-    levels.filter(|v| !v.is_empty())
-}
-
-/// A `mc,kc,nc` triple — the `POWERSCALE_BLOCKING` override format.
-pub(crate) fn parse_blocking(s: &str) -> Option<(usize, usize, usize)> {
-    let mut it = s.split(',').map(|p| p.trim().parse::<usize>().ok());
-    let (mc, kc, nc) = (it.next()??, it.next()??, it.next()??);
-    if it.next().is_some() || mc == 0 || kc == 0 || nc == 0 {
-        return None;
-    }
-    Some((mc, kc, nc))
+/// A cache hierarchy of the given capacities in bytes (L1 first), each
+/// level normalised with 64-byte lines as the probe normalises sysfs
+/// sizes.
+pub fn hierarchy(capacities: &[usize]) -> Vec<CacheConfig> {
+    capacities
+        .iter()
+        .map(|&b| fully_associative(b, 64))
+        .collect()
 }
 
 /// Normalises a capacity to a valid fully-associative [`CacheConfig`]:
@@ -129,63 +111,14 @@ pub(crate) fn probe_sysfs(root: &Path) -> Option<Vec<CacheConfig>> {
     )
 }
 
-/// Resolves one override variable: unset, or set but empty (what a CI
-/// matrix cell or `env VAR= cmd` produces), is no override; anything else
-/// must parse.
-///
-/// # Panics
-/// Panics on a non-empty value `parse` rejects — a silent fallback would
-/// defeat the override's reproducibility purpose.
-fn parse_override<T>(
-    name: &str,
-    value: Option<&str>,
-    parse: impl Fn(&str) -> Option<T>,
-    expected: &str,
-) -> Option<T> {
-    let spec = value.filter(|v| !v.trim().is_empty())?;
-    Some(parse(spec).unwrap_or_else(|| panic!("{name} {spec:?} invalid: expected {expected}")))
-}
-
-/// [`parse_override`] on the process environment.
-fn env_override<T>(name: &str, parse: impl Fn(&str) -> Option<T>, expected: &str) -> Option<T> {
-    parse_override(name, std::env::var(name).ok().as_deref(), parse, expected)
-}
-
 static HOST_CACHES: OnceLock<Vec<CacheConfig>> = OnceLock::new();
 
-/// The hierarchy every autotuned derivation uses, resolved once per
-/// process: the `POWERSCALE_CACHES` override if set (and non-empty), else
-/// the sysfs probe, else the paper's Haswell preset.
-///
-/// # Panics
-/// Panics when `POWERSCALE_CACHES` is non-empty but unparsable.
+/// The hierarchy every autotuned derivation uses, probed once per
+/// process: the sysfs hierarchy, else the paper's Haswell preset.
 pub fn host_caches() -> &'static [CacheConfig] {
     HOST_CACHES.get_or_init(|| {
-        env_override(
-            "POWERSCALE_CACHES",
-            parse_cache_list,
-            "comma-separated capacities like 32K,1M,8M",
-        )
-        .or_else(|| probe_sysfs(Path::new("/sys/devices/system/cpu")))
-        .unwrap_or_else(powerscale_cachesim::presets::e3_1225_caches)
-    })
-}
-
-static BLOCKING_OVERRIDE: OnceLock<Option<(usize, usize, usize)>> = OnceLock::new();
-
-/// The `POWERSCALE_BLOCKING` pin, parsed once per process (unset or empty:
-/// none).
-///
-/// # Panics
-/// Panics when the variable is non-empty but not a positive `mc,kc,nc`
-/// triple.
-pub(crate) fn blocking_override() -> Option<(usize, usize, usize)> {
-    *BLOCKING_OVERRIDE.get_or_init(|| {
-        env_override(
-            "POWERSCALE_BLOCKING",
-            parse_blocking,
-            "mc,kc,nc (all positive)",
-        )
+        probe_sysfs(Path::new("/sys/devices/system/cpu"))
+            .unwrap_or_else(powerscale_cachesim::presets::e3_1225_caches)
     })
 }
 
@@ -208,59 +141,13 @@ mod tests {
     }
 
     #[test]
-    fn override_formats_round_trip() {
-        // The env readers cache in OnceLocks, so the round-trip property
-        // is tested on the pure parsers they delegate to.
-        let caches = parse_cache_list("32K,1M,8M").unwrap();
+    fn hierarchy_takes_capacities_l1_first() {
+        let caches = hierarchy(&[32 << 10, 1 << 20, 8 << 20]);
         assert_eq!(
             caches.iter().map(|c| c.size_bytes).collect::<Vec<_>>(),
-            vec![32 * 1024, 1024 * 1024, 8 * 1024 * 1024]
+            vec![32 << 10, 1 << 20, 8 << 20]
         );
-        let (mc, kc, nc) = (96, 256, 4092);
-        assert_eq!(
-            parse_blocking(&format!("{mc},{kc},{nc}")),
-            Some((mc, kc, nc))
-        );
-        assert_eq!(parse_blocking("96,256"), None);
-        assert_eq!(parse_blocking("96,0,12"), None);
-        assert_eq!(parse_cache_list(""), None);
-        assert_eq!(parse_cache_list("32K,nope"), None);
-    }
-
-    #[test]
-    fn set_but_empty_overrides_are_unset() {
-        // `POWERSCALE_BLOCKING= cmd` and an empty CI matrix cell export
-        // the variable with no value: that is "no override", not garbage.
-        for empty in [None, Some(""), Some("  ")] {
-            assert_eq!(
-                parse_override("POWERSCALE_BLOCKING", empty, parse_blocking, "mc,kc,nc"),
-                None
-            );
-            assert_eq!(
-                parse_override("POWERSCALE_CACHES", empty, parse_cache_list, "capacities"),
-                None
-            );
-        }
-        assert_eq!(
-            parse_override(
-                "POWERSCALE_BLOCKING",
-                Some("96,256,4092"),
-                parse_blocking,
-                "mc,kc,nc"
-            ),
-            Some((96, 256, 4092))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "POWERSCALE_CACHES \"32K,nope\" invalid")]
-    fn non_empty_garbage_override_still_panics() {
-        parse_override(
-            "POWERSCALE_CACHES",
-            Some("32K,nope"),
-            parse_cache_list,
-            "capacities",
-        );
+        assert!(caches.iter().all(|c| c.num_sets() == 1));
     }
 
     #[test]
@@ -324,10 +211,19 @@ mod tests {
             let p = BlockingParams::autotuned_for(kernel);
             p.validate().unwrap();
             assert_eq!((p.mr, p.nr), (kernel.mr, kernel.nr));
-            if crate::autotune::blocking_override().is_some() {
-                continue; // pinned externally; budget claims do not apply
-            }
             crate::blocking::assert_host_tuned_budgets(&p, first);
+        }
+    }
+
+    #[test]
+    fn every_kernel_fits_the_budgets_of_the_tiny_hierarchy() {
+        // The same budgets with the tiny hierarchy as the input: the
+        // derivation must not rely on host-sized caches.
+        let tiny = hierarchy(&crate::blocking::TINY_CACHES);
+        for kernel in crate::kernel::available_kernels() {
+            let p = BlockingParams::host_tuned_for_caches_and_tile(&tiny, kernel.mr, kernel.nr);
+            p.validate().unwrap();
+            crate::blocking::assert_host_tuned_budgets(&p, &tiny);
         }
     }
 }

@@ -19,6 +19,10 @@
 use crate::kernel::KernelInfo;
 use powerscale_cachesim::CacheConfig;
 
+/// Capacities (L1 first) of the tiny hierarchy behind
+/// [`BlockingParams::regimes_for`]'s `tiny-caches` regime.
+pub(crate) const TINY_CACHES: [usize; 3] = [16 << 10, 128 << 10, 1 << 20];
+
 /// Loop blocking factors for the Goto GEMM structure, plus the
 /// register-tile shape they are aligned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,34 +42,43 @@ pub struct BlockingParams {
 impl BlockingParams {
     /// Derives parameters for `kernel` from the **host's** cache
     /// hierarchy, probed once per process ([`crate::autotune`]): sysfs
-    /// capacities when available, the Haswell preset otherwise, with the
-    /// `POWERSCALE_CACHES` / `POWERSCALE_BLOCKING` environment overrides
-    /// honoured for reproducibility. Uses the host-tuned budget fractions
+    /// capacities when available, the Haswell preset otherwise. Uses the
+    /// host-tuned budget fractions
     /// ([`BlockingParams::host_tuned_for_caches_and_tile`]) rather than
     /// the conservative halves model. This is what every default
-    /// [`crate::GemmContext`] uses.
-    ///
-    /// # Panics
-    /// Panics when a `POWERSCALE_BLOCKING` pin does not align to the
-    /// kernel's register tile.
+    /// [`crate::GemmContext`] uses; other blocking is set as the
+    /// context's `params`.
     pub fn autotuned_for(kernel: &KernelInfo) -> Self {
-        if let Some((mc, kc, nc)) = crate::autotune::blocking_override() {
-            let p = BlockingParams {
-                mc,
-                kc,
-                nc,
-                mr: kernel.mr,
-                nr: kernel.nr,
-            };
-            p.validate().unwrap_or_else(|e| {
-                panic!(
-                    "POWERSCALE_BLOCKING override invalid for kernel `{}`: {e}",
-                    kernel.name
-                )
-            });
-            return p;
-        }
         Self::host_tuned_for_caches_and_tile(crate::autotune::host_caches(), kernel.mr, kernel.nr)
+    }
+
+    /// `kernel`'s blocking in the two regimes the test suites run every
+    /// kernel under beside the host's own, as values for
+    /// `GemmContext::params`: `tiny-caches`, the host-tuned derivation on
+    /// the 16K/128K/1M hierarchy (many small panels in every loop), and
+    /// `kc136`, `480 × 136 × 2048` panels aligned to the tile (the 48K-L1
+    /// host's floor depth, so products with k > 136 accumulate over
+    /// several k-panels: store the first, add the rest, a ragged last
+    /// one).
+    pub fn regimes_for(kernel: &KernelInfo) -> [(&'static str, Self); 2] {
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let tiny = crate::autotune::hierarchy(&TINY_CACHES);
+        [
+            (
+                "tiny-caches",
+                Self::host_tuned_for_caches_and_tile(&tiny, mr, nr),
+            ),
+            (
+                "kc136",
+                BlockingParams {
+                    mc: 480 / mr * mr,
+                    kc: 136,
+                    nc: 2048 / nr * nr,
+                    mr,
+                    nr,
+                },
+            ),
+        ]
     }
 
     /// The host-tuned derivation: same Goto structure as

@@ -365,7 +365,7 @@ pub fn multiply(a: &MatrixView<'_>, b: &MatrixView<'_>) -> DimResult<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{scalar_kernel, simd_kernel};
+    use crate::kernel::{available_kernels, scalar_kernel, simd_kernel, DtypeTier};
     use crate::naive::naive_mm;
     use crate::pack::K_CHUNK;
     use powerscale_matrix::norms::rel_frobenius_error;
@@ -380,45 +380,87 @@ mod tests {
         ]
     }
 
-    fn check_against_naive(d: Dispatch, m: usize, k: usize, n: usize, seed: u64) {
+    /// Every context the naive-agreement tests run: each of
+    /// `dispatches()` at the host's blocking, and every dispatchable
+    /// kernel, of every dtype, in each of [`BlockingParams::regimes_for`]'s
+    /// regimes.
+    fn contexts() -> Vec<GemmContext<'static>> {
+        let regimes = available_kernels().into_iter().flat_map(|kernel| {
+            BlockingParams::regimes_for(kernel).map(|(_, params)| GemmContext {
+                params,
+                ..GemmContext::with_kernel(kernel)
+            })
+        });
+        dispatches()
+            .map(|d| GemmContext::new(d, None, None))
+            .into_iter()
+            .chain(regimes)
+            .collect()
+    }
+
+    fn check_against_naive(ctx: &GemmContext<'_>, m: usize, k: usize, n: usize, seed: u64) {
         let mut gen = MatrixGen::new(seed);
         let a = gen.uniform(m, k, -1.0, 1.0);
         let b = gen.uniform(k, n, -1.0, 1.0);
         let mut c = Matrix::zeros(m, n);
-        let ctx = GemmContext::new(d, None, None);
-        dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx).unwrap();
+        dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), ctx).unwrap();
         let r = naive_mm(&a.view(), &b.view()).unwrap();
         let err = rel_frobenius_error(&c.view(), &r.view());
-        let name = d.kernel().name;
-        assert!(err < 1e-13, "{name} ({m}x{k})·({k}x{n}): err {err}");
+        // f64 accumulation on f32-rounded operands (mixed), or f32
+        // throughout: each tier's own precision envelope.
+        let tol = match ctx.kernel.dtype {
+            DtypeTier::F64 => 1e-13,
+            DtypeTier::Mixed => 5e-6,
+            DtypeTier::F32 => 2e-3,
+        };
+        let (name, p) = (ctx.kernel.name, ctx.params);
+        assert!(err < tol, "{name} at {p:?} ({m}x{k})·({k}x{n}): err {err}");
     }
 
     #[test]
     fn matches_naive_small_squares() {
-        for d in dispatches() {
+        for ctx in contexts() {
             for n in [1, 2, 3, 4, 5, 8, 16, 17] {
-                check_against_naive(d, n, n, n, n as u64);
+                check_against_naive(&ctx, n, n, n, n as u64);
             }
         }
     }
 
     #[test]
     fn matches_naive_blocking_boundaries() {
-        // Sizes straddling each kernel's own mc/kc/nc and mr/nr boundaries.
+        // Square sizes straddling each dispatch's own mc and kc at the
+        // host's blocking.
         for d in dispatches() {
-            let p = BlockingParams::autotuned_for(d.kernel());
+            let ctx = GemmContext::new(d, None, None);
+            let p = ctx.params;
             for &dim in &[p.mc - 1, p.mc, p.mc + 1, p.kc, p.kc + 3, 2 * p.mc + 5] {
-                check_against_naive(d, dim, dim, dim, dim as u64);
+                check_against_naive(&ctx, dim, dim, dim, dim as u64);
+            }
+        }
+        // One axis at a time straddling every context's mc, kc and nc
+        // (several k-panels with a ragged last one), the other two a tile
+        // and one more wide.
+        for ctx in contexts() {
+            let p = ctx.params;
+            let (m, k, n) = (p.mr + 1, 9, p.nr + 1);
+            for dim in [p.mc - 1, p.mc + 1, 2 * p.mc + 5] {
+                check_against_naive(&ctx, dim, k, n, dim as u64);
+            }
+            for dim in [p.kc - 1, p.kc + 1, 2 * p.kc + 3] {
+                check_against_naive(&ctx, m, dim, n, dim as u64);
+            }
+            for dim in [p.nc - 1, p.nc + 1] {
+                check_against_naive(&ctx, m, k, dim, dim as u64);
             }
         }
     }
 
     #[test]
     fn matches_naive_rectangular() {
-        for d in dispatches() {
-            check_against_naive(d, 3, 300, 7, 1);
-            check_against_naive(d, 130, 2, 64, 2);
-            check_against_naive(d, 65, 129, 33, 3);
+        for ctx in contexts() {
+            check_against_naive(&ctx, 3, 300, 7, 1);
+            check_against_naive(&ctx, 130, 2, 64, 2);
+            check_against_naive(&ctx, 65, 129, 33, 3);
         }
     }
 

@@ -9,6 +9,7 @@
 //! series is cumulative and never decreases.
 
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::experiment::{Harness, RunSpec};
@@ -52,32 +53,26 @@ impl Harness {
         // Dropping `stop_tx` wakes the sampler at once for its last sample,
         // so the session does not idle out the rest of a sample period.
         let (stop_tx, stop) = mpsc::channel::<()>();
-        let sampler = {
-            let machine = self.machine.clone();
+        let sysfs = SysfsReader::system();
+        let sampler = if sysfs.is_available() {
+            spawn_sampler(sysfs, stop, |_| {})
+        } else {
+            // No host RAPL: drive the machine model's power law in real
+            // time so the timeline still carries a physically plausible
+            // cumulative-joules series.
             let threads = specs.iter().map(|s| s.threads).max().unwrap_or(1);
-            std::thread::spawn(move || {
-                trace::set_thread_label("sampler", u32::MAX);
-                let sysfs = SysfsReader::system();
-                if sysfs.is_available() {
-                    run_sampler(sysfs, &stop, |_| {});
-                } else {
-                    // No host RAPL: drive the machine model's power law in
-                    // real time so the timeline still carries a physically
-                    // plausible cumulative-joules series.
-                    let pkg_w = machine.power.pkg_base_w
-                        + threads as f64
-                            * machine.power.core_active_w[KernelClass::LeafGemm.index()];
-                    let model = ModelReader::from_powers(&[
-                        (Domain::Package, pkg_w),
-                        (Domain::Dram, machine.power.dram_static_w),
-                    ]);
-                    let mut last = Instant::now();
-                    run_sampler(model, &stop, move |r| {
-                        let now = Instant::now();
-                        r.advance((now - last).as_secs_f64());
-                        last = now;
-                    });
-                }
+            let power = &self.machine.power;
+            let pkg_w = power.pkg_base_w
+                + threads as f64 * power.core_active_w[KernelClass::LeafGemm.index()];
+            let model = ModelReader::from_powers(&[
+                (Domain::Package, pkg_w),
+                (Domain::Dram, power.dram_static_w),
+            ]);
+            let mut last = Instant::now();
+            spawn_sampler(model, stop, move |r| {
+                let now = Instant::now();
+                r.advance((now - last).as_secs_f64());
+                last = now;
             })
         };
 
@@ -95,25 +90,39 @@ impl Harness {
     }
 }
 
-/// The sampler loop: stamp each domain's cumulative joules onto the
-/// trace, starting with the opening zero (without it the curve begins at
-/// the first sample, and a run that ends before it is attributed no
-/// energy); then every [`SAMPLE_PERIOD`], and once more when `stop`
-/// disconnects, advance the reader (`tick`: the model reader moves
-/// simulated time by real elapsed time), sample and stamp again.
-fn run_sampler<R: EnergyReader>(mut reader: R, stop: &Receiver<()>, mut tick: impl FnMut(&mut R)) {
+/// Starts the meter on `reader` and stamps each domain's opening zero on
+/// the calling thread, before any run begins: without it the curve begins
+/// at the sampler's first stamp, which can come milliseconds late while
+/// the pool is busy, and a run that ends before it is attributed no
+/// energy. Then spawns the sampler: every [`SAMPLE_PERIOD`], and once
+/// more when `stop` disconnects, it advances the reader (`tick`: the
+/// model reader moves simulated time by real elapsed time), samples and
+/// stamps the cumulative joules again.
+fn spawn_sampler<R: EnergyReader + Send + 'static>(
+    mut reader: R,
+    stop: Receiver<()>,
+    mut tick: impl FnMut(&mut R) + Send + 'static,
+) -> JoinHandle<()> {
     let mut meter = EnergyMeter::start(&mut reader);
-    let mut last = false;
-    loop {
-        for (domain, joules) in meter.joules() {
-            trace::counter(trace_counter_name(domain), joules);
+    stamp(&meter);
+    std::thread::spawn(move || {
+        trace::set_thread_label("sampler", u32::MAX);
+        loop {
+            let last = stop.recv_timeout(SAMPLE_PERIOD) != Err(RecvTimeoutError::Timeout);
+            tick(&mut reader);
+            meter.sample(&mut reader);
+            stamp(&meter);
+            if last {
+                return;
+            }
         }
-        if last {
-            return;
-        }
-        last = stop.recv_timeout(SAMPLE_PERIOD) != Err(RecvTimeoutError::Timeout);
-        tick(&mut reader);
-        meter.sample(&mut reader);
+    })
+}
+
+/// Stamps each domain's cumulative joules onto the trace.
+fn stamp(meter: &EnergyMeter) {
+    for (domain, joules) in meter.joules() {
+        trace::counter(trace_counter_name(domain), joules);
     }
 }
 

@@ -68,6 +68,37 @@ fn traced_smoke_all_algorithms() {
         );
     }
 
+    // Every energy series opens before the first run does: a run is
+    // attributed energy from its first instant, not from whenever the
+    // sampler thread first got a CPU.
+    let records = || traced.trace.threads.iter().flat_map(|t| &t.records);
+    let first_run = records()
+        .filter_map(|r| match r.kind {
+            trace::Kind::Begin { name, .. } if name.starts_with("run:") => Some(r.ts),
+            _ => None,
+        })
+        .min()
+        .expect("run spans recorded");
+    let mut series: Vec<(&str, u64)> = Vec::new();
+    for r in records() {
+        if let trace::Kind::Counter { name, .. } = r.kind {
+            if !name.starts_with("joules:") {
+                continue;
+            }
+            match series.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, first)) => *first = (*first).min(r.ts),
+                None => series.push((name, r.ts)),
+            }
+        }
+    }
+    assert!(!series.is_empty(), "no joules:* series");
+    for (name, first) in series {
+        assert!(
+            first < first_run,
+            "{name} opens at {first} ns, after the first run span at {first_run} ns"
+        );
+    }
+
     // Coverage bar: spans cover ≥ 95% of session wall time.
     let cov = trace::coverage(&traced.trace);
     assert!(cov >= 0.95, "span coverage {:.1}% < 95%", cov * 100.0);

@@ -1,5 +1,4 @@
-//! Deterministic cooperative scheduling (the `deterministic` cargo
-//! feature).
+//! Deterministic cooperative scheduling.
 //!
 //! In deterministic mode the pool's workers stop free-running and instead
 //! take turns under a token scheduler: exactly one worker executes between
@@ -30,8 +29,9 @@
 //!
 //! The mode is cooperative, not preemptive: it serialises the pool, so it
 //! is a correctness instrument (chaos fuzzing, replay debugging), not a
-//! performance mode. With the feature disabled none of the hooks exist
-//! and the pool compiles exactly as before.
+//! performance mode. It is always compiled: outside a run every hook
+//! costs the pool one atomic load (`det_on`), as the trace recorder's
+//! hooks cost one load outside a session.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 

@@ -52,14 +52,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod cancel;
-#[cfg(feature = "deterministic")]
 pub mod det;
 mod pool;
 mod scope;
 mod stats;
 
 pub use cancel::{cancel_requested, CancelReason, CancelToken};
-#[cfg(feature = "deterministic")]
 pub use det::{DetConfig, DetEvent, DetTrace};
 pub use pool::{current_worker_index, GroupGuard, ThreadPool};
 pub use scope::Scope;

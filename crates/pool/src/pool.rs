@@ -1,7 +1,6 @@
 //! The thread pool itself: workers, deques, injector, parking.
 
 use crate::cancel::{current_cancel_token, CancelToken, CurrentGuard};
-#[cfg(feature = "deterministic")]
 use crate::det;
 use crate::scope::{Scope, ScopeLatch};
 use crate::stats::{PoolStats, WorkerStats};
@@ -78,9 +77,7 @@ pub(crate) struct PoolInner {
     sleep_cond: Condvar,
     /// Installed token scheduler while a deterministic run is active.
     /// `det_on` is the fast-path flag the hooks check first.
-    #[cfg(feature = "deterministic")]
     det: Mutex<Option<Arc<det::DetScheduler>>>,
-    #[cfg(feature = "deterministic")]
     det_on: AtomicBool,
 }
 
@@ -119,9 +116,7 @@ impl ThreadPool {
             shutdown: AtomicBool::new(false),
             sleep_mutex: Mutex::new(()),
             sleep_cond: Condvar::new(),
-            #[cfg(feature = "deterministic")]
             det: Mutex::new(None),
-            #[cfg(feature = "deterministic")]
             det_on: AtomicBool::new(false),
         });
         let threads = workers
@@ -288,7 +283,6 @@ impl ThreadPool {
     }
 }
 
-#[cfg(feature = "deterministic")]
 impl ThreadPool {
     /// Runs `f` (as the root task of a scope, on a worker) under the
     /// seeded deterministic token scheduler and returns its result plus
@@ -402,9 +396,8 @@ impl Drop for ThreadPool {
 }
 
 impl PoolInner {
-    /// The active deterministic scheduler, if any (one atomic load on the
-    /// fast path; the feature gate removes the hook entirely when off).
-    #[cfg(feature = "deterministic")]
+    /// The active deterministic scheduler, if any: one atomic load when
+    /// no deterministic run is active.
     fn det_scheduler(&self) -> Option<Arc<det::DetScheduler>> {
         if !self.det_on.load(Ordering::SeqCst) {
             return None;
@@ -415,7 +408,6 @@ impl PoolInner {
     /// Installs a deterministic run: publishes the scheduler, wakes every
     /// parked worker into the stepping loop and blocks until all of them
     /// have arrived — only then may the caller inject the root job.
-    #[cfg(feature = "deterministic")]
     fn install_det(&self, sched: Arc<det::DetScheduler>) {
         {
             let mut slot = self.det.lock();
@@ -433,7 +425,6 @@ impl PoolInner {
     /// Ends a deterministic run: waits for the scheduler to go quiescent
     /// (freezing the trace at a timing-independent point), releases every
     /// worker back to free running and clears the hook.
-    #[cfg(feature = "deterministic")]
     fn uninstall_det(&self) {
         let sched = self.det.lock().clone();
         if let Some(s) = sched {
@@ -446,7 +437,6 @@ impl PoolInner {
 
     /// Deterministic spawn hook: a worker yields the token after
     /// publishing work; an external push resumes a paused scheduler.
-    #[cfg(feature = "deterministic")]
     fn det_after_push(&self, count: usize, target: Option<usize>) {
         if let Some(d) = self.det_scheduler() {
             match self.current_worker() {
@@ -467,7 +457,6 @@ impl PoolInner {
             None => self.injector.push(job),
         }
         self.notify_all();
-        #[cfg(feature = "deterministic")]
         self.det_after_push(1, None);
     }
 
@@ -489,9 +478,7 @@ impl PoolInner {
                 }
             }
         }
-        let _ = pushed;
         self.notify_all();
-        #[cfg(feature = "deterministic")]
         if pushed > 0 {
             self.det_after_push(pushed, None);
         }
@@ -502,7 +489,6 @@ impl PoolInner {
     pub(crate) fn push_job_to(&self, worker: usize, job: Job) {
         self.mailboxes[worker].push(job);
         self.notify_all();
-        #[cfg(feature = "deterministic")]
         self.det_after_push(1, Some(worker));
     }
 
@@ -530,23 +516,17 @@ impl PoolInner {
             while !latch.is_open() {
                 // SAFETY: as in push_job — deque owned by this thread.
                 let local = unsafe { &*ctx.local };
-                #[cfg(feature = "deterministic")]
-                if let Some(det) = self.det_scheduler() {
+                let det = self.det_scheduler();
+                if let Some(det) = &det {
                     // Every helping iteration is a preemption point: the
                     // join site of the deterministic schedule.
                     det.preempt(ctx.index);
                     if latch.is_open() {
                         break;
                     }
-                    match self.find_job_det(local, ctx.index, &det) {
-                        Some((job, src)) => self.run_job(job, src, ctx.index),
-                        None => det.record_idle(ctx.index),
-                    }
-                    continue;
                 }
-                match self.find_job(local, ctx.index) {
-                    Some((job, src)) => self.run_job(job, src, ctx.index),
-                    None => std::thread::yield_now(),
+                if !self.run_next(local, ctx.index, det.as_deref()) && det.is_none() {
+                    std::thread::yield_now();
                 }
             }
         } else {
@@ -554,16 +534,57 @@ impl PoolInner {
         }
     }
 
-    fn find_job(&self, local: &Worker<Job>, index: usize) -> Option<(Job, JobSource)> {
+    /// Finds the next job this worker may run and runs it; `false` when
+    /// there was none. Under a deterministic run `det` records the find,
+    /// or the fruitless sweep as the worker's idle step.
+    fn run_next(&self, local: &Worker<Job>, index: usize, det: Option<&det::DetScheduler>) -> bool {
+        match self.find_job(local, index, det) {
+            Some((job, src)) => {
+                self.run_job(job, src, index);
+                true
+            }
+            None => {
+                if let Some(det) = det {
+                    det.record_idle(index);
+                }
+                false
+            }
+        }
+    }
+
+    /// The one job-finding path: the worker's own deque, its mailbox, the
+    /// global injector, then its siblings. Siblings are probed in the
+    /// same-group-first ring order, or, while a deterministic run is
+    /// active, in the order `det` draws for this sweep; only then is the
+    /// acquisition recorded. Strictness is enforced the same way in both
+    /// orders — by the post-catch re-check and put-back — so a drawn order
+    /// may *probe* a cross-group victim (the adversarial case
+    /// `cross_group_first` exists for) yet never executes across the
+    /// boundary.
+    fn find_job(
+        &self,
+        local: &Worker<Job>,
+        index: usize,
+        det: Option<&det::DetScheduler>,
+    ) -> Option<(Job, JobSource)> {
+        let worker = index as u32;
+        let record = |event| {
+            if let Some(det) = det {
+                det.record_run(index, event);
+            }
+        };
         if let Some(job) = local.pop() {
+            record(det::DetEvent::RunLocal { worker });
             return Some((job, JobSource::Local));
         }
         // Targeted work for this worker, then the global injector — both
         // drained in batches into our deque.
         if let Some(job) = steal_batch_into(&self.mailboxes[index], local) {
+            record(det::DetEvent::RunMailbox { worker });
             return Some((job, JobSource::Injected));
         }
         if let Some(job) = steal_batch_into(&self.injector, local) {
+            record(det::DetEvent::RunInjected { worker });
             return Some((job, JobSource::Injected));
         }
         // Steal from siblings: own group first, then (unless strict)
@@ -576,87 +597,30 @@ impl PoolInner {
         let n = self.num_workers();
         let my_tag = self.groups[index].load(Ordering::SeqCst);
         let strict = self.strict.load(Ordering::SeqCst);
-        for same_group_pass in [true, false] {
-            if !same_group_pass && strict && my_tag != UNGROUPED {
-                break;
+        let mut drawn;
+        let mut ring;
+        let victims: &mut dyn Iterator<Item = usize> = match det {
+            Some(det) => {
+                let tags: Vec<usize> = (0..n)
+                    .map(|w| self.groups[w].load(Ordering::SeqCst))
+                    .collect();
+                drawn = det.victim_order(index, my_tag, &tags).into_iter();
+                &mut drawn
             }
-            for k in 1..n {
-                let victim = (index + k) % n;
-                let victim_tag = self.groups[victim].load(Ordering::SeqCst);
-                if (victim_tag == my_tag) != same_group_pass {
-                    continue;
-                }
-                let caught = steal_one(&self.stealers[victim])
-                    .or_else(|| steal_one_injector(&self.mailboxes[victim]));
-                if let Some(job) = caught {
-                    let my_tag = self.groups[index].load(Ordering::SeqCst);
-                    let victim_tag = self.groups[victim].load(Ordering::SeqCst);
-                    let strict = self.strict.load(Ordering::SeqCst);
-                    if strict && my_tag != UNGROUPED && victim_tag != my_tag {
-                        self.mailboxes[victim].push(job);
-                        self.notify_all();
-                        continue;
-                    }
-                    trace::instant(trace::Category::Pool, "steal", victim as u32);
-                    return Some((
-                        job,
-                        JobSource::Stolen {
-                            in_group: victim_tag == my_tag,
-                        },
-                    ));
-                }
+            None => {
+                let cross_pass = !(strict && my_tag != UNGROUPED);
+                ring = [true, false]
+                    .into_iter()
+                    .filter(move |&same| same || cross_pass)
+                    .flat_map(move |same| {
+                        (1..n).map(move |k| (index + k) % n).filter(move |&v| {
+                            (self.groups[v].load(Ordering::SeqCst) == my_tag) == same
+                        })
+                    });
+                &mut ring
             }
-        }
-        None
-    }
-
-    /// The deterministic twin of [`PoolInner::find_job`]: same sources,
-    /// but siblings are probed in a freshly drawn victim order (instead
-    /// of the fixed ring scan with its same-group-first pass) and every
-    /// acquisition is recorded. Strictness is enforced the same way as in
-    /// production — by the post-catch re-check and put-back — so a
-    /// strict-grouped worker may *probe* a cross-group victim here (the
-    /// adversarial case `cross_group_first` exists for) yet never
-    /// executes across the boundary.
-    #[cfg(feature = "deterministic")]
-    fn find_job_det(
-        &self,
-        local: &Worker<Job>,
-        index: usize,
-        det: &det::DetScheduler,
-    ) -> Option<(Job, JobSource)> {
-        if let Some(job) = local.pop() {
-            det.record_run(
-                index,
-                det::DetEvent::RunLocal {
-                    worker: index as u32,
-                },
-            );
-            return Some((job, JobSource::Local));
-        }
-        if let Some(job) = steal_batch_into(&self.mailboxes[index], local) {
-            det.record_run(
-                index,
-                det::DetEvent::RunMailbox {
-                    worker: index as u32,
-                },
-            );
-            return Some((job, JobSource::Injected));
-        }
-        if let Some(job) = steal_batch_into(&self.injector, local) {
-            det.record_run(
-                index,
-                det::DetEvent::RunInjected {
-                    worker: index as u32,
-                },
-            );
-            return Some((job, JobSource::Injected));
-        }
-        let n = self.num_workers();
-        let tags: Vec<usize> = (0..n)
-            .map(|w| self.groups[w].load(Ordering::SeqCst))
-            .collect();
-        for victim in det.victim_order(index, tags[index], &tags) {
+        };
+        for victim in victims {
             let caught = steal_one(&self.stealers[victim])
                 .or_else(|| steal_one_injector(&self.mailboxes[victim]));
             if let Some(job) = caught {
@@ -666,11 +630,15 @@ impl PoolInner {
                 if strict && my_tag != UNGROUPED && victim_tag != my_tag {
                     self.mailboxes[victim].push(job);
                     self.notify_all();
-                    det.record_steal_rejected(index, victim);
+                    if let Some(det) = det {
+                        det.record_steal_rejected(index, victim);
+                    }
                     continue;
                 }
                 let in_group = victim_tag == my_tag;
-                det.record_steal(index, victim, in_group);
+                if let Some(det) = det {
+                    det.record_steal(index, victim, in_group);
+                }
                 trace::instant(trace::Category::Pool, "steal", victim as u32);
                 return Some((job, JobSource::Stolen { in_group }));
             }
@@ -775,21 +743,23 @@ fn worker_loop(inner: Arc<PoolInner>, index: usize, local: Worker<Job>) {
     let mut spin_limit = SPIN_START;
     let mut idle_spins = 0u32;
     loop {
-        #[cfg(feature = "deterministic")]
         if let Some(det) = inner.det_scheduler() {
-            det_worker_loop(&inner, &det, &local, index);
-            // The run ended: fall back to free running with a fresh
-            // spin budget.
+            // A deterministic run: arrive, take one scheduling step per
+            // token grant, release; leave when the run stops and fall
+            // back to free running with a fresh spin budget.
+            while det.acquire(index) {
+                inner.run_next(&local, index, Some(&det));
+                det.release(index);
+            }
             spin_limit = SPIN_START;
             idle_spins = 0;
             continue;
         }
-        if let Some((job, src)) = inner.find_job(&local, index) {
+        if inner.run_next(&local, index, None) {
             if idle_spins > 0 {
                 spin_limit = (spin_limit * 2).min(SPIN_MAX);
             }
             idle_spins = 0;
-            inner.run_job(job, src, index);
             continue;
         }
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -808,7 +778,6 @@ fn worker_loop(inner: Arc<PoolInner>, index: usize, local: Worker<Job>) {
         if inner.has_work_for(index) || inner.shutdown.load(Ordering::SeqCst) {
             continue;
         }
-        #[cfg(feature = "deterministic")]
         if inner.det_on.load(Ordering::SeqCst) {
             // A deterministic run was just installed: join it instead of
             // sleeping (the install's wakeup pairs with this re-check).
@@ -822,24 +791,6 @@ fn worker_loop(inner: Arc<PoolInner>, index: usize, local: Worker<Job>) {
         idle_spins = 0;
     }
     WORKER_CTX.with(|c| c.set(None));
-}
-
-/// One worker's side of a deterministic run: arrive, take one scheduling
-/// step per token grant, release; leave when the run stops.
-#[cfg(feature = "deterministic")]
-fn det_worker_loop(
-    inner: &PoolInner,
-    det: &Arc<det::DetScheduler>,
-    local: &Worker<Job>,
-    index: usize,
-) {
-    while det.acquire(index) {
-        match inner.find_job_det(local, index, det) {
-            Some((job, src)) => inner.run_job(job, src, index),
-            None => det.record_idle(index),
-        }
-        det.release(index);
-    }
 }
 
 #[cfg(test)]

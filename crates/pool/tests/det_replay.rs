@@ -1,12 +1,6 @@
 //! Deterministic-mode acceptance tests: same seed ⇒ byte-identical
 //! trace; replay-from-trace reproduces the recorded schedule exactly;
 //! adversarial schedules preserve the strict-group invariant.
-//!
-//! These tests only exist when the pool is built with the
-//! `deterministic` feature (the workspace test build enables it through
-//! `powerscale-testkit`; standalone, use
-//! `cargo test -p powerscale-pool --features deterministic`).
-#![cfg(feature = "deterministic")]
 
 use powerscale_pool::det::{DetConfig, DetEvent, DetTrace};
 use powerscale_pool::ThreadPool;

@@ -49,6 +49,8 @@ pub struct EnergyCounter {
     units: RaplUnits,
     last_raw: u32,
     accumulated_joules: f64,
+    /// Backwards register movements read as wraps; only tests read it.
+    #[cfg(test)]
     wraps: u64,
 }
 
@@ -59,6 +61,7 @@ impl EnergyCounter {
             units,
             last_raw: initial_raw,
             accumulated_joules: 0.0,
+            #[cfg(test)]
             wraps: 0,
         }
     }
@@ -70,6 +73,7 @@ impl EnergyCounter {
     /// undetectable — the meter must sample faster than the counter's
     /// wrap period, [`RaplUnits::wrap_joules`] over the load's watts.)
     pub fn update(&mut self, raw: u32) -> f64 {
+        #[cfg(test)]
         if raw < self.last_raw {
             // The register moved backwards: a wraparound was corrected.
             self.wraps += 1;
@@ -88,6 +92,7 @@ impl EnergyCounter {
 
     /// Wraparounds corrected since construction (backwards register
     /// movements interpreted as wraps).
+    #[cfg(test)]
     pub(crate) fn wraps_corrected(&self) -> u64 {
         self.wraps
     }

@@ -20,10 +20,10 @@
 //!   zone whose `energy_uj` cannot be read is listed apart from the
 //!   readable domains);
 //! * [`EnergyMeter`] — the sampling integrator the experiment harness uses
-//!   (the analog of the paper's PAPI-instrumented test driver). A failed
-//!   read is counted and the next good sample integrates the deferred
-//!   delta: the failures a real backend has (read errors, wraps, a zone
-//!   that stops answering) need no decorator.
+//!   (the analog of the paper's PAPI-instrumented test driver). After a
+//!   failed read the next good sample integrates the deferred delta: the
+//!   failures a real backend has (read errors, wraps, a zone that stops
+//!   answering) need no decorator.
 //!
 //! # Example
 //!
@@ -56,7 +56,7 @@ pub mod sysfs;
 
 pub use counter::{EnergyCounter, RaplUnits};
 pub use domain::Domain;
-pub use meter::{EnergyMeter, EnergyReport, SampleQuality};
+pub use meter::{EnergyMeter, EnergyReport};
 
 /// A backend that exposes RAPL-style raw energy counters.
 pub trait EnergyReader {

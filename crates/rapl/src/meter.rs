@@ -4,22 +4,6 @@ use crate::counter::EnergyCounter;
 use crate::domain::Domain;
 use crate::EnergyReader;
 
-/// Per-domain sample counts over one metered interval.
-///
-/// `attempted`/`failed` count [`EnergyMeter::sample`] reads (including the
-/// final one taken by [`EnergyMeter::finish`]). A failed read loses no
-/// energy: the counter is cumulative, so the next good sample integrates
-/// the deferred delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SampleQuality {
-    /// Samples attempted for this domain.
-    pub attempted: u64,
-    /// Samples that returned no reading (`read_raw -> None`).
-    pub failed: u64,
-    /// Counter wraparounds corrected while integrating.
-    pub wraps_corrected: u64,
-}
-
 /// Integrated energy per domain over one measured interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
@@ -27,8 +11,6 @@ pub struct EnergyReport {
     pub joules: Vec<(Domain, f64)>,
     /// Interval length in seconds.
     pub elapsed: f64,
-    /// Per-domain sample quality, same order as `joules`.
-    pub quality: Vec<(Domain, SampleQuality)>,
 }
 
 impl EnergyReport {
@@ -57,13 +39,7 @@ impl EnergyReport {
 /// Samples an [`EnergyReader`] and integrates wrap-corrected deltas — the
 /// equivalent of the paper's PAPI-instrumented driver loop.
 pub struct EnergyMeter {
-    counters: Vec<(Domain, Tracked)>,
-}
-
-struct Tracked {
-    counter: EnergyCounter,
-    attempted: u64,
-    failed: u64,
+    counters: Vec<(Domain, EnergyCounter)>,
 }
 
 impl EnergyMeter {
@@ -76,33 +52,23 @@ impl EnergyMeter {
             .domains()
             .into_iter()
             .filter_map(|d| {
-                reader.read_raw(d).map(|raw| {
-                    (
-                        d,
-                        Tracked {
-                            counter: EnergyCounter::new(units, raw),
-                            attempted: 0,
-                            failed: 0,
-                        },
-                    )
-                })
+                reader
+                    .read_raw(d)
+                    .map(|raw| (d, EnergyCounter::new(units, raw)))
             })
             .collect();
         EnergyMeter { counters }
     }
 
     /// Takes an intermediate sample (must run at least once per counter
-    /// wrap period; the harness samples every simulated 100 ms). Failed
-    /// reads are counted, not fatal — the next successful sample still
-    /// integrates the full wrap-corrected delta.
+    /// wrap period; the harness samples every simulated 100 ms). A failed
+    /// read is not fatal and loses no energy: the counter is cumulative,
+    /// so the next successful sample integrates the full wrap-corrected
+    /// delta.
     pub fn sample<R: EnergyReader + ?Sized>(&mut self, reader: &mut R) {
-        for (d, t) in &mut self.counters {
-            t.attempted += 1;
-            match reader.read_raw(*d) {
-                Some(raw) => {
-                    t.counter.update(raw);
-                }
-                None => t.failed += 1,
+        for (d, counter) in &mut self.counters {
+            if let Some(raw) = reader.read_raw(*d) {
+                counter.update(raw);
             }
         }
     }
@@ -112,7 +78,7 @@ impl EnergyMeter {
     pub fn joules(&self) -> impl Iterator<Item = (Domain, f64)> + '_ {
         self.counters
             .iter()
-            .map(|(d, t)| (*d, t.counter.total_joules()))
+            .map(|(d, counter)| (*d, counter.total_joules()))
     }
 
     /// Final sample + report over `elapsed` seconds.
@@ -122,25 +88,9 @@ impl EnergyMeter {
         elapsed: f64,
     ) -> EnergyReport {
         self.sample(reader);
-        let joules = self.joules().collect();
-        let quality = self
-            .counters
-            .iter()
-            .map(|(d, t)| {
-                (
-                    *d,
-                    SampleQuality {
-                        attempted: t.attempted,
-                        failed: t.failed,
-                        wraps_corrected: t.counter.wraps_corrected(),
-                    },
-                )
-            })
-            .collect();
         EnergyReport {
-            joules,
+            joules: self.joules().collect(),
             elapsed,
-            quality,
         }
     }
 }
@@ -149,16 +99,6 @@ impl EnergyMeter {
 mod tests {
     use super::*;
     use crate::model::ModelReader;
-
-    impl EnergyReport {
-        /// Sample quality for one domain.
-        fn quality_for(&self, domain: Domain) -> Option<SampleQuality> {
-            self.quality
-                .iter()
-                .find(|&&(d, _)| d == domain)
-                .map(|&(_, q)| q)
-        }
-    }
 
     #[test]
     fn meter_integrates_constant_power() {
@@ -171,9 +111,6 @@ mod tests {
         let report = m.finish(&mut r, 5.0);
         assert!((report.joules_for(Domain::Package).unwrap() - 150.0).abs() < 0.1);
         assert!((report.avg_watts(Domain::Dram).unwrap() - 3.0).abs() < 0.05);
-        let q = report.quality_for(Domain::Package).unwrap();
-        assert_eq!(q.attempted, 51); // 50 samples + finish
-        assert_eq!(q.failed, 0);
     }
 
     #[test]
@@ -190,9 +127,6 @@ mod tests {
         let report = m.finish(&mut r, 3.0);
         let j = report.joules_for(Domain::PP0).unwrap();
         assert!((j - 300.0).abs() < 0.1, "j = {j}");
-        let q = report.quality_for(Domain::PP0).unwrap();
-        assert_eq!(q.wraps_corrected, 1);
-        assert_eq!(q.failed, 0, "a corrected wrap is not a failed sample");
     }
 
     #[test]
@@ -237,11 +171,10 @@ mod tests {
         let report = m.finish(&mut r, 1.0);
         assert!(report.joules.is_empty());
         assert_eq!(report.joules_for(Domain::Package), None);
-        assert!(report.quality.is_empty());
     }
 
     #[test]
-    fn failed_samples_are_counted_and_deferred() {
+    fn failed_samples_are_deferred() {
         struct FlakyOnce {
             inner: ModelReader,
             fail_next: bool,
@@ -275,8 +208,5 @@ mod tests {
         let report = m.finish(&mut r, 1.0);
         // Energy is deferred, not lost, across the failed sample.
         assert!((report.joules_for(Domain::Package).unwrap() - 50.0).abs() < 0.1);
-        let q = report.quality_for(Domain::Package).unwrap();
-        assert_eq!(q.attempted, 11);
-        assert_eq!(q.failed, 1);
     }
 }

@@ -423,6 +423,32 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn record_with_a_deleted_degrade_step_is_a_typed_error() {
+        // A journal written while the ladder still had its precision rung
+        // may carry `"Precision"` or `"Full"`: a checksummed line that no
+        // longer decodes is a typed error naming the line, not a torn
+        // append, even as the last line.
+        let dir = tmpdir("deleted-variant");
+        let j = Journal::create(&dir, &manifest()).unwrap();
+        j.record_admitted(&pending(1)).unwrap();
+        for deleted in ["Precision", "Full"] {
+            let json = serde_json::to_string(&pending(2))
+                .unwrap()
+                .replace("\"Algorithm\"", &format!("\"{deleted}\""));
+            let mut bytes = std::fs::read(&j.path).unwrap();
+            let line = format!("{:016x} {json}\n", fnv1a_bytes(json.bytes()));
+            bytes.extend_from_slice(line.as_bytes());
+            std::fs::write(&j.path, &bytes).unwrap();
+            match Journal::resume(&dir, &manifest()) {
+                Err(JournalError::Record { line, .. }) => assert_eq!(line, 3, "{deleted}"),
+                other => panic!("{deleted}: expected a Record error, got {other:?}"),
+            }
+            assert_eq!(std::fs::read(&j.path).unwrap(), bytes, "nothing is cut");
+            std::fs::write(&j.path, &bytes[..bytes.len() - line.len()]).unwrap();
+        }
+    }
+
+    #[test]
     fn old_layout_is_refused_and_left_untouched() {
         let dir = tmpdir("old-layout");
         let (old_manifest, old_records) = (dir.join(OLD_LAYOUT[0]), dir.join(OLD_LAYOUT[1]));

@@ -6,8 +6,8 @@
 //! batching**, **per-request deadlines** enforced cooperatively through
 //! the pool's [`CancelToken`](powerscale_pool::CancelToken) protocol,
 //! **bounded retry with backoff** around `catch_unwind`-isolated worker
-//! panics, a **degradation ladder** (recursive algorithm → blocked DGEMM,
-//! then f64 → mixed) that trades fidelity for latency before shedding,
+//! panics, a **degradation ladder** (recursive algorithm → blocked DGEMM)
+//! that trades the caller's algorithm for latency before shedding,
 //! and a **crash-safe write-ahead journal** giving exactly-once responses
 //! across a kill-and-restart.
 //!

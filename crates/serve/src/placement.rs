@@ -116,7 +116,7 @@ mod tests {
         // 48K/2M/260M host the 6×32 AVX-512 f64 tile derives mc = 480
         // (f32, 6×64: 510), so every shape of the default serve mix is one
         // band: width 1, the batched fast path, on any group.
-        let caches = powerscale_gemm::autotune::parse_cache_list("48K,2M,260M").unwrap();
+        let caches = powerscale_gemm::autotune::hierarchy(&[48 << 10, 2 << 20, 260 << 20]);
         let mc_for = |mr, nr| {
             powerscale_gemm::BlockingParams::host_tuned_for_caches_and_tile(&caches, mr, nr).mc
         };

@@ -26,8 +26,7 @@ pub struct JobSpec {
     /// Requested algorithm. The server may degrade it (recursive →
     /// blocked) under queue pressure; the response records the downgrade.
     pub algorithm: Algorithm,
-    /// Requested numeric tier. May be degraded f64 → mixed under severe
-    /// pressure.
+    /// Requested numeric tier; the server never changes it.
     pub dtype: DtypeTier,
     /// Latency budget in milliseconds, counted from *admission*. `None`
     /// means no deadline. `Some(0)` is rejected at admission as
@@ -114,21 +113,16 @@ pub enum FailReason {
 
 /// Which rung of the degradation ladder a request was served at.
 ///
-/// The ladder is ordered: under moderate pressure the server first gives
-/// up the *algorithm* hint (recursive algorithms fall back to blocked
-/// DGEMM, which needs no task tree and has the best latency at small n);
-/// under severe pressure it additionally gives up *precision*
-/// (f64 → mixed: operands rounded through f32, computed by the f64
-/// kernel). Shedding is the rung below
-/// both — degradation exists precisely to delay it.
+/// Under pressure the server gives up the *algorithm* hint (recursive
+/// algorithms fall back to blocked DGEMM, which needs no task tree and
+/// has the best latency at small n). That is the one rung: demoting f64
+/// to mixed would cost precision and save no time, because mixed runs the
+/// f64 kernel on operands rounded through f32. Shedding is the rung below
+/// it — degradation exists precisely to delay it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradeStep {
     /// Recursive algorithm hint replaced with blocked DGEMM.
     Algorithm,
-    /// f64 operands demoted to the mixed tier.
-    Precision,
-    /// Both rungs at once.
-    Full,
 }
 
 /// The server's answer to one request. Exactly one `Response` exists per

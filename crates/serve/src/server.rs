@@ -94,7 +94,6 @@ use crate::request::{
     checksum_f64, DegradeStep, FailReason, JobSpec, RejectReason, Response, Status,
 };
 use powerscale_counters::EventSet;
-use powerscale_gemm::DtypeTier;
 use powerscale_harness::{Algorithm, Harness, RunSpec};
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::{CancelToken, ThreadPool};
@@ -109,8 +108,6 @@ use std::time::{Duration, Instant};
 /// Queue pressure at which recursive algorithm hints degrade to blocked
 /// DGEMM; [`Server::run`] paces admission below it.
 const DEGRADE_WATERMARK: f64 = 0.5;
-/// Queue pressure at which f64 additionally degrades to mixed.
-const PRECISION_WATERMARK: f64 = 0.85;
 
 /// Knobs for one serving run.
 #[derive(Debug, Clone)]
@@ -300,24 +297,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the write-ahead record (a replay after a crash must not re-decide
 /// under different pressure — that would change the result's bits).
 fn resolve_plan(pressure: f64, spec: &JobSpec) -> ExecPlan {
-    let mut algorithm = spec.algorithm;
-    let mut dtype = spec.dtype;
-    let mut step = None;
-    if pressure >= DEGRADE_WATERMARK && algorithm != Algorithm::Blocked {
-        algorithm = Algorithm::Blocked;
-        step = Some(DegradeStep::Algorithm);
-    }
-    if pressure >= PRECISION_WATERMARK && dtype == DtypeTier::F64 {
-        dtype = DtypeTier::Mixed;
-        step = Some(match step {
-            Some(DegradeStep::Algorithm) => DegradeStep::Full,
-            _ => DegradeStep::Precision,
-        });
-    }
+    let degrade = pressure >= DEGRADE_WATERMARK && spec.algorithm != Algorithm::Blocked;
     ExecPlan {
-        algorithm,
-        dtype,
-        degraded: step,
+        algorithm: if degrade {
+            Algorithm::Blocked
+        } else {
+            spec.algorithm
+        },
+        dtype: spec.dtype,
+        degraded: degrade.then_some(DegradeStep::Algorithm),
     }
 }
 
@@ -838,6 +826,7 @@ fn run_job(env: &ExecEnv<'_>, mode: ExecMode, job: &Admitted, token: &CancelToke
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powerscale_gemm::DtypeTier;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -909,7 +898,8 @@ mod tests {
     #[test]
     fn degradation_ladder_applies_by_pressure() {
         // Capacity 10: request k is admitted at pressure k/10, so the
-        // ladder fires at k=5 (algorithm) and k=9 (precision too).
+        // ladder fires at k=5, and every later request degrades by
+        // algorithm only: there is no precision rung.
         let cfg = ServerConfig {
             threads: 2,
             capacity: 10,
@@ -922,11 +912,7 @@ mod tests {
         s.drain();
         let out = s.take_responses();
         for r in &out {
-            let expect = match r.id {
-                0..=4 => None,
-                5..=8 => Some(DegradeStep::Algorithm),
-                _ => Some(DegradeStep::Full),
-            };
+            let expect = (r.id >= 5).then_some(DegradeStep::Algorithm);
             assert_eq!(r.degraded, expect, "request {}", r.id);
             assert_eq!(r.status, Status::Completed);
         }

@@ -373,11 +373,7 @@ fn degraded_plans_survive_the_journal_round_trip() {
     let out = second.run(specs.clone());
     let map = by_id(&out);
     for spec in &specs {
-        let expect = match spec.id {
-            0..=4 => None,
-            5..=8 => Some(powerscale_serve::DegradeStep::Algorithm),
-            _ => Some(powerscale_serve::DegradeStep::Full),
-        };
+        let expect = (spec.id >= 5).then_some(powerscale_serve::DegradeStep::Algorithm);
         assert_eq!(
             map[&spec.id].degraded, expect,
             "id {}: replay must honour the admission-time plan",

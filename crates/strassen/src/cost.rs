@@ -38,9 +38,9 @@ pub const PAPER_CUTOFF: usize = 64;
 /// `mc`.
 ///
 /// The rule reads only what the autotuner already fixes per process (the
-/// kernel's tile and the probed caches, which `POWERSCALE_CACHES` /
-/// `POWERSCALE_BLOCKING` pin) and never a timing, so two processes on one
-/// host always pick the same leaf and produce the same bits.
+/// kernel's tile and the probed caches) and never a timing or the
+/// environment, so two processes on one host always pick the same leaf
+/// and produce the same bits.
 pub fn executed_cutoff(kernel: &KernelInfo) -> usize {
     cutoff_for_panel_rows(BlockingParams::autotuned_for(kernel).mc)
 }
@@ -195,16 +195,16 @@ mod tests {
 
     #[test]
     fn executed_cutoff_on_known_hierarchies() {
-        use powerscale_gemm::autotune::parse_cache_list;
+        use powerscale_gemm::autotune::hierarchy;
         // The 48K/2M/260M host: mc = 480 / 210 / 128 for the 6×32 AVX-512,
         // 6×8 AVX2 and 4×4 scalar tiles.
-        let host = parse_cache_list("48K,2M,260M").unwrap();
+        let host = hierarchy(&[48 << 10, 2 << 20, 260 << 20]);
         for ((mr, nr), want) in [((6, 32), 512), ((6, 8), 256), ((4, 4), 128)] {
             let p = BlockingParams::host_tuned_for_caches_and_tile(&host, mr, nr);
             assert_eq!(cutoff_for_panel_rows(p.mc), want, "tile {mr}x{nr}");
         }
-        // A tiny `POWERSCALE_CACHES` hierarchy never goes below the paper.
-        let tiny = parse_cache_list("1K,2K,4K").unwrap();
+        // A tiny hierarchy never goes below the paper.
+        let tiny = hierarchy(&[1 << 10, 2 << 10, 4 << 10]);
         for (mr, nr) in [(6, 32), (6, 8), (4, 4), (6, 64)] {
             let p = BlockingParams::host_tuned_for_caches_and_tile(&tiny, mr, nr);
             assert_eq!(cutoff_for_panel_rows(p.mc), PAPER_CUTOFF, "tile {mr}x{nr}");

@@ -19,8 +19,10 @@
 //! A second sweep, `run_kernel_matrix`, covers the *kernel* matrix:
 //! every dispatchable ISA×dtype instance ([`available_kernels`]) pinned
 //! via [`Dispatch::with_kernel`] and driven through the blocked driver
-//! and the Strassen recursion's fused leaf, scored against the same
-//! oracle with precision-appropriate bounds ([`dtype_tol`]).
+//! (at the host's blocking and in each of
+//! [`BlockingParams::regimes_for`]'s regimes) and the Strassen
+//! recursion's fused leaf, scored against the same oracle with
+//! precision-appropriate bounds ([`dtype_tol`]).
 //!
 //! Recursion depth is held constant across sizes by setting the
 //! Strassen/CAPS cutoff to `n / 8` (three levels), which keeps the
@@ -32,7 +34,8 @@ use crate::oracle::{max_rel_error, reference_mm};
 use powerscale_caps::CapsConfig;
 use powerscale_cluster::DistCapsConfig;
 use powerscale_gemm::{
-    available_kernels, dgemm, scalar_kernel, simd_kernel, Dispatch, DtypeTier, GemmContext,
+    available_kernels, dgemm, scalar_kernel, simd_kernel, BlockingParams, Dispatch, DtypeTier,
+    GemmContext,
 };
 use powerscale_matrix::{Matrix, MatrixGen};
 use powerscale_pool::ThreadPool;
@@ -42,10 +45,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The multiply one sweep cell drives.
 #[derive(Debug, Clone, Copy)]
 enum Algo {
-    Blocked,
+    /// Blocked DGEMM at the given blocking, or the dispatch's autotuned
+    /// one.
+    Blocked(Option<BlockingParams>),
     Strassen,
     Caps,
-    DistCaps { nodes: usize },
+    DistCaps {
+        nodes: usize,
+    },
 }
 
 /// One sweep cell: a multiply under one explicit dispatch.
@@ -83,9 +90,12 @@ impl Sweep {
     fn rel_err(&self, cell: &Cell, pool: &ThreadPool) -> f64 {
         let (a, b, dispatch) = (&self.a, &self.b, cell.dispatch);
         let c = match cell.algo {
-            Algo::Blocked => {
+            Algo::Blocked(params) => {
                 let mut c = Matrix::zeros(a.rows(), b.cols());
-                let ctx = GemmContext::new(dispatch, Some(pool), None);
+                let mut ctx = GemmContext::new(dispatch, Some(pool), None);
+                if let Some(params) = params {
+                    ctx.params = params;
+                }
                 dgemm(1.0, &a.view(), &b.view(), 0.0, &mut c.view_mut(), &ctx)
                     .expect("blocked dgemm dimensions");
                 c
@@ -216,7 +226,7 @@ pub(crate) fn run_differential(cfg: &DiffConfig) -> Vec<DiffCase> {
     ];
     for (tl, kernel) in tiers {
         for (name, algo) in [
-            ("blocked", Algo::Blocked),
+            ("blocked", Algo::Blocked(None)),
             ("strassen", Algo::Strassen),
             ("caps", Algo::Caps),
         ] {
@@ -297,12 +307,20 @@ pub(crate) struct KernelCase {
 
 /// Runs every dispatchable kernel instance (ISA tier × dtype tier) through
 /// the blocked driver and through the Strassen recursion — the
-/// kernel-level companion to [`run_differential`]'s algorithm matrix. Two
-/// cells per kernel: `blocked` and `strassen`.
+/// kernel-level companion to [`run_differential`]'s algorithm matrix.
+/// [`CELLS_PER_KERNEL`] cells per kernel: `blocked` at the host's
+/// blocking, `blocked@{regime}` in each of
+/// [`BlockingParams::regimes_for`]'s regimes, and `strassen`.
 pub(crate) fn run_kernel_matrix(cfg: &DiffConfig) -> Vec<KernelCase> {
     let mut cells = Vec::new();
     for kernel in available_kernels() {
-        for (name, algo) in [("blocked", Algo::Blocked), ("strassen", Algo::Strassen)] {
+        let regimes = BlockingParams::regimes_for(kernel)
+            .map(|(regime, p)| (format!("blocked@{regime}"), Algo::Blocked(Some(p))));
+        let algos = [("blocked".to_string(), Algo::Blocked(None))]
+            .into_iter()
+            .chain(regimes)
+            .chain([("strassen".to_string(), Algo::Strassen)]);
+        for (name, algo) in algos {
             cells.push(Cell {
                 label: format!("{name}/{}", kernel.name),
                 algo,
@@ -322,6 +340,9 @@ pub(crate) fn run_kernel_matrix(cfg: &DiffConfig) -> Vec<KernelCase> {
         .collect()
 }
 
+/// Cells [`run_kernel_matrix`] runs per kernel.
+const CELLS_PER_KERNEL: usize = 4;
+
 /// Runs the kernel matrix and asserts every cell meets its
 /// dtype-appropriate bound ([`dtype_tol`] of `cfg.tol`), reporting all
 /// failures with their observed errors.
@@ -329,7 +350,7 @@ pub fn assert_kernel_matrix(cfg: &DiffConfig) {
     let cases = run_kernel_matrix(cfg);
     assert_eq!(
         cases.len(),
-        2 * available_kernels().len(),
+        CELLS_PER_KERNEL * available_kernels().len(),
         "kernel matrix shrank unexpectedly"
     );
     for dtype in DtypeTier::ALL {
@@ -366,10 +387,12 @@ mod tests {
     fn kernel_matrix_covers_every_tier_and_leaf_mode() {
         let cfg = DiffConfig::for_size(96);
         let cases = run_kernel_matrix(&cfg);
-        assert_eq!(cases.len(), 2 * available_kernels().len());
+        assert_eq!(cases.len(), CELLS_PER_KERNEL * available_kernels().len());
         for kernel in available_kernels() {
             for expected in [
                 format!("blocked/{}", kernel.name),
+                format!("blocked@tiny-caches/{}", kernel.name),
+                format!("blocked@kc136/{}", kernel.name),
                 format!("strassen/{}", kernel.name),
             ] {
                 assert!(
