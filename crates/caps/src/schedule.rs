@@ -28,6 +28,7 @@ use powerscale_strassen::Pricing;
 
 /// The BFS/DFS schedule's prices in the plan of one CAPS multiply on a
 /// machine with `cores` cores, across which every DFS step is shared.
+#[derive(Clone)]
 pub(crate) struct BfsDfsPricing {
     pub(crate) cores: usize,
 }

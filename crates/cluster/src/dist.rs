@@ -197,11 +197,11 @@ pub(crate) fn owner_cols(m: usize, g: usize, idx: usize) -> (usize, usize) {
 /// The BFS rank-range split of `g` ranks into 7 child groups (relative to
 /// group base 0). Ranges are equal-or-disjoint: with `g ≥ 7` they are
 /// disjoint; with `g < 7` several children share one rank and run
-/// sequentially on it. Here child group `i` runs the `i`-th product of
-/// `arith::launch()` (M2, M3, M6, M7, M1, M4, M5). The declared
-/// [`crate::plans`] split node groups with this function too, but place
-/// product M`i+1` (`PRODUCTS` order) on group `i`: the ranges agree, the
-/// products on them do not.
+/// sequentially on it. Child group `i` runs the `i`-th product of
+/// `arith::launch()` (M2, M3, M6, M7, M1, M4, M5), here and in the
+/// declared [`crate::plans::dist_caps_graph`], whose node-group pricing
+/// splits with this function too: the ranges and the products on them
+/// agree.
 pub fn bfs_child_ranges(g: usize) -> [(usize, usize); 7] {
     let mut out = [(0usize, 0usize); 7];
     for (i, slot) in out.iter_mut().enumerate() {
@@ -297,6 +297,17 @@ impl Layout {
         debug_assert!(own.1 <= self.frame, "slice {own:?} outside the frame");
         panel.cols().checked_div(width(own)).unwrap_or(0)
     }
+}
+
+/// Columns per frame of a quadrant that the ranks of child range
+/// `(lo, hi)` of a `g`-rank group already own in the group's layout: the
+/// share [`RankCtx::keep`] forms in place. A BFS step ships the rest of
+/// each operand to the child group and the rest of its product back.
+pub(crate) fn kept_cols(layout: &Layout, g: usize, (lo, hi): (usize, usize)) -> usize {
+    (0..hi - lo)
+        .filter_map(|r| slice_overlap(layout.slice(hi - lo, r), layout.slice(g, lo + r)))
+        .map(width)
+        .sum()
 }
 
 /// A per-frame column slice `[lo, hi)` of the [`Layout`].

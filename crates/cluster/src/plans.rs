@@ -1,110 +1,116 @@
 //! Distributed algorithm plans: CAPS across nodes vs a 2D SUMMA baseline.
 
 use crate::config::ClusterConfig;
-use crate::dist::bfs_child_ranges;
+use crate::dist::{bfs_child_ranges, kept_cols, Layout};
 use powerscale_caps::CapsConfig;
-use powerscale_machine::{KernelClass, MachineConfig, TaskCost, TaskGraph, TaskId};
-use powerscale_strassen::arith::{self, Quad, PRODUCTS};
-use powerscale_strassen::cost as scost;
+use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
+use powerscale_strassen::{plan, Pricing};
 
 /// Distributed CAPS: BFS steps split the seven sub-problems across
 /// disjoint *node groups* (the CAPS papers' scheme — operands move once,
 /// then each group works locally); once a subtree owns a single node, it
 /// runs the whole node-local CAPS there, work-shared across the node's
-/// cores, with zero fabric traffic.
+/// cores, with zero fabric traffic. This is the one Strassen plan
+/// ([`plan::graph`]) under a node-group pricing, and its fabric bytes are
+/// the `Algo`-phase bytes [`crate::dist_caps_multiply`] moves.
 pub fn dist_caps_graph(n: usize, cluster: &ClusterConfig) -> TaskGraph {
-    let mut g = TaskGraph::new();
-    if n == 0 {
-        return g;
-    }
-    let cfg = CapsConfig::paper();
-    emit_caps(&mut g, n, 0, cluster.nodes, &cfg, &cluster.node, &[]);
-    g
+    let cfg = CapsConfig::paper().as_strassen();
+    let groups = NodeGroup {
+        cores: cluster.node.cores,
+        layout: Layout::for_target(n, cfg.cutoff),
+        base: 0,
+        // A zero-node cluster is invalid; its plan is the one-node plan.
+        size: cluster.nodes.max(1),
+        path: 1,
+    };
+    plan::graph(n, &cfg, &groups, &cluster.node.traffic_model())
 }
 
-/// Emits one product's subtree on nodes `[base, base + count)`, each a
-/// `node`; returns its sink tasks.
-#[allow(clippy::too_many_arguments)]
-fn emit_caps(
-    g: &mut TaskGraph,
-    n: usize,
+/// The pricing of one subtree of distributed CAPS: nodes `[base, base +
+/// size)`, each with `cores` cores, holding their operands in the
+/// executor's fractal `layout`; `path` is the executor's recursion-tree id
+/// of the subtree (root 1, child `7·path + i + 1`).
+///
+/// A BFS step gives the product at launch position `i` to child group `i`
+/// of [`bfs_child_ranges`] and ships it the columns of both operands it
+/// does not already own ([`kept_cols`]), then ships the product's other
+/// columns back once. Both land on the group lead, where the executor
+/// spreads them over the group's ranks (DESIGN §6i).
+#[derive(Clone)]
+struct NodeGroup {
+    cores: usize,
+    layout: Layout,
     base: usize,
-    count: usize,
-    cfg: &CapsConfig,
-    node: &MachineConfig,
-    deps: &[TaskId],
-) -> Vec<TaskId> {
-    let (scfg, tm) = (cfg.as_strassen(), &node.traffic_model());
-    if count <= 1 || scost::is_leaf(n, cfg.cutoff) {
-        // Node-local execution: the whole subtree as fluid bands across
-        // the node's cores (the SMP study's DFS image).
-        let flops = scost::total_flops(n, &scfg);
-        let dram = scost::dram_bytes_effective(n, &scfg, tm);
-        return g.add_shared(
-            base,
-            0,
-            KernelClass::LeafGemm,
-            flops,
-            dram,
-            node.cores,
-            deps,
-        );
+    size: usize,
+    path: u64,
+}
+
+impl Pricing for NodeGroup {
+    fn plan_leaf(
+        &self,
+        g: &mut TaskGraph,
+        leaf: TaskCost,
+        _inline: bool,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
+        // A leaf on a wider group is gathered to a leader rotated by the
+        // path, multiplied there and scattered back: the two operands in,
+        // the product out, less the leader's own columns. On one node
+        // nothing moves.
+        let leader = (self.path % self.size as u64) as usize;
+        let f = self.layout.frame as u64;
+        let own = self.layout.width(self.layout.frame, self.size, leader) as u64;
+        let (node, net) = (self.base + leader, 3 * 8 * f * (f - own));
+        let (class, flops, dram) = (leaf.class, leaf.flops, leaf.dram_bytes);
+        g.add_shared(node, net, class, flops, dram, self.cores, deps)
     }
 
-    // BFS step across the node group.
-    let h = (n / 2) as u64;
-    let hh = h * h;
-    let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
-    // Block-partition the group over the seven children with the
-    // executor's ranges. Child `i` here is product M`i+1` (`PRODUCTS`
-    // order); the executor gives it the `i`-th product of
-    // `arith::launch()` instead, so a group's declared volume can differ
-    // from its measured one.
-    let children = bfs_child_ranges(count);
-    let missing = |(lo, hi): (usize, usize)| 1.0 - (hi - lo) as f64 / count as f64;
-    let sinks = PRODUCTS.iter().zip(children).map(|(product, (lo, hi))| {
-        // Operands are fractally (frame-cyclically) distributed over the
-        // whole group — the layout `dist::Layout` implements — so a child
-        // group already owns `(hi - lo) / count` of each quadrant; the
-        // BFS split ships only the complement, with the seven linear
-        // combinations formed at the senders (the CAPS SC'12
-        // implementation trick, and exactly what the measured executor's
-        // `RankCtx::ship` does). Two operands per product. DFS steps keep
-        // the whole group and ship nothing, so they appear in no declared
-        // volume here either.
-        let pre = product.sums();
-        let net = (2.0 * 8.0 * hh as f64 * missing((lo, hi))) as u64;
-        let prepare = g.add_on(
-            base + lo,
-            net,
-            TaskCost::new(KernelClass::Elementwise, pre * hh, pre * per_pass, 0),
-            deps,
-        );
-        emit_caps(g, n / 2, base + lo, hi - lo, cfg, node, &[prepare])
-    });
-    let product_sinks: Vec<_> = sinks.collect();
-    // Combines gather the products back to the group lead.
-    let combines = Quad::ALL.map(|q| {
-        let passes = arith::combine().filter(|s| s.quad == q).count() as u64;
-        let mut cdeps: Vec<TaskId> = Vec::new();
-        let mut net = 0.0f64;
-        for pi in arith::inputs(q) {
-            cdeps.extend_from_slice(&product_sinks[pi]);
-            // Results scatter back into the block-cyclic layout: each
-            // producing group keeps its owned share.
-            net += 8.0 * hh as f64 * missing(children[pi]);
+    fn plan_inline(
+        &self,
+        g: &mut TaskGraph,
+        _n: usize,
+        flops: u64,
+        dram: u64,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
+        // Node-local execution: the whole subtree as fluid bands across
+        // the node's cores (the SMP study's DFS image).
+        let class = KernelClass::LeafGemm;
+        g.add_shared(self.base, 0, class, flops, dram, self.cores, deps)
+    }
+
+    fn prepare_comm(&self, _depth: u32, _hh: u64) -> u64 {
+        0
+    }
+
+    fn combine_comm(&self, _depth: u32, _inputs: usize, _hh: u64) -> u64 {
+        0
+    }
+
+    fn inline(&self, _depth: u32, _task_depth: u32) -> bool {
+        self.size == 1
+    }
+
+    fn child(&self, launch: usize) -> Self {
+        let (lo, hi) = bfs_child_ranges(self.size)[launch];
+        NodeGroup {
+            base: self.base + lo,
+            size: hi - lo,
+            path: self.path * 7 + launch as u64 + 1,
+            ..self.clone()
         }
-        let net = net as u64;
-        cdeps.sort_unstable();
-        cdeps.dedup();
-        g.add_on(
-            base,
-            net,
-            TaskCost::new(KernelClass::Elementwise, passes * hh, passes * per_pass, 0),
-            &cdeps,
-        )
-    });
-    combines.to_vec()
+    }
+
+    fn node(&self) -> usize {
+        self.base
+    }
+
+    fn fabric(&self, launch: usize, hh: u64) -> u64 {
+        let f = self.layout.frame as u64;
+        let kept = kept_cols(&self.layout, self.size, bfs_child_ranges(self.size)[launch]);
+        // `f` divides the quadrant side, so `hh / f` is whole rows × frames.
+        8 * (hh / f) * (f - kept as u64)
+    }
 }
 
 /// 2D SUMMA on a `q × q` node grid (`nodes` must be a perfect square and
@@ -172,7 +178,7 @@ mod tests {
             let g = dist_caps_graph(n, &cluster);
             assert_eq!(
                 g.total_flops(),
-                scost::total_flops(n, &cfg.as_strassen()),
+                powerscale_strassen::cost::total_flops(n, &cfg.as_strassen()),
                 "n={n}"
             );
         }

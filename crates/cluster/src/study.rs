@@ -83,13 +83,6 @@ pub fn run_study(n: usize, node_counts: &[usize]) -> DistStudy {
 }
 
 impl DistStudy {
-    /// The run for a cell.
-    pub fn get(&self, algorithm: DistAlgorithm, nodes: usize) -> Option<&DistRun> {
-        self.runs
-            .iter()
-            .find(|r| r.algorithm == algorithm && r.nodes == nodes)
-    }
-
     /// Equation 5/6 curve over node counts for one algorithm (requires a
     /// 1-node baseline run).
     pub fn ep_curve(&self, algorithm: DistAlgorithm) -> EpCurve {
@@ -128,6 +121,15 @@ impl DistStudy {
 mod tests {
     use super::*;
     use powerscale_core::ScalingClass;
+
+    impl DistStudy {
+        /// The run for a cell.
+        fn get(&self, algorithm: DistAlgorithm, nodes: usize) -> Option<&DistRun> {
+            self.runs
+                .iter()
+                .find(|r| r.algorithm == algorithm && r.nodes == nodes)
+        }
+    }
 
     #[test]
     fn study_covers_expected_cells() {

@@ -6,6 +6,7 @@ use powerscale_cluster::plans::{dist_caps_graph, summa_graph};
 use powerscale_cluster::presets::{e3_1225_cluster, e3_1225_net};
 use powerscale_cluster::{summa_multiply, DistCapsConfig};
 use powerscale_machine::net::Phase;
+use powerscale_machine::{KernelClass, TaskId};
 use powerscale_matrix::MatrixGen;
 use proptest::prelude::*;
 
@@ -49,21 +50,34 @@ proptest! {
         let n = 2usize.pow(half);
         let nodes = 7usize.pow(exp as u32);
         let g = dist_caps_graph(n, &e3_1225_cluster(nodes));
-        // A level-k BFS prepare task ships 2·8·(n/2^(k+1))²·(6/7) bytes
-        // (the block-cyclic complement of two operands): count the tasks
-        // carrying exactly that volume. Prepares have at most one
-        // dependency; two-input combines can carry the same volume but
-        // depend on whole product subtrees, which tells them apart.
+        // A level-k prepare forms one or two quadrant sums of
+        // `hh = (n/2^(k+1))²` elements and depends on at most its parent's
+        // prepare; combines depend on whole product subtrees, which tells
+        // them apart. Each ships the columns of two operands its child
+        // group does not own: most, but not all, of `2·8·hh` bytes (a
+        // seventh of the group keeps about a seventh of the columns).
         for k in 0..exp {
-            let hh = (n / 2usize.pow(k as u32 + 1)).pow(2) as f64;
-            let expected = (2.0 * 8.0 * hh * (6.0 / 7.0)) as u64;
-            let count = (0..g.len())
-                .filter(|&i| {
-                    let id = powerscale_machine::TaskId::from_index(i);
-                    g.net_bytes(id) == expected && g.deps(id).len() <= 1
+            let hh = (n / 2usize.pow(k as u32 + 1)).pow(2) as u64;
+            let prepares: Vec<u64> = (0..g.len())
+                .map(TaskId::from_index)
+                .filter(|&id| {
+                    let c = g.cost(id);
+                    c.class == KernelClass::Elementwise
+                        && (c.flops == hh || c.flops == 2 * hh)
+                        && g.deps(id).len() <= 1
                 })
-                .count();
-            prop_assert_eq!(count, 7usize.pow(k as u32 + 1), "level {}", k);
+                .map(|id| g.net_bytes(id))
+                .collect();
+            prop_assert_eq!(prepares.len(), 7usize.pow(k as u32 + 1), "level {}", k);
+            for net in prepares {
+                prop_assert!(
+                    16 * hh * 5 / 7 < net && net < 16 * hh,
+                    "level {}: {} of {} operand bytes",
+                    k,
+                    net,
+                    16 * hh
+                );
+            }
         }
     }
 }
@@ -97,25 +111,46 @@ fn summa_declared_equals_measured_transport() {
     }
 }
 
-/// The dist-CAPS declared volume is an idealized block-cyclic model; the
-/// block-column executor moves a same-order amount: measured total within
-/// [1/4, 4]× of declared at one BFS level.
+/// The declared dist-CAPS fabric bytes are the bytes the executor moves:
+/// the plan's `total_net_bytes()` equals the `Algo`-phase receive bytes
+/// summed over ranks, exactly. At P = 3 the frame's 64 columns split
+/// 21/21/22 and every child group is one node; at P = 16 n = 128 the
+/// leaves sit on two- and three-node groups and gather to their leaders.
 #[test]
-fn caps_declared_vs_measured_same_order() {
-    let n = 256;
-    let mut gen = MatrixGen::new(8);
-    let a = gen.paper_operand(n);
-    let b = gen.paper_operand(n);
-    let out =
-        powerscale_cluster::dist_caps_multiply(&a, &b, &DistCapsConfig::paper(), &e3_1225_net(7))
-            .unwrap();
-    let measured: f64 = (0..7)
-        .map(|r| out.report.recv_bytes(r, Phase::Algo) as f64)
+fn caps_declared_equals_measured_transport() {
+    let cells = [2usize, 3, 4, 7]
+        .into_iter()
+        .flat_map(|p| [(p, 256usize), (p, 512)])
+        .chain([(16, 128)]);
+    for (p, n) in cells {
+        let mut gen = MatrixGen::new(8);
+        let a = gen.paper_operand(n);
+        let b = gen.paper_operand(n);
+        let out = powerscale_cluster::dist_caps_multiply(
+            &a,
+            &b,
+            &DistCapsConfig::paper(),
+            &e3_1225_net(p),
+        )
+        .unwrap();
+        let measured: u64 = (0..p).map(|r| out.report.recv_bytes(r, Phase::Algo)).sum();
+        let declared = dist_caps_graph(n, &e3_1225_cluster(p)).total_net_bytes();
+        assert_eq!(declared, measured, "P={p} n={n}");
+    }
+}
+
+/// The plan gives each node group the products the executor's does: at
+/// P = 2, group 1 runs launch positions 4–6 (M1, M4, M5), whose operand
+/// sums cost 2 + 1 + 1 quadrant passes on node 1.
+#[test]
+fn caps_plan_places_products_like_the_executor() {
+    let n = 512u64;
+    let hh = (n / 2) * (n / 2);
+    let g = dist_caps_graph(n as usize, &e3_1225_cluster(2));
+    let node1: u64 = (0..g.len())
+        .map(TaskId::from_index)
+        .filter(|&id| g.node(id) == 1 && g.cost(id).class == KernelClass::Elementwise)
+        .map(|id| g.cost(id).flops)
         .sum();
-    let declared = dist_caps_graph(n, &e3_1225_cluster(7)).total_net_bytes() as f64;
-    let ratio = measured / declared;
-    assert!(
-        (0.25..=4.0).contains(&ratio),
-        "measured {measured} vs declared {declared} (ratio {ratio})"
-    );
+    assert_eq!(node1, 4 * hh);
 }

@@ -8,23 +8,21 @@
 //! events) at block granularity, and those reports drive the machine model
 //! that in turn synthesizes RAPL readings.
 //!
-//! The API deliberately mirrors PAPI's event-set life cycle — create, add
-//! events, `start`, `record` while running, `stop`/`read`/`accum`, `reset` —
-//! including its state-machine errors, so a port to real PAPI bindings on
-//! instrumented hardware is mechanical.
+//! The API mirrors PAPI's event-set life cycle — `start`, `record` while
+//! running, `stop`/`read` — including its state-machine errors. A set
+//! always counts every event: no caller ever counted fewer, so PAPI's
+//! membership calls (`add`, `remove`, `accum`) are not carried.
 //!
 //! # Example
 //!
 //! ```
 //! use powerscale_counters::{Event, EventSet, Profile};
 //!
-//! let mut set = EventSet::new();
-//! set.add(Event::FpOps).unwrap();
-//! set.add(Event::BytesRead).unwrap();
+//! let mut set = EventSet::with_all_events();
+//! set.record(Event::CommBytes, 999); // stopped: ignored
 //! set.start().unwrap();
 //! set.record(Event::FpOps, 2_000);
 //! set.record(Event::BytesRead, 64);
-//! set.record(Event::CommBytes, 999); // not in the set: ignored
 //! let profile: Profile = set.stop().unwrap();
 //! assert_eq!(profile.get(Event::FpOps), 2_000);
 //! assert_eq!(profile.get(Event::CommBytes), 0);
@@ -37,5 +35,5 @@ mod eventset;
 mod profile;
 
 pub use event::{Event, ALL_EVENTS};
-pub use eventset::{CounterError, EventSet, SetState};
+pub use eventset::{CounterError, EventSet};
 pub use profile::Profile;

@@ -13,7 +13,12 @@
 //! whose [`Pricing`] prices the leaves, the inline subtrees and the
 //! migration volumes. Under `Untied` (classic Strassen, [`strassen_graph_with`])
 //! scheduling is placement-oblivious: every spawned product pays a full
-//! migration and an inline subtree is one sequential task.
+//! migration and an inline subtree is one sequential task. A node-group
+//! pricing (distributed CAPS) hands each product to the child group its
+//! `arith::launch` position names: the product's prepare runs on that
+//! group's lead and carries the two operands' fabric bytes, and each
+//! product's return is charged once, to the combine of the first quadrant
+//! that reads it.
 
 use crate::arith::{self, Quad, PRODUCTS};
 use crate::config::StrassenConfig;
@@ -56,7 +61,7 @@ fn emit<S: Pricing>(
     tm: &TrafficModel,
     deps: &[TaskId],
 ) -> Vec<TaskId> {
-    let inline = depth >= cfg.task_depth;
+    let inline = sched.inline(depth, cfg.task_depth);
     if cost::is_leaf(n, cfg.cutoff) {
         let d = n as u64;
         let leaf = TaskCost::new(
@@ -76,11 +81,19 @@ fn emit<S: Pricing>(
     let h = (n / 2) as u64;
     let hh = h * h;
     let per_pass = tm.effective_bytes(3 * 8 * hh, 24 * hh);
-    let product_sinks = PRODUCTS.map(|product| {
-        let pre = product.sums();
+    // `at[p]`: product `p`'s position in the launch order.
+    let mut at = [0; PRODUCTS.len()];
+    for (i, p) in arith::launch().enumerate() {
+        at[p] = i;
+    }
+    let product_sinks: [_; PRODUCTS.len()] = std::array::from_fn(|p| {
+        let pre = PRODUCTS[p].sums();
+        let child = sched.child(at[p]);
         // Prepare task: the product's operand adds plus the migration of
         // its two half-size operands, as the schedule prices it.
-        let prepare = g.add(
+        let prepare = g.add_on(
+            child.node(),
+            2 * sched.fabric(at[p], hh),
             TaskCost::new(
                 KernelClass::Elementwise,
                 pre * hh,
@@ -89,7 +102,7 @@ fn emit<S: Pricing>(
             ),
             deps,
         );
-        emit(g, n / 2, depth + 1, cfg, sched, tm, &[prepare])
+        emit(g, n / 2, depth + 1, cfg, &child, tm, &[prepare])
     });
 
     let combines = Quad::ALL.map(|q| {
@@ -100,7 +113,14 @@ fn emit<S: Pricing>(
         }
         cdeps.sort_unstable();
         cdeps.dedup();
-        g.add(
+        // Each product returns once, to the first quadrant that reads it.
+        let returned = arith::inputs(q)
+            .filter(|&p| PRODUCTS[p].c[..q as usize].iter().all(|&w| w == 0))
+            .map(|p| sched.fabric(at[p], hh))
+            .sum();
+        g.add_on(
+            sched.node(),
+            returned,
             TaskCost::new(
                 KernelClass::Elementwise,
                 passes * hh,

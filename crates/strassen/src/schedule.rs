@@ -12,11 +12,14 @@
 //! Every pooled leaf is work-shared by row bands across the pool, whatever
 //! the schedule. Its [`Pricing`] names the differences for the task-graph
 //! plan: how a leaf, an inline subtree below the spawn depth, and operand
-//! migration at a spawned node's prepare and combine tasks are priced.
+//! migration at a spawned node's prepare and combine tasks are priced, and,
+//! for a plan spread over a group of cluster nodes, which nodes run which
+//! product and what crosses the fabric.
 //!
 //! Arithmetic order, event counts and task order belong to the walker, so
 //! every schedule computes the same bits. `Untied` is the BOTS pricing;
-//! CAPS's BFS/DFS schedule and pricing live in `powerscale-caps`.
+//! CAPS's BFS/DFS schedule and pricing live in `powerscale-caps`, and the
+//! node-group pricing of distributed CAPS in `powerscale-cluster`.
 
 use powerscale_machine::{KernelClass, TaskCost, TaskGraph, TaskId};
 use powerscale_trace::Category;
@@ -36,7 +39,13 @@ pub struct Schedule {
 }
 
 /// How a schedule prices one Strassen recursion's task-graph plan.
-pub trait Pricing {
+///
+/// A pricing covers the subtree of one group of cluster nodes. The last
+/// four methods are what a group wider than one node needs; their defaults
+/// are the one-node plan: a child is priced like its parent, every task
+/// runs on node 0, nothing crosses the fabric, and the spawn depth decides
+/// where the recursion goes inline.
+pub trait Pricing: Clone {
     /// Emits the task(s) of one dense leaf costing `leaf`; `inline` is true
     /// below the spawn depth. Returns the sink tasks.
     fn plan_leaf(
@@ -65,6 +74,31 @@ pub trait Pricing {
     /// Bytes a combine task at a spawned node of `depth` pulls from the
     /// `inputs` products it consumes.
     fn combine_comm(&self, depth: u32, inputs: usize, hh: u64) -> u64;
+
+    /// `true` when the subtree at `depth` runs inline, below the spawn
+    /// depth `task_depth`; a node group goes inline (node-local) once it
+    /// is one node wide.
+    fn inline(&self, depth: u32, task_depth: u32) -> bool {
+        depth >= task_depth
+    }
+
+    /// The pricing of the subtree that computes the product at position
+    /// `launch` of [`crate::arith::launch`].
+    fn child(&self, _launch: usize) -> Self {
+        self.clone()
+    }
+
+    /// The node this subtree's prepare and combine tasks run on.
+    fn node(&self) -> usize {
+        0
+    }
+
+    /// Fabric bytes of one quadrant-sized matrix (`hh` elements) that the
+    /// child at `launch` does not already hold: what each of its two
+    /// operands costs to ship in, and its product to ship back.
+    fn fabric(&self, _launch: usize, _hh: u64) -> u64 {
+        0
+    }
 }
 
 /// The BOTS pricing: an untied task per product down to the spawn depth,
